@@ -1,0 +1,7 @@
+//go:build !linux
+
+package main
+
+func fsType(string) string { return "unknown filesystem" }
+
+func settleDisk() {}
