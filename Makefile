@@ -11,14 +11,15 @@ COVER_FLOOR_SQLDB ?= 65
 ## seed corpora already run as plain tests under `make test`).
 FUZZ_TIME ?= 5s
 
-.PHONY: check vet build test race cover bench-smoke bench fuzz crash chaos pmatrix vmatrix diskmatrix concurrency writers wbench server
+.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix vmatrix diskmatrix concurrency writers wbench server
 
 ## check: the full CI gate — vet, build, tests (race-enabled where it
 ## matters), the engine suite across a GOMAXPROCS matrix, the snapshot
 ## isolation battery, the spill-to-disk buffer-pool matrix, per-package
 ## coverage floors, the fault-injection and chaos batteries, short fuzz
-## sessions, and a one-shot run of the query-cache benchmark.
-check: vet build test race pmatrix vmatrix diskmatrix concurrency writers server cover crash chaos fuzz bench-smoke
+## sessions, a one-shot run of the query-cache benchmark, and the
+## repository benchmark's smoke test.
+check: vet build test race pmatrix vmatrix diskmatrix concurrency writers server cover crash chaos fuzz bench-smoke benchmark-smoke
 
 vet:
 	$(GO) vet ./...
@@ -151,6 +152,13 @@ fuzz:
 ## and running; use `make bench` for real numbers.
 bench-smoke:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 1x
+
+## benchmark-smoke: the repository benchmark's smoke test (benchmark/,
+## its own module) — all four workloads at factor 0.02 in sub-second
+## windows, about 8 s, offline. Drift in the engine API benchmark/sut.go
+## uses fails here instead of only in the benchmark driver.
+benchmark-smoke:
+	$(GO) -C benchmark test ./...
 
 bench:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 2s

@@ -166,6 +166,7 @@ func BenchmarkF1QueryClasses(b *testing.B) {
 		for _, name := range schemeNames {
 			b.Run(qc.id+"/"+name, func(b *testing.B) {
 				prep := preparedQuery(b, dbs[name], schemes[name], qc.query)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := prep.Query(); err != nil {

@@ -25,6 +25,7 @@ func TestSemanticErrors(t *testing.T) {
 	expectQueryError(t, db, `SELECT grp FROM nums WHERE grp = n2`, "unknown column")
 	// Ambiguity: both tables have a column n.
 	expectQueryError(t, db, `SELECT n FROM nums, tags`, "ambiguous")
+	expectQueryError(t, db, `SELECT nums.label FROM nums, tags WHERE n = tags.n`, "ambiguous")
 	// Duplicate alias.
 	expectQueryError(t, db, `SELECT 1 FROM nums x, tags x`, "duplicate table alias")
 	// Aggregation misuse.

@@ -1,8 +1,9 @@
 package sqldb
 
 import (
+	"math"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // rowIter is the Volcano-style iterator every physical operator
@@ -144,20 +145,118 @@ func (it *seqScanIter) close() { it.ref.release() }
 // ---------------------------------------------------------------------------
 // Index scan
 
-// indexScanNode scans an index range. The bounds are expressions that
-// must be row-independent (literals, params, outer refs); they are
-// evaluated when the iterator opens.
+// indexProbe is an index range: equality bounds on the leading key
+// columns, then an optional lower and/or upper bound on the next one.
+// The bounds are evaluated against a row — the left row of an index
+// join, nil for an index scan, whose bounds are row-independent
+// (literals, params, outer refs).
+type indexProbe struct {
+	eq             []compiledExpr
+	lo, hi         compiledExpr
+	loIncl, hiIncl bool
+}
+
+// probeBuf holds the key buffers an iterator reuses across probes.
+type probeBuf struct{ lo, hi []Value }
+
+// keyBound ends an index range: the cursor stops at the first key whose
+// leading len(key) columns sort after key (incl) or at-or-after it
+// (!incl). A nil key never stops.
+type keyBound struct {
+	key  []Value
+	incl bool
+}
+
+func (b *keyBound) passed(key []Value) bool {
+	if b.key == nil {
+		return false
+	}
+	c := prefixCompare(key, b.key)
+	if b.incl {
+		return c > 0
+	}
+	return c >= 0
+}
+
+// start evaluates the probe against row and positions a cursor at the
+// first entry of the range in tree. empty reports that a bound
+// evaluated to NULL, which matches nothing in SQL. The returned bound
+// points into buf and stays valid until the next start.
+func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf) (cur btreeCursor, stop keyBound, empty bool, err error) {
+	if buf.lo == nil {
+		// One array backs both keys: the equality prefix, plus the range
+		// column when there is one.
+		n := len(p.eq)
+		if p.lo != nil || p.hi != nil {
+			n++
+		}
+		keys := make([]Value, 2*n)
+		buf.lo, buf.hi = keys[:0:n], keys[n:n]
+	}
+	buf.lo = buf.lo[:0]
+	for _, e := range p.eq {
+		v, err := e(ctx, row)
+		if err != nil {
+			return cur, stop, false, err
+		}
+		if v.IsNull() {
+			// Equality with NULL matches nothing in SQL.
+			return cur, stop, true, nil
+		}
+		buf.lo = append(buf.lo, v)
+	}
+	np := len(buf.lo)
+	switch {
+	case p.lo != nil:
+		v, err := p.lo(ctx, row)
+		if err != nil {
+			return cur, stop, false, err
+		}
+		if v.IsNull() {
+			return cur, stop, true, nil
+		}
+		buf.lo = append(buf.lo, v)
+		if p.loIncl {
+			cur = tree.seek(buf.lo)
+		} else {
+			cur = tree.seekAfter(buf.lo)
+		}
+	case p.hi != nil:
+		// Upper-bound-only range: NULL keys sort first in the index but
+		// never satisfy a SQL comparison, so start after the NULL run.
+		buf.lo = append(buf.lo, Null)
+		cur = tree.seekAfter(buf.lo)
+	case np > 0:
+		cur = tree.seek(buf.lo)
+	default:
+		cur = tree.seek(nil)
+	}
+	if p.hi != nil {
+		v, err := p.hi(ctx, row)
+		if err != nil {
+			return cur, stop, false, err
+		}
+		if v.IsNull() {
+			return cur, stop, true, nil
+		}
+		buf.hi = append(append(buf.hi[:0], buf.lo[:np]...), v)
+		stop = keyBound{key: buf.hi, incl: p.hiIncl}
+	} else if np > 0 {
+		buf.hi = append(buf.hi[:0], buf.lo[:np]...)
+		stop = keyBound{key: buf.hi, incl: true}
+	}
+	return cur, stop, false, nil
+}
+
+// indexScanNode scans an index range; its probe is evaluated when the
+// iterator opens.
 type indexScanNode struct {
 	tbl    *table
 	idx    *tableIndex
 	alias  string
 	schema schema
-	// eq holds equality bounds for the leading key columns.
-	eq []compiledExpr
-	// lo/hi optionally bound the next key column after the eq prefix.
-	lo, hi         compiledExpr
-	loIncl, hiIncl bool
-	filter         compiledExpr
+	indexProbe
+	filter compiledExpr
 	// kernel is the batch-path specialization of filter (see kernel.go).
 	kernel rowPred
 	sel    float64
@@ -169,85 +268,17 @@ func (n *indexScanNode) estRows() float64 { return float64(n.tbl.live)*n.sel + 1
 
 func (n *indexScanNode) open(ctx *evalCtx) (rowIter, error) {
 	tbl := ctx.resolveTable(n.tbl)
-	cur, stop, empty, err := n.startCursor(ctx, tbl)
+	it := &indexScanIter{node: n, ctx: ctx, tbl: tbl}
+	var empty bool
+	var err error
+	it.cur, it.stop, empty, err = n.start(ctx, nil, resolveIndex(tbl, n.idx).tree, &it.buf)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &sliceIter{}, nil
 	}
-	return &indexScanIter{node: n, ctx: ctx, tbl: tbl, cur: cur, stop: stop}, nil
-}
-
-// startCursor evaluates the scan bounds and positions a cursor over the
-// resolved table's index. empty reports that a bound evaluated to NULL,
-// which matches nothing in SQL. Shared by the row and batch paths.
-func (n *indexScanNode) startCursor(ctx *evalCtx, tbl *table) (btreeCursor, func(key []Value) bool, bool, error) {
-	idx := resolveIndex(tbl, n.idx)
-	prefix := make([]Value, 0, len(n.eq)+1)
-	for _, e := range n.eq {
-		v, err := e(ctx, nil)
-		if err != nil {
-			return btreeCursor{}, nil, false, err
-		}
-		if v.IsNull() {
-			// Equality with NULL matches nothing in SQL.
-			return btreeCursor{}, nil, true, nil
-		}
-		prefix = append(prefix, v)
-	}
-	var cur btreeCursor
-	var stop func(key []Value) bool
-	tree := idx.tree
-
-	loBound := prefix
-	switch {
-	case n.lo != nil:
-		v, err := n.lo(ctx, nil)
-		if err != nil {
-			return btreeCursor{}, nil, false, err
-		}
-		if v.IsNull() {
-			return btreeCursor{}, nil, true, nil
-		}
-		loBound = append(append([]Value{}, prefix...), v)
-		if n.loIncl {
-			cur = tree.seek(loBound)
-		} else {
-			cur = tree.seekAfter(loBound)
-		}
-	case n.hi != nil:
-		// Upper-bound-only range: NULL keys sort first in the index but
-		// never satisfy a SQL comparison, so start after the NULL run.
-		cur = tree.seekAfter(append(append([]Value{}, prefix...), Null))
-	case len(prefix) > 0:
-		cur = tree.seek(prefix)
-	default:
-		cur = tree.seek(nil)
-	}
-
-	if n.hi != nil {
-		v, err := n.hi(ctx, nil)
-		if err != nil {
-			return btreeCursor{}, nil, false, err
-		}
-		if v.IsNull() {
-			return btreeCursor{}, nil, true, nil
-		}
-		hiBound := append(append([]Value{}, prefix...), v)
-		incl := n.hiIncl
-		stop = func(key []Value) bool {
-			c := prefixCompare(key, hiBound)
-			if incl {
-				return c > 0
-			}
-			return c >= 0
-		}
-	} else if len(prefix) > 0 {
-		p := prefix
-		stop = func(key []Value) bool { return prefixCompare(key, p) > 0 }
-	}
-	return cur, stop, false, nil
+	return it, nil
 }
 
 type indexScanIter struct {
@@ -255,14 +286,15 @@ type indexScanIter struct {
 	ctx  *evalCtx
 	tbl  *table
 	cur  btreeCursor
-	stop func(key []Value) bool
+	stop keyBound
+	buf  probeBuf
 	ref  pageRef
 }
 
 func (it *indexScanIter) next() ([]Value, error) {
 	for it.cur.valid() {
 		e := it.cur.entry()
-		if it.stop != nil && it.stop(e.key) {
+		if it.stop.passed(e.key) {
 			return nil, nil
 		}
 		it.cur.advance()
@@ -381,16 +413,92 @@ func (it *projectIter) next() ([]Value, error) {
 func (it *projectIter) close() { it.in.close() }
 
 // ---------------------------------------------------------------------------
+// Join output rows
+
+// joinOut is the output side of a join operator. A join evaluates its
+// condition over the full left++right row (width columns) and emits only
+// keep, the columns an operator above it still reads (nil keeps all);
+// schema describes the emitted row, so everything compiled above the
+// join resolves against the narrow row (see narrowJoin in plan.go).
+type joinOut struct {
+	schema schema
+	keep   []int
+	width  int
+}
+
+func fullJoinOut(s schema) joinOut { return joinOut{schema: s, width: len(s)} }
+
+func (o *joinOut) sch() schema      { return o.schema }
+func (o *joinOut) output() *joinOut { return o }
+
+// cols renders the output width for EXPLAIN: emitted/full columns.
+func (o *joinOut) cols() string { return "cols=" + itoa(len(o.schema)) + "/" + itoa(o.width) }
+
+// joinBuf builds one join iterator's output rows. The join condition is
+// tested on a reused full-width scratch row — the left columns copied
+// once per left row, the right ones once per candidate — and only a
+// candidate that passes gets an output row, carved from the arena and
+// holding just the kept columns.
+type joinBuf struct {
+	out   *joinOut
+	row   []Value
+	lw    int
+	arena rowArena
+}
+
+func newJoinBuf(out *joinOut, left planNode) joinBuf {
+	return joinBuf{out: out, row: make([]Value, out.width), lw: len(left.sch())}
+}
+
+func (b *joinBuf) setLeft(l []Value) { copy(b.row[:b.lw], l) }
+
+// test reports whether cond (nil = always) holds for the current left
+// row joined with r.
+func (b *joinBuf) test(ctx *evalCtx, cond compiledExpr, r []Value) (bool, error) {
+	copy(b.row[b.lw:], r)
+	if cond == nil {
+		return true, nil
+	}
+	v, err := cond(ctx, b.row)
+	if err != nil {
+		return false, err
+	}
+	return !v.IsNull() && v.Bool(), nil
+}
+
+// emit copies the scratch row's kept columns into a fresh output row.
+func (b *joinBuf) emit() []Value {
+	keep := b.out.keep
+	if keep == nil {
+		out := b.arena.alloc(len(b.row))
+		copy(out, b.row)
+		return out
+	}
+	out := b.arena.alloc(len(keep))
+	for i, c := range keep {
+		out[i] = b.row[c]
+	}
+	return out
+}
+
+// pad emits the current left row with a NULL right side (left outer
+// join, no match).
+func (b *joinBuf) pad() []Value {
+	for i := b.lw; i < len(b.row); i++ {
+		b.row[i] = Null
+	}
+	return b.emit()
+}
+
+// ---------------------------------------------------------------------------
 // Nested-loop join (materializes the inner side once)
 
 type nlJoinNode struct {
 	left, right planNode
 	cond        compiledExpr // may be nil (cross join)
 	leftOuter   bool
-	schema      schema
+	joinOut
 }
-
-func (n *nlJoinNode) sch() schema { return n.schema }
 
 func (n *nlJoinNode) estRows() float64 {
 	f := 0.5
@@ -413,7 +521,7 @@ func (n *nlJoinNode) open(ctx *evalCtx) (rowIter, error) {
 	if s := ctx.opStat(n); s != nil {
 		s.BuildRows += built
 	}
-	return &nlJoinIter{node: n, ctx: ctx, left: left, inner: inner, ipos: -1}, nil
+	return &nlJoinIter{node: n, ctx: ctx, left: left, inner: inner, buf: newJoinBuf(&n.joinOut, n.left)}, nil
 }
 
 // innerRows materializes the inner side, sharing the result across a
@@ -456,39 +564,36 @@ type nlJoinIter struct {
 	lrow    []Value
 	ipos    int
 	matched bool
+	buf     joinBuf
 }
 
 func (it *nlJoinIter) next() ([]Value, error) {
 	for {
 		if it.lrow == nil || it.ipos >= len(it.inner) {
 			if it.lrow != nil && it.node.leftOuter && !it.matched {
-				out := padRight(it.lrow, len(it.node.right.sch()))
 				it.lrow = nil
-				return out, nil
+				return it.buf.pad(), nil
 			}
 			var err error
 			it.lrow, err = it.left.next()
 			if err != nil || it.lrow == nil {
 				return nil, err
 			}
+			it.buf.setLeft(it.lrow)
 			it.ipos = 0
 			it.matched = false
 		}
 		for it.ipos < len(it.inner) {
 			r := it.inner[it.ipos]
 			it.ipos++
-			joined := concatRows(it.lrow, r)
-			if it.node.cond != nil {
-				v, err := it.node.cond(it.ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
+			ok, err := it.buf.test(it.ctx, it.node.cond, r)
+			if err != nil {
+				return nil, err
 			}
-			it.matched = true
-			return joined, nil
+			if ok {
+				it.matched = true
+				return it.buf.emit(), nil
+			}
 		}
 	}
 }
@@ -503,13 +608,11 @@ type hashJoinNode struct {
 	leftKeys, rightKeys []compiledExpr
 	extraCond           compiledExpr
 	leftOuter           bool
-	schema              schema
+	joinOut
 	// buildPar is the degree of parallelism for the partitioned build
 	// (set by the planner's parallelize pass; 0/1 = serial build).
 	buildPar int
 }
-
-func (n *hashJoinNode) sch() schema { return n.schema }
 
 func (n *hashJoinNode) estRows() float64 {
 	l, r := n.left.estRows(), n.right.estRows()
@@ -520,30 +623,73 @@ func (n *hashJoinNode) estRows() float64 {
 	return m + 1
 }
 
-// hashKey builds a string key from values; numeric types are normalized
-// so 1 and 1.0 collide, matching compareSQL semantics.
-func hashKey(vals []Value) (string, bool) {
-	var b strings.Builder
-	for _, v := range vals {
-		switch v.T {
-		case TypeNull:
-			return "", false // NULL never joins
-		case TypeInt, TypeBool:
-			b.WriteByte('n')
-			b.WriteString(NewFloat(float64(v.I)).Text())
-		case TypeFloat:
-			b.WriteByte('n')
-			b.WriteString(v.Text())
-		case TypeText:
-			b.WriteByte('s')
-			b.WriteString(v.S)
-		case TypeBlob:
-			b.WriteByte('b')
-			b.Write(v.B)
+// appendKey appends v's hash/DISTINCT key encoding to b. Values that
+// compare equal encode equally: an integer or boolean as its exact
+// decimal digits, a float with an integral value in the int64 range as
+// that same integer, any other float as its IEEE bits. (An integer and
+// a float beyond 2^53 can still compare equal through float rounding
+// while encoding differently; SQL equality is not transitive there.)
+func appendKey(b []byte, v Value) []byte {
+	switch v.T {
+	case TypeNull:
+		b = append(b, '0')
+	case TypeInt, TypeBool:
+		b = strconv.AppendInt(append(b, 'n'), v.I, 10)
+	case TypeFloat:
+		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			b = strconv.AppendInt(append(b, 'n'), int64(f), 10)
+		} else {
+			b = strconv.AppendUint(append(b, 'f'), math.Float64bits(f), 16)
 		}
-		b.WriteByte(0)
+	case TypeText:
+		b = append(append(b, 's'), v.S...)
+	case TypeBlob:
+		b = append(append(b, 'b'), v.B...)
 	}
-	return b.String(), true
+	return append(b, 0)
+}
+
+// hashKey appends the join key of vals to b; ok is false when a value is
+// NULL (NULL never joins).
+func hashKey(b []byte, vals []Value) (key []byte, ok bool) {
+	for _, v := range vals {
+		if v.T == TypeNull {
+			return b, false
+		}
+		b = appendKey(b, v)
+	}
+	return b, true
+}
+
+// probeKey is per-iterator scratch for hash-join keys: the evaluated
+// key values and their encoding.
+type probeKey struct {
+	vals []Value
+	enc  []byte
+}
+
+// encode evaluates keys on row into p.enc; ok is false when a key is
+// NULL.
+func (p *probeKey) encode(ctx *evalCtx, keys []compiledExpr, row []Value) (ok bool, err error) {
+	p.vals = p.vals[:0]
+	for _, ke := range keys {
+		v, err := ke(ctx, row)
+		if err != nil {
+			return false, err
+		}
+		p.vals = append(p.vals, v)
+	}
+	p.enc, ok = hashKey(p.enc[:0], p.vals)
+	return ok, nil
+}
+
+// lookup evaluates keys on row and returns its bucket in ht.
+func (p *probeKey) lookup(ctx *evalCtx, keys []compiledExpr, row []Value, ht map[string][][]Value) ([][]Value, error) {
+	ok, err := p.encode(ctx, keys, row)
+	if !ok {
+		return nil, err
+	}
+	return ht[string(p.enc)], nil
 }
 
 func (n *hashJoinNode) open(ctx *evalCtx) (rowIter, error) {
@@ -558,7 +704,7 @@ func (n *hashJoinNode) open(ctx *evalCtx) (rowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{node: n, ctx: ctx, left: left, ht: ht, rightWidth: len(n.right.sch())}, nil
+	return &hashJoinIter{node: n, ctx: ctx, left: left, ht: ht, buf: newJoinBuf(&n.joinOut, n.left)}, nil
 }
 
 // build produces the hash table for the right side. Inside a gather
@@ -606,24 +752,24 @@ func (n *hashJoinNode) buildHashTable(ctx *evalCtx) (map[string][][]Value, int64
 }
 
 type hashJoinIter struct {
-	node       *hashJoinNode
-	ctx        *evalCtx
-	left       rowIter
-	ht         map[string][][]Value
-	rightWidth int
-	lrow       []Value
-	bucket     [][]Value
-	bpos       int
-	matched    bool
+	node    *hashJoinNode
+	ctx     *evalCtx
+	left    rowIter
+	ht      map[string][][]Value
+	lrow    []Value
+	key     probeKey
+	bucket  [][]Value
+	bpos    int
+	matched bool
+	buf     joinBuf
 }
 
 func (it *hashJoinIter) next() ([]Value, error) {
 	for {
 		if it.lrow == nil || it.bpos >= len(it.bucket) {
 			if it.lrow != nil && it.node.leftOuter && !it.matched {
-				out := padRight(it.lrow, it.rightWidth)
 				it.lrow = nil
-				return out, nil
+				return it.buf.pad(), nil
 			}
 			var err error
 			it.lrow, err = it.left.next()
@@ -631,35 +777,23 @@ func (it *hashJoinIter) next() ([]Value, error) {
 				return nil, err
 			}
 			it.matched = false
-			keyBuf := make([]Value, len(it.node.leftKeys))
-			for i, ke := range it.node.leftKeys {
-				keyBuf[i], err = ke(it.ctx, it.lrow)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if k, ok := hashKey(keyBuf); ok {
-				it.bucket = it.ht[k]
-			} else {
-				it.bucket = nil
+			if it.bucket, err = it.key.lookup(it.ctx, it.node.leftKeys, it.lrow, it.ht); err != nil {
+				return nil, err
 			}
 			it.bpos = 0
+			it.buf.setLeft(it.lrow)
 		}
 		for it.bpos < len(it.bucket) {
 			r := it.bucket[it.bpos]
 			it.bpos++
-			joined := concatRows(it.lrow, r)
-			if it.node.extraCond != nil {
-				v, err := it.node.extraCond(it.ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
+			ok, err := it.buf.test(it.ctx, it.node.extraCond, r)
+			if err != nil {
+				return nil, err
 			}
-			it.matched = true
-			return joined, nil
+			if ok {
+				it.matched = true
+				return it.buf.emit(), nil
+			}
 		}
 	}
 }
@@ -669,26 +803,22 @@ func (it *hashJoinIter) close() { it.left.close() }
 // ---------------------------------------------------------------------------
 // Index nested-loop join: probes the right table's index per left row.
 
-// The probe key is an equality prefix (keyExprs, evaluated against the
-// left row; constant bounds simply ignore the row) optionally followed
-// by a range on the next key column (rngLo/rngHi, also computed per left
-// row). Range support is what makes the interval-encoding descendant
-// join (`c.pre BETWEEN p.pre+1 AND p.pre+p.size`) and the Dewey prefix
-// join run as index lookups instead of nested-loop scans.
+// The probe is an equality prefix (evaluated against the left row;
+// constant bounds simply ignore the row) optionally followed by a range
+// on the next key column, also computed per left row. Range support is
+// what makes the interval-encoding descendant join
+// (`c.pre BETWEEN p.pre+1 AND p.pre+p.size`) and the Dewey prefix join
+// run as index lookups instead of nested-loop scans.
 type indexJoinNode struct {
-	left                 planNode
-	tbl                  *table
-	idx                  *tableIndex
-	keyExprs             []compiledExpr // equality prefix, evaluated on the left row
-	rngLo, rngHi         compiledExpr   // optional bounds on the next key column
-	rngLoIncl, rngHiIncl bool
-	extraCond            compiledExpr // over the joined row
-	leftOuter            bool
-	schema               schema
-	sel                  float64
+	left planNode
+	tbl  *table
+	idx  *tableIndex
+	indexProbe
+	extraCond compiledExpr // over the full joined row
+	leftOuter bool
+	joinOut
+	sel float64
 }
-
-func (n *indexJoinNode) sch() schema { return n.schema }
 
 func (n *indexJoinNode) estRows() float64 {
 	per := float64(n.tbl.live) * n.sel
@@ -704,7 +834,7 @@ func (n *indexJoinNode) open(ctx *evalCtx) (rowIter, error) {
 		return nil, err
 	}
 	tbl := ctx.resolveTable(n.tbl)
-	return &indexJoinIter{node: n, ctx: ctx, left: left, tbl: tbl, idx: resolveIndex(tbl, n.idx)}, nil
+	return &indexJoinIter{node: n, ctx: ctx, left: left, tbl: tbl, tree: resolveIndex(tbl, n.idx).tree, buf: newJoinBuf(&n.joinOut, n.left)}, nil
 }
 
 type indexJoinIter struct {
@@ -712,22 +842,23 @@ type indexJoinIter struct {
 	ctx     *evalCtx
 	left    rowIter
 	tbl     *table
-	idx     *tableIndex
+	tree    *btree
 	lrow    []Value
 	cur     btreeCursor
-	stop    func(key []Value) bool
+	stop    keyBound
+	keys    probeBuf
 	active  bool
 	matched bool
 	ref     pageRef
+	buf     joinBuf
 }
 
 func (it *indexJoinIter) next() ([]Value, error) {
 	for {
 		if !it.active {
 			if it.lrow != nil && it.node.leftOuter && !it.matched {
-				out := padRight(it.lrow, len(it.node.tbl.def.Columns))
 				it.lrow = nil
-				return out, nil
+				return it.buf.pad(), nil
 			}
 			var err error
 			it.lrow, err = it.left.next()
@@ -735,14 +866,20 @@ func (it *indexJoinIter) next() ([]Value, error) {
 				return nil, err
 			}
 			it.matched = false
-			if err := it.seek(); err != nil {
+			var empty bool
+			it.cur, it.stop, empty, err = it.node.start(it.ctx, it.lrow, it.tree, &it.keys)
+			if err != nil {
 				return nil, err
 			}
+			if empty { // NULL keys never join
+				it.cur = btreeCursor{}
+			}
+			it.buf.setLeft(it.lrow)
 			it.active = true
 		}
 		for it.cur.valid() {
 			e := it.cur.entry()
-			if it.stop != nil && it.stop(e.key) {
+			if it.stop.passed(e.key) {
 				break
 			}
 			it.cur.advance()
@@ -750,94 +887,17 @@ func (it *indexJoinIter) next() ([]Value, error) {
 			if row == nil {
 				continue
 			}
-			joined := concatRows(it.lrow, row)
-			if it.node.extraCond != nil {
-				v, err := it.node.extraCond(it.ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
+			ok, err := it.buf.test(it.ctx, it.node.extraCond, row)
+			if err != nil {
+				return nil, err
 			}
-			it.matched = true
-			return joined, nil
+			if ok {
+				it.matched = true
+				return it.buf.emit(), nil
+			}
 		}
 		it.active = false
 	}
-}
-
-// seek positions the cursor for the current left row, computing the
-// equality prefix and optional range bounds.
-func (it *indexJoinIter) seek() error {
-	n := it.node
-	prefix := make([]Value, len(n.keyExprs), len(n.keyExprs)+1)
-	for i, ke := range n.keyExprs {
-		v, err := ke(it.ctx, it.lrow)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() { // NULL keys never join
-			it.cur = btreeCursor{}
-			it.stop = nil
-			return nil
-		}
-		prefix[i] = v
-	}
-	tree := it.idx.tree
-	switch {
-	case n.rngLo != nil:
-		v, err := n.rngLo(it.ctx, it.lrow)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() { // comparison with NULL matches nothing
-			it.cur = btreeCursor{}
-			it.stop = nil
-			return nil
-		}
-		lo := append(append([]Value{}, prefix...), v)
-		if n.rngLoIncl {
-			it.cur = tree.seek(lo)
-		} else {
-			it.cur = tree.seekAfter(lo)
-		}
-	case n.rngHi != nil:
-		// Upper-bound-only range: skip the NULL run (NULLs never
-		// satisfy a SQL comparison).
-		it.cur = tree.seekAfter(append(append([]Value{}, prefix...), Null))
-	case len(prefix) > 0:
-		it.cur = tree.seek(prefix)
-	default:
-		it.cur = tree.seek(nil)
-	}
-	switch {
-	case n.rngHi != nil:
-		v, err := n.rngHi(it.ctx, it.lrow)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			it.cur = btreeCursor{}
-			it.stop = nil
-			return nil
-		}
-		hi := append(append([]Value{}, prefix...), v)
-		incl := n.rngHiIncl
-		it.stop = func(key []Value) bool {
-			c := prefixCompare(key, hi)
-			if incl {
-				return c > 0
-			}
-			return c >= 0
-		}
-	case len(prefix) > 0:
-		p := prefix
-		it.stop = func(key []Value) bool { return prefixCompare(key, p) > 0 }
-	default:
-		it.stop = nil
-	}
-	return nil
 }
 
 func (it *indexJoinIter) close() {
@@ -1016,27 +1076,11 @@ func (it *distinctIter) close() { it.in.close() }
 // distinctKey encodes a row for duplicate elimination; unlike hashKey it
 // keeps NULLs (two NULL rows are duplicates under DISTINCT).
 func distinctKey(vals []Value) string {
-	var b strings.Builder
+	var b []byte
 	for _, v := range vals {
-		switch v.T {
-		case TypeNull:
-			b.WriteByte('0')
-		case TypeInt, TypeBool:
-			b.WriteByte('n')
-			b.WriteString(NewFloat(float64(v.I)).Text())
-		case TypeFloat:
-			b.WriteByte('n')
-			b.WriteString(v.Text())
-		case TypeText:
-			b.WriteByte('s')
-			b.WriteString(v.S)
-		case TypeBlob:
-			b.WriteByte('b')
-			b.Write(v.B)
-		}
-		b.WriteByte(0)
+		b = appendKey(b, v)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ---------------------------------------------------------------------------
@@ -1155,22 +1199,6 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 		out = append(out, row)
 		pending += rowSliceBytes(row)
 	}
-}
-
-func concatRows(a, b []Value) []Value {
-	out := make([]Value, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-// padRight appends n NULLs to a copy of row (left outer join padding).
-func padRight(row []Value, n int) []Value {
-	out := make([]Value, 0, len(row)+n)
-	out = append(out, row...)
-	for i := 0; i < n; i++ {
-		out = append(out, Null)
-	}
-	return out
 }
 
 // runSubquery executes a compiled subplan with the given outer row.

@@ -162,15 +162,15 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 		if n.cond == nil {
 			kind += " (cross)"
 		}
-		write("%s", kind)
+		write("%s %s", kind, n.cols())
 	case *hashJoinNode:
 		kind := "HashJoin"
 		if n.leftOuter {
 			kind = "HashLeftJoin"
 		}
-		write("%s on %d key(s)", kind, len(n.leftKeys))
+		write("%s on %d key(s) %s", kind, len(n.leftKeys), n.cols())
 	case *indexJoinNode:
-		write("IndexJoin %s via %s (eq %d, range lo=%v hi=%v)", n.tbl.def.Name, n.idx.def.Name, len(n.keyExprs), n.rngLo != nil, n.rngHi != nil)
+		write("IndexJoin %s via %s (eq %d, range lo=%v hi=%v) %s", n.tbl.def.Name, n.idx.def.Name, len(n.eq), n.lo != nil, n.hi != nil, n.cols())
 	case *sortNode:
 		write("Sort on %d key(s)", len(n.keys))
 	case *limitNode:

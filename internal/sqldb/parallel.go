@@ -184,20 +184,17 @@ func hashRows(ctx *evalCtx, rows [][]Value, keys []compiledExpr, par int) (map[s
 
 func hashChunk(ctx *evalCtx, rows [][]Value, keys []compiledExpr) (map[string][][]Value, error) {
 	ht := make(map[string][][]Value, len(rows))
-	keyBuf := make([]Value, len(keys))
+	var key probeKey
 	var pending int64
 	for n, r := range rows {
-		for i, ke := range keys {
-			v, err := ke(ctx, r)
-			if err != nil {
-				return nil, err
-			}
-			keyBuf[i] = v
+		ok, err := key.encode(ctx, keys, r)
+		if err != nil {
+			return nil, err
 		}
-		k, ok := hashKey(keyBuf)
 		if !ok {
 			continue
 		}
+		k := string(key.enc)
 		// The rows were charged when the build input materialized; the
 		// table itself costs roughly key bytes + bucket bookkeeping.
 		pending += int64(len(k)) + 48

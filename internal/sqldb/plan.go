@@ -75,7 +75,14 @@ type relation struct {
 type conjunct struct {
 	expr    Expr
 	aliases map[string]bool
-	complex bool // contains a subquery: evaluate at the top only
+	// refs lists every column the conjunct reads, subquery bodies
+	// included: join outputs keep them until the conjunct is applied.
+	refs []colRef
+	// complex marks a conjunct holding a subquery. It becomes a filter
+	// above the first join that binds its aliases, unless pinned to the
+	// top filter (see analyzeConjunct).
+	complex bool
+	pinned  bool
 	used    bool
 }
 
@@ -122,15 +129,11 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 		return nil, nil, err
 	}
 
-	// Top-level residual filter (complex conjuncts, leftovers).
+	// Top-level residual filter (pinned complex conjuncts, leftovers).
 	if len(topConjs) > 0 {
-		pred := andAll(topConjs)
-		c := &compiler{st: st, sch: joined.sch(), outer: outer}
-		f, err := c.compile(pred)
-		if err != nil {
+		if joined, err = filterOver(st, joined, topConjs, outer); err != nil {
 			return nil, nil, err
 		}
-		joined = &filterNode{in: joined, pred: f, kernel: compileRowPred(pred, joined.sch()), sel: 0.5}
 	}
 
 	inSch := joined.sch()
@@ -464,125 +467,191 @@ func andAll(conjs []conjunct) Expr {
 	return e
 }
 
+// filterOver wraps in with a filter applying the AND of conjs.
+func filterOver(st *dbState, in planNode, conjs []conjunct, outer schema) (planNode, error) {
+	pred := andAll(conjs)
+	c := &compiler{st: st, sch: in.sch(), outer: outer}
+	f, err := c.compile(pred)
+	if err != nil {
+		return nil, err
+	}
+	return &filterNode{in: in, pred: f, kernel: compileRowPred(pred, in.sch()), sel: 0.5}, nil
+}
+
 // analyzeConjunct determines which relation aliases a conjunct touches.
 // Unqualified columns are resolved against the relation schemas; columns
-// that resolve only in the outer schema contribute no alias.
-func analyzeConjunct(e Expr, rels []relation, outer schema) (conjunct, error) {
-	c := conjunct{expr: e, aliases: map[string]bool{}}
-	var walk func(Expr) error
-	walk = func(e Expr) error {
-		switch e := e.(type) {
-		case nil:
-			return nil
-		case *ColumnRef:
-			if e.Table != "" {
-				for _, r := range rels {
-					if strings.EqualFold(r.alias, e.Table) {
-						c.aliases[strings.ToLower(r.alias)] = true
-						return nil
-					}
-				}
-				// Not a local alias: outer reference (or error at compile).
+// that resolve only in the outer schema contribute no alias. A conjunct
+// holding a subquery is complex, and the aliases its body reads through
+// correlated references count too. It is pinned to the top filter when
+// those cannot be determined, or when evaluating it below a join could
+// raise an error that join would have hidden.
+func analyzeConjunct(st *dbState, e Expr, rels []relation) (conjunct, error) {
+	c := conjunct{expr: e, aliases: map[string]bool{}, refs: addRefs(nil, e)}
+	var err error
+	visitExpr(e, func(e Expr) bool {
+		if err != nil {
+			return false // siblings are still visited; keep the first error
+		}
+		if r, ok := e.(*ColumnRef); ok {
+			err = c.bind(r, rels)
+		} else if sub := subqueryOf(e); sub != nil {
+			c.complex = true
+			c.pinned = c.pinned || !c.correlate(st, sub, rels)
+		}
+		return err == nil
+	})
+	c.pinned = c.pinned || (c.complex && mayRaise(e))
+	return c, err
+}
+
+// bind adds the relation a column reference of this level names: a
+// qualifier naming one of rels, or an unqualified name exactly one of
+// them has (more than one is ambiguous). Anything else is an outer
+// reference, or an error at compile time.
+func (c *conjunct) bind(r *ColumnRef, rels []relation) error {
+	if r.Table != "" {
+		for _, rel := range rels {
+			if strings.EqualFold(rel.alias, r.Table) {
+				c.aliases[strings.ToLower(rel.alias)] = true
 				return nil
 			}
-			matches := 0
-			var owner string
-			for _, r := range rels {
-				for _, col := range r.node.sch() {
-					if strings.EqualFold(col.name, e.Name) {
-						matches++
-						owner = r.alias
-						break
-					}
-				}
-			}
-			if matches > 1 {
-				return errorf("ambiguous column reference %s", e.Name)
-			}
-			if matches == 1 {
-				c.aliases[strings.ToLower(owner)] = true
-			}
-			return nil
-		case *Literal, *Param:
-			return nil
-		case *UnaryExpr:
-			return walk(e.X)
-		case *BinaryExpr:
-			if err := walk(e.L); err != nil {
-				return err
-			}
-			return walk(e.R)
-		case *LikeExpr:
-			if err := walk(e.X); err != nil {
-				return err
-			}
-			if err := walk(e.Pattern); err != nil {
-				return err
-			}
-			return walk(e.Escape)
-		case *InExpr:
-			if e.Sub != nil {
-				c.complex = true
-			}
-			if err := walk(e.X); err != nil {
-				return err
-			}
-			for _, x := range e.List {
-				if err := walk(x); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *ExistsExpr:
-			c.complex = true
-			return nil
-		case *BetweenExpr:
-			if err := walk(e.X); err != nil {
-				return err
-			}
-			if err := walk(e.Lo); err != nil {
-				return err
-			}
-			return walk(e.Hi)
-		case *IsNullExpr:
-			return walk(e.X)
-		case *CaseExpr:
-			if err := walk(e.Operand); err != nil {
-				return err
-			}
-			for _, w := range e.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Result); err != nil {
-					return err
-				}
-			}
-			return walk(e.Else)
-		case *FuncExpr:
-			for _, a := range e.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *CastExpr:
-			return walk(e.X)
-		case *SubqueryExpr:
-			c.complex = true
-			return nil
 		}
 		return nil
 	}
-	if err := walk(e); err != nil {
-		return c, err
+	matches := 0
+	var owner string
+	for _, rel := range rels {
+		for _, col := range rel.node.sch() {
+			if strings.EqualFold(col.name, r.Name) {
+				matches++
+				owner = rel.alias
+				break
+			}
+		}
 	}
-	return c, nil
+	if matches > 1 {
+		return errorf("ambiguous column reference %s", r.Name)
+	}
+	if matches == 1 {
+		c.aliases[strings.ToLower(owner)] = true
+	}
+	return nil
+}
+
+// correlate adds the aliases of rels that subquery body s reads through
+// correlated references. Names resolve the way the compiler resolves
+// them: against the body's own FROM first — an inner alias shadows an
+// outer one — and only then against this level. It reports false when a
+// reference cannot be tied to a relation (an unqualified name the body
+// does not resolve) or the body's scope is not a list of base tables.
+// Nested subqueries are not entered: they resolve against the body,
+// never against this level.
+func (c *conjunct) correlate(st *dbState, s *SelectStmt, rels []relation) bool {
+	for ; s != nil; s = s.UnionAll {
+		var inner schema
+		ends := make([]int, len(s.From))
+		leftJoin := false
+		for i, f := range s.From {
+			t := st.table(f.Table)
+			if f.Sub != nil || t == nil {
+				return false
+			}
+			alias := f.Alias
+			if alias == "" {
+				alias = f.Table
+			}
+			for _, col := range t.def.Columns {
+				inner = append(inner, colInfo{alias: alias, name: col.Name})
+			}
+			ends[i] = len(inner)
+			leftJoin = leftJoin || f.JoinKind == "LEFT"
+		}
+		ok := true
+		in := func(sch schema) func(Expr) bool {
+			return func(e Expr) bool {
+				if r, isRef := e.(*ColumnRef); isRef {
+					if _, err := sch.resolve(r.Table, r.Name); err != nil {
+						if r.Table == "" {
+							ok = false
+						} else {
+							c.bind(r, rels)
+						}
+					}
+				}
+				return ok
+			}
+		}
+		for _, it := range s.Items {
+			visitExpr(it.Expr, in(inner))
+		}
+		for i, f := range s.From {
+			// Under LEFT JOIN each ON is compiled against the items up
+			// to its own; otherwise ON terms join the WHERE conjuncts.
+			onSch := inner
+			if leftJoin {
+				onSch = inner[:ends[i]]
+			}
+			visitExpr(f.On, in(onSch))
+		}
+		visitExpr(s.Where, in(inner))
+		for _, g := range s.GroupBy {
+			visitExpr(g, in(inner))
+		}
+		visitExpr(s.Having, in(inner))
+		for _, o := range s.OrderBy {
+			visitExpr(o.Expr, in(inner))
+		}
+		// LIMIT and OFFSET are compiled against an empty schema.
+		visitExpr(s.Limit, in(nil))
+		visitExpr(s.Offset, in(nil))
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// mayRaise reports whether evaluating e can fail on a row a later join
+// would have discarded: anywhere in e, subquery bodies included, a
+// scalar subquery that can return more than one row, or a LIKE whose
+// ESCAPE is not a one-character literal. Such a conjunct stays in the
+// top filter; EXISTS, IN (subquery) and single-aggregate scalar
+// subqueries cannot fail and move down.
+func mayRaise(e Expr) bool {
+	raise := false
+	var visit func(Expr) bool
+	visit = func(e Expr) bool {
+		switch e := e.(type) {
+		case *SubqueryExpr:
+			raise = raise || !atMostOneRow(e.Sub)
+		case *LikeExpr:
+			if e.Escape != nil {
+				lit, isLit := e.Escape.(*Literal)
+				raise = raise || !isLit || len(lit.Val.Text()) != 1
+			}
+		}
+		if sub := subqueryOf(e); sub != nil && !raise {
+			visitStmtExprs(sub, visit)
+		}
+		return !raise
+	}
+	visitExpr(e, visit)
+	return raise
+}
+
+// atMostOneRow reports whether a scalar subquery can never fail with
+// "returned N rows": a single aggregate item with no GROUP BY and no
+// UNION ALL yields exactly one row before HAVING/LIMIT.
+func atMostOneRow(s *SelectStmt) bool {
+	return s.UnionAll == nil && len(s.GroupBy) == 0 && len(s.Items) == 1 &&
+		!s.Items[0].Star && hasAggregate(s.Items[0].Expr)
 }
 
 // planReorderedJoins plans inner/cross joins with greedy reordering and
-// index selection. Returns the join tree and conjuncts that must be
-// applied on top (complex ones).
+// index selection. Subquery conjuncts become filters right above the
+// first join that binds their aliases, and every join emits only the
+// columns read above it. Returns the join tree and the conjuncts that
+// must be applied on top.
 func planReorderedJoins(st *dbState, stmt *SelectStmt, rels []relation, outer schema) (planNode, []conjunct, error) {
 	// Gather conjuncts from WHERE and inner-join ON clauses.
 	var raw []Expr
@@ -594,16 +663,18 @@ func planReorderedJoins(st *dbState, stmt *SelectStmt, rels []relation, outer sc
 			raw = splitConjuncts(stmt.From[i].On, raw)
 		}
 	}
-	var conjs []conjunct
-	var topConjs []conjunct
+	var conjs, subConjs, topConjs []conjunct
 	for _, e := range raw {
-		c, err := analyzeConjunct(e, rels, outer)
+		c, err := analyzeConjunct(st, e, rels)
 		if err != nil {
 			return nil, nil, err
 		}
-		if c.complex {
+		switch {
+		case c.pinned:
 			topConjs = append(topConjs, c)
-		} else {
+		case c.complex:
+			subConjs = append(subConjs, c)
+		default:
 			conjs = append(conjs, c)
 		}
 	}
@@ -636,9 +707,47 @@ func planReorderedJoins(st *dbState, stmt *SelectStmt, rels []relation, outer sc
 	if !sampled {
 		order = chooseJoinOrder(rels, conjs)
 	}
-	placed := map[string]bool{strings.ToLower(rels[order[0]].alias): true}
+
+	// placeFilters wraps cur in a filter of every subquery conjunct whose
+	// aliases are all placed by now.
+	placed := map[string]bool{}
+	placeFilters := func(cur planNode) (planNode, error) {
+		var ready []conjunct
+		for i := range subConjs {
+			c := &subConjs[i]
+			if c.used || !aliasesPlaced(c.aliases, placed) {
+				continue
+			}
+			c.used = true
+			ready = append(ready, *c)
+		}
+		if len(ready) == 0 {
+			return cur, nil
+		}
+		return filterOver(st, cur, ready, outer)
+	}
+	// need is the set of columns read above the join just built: the
+	// statement's own clauses and every conjunct not applied yet.
+	selectRefs := stmtRefs(stmt)
+	need := func() colNeed {
+		n := colNeed{}
+		n.add(selectRefs)
+		for _, cs := range [][]conjunct{conjs, subConjs, topConjs} {
+			for i := range cs {
+				if !cs[i].used {
+					n.add(cs[i].refs)
+				}
+			}
+		}
+		return n
+	}
+
+	placed[strings.ToLower(rels[order[0]].alias)] = true
 	cur, err := buildAccessPath(st, &rels[order[0]], rels[order[0]].own, outer)
 	if err != nil {
+		return nil, nil, err
+	}
+	if cur, err = placeFilters(cur); err != nil {
 		return nil, nil, err
 	}
 	for _, next := range order[1:] {
@@ -648,6 +757,10 @@ func planReorderedJoins(st *dbState, stmt *SelectStmt, rels []relation, outer sc
 			return nil, nil, err
 		}
 		placed[strings.ToLower(rels[next].alias)] = true
+		narrowJoin(cur, need())
+		if cur, err = placeFilters(cur); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Any conjunct still unused (references now all placed) -> top filter.
@@ -955,14 +1068,14 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 				}
 				return leftComp.compile(b.expr)
 			}
-			node := &indexJoinNode{left: cur, tbl: rel.tbl, idx: best.idx, schema: joinedSch, sel: 1}
+			node := &indexJoinNode{left: cur, tbl: rel.tbl, idx: best.idx, joinOut: fullJoinOut(joinedSch), sel: 1}
 			consumed := map[*conjunct]bool{}
 			for _, b := range best.eq {
 				ke, err := compileBound(b)
 				if err != nil {
 					return nil, err
 				}
-				node.keyExprs = append(node.keyExprs, ke)
+				node.eq = append(node.eq, ke)
 				consumed[b.conj] = true
 			}
 			node.sel *= eqPrefixSelectivity(best.idx, len(best.eq))
@@ -971,8 +1084,8 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 				if err != nil {
 					return nil, err
 				}
-				node.rngLo = ke
-				node.rngLoIncl = best.lo.op == ">="
+				node.lo = ke
+				node.loIncl = best.lo.op == ">="
 				node.sel *= 0.5
 				consumed[best.lo.conj] = true
 			}
@@ -981,8 +1094,8 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 				if err != nil {
 					return nil, err
 				}
-				node.rngHi = ke
-				node.rngHiIncl = best.hi.op == "<="
+				node.hi = ke
+				node.hiIncl = best.hi.op == "<="
 				node.sel *= 0.5
 				consumed[best.hi.conj] = true
 			}
@@ -1037,7 +1150,7 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 		return &hashJoinNode{
 			left: cur, right: right,
 			leftKeys: lkeys, rightKeys: rkeys,
-			extraCond: extra, schema: joinedSch,
+			extraCond: extra, joinOut: fullJoinOut(joinedSch),
 		}, nil
 	}
 
@@ -1046,7 +1159,178 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 	if err != nil {
 		return nil, err
 	}
-	return &nlJoinNode{left: cur, right: right, cond: cond, schema: joinedSch}, nil
+	return &nlJoinNode{left: cur, right: right, cond: cond, joinOut: fullJoinOut(joinedSch)}, nil
+}
+
+// aliasesPlaced reports whether every alias is in placed.
+func aliasesPlaced(aliases, placed map[string]bool) bool {
+	for a := range aliases {
+		if !placed[a] {
+			return false
+		}
+	}
+	return true
+}
+
+// narrowJoin restricts a join's emitted row to the columns need keeps.
+// Its condition was compiled against the full row and still sees it;
+// everything compiled above the join resolves against the narrow one.
+func narrowJoin(n planNode, need colNeed) {
+	o := n.(interface{ output() *joinOut }).output()
+	keep := make([]int, 0, len(o.schema))
+	sch := make(schema, 0, len(o.schema))
+	for i, c := range o.schema {
+		if need.has(c) {
+			keep = append(keep, i)
+			sch = append(sch, c)
+		}
+	}
+	if len(keep) < len(o.schema) {
+		o.keep, o.schema = keep, sch
+	}
+}
+
+// colRef is a column reference as written, lower-cased: table "" is an
+// unqualified name, name "*" a star.
+type colRef struct{ table, name string }
+
+// colNeed is the set of columns operators above a join still read. An
+// unqualified name keeps that column under every alias, so pruning can
+// never turn an ambiguous reference into a resolvable one; a star keeps
+// every column of its alias (unqualified: of all aliases).
+type colNeed map[colRef]bool
+
+func (n colNeed) add(refs []colRef) {
+	for _, r := range refs {
+		n[r] = true
+	}
+}
+
+func (n colNeed) has(c colInfo) bool {
+	a, name := strings.ToLower(c.alias), strings.ToLower(c.name)
+	return n[colRef{"", "*"}] || n[colRef{a, "*"}] || n[colRef{"", name}] || n[colRef{a, name}]
+}
+
+// stmtRefs lists the columns a SELECT reads outside its WHERE and ON
+// conjuncts: the select list, GROUP BY, HAVING and ORDER BY.
+func stmtRefs(stmt *SelectStmt) []colRef {
+	var refs []colRef
+	for _, it := range stmt.Items {
+		if it.Star {
+			refs = append(refs, colRef{strings.ToLower(it.StarTable), "*"})
+			continue
+		}
+		refs = addRefs(refs, it.Expr)
+	}
+	for _, g := range stmt.GroupBy {
+		refs = addRefs(refs, g)
+	}
+	refs = addRefs(refs, stmt.Having)
+	for _, o := range stmt.OrderBy {
+		refs = addRefs(refs, o.Expr)
+	}
+	return refs
+}
+
+// addRefs appends every column reference in e, including those in
+// subquery bodies whatever scope they resolve in: collecting too many
+// only keeps a column that could have been dropped.
+func addRefs(refs []colRef, e Expr) []colRef {
+	var visit func(Expr) bool
+	visit = func(e Expr) bool {
+		if r, ok := e.(*ColumnRef); ok {
+			refs = append(refs, colRef{strings.ToLower(r.Table), strings.ToLower(r.Name)})
+		} else if sub := subqueryOf(e); sub != nil {
+			visitStmtExprs(sub, visit)
+		}
+		return true
+	}
+	visitExpr(e, visit)
+	return refs
+}
+
+// visitExpr calls fn on e and, while fn returns true, on its operands
+// in source order. Subquery bodies are not entered: fn sees the
+// subquery node (see subqueryOf) and walks the body itself if it must.
+func visitExpr(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch e := e.(type) {
+	case *UnaryExpr:
+		visitExpr(e.X, fn)
+	case *BinaryExpr:
+		visitExpr(e.L, fn)
+		visitExpr(e.R, fn)
+	case *LikeExpr:
+		visitExpr(e.X, fn)
+		visitExpr(e.Pattern, fn)
+		visitExpr(e.Escape, fn)
+	case *InExpr:
+		visitExpr(e.X, fn)
+		for _, x := range e.List {
+			visitExpr(x, fn)
+		}
+	case *BetweenExpr:
+		visitExpr(e.X, fn)
+		visitExpr(e.Lo, fn)
+		visitExpr(e.Hi, fn)
+	case *IsNullExpr:
+		visitExpr(e.X, fn)
+	case *CaseExpr:
+		visitExpr(e.Operand, fn)
+		for _, w := range e.Whens {
+			visitExpr(w.Cond, fn)
+			visitExpr(w.Result, fn)
+		}
+		visitExpr(e.Else, fn)
+	case *FuncExpr:
+		for _, a := range e.Args {
+			visitExpr(a, fn)
+		}
+	case *CastExpr:
+		visitExpr(e.X, fn)
+	}
+}
+
+// visitStmtExprs applies visitExpr(fn) to every expression of a SELECT:
+// each UNION ALL member's select list, derived tables' bodies, ON,
+// WHERE, GROUP BY, HAVING, ORDER BY, LIMIT and OFFSET.
+func visitStmtExprs(s *SelectStmt, fn func(Expr) bool) {
+	for ; s != nil; s = s.UnionAll {
+		for _, it := range s.Items {
+			visitExpr(it.Expr, fn)
+		}
+		for _, f := range s.From {
+			if f.Sub != nil {
+				visitStmtExprs(f.Sub, fn)
+			}
+			visitExpr(f.On, fn)
+		}
+		visitExpr(s.Where, fn)
+		for _, g := range s.GroupBy {
+			visitExpr(g, fn)
+		}
+		visitExpr(s.Having, fn)
+		for _, o := range s.OrderBy {
+			visitExpr(o.Expr, fn)
+		}
+		visitExpr(s.Limit, fn)
+		visitExpr(s.Offset, fn)
+	}
+}
+
+// subqueryOf returns the body of a subquery expression, or nil.
+func subqueryOf(e Expr) *SelectStmt {
+	switch e := e.(type) {
+	case *ExistsExpr:
+		return e.Sub
+	case *InExpr:
+		return e.Sub
+	case *SubqueryExpr:
+		return e.Sub
+	}
+	return nil
 }
 
 // candColumn returns the column ordinal in rel's schema if e is a
@@ -1070,64 +1354,16 @@ func candColumn(e Expr, rel *relation, relSch schema) int {
 // exprAvoidsAlias reports whether e references no columns of alias ca.
 func exprAvoidsAlias(e Expr, ca string, rels []relation) bool {
 	ok := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *ColumnRef:
-			if strings.EqualFold(e.Table, ca) {
-				ok = false
-				return
-			}
-			if e.Table == "" {
-				// Unqualified: does it belong to ca's relation?
-				for _, r := range rels {
-					if strings.ToLower(r.alias) != ca {
-						continue
-					}
-					for _, c := range r.node.sch() {
-						if strings.EqualFold(c.name, e.Name) {
-							ok = false
-							return
-						}
-					}
+	visitExpr(e, func(e Expr) bool {
+		if cr, isRef := e.(*ColumnRef); isRef {
+			for i := range rels {
+				if strings.ToLower(rels[i].alias) == ca && refBelongsTo(cr, &rels[i]) {
+					ok = false
 				}
 			}
-		case *UnaryExpr:
-			walk(e.X)
-		case *BinaryExpr:
-			walk(e.L)
-			walk(e.R)
-		case *CastExpr:
-			walk(e.X)
-		case *FuncExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *CaseExpr:
-			walk(e.Operand)
-			for _, w := range e.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(e.Else)
-		case *LikeExpr:
-			walk(e.X)
-			walk(e.Pattern)
-		case *BetweenExpr:
-			walk(e.X)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.X)
-		case *InExpr:
-			walk(e.X)
-			for _, x := range e.List {
-				walk(x)
-			}
 		}
-	}
-	walk(e)
+		return ok
+	})
 	return ok
 }
 
@@ -1148,7 +1384,7 @@ func planOrderedJoins(st *dbState, stmt *SelectStmt, rels []relation, outer sche
 				return nil, nil, err
 			}
 		}
-		cur = &nlJoinNode{left: cur, right: rels[i].node, cond: cond, leftOuter: leftOuter, schema: joinedSch}
+		cur = &nlJoinNode{left: cur, right: rels[i].node, cond: cond, leftOuter: leftOuter, joinOut: fullJoinOut(joinedSch)}
 	}
 	var topConjs []conjunct
 	if stmt.Where != nil {
@@ -1675,51 +1911,12 @@ func matchOutput(e Expr, items []SelectItem, outSch schema) int {
 
 func hasAggregate(e Expr) bool {
 	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if found || e == nil {
-			return
+	visitExpr(e, func(e Expr) bool {
+		if f, ok := e.(*FuncExpr); ok && aggregateFuncs[f.Name] {
+			found = true
 		}
-		switch e := e.(type) {
-		case *FuncExpr:
-			if aggregateFuncs[e.Name] {
-				found = true
-				return
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *UnaryExpr:
-			walk(e.X)
-		case *BinaryExpr:
-			walk(e.L)
-			walk(e.R)
-		case *CastExpr:
-			walk(e.X)
-		case *CaseExpr:
-			walk(e.Operand)
-			for _, w := range e.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(e.Else)
-		case *LikeExpr:
-			walk(e.X)
-			walk(e.Pattern)
-		case *BetweenExpr:
-			walk(e.X)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.X)
-		case *InExpr:
-			walk(e.X)
-			for _, x := range e.List {
-				walk(x)
-			}
-		}
-	}
-	walk(e)
+		return !found
+	})
 	return found
 }
 

@@ -207,14 +207,17 @@ func (it *seqScanVec) close() { it.ref.release() }
 
 func (n *indexScanNode) openVec(ctx *evalCtx) (vecIter, error) {
 	tbl := ctx.resolveTable(n.tbl)
-	cur, stop, empty, err := n.startCursor(ctx, tbl)
+	it := &indexScanVec{node: n, ctx: ctx, tbl: tbl}
+	var empty bool
+	var err error
+	it.cur, it.stop, empty, err = n.start(ctx, nil, resolveIndex(tbl, n.idx).tree, &it.buf)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &rowSourceVec{in: &sliceIter{}}, nil
 	}
-	return &indexScanVec{node: n, ctx: ctx, tbl: tbl, cur: cur, stop: stop}, nil
+	return it, nil
 }
 
 type indexScanVec struct {
@@ -222,7 +225,8 @@ type indexScanVec struct {
 	ctx  *evalCtx
 	tbl  *table
 	cur  btreeCursor
-	stop func(key []Value) bool
+	stop keyBound
+	buf  probeBuf
 	done bool
 	ref  pageRef
 }
@@ -234,7 +238,7 @@ func (it *indexScanVec) nextBatch() (*batch, error) {
 	b := &batch{rows: make([][]Value, 0, batchSize)}
 	for it.cur.valid() && len(b.rows) < batchSize {
 		e := it.cur.entry()
-		if it.stop != nil && it.stop(e.key) {
+		if it.stop.passed(e.key) {
 			it.done = true
 			break
 		}
@@ -534,26 +538,32 @@ func (n *hashJoinNode) openVec(ctx *evalCtx) (vecIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinVec{node: n, ctx: ctx, left: left, ht: ht, rightWidth: len(n.right.sch())}, nil
+	return &hashJoinVec{node: n, ctx: ctx, left: left, ht: ht, buf: newJoinBuf(&n.joinOut, n.left)}, nil
 }
 
 // rowArena hands out row slices carved from chunked backing arrays, so
-// operators that materialize output rows (join concatenation) pay one
-// allocation per ~256 rows instead of one per row. Carved slices have
-// their capacity clamped, so appends by a consumer cannot clobber a
-// neighbour.
+// operators that materialize output rows (join output) pay one
+// allocation per chunk instead of one per row. Chunks grow from one row
+// to 256, so an iterator that emits a single row (an EXISTS probe) does
+// not pay for a full chunk. Carved slices have their capacity clamped,
+// so appends by a consumer cannot clobber a neighbour.
 type rowArena struct {
-	buf []Value
-	off int
+	buf  []Value
+	off  int
+	rows int // rows per chunk, doubling up to 256
 }
 
+// emptyRow is the zero-width row: non-nil, because a nil row ends a
+// row iterator's stream.
+var emptyRow = []Value{}
+
 func (a *rowArena) alloc(n int) []Value {
+	if n == 0 {
+		return emptyRow
+	}
 	if a.off+n > len(a.buf) {
-		sz := n * 256
-		if sz < 1024 {
-			sz = 1024
-		}
-		a.buf = make([]Value, sz)
+		a.rows = min(max(2*a.rows, 1), 256)
+		a.buf = make([]Value, n*a.rows)
 		a.off = 0
 	}
 	s := a.buf[a.off : a.off+n : a.off+n]
@@ -561,21 +571,13 @@ func (a *rowArena) alloc(n int) []Value {
 	return s
 }
 
-// undo returns the most recent allocation to the arena (used when a
-// speculatively built row is rejected by a residual predicate).
-func (a *rowArena) undo(s []Value) {
-	if len(s) > 0 && a.off >= len(s) && &a.buf[a.off-len(s)] == &s[0] {
-		a.off -= len(s)
-	}
-}
-
 type hashJoinVec struct {
-	node       *hashJoinNode
-	ctx        *evalCtx
-	left       vecIter
-	ht         map[string][][]Value
-	rightWidth int
-	arena      rowArena
+	node *hashJoinNode
+	ctx  *evalCtx
+	left vecIter
+	ht   map[string][][]Value
+	key  probeKey
+	buf  joinBuf
 
 	// Probe state carried across output batches: the current left
 	// batch, position within it, and the active bucket.
@@ -620,44 +622,29 @@ func (it *hashJoinVec) nextBatch() (*batch, error) {
 			it.k++
 			out.in++
 			it.matched = false
-			keyBuf := make([]Value, len(it.node.leftKeys))
 			var err error
-			for i, ke := range it.node.leftKeys {
-				keyBuf[i], err = ke(it.ctx, it.lrow)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if key, ok := hashKey(keyBuf); ok {
-				it.bucket = it.ht[key]
-			} else {
-				it.bucket = nil
+			if it.bucket, err = it.key.lookup(it.ctx, it.node.leftKeys, it.lrow, it.ht); err != nil {
+				return nil, err
 			}
 			it.bpos = 0
+			it.buf.setLeft(it.lrow)
 			it.active = true
 		}
 		for it.bpos < len(it.bucket) && len(out.rows) < batchSize {
 			r := it.bucket[it.bpos]
 			it.bpos++
-			joined := it.arena.alloc(len(it.lrow) + len(r))
-			copy(joined, it.lrow)
-			copy(joined[len(it.lrow):], r)
-			if it.node.extraCond != nil {
-				v, err := it.node.extraCond(it.ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !v.Bool() {
-					it.arena.undo(joined)
-					continue
-				}
+			ok, err := it.buf.test(it.ctx, it.node.extraCond, r)
+			if err != nil {
+				return nil, err
 			}
-			it.matched = true
-			out.rows = append(out.rows, joined)
+			if ok {
+				it.matched = true
+				out.rows = append(out.rows, it.buf.emit())
+			}
 		}
 		if it.bpos >= len(it.bucket) {
 			if it.node.leftOuter && !it.matched {
-				out.rows = append(out.rows, padRight(it.lrow, it.rightWidth))
+				out.rows = append(out.rows, it.buf.pad())
 			}
 			it.active = false
 		}
