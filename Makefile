@@ -148,10 +148,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorExec$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
-## bench-smoke: executes BenchmarkQueryCache once to keep it compiling
-## and running; use `make bench` for real numbers.
+## bench-smoke: executes BenchmarkQueryCache once, and one ordered
+## insert per updatable scheme (BenchmarkF3OrderedInsert: edge, binary,
+## interval, dewey, inline), to keep them compiling and running; use
+## `make bench` for real numbers.
 bench-smoke:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 1x
+	$(GO) test . -run '^$$' -bench F3OrderedInsert -benchtime 1x
 
 ## benchmark-smoke: the repository benchmark's smoke test (benchmark/,
 ## its own module) — all four workloads at factor 0.02 in sub-second

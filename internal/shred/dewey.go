@@ -14,18 +14,27 @@ import (
 // deweyWidth is the zero-padded digits per path component; deweyGap is
 // the spacing between sibling labels, leaving room for midpoint
 // insertion without relabeling (Tatarinov et al.'s insert-friendly
-// ordering).
+// ordering). deweyLimit = 10^deweyWidth bounds a component: a wider one
+// would sort out of document order, so a parent holds at most
+// deweyLimit/deweyGap - 1 = 99 999 attributes and children.
 const (
 	deweyWidth = 8
 	deweyGap   = 1000
+	deweyLimit = 100_000_000
 )
 
 // Dewey is the Dewey-order mapping: each node's key is the dotted,
 // zero-padded chain of sibling labels, so lexicographic key order is
 // document order, ancestry is a prefix test, and ordered insertion only
-// relabels the inserted subtree.
+// relabels the inserted subtree. Sibling order and position are read
+// off the labels, so no ordinal column is stored or maintained.
 //
-//	dewey(pre, path, parent, level, ordinal, kind, name, value)
+//	dewey(pre, path, parent, level, kind, name, value)
+//
+// pre is the node id; its index serves the parent lookup and MAX(pre)
+// of an insert. Directories written when the table still carried an
+// ordinal column open and answer queries, but inserts into them fail on
+// row width: reload the document.
 type Dewey struct {
 	valueIndex bool
 }
@@ -47,11 +56,11 @@ func (d *Dewey) Setup(db *sqldb.Database) error {
 			path TEXT NOT NULL,
 			parent TEXT,
 			level INTEGER NOT NULL,
-			ordinal INTEGER NOT NULL,
 			kind TEXT NOT NULL,
 			name TEXT,
 			value TEXT
 		)`,
+		`CREATE INDEX dewey_pre ON dewey (pre)`,
 		`CREATE INDEX dewey_path ON dewey (path)`,
 		`CREATE INDEX dewey_parent ON dewey (parent)`,
 		`CREATE INDEX dewey_name_path ON dewey (name, path)`,
@@ -71,6 +80,26 @@ func deweyComp(i int64) string {
 	return fmt.Sprintf("%0*d", deweyWidth, i)
 }
 
+// errLabelOverflow is returned before anything is written when a label
+// component would reach deweyLimit.
+func errLabelOverflow(comp int64) error {
+	return errScheme("dewey", "label component %d exceeds %d digits (relabel required)", comp, deweyWidth)
+}
+
+// checkFanout rejects a subtree holding an element with more attributes
+// and children than deweyWidth-digit labels deweyGap apart can number.
+func checkFanout(n *xmldom.Node) error {
+	if last := int64(len(n.Attrs)+len(n.Children)) * deweyGap; last >= deweyLimit {
+		return errLabelOverflow(last)
+	}
+	for _, c := range n.Children {
+		if err := checkFanout(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Load implements Scheme.
 func (d *Dewey) Load(db *sqldb.Database, doc *xmldom.Document) error {
 	return d.LoadContext(context.Background(), db, doc)
@@ -79,6 +108,9 @@ func (d *Dewey) Load(db *sqldb.Database, doc *xmldom.Document) error {
 // LoadContext implements ContextLoader: cancellation is honored at
 // bulk-insert batch granularity.
 func (d *Dewey) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+	if err := checkFanout(doc.Root); err != nil {
+		return err
+	}
 	doc.Number()
 	b := newBatcherCtx(ctx, db, "dewey")
 	var walk func(n *xmldom.Node, prefix string, level int) error
@@ -95,7 +127,6 @@ func (d *Dewey) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom
 				sqldb.NewText(label),
 				parent,
 				sqldb.NewInt(int64(level)),
-				sqldb.NewInt(ord),
 				sqldb.NewText(c.Kind.String()),
 				nodeName(c),
 				nodeValue(c),
@@ -182,9 +213,12 @@ func (d *Dewey) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 }
 
 // InsertSubtree implements Scheme. A new sibling label is the midpoint
-// of its neighbors, so only the inserted subtree gets new rows; the
-// ordinal bookkeeping of following siblings is the only in-place update
-// (Tatarinov's headline result, experiment F3).
+// of its neighbors (or one gap past the last child), so the insert
+// writes only the subtree's new rows and updates nothing in place
+// (Tatarinov's headline result, experiment F3). The parent lookup and
+// MAX(pre) are each one probe of dewey_pre; the sibling read lists the
+// parent's children through dewey_parent. A label that would overflow
+// deweyWidth digits is refused before anything is written.
 func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
 	prow, err := db.Query(`SELECT path, level FROM dewey WHERE pre = ? AND kind = 'elem'`, sqldb.NewInt(parentID))
 	if err != nil {
@@ -196,52 +230,41 @@ func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, 
 	parentPath := prow.Data[0][0].Text()
 	parentLevel := prow.Data[0][1].Int()
 
-	sibs, err := db.Query(
-		`SELECT path, ordinal, kind FROM dewey WHERE parent = ? ORDER BY path`,
-		sqldb.NewText(parentPath))
+	sibs, err := db.Query(`SELECT path, kind FROM dewey WHERE parent = ? ORDER BY path`, sqldb.NewText(parentPath))
 	if err != nil {
 		return err
 	}
 	// Locate the insertion point among non-attribute children.
-	var lo, hi int64 // component bounds, hi==0 means open-ended
-	var newOrdinal int64 = 1
+	var lo, hi int64 // component bounds around the new label
 	childIdx := 0
 	placedHi := false
 	for _, r := range sibs.Data {
 		comp := lastComp(r[0].Text())
-		kind := r[2].Text()
-		if kind == "attr" {
-			lo = comp
-			newOrdinal = r[1].Int() + 1
-			continue
-		}
-		if childIdx == position {
-			hi = comp
-			newOrdinal = r[1].Int()
-			placedHi = true
-			break
+		if r[1].Text() != "attr" {
+			if childIdx == position {
+				hi = comp
+				placedHi = true
+				break
+			}
+			childIdx++
 		}
 		lo = comp
-		newOrdinal = r[1].Int() + 1
-		childIdx++
 	}
 
 	var newComp int64
 	switch {
 	case !placedHi:
 		newComp = lo + deweyGap
+		if newComp >= deweyLimit {
+			return errLabelOverflow(newComp)
+		}
 	case hi-lo >= 2:
 		newComp = lo + (hi-lo)/2
 	default:
 		return errScheme("dewey", "no label gap left at this position (relabel required); spread your insertion points")
 	}
-
-	// Shift following siblings' ordinals (local bookkeeping only).
-	if placedHi {
-		if _, err := db.Exec(`UPDATE dewey SET ordinal = ordinal + 1 WHERE parent = ? AND ordinal >= ?`,
-			sqldb.NewText(parentPath), sqldb.NewInt(newOrdinal)); err != nil {
-			return err
-		}
+	if err := checkFanout(subtree); err != nil {
+		return err
 	}
 
 	maxID, err := db.QueryScalar(`SELECT MAX(pre) FROM dewey`)
@@ -251,44 +274,37 @@ func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, 
 	nextID := maxID.Int() + 1
 
 	b := newBatcher(db, "dewey")
-	var insert func(n *xmldom.Node, path, parent string, level, ordinal int64) error
-	insert = func(n *xmldom.Node, path, parent string, level, ordinal int64) error {
-		id := nextID
-		nextID++
-		parentVal := sqldb.Null
-		if parent != "" {
-			parentVal = sqldb.NewText(parent)
-		}
+	var insert func(n *xmldom.Node, path, parent string, level int64) error
+	insert = func(n *xmldom.Node, path, parent string, level int64) error {
 		row := []sqldb.Value{
-			sqldb.NewInt(id),
+			sqldb.NewInt(nextID),
 			sqldb.NewText(path),
-			parentVal,
+			sqldb.NewText(parent),
 			sqldb.NewInt(level),
-			sqldb.NewInt(ordinal),
 			sqldb.NewText(n.Kind.String()),
 			nodeName(n),
 			nodeValue(n),
 		}
+		nextID++
 		if err := b.add(row); err != nil {
 			return err
 		}
 		ord := int64(1)
 		for _, a := range n.Attrs {
-			if err := insert(a, path+"."+deweyComp(ord*deweyGap), path, level+1, ord); err != nil {
+			if err := insert(a, path+"."+deweyComp(ord*deweyGap), path, level+1); err != nil {
 				return err
 			}
 			ord++
 		}
 		for _, c := range n.Children {
-			if err := insert(c, path+"."+deweyComp(ord*deweyGap), path, level+1, ord); err != nil {
+			if err := insert(c, path+"."+deweyComp(ord*deweyGap), path, level+1); err != nil {
 				return err
 			}
 			ord++
 		}
 		return nil
 	}
-	newPath := parentPath + "." + deweyComp(newComp)
-	if err := insert(subtree, newPath, parentPath, parentLevel+1, newOrdinal); err != nil {
+	if err := insert(subtree, parentPath+"."+deweyComp(newComp), parentPath, parentLevel+1); err != nil {
 		return err
 	}
 	return b.flush()

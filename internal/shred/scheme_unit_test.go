@@ -112,6 +112,83 @@ func TestDeweyPathOrderIsDocumentOrder(t *testing.T) {
 	}
 }
 
+// TestDeweyLabelOverflow: eight-digit components spaced 1000 apart
+// number at most 99 999 siblings; the 100 000th label would print nine
+// digits and sort right after the 10 000th. Load and an appending
+// insert refuse with the relabel-required error and write nothing.
+func TestDeweyLabelOverflow(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 100002; i++ {
+		b.WriteString("<c/>")
+	}
+	b.WriteString("<last/></r>")
+	doc, err := xmldom.ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDewey(false)
+	db := sqldb.New()
+	if err := s.Setup(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(db, doc); err == nil || !strings.Contains(err.Error(), "relabel required") {
+		t.Fatalf("loading 100 003 siblings: got %v, want the relabel-required error", err)
+	}
+	if n := db.TotalRows(); n != 0 {
+		t.Fatalf("refused load left %d rows", n)
+	}
+
+	wide := func(n int) *xmldom.Node {
+		w := &xmldom.Node{Kind: xmldom.ElementNode, Name: "w"}
+		for i := 0; i < n; i++ {
+			w.Children = append(w.Children, &xmldom.Node{Kind: xmldom.ElementNode, Name: "c", Parent: w})
+		}
+		return w
+	}
+	if err := checkFanout(wide(99999)); err != nil {
+		t.Fatalf("99 999 siblings fit eight digits: %v", err)
+	}
+	if err := checkFanout(wide(100000)); err == nil {
+		t.Fatal("100 000 siblings accepted")
+	}
+
+	// An appending insert after a last label of 99999000.
+	db = loadUnit(t, s)
+	if _, err := db.Exec(`UPDATE dewey SET path = '00001000.99999000' WHERE name = 'z'`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`DELETE FROM dewey WHERE path >= '00001000.00004000' AND path < '00001000.99999000'`); err != nil {
+		t.Fatal(err)
+	}
+	root, err := db.QueryScalar(`SELECT pre FROM dewey WHERE name = 'r'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.TotalRows()
+	frag := &xmldom.Node{Kind: xmldom.ElementNode, Name: "new"}
+	if err := s.InsertSubtree(db, root.Int(), 99, frag); err == nil || !strings.Contains(err.Error(), "relabel required") {
+		t.Fatalf("appending past 99999000: got %v, want the relabel-required error", err)
+	}
+	if err := s.InsertSubtree(db, root.Int(), 0, wide(100000)); err == nil || !strings.Contains(err.Error(), "relabel required") {
+		t.Fatalf("inserting 100 000 siblings: got %v, want the relabel-required error", err)
+	}
+	if n := db.TotalRows(); n != before {
+		t.Fatalf("refused inserts changed the row count %d -> %d", before, n)
+	}
+	// A midpoint insert before the last child still fits.
+	if err := s.InsertSubtree(db, root.Int(), 1, frag); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Reconstruct(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := xmldom.SerializeString(rec.Root), `<r a="1"><x><y>hello</y><y>world</y></x><new/><z/></r>`; got != want {
+		t.Fatalf("reconstructed %s, want %s", got, want)
+	}
+}
+
 func TestBinaryPartitionNaming(t *testing.T) {
 	// Labels that sanitize to the same identifier must get distinct
 	// partitions, and element vs attribute namespaces must not collide.

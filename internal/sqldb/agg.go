@@ -147,6 +147,32 @@ func (s *aggState) result(name string) Value {
 	return Null
 }
 
+// indexMinMaxNode answers a whole-table MIN(c) or MAX(c) from an index
+// led by c: one descent of the snapshot's B-tree, no heap page touched
+// (B-tree nodes are never pooled, so it cannot fault). See indexMinMax
+// for when the planner picks it.
+type indexMinMaxNode struct {
+	tbl    *table
+	idx    *tableIndex
+	max    bool
+	schema schema
+}
+
+func (n *indexMinMaxNode) sch() schema      { return n.schema }
+func (n *indexMinMaxNode) estRows() float64 { return 1 }
+
+func (n *indexMinMaxNode) fn() string {
+	if n.max {
+		return "MAX"
+	}
+	return "MIN"
+}
+
+func (n *indexMinMaxNode) open(ctx *evalCtx) (rowIter, error) {
+	tree := resolveIndex(ctx.resolveTable(n.tbl), n.idx).tree
+	return &sliceIter{rows: [][]Value{{tree.extreme(n.max)}}}, nil
+}
+
 func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 	type group struct {
 		keys   []Value

@@ -288,6 +288,56 @@ func (t *btree) countDelete(n *btreeNode, i int, key []Value) {
 // Len returns the number of entries.
 func (t *btree) Len() int { return t.size }
 
+// extreme returns the least (max false) or greatest non-NULL value of
+// the leading key column, or NULL when there is none. Values that
+// compare equal can differ in representation (0.0 and -0.0); of those
+// it returns the one with the lowest rowid, which is what an aggregate
+// over a rowid-order scan keeps.
+func (t *btree) extreme(max bool) Value {
+	var c btreeCursor
+	if max {
+		last, ok := t.root.last()
+		if !ok || last.key[0].IsNull() {
+			return Null
+		}
+		c = t.seek(last.key[:1])
+	} else {
+		c = t.seekAfter([]Value{Null})
+	}
+	if !c.valid() {
+		return Null
+	}
+	best := c.entry()
+	// Equal keys sort by rowid, but equal leading values of a wider key
+	// sort by the later columns first; only numbers have several forms.
+	if len(best.key) > 1 && best.key[0].T.isNumeric() {
+		v := best.key[0]
+		for c.advance(); c.valid() && Compare(c.entry().key[0], v) == 0; c.advance() {
+			if e := c.entry(); e.rid < best.rid {
+				best = e
+			}
+		}
+	}
+	return best.key[0]
+}
+
+// last returns the greatest entry under n, skipping the empty leaves
+// deletes leave behind.
+func (n *btreeNode) last() (btreeEntry, bool) {
+	if n.leaf {
+		if len(n.entries) == 0 {
+			return btreeEntry{}, false
+		}
+		return n.entries[len(n.entries)-1], true
+	}
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if e, ok := n.children[i].last(); ok {
+			return e, true
+		}
+	}
+	return btreeEntry{}, false
+}
+
 // cursorFrame is one level of a cursor's root-to-leaf path. For an
 // inner node, pos is the index of the child the cursor descended into;
 // for the leaf it is the current entry index.

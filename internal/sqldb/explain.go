@@ -179,6 +179,8 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 		write("Distinct")
 	case *aggNode:
 		write("Aggregate %d group key(s), %d aggregate(s)", len(n.groupBy), len(n.aggs))
+	case *indexMinMaxNode:
+		write("IndexMinMax %s %s", n.idx.def.Name, n.fn())
 	case *unionAllNode:
 		write("UnionAll %d parts", len(n.parts))
 	case *derivedNode:

@@ -122,6 +122,8 @@ func opKind(n planNode) string {
 		return "Distinct"
 	case *aggNode:
 		return "Aggregate"
+	case *indexMinMaxNode:
+		return "IndexMinMax"
 	case *unionAllNode:
 		return "UnionAll"
 	case *derivedNode:

@@ -2157,7 +2157,10 @@ func planAggregation(st *dbState, stmt *SelectStmt, items []SelectItem, in planN
 	for i := range specs {
 		aggSch = append(aggSch, colInfo{name: "__a" + itoa(i)})
 	}
-	var node planNode = &aggNode{in: in, groupBy: groupBy, aggs: specs, schema: aggSch}
+	node := indexMinMax(stmt, rw.aggs, in, aggSch)
+	if node == nil {
+		node = &aggNode{in: in, groupBy: groupBy, aggs: specs, schema: aggSch}
+	}
 
 	if having != nil {
 		hComp := &compiler{st: st, sch: aggSch, outer: outer}
@@ -2168,4 +2171,32 @@ func planAggregation(st *dbState, stmt *SelectStmt, items []SelectItem, in planN
 		node = &filterNode{in: node, pred: pred, sel: 0.5}
 	}
 	return node, aggSch, projExprs, orderExprs, nil
+}
+
+// indexMinMax plans the statement's only aggregate, MIN(c) or MAX(c),
+// as an index probe when the statement reads one table with no WHERE,
+// GROUP BY or HAVING and c leads one of the table's indexes. It returns
+// nil for any other shape.
+func indexMinMax(stmt *SelectStmt, aggs []*FuncExpr, in planNode, sch schema) planNode {
+	scan, ok := in.(*seqScanNode)
+	if !ok || stmt.Where != nil || len(stmt.GroupBy) > 0 || stmt.Having != nil || len(aggs) != 1 {
+		return nil
+	}
+	a := aggs[0]
+	if (a.Name != "MIN" && a.Name != "MAX") || a.Distinct || a.Star || len(a.Args) != 1 {
+		return nil
+	}
+	ref, ok := a.Args[0].(*ColumnRef)
+	if !ok {
+		return nil
+	}
+	col, err := scan.schema.resolve(ref.Table, ref.Name)
+	if err != nil {
+		return nil
+	}
+	idx := scan.tbl.findIndex([]int{col})
+	if idx == nil {
+		return nil
+	}
+	return &indexMinMaxNode{tbl: scan.tbl, idx: idx, max: a.Name == "MAX", schema: sch}
 }

@@ -10,9 +10,10 @@ import (
 // DeweyOptions parameterizes the Dewey-order translation.
 type DeweyOptions struct {
 	// Table is the dewey table name (default "dewey"):
-	// dewey(pre, path, parent, level, ordinal, kind, name, value).
+	// dewey(pre, path, parent, level, kind, name, value).
 	// path is the dotted, zero-padded Dewey label; parent is the
-	// parent's path; lexicographic path order is document order.
+	// parent's path; lexicographic path order is document order, so
+	// sibling order and position come from path, not a stored ordinal.
 	Table string
 }
 
