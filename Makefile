@@ -2,27 +2,32 @@ GO ?= go
 
 ## COVER_FLOOR: minimum statement coverage (percent) for the core
 ## packages gated by `make cover`. The engine package carries a higher
-## floor (the vectorized/row differential batteries push it well past
-## the default).
+## floor, a few points under what its own suite measures (about 85%),
+## so deleting a test that held real coverage fails `make cover`.
 COVER_FLOOR ?= 60
-COVER_FLOOR_SQLDB ?= 65
+COVER_FLOOR_SQLDB ?= 80
 
 ## FUZZ_TIME: per-target budget for `make fuzz` (short by design — the
 ## seed corpora already run as plain tests under `make test`).
 FUZZ_TIME ?= 5s
 
-.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix vmatrix diskmatrix concurrency writers wbench server
+.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix diskmatrix concurrency writers wbench server
 
-## check: the full CI gate — vet, build, tests (race-enabled where it
-## matters), the engine suite across a GOMAXPROCS matrix, the snapshot
-## isolation battery, the spill-to-disk buffer-pool matrix, per-package
-## coverage floors, the fault-injection and chaos batteries, short fuzz
-## sessions, a one-shot run of the query-cache benchmark, and the
-## repository benchmark's smoke test.
-check: vet build test race pmatrix vmatrix diskmatrix concurrency writers server cover crash chaos fuzz bench-smoke benchmark-smoke
+## check: the full CI gate — vet (with the test-selector audit), build,
+## tests (race-enabled where it matters), the engine suite across a
+## GOMAXPROCS matrix, the snapshot isolation battery, the spill-to-disk
+## buffer-pool matrix, per-package coverage floors, the fault-injection
+## and chaos batteries, short fuzz sessions, a one-shot run of the
+## query-cache benchmark, and the repository benchmark's smoke test.
+check: vet build test race pmatrix diskmatrix concurrency writers server cover crash chaos fuzz bench-smoke benchmark-smoke
 
+## vet: static checks — go vet, and scripts/check-selectors.sh, which
+## fails when any alternative of any -run/-fuzz/-bench pattern below
+## matches no test in its packages (`go test -list`), so a renamed or
+## deleted test cannot silently shrink a gate.
 vet:
 	$(GO) vet ./...
+	GO=$(GO) bash scripts/check-selectors.sh Makefile
 
 build:
 	$(GO) build ./...
@@ -45,16 +50,6 @@ pmatrix:
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/sqldb || exit 1; \
 	done
 
-## vmatrix: the engine and façade suites with vectorized execution
-## forced on (XRDB_VECTORIZED flips the engine default) at GOMAXPROCS
-## 1, 2 and 4 — every test that queries must return the row engine's
-## byte-identical answer from the batch pipeline.
-vmatrix:
-	@for p in 1 2 4; do \
-		echo "vmatrix: GOMAXPROCS=$$p XRDB_VECTORIZED=1"; \
-		XRDB_VECTORIZED=1 GOMAXPROCS=$$p $(GO) test -count=1 ./internal/sqldb ./internal/core || exit 1; \
-	done
-
 ## diskmatrix: the bounded-memory storage gate — the engine
 ## differential and crash batteries with a 64-page buffer pool
 ## (XRDB_BUFFER_POOL caps resident heap pages; everything else spills
@@ -66,7 +61,7 @@ diskmatrix:
 	@for p in 1 2 4; do \
 		echo "diskmatrix: GOMAXPROCS=$$p XRDB_BUFFER_POOL=64"; \
 		XRDB_BUFFER_POOL=64 GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestTinyPool|TestPageInFault|TestBufferPoolStats|TestVector|TestParallel|TestCrash|TestDurable|TestCommitFault|TestConcurrentCommits|TestGroupCommitBatches|TestCheckpoint|TestSnapshot' \
+			-run 'TestTinyPool|TestPageInFault|TestBufferPoolStats|TestParallel|TestCrash|TestDurable|TestCommitFault|TestConcurrentCommits|TestGroupCommitBatches|TestCheckpoint|TestSnapshot' \
 			./internal/sqldb ./internal/core || exit 1; \
 	done
 
@@ -140,13 +135,13 @@ chaos:
 	done
 
 ## fuzz: short fuzzing sessions for every fuzz target (parser, snapshot
-## loader, WAL replay). Each -fuzz invocation accepts one target, so
+## loader, WAL replay, Interval store vs the DOM). Each -fuzz invocation accepts one target, so
 ## they run sequentially; raise FUZZ_TIME for a real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzVectorExec$$' -fuzztime $(FUZZ_TIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
 ## bench-smoke: executes BenchmarkQueryCache once, and one ordered
 ## insert per updatable scheme (BenchmarkF3OrderedInsert: edge, binary,

@@ -49,7 +49,6 @@ func main() {
 		dtdFile   = flag.String("dtd", "", "DTD file (required for -scheme inline)")
 		valueIdx  = flag.Bool("value-index", false, "create content-value indexes")
 		parallel  = flag.Int("parallel", 0, "intra-query parallelism: 0=auto (GOMAXPROCS), 1=serial, n=worker cap")
-		vector    = flag.Bool("vectorized", false, "batch-at-a-time query execution (selection-vector batches of 1024 rows)")
 		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes for tracked query memory (joins, sorts, aggregates); queries that exceed it abort (0 = unlimited)")
 		queryMem  = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
@@ -84,7 +83,7 @@ func main() {
 		// document is supplied and the store is still empty, load it
 		// (durably, as one crash-atomic group commit).
 		opts := core.Options{
-			WithValueIndex: *valueIdx, Parallelism: *parallel, Vectorized: *vector,
+			WithValueIndex: *valueIdx, Parallelism: *parallel,
 			MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
 			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
 			BufferPoolPages: *bufPool,
@@ -142,9 +141,6 @@ func main() {
 		if *parallel > 0 {
 			st.DB().SetParallelism(*parallel)
 		}
-		if *vector {
-			st.DB().SetVectorized(true)
-		}
 		if *memBudget > 0 {
 			st.DB().SetMemoryBudget(*memBudget)
 		}
@@ -159,7 +155,7 @@ func main() {
 		}
 	case *in != "":
 		opts := core.Options{
-			WithValueIndex: *valueIdx, Parallelism: *parallel, Vectorized: *vector,
+			WithValueIndex: *valueIdx, Parallelism: *parallel,
 			MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
 			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
 			BufferPoolPages: *bufPool,

@@ -41,7 +41,6 @@ func main() {
 		stmtCache  = flag.Int("stmt-cache", 0, "per-session prepared-statement cache entries (0 = 32)")
 		valueIdx   = flag.Bool("value-index", false, "create content-value indexes")
 		parallel   = flag.Int("parallel", 0, "intra-query parallelism: 0=auto, 1=serial, n=worker cap")
-		vector     = flag.Bool("vectorized", false, "batch-at-a-time query execution")
 		memBudget  = flag.Int64("mem-budget", 0, "engine memory budget in bytes (0 = unlimited)")
 		queryMem   = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc    = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
@@ -59,7 +58,6 @@ func main() {
 		opts: core.Options{
 			WithValueIndex:       *valueIdx,
 			Parallelism:          *parallel,
-			Vectorized:           *vector,
 			MemoryBudget:         *memBudget,
 			QueryMemoryLimit:     *queryMem,
 			MaxConcurrentQueries: *maxConc,
@@ -75,15 +73,15 @@ func main() {
 }
 
 type serveConfig struct {
-	dataDir, scheme, in  string
-	listen, listenLine   string
-	timeout, maxTimeout  time.Duration
-	drain                time.Duration
-	authFile             string
-	maxSess, stmtCache   int
-	stream               bool
-	opts                 core.Options
-	dopts                core.DurableOptions
+	dataDir, scheme, in string
+	listen, listenLine  string
+	timeout, maxTimeout time.Duration
+	drain               time.Duration
+	authFile            string
+	maxSess, stmtCache  int
+	stream              bool
+	opts                core.Options
+	dopts               core.DurableOptions
 }
 
 func run(cfg serveConfig) error {

@@ -64,7 +64,6 @@ func All() []Experiment {
 		{ID: "A2", Title: "Ablation: interval child step, parent probe vs region predicate", Run: runA2},
 		{ID: "R1", Title: "Durability: WAL overhead, checkpoint and recovery time", Run: runR1},
 		{ID: "Q1", Title: "Morsel-parallel speedup on the F1 mix across DOP", Run: runQ1},
-		{ID: "V1", Title: "Vectorized vs row-at-a-time execution on the F1 mix and scan/join-heavy queries", Run: runV1},
 		{ID: "C1", Title: "Reader throughput/latency under concurrent ordered inserts (snapshot isolation)", Run: runC1},
 		{ID: "W1", Title: "Multi-writer insert throughput and fsyncs/commit under WAL group commit", Run: runW1},
 		{ID: "G1", Title: "Resource governor: accounting overhead, admission gating, degrade/Recover round trip", Run: runG1},

@@ -67,9 +67,6 @@ type Options struct {
 	// Parallelism sets the engine's intra-query degree of parallelism:
 	// 0 = automatic (GOMAXPROCS), 1 = serial, n>1 = at most n workers.
 	Parallelism int
-	// Vectorized enables batch-at-a-time query execution (the engine's
-	// default follows XRDB_VECTORIZED; this forces it on).
-	Vectorized bool
 	// MemoryBudget caps the engine's total tracked query memory in
 	// bytes; queries that would push the shared pool past it abort with
 	// sqldb.ErrMemoryBudgetExceeded. 0 disables the budget.
@@ -198,9 +195,6 @@ func OpenWith(kind SchemeKind, opts Options) (*Store, error) {
 	db := sqldb.New()
 	if opts.Parallelism > 0 {
 		db.SetParallelism(opts.Parallelism)
-	}
-	if opts.Vectorized {
-		db.SetVectorized(true)
 	}
 	if opts.MemoryBudget > 0 {
 		db.SetMemoryBudget(opts.MemoryBudget)

@@ -189,20 +189,31 @@ func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 		return st
 	}
 
-	foldRow := func(row []Value) error {
+	in, err := openNode(ctx, n.in)
+	if err != nil {
+		return nil, err
+	}
+	defer in.close()
+	for {
+		row, err := in.next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			break
+		}
 		keys := make([]Value, len(n.groupBy))
-		var err error
 		for i, g := range n.groupBy {
 			keys[i], err = g(ctx, row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
 		k := distinctKey(keys)
 		grp := groups[k]
 		if grp == nil {
 			if err := ctx.mem.charge(valuesBytes(keys) + int64(len(k))*2 + int64(len(n.aggs))*64 + 48); err != nil {
-				return err
+				return nil, err
 			}
 			grp = &group{keys: keys, states: newStates()}
 			groups[k] = grp
@@ -215,52 +226,9 @@ func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 			}
 			v, err := spec.arg(ctx, row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			grp.states[i].add(v, spec.distinct)
-		}
-		return nil
-	}
-
-	if ctx.vec && vecCapable(n.in) {
-		// Batch fold: selected rows arrive in the same order the row
-		// iterator would deliver them, so group order is unchanged.
-		vi, err := openVec(ctx, n.in)
-		if err != nil {
-			return nil, err
-		}
-		defer vi.close()
-		for {
-			b, err := vi.nextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			for k, cnt := 0, b.n(); k < cnt; k++ {
-				if err := foldRow(b.row(k)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		in, err := openNode(ctx, n.in)
-		if err != nil {
-			return nil, err
-		}
-		defer in.close()
-		for {
-			row, err := in.next()
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				break
-			}
-			if err := foldRow(row); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,12 +62,7 @@ func TestExplainAnalyzeOperators(t *testing.T) {
 				if op.Kind == tc.op || (tc.op == "Filter" && op.Kind == "Filter") {
 					foundOp = true
 				}
-				if op.Batches > 0 {
-					// Vectorized operator: next() calls are batch-granular.
-					if op.Nexts < op.Batches {
-						t.Errorf("%s: nexts=%d < batches=%d", op.Kind, op.Nexts, op.Batches)
-					}
-				} else if op.Nexts < op.Rows {
+				if op.Nexts < op.Rows {
 					t.Errorf("%s: nexts=%d < rows=%d", op.Kind, op.Nexts, op.Rows)
 				}
 				if op.Opens < 1 {
@@ -183,5 +179,97 @@ func TestExplainAnalyzeMatchesRepeatedRuns(t *testing.T) {
 		if ap.Rows != want || ap.Ops[0].Rows != int64(want) {
 			t.Fatalf("run %d: rows = %d (root %d), want %d", i, ap.Rows, ap.Ops[0].Rows, want)
 		}
+	}
+}
+
+// checkAccounting runs sql on db through Query and through EXPLAIN
+// ANALYZE and checks the accounting contract against want, the expected
+// result: Query returns want byte-identical; the analyzed run reports
+// want's cardinality at the root; every operator was opened and was
+// asked for at least as many rows as it produced; and, for plans
+// without a Limit (whose children may be pulled past the cut by the
+// gather), the untimed run folded exactly the analyzed run's
+// per-operator opens, rows, next() calls and build sizes into the
+// metrics registry.
+func checkAccounting(t *testing.T, db *Database, want *Rows, sql string, args ...Value) {
+	t.Helper()
+	dop := db.Parallelism()
+	before := db.Metrics()
+	got, err := db.Query(sql, args...)
+	if err != nil {
+		t.Fatalf("dop=%d: %v", dop, err)
+	}
+	after := db.Metrics()
+	if !reflect.DeepEqual(want.Columns, got.Columns) || !reflect.DeepEqual(want.Data, got.Data) {
+		t.Fatalf("dop=%d: %d rows vs expected %d rows, or order/value drift", dop, got.Len(), want.Len())
+	}
+	ap, err := db.ExplainAnalyzePlan(sql, args...)
+	if err != nil {
+		t.Fatalf("dop=%d analyze: %v", dop, err)
+	}
+	if ap.Rows != want.Len() || len(ap.Ops) == 0 || ap.Ops[0].Rows != int64(want.Len()) {
+		t.Fatalf("dop=%d: analyzed cardinality %d, want %d", dop, ap.Rows, want.Len())
+	}
+	analyzed := map[string]OpTotalStats{}
+	limited := false
+	for _, op := range ap.Ops {
+		if op.Opens < 1 {
+			t.Errorf("dop=%d %s: opens=%d, want >= 1", dop, op.Kind, op.Opens)
+		}
+		if op.Nexts < op.Rows {
+			t.Errorf("dop=%d %s: nexts=%d < rows=%d", dop, op.Kind, op.Nexts, op.Rows)
+		}
+		limited = limited || op.Kind == "Limit"
+		s := analyzed[op.Kind]
+		s.Opens += uint64(op.Opens)
+		s.Rows += uint64(op.Rows)
+		s.Nexts += uint64(op.Nexts)
+		s.BuildRows += uint64(op.BuildRows)
+		analyzed[op.Kind] = s
+	}
+	if limited {
+		return
+	}
+	folded := map[string]OpTotalStats{}
+	for _, op := range after.Operators {
+		folded[op.Kind] = op
+	}
+	for _, op := range before.Operators {
+		s := folded[op.Kind]
+		s.Opens -= op.Opens
+		s.Rows -= op.Rows
+		s.Nexts -= op.Nexts
+		s.BuildRows -= op.BuildRows
+		folded[op.Kind] = s
+	}
+	for kind, f := range folded {
+		f.Kind, f.Time = "", 0
+		if a := analyzed[kind]; f != a {
+			t.Errorf("dop=%d %s: registry folded %+v, analyzed run reported %+v", dop, kind, f, a)
+		}
+	}
+	for kind := range analyzed {
+		if _, ok := folded[kind]; !ok && analyzed[kind] != (OpTotalStats{}) {
+			t.Errorf("dop=%d %s: analyzed but never folded into the registry", dop, kind)
+		}
+	}
+}
+
+// TestVectorizedMatchesRowEngine drives the parallel battery at DOP 1,
+// 4 and 16 and holds every execution to the serial answer and to the
+// accounting contract of checkAccounting. The name is kept from the
+// batch-engine differential this test succeeds.
+func TestVectorizedMatchesRowEngine(t *testing.T) {
+	dbs := parallelFixture(t, 10000, 1, 4, 16)
+	for _, tc := range parallelBattery {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := dbs[0].Query(tc.sql, tc.args...)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			for _, db := range dbs {
+				checkAccounting(t, db, want, tc.sql, tc.args...)
+			}
+		})
 	}
 }

@@ -31,12 +31,6 @@ type dbState struct {
 	tables      map[string]*table
 	indexes     map[string]*IndexDef // index name -> def (table lookup)
 	parallelism int
-	// vectorized selects batch-at-a-time execution for new queries.
-	// Unlike parallelism it does not bump the schema epoch: plan trees
-	// are identical in both modes (the engines share one plan), so
-	// cached and prepared plans stay valid and only the evalCtx built at
-	// query start changes.
-	vectorized bool
 }
 
 func (st *dbState) table(name string) *table {
@@ -48,7 +42,6 @@ func (st *dbState) shallowClone() *dbState {
 		seq:         st.seq,
 		epoch:       st.epoch,
 		parallelism: st.parallelism,
-		vectorized:  st.vectorized,
 		tables:      make(map[string]*table, len(st.tables)),
 		indexes:     make(map[string]*IndexDef, len(st.indexes)),
 	}
@@ -162,12 +155,6 @@ func New() *Database {
 		tables:  map[string]*table{},
 		indexes: map[string]*IndexDef{},
 	}
-	// XRDB_VECTORIZED flips the default execution mode for every new
-	// database, so the entire test suite can run vectorized against the
-	// row engine's expectations (see the Makefile vmatrix target).
-	if v := os.Getenv("XRDB_VECTORIZED"); v != "" && v != "0" && !strings.EqualFold(v, "false") {
-		st.vectorized = true
-	}
 	db.pool = newPageStore()
 	db.pool.openFile = tempSpillFile
 	// XRDB_BUFFER_POOL caps the buffer pool for every new database, so
@@ -207,25 +194,6 @@ func (db *Database) SetBufferPool(pages int) {
 
 // BufferPool reports the pool's cap (0 = unbounded).
 func (db *Database) BufferPool() int { return db.pool.capNow() }
-
-// SetVectorized selects batch-at-a-time execution for subsequent
-// queries. The toggle is purely an execution-mode switch: plans are
-// shared between the engines, so unlike SetParallelism it does not
-// invalidate cached or prepared plans.
-func (db *Database) SetVectorized(on bool) {
-	tx := db.beginWrite()
-	if tx.st.vectorized == on {
-		tx.abort()
-		return
-	}
-	tx.st.vectorized = on
-	tx.commit(nil)
-}
-
-// Vectorized reports whether batch-at-a-time execution is enabled.
-func (db *Database) Vectorized() bool {
-	return db.state.Load().vectorized
-}
 
 // readState pins the current published state for one read operation.
 func (db *Database) readState() *dbState {
@@ -280,7 +248,7 @@ func (db *Database) newMemAccountant() *memAccountant {
 
 // runGuarded executes a compiled plan to completion behind the
 // executor panic barrier: a panic anywhere below (operator code,
-// expression evaluation, kernels) becomes a typed ErrInternal result
+// expression evaluation) becomes a typed ErrInternal result
 // for this query alone. Gather workers install their own barriers
 // (parallel.go) so a worker panic drains the segment and surfaces
 // here as an ordinary error.
@@ -495,9 +463,9 @@ func (db *Database) resetStaged() {
 
 // resetToRecovered replaces both the published and staged state with a
 // state the durability layer rebuilt from the acknowledged WAL prefix.
-// The live engine's execution knobs (parallelism, vectorized mode)
-// carry over, and the schema epoch advances past everything this
-// engine has handed out, so every cached plan and prepared statement
+// The live engine's parallelism carries over, and the schema epoch
+// advances past everything this engine has handed out, so every cached
+// plan and prepared statement
 // goes stale — the schema may have rolled back to a shape an old epoch
 // number described. Caller must have quiesced writers (resetStaged).
 func (db *Database) resetToRecovered(st *dbState) {
@@ -506,7 +474,6 @@ func (db *Database) resetToRecovered(st *dbState) {
 	cur := db.state.Load()
 	ns := st.shallowClone()
 	ns.parallelism = cur.parallelism
-	ns.vectorized = cur.vectorized
 	if ns.epoch <= cur.epoch {
 		ns.epoch = cur.epoch + 1
 	}
@@ -624,7 +591,7 @@ func (db *Database) queryAt(qctx context.Context, st *dbState, sql string, args 
 	mem := db.newMemAccountant()
 	defer mem.close()
 	rs := newRunStats(e.p, false)
-	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, vec: st.vectorized, mem: mem}
+	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, mem: mem}
 	start := time.Now()
 	data, err := runGuarded(ctx, e.p.root)
 	if err != nil {
@@ -713,7 +680,7 @@ func (p *Prepared) QueryContext(qctx context.Context, args ...Value) (*Rows, err
 	mem := p.db.newMemAccountant()
 	defer mem.close()
 	rs := newRunStats(p.plan, false)
-	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, vec: st.vectorized, mem: mem}
+	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, mem: mem}
 	start := time.Now()
 	data, err := runGuarded(ctx, p.plan.root)
 	if err != nil {

@@ -49,7 +49,7 @@ func resolveIndex(t *table, idx *tableIndex) *tableIndex {
 
 // canceled polls the execution context for cancellation, deadline
 // expiry, or a tripped memory budget. Chokepoints (statIter.next,
-// statVecIter.nextBatch, materialize) call it on a coarse stride so the
+// materialize) call it on a coarse stride so the
 // hot path stays cheap; a budget overrun anywhere in the query (any
 // worker) is observed here by every other worker, so the whole query
 // unwinds and releases its partially-built state.
@@ -77,10 +77,6 @@ type seqScanNode struct {
 	schema schema
 	// filter is the residual predicate pushed into the scan (may be nil).
 	filter compiledExpr
-	// kernel is the specialized batch-path predicate derived from the
-	// same conjuncts as filter (nil when the shape is not kernelizable;
-	// see kernel.go). The row path never consults it.
-	kernel rowPred
 	// sel is the estimated selectivity of filter.
 	sel float64
 }
@@ -257,8 +253,6 @@ type indexScanNode struct {
 	schema schema
 	indexProbe
 	filter compiledExpr
-	// kernel is the batch-path specialization of filter (see kernel.go).
-	kernel rowPred
 	sel    float64
 }
 
@@ -324,9 +318,7 @@ func (it *indexScanIter) close() { it.ref.release() }
 type filterNode struct {
 	in   planNode
 	pred compiledExpr
-	// kernel is the batch-path specialization of pred (see kernel.go).
-	kernel rowPred
-	sel    float64
+	sel  float64
 }
 
 func (n *filterNode) sch() schema      { return n.in.sch() }
@@ -371,11 +363,6 @@ type projectNode struct {
 	in     planNode
 	exprs  []compiledExpr
 	schema schema
-	// colIdx, when non-nil, marks a projection whose expressions are all
-	// plain column references: colIdx[j] is the input column of output
-	// column j. The batch path uses it to skip the expression closures;
-	// the row path (the correctness oracle) always runs exprs.
-	colIdx []int
 }
 
 func (n *projectNode) sch() schema      { return n.schema }
@@ -433,6 +420,36 @@ func (o *joinOut) output() *joinOut { return o }
 
 // cols renders the output width for EXPLAIN: emitted/full columns.
 func (o *joinOut) cols() string { return "cols=" + itoa(len(o.schema)) + "/" + itoa(o.width) }
+
+// rowArena hands out row slices carved from chunked backing arrays, so
+// operators that materialize output rows (join output) pay one
+// allocation per chunk instead of one per row. Chunks grow from one row
+// to 256, so an iterator that emits a single row (an EXISTS probe) does
+// not pay for a full chunk. Carved slices have their capacity clamped,
+// so appends by a consumer cannot clobber a neighbour.
+type rowArena struct {
+	buf  []Value
+	off  int
+	rows int // rows per chunk, doubling up to 256
+}
+
+// emptyRow is the zero-width row: non-nil, because a nil row ends a
+// row iterator's stream.
+var emptyRow = []Value{}
+
+func (a *rowArena) alloc(n int) []Value {
+	if n == 0 {
+		return emptyRow
+	}
+	if a.off+n > len(a.buf) {
+		a.rows = min(max(2*a.rows, 1), 256)
+		a.buf = make([]Value, n*a.rows)
+		a.off = 0
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return s
+}
 
 // joinBuf builds one join iterator's output rows. The join condition is
 // tested on a reused full-width scratch row — the left columns copied
@@ -1163,12 +1180,8 @@ func (it *sliceIter) next() ([]Value, error) {
 func (it *sliceIter) close() {}
 
 // materialize drains a node into a slice, polling for cancellation on a
-// coarse stride. Under vectorized execution a batch-capable node is
-// drained batch-at-a-time instead.
+// coarse stride.
 func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
-	if ctx.vec && vecCapable(n) {
-		return materializeVec(ctx, n)
-	}
 	it, err := openNode(ctx, n)
 	if err != nil {
 		return nil, err
@@ -1202,10 +1215,6 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 }
 
 // runSubquery executes a compiled subplan with the given outer row.
-// Correlated subqueries deliberately stay row-at-a-time even inside a
-// vectorized plan: they run once per outer row, usually touch a handful
-// of rows, and often stop at the first one — batch setup costs would be
-// paid per outer row with nothing to amortize them over.
 func runSubquery(ctx *evalCtx, p *plan, outerRow []Value) ([][]Value, error) {
 	sub := &evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem}
 	return materialize(sub, p.root)

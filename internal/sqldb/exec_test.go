@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -380,7 +381,6 @@ func TestDropTableAndIndex(t *testing.T) {
 }
 
 func TestScalarFunctions(t *testing.T) {
-	db := New()
 	cases := []struct {
 		expr string
 		want Value
@@ -400,15 +400,34 @@ func TestScalarFunctions(t *testing.T) {
 		{`NULLIF(2, 2)`, Null},
 		{`NULLIF(2, 3)`, NewInt(2)},
 		{`ROUND(2.567, 1)`, NewFloat(2.6)},
+		// Integer arithmetic never wraps: out-of-range results and
+		// literals are REAL, and int64's minimum is writable.
+		{`9223372036854775807 + 1`, NewFloat(9223372036854775808)},
+		{`-9223372036854775807 - 2`, NewFloat(-9223372036854775809)},
+		{`9223372036854775807 - -1`, NewFloat(9223372036854775808)},
+		{`4611686018427387904 * 2`, NewFloat(9223372036854775808)},
+		{`-9223372036854775808 * -1`, NewFloat(9223372036854775808)},
+		{`-9223372036854775808 / -1`, NewFloat(9223372036854775808)},
+		{`-(-9223372036854775808)`, NewFloat(9223372036854775808)},
+		{`-9223372036854775808`, NewInt(math.MinInt64)},
+		{`-9223372036854775807 - 1`, NewInt(math.MinInt64)},
+		{`4611686018427387903 * 2 + 1`, NewInt(math.MaxInt64)},
+		{`-4611686018427387904 * 2`, NewInt(math.MinInt64)},
+		{`9223372036854775808`, NewFloat(9223372036854775808)},
+		{`99999999999999999999`, NewFloat(1e20)},
 	}
-	for _, c := range cases {
-		v, err := db.QueryScalar(`SELECT ` + c.expr)
-		if err != nil {
-			t.Errorf("%s: %v", c.expr, err)
-			continue
-		}
-		if Compare(v, c.want) != 0 {
-			t.Errorf("%s = %v, want %v", c.expr, v, c.want)
+	for _, dop := range []int{1, 4} {
+		db := New()
+		db.SetParallelism(dop)
+		for _, c := range cases {
+			v, err := db.QueryScalar(`SELECT ` + c.expr)
+			if err != nil {
+				t.Errorf("dop=%d %s: %v", dop, c.expr, err)
+				continue
+			}
+			if v.T != c.want.T || Compare(v, c.want) != 0 {
+				t.Errorf("dop=%d %s = %#v, want %#v", dop, c.expr, v, c.want)
+			}
 		}
 	}
 }

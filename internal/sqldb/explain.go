@@ -22,9 +22,6 @@ func (db *Database) Explain(sql string, args ...Value) (string, error) {
 	if fromCache {
 		fmt.Fprintf(&b, "(cached) plan epoch %d\n", st.epoch)
 	}
-	if st.vectorized {
-		b.WriteString("vectorized\n")
-	}
 	explainTree(&b, e.p.root, 0, nil, nil)
 	return b.String(), nil
 }
@@ -79,7 +76,7 @@ func (db *Database) ExplainAnalyzePlan(sql string, args ...Value) (*AnalyzedPlan
 	mem := db.newMemAccountant()
 	defer mem.close()
 	rs := newRunStats(e.p, true)
-	ctx := &evalCtx{snap: st, qctx: context.Background(), params: args, stats: rs, vec: st.vectorized, mem: mem}
+	ctx := &evalCtx{snap: st, qctx: context.Background(), params: args, stats: rs, mem: mem}
 	start := time.Now()
 	data, err := runGuarded(ctx, e.p.root)
 	total := time.Since(start)
@@ -93,9 +90,6 @@ func (db *Database) ExplainAnalyzePlan(sql string, args ...Value) (*AnalyzedPlan
 	var b strings.Builder
 	if fromCache {
 		fmt.Fprintf(&b, "(cached) plan epoch %d\n", st.epoch)
-	}
-	if st.vectorized {
-		b.WriteString("vectorized\n")
 	}
 	explainTree(&b, e.p.root, 0, rs, &ap.Ops)
 	fmt.Fprintf(&b, "Execution: %d row(s) in %s\n", len(data), total.Round(time.Microsecond))
@@ -124,12 +118,6 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 						parts[i] = fmt.Sprintf("%d", r)
 					}
 					actual += " worker_rows=" + strings.Join(parts, "/")
-				}
-			}
-			if op.Batches > 0 {
-				actual += fmt.Sprintf(" batches=%d", op.Batches)
-				if op.InRows > 0 {
-					actual += fmt.Sprintf(" selectivity=%.2f", float64(op.Rows)/float64(op.InRows))
 				}
 			}
 			actual += fmt.Sprintf(" time=%s)", op.Time.Round(time.Microsecond))

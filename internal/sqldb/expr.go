@@ -70,11 +70,6 @@ type evalCtx struct {
 	// shared caches join build sides across the morsel re-opens of one
 	// parallel segment; nil outside gather workers (parallel.go).
 	shared *sharedBuilds
-	// vec selects batch-at-a-time execution for the operators that
-	// support it (see batch.go/vector_exec.go); copied from the snapshot
-	// state's vectorized knob at query start and inherited by gather
-	// workers and subquery executions.
-	vec bool
 	// mem is the query's memory accountant; nil when no budget is
 	// configured. Inherited by gather workers and subquery executions
 	// so every allocation anywhere in the query charges one ledger

@@ -153,13 +153,6 @@ type OpStats struct {
 	Nexts int64
 	// BuildRows counts rows materialized on a join's build/inner side.
 	BuildRows int64
-	// Batches counts batches the operator produced under vectorized
-	// execution; zero in row-at-a-time runs.
-	Batches int64
-	// InRows counts the candidate rows the operator examined to produce
-	// its batches (the selectivity denominator); zero in row-at-a-time
-	// runs.
-	InRows int64
 	// Time is cumulative wall clock inside open/next, inclusive of
 	// children. Only populated when timing is enabled (EXPLAIN ANALYZE).
 	// For operators below a Gather the per-worker clocks are summed, so
@@ -202,18 +195,8 @@ func (ctx *evalCtx) opStat(n planNode) *OpStats {
 
 // openNode opens a plan node, wrapping the iterator with counters when
 // the execution is instrumented. Every operator (and materialize) opens
-// its inputs through this chokepoint. Under vectorized execution a
-// batch-capable node runs its batch pipeline and is adapted back to
-// rows here; its counters are maintained at batch level by openVec, so
-// the adapter is returned unwrapped.
+// its inputs through this chokepoint.
 func openNode(ctx *evalCtx, n planNode) (rowIter, error) {
-	if ctx.vec && vecCapable(n) {
-		vi, err := openVec(ctx, n)
-		if err != nil {
-			return nil, err
-		}
-		return &vecRowIter{in: vi}, nil
-	}
 	st := ctx.stats
 	if st == nil {
 		return n.open(ctx)
@@ -391,7 +374,6 @@ type templateEntry struct {
 
 type opEntry struct {
 	opens, rows, nexts, buildRows uint64
-	batches, inRows               uint64
 	time                          time.Duration
 }
 
@@ -472,8 +454,6 @@ func (m *metricsRegistry) recordQuery(sql, template string, d time.Duration, row
 			oe.rows += uint64(op.Rows)
 			oe.nexts += uint64(op.Nexts)
 			oe.buildRows += uint64(op.BuildRows)
-			oe.batches += uint64(op.Batches)
-			oe.inRows += uint64(op.InRows)
 			oe.time += op.Time
 		}
 	}
@@ -536,9 +516,6 @@ type OpTotalStats struct {
 	Rows      uint64
 	Nexts     uint64
 	BuildRows uint64
-	// Batches/InRows accumulate only over vectorized executions.
-	Batches uint64
-	InRows  uint64
 	// Time is cumulative only over timed (EXPLAIN ANALYZE) executions.
 	Time time.Duration
 }
@@ -599,7 +576,7 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 	for kind, oe := range m.ops {
 		s.Operators = append(s.Operators, OpTotalStats{
 			Kind: kind, Opens: oe.opens, Rows: oe.rows, Nexts: oe.nexts,
-			BuildRows: oe.buildRows, Batches: oe.batches, InRows: oe.inRows, Time: oe.time,
+			BuildRows: oe.buildRows, Time: oe.time,
 		})
 	}
 	sort.Slice(s.Operators, func(i, j int) bool { return s.Operators[i].Kind < s.Operators[j].Kind })

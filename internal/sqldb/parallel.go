@@ -302,7 +302,7 @@ func (g *gatherIter) start(total int) {
 					g.results <- morselOut{idx: claimed, err: internalError(r)}
 				}
 			}()
-			wctx := &evalCtx{snap: g.ctx.snap, qctx: g.ctx.qctx, params: g.ctx.params, outer: g.ctx.outer, shared: shared, vec: g.ctx.vec, mem: g.ctx.mem}
+			wctx := &evalCtx{snap: g.ctx.snap, qctx: g.ctx.qctx, params: g.ctx.params, outer: g.ctx.outer, shared: shared, mem: g.ctx.mem}
 			if g.workerStats != nil {
 				wctx.stats = g.workerStats[w]
 			}
@@ -389,8 +389,6 @@ func (g *gatherIter) join() {
 			o.Rows += w.Rows
 			o.Nexts += w.Nexts
 			o.BuildRows += w.BuildRows
-			o.Batches += w.Batches
-			o.InRows += w.InRows
 			o.Time += w.Time
 		}
 	}
@@ -489,65 +487,24 @@ func (n *parallelAggNode) foldRow(ctx *evalCtx, row []Value, pos aggPos, groups 
 	return nil
 }
 
-// fold drains one opened segment iterator into groups, tagging rows
-// with positions starting at (morselIdx, 0).
-func (n *parallelAggNode) fold(ctx *evalCtx, it rowIter, morselIdx int, groups map[string]*partialGroup) error {
-	var seq int64
-	for {
-		row, err := it.next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		if err := n.foldRow(ctx, row, aggPos{morsel: morselIdx, seq: seq}, groups); err != nil {
-			return err
-		}
-		seq++
-	}
-}
-
-// foldVec is fold over a batch pipeline: positions advance per selected
-// row in batch order, which is exactly the row path's visit order.
-func (n *parallelAggNode) foldVec(ctx *evalCtx, vi vecIter, morselIdx int, groups map[string]*partialGroup) error {
-	var seq int64
-	for {
-		b, err := vi.nextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for k, cnt := 0, b.n(); k < cnt; k++ {
-			if err := n.foldRow(ctx, b.row(k), aggPos{morsel: morselIdx, seq: seq}, groups); err != nil {
-				return err
-			}
-			seq++
-		}
-	}
-}
-
-// foldSeg opens the segment (batch-at-a-time when possible) restricted
-// to the ctx's morsel and folds it into groups.
-func (n *parallelAggNode) foldSeg(ctx *evalCtx, morselIdx int, groups map[string]*partialGroup) error {
-	if ctx.vec && vecCapable(n.seg) {
-		vi, err := openVec(ctx, n.seg)
-		if err != nil {
-			return err
-		}
-		err = n.foldVec(ctx, vi, morselIdx, groups)
-		vi.close()
-		return err
-	}
+// fold opens the segment restricted to the ctx's morsel and folds its
+// rows into groups, tagging them with positions starting at
+// (morselIdx, 0).
+func (n *parallelAggNode) fold(ctx *evalCtx, morselIdx int, groups map[string]*partialGroup) error {
 	it, err := openNode(ctx, n.seg)
 	if err != nil {
 		return err
 	}
-	err = n.fold(ctx, it, morselIdx, groups)
-	it.close()
-	return err
+	defer it.close()
+	for seq := int64(0); ; seq++ {
+		row, err := it.next()
+		if err != nil || row == nil {
+			return err
+		}
+		if err := n.foldRow(ctx, row, aggPos{morsel: morselIdx, seq: seq}, groups); err != nil {
+			return err
+		}
+	}
 }
 
 func (n *parallelAggNode) open(ctx *evalCtx) (rowIter, error) {
@@ -562,7 +519,7 @@ func (n *parallelAggNode) open(ctx *evalCtx) (rowIter, error) {
 	if workers <= 1 {
 		// Serial fallback: one fold over the whole segment.
 		groups = map[string]*partialGroup{}
-		if err := n.foldSeg(ctx, 0, groups); err != nil {
+		if err := n.fold(ctx, 0, groups); err != nil {
 			return nil, err
 		}
 	} else {
@@ -625,7 +582,7 @@ func (n *parallelAggNode) parallelFold(ctx *evalCtx, total, nMorsels, workers in
 					results <- partialResult{err: internalError(r)}
 				}
 			}()
-			wctx := &evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: ctx.outer, shared: shared, vec: ctx.vec, mem: ctx.mem}
+			wctx := &evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: ctx.outer, shared: shared, mem: ctx.mem}
 			if workerStats != nil {
 				wctx.stats = workerStats[w]
 			}
@@ -641,8 +598,7 @@ func (n *parallelAggNode) parallelFold(ctx *evalCtx, total, nMorsels, workers in
 					hi = total
 				}
 				wctx.morsel = &morselRange{node: n.driver, lo: lo, hi: hi}
-				err := n.foldSeg(wctx, idx, groups)
-				if err != nil {
+				if err := n.fold(wctx, idx, groups); err != nil {
 					cancel.Store(true)
 					results <- partialResult{err: err}
 					return
@@ -662,8 +618,6 @@ func (n *parallelAggNode) parallelFold(ctx *evalCtx, total, nMorsels, workers in
 				o.Rows += ww.Rows
 				o.Nexts += ww.Nexts
 				o.BuildRows += ww.BuildRows
-				o.Batches += ww.Batches
-				o.InRows += ww.InRows
 				o.Time += ww.Time
 			}
 		}

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -13,7 +15,9 @@ import (
 // serial and parallel execution, because the gather operator merges
 // morsels strictly in rowid order. The battery covers scans, joins on
 // all three join operators, exact and non-exact aggregations, DISTINCT,
-// ORDER BY/LIMIT, UNION ALL and subqueries.
+// ORDER BY/LIMIT, UNION ALL, subqueries, integer overflow, and edge
+// inputs at the morsel boundary; TestVectorizedF1MixShapes adds the F1
+// mix shapes.
 
 // parallelFixture loads identical data into n databases so plans can
 // differ only by the parallel decoration.
@@ -87,29 +91,202 @@ var parallelBattery = []struct {
 	{"exists-subquery", `SELECT s.id FROM small s WHERE EXISTS (SELECT 1 FROM big b WHERE b.n = s.id AND b.id < 200)`, nil},
 	{"scalar-subquery", `SELECT id, (SELECT MAX(id) FROM small) FROM big WHERE id < 50`, nil},
 	{"index-range", `SELECT id, n FROM big WHERE n >= 90 AND n <= 95`, nil},
+	{"int-overflow", `SELECT id, id + 9223372036854775800, -9223372036854775808 - n, n * 3074457345618258603, -(-9223372036854775807 - id % 2) FROM big WHERE id % 13 = 0`, nil},
+	{"agg-overflow", `SELECT grp, SUM(n * 3074457345618258603), MAX(id + 9223372036854775800) FROM big GROUP BY grp`, nil},
+}
+
+// f1MixBattery mirrors the query shapes of the paper's F1 mix over an
+// interval-encoded accelerator relation (see accelFixture): scan-heavy
+// grouped aggregation, the parent/pre self hash join, containment by
+// range predicates, an indexed child step, NULL predicates, an empty
+// result and morsel-aligned modulus filters.
+var f1MixBattery = []struct {
+	name string
+	sql  string
+}{
+	{"h1-scan-agg", `SELECT kind, COUNT(*), MIN(pre), MAX(level) FROM accel WHERE size % 5 <> 1 GROUP BY kind`},
+	{"h2-hash-join", `SELECT COUNT(*) FROM accel c, accel p WHERE c.parent = p.pre AND p.size > 3 AND c.level > 2`},
+	{"containment", `SELECT d.pre FROM accel a, accel d WHERE a.kind = 2 AND a.size > 8 AND a.pre % 50 = 0 AND d.pre > a.pre AND d.pre <= a.post`},
+	{"child-step", `SELECT c.pre, c.tag FROM accel p, accel c WHERE p.kind = 3 AND p.level = 1 AND c.parent = p.pre ORDER BY c.pre`},
+	{"tag-null", `SELECT pre FROM accel WHERE tag IS NULL AND level > 4`},
+	{"empty-result", `SELECT pre, kind FROM accel WHERE size > 1000`},
+	{"mod-boundary", `SELECT pre FROM accel WHERE pre % 1024 = 0`},
+	{"distinct-range", `SELECT DISTINCT kind FROM accel WHERE level BETWEEN 2 AND 4`},
+}
+
+// accelFixture loads a synthetic element relation shaped like the
+// Interval shredder's accelerator table into one database per dop.
+func accelFixture(t *testing.T, rows int, dops ...int) []*Database {
+	t.Helper()
+	dbs := make([]*Database, len(dops))
+	for i, dop := range dops {
+		db := New()
+		db.SetParallelism(dop)
+		db.MustExec(`CREATE TABLE accel (pre INTEGER PRIMARY KEY, post INTEGER, parent INTEGER, kind INTEGER, tag TEXT, size INTEGER, level INTEGER)`)
+		db.MustExec(`CREATE INDEX accel_parent ON accel (parent)`)
+		batch := make([][]Value, 0, rows)
+		for k := 0; k < rows; k++ {
+			tag := NewText(fmt.Sprintf("e%d", k%6))
+			if k%5 == 0 {
+				tag = Null
+			}
+			batch = append(batch, []Value{
+				NewInt(int64(k)), NewInt(int64(k + k*13%50)), NewInt(int64(k / 3)),
+				NewInt(int64(k % 6)), tag, NewInt(int64(k % 11)), NewInt(int64(k % 9)),
+			})
+		}
+		if _, err := db.BulkInsert("accel", batch); err != nil {
+			t.Fatal(err)
+		}
+		dbs[i] = db
+	}
+	return dbs
+}
+
+// edgeFixture loads one table t(id, n, tag) of the given size into one
+// database per dop: n cycles 0..99, tag is NULL on every third row.
+func edgeFixture(t *testing.T, rows int, dops ...int) []*Database {
+	t.Helper()
+	dbs := make([]*Database, len(dops))
+	for i, dop := range dops {
+		db := New()
+		db.SetParallelism(dop)
+		db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER, tag TEXT)`)
+		batch := make([][]Value, 0, rows)
+		for k := 0; k < rows; k++ {
+			tag := NewText(fmt.Sprintf("v%d", k%7))
+			if k%3 == 0 {
+				tag = Null
+			}
+			batch = append(batch, []Value{NewInt(int64(k)), NewInt(int64(k % 100)), tag})
+		}
+		if rows > 0 {
+			if _, err := db.BulkInsert("t", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dbs[i] = db
+	}
+	return dbs
+}
+
+// parallelDiff runs sql on every database and requires the serial
+// answer (dbs[0]) byte-identical — columns, values and order — from the
+// others. It returns the serial answer.
+func parallelDiff(t *testing.T, dbs []*Database, sql string, args ...Value) *Rows {
+	t.Helper()
+	want, err := dbs[0].Query(sql, args...)
+	if err != nil {
+		t.Fatalf("serial %q: %v", sql, err)
+	}
+	for i, db := range dbs[1:] {
+		got, err := db.Query(sql, args...)
+		if err != nil {
+			t.Fatalf("parallel[%d] %q: %v", i, sql, err)
+		}
+		if !reflect.DeepEqual(want.Columns, got.Columns) {
+			t.Fatalf("parallel[%d] %q: columns %v != %v", i, sql, got.Columns, want.Columns)
+		}
+		if !reflect.DeepEqual(want.Data, got.Data) {
+			t.Fatalf("parallel[%d] %q: %d rows vs %d rows, or order/value drift\nserial: %.6v\nparallel: %.6v",
+				i, sql, want.Len(), got.Len(), want.Data, got.Data)
+		}
+	}
+	return want
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
-	dbs := parallelFixture(t, 10000, 1, 4, 16)
-	serial := dbs[0]
+	dops := []int{1, 4, 16}
+	dbs := parallelFixture(t, 10000, dops...)
 	for _, tc := range parallelBattery {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := serial.Query(tc.sql, tc.args...)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
+		t.Run(tc.name, func(t *testing.T) { parallelDiff(t, dbs, tc.sql, tc.args...) })
+	}
+
+	// Edge inputs: empty and fully filtered streams, LIMIT/OFFSET around
+	// the morsel boundary, tables one row either side of a morsel, and
+	// NULL comparisons (three-valued logic drops the row).
+	t.Run("empty-table", func(t *testing.T) {
+		dbs := edgeFixture(t, 0, dops...)
+		for _, sql := range []string{
+			`SELECT id FROM t`,
+			`SELECT id FROM t WHERE n > 5`,
+			`SELECT COUNT(*), SUM(n) FROM t`,
+			`SELECT tag, COUNT(*) FROM t GROUP BY tag`,
+			`SELECT id FROM t LIMIT 10`,
+			`SELECT a.id FROM t a, t b WHERE a.n = b.n`,
+		} {
+			parallelDiff(t, dbs, sql)
+		}
+	})
+	t.Run("all-rows-filtered", func(t *testing.T) {
+		dbs := edgeFixture(t, 3000, dops...)
+		for _, sql := range []string{
+			`SELECT id FROM t WHERE n < 0`,
+			`SELECT id FROM t WHERE tag = 'nope'`,
+			`SELECT COUNT(*) FROM t WHERE id > 100000`,
+			`SELECT DISTINCT n FROM t WHERE n > 100`,
+			`SELECT a.id FROM t a, t b WHERE a.n = b.n AND a.id < 0`,
+		} {
+			parallelDiff(t, dbs, sql)
+		}
+	})
+	t.Run("limit-offset-sweep", func(t *testing.T) {
+		const rows = 2500
+		dbs := edgeFixture(t, rows, dops...)
+		offsets := []int{0, 1, morselSize - 1, morselSize, morselSize + 1, 2*morselSize - 1, 2 * morselSize, 2400, rows, 3000}
+		limits := []int{0, 1, 512, morselSize - 1, morselSize, morselSize + 1, 2 * morselSize, 5000}
+		for _, off := range offsets {
+			for _, lim := range limits {
+				got := parallelDiff(t, dbs, fmt.Sprintf(`SELECT id FROM t LIMIT %d OFFSET %d`, lim, off))
+				if want := min(max(rows-off, 0), lim); got.Len() != want {
+					t.Errorf("LIMIT %d OFFSET %d: %d rows, want %d", lim, off, got.Len(), want)
+				}
 			}
-			for i, db := range dbs[1:] {
-				got, err := db.Query(tc.sql, tc.args...)
-				if err != nil {
-					t.Fatalf("parallel[%d]: %v", i, err)
-				}
-				if !reflect.DeepEqual(want.Columns, got.Columns) {
-					t.Fatalf("parallel[%d]: columns %v != %v", i, got.Columns, want.Columns)
-				}
-				if !reflect.DeepEqual(want.Data, got.Data) {
-					t.Fatalf("parallel[%d]: %d rows vs %d rows, or order/value drift\nserial: %.6v\nparallel: %.6v",
-						i, want.Len(), got.Len(), want.Data, got.Data)
-				}
+		}
+		// The same boundaries under a filter, so the rows the filter keeps
+		// (not the heap slots) are what the limit counts.
+		for _, off := range []int{511, 512, 513} {
+			parallelDiff(t, dbs, fmt.Sprintf(`SELECT id FROM t WHERE id %% 2 = 0 LIMIT 600 OFFSET %d`, off))
+		}
+	})
+	t.Run("morsel-size-tables", func(t *testing.T) {
+		for _, rows := range []int{morselSize - 1, morselSize, morselSize + 1, 2 * morselSize} {
+			dbs := edgeFixture(t, rows, dops...)
+			if got := parallelDiff(t, dbs, `SELECT id FROM t`); got.Len() != rows {
+				t.Fatalf("rows=%d: scan returned %d", rows, got.Len())
+			}
+			parallelDiff(t, dbs, `SELECT COUNT(*) FROM t`)
+			parallelDiff(t, dbs, fmt.Sprintf(`SELECT id FROM t LIMIT %d`, rows))
+		}
+	})
+	t.Run("null-comparisons", func(t *testing.T) {
+		dbs := edgeFixture(t, 3000, dops...)
+		for _, sql := range []string{
+			`SELECT id FROM t WHERE tag > 'v3'`,
+			`SELECT id FROM t WHERE tag = 'v1' OR n < 5`,
+			`SELECT id FROM t WHERE tag IS NULL`,
+			`SELECT id FROM t WHERE tag IS NOT NULL AND n > 90`,
+			`SELECT COUNT(tag), COUNT(*) FROM t`,
+			`SELECT tag, COUNT(*) FROM t GROUP BY tag`,
+			`SELECT a.id, b.id FROM t a, t b WHERE a.tag = b.tag AND a.id < 9 AND b.id < 9`,
+		} {
+			parallelDiff(t, dbs, sql)
+		}
+	})
+}
+
+// TestVectorizedF1MixShapes runs the F1 mix shapes over the accelerator
+// relation serially and through the gather at DOP 4: rows must be
+// byte-identical, and each execution's operator accounting must hold
+// (see checkAccounting). The name is kept from the batch-engine
+// differential this test succeeds.
+func TestVectorizedF1MixShapes(t *testing.T) {
+	dbs := accelFixture(t, 6000, 1, 4)
+	for _, tc := range f1MixBattery {
+		t.Run(tc.name, func(t *testing.T) {
+			want := parallelDiff(t, dbs, tc.sql)
+			for _, db := range dbs {
+				checkAccounting(t, db, want, tc.sql)
 			}
 		})
 	}
@@ -233,6 +410,32 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 	if rows.Data[0][0].I != 100 {
 		t.Fatalf("engine wedged after worker error: count = %v", rows.Data[0][0])
+	}
+}
+
+// TestVectorizedContextCancel checks that a pre-canceled context aborts
+// scans, joins, aggregations and sorts, serially and through the
+// gather, with context.Canceled, and that the engine stays usable. The
+// name is kept from the batch-engine test this one succeeds.
+func TestVectorizedContextCancel(t *testing.T) {
+	dbs := parallelFixture(t, 5000, 1, 4)
+	for _, db := range dbs {
+		dop := db.Parallelism()
+		for _, sql := range []string{
+			`SELECT COUNT(*) FROM big WHERE n > 1`,
+			`SELECT b.id, s.label FROM big b, small s WHERE b.n = s.id`,
+			`SELECT grp, SUM(n) FROM big GROUP BY grp`,
+			`SELECT id FROM big ORDER BY n DESC, id`,
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := db.QueryContext(ctx, sql); !errors.Is(err, context.Canceled) {
+				t.Errorf("dop=%d %q: pre-canceled context: err = %v, want context.Canceled", dop, sql, err)
+			}
+			if _, err := db.Query(sql); err != nil {
+				t.Errorf("dop=%d %q: engine wedged after canceled query: %v", dop, sql, err)
+			}
+		}
 	}
 }
 

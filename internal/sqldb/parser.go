@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
@@ -844,6 +845,12 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.acceptSymbol("-") {
+		// int64's minimum can only be written as the negation of a
+		// literal one past int64's maximum, which alone reads as REAL.
+		if t := p.peek(); t.kind == tokInt && strings.TrimLeft(t.text, "0") == "9223372036854775808" {
+			p.pos++
+			return &Literal{Val: NewInt(math.MinInt64)}, nil
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -861,11 +868,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.pos++
-		i, err := strconv.ParseInt(t.text, 10, 64)
+		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+			return &Literal{Val: NewInt(i)}, nil
+		}
+		// Out of int64's range: read as REAL, as SQLite does.
+		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, errorf("bad integer literal %s: %v", t.text, err)
 		}
-		return &Literal{Val: NewInt(i)}, nil
+		return &Literal{Val: NewFloat(f)}, nil
 	case tokFloat:
 		p.pos++
 		f, err := strconv.ParseFloat(t.text, 64)

@@ -235,9 +235,8 @@ func TestLeftJoinPlanUnchanged(t *testing.T) {
         SeqScan nums as nums (est 101.0)
         SeqScan tags as tags (est 36.0)
 `
-	// The plan as the parent commit rendered it, before join widths were
-	// printed (XRDB_VECTORIZED adds a header line, not a different plan).
-	if got := colsRe.ReplaceAllString(strings.TrimPrefix(plan, "vectorized\n"), ""); got != want {
+	// The plan as it rendered before join widths were printed.
+	if got := colsRe.ReplaceAllString(plan, ""); got != want {
 		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
 	}
 	rows, err := db.Query(q)

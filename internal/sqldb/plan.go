@@ -189,22 +189,12 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 	// become hidden extra columns.
 	comp := &compiler{st: st, sch: projInSch, outer: outer}
 	var compiled []compiledExpr
-	// Track whether every projected expression is a plain column
-	// reference; if so the batch path can gather columns directly
-	// instead of calling the compiled closures (see projectVec).
-	simpleCols := make([]int, 0, len(projExprs))
-	allSimple := true
 	for _, e := range projExprs {
 		ce, err := comp.compile(e)
 		if err != nil {
 			return nil, nil, err
 		}
 		compiled = append(compiled, ce)
-		if c := simpleColIdx(e, projInSch); c >= 0 {
-			simpleCols = append(simpleCols, c)
-		} else {
-			allSimple = false
-		}
 	}
 
 	type orderKey struct {
@@ -242,18 +232,9 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 		fullSch = append(fullSch, colInfo{name: "__order"})
 		orderKeys = append(orderKeys, orderKey{col: len(fullSch) - 1, desc: desc})
 		hidden++
-		if c := simpleColIdx(orderExprs[i], projInSch); c >= 0 {
-			simpleCols = append(simpleCols, c)
-		} else {
-			allSimple = false
-		}
 	}
 
-	proj := &projectNode{in: projInput, exprs: compiled, schema: fullSch}
-	if allSimple && len(simpleCols) == len(compiled) {
-		proj.colIdx = simpleCols
-	}
-	var root planNode = proj
+	var root planNode = &projectNode{in: projInput, exprs: compiled, schema: fullSch}
 
 	if stmt.Distinct {
 		root = &distinctNode{in: root}
@@ -357,23 +338,6 @@ func (n *valuesNode) open(*evalCtx) (rowIter, error) {
 	return &sliceIter{rows: n.rows}, nil
 }
 
-// simpleColIdx returns the input column a projection expression reads,
-// or -1 when it is anything but a plain column reference. It mirrors
-// the compiler: an inputRef reads its position, a ColumnRef that
-// resolves in sch compiles to row[idx] of that same index (outer
-// references only apply when local resolution fails).
-func simpleColIdx(e Expr, sch schema) int {
-	switch e := e.(type) {
-	case *inputRef:
-		return e.idx
-	case *ColumnRef:
-		if idx, err := sch.resolve(e.Table, e.Name); err == nil {
-			return idx
-		}
-	}
-	return -1
-}
-
 // cutNode truncates rows to the first width columns (drops hidden
 // order-by keys).
 type cutNode struct {
@@ -475,7 +439,7 @@ func filterOver(st *dbState, in planNode, conjs []conjunct, outer schema) (planN
 	if err != nil {
 		return nil, err
 	}
-	return &filterNode{in: in, pred: f, kernel: compileRowPred(pred, in.sch()), sel: 0.5}, nil
+	return &filterNode{in: in, pred: f, sel: 0.5}, nil
 }
 
 // analyzeConjunct determines which relation aliases a conjunct touches.
@@ -1434,7 +1398,7 @@ func buildAccessPath(st *dbState, rel *relation, conjs []*conjunct, outer schema
 		if err != nil {
 			return nil, err
 		}
-		return &filterNode{in: rel.node, pred: pred, kernel: compileRowPred(andAll(exprs), relSch), sel: sel}, nil
+		return &filterNode{in: rel.node, pred: pred, sel: sel}, nil
 	}
 
 	// Find sargable bounds.
@@ -1553,7 +1517,6 @@ func buildAccessPath(st *dbState, rel *relation, conjs []*conjunct, outer schema
 		}
 		scan := newSeqScanNode(rel.tbl, rel.alias)
 		scan.filter = pred
-		scan.kernel = compileRowPred(andAll(exprs), relSch)
 		scan.sel = sel
 		return scan, nil
 	}
@@ -1629,7 +1592,6 @@ func buildAccessPath(st *dbState, rel *relation, conjs []*conjunct, outer schema
 			return nil, err
 		}
 		node.filter = pred
-		node.kernel = compileRowPred(andAll(residual), relSch)
 	}
 	return node, nil
 }
@@ -1688,7 +1650,12 @@ func staticExprType(e Expr, sch schema) (Type, bool) {
 		return sch[idx].typ, true
 	case *UnaryExpr:
 		if e.Op == "-" {
-			return staticExprType(e.X, sch)
+			// Numeric class, like the binary operators below: negating
+			// int64's minimum yields REAL.
+			if _, ok := staticExprType(e.X, sch); !ok {
+				return TypeNull, false
+			}
+			return TypeFloat, true
 		}
 		return TypeBool, true
 	case *BinaryExpr:

@@ -260,6 +260,8 @@ func compareSQL(a, b Value) (cmp int, ok bool) {
 }
 
 // addValues implements SQL + with numeric promotion; NULL propagates.
+// Integer arithmetic never wraps: a result outside int64's range is
+// computed in REAL instead, as SQLite does.
 func addValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
@@ -267,7 +269,11 @@ func addValues(a, b Value) Value {
 	if a.T == TypeFloat || b.T == TypeFloat {
 		return NewFloat(a.Float() + b.Float())
 	}
-	return NewInt(a.Int() + b.Int())
+	x, y := a.Int(), b.Int()
+	if s := x + y; (s > x) == (y > 0) {
+		return NewInt(s)
+	}
+	return NewFloat(float64(x) + float64(y))
 }
 
 func subValues(a, b Value) Value {
@@ -277,7 +283,11 @@ func subValues(a, b Value) Value {
 	if a.T == TypeFloat || b.T == TypeFloat {
 		return NewFloat(a.Float() - b.Float())
 	}
-	return NewInt(a.Int() - b.Int())
+	x, y := a.Int(), b.Int()
+	if d := x - y; (d < x) == (y > 0) {
+		return NewInt(d)
+	}
+	return NewFloat(float64(x) - float64(y))
 }
 
 func mulValues(a, b Value) Value {
@@ -287,7 +297,14 @@ func mulValues(a, b Value) Value {
 	if a.T == TypeFloat || b.T == TypeFloat {
 		return NewFloat(a.Float() * b.Float())
 	}
-	return NewInt(a.Int() * b.Int())
+	x, y := a.Int(), b.Int()
+	if x == 0 || y == 0 {
+		return NewInt(0)
+	}
+	if p := x * y; p/y == x && !(y == -1 && x == math.MinInt64) {
+		return NewInt(p)
+	}
+	return NewFloat(float64(x) * float64(y))
 }
 
 func divValues(a, b Value) Value {
@@ -301,11 +318,14 @@ func divValues(a, b Value) Value {
 		}
 		return NewFloat(a.Float() / bf)
 	}
-	bi := b.Int()
+	ai, bi := a.Int(), b.Int()
 	if bi == 0 {
 		return Null
 	}
-	return NewInt(a.Int() / bi)
+	if bi == -1 && ai == math.MinInt64 {
+		return NewFloat(-float64(ai))
+	}
+	return NewInt(ai / bi)
 }
 
 func modValues(a, b Value) Value {
@@ -330,6 +350,9 @@ func modValues(a, b Value) Value {
 func negValue(a Value) Value {
 	switch a.T {
 	case TypeInt, TypeBool:
+		if a.I == math.MinInt64 {
+			return NewFloat(-float64(a.I))
+		}
 		return NewInt(-a.I)
 	case TypeFloat:
 		return NewFloat(-a.F)
