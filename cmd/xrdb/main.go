@@ -295,15 +295,17 @@ func printStats(st *core.Store, ds *core.DurableStore) {
 		sn.PublishWaits, sn.PublishWaitTime.Round(time.Microsecond), sn.PublishOrderWaits, sn.VersionsReclaimed)
 
 	bp := dbStats.BufferPool
-	if bp.Cap > 0 || bp.Spilled > 0 {
-		fmt.Printf("buffer pool:\n")
+	fmt.Printf("buffer pool:\n")
+	if bp.Cap == 0 {
+		fmt.Printf("  cap: unbounded  spilled: %d (%d bytes on disk)\n", bp.Spilled, bp.SpillBytes)
+	} else {
 		fmt.Printf("  cap: %d pages  resident: %d  spilled: %d (%d bytes on disk)\n",
 			bp.Cap, bp.Resident, bp.Spilled, bp.SpillBytes)
 		fmt.Printf("  hits: %d  misses: %d  evictions: %d  writebacks: %d  pinned: %d (high water %d)\n",
 			bp.Hits, bp.Misses, bp.Evictions, bp.Writebacks, bp.Pinned, bp.PinnedHighWater)
-		if bp.ReadErrors > 0 || bp.SpillErrors > 0 {
-			fmt.Printf("  read errors: %d  spill errors: %d\n", bp.ReadErrors, bp.SpillErrors)
-		}
+	}
+	if bp.ReadErrors > 0 || bp.SpillErrors > 0 {
+		fmt.Printf("  read errors: %d  spill errors: %d\n", bp.ReadErrors, bp.SpillErrors)
 	}
 
 	g := dbStats.Governor

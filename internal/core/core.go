@@ -81,8 +81,9 @@ type Options struct {
 	MaxConcurrentQueries int
 	MaxQueuedQueries     int
 	// BufferPoolPages caps how many 512-row heap pages the engine keeps
-	// resident; full pages beyond the cap spill to disk and page back in
-	// on demand. 0 keeps every page in memory (the default).
+	// resident, from recovery on for a durable store; full pages beyond
+	// the cap spill to disk and page back in on demand. 0 keeps every
+	// page in memory (the default).
 	BufferPoolPages int
 }
 

@@ -63,6 +63,11 @@ func OpenDurableVFS(kind SchemeKind, fs sqldb.VFS, opts Options, dopts DurableOp
 	default:
 		return nil, fmt.Errorf("core: scheme %q cannot be durable (in-memory mapping state); use interval or dewey", kind)
 	}
+	// The pool cap must hold during recovery, not only after it: the
+	// explicit option wins over dopts.BufferPoolPages.
+	if opts.BufferPoolPages > 0 {
+		dopts.BufferPoolPages = opts.BufferPoolPages
+	}
 	ddb, err := sqldb.OpenDurable(fs, dopts)
 	if err != nil {
 		return nil, err
@@ -79,11 +84,6 @@ func OpenDurableVFS(kind SchemeKind, fs sqldb.VFS, opts Options, dopts DurableOp
 	}
 	if opts.MaxConcurrentQueries > 0 {
 		db.SetAdmissionControl(opts.MaxConcurrentQueries, opts.MaxQueuedQueries)
-	}
-	// The explicit option wins over the XRDB_BUFFER_POOL env default and
-	// over dopts.BufferPoolPages (already applied by sqldb.OpenDurable).
-	if opts.BufferPoolPages > 0 {
-		db.SetBufferPool(opts.BufferPoolPages)
 	}
 	fresh := len(db.TableNames()) == 0
 	if fresh {

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
+	"repro/internal/xmldom"
+	"repro/internal/xmlgen"
 )
 
 // durableXML publishes the store as a canonical string for state
@@ -307,5 +313,150 @@ func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 		}
 		rds2.Close()
 		ds.Close()
+	}
+}
+
+// heapProbeVFS samples the in-use heap, after a collection, the first
+// time the WAL is opened — in OpenDurable, the moment the snapshot has
+// been restored and its indexes rebuilt.
+type heapProbeVFS struct {
+	sqldb.VFS
+	heap uint64
+}
+
+func (v *heapProbeVFS) OpenRW(name string) (sqldb.File, error) {
+	if name == "wal.log" && v.heap == 0 {
+		v.heap = heapInUse()
+	}
+	return v.VFS.OpenRW(name)
+}
+
+func heapInUse() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse
+}
+
+// TestDurableRecoveryHonoursPoolCap reopens a checkpointed store with a
+// two-page pool: recovery itself must run under the cap, so the heap
+// it holds once the snapshot is restored stays well below an
+// unbounded reopen's, which keeps every heap page resident.
+func TestDurableRecoveryHonoursPoolCap(t *testing.T) {
+	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.05, Seed: 3})
+	fs := sqldb.NewMemVFS()
+	ds, err := OpenDurableVFS(Interval, fs, Options{}, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.LoadXMLStream(context.Background(), strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ds.Close()
+	ds = nil
+
+	reopen := func(pages int) uint64 {
+		probe := &heapProbeVFS{VFS: fs}
+		base := heapInUse()
+		ds, err := OpenDurableVFS(Interval, probe, Options{BufferPoolPages: pages}, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if n, err := ds.Count(`//item`); err != nil || n == 0 {
+			t.Fatalf("pool %d: query after reopen: %d items, %v", pages, n, err)
+		}
+		if bp := ds.DB().Stats().BufferPool; bp.Cap != pages {
+			t.Fatalf("pool cap %d, want %d", bp.Cap, pages)
+		}
+		return probe.heap - min(base, probe.heap)
+	}
+	unbounded, capped := reopen(0), reopen(2)
+	if capped*5 > unbounded*4 {
+		t.Fatalf("recovery under a two-page pool held %d heap bytes, unbounded %d: the cap did not apply during recovery", capped, unbounded)
+	}
+}
+
+// dirBytes sums the sizes of the files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// TestPagesFileBoundedUnderRewrites: every Interval insert renumbers the
+// whole document, so each checkpoint after one writes every heap page
+// afresh. The pages file must not keep the superseded copies: across
+// ten inserts the data directory stays within three times its size
+// after the load's checkpoint, and reopening it yields the document a
+// DOM replay of the inserts produces.
+func TestPagesFileBoundedUnderRewrites(t *testing.T) {
+	dir := t.TempDir()
+	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.1, Seed: 11})
+	ds, err := OpenDurable(Interval, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.LoadXMLStream(context.Background(), strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	loaded := dirBytes(t, dir)
+	res, err := ds.Query(`/site/open_auctions`)
+	if err != nil || len(res.Matches) != 1 {
+		t.Fatalf("locating the insert parent: %v (%d matches)", err, len(res.Matches))
+	}
+	parentID := res.Matches[0].ID
+
+	doc, err := xmldom.Parse([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := doc.RootElement().FirstChildElement("open_auctions")
+	for i := 0; i < 10; i++ {
+		frag := []byte(fmt.Sprintf(`<open_auction id="added%d"><initial>%d.50</initial></open_auction>`, i, i))
+		position := 3 * i
+		if err := ds.InsertXML(parentID, position, frag); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		f, err := xmldom.Parse(frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent.InsertChild(f.RootElement().Copy(), position)
+		if n := dirBytes(t, dir); n > 3*loaded {
+			t.Fatalf("after insert %d the directory holds %d bytes, %.1fx the %d after the load", i, n, float64(n)/float64(loaded), loaded)
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, err = OpenDurable(Interval, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if got, want := durableXML(t, ds.Store), xmldom.SerializeString(doc.Root); got != want {
+		t.Fatalf("reopened document (%d bytes) differs from the DOM replay (%d bytes)", len(got), len(want))
 	}
 }

@@ -3,9 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,9 +113,10 @@ type Database struct {
 	// gate, when non-nil, bounds concurrent query execution with a
 	// finite wait queue (admission control).
 	gate atomic.Pointer[admissionGate]
-	// pool is the buffer pool: with a non-zero cap it bounds resident
-	// sealed heap pages, spilling evicted ones to disk (bufferpool.go).
-	// Always non-nil; cap 0 keeps every page in memory.
+	// pool is the buffer pool holding every sealed heap page: with a
+	// non-zero cap it bounds how many stay resident, spilling evicted
+	// ones to disk (bufferpool.go). Always non-nil; cap 0 keeps every
+	// page in memory.
 	pool *pageStore
 }
 
@@ -156,44 +155,25 @@ func New() *Database {
 		indexes: map[string]*IndexDef{},
 	}
 	db.pool = newPageStore()
-	db.pool.openFile = tempSpillFile
-	// XRDB_BUFFER_POOL caps the buffer pool for every new database, so
-	// the whole differential suite can run with heavy eviction (see the
-	// Makefile diskmatrix target).
-	if v := os.Getenv("XRDB_BUFFER_POOL"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			db.pool.setCap(n)
-		}
-	}
 	db.state.Store(st)
 	db.head = st
 	return db
 }
 
 // SetBufferPool caps how many sealed heap pages stay resident; beyond
-// the cap, pages spill to disk and fault back in on demand. 0 restores
-// unbounded in-memory storage (the default). Full pages of the current
-// published state are sealed into the pool immediately; later commits
-// seal their own full pages at publish.
+// the cap, pages spill to disk and fault back in on demand. 0 means
+// unbounded (the default): every page stays in memory.
 func (db *Database) SetBufferPool(pages int) {
-	db.pool.setCap(pages)
-	if pages <= 0 {
-		return
-	}
-	st := db.state.Load()
-	for _, t := range st.tables {
-		n := t.fullPages()
-		if n > len(t.pages) {
-			n = len(t.pages)
+	db.pool.setCap(pages, func() (full []*heapPage) {
+		for _, t := range db.state.Load().tables {
+			full = append(full, t.pages[:t.fullPages()]...)
 		}
-		for pi := 0; pi < n; pi++ {
-			db.pool.add(t.pages[pi], st.seq)
-		}
-	}
+		return full
+	})
 }
 
 // BufferPool reports the pool's cap (0 = unbounded).
-func (db *Database) BufferPool() int { return db.pool.capNow() }
+func (db *Database) BufferPool() int { return int(db.pool.cap.Load()) }
 
 // readState pins the current published state for one read operation.
 func (db *Database) readState() *dbState {

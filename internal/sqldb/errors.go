@@ -56,11 +56,16 @@ var (
 	// DurableDB.Recover retries the log.
 	ErrReadOnlyDegraded = fmt.Errorf("%w (degraded: reads still serve the published snapshot; Recover() retries the log)", ErrWALFailed)
 
-	// ErrPageIO marks a failed buffer-pool page read: the spill file
+	// ErrPageIO marks a failed buffer-pool page read: the pages file
 	// could not deliver an evicted page an operation needed. Only that
 	// operation fails — the pool, the published snapshot and every
 	// other query keep working; a later access retries the read.
 	ErrPageIO = errors.New("sqldb: page read failed")
+
+	// ErrUnsupportedSnapshot refuses a dump or data directory whose
+	// snapshot was written in an older format; nothing reads those any
+	// more, so the document has to be loaded again.
+	ErrUnsupportedSnapshot = errors.New("sqldb: unsupported snapshot format")
 )
 
 // InternalError carries the recovered panic value and stack from an

@@ -2,11 +2,12 @@ package sqldb
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
-// fuzzSnapshotSeed builds a small database and returns its v2 snapshot
-// bytes.
+// fuzzSnapshotSeed builds a small database and returns its snapshot
+// bytes: one inline tail page.
 func fuzzSnapshotSeed() []byte {
 	db := New()
 	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
@@ -19,23 +20,69 @@ func fuzzSnapshotSeed() []byte {
 	return buf.Bytes()
 }
 
+// pagedFixture fills table t(id, grp, val) with rows rows on db.
+func pagedFixture(db *Database, rows int) {
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val TEXT)`)
+	batch := make([][]Value, rows)
+	for i := range batch {
+		batch[i] = []Value{NewInt(int64(i)), NewInt(int64(i % 97)), NewText(fmt.Sprintf("val-%06d", i))}
+	}
+	if _, err := db.BulkInsert("t", batch); err != nil {
+		panic(err)
+	}
+}
+
+// fuzzInlinePagesSeed is a dump whose table spans two full inline pages
+// and a tail.
+func fuzzInlinePagesSeed() []byte {
+	db := New()
+	pagedFixture(db, 2*heapPageSize+3)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzPageRefSeed is a durable checkpoint's snapshot: it references its
+// full pages in a pages file a standalone load does not have.
+func fuzzPageRefSeed() []byte {
+	fs := NewMemVFS()
+	d, err := OpenDurable(fs, DurableOptions{})
+	if err != nil {
+		panic(err)
+	}
+	pagedFixture(d.DB(), heapPageSize+3)
+	if err := d.Checkpoint(); err != nil {
+		panic(err)
+	}
+	d.Close()
+	data, err := readSnapshotFile(fs)
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
 // FuzzLoadFrom feeds arbitrary bytes to the snapshot loader: it must
 // return a database or an error — never panic, and never hand back a
-// silently partial database on corrupt input (the v2 envelope's length
+// silently partial database on corrupt input (the envelope's length
 // and CRC checks see to that).
 func FuzzLoadFrom(f *testing.F) {
 	valid := fuzzSnapshotSeed()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(snapshotMagicV2))
-	f.Add([]byte(snapshotMagic)) // legacy prefix, not a gob stream
-	f.Add(valid[:len(valid)/2])  // truncated
+	f.Add([]byte(snapshotMagic))          // magic alone, no envelope
+	f.Add([]byte("xmlrdb-snapshot-v3\n")) // an older format's magic
+	f.Add(valid[:len(valid)/2])           // truncated
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	trailing := append(append([]byte(nil), valid...), 'x')
 	f.Add(trailing)
 	f.Add([]byte("xrdb-but-not-a-snapshot"))
+	f.Add(fuzzInlinePagesSeed())
+	f.Add(fuzzPageRefSeed()) // must be refused: no pages file
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadFrom(bytes.NewReader(data))

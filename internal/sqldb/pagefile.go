@@ -1,6 +1,6 @@
 package sqldb
 
-// On-disk heap-page format. The spill file is an append-only array of
+// On-disk heap-page format. A pages file is an append-only array of
 // fixed-size slots; a page occupies one or more consecutive slots (a
 // chain) depending on its encoded size. Only the chain's first slot
 // carries a header:
@@ -10,12 +10,14 @@ package sqldb
 //	     on read so a stale pointer can never deliver the wrong page
 //	u32  payload length in bytes
 //
-// The payload is the page's 512 row slots in order, each encoded as a
+// The payload is the page's row slots in order, each encoded as a
 // uvarint column count biased by one (0 = nil tombstone, n+1 = n
-// columns) followed by the WAL value codec for every column. Sealed
-// pages are immutable, so each page is written exactly once and slots
-// are never reused; the file compacts only by checkpoint-rewrite
-// (future work) or by deleting the whole store.
+// columns) followed by the WAL value codec for every column; a
+// snapshot inlines the same payload for pages it does not reference.
+// Sealed pages are immutable, so a page is written into a file at most
+// once and slots are never reused in place. A checkpoint that finds
+// more dead than live bytes in the current file copies the live pages
+// into a fresh one (pageStore.checkpoint), which bounds the file.
 
 import (
 	"encoding/binary"
@@ -23,10 +25,10 @@ import (
 )
 
 const (
-	// pageSlotSize is the fixed on-disk slot granule. 32 KiB holds a
-	// full 512-row page of typical shredded tuples in one slot; pages
-	// with long text values chain across consecutive slots.
-	pageSlotSize = 32 * 1024
+	// pageSlotSize is the fixed on-disk slot granule. 4 KiB keeps the
+	// padding of a chain's last slot under 4 KiB per page; a typical
+	// 512-row page of shredded tuples chains across a few slots.
+	pageSlotSize = 4 * 1024
 	// pageSlotHeader is the first-slot header: CRC, page id, length.
 	pageSlotHeader = 4 + 8 + 4
 )
@@ -36,9 +38,9 @@ func pageSlotsFor(payloadLen int) int {
 	return (payloadLen + pageSlotHeader + pageSlotSize - 1) / pageSlotSize
 }
 
-// encodePageFrame renders a frame's row slots as a page payload.
-// count bounds the encoded slots to the table's allocated rowids so a
-// straggler-sealed final page never persists junk beyond the heap.
+// encodePageFrame renders a frame's first n row slots as a page
+// payload. n bounds the encoded slots to the table's allocated rowids
+// so a partial tail page never persists junk beyond the heap.
 func encodePageFrame(f *pageFrame, n int) []byte {
 	e := &walEncoder{}
 	for i := 0; i < n; i++ {
@@ -56,9 +58,11 @@ func encodePageFrame(f *pageFrame, n int) []byte {
 }
 
 // framePageImage wraps a payload in the slot chain image written at
-// slot pid (1-based): header + payload, zero-padded to whole slots.
+// slot pid (1-based): header + payload. The rest of the chain's last
+// slot is never written, so a read of the last image in a file may stop
+// short at end of file.
 func framePageImage(pid int64, payload []byte) []byte {
-	img := make([]byte, pageSlotsFor(len(payload))*pageSlotSize)
+	img := make([]byte, pageSlotHeader+len(payload))
 	binary.LittleEndian.PutUint32(img[0:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint64(img[4:], uint64(pid))
 	binary.LittleEndian.PutUint32(img[12:], uint32(len(payload)))
@@ -66,9 +70,9 @@ func framePageImage(pid int64, payload []byte) []byte {
 	return img
 }
 
-// decodePageImage validates a slot chain image read from slot pid and
-// decodes its payload into a fresh frame.
-func decodePageImage(pid int64, img []byte) (*pageFrame, error) {
+// pageImagePayload validates a slot chain image read from slot pid and
+// returns its payload.
+func pageImagePayload(pid int64, img []byte) ([]byte, error) {
 	if len(img) < pageSlotHeader {
 		return nil, errorf("pagefile: short page %d: %d bytes", pid, len(img))
 	}
@@ -85,13 +89,18 @@ func decodePageImage(pid int64, img []byte) (*pageFrame, error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, errorf("pagefile: page %d checksum mismatch", pid)
 	}
-	return decodePagePayload(pid, payload)
+	return payload, nil
 }
 
-func decodePagePayload(pid int64, payload []byte) (*pageFrame, error) {
+// decodePagePayload decodes at most limit row slots of a page payload
+// into a fresh frame; more slots than that is corruption.
+func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
 	d := &walDecoder{b: payload}
 	f := &pageFrame{}
-	for i := 0; i < heapPageSize && d.off < len(d.b); i++ {
+	for i := 0; d.off < len(d.b); i++ {
+		if i == limit {
+			return nil, errorf("pagefile: page %d: more than %d row slots", pid, limit)
+		}
 		nc, err := d.uvarint()
 		if err != nil {
 			return nil, errorf("pagefile: page %d slot %d: corrupt", pid, i)
@@ -112,9 +121,6 @@ func decodePagePayload(pid int64, payload []byte) (*pageFrame, error) {
 			row[j] = v
 		}
 		f.rows[i] = row
-	}
-	if d.off != len(d.b) {
-		return nil, errorf("pagefile: page %d: %d trailing bytes", pid, len(d.b)-d.off)
 	}
 	return f, nil
 }

@@ -195,10 +195,39 @@ func parallelDiff(t *testing.T, dbs []*Database, sql string, args ...Value) *Row
 	return want
 }
 
+// TestParallelMatchesSerial runs the battery on an unbounded heap and
+// again under a three-page buffer pool, where every scan faults most of
+// its pages back in from the spill file (serial against DOP 4 there:
+// sixteen workers only thrash the pool harder).
 func TestParallelMatchesSerial(t *testing.T) {
+	for _, pool := range []int{0, 3} {
+		if pool == 0 {
+			parallelMatchesSerial(t, pool)
+			continue
+		}
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { parallelMatchesSerial(t, pool) })
+	}
+}
+
+func parallelMatchesSerial(t *testing.T, pool int) {
 	dops := []int{1, 4, 16}
-	dbs := parallelFixture(t, 10000, dops...)
+	if pool > 0 {
+		dops = dops[:2]
+	}
+	pooled := func(dbs []*Database) []*Database {
+		for _, db := range dbs {
+			db.SetBufferPool(pool)
+		}
+		return dbs
+	}
+	dbs := pooled(parallelFixture(t, 10000, dops...))
 	for _, tc := range parallelBattery {
+		if pool > 0 && tc.name == "nl-join" {
+			// Its inner side is an index probe per outer row, so behind
+			// a three-page pool nearly every fetched row faults its page
+			// in: a minute of thrashing that the unbounded run covers.
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) { parallelDiff(t, dbs, tc.sql, tc.args...) })
 	}
 
@@ -206,7 +235,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// the morsel boundary, tables one row either side of a morsel, and
 	// NULL comparisons (three-valued logic drops the row).
 	t.Run("empty-table", func(t *testing.T) {
-		dbs := edgeFixture(t, 0, dops...)
+		dbs := pooled(edgeFixture(t, 0, dops...))
 		for _, sql := range []string{
 			`SELECT id FROM t`,
 			`SELECT id FROM t WHERE n > 5`,
@@ -219,7 +248,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	t.Run("all-rows-filtered", func(t *testing.T) {
-		dbs := edgeFixture(t, 3000, dops...)
+		dbs := pooled(edgeFixture(t, 3000, dops...))
 		for _, sql := range []string{
 			`SELECT id FROM t WHERE n < 0`,
 			`SELECT id FROM t WHERE tag = 'nope'`,
@@ -232,7 +261,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	})
 	t.Run("limit-offset-sweep", func(t *testing.T) {
 		const rows = 2500
-		dbs := edgeFixture(t, rows, dops...)
+		dbs := pooled(edgeFixture(t, rows, dops...))
 		offsets := []int{0, 1, morselSize - 1, morselSize, morselSize + 1, 2*morselSize - 1, 2 * morselSize, 2400, rows, 3000}
 		limits := []int{0, 1, 512, morselSize - 1, morselSize, morselSize + 1, 2 * morselSize, 5000}
 		for _, off := range offsets {
@@ -251,7 +280,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	})
 	t.Run("morsel-size-tables", func(t *testing.T) {
 		for _, rows := range []int{morselSize - 1, morselSize, morselSize + 1, 2 * morselSize} {
-			dbs := edgeFixture(t, rows, dops...)
+			dbs := pooled(edgeFixture(t, rows, dops...))
 			if got := parallelDiff(t, dbs, `SELECT id FROM t`); got.Len() != rows {
 				t.Fatalf("rows=%d: scan returned %d", rows, got.Len())
 			}
@@ -260,7 +289,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 	t.Run("null-comparisons", func(t *testing.T) {
-		dbs := edgeFixture(t, 3000, dops...)
+		dbs := pooled(edgeFixture(t, 3000, dops...))
 		for _, sql := range []string{
 			`SELECT id FROM t WHERE tag > 'v3'`,
 			`SELECT id FROM t WHERE tag = 'v1' OR n < 5`,
@@ -273,6 +302,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			parallelDiff(t, dbs, sql)
 		}
 	})
+	if bp := dbs[0].Stats().BufferPool; pool > 0 && bp.Misses == 0 {
+		t.Fatalf("the pool never faulted a page in: %+v", bp)
+	}
 }
 
 // TestVectorizedF1MixShapes runs the F1 mix shapes over the accelerator
