@@ -125,12 +125,14 @@ chaos:
 	done
 
 ## fuzz: short fuzzing sessions for every fuzz target (parser, snapshot
-## loader, WAL replay, Interval store vs the DOM). Each -fuzz invocation accepts one target, so
-## they run sequentially; raise FUZZ_TIME for a real session.
+## loader, WAL replay, index key codec, Interval store vs the DOM). Each
+## -fuzz invocation accepts one target, so they run sequentially; raise
+## FUZZ_TIME for a real session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
 ## bench-smoke: executes BenchmarkQueryCache once, and one ordered

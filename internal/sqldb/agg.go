@@ -148,9 +148,9 @@ func (s *aggState) result(name string) Value {
 }
 
 // indexMinMaxNode answers a whole-table MIN(c) or MAX(c) from an index
-// led by c: one descent of the snapshot's B-tree, no heap page touched
-// (B-tree nodes are never pooled, so it cannot fault). See indexMinMax
-// for when the planner picks it.
+// led by c: one descent of the snapshot's B-tree to the extreme key's
+// lowest rowid, then that one row's c (which may fault its heap page in).
+// See indexMinMax for when the planner picks it.
 type indexMinMaxNode struct {
 	tbl    *table
 	idx    *tableIndex
@@ -169,8 +169,13 @@ func (n *indexMinMaxNode) fn() string {
 }
 
 func (n *indexMinMaxNode) open(ctx *evalCtx) (rowIter, error) {
-	tree := resolveIndex(ctx.resolveTable(n.tbl), n.idx).tree
-	return &sliceIter{rows: [][]Value{{tree.extreme(n.max)}}}, nil
+	tbl := ctx.resolveTable(n.tbl)
+	idx := resolveIndex(tbl, n.idx)
+	v := Null
+	if rid, ok := idx.tree.extreme(n.max); ok {
+		v = tbl.row(rid)[idx.def.Columns[0]]
+	}
+	return &sliceIter{rows: [][]Value{{v}}}, nil
 }
 
 func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {

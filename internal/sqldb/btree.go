@@ -1,7 +1,13 @@
 package sqldb
 
-// B+tree index over composite Value keys. Entries are (key, rowid) pairs;
-// rowid acts as a tiebreaker so duplicate keys are supported.
+import (
+	"slices"
+	"strings"
+)
+
+// B+tree index over packed composite keys (keycodec.go). Entries are
+// (key, rowid) pairs; rowid acts as a tiebreaker so duplicate keys are
+// supported.
 //
 // The tree is copy-on-write: every node carries the generation that
 // created it, and a writer first calls beginWrite to obtain a private
@@ -14,7 +20,7 @@ package sqldb
 const btreeOrder = 64 // max entries per node
 
 type btreeEntry struct {
-	key []Value
+	key string // packed key columns
 	rid int64
 }
 
@@ -29,21 +35,22 @@ type btreeNode struct {
 // concurrent mutation; the Database serializes writers, and readers
 // only ever see published (immutable) handles.
 //
-// The tree maintains approximate distinct-prefix counts per key column
-// (distinct[L-1] = number of distinct L-column key prefixes). They are
-// maintained by comparing each inserted/deleted entry with its in-leaf
-// neighbors, which miscounts slightly at leaf boundaries — fine for the
-// planner's cardinality estimates, their only consumer.
+// The tree keeps distinct-prefix counts per key column (distinct[L-1] =
+// number of distinct L-column key prefixes). buildBtree counts them
+// exactly; Insert and Delete then maintain them by comparing the entry
+// with its in-leaf neighbors, which miscounts slightly at leaf
+// boundaries — fine for the planner's cardinality estimates, their only
+// consumer.
 type btree struct {
 	gen      uint64
 	root     *btreeNode
 	size     int
-	width    int
-	distinct []int
+	distinct []int // one count per key column
 }
 
-func newBtree(gen uint64) *btree {
-	return &btree{gen: gen, root: &btreeNode{gen: gen, leaf: true}}
+// newBtree returns an empty tree over keys of width columns.
+func newBtree(gen uint64, width int) *btree {
+	return &btree{gen: gen, root: &btreeNode{gen: gen, leaf: true}, distinct: make([]int, width)}
 }
 
 // beginWrite returns a private handle for a writer at generation gen.
@@ -54,7 +61,6 @@ func (t *btree) beginWrite(gen uint64) *btree {
 		gen:      gen,
 		root:     t.root,
 		size:     t.size,
-		width:    t.width,
 		distinct: append([]int(nil), t.distinct...),
 	}
 }
@@ -86,31 +92,8 @@ func (t *btree) DistinctPrefix(l int) int {
 	return d
 }
 
-// compareKeys orders composite keys elementwise; a shorter key that is a
-// prefix of a longer one compares equal on the shared prefix, then the
-// shorter sorts first. rid breaks full-key ties.
-func compareKeys(a, b []Value) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareEntry(a btreeEntry, key []Value, rid int64) int {
-	if c := compareKeys(a.key, key); c != 0 {
+func compareEntry(a btreeEntry, key string, rid int64) int {
+	if c := strings.Compare(a.key, key); c != 0 {
 		return c
 	}
 	switch {
@@ -125,7 +108,7 @@ func compareEntry(a btreeEntry, key []Value, rid int64) int {
 
 // lowerBound returns the first index i in n.entries with
 // compareEntry(entries[i], key, rid) >= 0.
-func (n *btreeNode) lowerBound(key []Value, rid int64) int {
+func (n *btreeNode) lowerBound(key string, rid int64) int {
 	lo, hi := 0, len(n.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -142,7 +125,7 @@ func (n *btreeNode) lowerBound(key []Value, rid int64) int {
 // (key, rid). Separators are copies of their right subtree's first
 // entry, so an entry equal to a separator lives in the RIGHT child:
 // descend left of the first separator strictly greater than the key.
-func (n *btreeNode) childIndex(key []Value, rid int64) int {
+func (n *btreeNode) childIndex(key string, rid int64) int {
 	lo, hi := 0, len(n.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -155,10 +138,11 @@ func (n *btreeNode) childIndex(key []Value, rid int64) int {
 	return lo
 }
 
-// Insert adds (key, rid). Duplicate (key, rid) pairs are ignored.
-func (t *btree) Insert(key []Value, rid int64) {
+// Insert adds (key, rid) and keeps key. Duplicate (key, rid) pairs are
+// ignored.
+func (t *btree) Insert(key string, rid int64) {
 	t.root = t.mutable(t.root)
-	promoted, right := t.insertInto(t.root, key, rid)
+	promoted, right := t.insertInto(t.root, key, rid, true)
 	if right != nil {
 		t.root = &btreeNode{
 			gen:      t.gen,
@@ -170,50 +154,60 @@ func (t *btree) Insert(key []Value, rid int64) {
 }
 
 // insertInto performs the recursive insert into n, which the caller has
-// already made mutable. On split it returns the promoted separator and
-// the new right sibling.
-func (t *btree) insertInto(n *btreeNode, key []Value, rid int64) (btreeEntry, *btreeNode) {
+// already made mutable; last says n is the tree's rightmost node at its
+// level. On split it returns the promoted separator and the new right
+// sibling.
+func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btreeEntry, *btreeNode) {
 	if n.leaf {
 		i := n.lowerBound(key, rid)
 		if i < len(n.entries) && compareEntry(n.entries[i], key, rid) == 0 {
 			return btreeEntry{}, nil // duplicate
 		}
-		n.entries = append(n.entries, btreeEntry{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = btreeEntry{key: key, rid: rid}
+		e := btreeEntry{key: key, rid: rid}
 		t.size++
-		t.countInsert(n, i, key)
-		if len(n.entries) <= btreeOrder {
+		t.countPrefixes(key, n.entries, i, 1)
+		if len(n.entries) < btreeOrder {
+			n.entries = slices.Insert(n.entries, i, e)
 			return btreeEntry{}, nil
 		}
-		return t.splitLeaf(n)
+		right := t.splitLeaf(n, i, last)
+		if i > len(n.entries) || len(n.entries) == btreeOrder {
+			right.entries = slices.Insert(right.entries, i-len(n.entries), e)
+		} else {
+			n.entries = slices.Insert(n.entries, i, e)
+		}
+		// Leaf split promotes a copy of the right node's first entry.
+		return right.entries[0], right
 	}
 	i := n.childIndex(key, rid)
 	child := t.mutable(n.children[i])
 	n.children[i] = child
-	promoted, right := t.insertInto(child, key, rid)
+	promoted, right := t.insertInto(child, key, rid, last && i == len(n.entries))
 	if right == nil {
 		return btreeEntry{}, nil
 	}
-	n.entries = append(n.entries, btreeEntry{})
-	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = promoted
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	n.entries = slices.Insert(n.entries, i, promoted)
+	n.children = slices.Insert(n.children, i+1, right)
 	if len(n.entries) <= btreeOrder {
 		return btreeEntry{}, nil
 	}
 	return t.splitInner(n)
 }
 
-func (t *btree) splitLeaf(n *btreeNode) (btreeEntry, *btreeNode) {
-	mid := len(n.entries) / 2
+// splitLeaf splits the full leaf n before the entry that goes at
+// position i is placed, and returns the new right sibling. An insert
+// past the end of the tree's last leaf (ascending keys) leaves n full
+// and starts the sibling empty; any other splits n in half, each half
+// in an array of its own size.
+func (t *btree) splitLeaf(n *btreeNode, i int, last bool) *btreeNode {
 	right := &btreeNode{gen: t.gen, leaf: true}
-	right.entries = append(right.entries, n.entries[mid:]...)
-	n.entries = n.entries[:mid:mid]
-	// Leaf split promotes a copy of the right node's first entry.
-	return right.entries[0], right
+	if last && i == len(n.entries) {
+		return right
+	}
+	mid := len(n.entries) / 2
+	right.entries = slices.Clone(n.entries[mid:])
+	n.entries = slices.Clone(n.entries[:mid])
+	return right
 }
 
 func (t *btree) splitInner(n *btreeNode) (btreeEntry, *btreeNode) {
@@ -229,8 +223,8 @@ func (t *btree) splitInner(n *btreeNode) (btreeEntry, *btreeNode) {
 
 // Delete removes (key, rid). Underfull nodes are tolerated (no rebalance);
 // the tree stays correct and scans skip empty leaves. Returns whether the
-// entry existed.
-func (t *btree) Delete(key []Value, rid int64) bool {
+// entry existed. key is not retained.
+func (t *btree) Delete(key string, rid int64) bool {
 	// Probe first so a missing entry does not path-copy for nothing.
 	n := t.root
 	for !n.leaf {
@@ -249,38 +243,26 @@ func (t *btree) Delete(key []Value, rid int64) bool {
 		n = c
 	}
 	i = n.lowerBound(key, rid)
-	t.countDelete(n, i, key)
-	n.entries = append(n.entries[:i], n.entries[i+1:]...)
+	n.entries = slices.Delete(n.entries, i, i+1)
+	t.countPrefixes(key, n.entries, i, -1)
 	t.size--
 	return true
 }
 
-// countInsert updates distinct-prefix counts after placing key at
-// position i of leaf n.
-func (t *btree) countInsert(n *btreeNode, i int, key []Value) {
-	if t.width == 0 {
-		t.width = len(key)
-		t.distinct = make([]int, t.width)
-	}
-	for l := 1; l <= t.width && l <= len(key); l++ {
-		prefix := key[:l]
-		predSame := i > 0 && prefixCompare(n.entries[i-1].key, prefix) == 0
-		succSame := i+1 < len(n.entries) && prefixCompare(n.entries[i+1].key, prefix) == 0
-		if !predSame && !succSame {
-			t.distinct[l-1]++
+// countPrefixes adds delta to the count of every prefix of key that
+// neither leaf neighbor shares: entries is the leaf without key, and i
+// the position key goes to (+1) or left (-1).
+func (t *btree) countPrefixes(key string, entries []btreeEntry, i, delta int) {
+	near := entries[max(i-1, 0):min(i+1, len(entries))]
+	end := 0
+	for l := range t.distinct {
+		end = keyColumnEnd(key, end)
+		shared := false
+		for _, e := range near {
+			shared = shared || strings.HasPrefix(e.key, key[:end])
 		}
-	}
-}
-
-// countDelete updates distinct-prefix counts before removing position i
-// of leaf n.
-func (t *btree) countDelete(n *btreeNode, i int, key []Value) {
-	for l := 1; l <= t.width && l <= len(key); l++ {
-		prefix := key[:l]
-		predSame := i > 0 && prefixCompare(n.entries[i-1].key, prefix) == 0
-		succSame := i+1 < len(n.entries) && prefixCompare(n.entries[i+1].key, prefix) == 0
-		if !predSame && !succSame && t.distinct[l-1] > 0 {
-			t.distinct[l-1]--
+		if !shared && t.distinct[l]+delta >= 0 {
+			t.distinct[l] += delta
 		}
 	}
 }
@@ -288,37 +270,38 @@ func (t *btree) countDelete(n *btreeNode, i int, key []Value) {
 // Len returns the number of entries.
 func (t *btree) Len() int { return t.size }
 
-// extreme returns the least (max false) or greatest non-NULL value of
-// the leading key column, or NULL when there is none. Values that
-// compare equal can differ in representation (0.0 and -0.0); of those
-// it returns the one with the lowest rowid, which is what an aggregate
+// extreme returns the rowid holding the least (max false) or greatest
+// non-NULL value of the leading key column; ok is false when there is
+// none. Values equal under Compare share one encoding but can differ in
+// form (0.0 and -0.0), so the caller reads the value from the row: of
+// the equal run this picks the lowest rowid, which is what an aggregate
 // over a rowid-order scan keeps.
-func (t *btree) extreme(max bool) Value {
+func (t *btree) extreme(max bool) (rid int64, ok bool) {
 	var c btreeCursor
 	if max {
 		last, ok := t.root.last()
-		if !ok || last.key[0].IsNull() {
-			return Null
+		if !ok || last.key[0] == keyNull {
+			return 0, false
 		}
-		c = t.seek(last.key[:1])
+		c = t.seek(last.key[:keyColumnEnd(last.key, 0)])
 	} else {
-		c = t.seekAfter([]Value{Null})
+		c = t.seekAfter(nullColumn)
 	}
 	if !c.valid() {
-		return Null
+		return 0, false
 	}
 	best := c.entry()
 	// Equal keys sort by rowid, but equal leading values of a wider key
 	// sort by the later columns first; only numbers have several forms.
-	if len(best.key) > 1 && best.key[0].T.isNumeric() {
-		v := best.key[0]
-		for c.advance(); c.valid() && Compare(c.entry().key[0], v) == 0; c.advance() {
+	if len(t.distinct) > 1 && best.key[0] == keyNumber {
+		lead := best.key[:keyColumnEnd(best.key, 0)]
+		for c.advance(); c.valid() && strings.HasPrefix(c.entry().key, lead); c.advance() {
 			if e := c.entry(); e.rid < best.rid {
 				best = e
 			}
 		}
 	}
-	return best.key[0]
+	return best.rid, true
 }
 
 // last returns the greatest entry under n, skipping the empty leaves
@@ -338,6 +321,77 @@ func (n *btreeNode) last() (btreeEntry, bool) {
 	return btreeEntry{}, false
 }
 
+// buildBtree builds a tree at generation gen bottom-up from entries,
+// which it sorts in place and then owns: full leaves are windows onto
+// the one sorted array, inner levels are packed above them, and the
+// distinct-prefix counts are exact. When two entries share a key, dup
+// is the least rowid that has an equal key at a lower rowid.
+func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int64, hasDup bool) {
+	slices.SortFunc(entries, func(a, b btreeEntry) int { return compareEntry(a, b.key, b.rid) })
+	t = newBtree(gen, width)
+	t.size = len(entries)
+	for i, e := range entries {
+		// Columns before the first byte e differs from its predecessor
+		// in are shared; every later prefix is new.
+		common, end := 0, 0
+		if i > 0 {
+			prev := entries[i-1].key
+			n := 0
+			for n < len(prev) && n < len(e.key) && prev[n] == e.key[n] {
+				n++
+			}
+			for common < width {
+				next := keyColumnEnd(e.key, end)
+				if next > n {
+					break
+				}
+				common, end = common+1, next
+			}
+			if common == width && (!hasDup || e.rid < dup) {
+				dup, hasDup = e.rid, true
+			}
+		}
+		for l := common; l < width; l++ {
+			t.distinct[l]++
+		}
+	}
+	if len(entries) == 0 {
+		return t, dup, hasDup
+	}
+	level := make([]*btreeNode, 0, (len(entries)+btreeOrder-1)/btreeOrder)
+	for lo := 0; lo < len(entries); lo += btreeOrder {
+		hi := min(lo+btreeOrder, len(entries))
+		level = append(level, &btreeNode{gen: gen, leaf: true, entries: entries[lo:hi:hi]})
+	}
+	// first[i] is the least entry under level[i]: the separator to its
+	// left one level up.
+	first := make([]btreeEntry, len(level))
+	for i, n := range level {
+		first[i] = n.entries[0]
+	}
+	for len(level) > 1 {
+		// Spread the level evenly over as few parents as hold it, so
+		// every parent has at least two children.
+		parents := (len(level) + btreeOrder) / (btreeOrder + 1)
+		up := make([]*btreeNode, parents)
+		upFirst := make([]btreeEntry, parents)
+		lo := 0
+		for k := range up {
+			hi := lo + (len(level)-lo)/(parents-k)
+			up[k] = &btreeNode{
+				gen:      gen,
+				entries:  slices.Clone(first[lo+1 : hi]),
+				children: level[lo:hi:hi],
+			}
+			upFirst[k] = first[lo]
+			lo = hi
+		}
+		level, first = up, upFirst
+	}
+	t.root = level[0]
+	return t, dup, hasDup
+}
+
 // cursorFrame is one level of a cursor's root-to-leaf path. For an
 // inner node, pos is the index of the child the cursor descended into;
 // for the leaf it is the current entry index.
@@ -354,84 +408,38 @@ type btreeCursor struct {
 	frames []cursorFrame
 }
 
-// seek positions the cursor at the first entry with key >= bound,
-// comparing only len(bound) key columns (prefix semantics). A nil bound
-// seeks to the first entry.
-func (t *btree) seek(bound []Value) btreeCursor {
+// seek positions the cursor at the first entry whose key prefix is >=
+// bound, comparing only len(bound) bytes (prefix semantics). An empty
+// bound seeks to the first entry.
+func (t *btree) seek(bound string) btreeCursor { return t.descend(bound, 0) }
+
+// seekAfter positions at the first entry whose key prefix is > bound.
+func (t *btree) seekAfter(bound string) btreeCursor { return t.descend(bound, 1) }
+
+// descend walks root to leaf, taking at each node the first position
+// whose key prefix compares above bound by at least strict (0: >=,
+// 1: >), and normalizes the cursor onto a valid entry.
+func (t *btree) descend(bound string, strict int) btreeCursor {
 	var c btreeCursor
 	n := t.root
 	for {
-		i := 0
-		if bound != nil {
-			i = prefixLowerBound(n.entries, bound)
+		lo, hi := 0, len(n.entries)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if prefixCompare(n.entries[mid].key, bound) < strict {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-		c.frames = append(c.frames, cursorFrame{node: n, pos: i})
+		c.frames = append(c.frames, cursorFrame{node: n, pos: lo})
 		if n.leaf {
 			break
 		}
-		n = n.children[i]
+		n = n.children[lo]
 	}
 	c.skipEmpty()
 	return c
-}
-
-// seekAfter positions at the first entry with key prefix > bound.
-func (t *btree) seekAfter(bound []Value) btreeCursor {
-	var c btreeCursor
-	n := t.root
-	for {
-		i := prefixUpperBound(n.entries, bound)
-		c.frames = append(c.frames, cursorFrame{node: n, pos: i})
-		if n.leaf {
-			break
-		}
-		n = n.children[i]
-	}
-	c.skipEmpty()
-	return c
-}
-
-// prefixCompare compares the first len(bound) columns of key to bound.
-func prefixCompare(key, bound []Value) int {
-	n := len(bound)
-	if len(key) < n {
-		n = len(key)
-	}
-	for i := 0; i < n; i++ {
-		if c := Compare(key[i], bound[i]); c != 0 {
-			return c
-		}
-	}
-	if len(key) < len(bound) {
-		return -1
-	}
-	return 0
-}
-
-func prefixLowerBound(entries []btreeEntry, bound []Value) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if prefixCompare(entries[mid].key, bound) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func prefixUpperBound(entries []btreeEntry, bound []Value) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if prefixCompare(entries[mid].key, bound) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // skipEmpty normalizes the cursor so its top frame is a leaf with a

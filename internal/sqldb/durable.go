@@ -673,7 +673,7 @@ func (d *DurableDB) installCheckpoint(db *Database) (uint64, error) {
 }
 
 // rotateLocked rewrites the WAL keeping only frames whose records are
-// newer than snapSeq. Caller holds walMu.
+// newer than snapSeq, reading frame headers only. Caller holds walMu.
 func (d *DurableDB) rotateLocked(snapSeq uint64) error {
 	rf, err := d.fs.Open(walFile)
 	if err != nil {
@@ -687,7 +687,7 @@ func (d *DurableDB) rotateLocked(snapSeq uint64) error {
 	frames, _ := scanWALFrames(data)
 	var keep []byte
 	for _, f := range frames {
-		if f.rec.maxSeq() > snapSeq {
+		if f.maxSeq > snapSeq {
 			keep = append(keep, f.raw...)
 		}
 	}

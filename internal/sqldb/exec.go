@@ -152,19 +152,24 @@ type indexProbe struct {
 	loIncl, hiIncl bool
 }
 
-// probeBuf holds the key buffers an iterator reuses across probes.
-type probeBuf struct{ lo, hi []Value }
+// probeBuf holds the encoded bounds an iterator reuses across probes.
+// Both start out in the inline arrays, so a probe allocates nothing
+// unless its bounds outgrow them.
+type probeBuf struct {
+	lo, hi       []byte
+	loArr, hiArr [keyScratch]byte
+}
 
 // keyBound ends an index range: the cursor stops at the first key whose
-// leading len(key) columns sort after key (incl) or at-or-after it
-// (!incl). A nil key never stops.
+// leading len(key) bytes sort after key (incl) or at-or-after it
+// (!incl). An empty key never stops.
 type keyBound struct {
-	key  []Value
+	key  string
 	incl bool
 }
 
-func (b *keyBound) passed(key []Value) bool {
-	if b.key == nil {
+func (b *keyBound) passed(key string) bool {
+	if b.key == "" {
 		return false
 	}
 	c := prefixCompare(key, b.key)
@@ -180,14 +185,7 @@ func (b *keyBound) passed(key []Value) bool {
 // points into buf and stays valid until the next start.
 func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf) (cur btreeCursor, stop keyBound, empty bool, err error) {
 	if buf.lo == nil {
-		// One array backs both keys: the equality prefix, plus the range
-		// column when there is one.
-		n := len(p.eq)
-		if p.lo != nil || p.hi != nil {
-			n++
-		}
-		keys := make([]Value, 2*n)
-		buf.lo, buf.hi = keys[:0:n], keys[n:n]
+		buf.lo, buf.hi = buf.loArr[:0], buf.hiArr[:0]
 	}
 	buf.lo = buf.lo[:0]
 	for _, e := range p.eq {
@@ -199,7 +197,7 @@ func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf
 			// Equality with NULL matches nothing in SQL.
 			return cur, stop, true, nil
 		}
-		buf.lo = append(buf.lo, v)
+		buf.lo = appendKeyValue(buf.lo, v)
 	}
 	np := len(buf.lo)
 	switch {
@@ -211,21 +209,19 @@ func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf
 		if v.IsNull() {
 			return cur, stop, true, nil
 		}
-		buf.lo = append(buf.lo, v)
+		buf.lo = appendKeyValue(buf.lo, v)
 		if p.loIncl {
-			cur = tree.seek(buf.lo)
+			cur = tree.seek(keyView(buf.lo))
 		} else {
-			cur = tree.seekAfter(buf.lo)
+			cur = tree.seekAfter(keyView(buf.lo))
 		}
 	case p.hi != nil:
 		// Upper-bound-only range: NULL keys sort first in the index but
 		// never satisfy a SQL comparison, so start after the NULL run.
-		buf.lo = append(buf.lo, Null)
-		cur = tree.seekAfter(buf.lo)
-	case np > 0:
-		cur = tree.seek(buf.lo)
+		buf.lo = append(buf.lo, keyNull)
+		cur = tree.seekAfter(keyView(buf.lo))
 	default:
-		cur = tree.seek(nil)
+		cur = tree.seek(keyView(buf.lo))
 	}
 	if p.hi != nil {
 		v, err := p.hi(ctx, row)
@@ -235,11 +231,10 @@ func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf
 		if v.IsNull() {
 			return cur, stop, true, nil
 		}
-		buf.hi = append(append(buf.hi[:0], buf.lo[:np]...), v)
-		stop = keyBound{key: buf.hi, incl: p.hiIncl}
+		buf.hi = appendKeyValue(append(buf.hi[:0], buf.lo[:np]...), v)
+		stop = keyBound{key: keyView(buf.hi), incl: p.hiIncl}
 	} else if np > 0 {
-		buf.hi = append(buf.hi[:0], buf.lo[:np]...)
-		stop = keyBound{key: buf.hi, incl: true}
+		stop = keyBound{key: keyView(buf.lo[:np]), incl: true}
 	}
 	return cur, stop, false, nil
 }

@@ -23,7 +23,7 @@ import (
 // and inlines the unsealed tails; Save inlines every page, so a
 // standalone dump is a single file. LoadFrom and OpenDurable read the
 // same format through restoreSnapshot, which adopts referenced pages
-// lazily and rebuilds the indexes with one scan.
+// lazily and rebuilds the indexes with one scan and a sort.
 
 // snapshotMagic opens every snapshot. Snapshots written by older
 // versions of this package (v1 bare gob streams, v2 row dumps, v3 paged
@@ -212,8 +212,9 @@ func LoadFrom(r io.Reader) (*Database, error) {
 // for an empty database) and reports the WAL sequence it contains.
 // Referenced pages are adopted into the pool without being read; inline
 // full pages are pooled resident. Every index (primary key included) is
-// then rebuilt with one scan, which faults pages through the pool under
-// its cap — so recovery holds no more pages than the cap allows.
+// then rebuilt bottom-up from one scan, which faults pages through the
+// pool under its cap — so recovery holds no more pages than the cap
+// allows.
 func restoreSnapshot(data []byte, pool *pageStore) (*Database, uint64, error) {
 	db := New()
 	db.pool = pool
@@ -288,11 +289,15 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen, seq uint64)
 	for _, idef := range sv.Indexes {
 		d := idef
 		d.Columns = append([]int{}, idef.Columns...)
-		t.indexes = append(t.indexes, &tableIndex{def: d, tree: newBtree(gen)})
+		t.indexes = append(t.indexes, &tableIndex{def: d})
 	}
-	// One scan rebuilds every index and the live/byte counts. The
-	// barrier turns a failed page read into a load error instead of a
-	// panic.
+	builds := make([]indexBuild, len(t.indexes))
+	for i, idx := range t.indexes {
+		builds[i].idx = idx
+	}
+	// One scan collects every index's keys and the live/byte counts; the
+	// trees are then built by sorting. The barrier turns a failed page
+	// read into a load error instead of a panic.
 	if err := func() (err error) {
 		defer recoverToError(&err)
 		var ref pageRef
@@ -307,8 +312,13 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen, seq uint64)
 			}
 			t.live++
 			t.bytes += t.rowBytes(row)
-			for _, idx := range t.indexes {
-				idx.tree.Insert(indexKey(idx, row), rid)
+			for i := range builds {
+				builds[i].add(row, rid)
+			}
+		}
+		for i := range builds {
+			if err := builds[i].finish(t); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -105,7 +106,7 @@ func newTable(def *TableDef, gen uint64) *table {
 				Columns: def.PrimaryKey,
 				Unique:  true,
 			},
-			tree: newBtree(gen),
+			tree: newBtree(gen, len(def.PrimaryKey)),
 		}
 		t.pkIndex = pk
 		t.indexes = append(t.indexes, pk)
@@ -219,8 +220,8 @@ func (t *table) rowBytes(row []Value) int64 {
 	return n
 }
 
-// indexKey extracts the key columns for idx from a row.
-func indexKey(idx *tableIndex, row []Value) []Value {
+// keyValues returns idx's key columns of row, for error messages.
+func (idx *tableIndex) keyValues(row []Value) []Value {
 	key := make([]Value, len(idx.def.Columns))
 	for i, c := range idx.def.Columns {
 		key[i] = row[c]
@@ -231,18 +232,17 @@ func indexKey(idx *tableIndex, row []Value) []Value {
 // insert appends a row (already coerced and validated) and maintains all
 // indexes. It returns the new rowid.
 func (t *table) insert(row []Value) (int64, error) {
-	if t.pkIndex != nil {
-		key := indexKey(t.pkIndex, row)
-		if rid, ok := t.lookupUnique(t.pkIndex, key); ok && t.row(rid) != nil {
-			return 0, errorf("table %s: duplicate primary key %v", t.def.Name, key)
-		}
-	}
+	var buf [keyScratch]byte
+	// The primary key index comes first, so it is checked first.
 	for _, idx := range t.indexes {
-		if idx.def.Unique && idx != t.pkIndex {
-			key := indexKey(idx, row)
-			if rid, ok := t.lookupUnique(idx, key); ok && t.row(rid) != nil {
-				return 0, errorf("table %s: unique index %s violated", t.def.Name, idx.def.Name)
+		if !idx.def.Unique {
+			continue
+		}
+		if rid, ok := t.lookupUnique(idx, appendRowKey(buf[:0], idx.def.Columns, row)); ok && t.row(rid) != nil {
+			if idx == t.pkIndex {
+				return 0, errorf("table %s: duplicate primary key %v", t.def.Name, idx.keyValues(row))
 			}
+			return 0, errorf("table %s: unique index %s violated", t.def.Name, idx.def.Name)
 		}
 	}
 	rid := t.count
@@ -263,22 +263,19 @@ func (t *table) insert(row []Value) (int64, error) {
 	t.live++
 	t.bytes += t.rowBytes(row)
 	for _, idx := range t.indexes {
-		idx.tree.Insert(indexKey(idx, row), rid)
+		idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
 	}
 	return rid, nil
 }
 
 // lookupUnique finds a rowid whose full index key equals key.
-func (t *table) lookupUnique(idx *tableIndex, key []Value) (int64, bool) {
-	c := idx.tree.seek(key)
-	if !c.valid() {
+func (t *table) lookupUnique(idx *tableIndex, key []byte) (int64, bool) {
+	k := keyView(key)
+	c := idx.tree.seek(k)
+	if !c.valid() || c.entry().key != k {
 		return 0, false
 	}
-	e := c.entry()
-	if prefixCompare(e.key, key) != 0 || len(e.key) != len(key) {
-		return 0, false
-	}
-	return e.rid, true
+	return c.entry().rid, true
 }
 
 // delete tombstones the row at rid and removes index entries.
@@ -287,8 +284,9 @@ func (t *table) delete(rid int64) {
 	if row == nil {
 		return
 	}
+	var buf [keyScratch]byte
 	for _, idx := range t.indexes {
-		idx.tree.Delete(indexKey(idx, row), rid)
+		idx.tree.Delete(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
 	}
 	t.bytes -= t.rowBytes(row)
 	t.writableFrame(rid).rows[rid&heapPageMask] = nil
@@ -301,12 +299,13 @@ func (t *table) update(rid int64, row []Value) error {
 	if old == nil {
 		return errorf("table %s: update of deleted row %d", t.def.Name, rid)
 	}
+	var buf, oldBuf [keyScratch]byte
 	for _, idx := range t.indexes {
 		if !idx.def.Unique {
 			continue
 		}
-		newKey := indexKey(idx, row)
-		if compareKeys(newKey, indexKey(idx, old)) == 0 {
+		newKey := appendRowKey(buf[:0], idx.def.Columns, row)
+		if bytes.Equal(newKey, appendRowKey(oldBuf[:0], idx.def.Columns, old)) {
 			continue
 		}
 		if other, ok := t.lookupUnique(idx, newKey); ok && other != rid && t.row(other) != nil {
@@ -314,36 +313,67 @@ func (t *table) update(rid int64, row []Value) error {
 		}
 	}
 	for _, idx := range t.indexes {
-		idx.tree.Delete(indexKey(idx, old), rid)
+		idx.tree.Delete(keyView(appendRowKey(buf[:0], idx.def.Columns, old)), rid)
 	}
 	t.bytes += t.rowBytes(row) - t.rowBytes(old)
 	t.writableFrame(rid).rows[rid&heapPageMask] = row
 	for _, idx := range t.indexes {
-		idx.tree.Insert(indexKey(idx, row), rid)
+		idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
 	}
 	return nil
 }
 
 // addIndex builds a new secondary index over existing rows.
 func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
-	idx := &tableIndex{def: def, tree: newBtree(t.gen)}
+	idx := &tableIndex{def: def}
+	b := indexBuild{idx: idx}
 	var ref pageRef
 	defer ref.release()
 	for rid := int64(0); rid < t.count; rid++ {
-		row := t.rowRef(rid, &ref)
-		if row == nil {
-			continue
+		if row := t.rowRef(rid, &ref); row != nil {
+			b.add(row, rid)
 		}
-		key := indexKey(idx, row)
-		if def.Unique {
-			if other, ok := t.lookupUnique(idx, key); ok && t.row(other) != nil {
-				return nil, errorf("table %s: cannot build unique index %s: duplicate key %v", t.def.Name, def.Name, key)
-			}
-		}
-		idx.tree.Insert(key, rid)
+	}
+	if err := b.finish(t); err != nil {
+		return nil, err
 	}
 	t.indexes = append(t.indexes, idx)
 	return idx, nil
+}
+
+// indexBuild collects one index's (key, rowid) entries from a scan, the
+// keys packed back to back in one arena, and builds its tree bottom-up
+// (CREATE INDEX on a populated table, and snapshot restore).
+type indexBuild struct {
+	idx   *tableIndex
+	arena []byte
+	ends  []int // ends[i] is where entry i's key ends in arena
+	rids  []int64
+}
+
+func (b *indexBuild) add(row []Value, rid int64) {
+	b.arena = appendRowKey(b.arena, b.idx.def.Columns, row)
+	b.ends = append(b.ends, len(b.arena))
+	b.rids = append(b.rids, rid)
+}
+
+// finish installs the built tree at t's generation. A unique index
+// with two equal keys fails, naming the key of the later row.
+func (b *indexBuild) finish(t *table) error {
+	keys := string(b.arena) // exact size: the arena's spare capacity is dropped
+	entries := make([]btreeEntry, len(b.rids))
+	start := 0
+	for i, end := range b.ends {
+		entries[i] = btreeEntry{key: keys[start:end], rid: b.rids[i]}
+		start = end
+	}
+	b.arena, b.ends, b.rids = nil, nil, nil
+	tree, dup, hasDup := buildBtree(t.gen, len(b.idx.def.Columns), entries)
+	if hasDup && b.idx.def.Unique {
+		return errorf("table %s: cannot build unique index %s: duplicate key %v", t.def.Name, b.idx.def.Name, b.idx.keyValues(t.row(dup)))
+	}
+	b.idx.tree = tree
+	return nil
 }
 
 // index returns the table's index named name (case-sensitive match on

@@ -458,61 +458,115 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// walFrame is one validated frame: its raw bytes (header included, so
-// rotation can copy it verbatim) and its decoded record.
-type walFrame struct {
-	raw []byte
-	rec *walRecord
+// nextWALFrame validates the frame at data[off:] and returns its
+// payload. A short header or payload, a zero or oversized length and a
+// CRC mismatch all end the log there (ok false).
+func nextWALFrame(data []byte, off int) (payload []byte, ok bool) {
+	if len(data)-off < walFrameOverhead {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[off:]))
+	crc := binary.LittleEndian.Uint32(data[off+4:])
+	if n == 0 || n > maxWALFrame || n > len(data)-off-walFrameOverhead {
+		return nil, false
+	}
+	payload = data[off+walFrameOverhead : off+walFrameOverhead+n]
+	return payload, crc32.ChecksumIEEE(payload) == crc
 }
 
-// scanWALFrames parses the valid prefix of a WAL image into frames.
-// The first torn frame (short header or payload), CRC mismatch,
-// zero/oversized length or undecodable payload ends the scan.
-// Corruption never yields an error — the log is simply truncated at
-// the last good frame, which is exactly the recovery semantics a torn
-// tail needs.
+// walFrame is one frame that passed its CRC and whose header parses:
+// its raw bytes (header included, so rotation can copy it verbatim) and
+// the highest sequence number it carries.
+type walFrame struct {
+	raw    []byte
+	maxSeq uint64
+}
+
+// scanWALFrames walks the valid prefix of a WAL image for rotation,
+// reading only each record's op and sequence number (and, in a group,
+// its members' headers) — never the rows. It stops at the first frame
+// that fails its CRC or whose header does not parse.
 func scanWALFrames(data []byte) (frames []walFrame, goodLen int64) {
 	off := 0
 	for {
-		if len(data)-off < walFrameOverhead {
+		payload, ok := nextWALFrame(data, off)
+		if !ok {
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxWALFrame || n > len(data)-off-walFrameOverhead {
+		seq, err := payloadMaxSeq(payload, 0)
+		if err != nil {
 			break
 		}
-		payload := data[off+walFrameOverhead : off+walFrameOverhead+n]
-		if crc32.ChecksumIEEE(payload) != crc {
+		n := walFrameOverhead + len(payload)
+		frames = append(frames, walFrame{raw: data[off : off+n], maxSeq: seq})
+		off += n
+	}
+	return frames, int64(off)
+}
+
+// payloadMaxSeq reads a record payload's op and sequence number and
+// returns the highest sequence it carries, descending into a group's
+// member payloads. depth guards group nesting on corrupt input.
+func payloadMaxSeq(p []byte, depth int) (uint64, error) {
+	d := &walDecoder{b: p}
+	op, err := d.byte()
+	if err != nil {
+		return 0, err
+	}
+	seq, err := d.uvarint()
+	if err != nil || walOp(op) != opGroup {
+		return seq, err
+	}
+	if depth >= 2 {
+		return 0, errorf("wal: group nesting too deep")
+	}
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	for i := uint64(0); i < n; i++ {
+		sub, err := d.bytes()
+		if err != nil {
+			return 0, err
+		}
+		gs, err := payloadMaxSeq(sub, depth+1)
+		if err != nil {
+			return 0, err
+		}
+		seq = max(seq, gs)
+	}
+	return seq, nil
+}
+
+// scanWAL parses the valid prefix of a WAL image and returns the
+// decoded records with group frames flattened, ordered by sequence
+// number. The first torn frame (short header or payload), CRC mismatch,
+// zero/oversized length or undecodable payload ends the scan.
+// Corruption never yields an error — the log is simply truncated at
+// the last good frame, which is exactly the recovery semantics a torn
+// tail needs. Group frames land in the file when the group closes,
+// which may be after later independent commits; sequence numbers
+// restore commit order for replay.
+func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
+	off := 0
+	for {
+		payload, ok := nextWALFrame(data, off)
+		if !ok {
 			break
 		}
 		rec, err := decodeRecordPayload(payload, 0)
 		if err != nil {
 			break
 		}
-		frames = append(frames, walFrame{raw: data[off : off+walFrameOverhead+n], rec: rec})
-		off += walFrameOverhead + n
-	}
-	return frames, int64(off)
-}
-
-// scanWAL parses the valid prefix of a WAL image and returns the
-// decoded records with group frames flattened, ordered by sequence
-// number. Group frames land in the file when the group closes, which
-// may be after later independent commits; sequence numbers restore
-// commit order for replay.
-func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
-	frames, goodLen := scanWALFrames(data)
-	var flat []*walRecord
-	for _, f := range frames {
-		if f.rec.Op == opGroup {
-			flat = append(flat, f.rec.Group...)
+		if rec.Op == opGroup {
+			records = append(records, rec.Group...)
 		} else {
-			flat = append(flat, f.rec)
+			records = append(records, rec)
 		}
+		off += walFrameOverhead + len(payload)
 	}
-	sort.SliceStable(flat, func(i, j int) bool { return flat[i].Seq < flat[j].Seq })
-	return flat, goodLen
+	sort.SliceStable(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
+	return records, int64(off)
 }
 
 // ---------------------------------------------------------------------------

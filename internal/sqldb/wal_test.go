@@ -72,14 +72,14 @@ func checkIndexes(t *testing.T, db *Database) {
 		tbl := db.readState().table(name)
 		for _, idx := range tbl.indexes {
 			seen := 0
-			for c := idx.tree.seek(nil); c.valid(); c.advance() {
+			for c := idx.tree.seek(""); c.valid(); c.advance() {
 				e := c.entry()
 				seen++
 				if e.rid < 0 || e.rid >= tbl.slotCount() || tbl.row(e.rid) == nil {
-					t.Fatalf("table %s index %s: entry %v points at dead rid %d", name, idx.def.Name, e.key, e.rid)
+					t.Fatalf("table %s index %s: entry %q points at dead rid %d", name, idx.def.Name, e.key, e.rid)
 				}
-				if got := indexKey(idx, tbl.row(e.rid)); compareKeys(got, e.key) != 0 {
-					t.Fatalf("table %s index %s: entry key %v != row key %v (rid %d)", name, idx.def.Name, e.key, got, e.rid)
+				if got := appendRowKey(nil, idx.def.Columns, tbl.row(e.rid)); string(got) != e.key {
+					t.Fatalf("table %s index %s: entry key %q != row key %q (rid %d)", name, idx.def.Name, e.key, got, e.rid)
 				}
 			}
 			if seen != tbl.live {
@@ -190,6 +190,38 @@ func TestWALScanStopsAtCorruption(t *testing.T) {
 	_, goodLen = scanWAL(tail)
 	if goodLen != int64(len(log)) {
 		t.Fatalf("zeroed tail: goodLen %d != %d", goodLen, len(log))
+	}
+}
+
+// TestWALFrameHeaders: the header-only scan rotation uses finds each
+// frame's highest sequence, a group's members included, without
+// decoding rows, keeps the same frames as the full decode at every
+// truncation, and stops at a CRC-valid frame whose header is cut short.
+func TestWALFrameHeaders(t *testing.T) {
+	recs := sampleRecords()
+	var log []byte
+	for _, rec := range recs {
+		log = appendFrame(log, encodeRecordPayload(nil, rec))
+	}
+	frames, goodLen := scanWALFrames(log)
+	if len(frames) != len(recs) || goodLen != int64(len(log)) {
+		t.Fatalf("%d frames, %d good bytes; want %d, %d", len(frames), goodLen, len(recs), len(log))
+	}
+	for i, f := range frames {
+		if want := recs[i].maxSeq(); f.maxSeq != want {
+			t.Errorf("frame %d (op %d): maxSeq %d, want %d", i, recs[i].Op, f.maxSeq, want)
+		}
+	}
+	for cut := 0; cut <= len(log); cut++ {
+		_, headers := scanWALFrames(log[:cut])
+		if _, full := scanWAL(log[:cut]); headers != full {
+			t.Fatalf("cut %d: header scan keeps %d bytes, full decode %d", cut, headers, full)
+		}
+	}
+	// A group whose member count promises more than the payload holds.
+	bad := appendFrame(append([]byte(nil), log...), []byte{byte(opGroup), 99, 3})
+	if _, n := scanWALFrames(bad); n != int64(len(log)) {
+		t.Fatalf("unparsable header: header scan keeps %d bytes, want %d", n, len(log))
 	}
 }
 
