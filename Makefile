@@ -6,6 +6,10 @@ GO ?= go
 ## so deleting a test that held real coverage fails `make cover`.
 COVER_FLOOR ?= 60
 COVER_FLOOR_SQLDB ?= 80
+## The XML lexer and DOM builder likewise sit a few points under their
+## suite's measure (about 91%): the golden corpus and the chunked-read
+## fuzz seeds reach nearly every branch of the one lexer.
+COVER_FLOOR_XMLDOM ?= 88
 
 ## FUZZ_TIME: per-target budget for `make fuzz` (short by design — the
 ## seed corpora already run as plain tests under `make test`).
@@ -92,7 +96,7 @@ server:
 ## hold the engine (sqldb), the mappings (shred), the façade (core) and
 ## the XML data model with its streaming tokenizer (xmldom).
 cover:
-	@for entry in "./internal/sqldb $(COVER_FLOOR_SQLDB)" "./internal/shred $(COVER_FLOOR)" "./internal/core $(COVER_FLOOR)" "./internal/xmldom $(COVER_FLOOR)"; do \
+	@for entry in "./internal/sqldb $(COVER_FLOOR_SQLDB)" "./internal/shred $(COVER_FLOOR)" "./internal/core $(COVER_FLOOR)" "./internal/xmldom $(COVER_FLOOR_XMLDOM)"; do \
 		pkg=$${entry% *}; floor=$${entry#* }; \
 		pct=$$($(GO) test -cover $$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg" >&2; exit 1; fi; \
@@ -124,8 +128,9 @@ chaos:
 			./internal/sqldb || exit 1; \
 	done
 
-## fuzz: short fuzzing sessions for every fuzz target (parser, snapshot
-## loader, WAL replay, index key codec, Interval store vs the DOM). Each
+## fuzz: short fuzzing sessions for every fuzz target (SQL parser,
+## snapshot loader, WAL replay, index key codec, XML lexer under chunked
+## reads, Interval store vs the DOM). Each
 ## -fuzz invocation accepts one target, so they run sequentially; raise
 ## FUZZ_TIME for a real session.
 fuzz:
@@ -133,6 +138,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChunked$$' -fuzztime $(FUZZ_TIME) ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
 ## bench-smoke: executes BenchmarkQueryCache once, and one ordered

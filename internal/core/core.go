@@ -223,7 +223,8 @@ func (st *Store) Kind() SchemeKind { return st.kind }
 func (st *Store) DB() *sqldb.Database { return st.db }
 
 // LoadXML parses and shreds an XML document. A Store holds exactly one
-// document.
+// document. The whole document is parsed before the first row is
+// written, so a malformed one leaves the store empty.
 func (st *Store) LoadXML(src []byte) error {
 	return st.LoadXMLContext(context.Background(), src)
 }
@@ -239,22 +240,22 @@ func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
 }
 
 // LoadXMLStream shreds a document directly from a stream. When the
-// scheme supports streaming shredding (Edge and Interval), the
+// scheme supports streaming shredding (Edge, Interval and Binary), the
 // document is parsed and shredded in one pass with memory proportional
 // to its depth plus one insert batch — the full DOM is never built.
-// Other schemes fall back to reading the stream and parsing in memory.
-// On error the store may hold a partial shred; discard it.
+// Other schemes parse the stream into a DOM first. On error the store
+// may hold a partial shred; discard it.
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
 	if st.loaded {
 		return fmt.Errorf("core: store already holds a document")
 	}
 	sl, ok := st.scheme.(shred.StreamLoader)
 	if !ok {
-		src, err := io.ReadAll(r)
+		doc, err := xmldom.ParseReader(r)
 		if err != nil {
 			return err
 		}
-		return st.LoadXMLContext(ctx, src)
+		return st.LoadDocumentContext(ctx, doc)
 	}
 	start := time.Now()
 	if err := sl.LoadStream(ctx, st.db, xmldom.NewTokenizer(r)); err != nil {
@@ -278,13 +279,7 @@ func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) 
 		return fmt.Errorf("core: store already holds a document")
 	}
 	start := time.Now()
-	var err error
-	if cl, ok := st.scheme.(shred.ContextLoader); ok {
-		err = cl.LoadContext(ctx, st.db, doc)
-	} else {
-		err = st.scheme.Load(st.db, doc)
-	}
-	if err != nil {
+	if err := st.scheme.Load(ctx, st.db, doc); err != nil {
 		return err
 	}
 	st.shredPhase.add(time.Since(start))

@@ -138,7 +138,9 @@ func (ds *DurableStore) LoadDocumentContext(ctx context.Context, doc *xmldom.Doc
 	return err
 }
 
-// LoadXML parses and shreds an XML document (crash-atomic).
+// LoadXML parses and shreds an XML document (crash-atomic). Parsing
+// finishes before the group opens: a malformed document writes nothing,
+// and nothing partial can become durable.
 func (ds *DurableStore) LoadXML(src []byte) error {
 	return ds.LoadXMLContext(context.Background(), src)
 }

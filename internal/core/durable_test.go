@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -86,6 +87,53 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 				t.Fatalf("snapshot+WAL recovery diverged:\n%s\nvs\n%s", got, want2)
 			}
 			ds3.Close()
+		})
+	}
+}
+
+// TestLoadXMLParseBeforeWrite feeds LoadXML a document truncated in the
+// middle of an element: the whole document parses before the first row
+// is written, so both stores refuse it with a *xmldom.ParseError and
+// hold no rows, and a reopened durable directory holds none either.
+func TestLoadXMLParseBeforeWrite(t *testing.T) {
+	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.02, Seed: 6})
+	cut := len(src)/2 + strings.Index(src[len(src)/2:], "<person") + len("<per")
+	truncated := []byte(src[:cut])
+	refused := func(t *testing.T, what string, st *Store, err error) {
+		t.Helper()
+		var perr *xmldom.ParseError
+		if !errors.As(err, &perr) {
+			t.Fatalf("%s: got %v, want a *xmldom.ParseError", what, err)
+		}
+		if n := st.DB().TotalRows(); n != 0 || st.Loaded() {
+			t.Fatalf("%s: refused load left %d rows (loaded=%v)", what, n, st.Loaded())
+		}
+	}
+	for _, kind := range []SchemeKind{Interval, Dewey} {
+		t.Run(string(kind), func(t *testing.T) {
+			st, err := Open(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused(t, "Store", st, st.LoadXML(truncated))
+
+			dir := t.TempDir()
+			ds, err := OpenDurable(kind, dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused(t, "DurableStore", ds.Store, ds.LoadXML(truncated))
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurable(kind, dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if n := re.DB().TotalRows(); n != 0 || re.Loaded() {
+				t.Fatalf("reopened directory holds %d rows (loaded=%v)", n, re.Loaded())
+			}
 		})
 	}
 }

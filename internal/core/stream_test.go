@@ -9,8 +9,9 @@ import (
 )
 
 // TestLoadXMLStreamMatchesLoadXML pins the streaming load to the DOM
-// load: same document, same queries, same answers — for a scheme with
-// native streaming (Interval) and one using the fallback (Dewey).
+// load: same document, same queries, same answers — for the schemes
+// that shred the token stream (Interval, Edge, Binary) and one that
+// parses it first (Dewey).
 func TestLoadXMLStreamMatchesLoadXML(t *testing.T) {
 	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.02, Seed: 5})
 	queries := []string{
@@ -18,7 +19,7 @@ func TestLoadXMLStreamMatchesLoadXML(t *testing.T) {
 		"//item/name",
 		"/site/people/person[@id='person3']",
 	}
-	for _, kind := range []SchemeKind{Interval, Edge, Dewey} {
+	for _, kind := range []SchemeKind{Interval, Edge, Binary, Dewey} {
 		dom, err := Open(kind)
 		if err != nil {
 			t.Fatalf("%s open: %v", kind, err)

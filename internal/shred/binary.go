@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/sqldb"
 	"repro/internal/translate"
@@ -108,101 +109,10 @@ func (bn *Binary) partitionFor(db *sqldb.Database, m map[string]string, prefix, 
 	return table, nil
 }
 
-// Load implements Scheme.
-func (bn *Binary) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return bn.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (bn *Binary) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
-	doc.Number()
-	batchers := map[string]*batcher{}
-	getBatcher := func(table string) *batcher {
-		b := batchers[table]
-		if b == nil {
-			b = newBatcherCtx(ctx, db, table)
-			batchers[table] = b
-		}
-		return b
-	}
-
-	var walk func(n *xmldom.Node, labelPath string) error
-	emit := func(n *xmldom.Node, labelPath string) (string, error) {
-		var table string
-		var err error
-		var seg string
-		switch n.Kind {
-		case xmldom.ElementNode:
-			seg = n.Name
-			table, err = bn.partitionFor(db, bn.elemTables, "be_", n.Name)
-		case xmldom.AttributeNode:
-			seg = "@" + n.Name
-			table, err = bn.partitionFor(db, bn.attrTables, "ba_", n.Name)
-		case xmldom.TextNode:
-			seg = "#text"
-			table = "bt_text"
-		case xmldom.CommentNode:
-			seg = "#comment"
-			table = "bt_comment"
-		case xmldom.ProcInstNode:
-			seg = "#pi"
-			table = "bt_pi"
-		default:
-			return "", errScheme("binary", "unexpected node kind %v", n.Kind)
-		}
-		if err != nil {
-			return "", err
-		}
-		childPath := seg
-		if labelPath != "" {
-			childPath = labelPath + "/" + seg
-		}
-		bn.catalog.Add(childPath)
-		row := []sqldb.Value{
-			sqldb.NewInt(int64(n.Parent.Pre)),
-			sqldb.NewInt(int64(globalOrdinal(n))),
-			sqldb.NewInt(int64(n.Pre)),
-			nodeValue(n),
-		}
-		if err := getBatcher(table).add(row); err != nil {
-			return "", err
-		}
-		return childPath, nil
-	}
-	walk = func(n *xmldom.Node, labelPath string) error {
-		for _, a := range n.Attrs {
-			if _, err := emit(a, labelPath); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.Children {
-			childPath, err := emit(c, labelPath)
-			if err != nil {
-				return err
-			}
-			if c.Kind == xmldom.ElementNode {
-				if err := walk(c, childPath); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(doc.Root, ""); err != nil {
-		return err
-	}
-	tables := make([]string, 0, len(batchers))
-	for t := range batchers {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		if err := batchers[t].flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+// Load implements Scheme: the document's replay goes through the same
+// walk as a token stream.
+func (bn *Binary) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+	return bn.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.
@@ -344,82 +254,16 @@ func (bn *Binary) InsertSubtree(db *sqldb.Database, parentID int64, position int
 			maxID = v.Int()
 		}
 	}
-	nextID := maxID + 1
-
-	batchers := map[string]*batcher{}
-	getBatcher := func(table string) *batcher {
-		b := batchers[table]
-		if b == nil {
-			b = newBatcher(db, table)
-			batchers[table] = b
-		}
-		return b
-	}
-	var insert func(n *xmldom.Node, source, ordinal int64, labelPath string) error
-	insert = func(n *xmldom.Node, source, ordinal int64, labelPath string) error {
-		var table, seg string
-		var err error
-		switch n.Kind {
-		case xmldom.ElementNode:
-			seg = n.Name
-			table, err = bn.partitionFor(db, bn.elemTables, "be_", n.Name)
-		case xmldom.AttributeNode:
-			seg = "@" + n.Name
-			table, err = bn.partitionFor(db, bn.attrTables, "ba_", n.Name)
-		case xmldom.TextNode:
-			seg, table = "#text", "bt_text"
-		case xmldom.CommentNode:
-			seg, table = "#comment", "bt_comment"
-		case xmldom.ProcInstNode:
-			seg, table = "#pi", "bt_pi"
-		}
-		if err != nil {
-			return err
-		}
-		childPath := seg
-		if labelPath != "" {
-			childPath = labelPath + "/" + seg
-		}
-		bn.catalog.Add(childPath)
-		id := nextID
-		nextID++
-		row := []sqldb.Value{
-			sqldb.NewInt(source),
-			sqldb.NewInt(ordinal),
-			sqldb.NewInt(id),
-			nodeValue(n),
-		}
-		if err := getBatcher(table).add(row); err != nil {
-			return err
-		}
-		ord := int64(1)
-		for _, a := range n.Attrs {
-			if err := insert(a, id, ord, childPath); err != nil {
-				return err
-			}
-			ord++
-		}
-		for _, c := range n.Children {
-			if err := insert(c, id, ord, childPath); err != nil {
-				return err
-			}
-			ord++
-		}
-		return nil
-	}
 	parentPath, err := bn.labelPathOf(db, parentID)
 	if err != nil {
 		return err
 	}
-	if err := insert(subtree, parentID, ordinal, parentPath); err != nil {
+	sink := &binarySink{bn: bn, db: db, batchers: map[string]*batcher{}}
+	at := walkAt{parent: parentID, path: parentPath, next: maxID + 1, ordinal: ordinal}
+	if _, _, err := streamWalk(subtreeTokens(subtree), sink, bn.catalog, at); err != nil {
 		return err
 	}
-	for _, b := range batchers {
-		if err := b.flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sink.flush()
 }
 
 // labelPathOf reconstructs the label path of a stored element by walking
@@ -448,18 +292,7 @@ func (bn *Binary) labelPathOf(db *sqldb.Database, id int64) (string, error) {
 			return "", errScheme("binary", "node %d not found in any element partition", cur)
 		}
 	}
-	return joinSegs(segs), nil
-}
-
-func joinSegs(segs []string) string {
-	out := ""
-	for i, s := range segs {
-		if i > 0 {
-			out += "/"
-		}
-		out += s
-	}
-	return out
+	return strings.Join(segs, "/"), nil
 }
 
 func (bn *Binary) allPartitions() []string {

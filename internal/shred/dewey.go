@@ -100,14 +100,10 @@ func checkFanout(n *xmldom.Node) error {
 	return nil
 }
 
-// Load implements Scheme.
-func (d *Dewey) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return d.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (d *Dewey) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+// Load implements Scheme. It keeps a DOM walk: a label overflow is
+// refused before anything is written, so every fanout must be known
+// before the first row.
+func (d *Dewey) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
 	if err := checkFanout(doc.Root); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package shred
 import (
 	"context"
 	"sort"
+	"strings"
 
 	"repro/internal/sqldb"
 	"repro/internal/translate"
@@ -70,37 +71,10 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 	return nil
 }
 
-// Load implements Scheme.
-func (e *Edge) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return e.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (e *Edge) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
-	doc.Number()
-	if d := doc.MaxDepth(); d > 0 {
-		e.maxDepth = d
-	}
-	b := newBatcherCtx(ctx, db, "edge")
-	for _, n := range doc.Nodes() {
-		if n.Kind == xmldom.DocumentNode {
-			continue
-		}
-		e.catalog.Add(catalogPath(n))
-		row := []sqldb.Value{
-			sqldb.NewInt(int64(n.Parent.Pre)),
-			sqldb.NewInt(int64(globalOrdinal(n))),
-			nodeName(n),
-			sqldb.NewText(n.Kind.String()),
-			sqldb.NewInt(int64(n.Pre)),
-			nodeValue(n),
-		}
-		if err := b.add(row); err != nil {
-			return err
-		}
-	}
-	return b.flush()
+// Load implements Scheme: the document's replay goes through the same
+// walk as a token stream.
+func (e *Edge) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+	return e.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.
@@ -110,34 +84,6 @@ func (e *Edge) Translate(q *xpath.Path) (string, error) {
 		opt.Catalog = e.catalog
 	}
 	return translate.Edge(q, opt)
-}
-
-// catalogPath renders a node's label path in catalog form
-// ("site/people/person/@id").
-func catalogPath(n *xmldom.Node) string {
-	var segs []string
-	for m := n; m != nil && m.Kind != xmldom.DocumentNode; m = m.Parent {
-		switch m.Kind {
-		case xmldom.ElementNode:
-			segs = append(segs, m.Name)
-		case xmldom.AttributeNode:
-			segs = append(segs, "@"+m.Name)
-		case xmldom.TextNode:
-			segs = append(segs, "#text")
-		case xmldom.CommentNode:
-			segs = append(segs, "#comment")
-		case xmldom.ProcInstNode:
-			segs = append(segs, "#pi")
-		}
-	}
-	var b []byte
-	for i := len(segs) - 1; i >= 0; i-- {
-		if len(b) > 0 {
-			b = append(b, '/')
-		}
-		b = append(b, segs[i]...)
-	}
-	return string(b)
 }
 
 // Reconstruct implements Scheme.
@@ -224,7 +170,6 @@ func (e *Edge) InsertSubtree(db *sqldb.Database, parentID int64, position int, s
 	if err != nil {
 		return err
 	}
-	nextID := maxID.Int() + 1
 
 	// Keep the path catalog complete so catalog-driven descendant
 	// expansion (ablation A1) stays exact after updates.
@@ -233,64 +178,12 @@ func (e *Edge) InsertSubtree(db *sqldb.Database, parentID int64, position int, s
 		return err
 	}
 
-	b := newBatcher(db, "edge")
-	var insert func(n *xmldom.Node, source, ordinal int64, path string) error
-	insert = func(n *xmldom.Node, source, ordinal int64, path string) error {
-		id := nextID
-		nextID++
-		seg := nodeSegment(n)
-		childPath := seg
-		if path != "" {
-			childPath = path + "/" + seg
-		}
-		e.catalog.Add(childPath)
-		row := []sqldb.Value{
-			sqldb.NewInt(source),
-			sqldb.NewInt(ordinal),
-			nodeName(n),
-			sqldb.NewText(n.Kind.String()),
-			sqldb.NewInt(id),
-			nodeValue(n),
-		}
-		if err := b.add(row); err != nil {
-			return err
-		}
-		ord := int64(1)
-		for _, a := range n.Attrs {
-			if err := insert(a, id, ord, childPath); err != nil {
-				return err
-			}
-			ord++
-		}
-		for _, c := range n.Children {
-			if err := insert(c, id, ord, childPath); err != nil {
-				return err
-			}
-			ord++
-		}
-		return nil
-	}
-	if err := insert(subtree, parentID, ordinal, parentPath); err != nil {
+	s := &edgeSink{b: newBatcher(db, "edge")}
+	at := walkAt{parent: parentID, path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
+	if _, _, err := streamWalk(subtreeTokens(subtree), s, e.catalog, at); err != nil {
 		return err
 	}
-	return b.flush()
-}
-
-// nodeSegment is the catalog segment for one node.
-func nodeSegment(n *xmldom.Node) string {
-	switch n.Kind {
-	case xmldom.ElementNode:
-		return n.Name
-	case xmldom.AttributeNode:
-		return "@" + n.Name
-	case xmldom.TextNode:
-		return "#text"
-	case xmldom.CommentNode:
-		return "#comment"
-	case xmldom.ProcInstNode:
-		return "#pi"
-	}
-	return "#node"
+	return s.b.flush()
 }
 
 // storedLabelPath walks parent links in the edge table to recover the
@@ -309,12 +202,5 @@ func (e *Edge) storedLabelPath(db *sqldb.Database, id int64) (string, error) {
 		segs = append([]string{rows.Data[0][1].Text()}, segs...)
 		cur = rows.Data[0][0].Int()
 	}
-	out := ""
-	for i, s := range segs {
-		if i > 0 {
-			out += "/"
-		}
-		out += s
-	}
-	return out, nil
+	return strings.Join(segs, "/"), nil
 }

@@ -89,13 +89,7 @@ type openRow struct {
 }
 
 // Load implements Scheme. The document must conform to the DTD.
-func (in *Inline) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return in.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (in *Inline) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (in *Inline) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
 	doc.Number()
 	root := doc.RootElement()
 	if root == nil {
@@ -509,7 +503,7 @@ func LoadDocument(s Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
 	if err := s.Setup(db); err != nil {
 		return nil, err
 	}
-	if err := s.Load(db, doc); err != nil {
+	if err := s.Load(context.Background(), db, doc); err != nil {
 		return nil, err
 	}
 	return db, nil

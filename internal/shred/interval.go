@@ -68,36 +68,10 @@ func (iv *Interval) Setup(db *sqldb.Database) error {
 	return nil
 }
 
-// Load implements Scheme.
-func (iv *Interval) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return iv.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (iv *Interval) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
-	doc.Number()
-	b := newBatcherCtx(ctx, db, "accel")
-	for _, n := range doc.Nodes() {
-		parent := sqldb.Null
-		if n.Parent != nil {
-			parent = sqldb.NewInt(int64(n.Parent.Pre))
-		}
-		row := []sqldb.Value{
-			sqldb.NewInt(int64(n.Pre)),
-			parent,
-			sqldb.NewInt(int64(n.Size)),
-			sqldb.NewInt(int64(n.Level)),
-			sqldb.NewInt(int64(globalOrdinal(n))),
-			sqldb.NewText(n.Kind.String()),
-			nodeName(n),
-			nodeValue(n),
-		}
-		if err := b.add(row); err != nil {
-			return err
-		}
-	}
-	return b.flush()
+// Load implements Scheme: the document's replay goes through the same
+// walk as a token stream.
+func (iv *Interval) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+	return iv.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.
@@ -258,63 +232,10 @@ func (iv *Interval) InsertSubtree(db *sqldb.Database, parentID int64, position i
 	}
 
 	// Insert the subtree rows with contiguous pre numbers at boundary.
-	b := newBatcher(db, "accel")
-	pre := boundary
-	var insert func(n *xmldom.Node, parent int64, level, ordinal int64) error
-	insert = func(n *xmldom.Node, parent int64, level, ordinal int64) error {
-		myPre := pre
-		pre++
-		size := int64(0)
-		var sz func(m *xmldom.Node) int64
-		sz = func(m *xmldom.Node) int64 {
-			t := int64(len(m.Attrs))
-			for _, c := range m.Children {
-				t += 1 + sz(c)
-			}
-			return t
-		}
-		size = sz(n)
-		row := []sqldb.Value{
-			sqldb.NewInt(myPre),
-			sqldb.NewInt(parent),
-			sqldb.NewInt(size),
-			sqldb.NewInt(level),
-			sqldb.NewInt(ordinal),
-			sqldb.NewText(n.Kind.String()),
-			nodeName(n),
-			nodeValue(n),
-		}
-		if err := b.add(row); err != nil {
-			return err
-		}
-		ord := int64(1)
-		for _, a := range n.Attrs {
-			arow := []sqldb.Value{
-				sqldb.NewInt(pre),
-				sqldb.NewInt(myPre),
-				sqldb.NewInt(0),
-				sqldb.NewInt(level + 1),
-				sqldb.NewInt(ord),
-				sqldb.NewText("attr"),
-				sqldb.NewText(a.Name),
-				sqldb.NewText(a.Value),
-			}
-			pre++
-			ord++
-			if err := b.add(arow); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.Children {
-			if err := insert(c, myPre, level+1, ord); err != nil {
-				return err
-			}
-			ord++
-		}
-		return nil
-	}
-	if err := insert(subtree, parentID, pLevel+1, newOrdinal); err != nil {
+	s := &intervalSink{b: newBatcher(db, "accel")}
+	at := walkAt{parent: parentID, level: int(pLevel), next: boundary, ordinal: newOrdinal}
+	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
 		return err
 	}
-	return b.flush()
+	return s.b.flush()
 }

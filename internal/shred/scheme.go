@@ -28,8 +28,10 @@ type Scheme interface {
 	// Setup creates the scheme's tables and indexes.
 	Setup(db *sqldb.Database) error
 	// Load shreds one document. Schemes in this reproduction store a
-	// single document per database.
-	Load(db *sqldb.Database, doc *xmldom.Document) error
+	// single document per database. Cancellation is honored at
+	// bulk-insert batch granularity, so a canceled or expired context
+	// bounds a long load at its next flush.
+	Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error
 	// Translate compiles an XPath query to SQL with result columns
 	// (id, val) in document order.
 	Translate(q *xpath.Path) (string, error)
@@ -43,15 +45,6 @@ type Scheme interface {
 	// with the given node id. Schemes that cannot express ordered
 	// updates return an error.
 	InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error
-}
-
-// ContextLoader is implemented by schemes whose Load honors
-// cancellation: the context is checked at bulk-insert batch
-// granularity, so a canceled or expired context bounds a long document
-// load at its next flush instead of running it to completion. All
-// schemes in this package implement it.
-type ContextLoader interface {
-	LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error
 }
 
 // Query parses an XPath string, translates it under the scheme, and
@@ -168,18 +161,6 @@ func nodeName(n *xmldom.Node) sqldb.Value {
 		return sqldb.NewText(n.Name)
 	}
 	return sqldb.Null
-}
-
-// globalOrdinal numbers a node among its parent's attributes-then-
-// children sequence (1-based), matching pre-order within the parent.
-func globalOrdinal(n *xmldom.Node) int {
-	if n.Parent == nil {
-		return 1
-	}
-	if n.Kind == xmldom.AttributeNode {
-		return n.Ordinal
-	}
-	return len(n.Parent.Attrs) + n.Ordinal
 }
 
 // errScheme builds scheme-level errors.

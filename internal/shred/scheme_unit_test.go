@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 	if err := s.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load(db, doc); err == nil || !strings.Contains(err.Error(), "relabel required") {
+	if err := s.Load(context.Background(), db, doc); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("loading 100 003 siblings: got %v, want the relabel-required error", err)
 	}
 	if n := db.TotalRows(); n != 0 {

@@ -81,14 +81,9 @@ func (u *Universal) suffixFor(seg string) string {
 	return s
 }
 
-// Load implements Scheme.
-func (u *Universal) Load(db *sqldb.Database, doc *xmldom.Document) error {
-	return u.LoadContext(context.Background(), db, doc)
-}
-
-// LoadContext implements ContextLoader: cancellation is honored at
-// bulk-insert batch granularity.
-func (u *Universal) LoadContext(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+// Load implements Scheme. It keeps a DOM walk: the wide table's columns
+// are one per label, so every label must be seen before the first row.
+func (u *Universal) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
 	doc.Number()
 
 	// Pass 1: labels, catalog, recursion check.

@@ -111,8 +111,14 @@ func TestTinyPoolDifferential(t *testing.T) {
 	if bp.Misses == 0 || bp.Evictions == 0 || bp.Spilled == 0 {
 		t.Fatalf("pool did not cycle: %+v", bp)
 	}
-	if bp.Hits == 0 {
-		t.Fatalf("no pool hits recorded: %+v", bp)
+	// Whether the scans above hit depends on how they interleave; a
+	// point lookup repeated back to back finds its page resident.
+	const lookup = `SELECT val FROM t WHERE id = 5000`
+	dumpRows(t, pooled, lookup)
+	before := pooled.Stats().BufferPool.Hits
+	dumpRows(t, pooled, lookup)
+	if after := pooled.Stats().BufferPool.Hits; after <= before {
+		t.Fatalf("repeated point lookup recorded no pool hit: %d -> %d", before, after)
 	}
 	if bp.ReadErrors != 0 || bp.SpillErrors != 0 {
 		t.Fatalf("unexpected IO errors: %+v", bp)

@@ -1,10 +1,11 @@
 package xmldom
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 )
 
 // ParseError reports a malformed document with byte-offset context.
@@ -18,106 +19,68 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xml: %s at offset %d", e.Msg, e.Offset)
 }
 
-type xmlParser struct {
-	src []byte
-	pos int
-}
-
-func (p *xmlParser) errf(format string, args ...any) error {
-	return &ParseError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 // Parse parses an XML document. The parser is non-validating, resolves
 // the five predefined entities and character references, preserves
 // comments and processing instructions, and captures the DOCTYPE
 // internal subset verbatim for the dtd package.
 func Parse(src []byte) (*Document, error) {
-	p := &xmlParser{src: src}
-	doc := &Document{Root: &Node{Kind: DocumentNode}}
-
-	p.skipSpace()
-	// Optional XML declaration.
-	if p.hasPrefix("<?xml") {
-		if _, err := p.readUntil("?>"); err != nil {
-			return nil, err
-		}
-	}
-
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) {
-			break
-		}
-		if !p.hasByte('<') {
-			return nil, p.errf("content outside of root element")
-		}
-		switch {
-		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			doc.Root.Children = append(doc.Root.Children, c)
-		case p.hasPrefix("<?"):
-			pi, err := p.parsePI()
-			if err != nil {
-				return nil, err
-			}
-			doc.Root.Children = append(doc.Root.Children, pi)
-		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.parseDoctype(doc); err != nil {
-				return nil, err
-			}
-		default:
-			if doc.RootElement() != nil {
-				return nil, p.errf("multiple root elements")
-			}
-			el, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			doc.Root.Children = append(doc.Root.Children, el)
-		}
-	}
-	if doc.RootElement() == nil {
-		return nil, &ParseError{Offset: len(src), Msg: "missing root element"}
-	}
-	doc.Number()
-	return doc, nil
+	// Size the read buffer to the input so a small fragment does not
+	// pay for a full-size window.
+	return build(newTokenizer(bytes.NewReader(src), len(src)+1))
 }
 
 // ParseString parses a document given as a string.
-func ParseString(src string) (*Document, error) { return Parse([]byte(src)) }
-
-func (p *xmlParser) hasPrefix(s string) bool {
-	return p.pos+len(s) <= len(p.src) && string(p.src[p.pos:p.pos+len(s)]) == s
+func ParseString(src string) (*Document, error) {
+	return build(newTokenizer(strings.NewReader(src), len(src)+1))
 }
 
-func (p *xmlParser) hasByte(c byte) bool {
-	return p.pos < len(p.src) && p.src[p.pos] == c
+// ParseReader parses an XML document from a stream. Consumers that need
+// bounded memory should drive the Tokenizer directly instead.
+func ParseReader(r io.Reader) (*Document, error) {
+	return build(NewTokenizer(r))
 }
 
-func (p *xmlParser) skipSpace() {
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
+// build assembles the DOM from a token stream and numbers it.
+func build(tz *Tokenizer) (*Document, error) {
+	doc := &Document{Root: &Node{Kind: DocumentNode}}
+	stack := []*Node{doc.Root}
+	for {
+		tok, err := tz.Next()
+		if err != nil {
+			return nil, err
 		}
+		parent := stack[len(stack)-1]
+		var n *Node
+		switch tok.Kind {
+		case TokEOF:
+			doc.DoctypeName = tz.DoctypeName
+			doc.InternalSubset = tz.InternalSubset
+			doc.Number()
+			return doc, nil
+		case TokStart:
+			n = &Node{Kind: ElementNode, Name: tok.Name}
+			if len(tok.Attrs) > 0 {
+				attrs := make([]Node, len(tok.Attrs))
+				n.Attrs = make([]*Node, len(tok.Attrs))
+				for i, a := range tok.Attrs {
+					attrs[i] = Node{Kind: AttributeNode, Name: a.Name, Value: a.Value, Parent: n}
+					n.Attrs[i] = &attrs[i]
+				}
+			}
+			stack = append(stack, n)
+		case TokEnd:
+			stack = stack[:len(stack)-1]
+			continue
+		case TokText:
+			n = &Node{Kind: TextNode, Value: tok.Text}
+		case TokComment:
+			n = &Node{Kind: CommentNode, Value: tok.Text}
+		case TokProcInst:
+			n = &Node{Kind: ProcInstNode, Name: tok.Name, Value: tok.Text}
+		}
+		n.Parent = parent
+		parent.Children = append(parent.Children, n)
 	}
-}
-
-// readUntil consumes up to and including the delimiter, returning the
-// text before it.
-func (p *xmlParser) readUntil(delim string) (string, error) {
-	idx := strings.Index(string(p.src[p.pos:]), delim)
-	if idx < 0 {
-		return "", p.errf("missing %q", delim)
-	}
-	out := string(p.src[p.pos : p.pos+idx])
-	p.pos += idx + len(delim)
-	return out, nil
 }
 
 func isNameStart(r rune) bool {
@@ -128,259 +91,9 @@ func isNameChar(r rune) bool {
 	return isNameStart(r) || r == '-' || r == '.' || (r >= '0' && r <= '9')
 }
 
-func (p *xmlParser) parseName() (string, error) {
-	start := p.pos
-	r, size := utf8.DecodeRune(p.src[p.pos:])
-	if !isNameStart(r) {
-		return "", p.errf("expected name")
-	}
-	p.pos += size
-	for p.pos < len(p.src) {
-		r, size = utf8.DecodeRune(p.src[p.pos:])
-		if !isNameChar(r) {
-			break
-		}
-		p.pos += size
-	}
-	return string(p.src[start:p.pos]), nil
-}
-
-func (p *xmlParser) parseComment() (*Node, error) {
-	p.pos += len("<!--")
-	text, err := p.readUntil("-->")
-	if err != nil {
-		return nil, err
-	}
-	return &Node{Kind: CommentNode, Value: text}, nil
-}
-
-func (p *xmlParser) parsePI() (*Node, error) {
-	p.pos += len("<?")
-	name, err := p.parseName()
-	if err != nil {
-		return nil, err
-	}
-	data, err := p.readUntil("?>")
-	if err != nil {
-		return nil, err
-	}
-	return &Node{Kind: ProcInstNode, Name: name, Value: strings.TrimSpace(data)}, nil
-}
-
-func (p *xmlParser) parseDoctype(doc *Document) error {
-	p.pos += len("<!DOCTYPE")
-	p.skipSpace()
-	name, err := p.parseName()
-	if err != nil {
-		return err
-	}
-	doc.DoctypeName = name
-	// Scan to the closing '>', capturing an optional [internal subset].
-	depth := 0
-	start := -1
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch c {
-		case '[':
-			if depth == 0 {
-				start = p.pos + 1
-			}
-			depth++
-			p.pos++
-		case ']':
-			depth--
-			if depth == 0 && start >= 0 {
-				doc.InternalSubset = string(p.src[start:p.pos])
-			}
-			p.pos++
-		case '>':
-			if depth == 0 {
-				p.pos++
-				return nil
-			}
-			p.pos++
-		case '"', '\'':
-			// Skip quoted system/public literals.
-			q := c
-			p.pos++
-			for p.pos < len(p.src) && p.src[p.pos] != q {
-				p.pos++
-			}
-			if p.pos >= len(p.src) {
-				return p.errf("unterminated literal in DOCTYPE")
-			}
-			p.pos++
-		default:
-			p.pos++
-		}
-	}
-	return p.errf("unterminated DOCTYPE")
-}
-
-func (p *xmlParser) parseElement() (*Node, error) {
-	if !p.hasByte('<') {
-		return nil, p.errf("expected '<'")
-	}
-	p.pos++
-	name, err := p.parseName()
-	if err != nil {
-		return nil, err
-	}
-	el := &Node{Kind: ElementNode, Name: name}
-
-	// Attributes.
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated start tag <%s", name)
-		}
-		c := p.src[p.pos]
-		if c == '>' {
-			p.pos++
-			break
-		}
-		if c == '/' {
-			if !p.hasPrefix("/>") {
-				return nil, p.errf("malformed empty-element tag")
-			}
-			p.pos += 2
-			return el, nil
-		}
-		aname, err := p.parseName()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if !p.hasByte('=') {
-			return nil, p.errf("expected '=' after attribute %s", aname)
-		}
-		p.pos++
-		p.skipSpace()
-		aval, err := p.parseAttValue()
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range el.Attrs {
-			if a.Name == aname {
-				return nil, p.errf("duplicate attribute %s on <%s>", aname, name)
-			}
-		}
-		el.Attrs = append(el.Attrs, &Node{Kind: AttributeNode, Name: aname, Value: aval, Parent: el})
-	}
-
-	// Content.
-	var textBuf strings.Builder
-	flushText := func() {
-		if textBuf.Len() > 0 {
-			el.Children = append(el.Children, &Node{Kind: TextNode, Value: textBuf.String(), Parent: el})
-			textBuf.Reset()
-		}
-	}
-	for {
-		if p.pos >= len(p.src) {
-			return nil, p.errf("missing </%s>", name)
-		}
-		c := p.src[p.pos]
-		if c != '<' {
-			// Character data up to the next markup.
-			start := p.pos
-			for p.pos < len(p.src) && p.src[p.pos] != '<' {
-				p.pos++
-			}
-			text, err := decodeEntities(string(p.src[start:p.pos]), p.errf)
-			if err != nil {
-				return nil, err
-			}
-			if strings.TrimSpace(text) != "" || textBuf.Len() > 0 {
-				// Whitespace-only runs between elements are dropped;
-				// whitespace adjacent to real text is preserved.
-				if strings.TrimSpace(text) == "" && textBuf.Len() == 0 {
-					continue
-				}
-				textBuf.WriteString(text)
-			}
-			continue
-		}
-		switch {
-		case p.hasPrefix("</"):
-			flushText()
-			p.pos += 2
-			end, err := p.parseName()
-			if err != nil {
-				return nil, err
-			}
-			if end != name {
-				return nil, p.errf("mismatched end tag </%s>, expected </%s>", end, name)
-			}
-			p.skipSpace()
-			if !p.hasByte('>') {
-				return nil, p.errf("malformed end tag </%s", end)
-			}
-			p.pos++
-			return el, nil
-		case p.hasPrefix("<!--"):
-			flushText()
-			cm, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			cm.Parent = el
-			el.Children = append(el.Children, cm)
-		case p.hasPrefix("<![CDATA["):
-			p.pos += len("<![CDATA[")
-			data, err := p.readUntil("]]>")
-			if err != nil {
-				return nil, err
-			}
-			textBuf.WriteString(data)
-		case p.hasPrefix("<?"):
-			flushText()
-			pi, err := p.parsePI()
-			if err != nil {
-				return nil, err
-			}
-			pi.Parent = el
-			el.Children = append(el.Children, pi)
-		default:
-			flushText()
-			child, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			child.Parent = el
-			el.Children = append(el.Children, child)
-		}
-	}
-}
-
-func (p *xmlParser) parseAttValue() (string, error) {
-	if p.pos >= len(p.src) {
-		return "", p.errf("expected attribute value")
-	}
-	q := p.src[p.pos]
-	if q != '"' && q != '\'' {
-		return "", p.errf("attribute value must be quoted")
-	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != q {
-		if p.src[p.pos] == '<' {
-			return "", p.errf("'<' in attribute value")
-		}
-		p.pos++
-	}
-	if p.pos >= len(p.src) {
-		return "", p.errf("unterminated attribute value")
-	}
-	raw := string(p.src[start:p.pos])
-	p.pos++
-	return decodeEntities(raw, p.errf)
-}
-
 // decodeEntities resolves character references and the five predefined
 // entities. Unknown entities are an error (no external DTD resolution).
-// errf supplies position context — the same decoder serves the in-memory
-// parser and the streaming tokenizer.
+// errf supplies position context.
 func decodeEntities(s string, errf func(format string, args ...any) error) (string, error) {
 	if !strings.ContainsRune(s, '&') {
 		return s, nil
@@ -409,22 +122,32 @@ func decodeEntities(s string, errf func(format string, args ...any) error) (stri
 			b.WriteByte('\'')
 		case ent == "quot":
 			b.WriteByte('"')
-		case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
-			n, err := strconv.ParseInt(ent[2:], 16, 32)
-			if err != nil {
-				return "", errf("bad character reference &%s;", ent)
-			}
-			b.WriteRune(rune(n))
 		case strings.HasPrefix(ent, "#"):
-			n, err := strconv.ParseInt(ent[1:], 10, 32)
-			if err != nil {
+			r, ok := charRef(ent[1:])
+			if !ok {
 				return "", errf("bad character reference &%s;", ent)
 			}
-			b.WriteRune(rune(n))
+			b.WriteRune(r)
 		default:
 			return "", errf("unknown entity &%s;", ent)
 		}
 		i += end + 1
 	}
 	return b.String(), nil
+}
+
+// charRef decodes the digits of a character reference ("65", "x41" or
+// "X41"). It accepts only code points a document may contain: unsigned
+// digits, not 0, not a surrogate, nothing above U+10FFFF.
+func charRef(digits string) (rune, bool) {
+	base := 10
+	if strings.HasPrefix(digits, "x") || strings.HasPrefix(digits, "X") {
+		base, digits = 16, digits[1:]
+	}
+	// ParseUint refuses a sign, so "&#+65;" and "&#-65;" fail here.
+	n, err := strconv.ParseUint(digits, base, 32)
+	if err != nil || n == 0 || n > 0x10FFFF || (n >= 0xD800 && n <= 0xDFFF) {
+		return 0, false
+	}
+	return rune(n), true
 }

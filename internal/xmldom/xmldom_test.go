@@ -109,6 +109,16 @@ func TestParseErrors(t *testing.T) {
 		`<a/><b/>`,
 		`text only`,
 		`<a x="<"/>`,
+		// Character references must name a character a document may
+		// hold: no sign, not 0, no surrogate, nothing past U+10FFFF.
+		`<a>&#-65;</a>`,
+		`<a>&#+65;</a>`,
+		`<a>&#0;</a>`,
+		`<a>&#x0;</a>`,
+		`<a>&#xD800;</a>`,
+		`<a>&#xDFFF;</a>`,
+		`<a>&#x110000;</a>`,
+		`<a x="&#-1;"/>`,
 	}
 	for _, src := range cases {
 		if _, err := ParseString(src); err == nil {
