@@ -129,8 +129,9 @@ chaos:
 	done
 
 ## fuzz: short fuzzing sessions for every fuzz target (SQL parser,
-## snapshot loader, WAL replay, index key codec, XML lexer under chunked
-## reads, Interval store vs the DOM). Each
+## snapshot loader, WAL replay, index key codec, LIKE matcher against
+## its recursive reference, XML lexer under chunked reads, Interval
+## store vs the DOM). Each
 ## -fuzz invocation accepts one target, so they run sequentially; raise
 ## FUZZ_TIME for a real session.
 fuzz:
@@ -138,15 +139,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzLike$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChunked$$' -fuzztime $(FUZZ_TIME) ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
-## bench-smoke: executes BenchmarkQueryCache once, and one ordered
-## insert per updatable scheme (BenchmarkF3OrderedInsert: edge, binary,
-## interval, dewey, inline), to keep them compiling and running; use
+## bench-smoke: executes BenchmarkQueryCache once, one ordered insert
+## per updatable scheme (BenchmarkF3OrderedInsert: edge, binary,
+## interval, dewey, inline), and BenchmarkPageDecode (which fails above
+## four allocations per page), to keep them compiling and running; use
 ## `make bench` for real numbers.
 bench-smoke:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 1x
+	$(GO) test ./internal/sqldb -run '^$$' -bench PageDecode -benchtime 1x
 	$(GO) test . -run '^$$' -bench F3OrderedInsert -benchtime 1x
 
 ## benchmark-smoke: the repository benchmark's smoke test (benchmark/,

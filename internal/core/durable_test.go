@@ -283,8 +283,8 @@ func TestDurableStoreExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := ds2.DB().QueryScalar(`SELECT body FROM notes WHERE id = 1`)
-	if err != nil || v.S != "recovered" {
-		t.Fatalf("direct SQL write lost: %v %q", err, v.S)
+	if err != nil || v.Text() != "recovered" {
+		t.Fatalf("direct SQL write lost: %v %q", err, v.Text())
 	}
 	ds2.Close()
 }

@@ -405,19 +405,19 @@ func toValue(a any) (sqldb.Value, error) {
 
 // fromValue renders an engine value as a JSON-encodable Go value.
 func fromValue(v sqldb.Value) any {
-	switch v.T {
+	switch v.Type() {
 	case sqldb.TypeNull:
 		return nil
 	case sqldb.TypeInt:
-		return v.I
+		return v.Int()
 	case sqldb.TypeBool:
-		return v.I != 0
+		return v.Bool()
 	case sqldb.TypeFloat:
-		return v.F
+		return v.Float()
 	case sqldb.TypeText:
-		return v.S
+		return v.Text()
 	case sqldb.TypeBlob:
-		return v.B
+		return v.Blob()
 	default:
 		return v.String()
 	}

@@ -56,12 +56,12 @@ func (s *aggState) add(v Value, distinct bool) {
 		s.seen[k] = true
 	}
 	s.count++
-	if v.T == TypeFloat {
+	if v.t == TypeFloat {
 		if !s.isFloat {
 			s.sumF = float64(s.sumI) + s.sumF
 			s.isFloat = true
 		}
-		s.sumF += v.F
+		s.sumF += v.f()
 	} else if s.isFloat {
 		s.sumF += v.Float()
 	} else {

@@ -200,7 +200,7 @@ func checkAccounting(t *testing.T, db *Database, want *Rows, sql string, args ..
 		t.Fatalf("dop=%d: %v", dop, err)
 	}
 	after := db.Metrics()
-	if !reflect.DeepEqual(want.Columns, got.Columns) || !reflect.DeepEqual(want.Data, got.Data) {
+	if !reflect.DeepEqual(want.Columns, got.Columns) || !IdenticalRows(want.Data, got.Data) {
 		t.Fatalf("dop=%d: %d rows vs expected %d rows, or order/value drift", dop, got.Len(), want.Len())
 	}
 	ap, err := db.ExplainAnalyzePlan(sql, args...)

@@ -455,7 +455,7 @@ func TestConcurrentCommitsWithCheckpoint(t *testing.T) {
 				got := map[int64]bool{}
 				for rid := int64(0); rid < tbl.slotCount(); rid++ {
 					if row := tbl.row(rid); row != nil {
-						got[row[0].I] = true
+						got[row[0].i()] = true
 					}
 				}
 				for k := range ackedKeys {

@@ -642,21 +642,21 @@ func (n *hashJoinNode) estRows() float64 {
 // a float beyond 2^53 can still compare equal through float rounding
 // while encoding differently; SQL equality is not transitive there.)
 func appendKey(b []byte, v Value) []byte {
-	switch v.T {
+	switch v.t {
 	case TypeNull:
 		b = append(b, '0')
 	case TypeInt, TypeBool:
-		b = strconv.AppendInt(append(b, 'n'), v.I, 10)
+		b = strconv.AppendInt(append(b, 'n'), v.i(), 10)
 	case TypeFloat:
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		if f := v.f(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			b = strconv.AppendInt(append(b, 'n'), int64(f), 10)
 		} else {
 			b = strconv.AppendUint(append(b, 'f'), math.Float64bits(f), 16)
 		}
 	case TypeText:
-		b = append(append(b, 's'), v.S...)
+		b = append(append(b, 's'), v.s()...)
 	case TypeBlob:
-		b = append(append(b, 'b'), v.B...)
+		b = append(append(b, 'b'), v.Blob()...)
 	}
 	return append(b, 0)
 }
@@ -665,7 +665,7 @@ func appendKey(b []byte, v Value) []byte {
 // NULL (NULL never joins).
 func hashKey(b []byte, vals []Value) (key []byte, ok bool) {
 	for _, v := range vals {
-		if v.T == TypeNull {
+		if v.t == TypeNull {
 			return b, false
 		}
 		b = appendKey(b, v)
@@ -1205,7 +1205,7 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 			return out, nil
 		}
 		out = append(out, row)
-		pending += rowSliceBytes(row)
+		pending += valuesBytes(row)
 	}
 }
 

@@ -425,7 +425,7 @@ func TestScalarFunctions(t *testing.T) {
 				t.Errorf("dop=%d %s: %v", dop, c.expr, err)
 				continue
 			}
-			if v.T != c.want.T || Compare(v, c.want) != 0 {
+			if v.t != c.want.t || Compare(v, c.want) != 0 {
 				t.Errorf("dop=%d %s = %#v, want %#v", dop, c.expr, v, c.want)
 			}
 		}

@@ -694,11 +694,11 @@ func (c *compiler) compileFunc(e *FuncExpr) (compiledExpr, error) {
 			if err != nil {
 				return Null, err
 			}
-			switch v[0].T {
+			switch v[0].t {
 			case TypeNull:
 				return Null, nil
 			case TypeFloat:
-				f := v[0].F
+				f := v[0].f()
 				if f < 0 {
 					f = -f
 				}

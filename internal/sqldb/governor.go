@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // memPool is the engine-wide memory budget shared by all concurrently
@@ -87,7 +88,7 @@ func (m *memAccountant) chargeRows(rows [][]Value) error {
 	}
 	var n int64
 	for _, r := range rows {
-		n += rowSliceBytes(r)
+		n += valuesBytes(r)
 	}
 	return m.charge(n)
 }
@@ -114,20 +115,19 @@ func (m *memAccountant) close() {
 	}
 }
 
-// rowSliceBytes sizes one materialized row.
-func rowSliceBytes(r []Value) int64 {
-	n := int64(24) // slice header
-	for _, v := range r {
-		n += valueBytes(v)
-	}
-	return n
-}
+// valueSize is what one Value occupies, before its text or blob bytes.
+const valueSize = int64(unsafe.Sizeof(Value{}))
 
-// valuesBytes sizes a flat []Value arena.
+// valuesBytes sizes a materialized []Value (a row, or a group's keys):
+// the slice header, every Value, and the text and blob bytes they
+// point at. It charges what the working set holds in memory; valueBytes
+// is the storage estimate T1 reports.
 func valuesBytes(vs []Value) int64 {
-	n := int64(24)
+	n := 24 + valueSize*int64(len(vs))
 	for _, v := range vs {
-		n += valueBytes(v)
+		if v.t == TypeText || v.t == TypeBlob {
+			n += int64(v.n)
+		}
 	}
 	return n
 }

@@ -63,25 +63,25 @@ const twoPow53 = 1 << 53
 
 // appendKeyValue appends v's key encoding to dst.
 func appendKeyValue(dst []byte, v Value) []byte {
-	switch v.T {
+	switch v.t {
 	case TypeInt, TypeBool:
-		f := float64(v.I)
+		f := float64(v.i())
 		dst = appendOrderedFloat(append(dst, keyNumber), f)
 		if math.Abs(f) >= twoPow53 {
-			dst = appendTiebreak(dst, intTiebreak(v.I, f))
+			dst = appendTiebreak(dst, intTiebreak(v.i(), f))
 		}
 		return dst
 	case TypeFloat:
-		f := v.F
+		f := v.f()
 		dst = appendOrderedFloat(append(dst, keyNumber), f)
 		if math.Abs(f) >= twoPow53 {
 			dst = appendTiebreak(dst, 0)
 		}
 		return dst
 	case TypeText:
-		return appendEscaped(append(dst, keyText), v.S)
+		return appendEscaped(append(dst, keyText), v.s())
 	case TypeBlob:
-		return appendEscaped(append(dst, keyBlob), unsafe.String(unsafe.SliceData(v.B), len(v.B)))
+		return appendEscaped(append(dst, keyBlob), v.s())
 	default:
 		return append(dst, keyNull)
 	}

@@ -38,9 +38,9 @@ func codecOrder(x, y Value) int {
 		switch {
 		case v.IsNull():
 			return 0
-		case v.T.isNumeric():
+		case v.t.isNumeric():
 			return 1
-		case v.T == TypeText:
+		case v.t == TypeText:
 			return 2
 		default:
 			return 3
@@ -53,7 +53,7 @@ func codecOrder(x, y Value) int {
 	if bx != 1 {
 		return Compare(x, y) // NULLs, or two texts or two blobs
 	}
-	xNaN, yNaN := x.T == TypeFloat && math.IsNaN(x.F), y.T == TypeFloat && math.IsNaN(y.F)
+	xNaN, yNaN := x.t == TypeFloat && math.IsNaN(x.f()), y.t == TypeFloat && math.IsNaN(y.f())
 	if xNaN || yNaN {
 		return cmp.Compare(b2i(!xNaN), b2i(!yNaN))
 	}
@@ -68,10 +68,10 @@ func b2i(b bool) int {
 }
 
 func exactNumber(v Value) *big.Float {
-	if v.T == TypeFloat {
-		return new(big.Float).SetFloat64(v.F)
+	if v.t == TypeFloat {
+		return new(big.Float).SetFloat64(v.f())
 	}
-	return new(big.Float).SetInt64(v.I)
+	return new(big.Float).SetInt64(v.i())
 }
 
 func codecCompareKeys(a, b []Value) int {
@@ -88,20 +88,20 @@ func codecCompareKeys(a, b []Value) int {
 // integer float64 cannot hold against the REAL it rounds to, BOOLEAN
 // against TEXT, and NaN against a number.
 func documentedDeparture(x, y Value) bool {
-	isNaN := func(v Value) bool { return v.T == TypeFloat && math.IsNaN(v.F) }
-	if x.T.isNumeric() && y.T.isNumeric() && (isNaN(x) || isNaN(y)) {
+	isNaN := func(v Value) bool { return v.t == TypeFloat && math.IsNaN(v.f()) }
+	if x.t.isNumeric() && y.t.isNumeric() && (isNaN(x) || isNaN(y)) {
 		return true
 	}
-	pair := func(a, b Type) bool { return x.T == a && y.T == b || x.T == b && y.T == a }
+	pair := func(a, b Type) bool { return x.t == a && y.t == b || x.t == b && y.t == a }
 	if pair(TypeBool, TypeText) {
 		return true
 	}
 	if pair(TypeInt, TypeFloat) || pair(TypeBool, TypeFloat) {
 		i, f := x, y
-		if i.T == TypeFloat {
+		if i.t == TypeFloat {
 			i, f = y, x
 		}
-		return float64(i.I) == f.F && exactNumber(i).Cmp(exactNumber(f)) != 0
+		return float64(i.i()) == f.f() && exactNumber(i).Cmp(exactNumber(f)) != 0
 	}
 	return false
 }
@@ -168,26 +168,26 @@ func fuzzKeyValues(types []Type, data []byte) []Value {
 // side's type, INTEGER when both are NULL).
 func addKeySeed(f *testing.F, a, b []Value) {
 	code := func(v, other Value) byte {
-		t := v.T
+		t := v.t
 		if t == TypeNull {
-			t = other.T
+			t = other.t
 		}
 		return byte(max(slices.Index(fuzzKeyTypes, t), 0))
 	}
 	stream := func(v Value) []byte {
-		switch v.T {
+		switch v.t {
 		case TypeNull:
 			return []byte{0}
 		case TypeInt:
-			return binary.BigEndian.AppendUint64([]byte{1}, uint64(v.I))
+			return binary.BigEndian.AppendUint64([]byte{1}, uint64(v.i()))
 		case TypeFloat:
-			return binary.BigEndian.AppendUint64([]byte{1}, math.Float64bits(v.F))
+			return binary.BigEndian.AppendUint64([]byte{1}, math.Float64bits(v.f()))
 		case TypeBool:
-			return []byte{1, byte(v.I)}
+			return []byte{1, byte(v.i())}
 		case TypeText:
-			return append([]byte{1, byte(len(v.S))}, v.S...)
+			return append([]byte{1, byte(len(v.s()))}, v.s()...)
 		default:
-			return append([]byte{1, byte(len(v.B))}, v.B...)
+			return append([]byte{1, byte(len(v.Blob()))}, v.Blob()...)
 		}
 	}
 	var sig, da, db []byte

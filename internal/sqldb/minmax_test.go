@@ -1,7 +1,6 @@
 package sqldb_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -9,13 +8,6 @@ import (
 
 	"repro/internal/sqldb"
 )
-
-// sameValue is exact identity: type and representation, so 0.0 and
-// -0.0 (equal under Compare) differ.
-func sameValue(a, b sqldb.Value) bool {
-	return a.T == b.T && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) &&
-		a.S == b.S && bytes.Equal(a.B, b.B)
-}
 
 func usesIndexMinMax(t *testing.T, db *sqldb.Database, sql string) bool {
 	t.Helper()
@@ -48,7 +40,7 @@ func checkMinMax(t *testing.T, db *sqldb.Database, step string, cols ...string) 
 			if err != nil {
 				t.Fatalf("%s: %s: %v", step, scan, err)
 			}
-			if !sameValue(got, want) {
+			if !sqldb.Identical(got, want) {
 				t.Errorf("%s: %s = %#v, scan says %#v", step, probe, got, want)
 			}
 		}
@@ -96,7 +88,7 @@ func TestIndexMinMaxMatchesScan(t *testing.T) {
 					sqldb.NewText(fmt.Sprintf("s%04d", r*31%3001)), w)
 			}
 			checkMinMax(t, db, "loaded", cols...)
-			if v, _ := db.QueryScalar(`SELECT MIN(z) FROM m`); !math.Signbit(v.F) {
+			if v, _ := db.QueryScalar(`SELECT MIN(z) FROM m`); !math.Signbit(v.Float()) {
 				t.Fatalf("MIN(z) = %v, want the -0.0 of rowid 0", v)
 			}
 
@@ -104,7 +96,7 @@ func TestIndexMinMaxMatchesScan(t *testing.T) {
 			// a +0.0 row now has the lowest rowid among the zeros.
 			db.MustExec(`DELETE FROM m WHERE i = (SELECT MAX(i) FROM m) OR s = (SELECT MIN(s) FROM m)`)
 			checkMinMax(t, db, "deleted", cols...)
-			if v, _ := db.QueryScalar(`SELECT MAX(z) FROM m`); math.Signbit(v.F) {
+			if v, _ := db.QueryScalar(`SELECT MAX(z) FROM m`); math.Signbit(v.Float()) {
 				t.Fatalf("MAX(z) = %v after deleting rowid 0, want +0.0", v)
 			}
 			// Extreme rows updated past the other end, or to NULL.

@@ -94,9 +94,15 @@ func pageImagePayload(pid int64, img []byte) ([]byte, error) {
 
 // decodePagePayload decodes at most limit row slots of a page payload
 // into a fresh frame; more slots than that is corruption.
+//
+// A page decodes into two arenas: every row is a capacity-capped window
+// of one []Value, and every TEXT or BLOB points into one byte arena.
+// Those bytes are copied out of the payload, so an arena of the
+// payload's length never reallocates under the values pointing into it.
 func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
-	d := &walDecoder{b: payload}
+	d := &walDecoder{b: payload, text: make([]byte, 0, len(payload))}
 	f := &pageFrame{}
+	var vals []Value
 	for i := 0; d.off < len(d.b); i++ {
 		if i == limit {
 			return nil, errorf("pagefile: page %d: more than %d row slots", pid, limit)
@@ -109,10 +115,17 @@ func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error)
 			continue // tombstone
 		}
 		nc--
-		if nc > uint64(len(d.b)-d.off)+1 {
+		rest := len(d.b) - d.off
+		if nc > uint64(rest)+1 {
 			return nil, errorf("pagefile: page %d slot %d: corrupt arity", pid, i)
 		}
-		row := make([]Value, nc)
+		if n := int(nc); n > len(vals) {
+			// Size the arena for every remaining slot at this arity; a
+			// value takes at least one payload byte, which caps the guess.
+			vals = make([]Value, min((limit-i)*n, rest+1))
+		}
+		row := vals[:nc:nc]
+		vals = vals[nc:]
 		for j := range row {
 			v, err := d.value()
 			if err != nil {

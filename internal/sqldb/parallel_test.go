@@ -187,7 +187,7 @@ func parallelDiff(t *testing.T, dbs []*Database, sql string, args ...Value) *Row
 		if !reflect.DeepEqual(want.Columns, got.Columns) {
 			t.Fatalf("parallel[%d] %q: columns %v != %v", i, sql, got.Columns, want.Columns)
 		}
-		if !reflect.DeepEqual(want.Data, got.Data) {
+		if !IdenticalRows(want.Data, got.Data) {
 			t.Fatalf("parallel[%d] %q: %d rows vs %d rows, or order/value drift\nserial: %.6v\nparallel: %.6v",
 				i, sql, want.Len(), got.Len(), want.Data, got.Data)
 		}
@@ -338,10 +338,10 @@ func TestParallelPreservesHeapOrder(t *testing.T) {
 	}
 	last := int64(-1)
 	for _, r := range rows.Data {
-		if r[0].I <= last {
-			t.Fatalf("heap order violated: id %d after %d", r[0].I, last)
+		if r[0].i() <= last {
+			t.Fatalf("heap order violated: id %d after %d", r[0].i(), last)
 		}
-		last = r[0].I
+		last = r[0].i()
 	}
 }
 
@@ -440,7 +440,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0].I != 100 {
+	if rows.Data[0][0].i() != 100 {
 		t.Fatalf("engine wedged after worker error: count = %v", rows.Data[0][0])
 	}
 }

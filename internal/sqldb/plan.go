@@ -207,8 +207,8 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 	for i, o := range stmt.OrderBy {
 		desc := o.Desc
 		// ORDER BY <ordinal>
-		if lit, ok := o.Expr.(*Literal); ok && lit.Val.T == TypeInt {
-			n := int(lit.Val.I)
+		if lit, ok := o.Expr.(*Literal); ok && lit.Val.t == TypeInt {
+			n := int(lit.Val.i())
 			if n < 1 || n > len(outSch) {
 				return nil, nil, errorf("ORDER BY position %d is out of range", n)
 			}
@@ -287,8 +287,8 @@ func applyOrderLimit(st *dbState, root planNode, sch schema, orderBy []OrderItem
 		keys := make([]compiledExpr, len(orderBy))
 		desc := make([]bool, len(orderBy))
 		for i, o := range orderBy {
-			if lit, ok := o.Expr.(*Literal); ok && lit.Val.T == TypeInt {
-				n := int(lit.Val.I)
+			if lit, ok := o.Expr.(*Literal); ok && lit.Val.t == TypeInt {
+				n := int(lit.Val.i())
 				if n < 1 || n > len(sch) {
 					return nil, errorf("ORDER BY position %d is out of range", n)
 				}
@@ -1423,14 +1423,14 @@ func buildAccessPath(st *dbState, rel *relation, conjs []*conjunct, outer schema
 				continue
 			}
 			lit, ok := e.Pattern.(*Literal)
-			if !ok || lit.Val.T != TypeText {
+			if !ok || lit.Val.t != TypeText {
 				continue
 			}
 			col := candColumn(e.X, rel, relSch)
 			if col < 0 || !boundTypeOK(relSch[col].typ, TypeText, true) {
 				continue
 			}
-			prefix, prefixOnly := likePrefix(lit.Val.S, 0)
+			prefix, prefixOnly := likePrefix(lit.Val.s(), 0)
 			if prefix == "" {
 				continue
 			}
@@ -1635,10 +1635,10 @@ func flipOp(op string) string {
 func staticExprType(e Expr, sch schema) (Type, bool) {
 	switch e := e.(type) {
 	case *Literal:
-		if e.Val.T == TypeNull {
+		if e.Val.t == TypeNull {
 			return TypeNull, false
 		}
-		return e.Val.T, true
+		return e.Val.t, true
 	case *ColumnRef:
 		if sch == nil {
 			return TypeNull, false

@@ -198,15 +198,15 @@ func (t *table) writableFrame(rid int64) *pageFrame {
 // valueBytes estimates the storage footprint of a value, used for the
 // database-size experiment (T1).
 func valueBytes(v Value) int64 {
-	switch v.T {
+	switch v.t {
 	case TypeNull:
 		return 1
 	case TypeInt, TypeFloat, TypeBool:
 		return 8
 	case TypeText:
-		return int64(len(v.S)) + 4
+		return int64(v.n) + 4
 	case TypeBlob:
-		return int64(len(v.B)) + 4
+		return int64(v.n) + 4
 	default:
 		return 8
 	}

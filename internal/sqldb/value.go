@@ -13,8 +13,10 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Type enumerates the SQL value types supported by the engine.
@@ -51,54 +53,107 @@ func (t Type) String() string {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// A Value is 24 bytes: a type tag, one 8-byte word and one pointer.
+// The word holds an INTEGER's or BOOLEAN's bits, a REAL's
+// math.Float64bits, or a TEXT's or BLOB's byte length; the pointer
+// addresses the text or blob bytes. A text Value decoded from a heap
+// page points into that page's text arena and keeps the whole arena
+// alive. Values are not comparable with ==, which would compare text by
+// address (as reflect.DeepEqual does); use Compare, or Identical for an
+// exact match.
 type Value struct {
-	T Type
-	I int64
-	F float64
-	S string
-	B []byte
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
+	t Type
 }
 
 // Null is the SQL NULL value.
-var Null = Value{T: TypeNull}
+var Null = Value{}
 
 // NewInt returns an INTEGER value.
-func NewInt(i int64) Value { return Value{T: TypeInt, I: i} }
+func NewInt(i int64) Value { return Value{t: TypeInt, n: uint64(i)} }
 
 // NewFloat returns a REAL value.
-func NewFloat(f float64) Value { return Value{T: TypeFloat, F: f} }
+func NewFloat(f float64) Value { return Value{t: TypeFloat, n: math.Float64bits(f)} }
 
 // NewText returns a TEXT value.
-func NewText(s string) Value { return Value{T: TypeText, S: s} }
+func NewText(s string) Value {
+	return Value{t: TypeText, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // NewBool returns a BOOLEAN value.
 func NewBool(b bool) Value {
 	if b {
-		return Value{T: TypeBool, I: 1}
+		return Value{t: TypeBool, n: 1}
 	}
-	return Value{T: TypeBool}
+	return Value{t: TypeBool}
 }
 
+// boolBits returns a BOOLEAN holding i; the WAL codec stores a
+// BOOLEAN's bits as an integer and reads back whatever it finds.
+func boolBits(i int64) Value { return Value{t: TypeBool, n: uint64(i)} }
+
 // NewBlob returns a BLOB value. The slice is not copied.
-func NewBlob(b []byte) Value { return Value{T: TypeBlob, B: b} }
+func NewBlob(b []byte) Value {
+	return Value{t: TypeBlob, p: unsafe.Pointer(unsafe.SliceData(b)), n: uint64(len(b))}
+}
+
+// Type returns the value's type tag.
+func (v Value) Type() Type { return v.t }
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.T == TypeNull }
+func (v Value) IsNull() bool { return v.t == TypeNull }
+
+// i, f and s read the payload of an INTEGER/BOOLEAN, a REAL and a
+// TEXT/BLOB; they do not check the tag.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) s() string  { return unsafe.String((*byte)(v.p), int(v.n)) }
+
+// Blob returns a BLOB's bytes (nil for any other type). The slice
+// aliases the value's storage and must not be modified.
+func (v Value) Blob() []byte {
+	if v.t != TypeBlob {
+		return nil
+	}
+	return unsafe.Slice((*byte)(v.p), int(v.n))
+}
+
+// Identical reports whether a and b are the same value exactly: same
+// type tag, same integer or float bits, same bytes. Unlike Compare it
+// tells 3 from 3.0, 0.0 from -0.0, and one NaN payload from another.
+func Identical(a, b Value) bool {
+	if a.t != b.t {
+		return false
+	}
+	switch a.t {
+	case TypeText, TypeBlob:
+		return a.s() == b.s()
+	case TypeNull:
+		return true
+	default:
+		return a.n == b.n
+	}
+}
+
+// IdenticalRows reports whether two row sets are Identical value by
+// value.
+func IdenticalRows(a, b [][]Value) bool {
+	return slices.EqualFunc(a, b, func(x, y []Value) bool { return slices.EqualFunc(x, y, Identical) })
+}
 
 // Bool reports the truth of v under SQL semantics: NULL and zero values
 // are false, everything else true.
 func (v Value) Bool() bool {
-	switch v.T {
-	case TypeNull:
-		return false
+	switch v.t {
 	case TypeInt, TypeBool:
-		return v.I != 0
+		return v.n != 0
 	case TypeFloat:
-		return v.F != 0
-	case TypeText:
-		return v.S != ""
-	case TypeBlob:
-		return len(v.B) != 0
+		return v.f() != 0
+	case TypeText, TypeBlob:
+		return v.n != 0
 	default:
 		return false
 	}
@@ -106,17 +161,18 @@ func (v Value) Bool() bool {
 
 // Int returns the value coerced to int64 (0 for non-numeric).
 func (v Value) Int() int64 {
-	switch v.T {
+	switch v.t {
 	case TypeInt, TypeBool:
-		return v.I
+		return v.i()
 	case TypeFloat:
-		return int64(v.F)
+		return int64(v.f())
 	case TypeText:
-		i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
+		s := strings.TrimSpace(v.s())
+		i, err := strconv.ParseInt(s, 10, 64)
 		if err == nil {
 			return i
 		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+		f, err := strconv.ParseFloat(s, 64)
 		if err == nil {
 			return int64(f)
 		}
@@ -126,13 +182,13 @@ func (v Value) Int() int64 {
 
 // Float returns the value coerced to float64 (0 for non-numeric).
 func (v Value) Float() float64 {
-	switch v.T {
+	switch v.t {
 	case TypeInt, TypeBool:
-		return float64(v.I)
+		return float64(v.i())
 	case TypeFloat:
-		return v.F
+		return v.f()
 	case TypeText:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.s()), 64)
 		if err == nil {
 			return f
 		}
@@ -142,22 +198,20 @@ func (v Value) Float() float64 {
 
 // Text returns the value rendered as a string (SQL CAST ... AS TEXT).
 func (v Value) Text() string {
-	switch v.T {
-	case TypeNull:
-		return ""
+	switch v.t {
 	case TypeInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeText:
-		return v.S
+		return v.s()
 	case TypeBool:
-		if v.I != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case TypeBlob:
-		return string(v.B)
+		return string(v.Blob())
 	default:
 		return ""
 	}
@@ -165,13 +219,13 @@ func (v Value) Text() string {
 
 // String implements fmt.Stringer with SQL literal syntax.
 func (v Value) String() string {
-	switch v.T {
+	switch v.t {
 	case TypeNull:
 		return "NULL"
 	case TypeText:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.s(), "'", "''") + "'"
 	case TypeBlob:
-		return fmt.Sprintf("X'%x'", v.B)
+		return fmt.Sprintf("X'%x'", v.Blob())
 	default:
 		return v.Text()
 	}
@@ -186,18 +240,18 @@ func (t Type) isNumeric() bool {
 // compare numerically across Int/Float/Bool; Text compares bytewise;
 // mixed non-numeric types order by type tag. The result is -1, 0 or +1.
 func Compare(a, b Value) int {
-	if a.T == TypeNull || b.T == TypeNull {
+	if a.t == TypeNull || b.t == TypeNull {
 		switch {
-		case a.T == TypeNull && b.T == TypeNull:
+		case a.t == TypeNull && b.t == TypeNull:
 			return 0
-		case a.T == TypeNull:
+		case a.t == TypeNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if a.T.isNumeric() && b.T.isNumeric() {
-		if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t.isNumeric() && b.t.isNumeric() {
+		if a.t == TypeFloat || b.t == TypeFloat {
 			af, bf := a.Float(), b.Float()
 			switch {
 			case af < bf:
@@ -209,25 +263,25 @@ func Compare(a, b Value) int {
 			}
 		}
 		switch {
-		case a.I < b.I:
+		case a.i() < b.i():
 			return -1
-		case a.I > b.I:
+		case a.i() > b.i():
 			return 1
 		default:
 			return 0
 		}
 	}
-	if a.T == TypeText && b.T == TypeText {
-		return strings.Compare(a.S, b.S)
+	if a.t == TypeText && b.t == TypeText {
+		return strings.Compare(a.s(), b.s())
 	}
-	if a.T == TypeBlob && b.T == TypeBlob {
-		return strings.Compare(string(a.B), string(b.B))
+	if a.t == TypeBlob && b.t == TypeBlob {
+		return strings.Compare(a.s(), b.s())
 	}
 	// Mixed incomparable types: order by type tag so sorting is total.
 	switch {
-	case a.T < b.T:
+	case a.t < b.t:
 		return -1
-	case a.T > b.T:
+	case a.t > b.t:
 		return 1
 	default:
 		return 0
@@ -241,18 +295,18 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // compareSQL implements SQL comparison: if either operand is NULL the
 // result is unknown (ok=false).
 func compareSQL(a, b Value) (cmp int, ok bool) {
-	if a.T == TypeNull || b.T == TypeNull {
+	if a.t == TypeNull || b.t == TypeNull {
 		return 0, false
 	}
 	// TEXT vs numeric: coerce text to number when it parses, mirroring
 	// the loose typing XML-shredded value columns need.
-	if a.T == TypeText && b.T.isNumeric() {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(a.S), 64); err == nil {
+	if a.t == TypeText && b.t.isNumeric() {
+		if f, err := strconv.ParseFloat(strings.TrimSpace(a.s()), 64); err == nil {
 			a = NewFloat(f)
 		}
 	}
-	if b.T == TypeText && a.T.isNumeric() {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(b.S), 64); err == nil {
+	if b.t == TypeText && a.t.isNumeric() {
+		if f, err := strconv.ParseFloat(strings.TrimSpace(b.s()), 64); err == nil {
 			b = NewFloat(f)
 		}
 	}
@@ -266,7 +320,7 @@ func addValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t == TypeFloat || b.t == TypeFloat {
 		return NewFloat(a.Float() + b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -280,7 +334,7 @@ func subValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t == TypeFloat || b.t == TypeFloat {
 		return NewFloat(a.Float() - b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -294,7 +348,7 @@ func mulValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t == TypeFloat || b.t == TypeFloat {
 		return NewFloat(a.Float() * b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -311,7 +365,7 @@ func divValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t == TypeFloat || b.t == TypeFloat {
 		bf := b.Float()
 		if bf == 0 {
 			return Null
@@ -332,7 +386,7 @@ func modValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.T == TypeFloat || b.T == TypeFloat {
+	if a.t == TypeFloat || b.t == TypeFloat {
 		bf := b.Float()
 		if bf == 0 {
 			return Null
@@ -348,14 +402,14 @@ func modValues(a, b Value) Value {
 
 // negValue implements unary minus.
 func negValue(a Value) Value {
-	switch a.T {
+	switch a.t {
 	case TypeInt, TypeBool:
-		if a.I == math.MinInt64 {
-			return NewFloat(-float64(a.I))
+		if a.i() == math.MinInt64 {
+			return NewFloat(-float64(a.i()))
 		}
-		return NewInt(-a.I)
+		return NewInt(-a.i())
 	case TypeFloat:
-		return NewFloat(-a.F)
+		return NewFloat(-a.f())
 	case TypeNull:
 		return Null
 	default:
@@ -371,24 +425,24 @@ func coerceTo(v Value, t Type) Value {
 	}
 	switch t {
 	case TypeInt:
-		if v.T == TypeInt {
+		if v.t == TypeInt {
 			return v
 		}
 		return NewInt(v.Int())
 	case TypeFloat:
-		if v.T == TypeFloat {
+		if v.t == TypeFloat {
 			return v
 		}
 		return NewFloat(v.Float())
 	case TypeText:
-		if v.T == TypeText {
+		if v.t == TypeText {
 			return v
 		}
 		return NewText(v.Text())
 	case TypeBool:
 		return NewBool(v.Bool())
 	case TypeBlob:
-		if v.T == TypeBlob {
+		if v.t == TypeBlob {
 			return v
 		}
 		return NewBlob([]byte(v.Text()))
@@ -400,48 +454,43 @@ func coerceTo(v Value, t Type) Value {
 // likeMatch implements SQL LIKE with % and _ wildcards and an optional
 // escape character (0 means none). Matching is case-sensitive, which is
 // what the Dewey prefix translations rely on.
-func likeMatch(s, pattern string, escape byte) bool {
-	return likeRec(s, pattern, escape)
-}
-
-func likeRec(s, p string, esc byte) bool {
-	for len(p) > 0 {
-		c := p[0]
-		if esc != 0 && c == esc && len(p) > 1 {
-			if len(s) == 0 || s[0] != p[1] {
-				return false
-			}
-			s, p = s[1:], p[2:]
-			continue
-		}
-		switch c {
-		case '%':
-			// Collapse consecutive wildcards.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p, esc) {
-					return true
+//
+// Every token but % consumes exactly one byte, so on a mismatch it is
+// enough to let the last % absorb one more byte and resume after it:
+// the match is iterative and O(len(s)·len(pattern)) at worst.
+func likeMatch(s, p string, escape byte) bool {
+	si, pi := 0, 0
+	starP, starS := -1, 0 // resume point after the last %, and its byte in s
+	for si < len(s) {
+		if pi < len(p) {
+			switch c := p[pi]; {
+			case escape != 0 && c == escape && pi+1 < len(p):
+				if s[si] == p[pi+1] {
+					si, pi = si+1, pi+2
+					continue
 				}
+			case c == '%':
+				pi++
+				starP, starS = pi, si
+				continue
+			case c == '_' || c == s[si]:
+				si, pi = si+1, pi+1
+				continue
 			}
+		}
+		if starP < 0 {
 			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != c {
-				return false
-			}
-			s, p = s[1:], p[1:]
+		}
+		starS++
+		si, pi = starS, starP
+	}
+	// s is used up: only %s may remain (an escape pair needs a byte).
+	for ; pi < len(p); pi++ {
+		if p[pi] != '%' || (escape != 0 && p[pi] == escape && pi+1 < len(p)) {
+			return false
 		}
 	}
-	return len(s) == 0
+	return true
 }
 
 // likePrefix returns the literal prefix of a LIKE pattern (up to the

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // Write-ahead log. Every committed mutation — DML effect batches and
@@ -92,17 +93,17 @@ func (e *walEncoder) bytes(p []byte)   { e.uvarint(uint64(len(p))); e.b = append
 func (e *walEncoder) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 
 func (e *walEncoder) value(v Value) {
-	e.byte(byte(v.T))
-	switch v.T {
+	e.byte(byte(v.t))
+	switch v.t {
 	case TypeNull:
 	case TypeInt, TypeBool:
-		e.varint(v.I)
+		e.varint(v.i())
 	case TypeFloat:
-		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v.F))
+		e.b = binary.LittleEndian.AppendUint64(e.b, v.n)
 	case TypeText:
-		e.str(v.S)
+		e.str(v.s())
 	case TypeBlob:
-		e.bytes(v.B)
+		e.bytes(v.Blob())
 	}
 }
 
@@ -182,6 +183,10 @@ func encodeRecordPayload(dst []byte, rec *walRecord) []byte {
 type walDecoder struct {
 	b   []byte
 	off int
+	// text, when non-nil, is an arena that TEXT and BLOB bytes are
+	// appended to instead of being copied value by value; it must have
+	// room for every text byte still to be decoded.
+	text []byte
 }
 
 func (d *walDecoder) fail() error { return errorf("wal: corrupt record at offset %d", d.off) }
@@ -241,10 +246,10 @@ func (d *walDecoder) value() (Value, error) {
 		return Null, nil
 	case TypeInt:
 		i, err := d.varint()
-		return Value{T: TypeInt, I: i}, err
+		return NewInt(i), err
 	case TypeBool:
 		i, err := d.varint()
-		return Value{T: TypeBool, I: i}, err
+		return boolBits(i), err
 	case TypeFloat:
 		if len(d.b)-d.off < 8 {
 			return Null, d.fail()
@@ -252,15 +257,31 @@ func (d *walDecoder) value() (Value, error) {
 		f := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 		d.off += 8
 		return NewFloat(f), nil
-	case TypeText:
-		s, err := d.str()
-		return NewText(s), err
-	case TypeBlob:
+	case TypeText, TypeBlob:
 		p, err := d.bytes()
-		return NewBlob(append([]byte(nil), p...)), err
+		if err != nil {
+			return Null, err
+		}
+		return d.textValue(Type(tag), p), nil
 	default:
 		return Null, d.fail()
 	}
+}
+
+// textValue returns a TEXT or BLOB holding a copy of p, in the text
+// arena when there is one.
+func (d *walDecoder) textValue(t Type, p []byte) Value {
+	switch {
+	case d.text == nil && t == TypeText:
+		return NewText(string(p))
+	case d.text == nil:
+		return NewBlob(append([]byte(nil), p...))
+	case len(p) == 0:
+		return Value{t: t}
+	}
+	start := len(d.text)
+	d.text = append(d.text, p...)
+	return Value{t: t, p: unsafe.Pointer(&d.text[start]), n: uint64(len(p))}
 }
 
 func (d *walDecoder) rows() ([][]Value, error) {
