@@ -63,7 +63,7 @@ func (d *Dewey) Setup(db *sqldb.Database) error {
 		`CREATE INDEX dewey_pre ON dewey (pre)`,
 		`CREATE INDEX dewey_path ON dewey (path)`,
 		`CREATE INDEX dewey_parent ON dewey (parent)`,
-		`CREATE INDEX dewey_name_path ON dewey (name, path)`,
+		`CREATE INDEX dewey_kind_name ON dewey (kind, name, path)`,
 	}
 	if d.valueIndex {
 		stmts = append(stmts, `CREATE INDEX dewey_name_value ON dewey (name, value)`)

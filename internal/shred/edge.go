@@ -58,7 +58,7 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 			value TEXT
 		)`,
 		`CREATE INDEX edge_source ON edge (source, ordinal)`,
-		`CREATE INDEX edge_name ON edge (name)`,
+		`CREATE INDEX edge_kind_name ON edge (kind, name)`,
 	}
 	if e.valueIndex {
 		stmts = append(stmts, `CREATE INDEX edge_name_value ON edge (name, value)`)

@@ -71,7 +71,7 @@ func (in *Inline) Setup(db *sqldb.Database) error {
 		if _, err := db.Exec(ddl); err != nil {
 			return err
 		}
-		if _, err := db.Exec(fmt.Sprintf("CREATE INDEX %s_parent ON %s (parentid)", rel.Table, rel.Table)); err != nil {
+		if _, err := db.Exec(fmt.Sprintf("CREATE INDEX %s_parent ON %s (parentcode, parentid)", rel.Table, rel.Table)); err != nil {
 			return err
 		}
 	}

@@ -190,6 +190,30 @@ func TestDeweyLabelOverflow(t *testing.T) {
 	}
 }
 
+// TestNextIDIsIndexProbe: an Edge or Binary subtree insert takes its
+// next node id from MAX(target) over each edge table, and target is the
+// PRIMARY KEY, so every such MAX is one probe of the key's B-tree, not
+// a scan.
+func TestNextIDIsIndexProbe(t *testing.T) {
+	edge := loadUnit(t, NewEdge(false))
+	bn := NewBinary(false)
+	binary := loadUnit(t, bn)
+	check := func(db *sqldb.Database, table string) {
+		t.Helper()
+		plan, err := db.Explain("SELECT MAX(target) FROM " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "IndexMinMax " + table + "_pk MAX "; !strings.Contains(plan, want) {
+			t.Errorf("MAX(target) over %s plans as\n%swant %s", table, plan, want)
+		}
+	}
+	check(edge, "edge")
+	for _, table := range bn.allPartitions() {
+		check(binary, table)
+	}
+}
+
 func TestBinaryPartitionNaming(t *testing.T) {
 	// Labels that sanitize to the same identifier must get distinct
 	// partitions, and element vs attribute namespaces must not collide.

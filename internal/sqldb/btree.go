@@ -7,7 +7,10 @@ import (
 
 // B+tree index over packed composite keys (keycodec.go). Entries are
 // (key, rowid) pairs; rowid acts as a tiebreaker so duplicate keys are
-// supported.
+// supported. An inner node records how many entries each child
+// subtree holds, so a key range is counted from the two root-to-leaf
+// paths that bound it (rank, countRange) without visiting the leaves
+// between them.
 //
 // The tree is copy-on-write: every node carries the generation that
 // created it, and a writer first calls beginWrite to obtain a private
@@ -29,6 +32,19 @@ type btreeNode struct {
 	leaf     bool
 	entries  []btreeEntry // in leaf: data; in inner: separator keys
 	children []*btreeNode // inner only; len = len(entries)+1
+	counts   []int        // inner only: entries under each child
+}
+
+// size returns the number of entries under n.
+func (n *btreeNode) size() int {
+	if n.leaf {
+		return len(n.entries)
+	}
+	s := 0
+	for _, c := range n.counts {
+		s += c
+	}
+	return s
 }
 
 // btree is the index structure. A given handle is not safe for
@@ -76,6 +92,7 @@ func (t *btree) mutable(n *btreeNode) *btreeNode {
 	c.entries = append([]btreeEntry(nil), n.entries...)
 	if len(n.children) > 0 {
 		c.children = append([]*btreeNode(nil), n.children...)
+		c.counts = append([]int(nil), n.counts...)
 	}
 	return c
 }
@@ -149,6 +166,7 @@ func (t *btree) Insert(key string, rid int64) {
 			leaf:     false,
 			entries:  []btreeEntry{promoted},
 			children: []*btreeNode{t.root, right},
+			counts:   []int{t.root.size(), right.size()},
 		}
 	}
 }
@@ -182,12 +200,17 @@ func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btre
 	i := n.childIndex(key, rid)
 	child := t.mutable(n.children[i])
 	n.children[i] = child
+	before := t.size
 	promoted, right := t.insertInto(child, key, rid, last && i == len(n.entries))
+	n.counts[i] += t.size - before
 	if right == nil {
 		return btreeEntry{}, nil
 	}
 	n.entries = slices.Insert(n.entries, i, promoted)
 	n.children = slices.Insert(n.children, i+1, right)
+	rc := right.size()
+	n.counts[i] -= rc
+	n.counts = slices.Insert(n.counts, i+1, rc)
 	if len(n.entries) <= btreeOrder {
 		return btreeEntry{}, nil
 	}
@@ -216,8 +239,10 @@ func (t *btree) splitInner(n *btreeNode) (btreeEntry, *btreeNode) {
 	right := &btreeNode{gen: t.gen, leaf: false}
 	right.entries = append(right.entries, n.entries[mid+1:]...)
 	right.children = append(right.children, n.children[mid+1:]...)
+	right.counts = append(right.counts, n.counts[mid+1:]...)
 	n.entries = n.entries[:mid:mid]
 	n.children = n.children[: mid+1 : mid+1]
+	n.counts = n.counts[: mid+1 : mid+1]
 	return promoted, right
 }
 
@@ -240,6 +265,7 @@ func (t *btree) Delete(key string, rid int64) bool {
 		ci := n.childIndex(key, rid)
 		c := t.mutable(n.children[ci])
 		n.children[ci] = c
+		n.counts[ci]--
 		n = c
 	}
 	i = n.lowerBound(key, rid)
@@ -378,10 +404,15 @@ func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int6
 		lo := 0
 		for k := range up {
 			hi := lo + (len(level)-lo)/(parents-k)
+			counts := make([]int, hi-lo)
+			for i, c := range level[lo:hi] {
+				counts[i] = c.size()
+			}
 			up[k] = &btreeNode{
 				gen:      gen,
 				entries:  slices.Clone(first[lo+1 : hi]),
 				children: level[lo:hi:hi],
+				counts:   counts,
 			}
 			upFirst[k] = first[lo]
 			lo = hi
@@ -440,6 +471,48 @@ func (t *btree) descend(bound string, strict int) btreeCursor {
 	}
 	c.skipEmpty()
 	return c
+}
+
+// rank returns the number of entries before the position descend(bound,
+// strict) lands on: the entries whose key prefix compares below bound
+// (strict 0) or at-or-below it (strict 1). It reads the inner nodes on
+// one root-to-leaf path and the leaf at its end, nothing else.
+func (t *btree) rank(bound string, strict int) int {
+	r := 0
+	n := t.root
+	for {
+		lo, hi := 0, len(n.entries)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if prefixCompare(n.entries[mid].key, bound) < strict {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if n.leaf {
+			return r + lo
+		}
+		for _, c := range n.counts[:lo] {
+			r += c
+		}
+		n = n.children[lo]
+	}
+}
+
+// countRange returns the number of entries an index range holds: those
+// from the first whose key prefix compares to from by at least after
+// (0: >=, 1: >) up to stop. It reads two root-to-leaf paths.
+func (t *btree) countRange(from string, after int, stop keyBound) int {
+	end := t.size
+	if stop.key != "" {
+		strict := 0
+		if stop.incl {
+			strict = 1
+		}
+		end = t.rank(stop.key, strict)
+	}
+	return max(end-t.rank(from, after), 0)
 }
 
 // skipEmpty normalizes the cursor so its top frame is a leaf with a

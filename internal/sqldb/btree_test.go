@@ -62,7 +62,8 @@ func distinctRecount(entries []btreeEntry, width int) []int {
 // subtree's first entry, which holds for built trees and until the
 // first Delete (deletes leave separators in place). exactDistinct
 // requires the distinct-prefix counts to match a recount, which holds
-// for built trees.
+// for built trees. Every inner node's per-child counts must match the
+// entries under the child.
 func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntry {
 	t.Helper()
 	var all []btreeEntry
@@ -80,8 +81,8 @@ func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntr
 			}
 			return
 		}
-		if len(n.children) != len(n.entries)+1 {
-			t.Fatalf("inner node: %d children for %d separators", len(n.children), len(n.entries))
+		if len(n.children) != len(n.entries)+1 || len(n.counts) != len(n.children) {
+			t.Fatalf("inner node: %d children, %d counts for %d separators", len(n.children), len(n.counts), len(n.entries))
 		}
 		for i, child := range n.children {
 			clo, chi := lo, hi
@@ -93,6 +94,9 @@ func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntr
 			}
 			before := len(all)
 			walk(child, clo, chi)
+			if n.counts[i] != len(all)-before {
+				t.Fatalf("inner node counts %d entries under child %d, which holds %d", n.counts[i], i, len(all)-before)
+			}
 			if strict && i > 0 {
 				if len(all) == before || all[before] != n.entries[i-1] {
 					t.Fatalf("separator %q/%d is not its right subtree's first entry", n.entries[i-1].key, n.entries[i-1].rid)
@@ -307,13 +311,53 @@ func TestBtreeBuildInvariants(t *testing.T) {
 				w.Insert(e.key, e.rid)
 				ref[e] = true
 			}
-			if got := checkBtree(t, w, false, false); !sameEntries(got, ref) {
+			got := checkBtree(t, w, false, false)
+			if !sameEntries(got, ref) {
 				t.Fatalf("writer holds %d entries, model %d", len(got), len(ref))
 			}
 			if got := checkBtree(t, built, true, true); !slices.Equal(got, want) {
 				t.Fatal("the writer disturbed the built version")
 			}
+			checkCountRange(t, built, want)
+			checkCountRange(t, w, got)
 		})
+	}
+}
+
+// checkCountRange compares the planner's range counts with a walk of
+// the same ranges over all, tr's entries in order: every one- and
+// two-column equality prefix over the test's names, with and without
+// a lower and an upper bound on the second column.
+func checkCountRange(t *testing.T, tr *btree, all []btreeEntry) {
+	t.Helper()
+	lit := func(v Value) compiledExpr { return func(*evalCtx, []Value) (Value, error) { return v, nil } }
+	for n := -1; n < 10; n++ {
+		name := NewText(fmt.Sprintf("n%d", n))
+		if n < 0 {
+			name = NewInt(7) // the integer keys the writer adds
+		}
+		for _, p := range []indexProbe{
+			{eq: []compiledExpr{lit(name)}},
+			{eq: []compiledExpr{lit(name), lit(NewInt(3))}},
+			{eq: []compiledExpr{lit(name)}, lo: lit(NewInt(4))},
+			{eq: []compiledExpr{lit(name)}, lo: lit(NewInt(4)), loIncl: true, hi: lit(NewInt(20))},
+			{eq: []compiledExpr{lit(name)}, hi: lit(NewInt(9)), hiIncl: true},
+			{lo: lit(name), hi: lit(NewText("n5"))},
+		} {
+			got, err := p.count(nil, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf probeBuf
+			want := 0
+			cur, stop, _, _ := p.start(nil, nil, tr, &buf)
+			for ; cur.valid() && !stop.passed(cur.entry().key); cur.advance() {
+				want++
+			}
+			if got != want {
+				t.Fatalf("probe %+v over %d entries: count %d, walk %d", p, len(all), got, want)
+			}
+		}
 	}
 }
 

@@ -184,6 +184,29 @@ func (b *keyBound) passed(key string) bool {
 // evaluated to NULL, which matches nothing in SQL. The returned bound
 // points into buf and stays valid until the next start.
 func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf) (cur btreeCursor, stop keyBound, empty bool, err error) {
+	from, after, stop, empty, err := p.bounds(ctx, row, buf)
+	if empty || err != nil {
+		return cur, stop, empty, err
+	}
+	return tree.descend(from, after), stop, false, nil
+}
+
+// count returns how many index entries the probe's range holds in
+// tree, from the inner nodes and the two boundary leaves alone; the
+// planner counts constant bounds with it.
+func (p *indexProbe) count(ctx *evalCtx, tree *btree) (int, error) {
+	var buf probeBuf
+	from, after, stop, empty, err := p.bounds(ctx, nil, &buf)
+	if empty || err != nil {
+		return 0, err
+	}
+	return tree.countRange(from, after, stop), nil
+}
+
+// bounds evaluates the probe against row: the range starts at the first
+// key whose prefix compares to from by at least after (0: >=, 1: >)
+// and ends at stop. empty reports a NULL bound.
+func (p *indexProbe) bounds(ctx *evalCtx, row []Value, buf *probeBuf) (from string, after int, stop keyBound, empty bool, err error) {
 	if buf.lo == nil {
 		buf.lo, buf.hi = buf.loArr[:0], buf.hiArr[:0]
 	}
@@ -191,11 +214,11 @@ func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf
 	for _, e := range p.eq {
 		v, err := e(ctx, row)
 		if err != nil {
-			return cur, stop, false, err
+			return "", 0, stop, false, err
 		}
 		if v.IsNull() {
 			// Equality with NULL matches nothing in SQL.
-			return cur, stop, true, nil
+			return "", 0, stop, true, nil
 		}
 		buf.lo = appendKeyValue(buf.lo, v)
 	}
@@ -204,39 +227,35 @@ func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf
 	case p.lo != nil:
 		v, err := p.lo(ctx, row)
 		if err != nil {
-			return cur, stop, false, err
+			return "", 0, stop, false, err
 		}
 		if v.IsNull() {
-			return cur, stop, true, nil
+			return "", 0, stop, true, nil
 		}
 		buf.lo = appendKeyValue(buf.lo, v)
-		if p.loIncl {
-			cur = tree.seek(keyView(buf.lo))
-		} else {
-			cur = tree.seekAfter(keyView(buf.lo))
+		if !p.loIncl {
+			after = 1
 		}
 	case p.hi != nil:
 		// Upper-bound-only range: NULL keys sort first in the index but
 		// never satisfy a SQL comparison, so start after the NULL run.
 		buf.lo = append(buf.lo, keyNull)
-		cur = tree.seekAfter(keyView(buf.lo))
-	default:
-		cur = tree.seek(keyView(buf.lo))
+		after = 1
 	}
 	if p.hi != nil {
 		v, err := p.hi(ctx, row)
 		if err != nil {
-			return cur, stop, false, err
+			return "", 0, stop, false, err
 		}
 		if v.IsNull() {
-			return cur, stop, true, nil
+			return "", 0, stop, true, nil
 		}
 		buf.hi = appendKeyValue(append(buf.hi[:0], buf.lo[:np]...), v)
 		stop = keyBound{key: keyView(buf.hi), incl: p.hiIncl}
 	} else if np > 0 {
 		stop = keyBound{key: keyView(buf.lo[:np]), incl: true}
 	}
-	return cur, stop, false, nil
+	return keyView(buf.lo), after, stop, false, nil
 }
 
 // indexScanNode scans an index range; its probe is evaluated when the

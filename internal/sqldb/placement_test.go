@@ -311,7 +311,7 @@ func TestXMarkSubqueryPlacement(t *testing.T) {
 	// Q4: EXISTS(initial > 200) filters the open_auction access path,
 	// before the bidder and increase joins.
 	q4 := xmarkPlan(t, db, s, "//open_auction[initial > 200]/bidder/increase")
-	if parent, child := filterContext(t, q4); !strings.HasPrefix(child, "IndexScan accel via accel_name_pre") ||
+	if parent, child := filterContext(t, q4); !strings.HasPrefix(child, "IndexScan accel via accel_kind_name") ||
 		!strings.HasPrefix(parent, "IndexJoin") {
 		t.Errorf("Q4 EXISTS filter between %q and %q, want directly above the open_auction scan:\n%v", parent, child, q4)
 	}

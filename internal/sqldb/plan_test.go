@@ -7,8 +7,8 @@ import (
 )
 
 // chainDB models the F5 shape: one tiny root, a skewed fan-out, and a
-// selective leaf predicate. The sampled join ordering must start at the
-// selective end.
+// selective leaf predicate. The join order must start at the selective
+// end, which the value index counts exactly.
 func chainDB(t *testing.T, withValueIndex bool) *Database {
 	t.Helper()
 	db := New()
@@ -156,6 +156,61 @@ func TestCorrelatedSubqueryUsesIndex(t *testing.T) {
 		if !strings.HasSuffix(r[0].Text(), "o2") {
 			t.Fatalf("wrong row selected: %s", r[0].Text())
 		}
+	}
+}
+
+// TestAccessPathByEstimate: with a parent index and a (kind, name, pre)
+// index on a node table where one parent holds most rows and attribute
+// names repeat element names, the access path is the index whose range
+// holds the fewest estimated rows, not the one with the longest bound
+// prefix. A probe fixed at run time (parameters stand in for the outer
+// references of a correlated subquery) takes the parent index; a
+// constant name test takes (kind, name, …), whose count is exact.
+func TestAccessPathByEstimate(t *testing.T) {
+	db := New()
+	db.MustExec(`CREATE TABLE n (pre INTEGER, parent INTEGER, ordinal INTEGER, kind TEXT, name TEXT)`)
+	db.MustExec(`CREATE INDEX n_parent ON n (parent, ordinal)`)
+	db.MustExec(`CREATE INDEX n_kind_name ON n (kind, name, pre)`)
+	pre := int64(0)
+	add := func(parent, ordinal int64, kind, name string) int64 {
+		pre++
+		db.MustExec(`INSERT INTO n VALUES (?, ?, ?, ?, ?)`, NewInt(pre), NewInt(parent), NewInt(ordinal), NewText(kind), NewText(name))
+		return pre
+	}
+	root := add(0, 0, "elem", "site")
+	for i := int64(0); i < 300; i++ {
+		person := add(root, i, "elem", "person")
+		for o, child := range []string{"name", "address", "profile"} {
+			add(person, int64(o+1), "elem", child)
+		}
+		add(person, 0, "attr", "id")
+		add(person+2, 0, "attr", "person") // an attribute namesake
+	}
+	add(root, 300, "elem", "rare")
+
+	for _, c := range []struct{ sql, index string }{
+		// The positional COUNT(*) probe: every bound fixed at run time.
+		{`SELECT COUNT(*) FROM n s WHERE s.parent = ? AND s.kind = ? AND s.name = ? AND s.ordinal < ?`, "n_parent"},
+		// The EXISTS child probe: a run-time parent, a constant name.
+		{`SELECT 1 FROM n c WHERE c.parent = ? AND c.kind = 'elem' AND c.name = 'name'`, "n_parent"},
+		// A constant name test, even beside a constant parent.
+		{`SELECT pre FROM n WHERE kind = 'elem' AND name = 'person'`, "n_kind_name"},
+		{`SELECT pre FROM n WHERE parent = 1 AND kind = 'elem' AND name = 'rare'`, "n_kind_name"},
+	} {
+		plan, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "IndexScan n via "+c.index+" ") {
+			t.Errorf("%s: want a scan of %s:\n%s", c.sql, c.index, plan)
+		}
+	}
+	// The correlated forms answer as the parameterized ones plan.
+	first, err := db.QueryScalar(`SELECT COUNT(*) FROM n a WHERE a.kind = 'elem' AND a.name = 'name'
+		AND (SELECT COUNT(*) FROM n s WHERE s.parent = a.parent AND s.kind = a.kind AND s.name = a.name AND s.ordinal < a.ordinal) + 1 = 1
+		AND EXISTS (SELECT 1 FROM n c WHERE c.parent = a.parent AND c.kind = 'elem' AND c.name = 'profile')`)
+	if err != nil || first.Int() != 300 {
+		t.Fatalf("correlated probes: %v %v, want 300", first, err)
 	}
 }
 
