@@ -12,7 +12,7 @@ import (
 // repeated-template workload the two-tier cache exists for. "cached"
 // serves XPath→SQL translations and compiled plans from the caches;
 // "uncached" disables both, paying XPath parse + SQL generation + SQL
-// parse + join-order sampling on every execution.
+// parse + index selection and join ordering on every execution.
 
 // cacheBenchQuery is Q3 of the F1 mix (value select): selective enough
 // that execution does not drown out compile cost, representative of the

@@ -8,8 +8,8 @@ import (
 )
 
 // The plan cache maps SQL text to compiled plans so repeated queries
-// skip parsing, semantic analysis and join ordering (the last of which
-// executes sampled candidate chains and dominates compile cost). A
+// skip parsing, semantic analysis, index selection and join ordering
+// (estimated from B-tree statistics; planning reads no heap page). A
 // compiled plan captures raw *table and *tableIndex pointers, so it is
 // only valid for the exact schema it was planned against: every entry
 // records the database's schema epoch at plan time and is discarded on
