@@ -953,11 +953,9 @@ func (db *Database) BulkInsert(tableName string, rows [][]Value) (n int, err err
 	}
 	// Phase 2: insert into the pending version; a constraint violation
 	// discards it whole, so the batch is all-or-nothing.
-	for _, row := range coerced {
-		if _, err := tbl.insert(row); err != nil {
-			tx.abort()
-			return 0, err
-		}
+	if err := tbl.insertBatch(coerced); err != nil {
+		tx.abort()
+		return 0, err
 	}
 	if len(coerced) == 0 {
 		tx.abort()

@@ -231,7 +231,42 @@ func (idx *tableIndex) keyValues(row []Value) []Value {
 
 // insert appends a row (already coerced and validated) and maintains all
 // indexes. It returns the new rowid.
-func (t *table) insert(row []Value) (int64, error) {
+func (t *table) insert(row []Value) (int64, error) { return t.insertKeyed(row, nil) }
+
+// insertBatch inserts rows (already coerced and validated) in order.
+// Each index's keys for the whole batch are encoded into one string, so
+// a bulk load makes one key allocation per index, not one per row and
+// index, and the long-lived keys do not interleave with the load's
+// short-lived allocations. A key outlives a delete of its row only as
+// part of that string.
+func (t *table) insertBatch(rows [][]Value) error {
+	n := len(t.indexes)
+	keys := make([]string, len(rows)*n)
+	var enc []byte
+	ends := make([]int, len(rows))
+	for i, idx := range t.indexes {
+		enc = enc[:0]
+		for r, row := range rows {
+			enc = appendRowKey(enc, idx.def.Columns, row)
+			ends[r] = len(enc)
+		}
+		all, start := string(enc), 0
+		for r, end := range ends {
+			keys[r*n+i] = all[start:end]
+			start = end
+		}
+	}
+	for r, row := range rows {
+		if _, err := t.insertKeyed(row, keys[r*n:(r+1)*n]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertKeyed is insert with the row's index keys given, keys[i] for
+// t.indexes[i]; nil encodes them here.
+func (t *table) insertKeyed(row []Value, keys []string) (int64, error) {
 	var buf [keyScratch]byte
 	// The primary key index comes first, so it is checked first.
 	for _, idx := range t.indexes {
@@ -262,8 +297,12 @@ func (t *table) insert(row []Value) (int64, error) {
 	t.count++
 	t.live++
 	t.bytes += t.rowBytes(row)
-	for _, idx := range t.indexes {
-		idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
+	for i, idx := range t.indexes {
+		if keys != nil {
+			idx.tree.Insert(keys[i], rid)
+		} else {
+			idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
+		}
 	}
 	return rid, nil
 }

@@ -637,10 +637,10 @@ func (db *Database) applyInsert(tableName string, rows [][]Value) error {
 			tx.abort()
 			return errorf("wal: insert arity mismatch for %s", tableName)
 		}
-		if _, err := tbl.insert(row); err != nil {
-			tx.abort()
-			return fmt.Errorf("sqldb: wal replay: %w", err)
-		}
+	}
+	if err := tbl.insertBatch(rows); err != nil {
+		tx.abort()
+		return fmt.Errorf("sqldb: wal replay: %w", err)
 	}
 	return tx.commit(nil)
 }
