@@ -15,7 +15,7 @@ COVER_FLOOR_XMLDOM ?= 88
 ## seed corpora already run as plain tests under `make test`).
 FUZZ_TIME ?= 5s
 
-.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix concurrency writers wbench server
+.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix concurrency writers server
 
 ## check: the full CI gate — vet (with the test-selector audit), build,
 ## tests (race-enabled where it matters), the engine suite across a
@@ -143,15 +143,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChunked$$' -fuzztime $(FUZZ_TIME) ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
 
-## bench-smoke: executes BenchmarkQueryCache once, one ordered insert
-## per updatable scheme (BenchmarkF3OrderedInsert: edge, binary,
-## interval, dewey, inline), and BenchmarkPageDecode (which fails above
-## four allocations per page), to keep them compiling and running; use
-## `make bench` for real numbers.
+## bench-smoke: executes BenchmarkQueryCache once and BenchmarkPageDecode
+## (which fails above four allocations per page), to keep them compiling
+## and running; use `make bench` for real numbers. The per-scheme ordered
+## inserts (edge, binary, interval, dewey, inline) run in `make test`:
+## TestRunAllQuick drives every xbench experiment, and F3 fails on any
+## insert error.
 bench-smoke:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 1x
 	$(GO) test ./internal/sqldb -run '^$$' -bench PageDecode -benchtime 1x
-	$(GO) test . -run '^$$' -bench F3OrderedInsert -benchtime 1x
 
 ## benchmark-smoke: the repository benchmark's smoke test (benchmark/,
 ## its own module) — all four workloads at factor 0.02 in sub-second
@@ -162,8 +162,3 @@ benchmark-smoke:
 
 bench:
 	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 2s
-
-## wbench: the W1 multi-writer group-commit experiment — fsyncs/commit
-## and insert throughput at 1/4/16 writers against an on-disk WAL.
-wbench:
-	$(GO) run ./cmd/xbench -exp W1

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table
 // and figure of the reproduced evaluation (see DESIGN.md's experiment
-// index) and prints them in paper-style rows. Absolute numbers are this
-// machine's; the reproduction target is the shapes — who wins, by what
+// index) and prints them as Markdown tables. Absolute numbers are the
+// host's; the reproduction target is the shapes — who wins, by what
 // factor, where the crossovers fall.
 package bench
 
@@ -62,13 +62,6 @@ func All() []Experiment {
 		{ID: "T6", Title: "Order-sensitive queries across order encodings", Run: runT6},
 		{ID: "A1", Title: "Ablation: edge descendant expansion, blind vs path-catalog", Run: runA1},
 		{ID: "A2", Title: "Ablation: interval child step, parent probe vs region predicate", Run: runA2},
-		{ID: "R1", Title: "Durability: WAL overhead, checkpoint and recovery time", Run: runR1},
-		{ID: "Q1", Title: "Morsel-parallel speedup on the F1 mix across DOP", Run: runQ1},
-		{ID: "C1", Title: "Reader throughput/latency under concurrent ordered inserts (snapshot isolation)", Run: runC1},
-		{ID: "W1", Title: "Multi-writer insert throughput and fsyncs/commit under WAL group commit", Run: runW1},
-		{ID: "G1", Title: "Resource governor: accounting overhead, admission gating, degrade/Recover round trip", Run: runG1},
-		{ID: "S1", Title: "Server throughput and latency vs connection count (F1 mix over HTTP)", Run: runS1},
-		{ID: "D1", Title: "Bounded-memory streaming load + F1 mix: 64-page buffer pool vs unbounded", Run: runD1},
 	}
 }
 
@@ -119,7 +112,8 @@ func timeIt(cfg Config, fn func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// table renders rows with aligned columns.
+// table renders rows as a Markdown pipe table, so xbench's output is
+// the record EXPERIMENTS.md quotes.
 type table struct {
 	header []string
 	rows   [][]string
@@ -130,34 +124,11 @@ func newTable(header ...string) *table { return &table{header: header} }
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
 func (t *table) write(w io.Writer) {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		fmt.Fprintln(w, b.String())
-	}
+	line := func(cells []string) { fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | ")) }
 	line(t.header)
 	sep := make([]string, len(t.header))
 	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+		sep[i] = "---"
 	}
 	line(sep)
 	for _, r := range t.rows {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,15 @@ func TestRunAllQuick(t *testing.T) {
 			t.Errorf("output missing scheme %s", frag)
 		}
 	}
+	// Every updatable mapping completes its ordered inserts; only
+	// universal refuses them, by design.
+	f3 := out[strings.Index(out, "== F3:"):strings.Index(out, "== T4:")]
+	for _, name := range []string{"edge", "binary", "interval", "dewey", "inline"} {
+		row := regexp.MustCompile(`(?m)^\| ` + name + ` \| .* \| 10 inserts \|$`)
+		if !row.MatchString(f3) {
+			t.Errorf("F3 has no completed-inserts row for %s:\n%s", name, f3)
+		}
+	}
 }
 
 func TestRunSelection(t *testing.T) {
@@ -50,12 +60,9 @@ func TestTableFormatting(t *testing.T) {
 	tb.add("wider cell", "c")
 	var b strings.Builder
 	tb.write(&b)
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "----") {
-		t.Errorf("separator = %q", lines[1])
+	want := "| col1 | longer column |\n| --- | --- |\n| a | b |\n| wider cell | c |\n"
+	if b.String() != want {
+		t.Errorf("table =\n%s\nwant\n%s", b.String(), want)
 	}
 }
 

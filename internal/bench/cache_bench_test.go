@@ -93,15 +93,23 @@ func TestQueryCacheSpeedup(t *testing.T) {
 	if err := st.LoadDocument(xmlgen.Auction(xmlgen.Config{Factor: 0.05, Seed: 42})); err != nil {
 		t.Fatal(err)
 	}
+	// Each side is the best of five 20-query runs, so one GC pause or
+	// descheduling does not decide the ratio.
 	const iters = 20
 	run := func() time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := st.Query(cacheBenchQuery); err != nil {
-				t.Fatal(err)
+		best := time.Duration(0)
+		for r := 0; r < 5; r++ {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if _, err := st.Query(cacheBenchQuery); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := time.Since(start); r == 0 || d < best {
+				best = d
 			}
 		}
-		return time.Since(start)
+		return best
 	}
 	if _, err := st.Query(cacheBenchQuery); err != nil { // warm
 		t.Fatal(err)

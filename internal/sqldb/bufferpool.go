@@ -144,6 +144,9 @@ type pageStore struct {
 	readErrs   atomic.Uint64
 	pinned     atomic.Int64
 	pinnedHW   atomic.Int64
+	// over is set while a bounded pool is above its cap; the release
+	// of the last pin then evicts again.
+	over atomic.Bool
 }
 
 // BufferPoolStats is the pool's health block in Database.Stats().
@@ -420,12 +423,17 @@ func (ps *pageStore) install(name string) {
 // evictLocked sweeps the clock hand until the resident count is within
 // cap or no page is evictable (pinned, referenced this sweep, or not
 // yet covered by a WAL fsync). Two full sweeps bound the walk: the
-// first clears reference bits, the second takes victims.
+// first clears reference bits, the second takes victims. over is
+// published before the sweep, so a pin released after the sweep passed
+// its page sees it and sweeps again (pageRef.release): a bounded pool
+// that parallel pins pushed past its cap returns to it once they go.
 func (ps *pageStore) evictLocked() {
 	limit := int(ps.cap.Load())
 	if limit <= 0 || len(ps.clock) <= limit {
+		ps.over.Store(false)
 		return
 	}
+	ps.over.Store(true)
 	budget := 2 * len(ps.clock)
 	for len(ps.clock) > limit && budget > 0 {
 		if ps.hand >= len(ps.clock) {
@@ -455,6 +463,14 @@ func (ps *pageStore) evictLocked() {
 		ps.clock[last] = nil
 		ps.clock = ps.clock[:last]
 	}
+	ps.over.Store(len(ps.clock) > limit)
+}
+
+// evict is evictLocked under the pool lock.
+func (ps *pageStore) evict() {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.evictLocked()
 }
 
 // spillLocked writes p's frame back to the current pages file.
@@ -551,7 +567,11 @@ type pageRef struct {
 // pin releases the page r holds, if any, pins p instead and returns its
 // resident frame, faulting it in if needed.
 func (r *pageRef) pin(p *heapPage) *pageFrame {
-	r.release()
+	// release's body, spelled out: this runs at every page crossing,
+	// and release itself is over the inlining budget.
+	if ps := r.counted; r.unpin() && ps.over.Load() {
+		ps.evict()
+	}
 	p.pins.Add(1)
 	p.ref.Store(true)
 	r.p = p
@@ -589,12 +609,24 @@ func (r *pageRef) pin(p *heapPage) *pageFrame {
 	return r.f
 }
 
+// release unpins the page r holds, if any. The release that drops a
+// bounded pool's last pin evicts again if pins held the pool above its
+// cap (see evictLocked).
 func (r *pageRef) release() {
+	if ps := r.counted; r.unpin() && ps.over.Load() {
+		ps.evict()
+	}
+}
+
+// unpin drops the pin r holds, if any, and reports whether it was a
+// bounded pool's last pin.
+func (r *pageRef) unpin() (last bool) {
 	if r.p != nil {
 		r.p.pins.Add(-1)
 		if r.counted != nil {
-			r.counted.pinned.Add(-1)
+			last = r.counted.pinned.Add(-1) == 0
 		}
 		*r = pageRef{}
 	}
+	return last
 }
