@@ -129,7 +129,8 @@ chaos:
 	done
 
 ## fuzz: short fuzzing sessions for every fuzz target (SQL parser,
-## snapshot loader, WAL replay, index key codec, LIKE matcher against
+## snapshot loader, WAL replay, index key codec, resumable B-tree probe
+## cursor against fresh descents, LIKE matcher against
 ## its recursive reference, XML lexer under chunked reads, Interval
 ## store vs the DOM). Each
 ## -fuzz invocation accepts one target, so they run sequentially; raise
@@ -139,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzProbeOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzLike$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChunked$$' -fuzztime $(FUZZ_TIME) ./internal/xmldom
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core

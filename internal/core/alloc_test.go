@@ -9,11 +9,13 @@ import (
 
 // f1RoundAllocCeiling bounds the bytes one round of the F1 mix may
 // allocate over an XMark factor-0.1 Interval store at DOP 1. Measured
-// at 1.67 MiB per round once joins test their residuals on a scratch
-// row, subquery filters sit at the lowest join that binds them, and
-// joins carry only referenced columns (19.5 MiB before); the ceiling is
-// twice the measured figure.
-const f1RoundAllocCeiling = 2 * 1.67 * (1 << 20)
+// at 0.39 MiB per round once index probes reuse one cursor per
+// operator, joins test residuals on the probed table in place,
+// projections carve rows from an arena and correlated subqueries are
+// opened once per execution and rewound (1.16 MiB before; 19.5 MiB
+// before joins carried only referenced columns); the ceiling is twice
+// the measured figure.
+const f1RoundAllocCeiling = 2 * 0.39 * (1 << 20)
 
 // TestF1RoundAllocation guards against per-row allocation creeping back
 // into the join operators.

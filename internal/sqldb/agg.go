@@ -169,16 +169,106 @@ func (n *indexMinMaxNode) fn() string {
 }
 
 func (n *indexMinMaxNode) open(ctx *evalCtx) (rowIter, error) {
+	return openBuilt(ctx, n.extreme)
+}
+
+func (n *indexMinMaxNode) extreme(ctx *evalCtx) ([][]Value, error) {
 	tbl := ctx.resolveTable(n.tbl)
 	idx := resolveIndex(tbl, n.idx)
 	v := Null
 	if rid, ok := idx.tree.extreme(n.max); ok {
 		v = tbl.row(rid)[idx.def.Columns[0]]
 	}
-	return &sliceIter{rows: [][]Value{{v}}}, nil
+	return [][]Value{{v}}, nil
 }
 
 func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
+	if len(n.groupBy) > 0 {
+		return openBuilt(ctx, n.groups)
+	}
+	in, err := openNode(ctx, n.in)
+	if err != nil {
+		return nil, err
+	}
+	it := &globalAggIter{node: n, ctx: ctx, in: in, states: make([]aggState, len(n.aggs)), row: make([]Value, len(n.aggs))}
+	if err := it.fold(); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// globalAggIter is an aggregate without GROUP BY: one fold of the input
+// into one state per aggregate, no group map. A rewind folds again into
+// the same states and output row, so a correlated COUNT(*) costs no
+// allocation per outer row.
+type globalAggIter struct {
+	node   *aggNode
+	ctx    *evalCtx
+	in     rowIter
+	states []aggState
+	row    []Value
+	done   bool
+}
+
+// fold drains the input into the states and closes it, so no page stays
+// pinned while the result is consumed.
+func (it *globalAggIter) fold() error {
+	defer it.in.close()
+	n := it.node
+	clear(it.states)
+	it.done = false
+	for rows := 0; ; rows++ {
+		row, err := it.in.next()
+		if err != nil {
+			return err
+		}
+		if row == nil {
+			break
+		}
+		if rows == 0 {
+			// What the group map charged for its one group.
+			if err := it.ctx.mem.charge(24 + int64(len(n.aggs))*64 + 48); err != nil {
+				return err
+			}
+		}
+		for i, spec := range n.aggs {
+			if spec.arg == nil { // COUNT(*)
+				it.states[i].count++
+				continue
+			}
+			v, err := spec.arg(it.ctx, row)
+			if err != nil {
+				return err
+			}
+			it.states[i].add(v, spec.distinct)
+		}
+	}
+	for i, spec := range n.aggs {
+		it.row[i] = it.states[i].result(spec.name)
+	}
+	return nil
+}
+
+func (it *globalAggIter) next() ([]Value, error) {
+	if it.done {
+		return nil, nil
+	}
+	it.done = true
+	return it.row, nil
+}
+
+func (it *globalAggIter) rewind() error {
+	if err := it.in.rewind(); err != nil {
+		return err
+	}
+	return it.fold()
+}
+
+func (it *globalAggIter) close() { it.in.close() }
+
+// groups drains the input into one aggregate state per GROUP BY key and
+// returns a row per group, in order of first occurrence.
+func (n *aggNode) groups(ctx *evalCtx) ([][]Value, error) {
 	type group struct {
 		keys   []Value
 		states []*aggState
@@ -237,12 +327,6 @@ func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 		}
 	}
 
-	// Global aggregation over an empty input produces one row.
-	if len(n.groupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: newStates()}
-		order = append(order, "")
-	}
-
 	out := make([][]Value, 0, len(order))
 	for _, k := range order {
 		grp := groups[k]
@@ -253,5 +337,5 @@ func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 		}
 		out = append(out, row)
 	}
-	return &sliceIter{rows: out}, nil
+	return out, nil
 }

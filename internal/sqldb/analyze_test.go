@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -271,5 +272,66 @@ func TestVectorizedMatchesRowEngine(t *testing.T) {
 				checkAccounting(t, db, want, tc.sql, tc.args...)
 			}
 		})
+	}
+}
+
+// TestExplainAnalyzeDescents: an index join whose outer rows arrive in
+// key order descends the B-tree once and resumes every later probe,
+// at any outer size; outer rows in descending order descend once per
+// probe. Index scans report their descents too.
+func TestExplainAnalyzeDescents(t *testing.T) {
+	db := New()
+	db.SetParallelism(1)
+	db.MustExec(`CREATE TABLE s (id INTEGER PRIMARY KEY, k INTEGER)`)
+	db.MustExec(`CREATE INDEX s_k ON s (k)`)
+	var rows []string
+	for id := range 20000 {
+		rows = append(rows, fmt.Sprintf("(%d, %d)", id, id/2))
+	}
+	insertRows(t, db, "s", rows)
+	for _, n := range []int{10, 3000} {
+		for _, order := range []string{"up", "down"} {
+			rows = rows[:0]
+			for id := range n {
+				k := id * 3
+				if order == "down" {
+					k = (n - 1 - id) * 3
+				}
+				rows = append(rows, fmt.Sprintf("(%d, %d)", id, k))
+			}
+			tbl := fmt.Sprintf("o_%s_%d", order, n)
+			db.MustExec("CREATE TABLE " + tbl + " (id INTEGER PRIMARY KEY, k INTEGER)")
+			insertRows(t, db, tbl, rows)
+			ap, err := db.ExplainAnalyzePlan("SELECT o.id, s.id FROM " + tbl + " o, s WHERE s.k = o.k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ap.Rows != 2*n {
+				t.Fatalf("%s: %d rows, want %d", tbl, ap.Rows, 2*n)
+			}
+			want := int64(1)
+			if order == "down" {
+				want = int64(n)
+			}
+			found := false
+			for _, op := range ap.Ops {
+				if op.Kind == "IndexJoin" {
+					found = true
+					if op.Descents != want {
+						t.Errorf("%s: descents=%d, want %d:\n%s", tbl, op.Descents, want, ap.Text)
+					}
+				}
+			}
+			if !found || !strings.Contains(ap.Text, fmt.Sprintf("descents=%d ", want)) {
+				t.Errorf("%s: no IndexJoin line with descents=%d:\n%s", tbl, want, ap.Text)
+			}
+		}
+	}
+	text, err := db.ExplainAnalyze(`SELECT id FROM s WHERE k BETWEEN 10 AND 20`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "IndexScan") || !strings.Contains(text, "descents=1 ") {
+		t.Errorf("index scan line lacks descents=1:\n%s", text)
 	}
 }

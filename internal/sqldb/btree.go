@@ -62,6 +62,10 @@ type btree struct {
 	root     *btreeNode
 	size     int
 	distinct []int // one count per key column
+	// mods counts the Inserts and Deletes made through this handle. A
+	// probe cursor's finger is only good while it is unchanged (see
+	// probeCursor).
+	mods uint64
 }
 
 // newBtree returns an empty tree over keys of width columns.
@@ -158,6 +162,7 @@ func (n *btreeNode) childIndex(key string, rid int64) int {
 // Insert adds (key, rid) and keeps key. Duplicate (key, rid) pairs are
 // ignored.
 func (t *btree) Insert(key string, rid int64) {
+	t.mods++
 	t.root = t.mutable(t.root)
 	promoted, right := t.insertInto(t.root, key, rid, true)
 	if right != nil {
@@ -259,6 +264,7 @@ func (t *btree) Delete(key string, rid int64) bool {
 	if i >= len(n.entries) || compareEntry(n.entries[i], key, rid) != 0 {
 		return false
 	}
+	t.mods++
 	t.root = t.mutable(t.root)
 	n = t.root
 	for !n.leaf {
@@ -452,17 +458,16 @@ func (t *btree) seekAfter(bound string) btreeCursor { return t.descend(bound, 1)
 // 1: >), and normalizes the cursor onto a valid entry.
 func (t *btree) descend(bound string, strict int) btreeCursor {
 	var c btreeCursor
+	c.descend(t, bound, strict)
+	return c
+}
+
+// descend is btree.descend into c's own frame storage.
+func (c *btreeCursor) descend(t *btree, bound string, strict int) {
+	c.frames = c.frames[:0]
 	n := t.root
 	for {
-		lo, hi := 0, len(n.entries)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if prefixCompare(n.entries[mid].key, bound) < strict {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+		lo := bisectAbove(n.entries, 0, bound, strict)
 		c.frames = append(c.frames, cursorFrame{node: n, pos: lo})
 		if n.leaf {
 			break
@@ -470,7 +475,35 @@ func (t *btree) descend(bound string, strict int) btreeCursor {
 		n = n.children[lo]
 	}
 	c.skipEmpty()
-	return c
+}
+
+// firstAbove returns the first index i >= from of entries whose key
+// prefix compares above bound by at least strict, len(entries) when
+// there is none; the entries before from are not looked at. It gallops
+// — from, from+1, from+3, from+7, … — and then bisects the last step,
+// so a position k entries on costs O(log k) comparisons.
+func firstAbove(entries []btreeEntry, from int, bound string, strict int) int {
+	lo, hi, step := from, from, 1
+	for hi < len(entries) && prefixCompare(entries[hi].key, bound) < strict {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	return bisectAbove(entries[:min(hi, len(entries))], lo, bound, strict)
+}
+
+// bisectAbove is firstAbove by binary search over entries[lo:].
+func bisectAbove(entries []btreeEntry, lo int, bound string, strict int) int {
+	hi := len(entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if prefixCompare(entries[mid].key, bound) < strict {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // rank returns the number of entries before the position descend(bound,
@@ -481,15 +514,7 @@ func (t *btree) rank(bound string, strict int) int {
 	r := 0
 	n := t.root
 	for {
-		lo, hi := 0, len(n.entries)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if prefixCompare(n.entries[mid].key, bound) < strict {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+		lo := bisectAbove(n.entries, 0, bound, strict)
 		if n.leaf {
 			return r + lo
 		}
@@ -562,4 +587,104 @@ func (c *btreeCursor) entry() btreeEntry {
 func (c *btreeCursor) advance() {
 	c.frames[len(c.frames)-1].pos++
 	c.skipEmpty()
+}
+
+// probeCursor is the cursor of an operator that probes one index again
+// and again — an index join once per outer row, a rewound index scan
+// once per execution of its subquery. It owns its frame storage for the
+// whole execution, so a probe allocates nothing, and keeps a finger:
+// the path its last probe landed on. A probe whose range starts at or
+// after the last one's gallops forward from the finger, climbing only
+// as far as the levels whose right edge the new start lies beyond;
+// any other probe descends from the root. Outer rows in key order — the
+// usual case, since index scans and joins emit pre order — thus make a
+// child step one forward pass over the index.
+//
+// The finger is only good for the tree it points into, unchanged: the
+// copy-on-write tree a snapshot reads never changes, but a statement
+// that reads the table it writes (UPDATE t SET c = (SELECT … FROM t))
+// mutates its private handle in place, which bumps btree.mods and
+// forces a fresh descent.
+type probeCursor struct {
+	btreeCursor
+	finger []cursorFrame // landing path of the last probe; empty: past the end
+	from   []byte        // the last probe's start bound
+	strict int
+	tree   *btree // the tree the last probe ran in; nil before the first
+	mods   uint64
+}
+
+// seek positions the cursor at the first entry of t whose key prefix
+// compares above bound by at least strict (0: >=, 1: >), exactly where
+// t.descend(bound, strict) lands, and reports whether it descended from
+// the root rather than resuming from the finger.
+func (p *probeCursor) seek(t *btree, bound string, strict int) (descended bool) {
+	if p.tree == t && p.mods == t.mods && startsNoEarlier(keyView(p.from), p.strict, bound, strict) {
+		p.frames = append(p.frames[:0], p.finger...)
+		if len(p.frames) > 0 {
+			p.resume(bound, strict)
+		}
+	} else {
+		p.btreeCursor.descend(t, bound, strict)
+		p.tree, p.mods = t, t.mods
+		descended = true
+	}
+	p.finger = append(p.finger[:0], p.frames...)
+	p.from = append(p.from[:0], bound...)
+	p.strict = strict
+	return descended
+}
+
+// startsNoEarlier reports whether a range starting at (bound, strict)
+// begins at or after one starting at (prev, prevStrict) in every tree:
+// whether every key the earlier start skips, the new one skips too.
+//
+// Seen as a cut in key order, a start (b, 0) skips exactly the keys
+// below b, and (b, 1) the keys below b and every key b is a prefix of —
+// a cut at b followed by an endless run of 0xff bytes. Two cuts whose
+// bounds differ at some byte order by that byte, whatever their lengths
+// and strictness. When one bound is a prefix of the other the lengths
+// matter: the shorter bound a and the longer a+r give the cut order
+// a < a+r <= (a+r)·0xff… <= a·0xff…. So after (a, 0) any start at a+r
+// is no earlier, but after (a, 1) — which already skipped every key
+// under a — a start at a+r lies behind and must descend afresh.
+func startsNoEarlier(prev string, prevStrict int, bound string, strict int) bool {
+	n := min(len(prev), len(bound))
+	if c := strings.Compare(prev[:n], bound[:n]); c != 0 {
+		return c < 0
+	}
+	switch {
+	case len(prev) == len(bound):
+		return prevStrict <= strict
+	case len(prev) < len(bound):
+		return prevStrict == 0
+	default:
+		return strict == 1
+	}
+}
+
+// resume moves the cursor, standing on the finger, forward to the first
+// entry whose key prefix compares above bound by at least strict. It
+// climbs from the leaf while the node's last entry still compares
+// below — the target then lies right of the node's subtree — gallops
+// along the level it stops at, and descends from there, galloping from
+// each node's start: the target sits close to the finger, so near the
+// front of the subtree that follows it.
+func (p *probeCursor) resume(bound string, strict int) {
+	l := len(p.frames) - 1
+	for ; l > 0; l-- {
+		f := p.frames[l]
+		last := len(f.node.entries) - 1
+		if last >= f.pos && prefixCompare(f.node.entries[last].key, bound) >= strict {
+			break
+		}
+	}
+	f := &p.frames[l]
+	f.pos = firstAbove(f.node.entries, f.pos, bound, strict)
+	p.frames = p.frames[:l+1]
+	for n := f.node; !n.leaf; {
+		n = n.children[p.frames[len(p.frames)-1].pos]
+		p.frames = append(p.frames, cursorFrame{node: n, pos: firstAbove(n.entries, 0, bound, strict)})
+	}
+	p.skipEmpty()
 }

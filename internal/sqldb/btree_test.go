@@ -349,8 +349,9 @@ func checkCountRange(t *testing.T, tr *btree, all []btreeEntry) {
 				t.Fatal(err)
 			}
 			var buf probeBuf
+			var cur probeCursor
 			want := 0
-			cur, stop, _, _ := p.start(nil, nil, tr, &buf)
+			stop, _ := p.seek(nil, nil, tr, &buf, &cur, nil)
 			for ; cur.valid() && !stop.passed(cur.entry().key); cur.advance() {
 				want++
 			}

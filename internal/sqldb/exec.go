@@ -7,15 +7,27 @@ import (
 )
 
 // rowIter is the Volcano-style iterator every physical operator
-// implements. next returns (nil, nil) at end of stream.
+// implements. next returns (nil, nil) at end of stream. rewind restarts
+// the stream from its beginning, reading the evaluation context afresh
+// — above all the current outer row of a correlated subquery — so one
+// iterator tree serves every execution of a subquery body (see
+// evalCtx.subquery). close releases the page pins and workers the
+// iterator holds; a closed iterator can still be rewound.
+//
+// A row next returns stays valid until the iterator is rewound: an
+// operator may reuse its output rows' storage across a rewind, never
+// within one stream. Only an operator's own rewind rewinds its inputs,
+// and it drops whatever it kept of their rows first.
 type rowIter interface {
 	next() ([]Value, error)
+	rewind() error
 	close()
 }
 
 // planNode is a physical operator in a compiled plan. Opening a node
 // yields a fresh iterator; a node can be opened multiple times (e.g. the
-// inner side of a nested-loop join or a correlated subquery).
+// build side of a join each time the join is rewound, or a gather
+// segment once per morsel).
 type planNode interface {
 	sch() schema
 	open(ctx *evalCtx) (rowIter, error)
@@ -94,16 +106,21 @@ func (n *seqScanNode) sch() schema { return n.schema }
 func (n *seqScanNode) estRows() float64 { return float64(n.tbl.live)*n.sel + 1 }
 
 func (n *seqScanNode) open(ctx *evalCtx) (rowIter, error) {
-	tbl := ctx.resolveTable(n.tbl)
-	it := &seqScanIter{node: n, ctx: ctx, tbl: tbl, end: tbl.slotCount()}
+	it := &seqScanIter{node: n, ctx: ctx}
+	return it, it.rewind()
+}
+
+func (it *seqScanIter) rewind() error {
+	it.tbl = it.ctx.resolveTable(it.node.tbl)
+	it.pos, it.end = 0, it.tbl.slotCount()
 	// Inside a gather worker, the scan that drives the parallel segment
 	// is restricted to the worker's claimed morsel. Pointer identity
 	// guarantees only the driver scan is clipped — any other table
 	// scanned by the segment (join build sides, subqueries) reads fully.
-	if m := ctx.morsel; m != nil && m.node == n {
+	if m := it.ctx.morsel; m != nil && m.node == it.node {
 		it.pos, it.end = int64(m.lo), int64(m.hi)
 	}
-	return it, nil
+	return nil
 }
 
 type seqScanIter struct {
@@ -179,16 +196,21 @@ func (b *keyBound) passed(key string) bool {
 	return c >= 0
 }
 
-// start evaluates the probe against row and positions a cursor at the
-// first entry of the range in tree. empty reports that a bound
-// evaluated to NULL, which matches nothing in SQL. The returned bound
-// points into buf and stays valid until the next start.
-func (p *indexProbe) start(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf) (cur btreeCursor, stop keyBound, empty bool, err error) {
+// seek evaluates the probe against row and positions cur at the first
+// entry of the range in tree, leaving it past the end when a bound is
+// NULL, which matches nothing in SQL. The returned bound points into
+// buf and stays valid until the next seek; a descent from the root is
+// counted in stat (nil: not instrumented).
+func (p *indexProbe) seek(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf, cur *probeCursor, stat *OpStats) (keyBound, error) {
 	from, after, stop, empty, err := p.bounds(ctx, row, buf)
 	if empty || err != nil {
-		return cur, stop, empty, err
+		cur.frames = cur.frames[:0]
+		return stop, err
 	}
-	return tree.descend(from, after), stop, false, nil
+	if cur.seek(tree, from, after) && stat != nil {
+		stat.Descents++
+	}
+	return stop, nil
 }
 
 // count returns how many index entries the probe's range holds in
@@ -275,28 +297,32 @@ func (n *indexScanNode) sch() schema { return n.schema }
 func (n *indexScanNode) estRows() float64 { return float64(n.tbl.live)*n.sel + 1 }
 
 func (n *indexScanNode) open(ctx *evalCtx) (rowIter, error) {
-	tbl := ctx.resolveTable(n.tbl)
-	it := &indexScanIter{node: n, ctx: ctx, tbl: tbl}
-	var empty bool
-	var err error
-	it.cur, it.stop, empty, err = n.start(ctx, nil, resolveIndex(tbl, n.idx).tree, &it.buf)
-	if err != nil {
+	it := &indexScanIter{node: n, ctx: ctx, stat: ctx.opStat(n)}
+	if err := it.rewind(); err != nil {
 		return nil, err
-	}
-	if empty {
-		return &sliceIter{}, nil
 	}
 	return it, nil
 }
 
+// indexScanIter keeps its probe cursor across rewinds, so a subquery
+// body's index scan resumes from where the previous outer row's probe
+// landed (see probeCursor).
 type indexScanIter struct {
 	node *indexScanNode
 	ctx  *evalCtx
 	tbl  *table
-	cur  btreeCursor
+	cur  probeCursor
 	stop keyBound
 	buf  probeBuf
 	ref  pageRef
+	stat *OpStats
+}
+
+func (it *indexScanIter) rewind() error {
+	it.tbl = it.ctx.resolveTable(it.node.tbl)
+	var err error
+	it.stop, err = it.node.seek(it.ctx, nil, resolveIndex(it.tbl, it.node.idx).tree, &it.buf, &it.cur, it.stat)
+	return err
 }
 
 func (it *indexScanIter) next() ([]Value, error) {
@@ -368,7 +394,8 @@ func (it *filterIter) next() ([]Value, error) {
 	}
 }
 
-func (it *filterIter) close() { it.in.close() }
+func (it *filterIter) rewind() error { return it.in.rewind() }
+func (it *filterIter) close()        { it.in.close() }
 
 // ---------------------------------------------------------------------------
 // Projection
@@ -391,9 +418,10 @@ func (n *projectNode) open(ctx *evalCtx) (rowIter, error) {
 }
 
 type projectIter struct {
-	in   rowIter
-	node *projectNode
-	ctx  *evalCtx
+	in    rowIter
+	node  *projectNode
+	ctx   *evalCtx
+	arena rowArena
 }
 
 func (it *projectIter) next() ([]Value, error) {
@@ -401,7 +429,7 @@ func (it *projectIter) next() ([]Value, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make([]Value, len(it.node.exprs))
+	out := it.arena.alloc(len(it.node.exprs))
 	for i, e := range it.node.exprs {
 		out[i], err = e(it.ctx, row)
 		if err != nil {
@@ -409,6 +437,11 @@ func (it *projectIter) next() ([]Value, error) {
 		}
 	}
 	return out, nil
+}
+
+func (it *projectIter) rewind() error {
+	it.arena.reset()
+	return it.in.rewind()
 }
 
 func (it *projectIter) close() { it.in.close() }
@@ -436,11 +469,13 @@ func (o *joinOut) output() *joinOut { return o }
 func (o *joinOut) cols() string { return "cols=" + itoa(len(o.schema)) + "/" + itoa(o.width) }
 
 // rowArena hands out row slices carved from chunked backing arrays, so
-// operators that materialize output rows (join output) pay one
+// operators that build output rows (projections, join output) pay one
 // allocation per chunk instead of one per row. Chunks grow from one row
 // to 256, so an iterator that emits a single row (an EXISTS probe) does
 // not pay for a full chunk. Carved slices have their capacity clamped,
-// so appends by a consumer cannot clobber a neighbour.
+// so appends by a consumer cannot clobber a neighbour. A rewind resets
+// the arena onto its last chunk: a subquery body that emits a row per
+// outer row reuses one row's storage.
 type rowArena struct {
 	buf  []Value
 	off  int
@@ -450,6 +485,10 @@ type rowArena struct {
 // emptyRow is the zero-width row: non-nil, because a nil row ends a
 // row iterator's stream.
 var emptyRow = []Value{}
+
+// reset hands out the current chunk again from its start; rows carved
+// before it may be overwritten.
+func (a *rowArena) reset() { a.off = 0 }
 
 func (a *rowArena) alloc(n int) []Value {
 	if n == 0 {
@@ -465,49 +504,68 @@ func (a *rowArena) alloc(n int) []Value {
 	return s
 }
 
-// joinBuf builds one join iterator's output rows. The join condition is
-// tested on a reused full-width scratch row — the left columns copied
-// once per left row, the right ones once per candidate — and only a
-// candidate that passes gets an output row, carved from the arena and
-// holding just the kept columns.
+// joinBuf builds one join iterator's output rows. A condition over both
+// sides (cond) is tested on a reused full-width scratch row — the left
+// columns copied once per left row, the right ones once per candidate;
+// without one there is no scratch row and nothing is copied to test.
+// Only a candidate that passes gets an output row, carved from the
+// arena and holding just the kept columns, read from the left row and
+// the candidate directly.
 type joinBuf struct {
 	out   *joinOut
-	row   []Value
+	cond  compiledExpr
+	row   []Value // scratch for cond; nil without one
+	left  []Value
 	lw    int
+	nulls []Value // the right side of a padded row
 	arena rowArena
 }
 
-func newJoinBuf(out *joinOut, left planNode) joinBuf {
-	return joinBuf{out: out, row: make([]Value, out.width), lw: len(left.sch())}
+func newJoinBuf(out *joinOut, left planNode, cond compiledExpr) joinBuf {
+	b := joinBuf{out: out, cond: cond, lw: len(left.sch())}
+	if cond != nil {
+		b.row = make([]Value, out.width)
+	}
+	return b
 }
 
-func (b *joinBuf) setLeft(l []Value) { copy(b.row[:b.lw], l) }
+func (b *joinBuf) setLeft(l []Value) {
+	b.left = l
+	if b.row != nil {
+		copy(b.row[:b.lw], l)
+	}
+}
 
-// test reports whether cond (nil = always) holds for the current left
-// row joined with r.
-func (b *joinBuf) test(ctx *evalCtx, cond compiledExpr, r []Value) (bool, error) {
-	copy(b.row[b.lw:], r)
-	if cond == nil {
+// test reports whether the condition (nil = always) holds for the
+// current left row joined with r.
+func (b *joinBuf) test(ctx *evalCtx, r []Value) (bool, error) {
+	if b.cond == nil {
 		return true, nil
 	}
-	v, err := cond(ctx, b.row)
+	copy(b.row[b.lw:], r)
+	v, err := b.cond(ctx, b.row)
 	if err != nil {
 		return false, err
 	}
 	return !v.IsNull() && v.Bool(), nil
 }
 
-// emit copies the scratch row's kept columns into a fresh output row.
-func (b *joinBuf) emit() []Value {
+// emit builds the output row of the current left row joined with r.
+func (b *joinBuf) emit(r []Value) []Value {
 	keep := b.out.keep
 	if keep == nil {
-		out := b.arena.alloc(len(b.row))
-		copy(out, b.row)
+		out := b.arena.alloc(b.out.width)
+		copy(out, b.left)
+		copy(out[b.lw:], r)
 		return out
 	}
 	out := b.arena.alloc(len(keep))
 	for i, c := range keep {
-		out[i] = b.row[c]
+		if c < b.lw {
+			out[i] = b.left[c]
+		} else {
+			out[i] = r[c-b.lw]
+		}
 	}
 	return out
 }
@@ -515,10 +573,16 @@ func (b *joinBuf) emit() []Value {
 // pad emits the current left row with a NULL right side (left outer
 // join, no match).
 func (b *joinBuf) pad() []Value {
-	for i := b.lw; i < len(b.row); i++ {
-		b.row[i] = Null
+	if b.nulls == nil {
+		b.nulls = make([]Value, b.out.width-b.lw)
 	}
-	return b.emit()
+	return b.emit(b.nulls)
+}
+
+// rewind forgets the left row and reuses the arena (see rowIter).
+func (b *joinBuf) rewind() {
+	b.left = nil
+	b.arena.reset()
 }
 
 // ---------------------------------------------------------------------------
@@ -544,15 +608,35 @@ func (n *nlJoinNode) open(ctx *evalCtx) (rowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, built, err := n.innerRows(ctx)
-	if err != nil {
+	it := &nlJoinIter{node: n, ctx: ctx, left: left, buf: newJoinBuf(&n.joinOut, n.left, n.cond)}
+	if err := it.build(); err != nil {
 		left.close()
 		return nil, err
 	}
-	if s := ctx.opStat(n); s != nil {
+	return it, nil
+}
+
+// build materializes the inner side against the context's current
+// outer row, which a correlated inner side reads.
+func (it *nlJoinIter) build() error {
+	inner, built, err := it.node.innerRows(it.ctx)
+	if err != nil {
+		return err
+	}
+	if s := it.ctx.opStat(it.node); s != nil {
 		s.BuildRows += built
 	}
-	return &nlJoinIter{node: n, ctx: ctx, left: left, inner: inner, buf: newJoinBuf(&n.joinOut, n.left)}, nil
+	it.inner = inner
+	return nil
+}
+
+func (it *nlJoinIter) rewind() error {
+	it.lrow, it.inner, it.ipos, it.matched = nil, nil, 0, false
+	it.buf.rewind()
+	if err := it.build(); err != nil {
+		return err
+	}
+	return it.left.rewind()
 }
 
 // innerRows materializes the inner side, sharing the result across a
@@ -617,13 +701,13 @@ func (it *nlJoinIter) next() ([]Value, error) {
 		for it.ipos < len(it.inner) {
 			r := it.inner[it.ipos]
 			it.ipos++
-			ok, err := it.buf.test(it.ctx, it.node.cond, r)
+			ok, err := it.buf.test(it.ctx, r)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				it.matched = true
-				return it.buf.emit(), nil
+				return it.buf.emit(r), nil
 			}
 		}
 	}
@@ -724,18 +808,38 @@ func (p *probeKey) lookup(ctx *evalCtx, keys []compiledExpr, row []Value, ht map
 }
 
 func (n *hashJoinNode) open(ctx *evalCtx) (rowIter, error) {
-	ht, built, err := n.build(ctx)
-	if err != nil {
+	it := &hashJoinIter{node: n, ctx: ctx, buf: newJoinBuf(&n.joinOut, n.left, n.extraCond)}
+	if err := it.buildTable(); err != nil {
 		return nil, err
 	}
-	if s := ctx.opStat(n); s != nil {
+	var err error
+	if it.left, err = openNode(ctx, n.left); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// buildTable builds the hash table against the context's current outer
+// row, which a correlated build side reads.
+func (it *hashJoinIter) buildTable() error {
+	ht, built, err := it.node.build(it.ctx)
+	if err != nil {
+		return err
+	}
+	if s := it.ctx.opStat(it.node); s != nil {
 		s.BuildRows += built
 	}
-	left, err := openNode(ctx, n.left)
-	if err != nil {
-		return nil, err
+	it.ht = ht
+	return nil
+}
+
+func (it *hashJoinIter) rewind() error {
+	it.lrow, it.ht, it.bucket, it.bpos, it.matched = nil, nil, nil, 0, false
+	it.buf.rewind()
+	if err := it.buildTable(); err != nil {
+		return err
 	}
-	return &hashJoinIter{node: n, ctx: ctx, left: left, ht: ht, buf: newJoinBuf(&n.joinOut, n.left)}, nil
+	return it.left.rewind()
 }
 
 // build produces the hash table for the right side. Inside a gather
@@ -817,13 +921,13 @@ func (it *hashJoinIter) next() ([]Value, error) {
 		for it.bpos < len(it.bucket) {
 			r := it.bucket[it.bpos]
 			it.bpos++
-			ok, err := it.buf.test(it.ctx, it.node.extraCond, r)
+			ok, err := it.buf.test(it.ctx, r)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				it.matched = true
-				return it.buf.emit(), nil
+				return it.buf.emit(r), nil
 			}
 		}
 	}
@@ -840,11 +944,18 @@ func (it *hashJoinIter) close() { it.left.close() }
 // what makes the interval-encoding descendant join
 // (`c.pre BETWEEN p.pre+1 AND p.pre+p.size`) and the Dewey prefix join
 // run as index lookups instead of nested-loop scans.
+//
+// The residual splits in two. tableCond holds the conjuncts that read
+// the probed table alone (outer references and parameters aside): it is
+// compiled against the table's own columns and tested on the stored row
+// while its page is pinned, so a rejected candidate is never copied.
+// extraCond holds the rest, over the full joined row.
 type indexJoinNode struct {
 	left planNode
 	tbl  *table
 	idx  *tableIndex
 	indexProbe
+	tableCond compiledExpr // over the probed table's row
 	extraCond compiledExpr // over the full joined row
 	leftOuter bool
 	joinOut
@@ -864,10 +975,15 @@ func (n *indexJoinNode) open(ctx *evalCtx) (rowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := ctx.resolveTable(n.tbl)
-	return &indexJoinIter{node: n, ctx: ctx, left: left, tbl: tbl, tree: resolveIndex(tbl, n.idx).tree, buf: newJoinBuf(&n.joinOut, n.left)}, nil
+	it := &indexJoinIter{node: n, ctx: ctx, left: left, buf: newJoinBuf(&n.joinOut, n.left, n.extraCond), stat: ctx.opStat(n)}
+	it.resolve()
+	return it, nil
 }
 
+// indexJoinIter probes through one probe cursor for its whole
+// execution, rewinds included: each outer row's probe resumes from
+// where the previous one landed when it starts no earlier (see
+// probeCursor).
 type indexJoinIter struct {
 	node    *indexJoinNode
 	ctx     *evalCtx
@@ -875,13 +991,27 @@ type indexJoinIter struct {
 	tbl     *table
 	tree    *btree
 	lrow    []Value
-	cur     btreeCursor
+	cur     probeCursor
 	stop    keyBound
 	keys    probeBuf
 	active  bool
 	matched bool
 	ref     pageRef
 	buf     joinBuf
+	stat    *OpStats
+}
+
+// resolve looks up the table version and index tree the snapshot sees.
+func (it *indexJoinIter) resolve() {
+	it.tbl = it.ctx.resolveTable(it.node.tbl)
+	it.tree = resolveIndex(it.tbl, it.node.idx).tree
+}
+
+func (it *indexJoinIter) rewind() error {
+	it.lrow, it.active, it.matched = nil, false, false
+	it.buf.rewind()
+	it.resolve()
+	return it.left.rewind()
 }
 
 func (it *indexJoinIter) next() ([]Value, error) {
@@ -897,13 +1027,8 @@ func (it *indexJoinIter) next() ([]Value, error) {
 				return nil, err
 			}
 			it.matched = false
-			var empty bool
-			it.cur, it.stop, empty, err = it.node.start(it.ctx, it.lrow, it.tree, &it.keys)
-			if err != nil {
+			if it.stop, err = it.node.seek(it.ctx, it.lrow, it.tree, &it.keys, &it.cur, it.stat); err != nil {
 				return nil, err
-			}
-			if empty { // NULL keys never join
-				it.cur = btreeCursor{}
 			}
 			it.buf.setLeft(it.lrow)
 			it.active = true
@@ -918,13 +1043,22 @@ func (it *indexJoinIter) next() ([]Value, error) {
 			if row == nil {
 				continue
 			}
-			ok, err := it.buf.test(it.ctx, it.node.extraCond, row)
+			if f := it.node.tableCond; f != nil {
+				v, err := f(it.ctx, row)
+				if err != nil {
+					return nil, err
+				}
+				if v.IsNull() || !v.Bool() {
+					continue
+				}
+			}
+			ok, err := it.buf.test(it.ctx, row)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				it.matched = true
-				return it.buf.emit(), nil
+				return it.buf.emit(row), nil
 			}
 		}
 		it.active = false
@@ -949,6 +1083,11 @@ func (n *sortNode) sch() schema      { return n.in.sch() }
 func (n *sortNode) estRows() float64 { return n.in.estRows() }
 
 func (n *sortNode) open(ctx *evalCtx) (rowIter, error) {
+	return openBuilt(ctx, n.sorted)
+}
+
+// sorted materializes the input and sorts it.
+func (n *sortNode) sorted(ctx *evalCtx) ([][]Value, error) {
 	rows, err := materialize(ctx, n.in)
 	if err != nil {
 		return nil, err
@@ -996,7 +1135,7 @@ func (n *sortNode) open(ctx *evalCtx) (rowIter, error) {
 	for i := range ks {
 		out[i] = ks[i].row
 	}
-	return &sliceIter{rows: out}, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,30 +1154,47 @@ func (n *limitNode) open(ctx *evalCtx) (rowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &limitIter{in: in, limit: -1}
-	if n.limit != nil {
-		v, err := n.limit(ctx, nil)
-		if err != nil {
-			in.close()
-			return nil, err
-		}
-		it.limit = v.Int()
-	}
-	if n.offset != nil {
-		v, err := n.offset(ctx, nil)
-		if err != nil {
-			in.close()
-			return nil, err
-		}
-		it.offset = v.Int()
+	it := &limitIter{node: n, ctx: ctx, in: in}
+	if err := it.counts(); err != nil {
+		in.close()
+		return nil, err
 	}
 	return it, nil
 }
 
 type limitIter struct {
+	node          *limitNode
+	ctx           *evalCtx
 	in            rowIter
 	limit, offset int64
 	emitted       int64
+}
+
+// counts evaluates LIMIT and OFFSET, which may read the outer row.
+func (it *limitIter) counts() error {
+	it.limit, it.offset, it.emitted = -1, 0, 0
+	if it.node.limit != nil {
+		v, err := it.node.limit(it.ctx, nil)
+		if err != nil {
+			return err
+		}
+		it.limit = v.Int()
+	}
+	if it.node.offset != nil {
+		v, err := it.node.offset(it.ctx, nil)
+		if err != nil {
+			return err
+		}
+		it.offset = v.Int()
+	}
+	return nil
+}
+
+func (it *limitIter) rewind() error {
+	if err := it.counts(); err != nil {
+		return err
+	}
+	return it.in.rewind()
 }
 
 func (it *limitIter) next() ([]Value, error) {
@@ -1102,6 +1258,11 @@ func (it *distinctIter) next() ([]Value, error) {
 	}
 }
 
+func (it *distinctIter) rewind() error {
+	clear(it.seen)
+	return it.in.rewind()
+}
+
 func (it *distinctIter) close() { it.in.close() }
 
 // distinctKey encodes a row for duplicate elimination; unlike hashKey it
@@ -1133,44 +1294,59 @@ func (n *unionAllNode) estRows() float64 {
 }
 
 func (n *unionAllNode) open(ctx *evalCtx) (rowIter, error) {
-	return &unionAllIter{node: n, ctx: ctx}, nil
+	return &unionAllIter{node: n, ctx: ctx, parts: make([]rowIter, len(n.parts)), stale: make([]bool, len(n.parts))}, nil
 }
 
+// unionAllIter opens each part when it reaches it. A rewound part is
+// marked stale and rewound only when reached again, so a part a LIMIT
+// never reaches is never evaluated.
 type unionAllIter struct {
-	node *unionAllNode
-	ctx  *evalCtx
-	idx  int
-	cur  rowIter
+	node  *unionAllNode
+	ctx   *evalCtx
+	idx   int
+	parts []rowIter
+	stale []bool
 }
 
 func (it *unionAllIter) next() ([]Value, error) {
-	for {
-		if it.cur == nil {
-			if it.idx >= len(it.node.parts) {
-				return nil, nil
-			}
+	for it.idx < len(it.parts) {
+		cur := it.parts[it.idx]
+		switch {
+		case cur == nil:
 			var err error
-			it.cur, err = openNode(it.ctx, it.node.parts[it.idx])
-			if err != nil {
+			if cur, err = openNode(it.ctx, it.node.parts[it.idx]); err != nil {
 				return nil, err
 			}
-			it.idx++
+			it.parts[it.idx] = cur
+		case it.stale[it.idx]:
+			if err := cur.rewind(); err != nil {
+				return nil, err
+			}
+			it.stale[it.idx] = false
 		}
-		row, err := it.cur.next()
-		if err != nil {
-			return nil, err
+		row, err := cur.next()
+		if err != nil || row != nil {
+			return row, err
 		}
-		if row != nil {
-			return row, nil
-		}
-		it.cur.close()
-		it.cur = nil
+		cur.close()
+		it.idx++
 	}
+	return nil, nil
+}
+
+func (it *unionAllIter) rewind() error {
+	for i, p := range it.parts {
+		it.stale[i] = p != nil
+	}
+	it.idx = 0
+	return nil
 }
 
 func (it *unionAllIter) close() {
-	if it.cur != nil {
-		it.cur.close()
+	for _, p := range it.parts {
+		if p != nil {
+			p.close()
+		}
 	}
 }
 
@@ -1191,7 +1367,35 @@ func (it *sliceIter) next() ([]Value, error) {
 	return r, nil
 }
 
+func (it *sliceIter) rewind() error {
+	it.pos = 0
+	return nil
+}
+
 func (it *sliceIter) close() {}
+
+// builtIter serves rows an operator computes whole — a sort, an
+// aggregate — and computes them again, against the context's current
+// outer row, when rewound.
+type builtIter struct {
+	sliceIter
+	ctx   *evalCtx
+	build func(*evalCtx) ([][]Value, error)
+}
+
+func openBuilt(ctx *evalCtx, build func(*evalCtx) ([][]Value, error)) (rowIter, error) {
+	it := &builtIter{ctx: ctx, build: build}
+	if err := it.rewind(); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+func (it *builtIter) rewind() error {
+	rows, err := it.build(it.ctx)
+	it.rows, it.pos = rows, 0
+	return err
+}
 
 // materialize drains a node into a slice, polling for cancellation on a
 // coarse stride.
@@ -1228,16 +1432,79 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 	}
 }
 
-// runSubquery executes a compiled subplan with the given outer row.
-func runSubquery(ctx *evalCtx, p *plan, outerRow []Value) ([][]Value, error) {
-	sub := &evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem}
-	return materialize(sub, p.root)
+// ---------------------------------------------------------------------------
+// Correlated subqueries
+
+// subInstance is one compiled subquery's iterator tree inside one
+// execution, with the context it evaluates in. It lives in the
+// evaluating context's subs, never in the shared cached plan: every
+// execution, and every worker of a parallel one, has its own.
+type subInstance struct {
+	ctx evalCtx
+	it  rowIter
+}
+
+// subquery returns p's iterator at the start of its result for the
+// outer row: the first call in an execution opens the tree, every later
+// one rewinds it. The caller reads what it needs and closes the
+// iterator, which releases its pins before the outer operator moves on.
+func (ctx *evalCtx) subquery(p *plan, outerRow []Value) (rowIter, error) {
+	if inst := ctx.subs[p]; inst != nil {
+		inst.ctx.outer = outerRow
+		if err := inst.it.rewind(); err != nil {
+			inst.it.close()
+			return nil, err
+		}
+		return inst.it, nil
+	}
+	inst := &subInstance{ctx: evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem}}
+	it, err := p.root.open(&inst.ctx)
+	if err != nil {
+		return nil, err
+	}
+	inst.it = it
+	if ctx.subs == nil {
+		ctx.subs = map[*plan]*subInstance{}
+	}
+	ctx.subs[p] = inst
+	return it, nil
+}
+
+// subRows reads a subquery's rows the way materializing them did:
+// polling for cancellation and charging the rows' bytes to the memory
+// ledger before the first row and every 1024th, and at the end.
+type subRows struct {
+	ctx     *evalCtx
+	it      rowIter
+	n       int
+	pending int64
+}
+
+func (s *subRows) next() ([]Value, error) {
+	if s.n&1023 == 0 {
+		if err := s.ctx.canceled(); err != nil {
+			return nil, err
+		}
+		if err := s.ctx.mem.charge(s.pending); err != nil {
+			return nil, err
+		}
+		s.pending = 0
+	}
+	row, err := s.it.next()
+	if err != nil {
+		return nil, err
+	}
+	if row == nil {
+		return nil, s.ctx.mem.charge(s.pending)
+	}
+	s.n++
+	s.pending += valuesBytes(row)
+	return row, nil
 }
 
 // subqueryHasRow reports whether the subplan yields at least one row.
 func subqueryHasRow(ctx *evalCtx, p *plan, outerRow []Value) (bool, error) {
-	sub := &evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem}
-	it, err := p.root.open(sub)
+	it, err := ctx.subquery(p, outerRow)
 	if err != nil {
 		return false, err
 	}
@@ -1247,4 +1514,67 @@ func subqueryHasRow(ctx *evalCtx, p *plan, outerRow []Value) (bool, error) {
 		return false, err
 	}
 	return row != nil, nil
+}
+
+// scalarSubquery returns the subplan's one value: NULL for no row, an
+// error naming the count for more than one.
+func scalarSubquery(ctx *evalCtx, p *plan, outerRow []Value) (Value, error) {
+	it, err := ctx.subquery(p, outerRow)
+	if err != nil {
+		return Null, err
+	}
+	defer it.close()
+	rows := subRows{ctx: ctx, it: it}
+	v := Null
+	for {
+		row, err := rows.next()
+		if err != nil {
+			return Null, err
+		}
+		if row == nil {
+			break
+		}
+		if rows.n == 1 {
+			v = row[0]
+		}
+	}
+	if rows.n > 1 {
+		return Null, errorf("scalar subquery returned %d rows", rows.n)
+	}
+	return v, nil
+}
+
+// inSubquery evaluates x IN (subplan), x not NULL: true on a match,
+// else NULL when the subplan yields a NULL, else false. It reads every
+// row, as materializing them did, so an error in a later row still
+// surfaces.
+func inSubquery(ctx *evalCtx, p *plan, outerRow []Value, x Value) (Value, error) {
+	it, err := ctx.subquery(p, outerRow)
+	if err != nil {
+		return Null, err
+	}
+	defer it.close()
+	rows := subRows{ctx: ctx, it: it}
+	found, sawNull := false, false
+	for {
+		row, err := rows.next()
+		if err != nil {
+			return Null, err
+		}
+		if row == nil {
+			break
+		}
+		if row[0].IsNull() {
+			sawNull = true
+		} else if cmp, ok := compareSQL(x, row[0]); ok && cmp == 0 {
+			found = true
+		}
+	}
+	switch {
+	case found:
+		return NewBool(true), nil
+	case sawNull:
+		return Null, nil
+	}
+	return NewBool(false), nil
 }

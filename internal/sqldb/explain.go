@@ -49,9 +49,11 @@ type AnalyzedPlan struct {
 
 // ExplainAnalyze executes a SELECT and renders its plan tree annotated
 // with actual per-operator row counts, next() calls, open counts, join
-// build sizes and inclusive wall time. The execution is a real one: it
-// runs against a pinned snapshot and through the plan cache exactly
-// like Query, and is recorded in the metrics registry.
+// build sizes, B-tree descents of index scans and joins (every other
+// probe resumed from the last one's landing) and inclusive wall time.
+// The execution is a real one: it runs against a pinned snapshot and
+// through the plan cache exactly like Query, and is recorded in the
+// metrics registry.
 func (db *Database) ExplainAnalyze(sql string, args ...Value) (string, error) {
 	ap, err := db.ExplainAnalyzePlan(sql, args...)
 	if err != nil {
@@ -109,6 +111,10 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 			actual = fmt.Sprintf(" (actual rows=%d nexts=%d opens=%d", op.Rows, op.Nexts, op.Opens)
 			if op.BuildRows > 0 {
 				actual += fmt.Sprintf(" build=%d", op.BuildRows)
+			}
+			switch n.(type) {
+			case *indexScanNode, *indexJoinNode:
+				actual += fmt.Sprintf(" descents=%d", op.Descents)
 			}
 			if op.Workers > 0 {
 				actual += fmt.Sprintf(" workers=%d", op.Workers)

@@ -75,6 +75,9 @@ type evalCtx struct {
 	// so every allocation anywhere in the query charges one ledger
 	// (see governor.go).
 	mem *memAccountant
+	// subs holds the iterator trees of the subqueries evaluated in this
+	// context, opened on first use (see evalCtx.subquery).
+	subs map[*plan]*subInstance
 }
 
 // compiledExpr evaluates an expression against a row.
@@ -449,24 +452,11 @@ func (c *compiler) compileIn(e *InExpr) (compiledExpr, error) {
 			if xv.IsNull() {
 				return Null, nil
 			}
-			rows, err := runSubquery(ctx, subPlan, row)
-			if err != nil {
+			v, err := inSubquery(ctx, subPlan, row, xv)
+			if err != nil || v.IsNull() {
 				return Null, err
 			}
-			sawNull := false
-			for _, r := range rows {
-				if r[0].IsNull() {
-					sawNull = true
-					continue
-				}
-				if cmp, ok := compareSQL(xv, r[0]); ok && cmp == 0 {
-					return NewBool(!not), nil
-				}
-			}
-			if sawNull {
-				return Null, nil
-			}
-			return NewBool(not), nil
+			return NewBool(v.Bool() != not), nil
 		}, nil
 	}
 	items := make([]compiledExpr, len(e.List))
@@ -529,18 +519,7 @@ func (c *compiler) compileScalarSub(sub *SelectStmt) (compiledExpr, error) {
 		return nil, errorf("scalar subquery must return exactly one column")
 	}
 	return func(ctx *evalCtx, row []Value) (Value, error) {
-		rows, err := runSubquery(ctx, subPlan, row)
-		if err != nil {
-			return Null, err
-		}
-		switch len(rows) {
-		case 0:
-			return Null, nil
-		case 1:
-			return rows[0][0], nil
-		default:
-			return Null, errorf("scalar subquery returned %d rows", len(rows))
-		}
+		return scalarSubquery(ctx, subPlan, row)
 	}, nil
 }
 

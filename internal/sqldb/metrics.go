@@ -145,7 +145,8 @@ func opKind(n planNode) string {
 
 // OpStats holds one operator's counters for one execution.
 type OpStats struct {
-	// Opens counts iterator openings (the "loops" of an inner side).
+	// Opens counts iterator openings and rewinds (the "loops" of an
+	// inner side).
 	Opens int64
 	// Rows counts rows the operator produced.
 	Rows int64
@@ -153,6 +154,10 @@ type OpStats struct {
 	Nexts int64
 	// BuildRows counts rows materialized on a join's build/inner side.
 	BuildRows int64
+	// Descents counts an index scan's or index join's root-to-leaf
+	// B-tree descents; every other probe resumed from the last one's
+	// landing position (see probeCursor).
+	Descents int64
 	// Time is cumulative wall clock inside open/next, inclusive of
 	// children. Only populated when timing is enabled (EXPLAIN ANALYZE).
 	// For operators below a Gather the per-worker clocks are summed, so
@@ -174,6 +179,19 @@ type runStats struct {
 	meta  *planOps
 	ops   []OpStats
 	timed bool
+}
+
+// fold adds a worker's counters into st's.
+func (st *runStats) fold(w *runStats) {
+	for i := range w.ops {
+		o, wo := &st.ops[i], &w.ops[i]
+		o.Opens += wo.Opens
+		o.Rows += wo.Rows
+		o.Nexts += wo.Nexts
+		o.BuildRows += wo.BuildRows
+		o.Descents += wo.Descents
+		o.Time += wo.Time
+	}
 }
 
 func newRunStats(p *plan, timed bool) *runStats {
@@ -261,6 +279,17 @@ func (it *statIter) next() ([]Value, error) {
 		it.op.Rows++
 	}
 	return row, err
+}
+
+func (it *statIter) rewind() error {
+	it.op.Opens++
+	if !it.timed {
+		return it.in.rewind()
+	}
+	t0 := time.Now()
+	err := it.in.rewind()
+	it.op.Time += time.Since(t0)
+	return err
 }
 
 func (it *statIter) close() { it.in.close() }

@@ -228,26 +228,21 @@ func (n *gatherNode) open(ctx *evalCtx) (rowIter, error) {
 	// Morsels must cover the heap of the version this snapshot sees, not
 	// the plan-time version — the table may have grown since planning.
 	total := int(ctx.resolveTable(n.driver.tbl).slotCount())
-	nMorsels := (total + morselSize - 1) / morselSize
-	workers := n.dop
-	if workers > nMorsels {
-		workers = nMorsels
-	}
-	if workers <= 1 {
+	if min(n.dop, (total+morselSize-1)/morselSize) <= 1 {
 		// Run-time serial fallback (the table shrank, or dop is 1).
 		return openNode(ctx, n.seg)
 	}
-	g := &gatherIter{
-		node:       n,
-		ctx:        ctx,
-		nMorsels:   nMorsels,
-		workers:    workers,
-		results:    make(chan morselOut, nMorsels+workers),
-		pending:    map[int][][]Value{},
-		workerRows: make([]int64, workers),
-	}
+	g := &gatherIter{node: n, ctx: ctx}
 	g.start(total)
 	return g, nil
+}
+
+// rewind joins the workers and starts a fresh set over the heap as the
+// snapshot now sees it.
+func (g *gatherIter) rewind() error {
+	g.join()
+	g.start(int(g.ctx.resolveTable(g.node.driver.tbl).slotCount()))
+	return nil
 }
 
 type morselOut struct {
@@ -277,7 +272,18 @@ type gatherIter struct {
 	joined      bool
 }
 
+// start resets the reorder state and launches the workers over a heap
+// of total slots.
 func (g *gatherIter) start(total int) {
+	g.nMorsels = (total + morselSize - 1) / morselSize
+	g.workers = max(min(g.node.dop, g.nMorsels), 1)
+	g.results = make(chan morselOut, g.nMorsels+g.workers)
+	g.cancel.Store(false)
+	g.pending = map[int][][]Value{}
+	g.nextIdx, g.buf, g.bufPos = 0, nil, 0
+	g.workerStats = nil
+	g.workerRows = make([]int64, g.workers)
+	g.joined = false
 	shared := newSharedBuilds()
 	var next atomic.Int64
 	if st := g.ctx.stats; st != nil {
@@ -383,14 +389,7 @@ func (g *gatherIter) join() {
 		return
 	}
 	for _, wrs := range g.workerStats {
-		for i := range wrs.ops {
-			o, w := &st.ops[i], &wrs.ops[i]
-			o.Opens += w.Opens
-			o.Rows += w.Rows
-			o.Nexts += w.Nexts
-			o.BuildRows += w.BuildRows
-			o.Time += w.Time
-		}
+		st.fold(wrs)
 	}
 	if s := g.ctx.opStat(g.node); s != nil {
 		s.Workers = g.workers
@@ -508,6 +507,13 @@ func (n *parallelAggNode) fold(ctx *evalCtx, morselIdx int, groups map[string]*p
 }
 
 func (n *parallelAggNode) open(ctx *evalCtx) (rowIter, error) {
+	return openBuilt(ctx, n.aggregate)
+}
+
+// aggregate folds the segment, in parallel when the heap holds more
+// than one morsel, and returns the groups in serial first-occurrence
+// order.
+func (n *parallelAggNode) aggregate(ctx *evalCtx) ([][]Value, error) {
 	total := int(ctx.resolveTable(n.driver.tbl).slotCount())
 	nMorsels := (total + morselSize - 1) / morselSize
 	workers := n.dop
@@ -550,7 +556,7 @@ func (n *parallelAggNode) open(ctx *evalCtx) (rowIter, error) {
 		}
 		out = append(out, row)
 	}
-	return &sliceIter{rows: out}, nil
+	return out, nil
 }
 
 // parallelFold runs the worker pool: each worker folds its claimed
@@ -612,14 +618,7 @@ func (n *parallelAggNode) parallelFold(ctx *evalCtx, total, nMorsels, workers in
 
 	if st := ctx.stats; st != nil {
 		for _, wrs := range workerStats {
-			for i := range wrs.ops {
-				o, ww := &st.ops[i], &wrs.ops[i]
-				o.Opens += ww.Opens
-				o.Rows += ww.Rows
-				o.Nexts += ww.Nexts
-				o.BuildRows += ww.BuildRows
-				o.Time += ww.Time
-			}
+			st.fold(wrs)
 		}
 		if s := ctx.opStat(n); s != nil {
 			s.Workers = workers

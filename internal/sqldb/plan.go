@@ -370,7 +370,8 @@ func (it *cutIter) next() ([]Value, error) {
 	return row[:it.width], nil
 }
 
-func (it *cutIter) close() { it.in.close() }
+func (it *cutIter) rewind() error { return it.in.rewind() }
+func (it *cutIter) close()        { it.in.close() }
 
 // derivedNode wraps a subquery plan as a FROM source with renamed schema.
 type derivedNode struct {
@@ -842,8 +843,9 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 		}
 	}
 
-	// compileResidual compiles leftover conjuncts over the joined row.
-	compileResidual := func(conjs []*conjunct, consumed map[*conjunct]bool) (compiledExpr, error) {
+	// compileResidual compiles leftover conjuncts over sch, the joined
+	// row or, for rel's own conjuncts under an index join, rel's row.
+	compileResidual := func(conjs []*conjunct, consumed map[*conjunct]bool, sch schema) (compiledExpr, error) {
 		var exprs []conjunct
 		for _, c := range conjs {
 			c.used = true
@@ -855,7 +857,7 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 		if len(exprs) == 0 {
 			return nil, nil
 		}
-		comp := &compiler{st: st, sch: joinedSch, outer: outer}
+		comp := &compiler{st: st, sch: sch, outer: outer}
 		return comp.compile(andAll(exprs))
 	}
 
@@ -887,11 +889,14 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 					delete(consumed, c)
 				}
 			}
-			extra, err := compileResidual(append(applicable, rel.own...), consumed)
-			if err != nil {
+			// rel's own conjuncts are tested on the stored row before
+			// anything is copied; the join conjuncts, on the joined row.
+			if node.tableCond, err = compileResidual(rel.own, consumed, relSch); err != nil {
 				return nil, err
 			}
-			node.extraCond = extra
+			if node.extraCond, err = compileResidual(applicable, consumed, joinedSch); err != nil {
+				return nil, err
+			}
 			return node, nil
 		}
 	}
@@ -925,7 +930,7 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 			rkeys = append(rkeys, func(_ *evalCtx, row []Value) (Value, error) { return row[col], nil })
 			consumed[p.conj] = true
 		}
-		extra, err := compileResidual(applicable, consumed)
+		extra, err := compileResidual(applicable, consumed, joinedSch)
 		if err != nil {
 			return nil, err
 		}
@@ -937,7 +942,7 @@ func joinRelation(st *dbState, cur planNode, rel *relation, conjs []conjunct, re
 	}
 
 	// Nested loop with whatever conditions apply (cross join when none).
-	cond, err := compileResidual(applicable, nil)
+	cond, err := compileResidual(applicable, nil, joinedSch)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/xpath"
@@ -85,6 +86,11 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 	predsAt := make(map[int][]xpath.Expr)
 	pi := 0
 	for _, s := range steps {
+		if s.Test.Kind == xpath.TestWildcard && slices.ContainsFunc(s.Preds, positional) {
+			// A partition holds one label: it ranks a node among its
+			// same-label siblings, never among all elements.
+			return "", unsupported("binary", "positional predicates on wildcard steps")
+		}
 		switch s.Axis {
 		case xpath.AxisChild, xpath.AxisDescendant, xpath.AxisAttribute:
 			seg := m.StepSeg[pi]
@@ -149,7 +155,9 @@ func binaryPred(e xpath.Expr, cur, curSeg string, opt BinaryOptions) (string, er
 			return binaryComparison(e, cur, curSeg, opt)
 		}
 	case *xpath.NumberLit:
-		// Positional within a partition: rank among same-label siblings.
+		// Positional within a partition: rank among same-label siblings,
+		// which is the step's own node test (wildcards are refused in
+		// binaryChainSQL).
 		tbl, ok := binaryTableFor(curSeg, opt)
 		if !ok {
 			return "1 = 0", nil

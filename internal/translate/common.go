@@ -93,6 +93,84 @@ func unsupported(scheme, what string) error {
 }
 
 // ---------------------------------------------------------------------------
+// Positional predicates
+
+// Every scheme with an order encoding translates a positional predicate
+// as a sibling count: the rank of the context node among its parent's
+// children with a smaller ordinal (or Dewey path) that the step's node
+// test admits. The DOM evaluator ranks a step's candidates in document
+// order per parent on the child, attribute and descendant axes, so the
+// two agree there; on every other axis the rank is not a sibling count
+// and the predicate is refused (checkPositional).
+
+// positional reports whether a predicate reads the context position: a
+// bare number ([2] abbreviates [position() = 2]) as a predicate or an
+// operand of and, or and not, or a position() call anywhere.
+func positional(e xpath.Expr) bool {
+	switch e := e.(type) {
+	case *xpath.NumberLit:
+		return true
+	case *xpath.BinaryExpr:
+		if e.Op == "and" || e.Op == "or" {
+			return positional(e.L) || positional(e.R)
+		}
+	case *xpath.FuncCall:
+		if e.Name == "not" && len(e.Args) == 1 {
+			return positional(e.Args[0])
+		}
+	}
+	return callsPosition(e)
+}
+
+// callsPosition reports whether e calls position() anywhere.
+func callsPosition(e xpath.Expr) bool {
+	switch e := e.(type) {
+	case *xpath.BinaryExpr:
+		return callsPosition(e.L) || callsPosition(e.R)
+	case *xpath.FuncCall:
+		if e.Name == "position" {
+			return true
+		}
+		for _, a := range e.Args {
+			if callsPosition(a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkPositional refuses positional predicates on a step whose axis
+// does not rank candidates among their parent's children.
+func checkPositional(scheme string, s *xpath.Step) error {
+	switch s.Axis {
+	case xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant:
+		return nil
+	}
+	for _, p := range s.Preds {
+		if positional(p) {
+			return unsupported(scheme, "positional predicates on the "+s.Axis.String()+" axis")
+		}
+	}
+	return nil
+}
+
+// siblingTest renders, for the sibling alias s of a positional count,
+// the siblings the node test t admits beside the context alias cur: the
+// same kind and name for a name test (the form named steps have always
+// used), every non-attribute child for node(), and the same kind for
+// *, text() and comment().
+func siblingTest(t xpath.NodeTest, cur string) string {
+	switch t.Kind {
+	case xpath.TestName:
+		return fmt.Sprintf("s.kind = %s.kind AND s.name = %s.name", cur, cur)
+	case xpath.TestNode:
+		return "s.kind <> 'attr'"
+	}
+	return fmt.Sprintf("s.kind = %s.kind", cur)
+}
+
+// ---------------------------------------------------------------------------
 // Path catalog
 
 // PathCatalog records the concrete label paths present in a loaded

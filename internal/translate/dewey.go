@@ -133,8 +133,11 @@ func Dewey(p *xpath.Path, opt DeweyOptions) (string, error) {
 		default:
 			return "", unsupported("dewey", "axis "+s.Axis.String())
 		}
+		if err := checkPositional("dewey", &s); err != nil {
+			return "", err
+		}
 		for _, pe := range s.Preds {
-			c, err := deweyPred(pe, cur, opt)
+			c, err := deweyPred(pe, cur, s.Test, opt)
 			if err != nil {
 				return "", err
 			}
@@ -175,25 +178,25 @@ func deweyTestCond(a string, t xpath.NodeTest, isAttr bool) string {
 	return ""
 }
 
-func deweyPred(e xpath.Expr, cur string, opt DeweyOptions) (string, error) {
+func deweyPred(e xpath.Expr, cur string, test xpath.NodeTest, opt DeweyOptions) (string, error) {
 	switch e := e.(type) {
 	case *xpath.BinaryExpr:
 		switch e.Op {
 		case "and", "or":
-			l, err := deweyPred(e.L, cur, opt)
+			l, err := deweyPred(e.L, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
-			r, err := deweyPred(e.R, cur, opt)
+			r, err := deweyPred(e.R, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
 			return "(" + l + " " + strings.ToUpper(e.Op) + " " + r + ")", nil
 		default:
-			return deweyComparison(e, cur, opt)
+			return deweyComparison(e, cur, test, opt)
 		}
 	case *xpath.NumberLit:
-		return deweyPosition(cur, "=", numLiteral(e.Val), opt), nil
+		return deweyPosition(cur, test, "=", numLiteral(e.Val), opt), nil
 	case *xpath.PathOperand:
 		chain, _, err := deweyPredChain(e.Path, cur, opt)
 		if err != nil {
@@ -206,7 +209,7 @@ func deweyPred(e xpath.Expr, cur string, opt DeweyOptions) (string, error) {
 			if len(e.Args) != 1 {
 				return "", unsupported("dewey", "not() arity")
 			}
-			inner, err := deweyPred(e.Args[0], cur, opt)
+			inner, err := deweyPred(e.Args[0], cur, test, opt)
 			if err != nil {
 				return "", err
 			}
@@ -247,7 +250,7 @@ func deweyPred(e xpath.Expr, cur string, opt DeweyOptions) (string, error) {
 	return "", unsupported("dewey", fmt.Sprintf("predicate %T", e))
 }
 
-func deweyComparison(e *xpath.BinaryExpr, cur string, opt DeweyOptions) (string, error) {
+func deweyComparison(e *xpath.BinaryExpr, cur string, test xpath.NodeTest, opt DeweyOptions) (string, error) {
 	l, r, op := e.L, e.R, e.Op
 	if isLiteral(l) && !isLiteral(r) {
 		l, r = r, l
@@ -264,7 +267,7 @@ func deweyComparison(e *xpath.BinaryExpr, cur string, opt DeweyOptions) (string,
 	case *xpath.FuncCall:
 		switch lx.Name {
 		case "position":
-			return deweyPosition(cur, op, lit, opt), nil
+			return deweyPosition(cur, test, op, lit, opt), nil
 		case "count":
 			if len(lx.Args) != 1 {
 				return "", unsupported("dewey", "count() arity")
@@ -298,10 +301,13 @@ func deweyComparison(e *xpath.BinaryExpr, cur string, opt DeweyOptions) (string,
 	return "", unsupported("dewey", fmt.Sprintf("comparison of %T", l))
 }
 
-func deweyPosition(cur, op, lit string, opt DeweyOptions) string {
+// deweyPosition renders the positional predicate: the rank of the
+// context node among its preceding siblings that the step's node test
+// admits (see siblingTest).
+func deweyPosition(cur string, test xpath.NodeTest, op, lit string, opt DeweyOptions) string {
 	return fmt.Sprintf(
-		"(SELECT COUNT(*) FROM %s s WHERE s.parent = %s.parent AND s.kind = %s.kind AND s.name = %s.name AND s.path < %s.path) + 1 %s %s",
-		opt.Table, cur, cur, cur, cur, op, lit)
+		"(SELECT COUNT(*) FROM %s s WHERE s.parent = %s.parent AND %s AND s.path < %s.path) + 1 %s %s",
+		opt.Table, cur, siblingTest(test, cur), cur, op, lit)
 }
 
 func deweyPredChain(p *xpath.Path, cur string, opt DeweyOptions) (string, string, error) {

@@ -41,8 +41,12 @@ func (o *EdgeOptions) defaults() {
 type edgeHop struct {
 	axis xpath.Axis
 	test xpath.NodeTest
-	// preds are attached to the final hop of each original step.
-	preds []xpath.Expr
+	// preds are attached to the final hop of each original step, and
+	// posTest is that step's own node test: the one its positional
+	// predicates rank among, which a catalog expansion of a wildcard
+	// into concrete names does not change.
+	preds   []xpath.Expr
+	posTest xpath.NodeTest
 }
 
 // Edge translates an XPath query to SQL over the Edge table
@@ -104,10 +108,13 @@ func expandEdgeSteps(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, error) {
 
 	out := [][]edgeHop{nil}
 	for _, s := range steps {
+		if err := checkPositional("edge", &s); err != nil {
+			return nil, err
+		}
 		switch s.Axis {
 		case xpath.AxisChild, xpath.AxisAttribute, xpath.AxisParent, xpath.AxisSelf:
 			for i := range out {
-				out[i] = append(out[i], edgeHop{axis: s.Axis, test: s.Test, preds: s.Preds})
+				out[i] = append(out[i], edgeHop{axis: s.Axis, test: s.Test, preds: s.Preds, posTest: s.Test})
 			}
 		case xpath.AxisDescendant:
 			var next [][]edgeHop
@@ -115,9 +122,10 @@ func expandEdgeSteps(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, error) {
 				for d := 1; d <= budget; d++ {
 					hops := append([]edgeHop{}, base...)
 					for k := 1; k < d; k++ {
-						hops = append(hops, edgeHop{axis: xpath.AxisChild, test: xpath.NodeTest{Kind: xpath.TestNode}})
+						// Intermediate hops walk the element spine.
+						hops = append(hops, edgeHop{axis: xpath.AxisChild, test: xpath.NodeTest{Kind: xpath.TestWildcard}})
 					}
-					hops = append(hops, edgeHop{axis: xpath.AxisChild, test: s.Test, preds: s.Preds})
+					hops = append(hops, edgeHop{axis: xpath.AxisChild, test: s.Test, preds: s.Preds, posTest: s.Test})
 					next = append(next, hops)
 					if len(next) > opt.MaxExpansions {
 						return nil, fmt.Errorf("translate: edge descendant expansion exceeds %d chains (depth %d); raise MaxExpansions", opt.MaxExpansions, opt.MaxDepth)
@@ -156,12 +164,14 @@ func expandEdgeViaCatalog(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, err
 	for _, m := range matches {
 		// Map step index -> segment for predicate attachment.
 		segPreds := make(map[int][]xpath.Expr)
+		segTest := make(map[int]xpath.NodeTest)
 		for si, s := range steps {
 			segPreds[m.StepSeg[si]] = append(segPreds[m.StepSeg[si]], s.Preds...)
+			segTest[m.StepSeg[si]] = s.Test
 		}
 		var hops []edgeHop
 		for k, seg := range m.Segments {
-			h := edgeHop{axis: xpath.AxisChild, preds: segPreds[k]}
+			h := edgeHop{axis: xpath.AxisChild, preds: segPreds[k], posTest: segTest[k]}
 			switch {
 			case seg == "#text":
 				h.test = xpath.NodeTest{Kind: xpath.TestText}
@@ -227,7 +237,7 @@ func edgeChainSQL(hops []edgeHop, opt EdgeOptions) (string, error) {
 			cur = a
 		}
 		for _, pe := range h.preds {
-			c, err := edgePred(pe, cur, opt)
+			c, err := edgePred(pe, cur, h.posTest, opt)
 			if err != nil {
 				return "", err
 			}
@@ -267,36 +277,34 @@ func edgeTestCond(a string, t xpath.NodeTest, isAttr bool) string {
 	case xpath.TestComment:
 		return fmt.Sprintf("%s.kind = 'comment'", a)
 	case xpath.TestNode:
-		// Any child edge; structural hops restrict to elements so the
-		// expansion of // only walks the element spine.
-		return fmt.Sprintf("%s.kind = 'elem'", a)
+		return fmt.Sprintf("%s.kind <> 'attr'", a)
 	}
 	return ""
 }
 
 // edgePred translates one predicate for the context edge alias `cur`.
 // The context node id is cur.target.
-func edgePred(e xpath.Expr, cur string, opt EdgeOptions) (string, error) {
+func edgePred(e xpath.Expr, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
 	switch e := e.(type) {
 	case *xpath.BinaryExpr:
 		switch e.Op {
 		case "and", "or":
-			l, err := edgePred(e.L, cur, opt)
+			l, err := edgePred(e.L, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
-			r, err := edgePred(e.R, cur, opt)
+			r, err := edgePred(e.R, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
 			op := strings.ToUpper(e.Op)
 			return "(" + l + " " + op + " " + r + ")", nil
 		default:
-			return edgeComparison(e, cur, opt)
+			return edgeComparison(e, cur, test, opt)
 		}
 	case *xpath.NumberLit:
 		// [N] == [position() = N]
-		return edgePosition(cur, "=", numLiteral(e.Val), opt), nil
+		return edgePosition(cur, test, "=", numLiteral(e.Val), opt), nil
 	case *xpath.PathOperand:
 		chain, _, err := edgePredChain(e.Path, cur, opt)
 		if err != nil {
@@ -304,18 +312,18 @@ func edgePred(e xpath.Expr, cur string, opt EdgeOptions) (string, error) {
 		}
 		return "EXISTS (" + chain + ")", nil
 	case *xpath.FuncCall:
-		return edgePredFunc(e, cur, opt)
+		return edgePredFunc(e, cur, test, opt)
 	}
 	return "", unsupported("edge", fmt.Sprintf("predicate %T", e))
 }
 
-func edgePredFunc(e *xpath.FuncCall, cur string, opt EdgeOptions) (string, error) {
+func edgePredFunc(e *xpath.FuncCall, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
 	switch e.Name {
 	case "not":
 		if len(e.Args) != 1 {
 			return "", unsupported("edge", "not() arity")
 		}
-		inner, err := edgePred(e.Args[0], cur, opt)
+		inner, err := edgePred(e.Args[0], cur, test, opt)
 		if err != nil {
 			return "", err
 		}
@@ -360,7 +368,7 @@ func edgeValueMatch(arg xpath.Expr, cur string, opt EdgeOptions, cond func(strin
 }
 
 // edgeComparison translates [path op literal] and positional forms.
-func edgeComparison(e *xpath.BinaryExpr, cur string, opt EdgeOptions) (string, error) {
+func edgeComparison(e *xpath.BinaryExpr, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
 	l, r, op := e.L, e.R, e.Op
 	// Normalize literal-first comparisons.
 	if isLiteral(l) && !isLiteral(r) {
@@ -379,7 +387,7 @@ func edgeComparison(e *xpath.BinaryExpr, cur string, opt EdgeOptions) (string, e
 	case *xpath.FuncCall:
 		switch lx.Name {
 		case "position":
-			return edgePosition(cur, sqlOp, lit, opt), nil
+			return edgePosition(cur, test, sqlOp, lit, opt), nil
 		case "count":
 			if len(lx.Args) != 1 {
 				return "", unsupported("edge", "count() arity")
@@ -417,11 +425,12 @@ func edgeComparison(e *xpath.BinaryExpr, cur string, opt EdgeOptions) (string, e
 }
 
 // edgePosition renders the positional predicate: the rank of the
-// context node among its same-name, same-kind siblings.
-func edgePosition(cur, op, lit string, opt EdgeOptions) string {
+// context node among its preceding siblings that the step's node test
+// admits (see siblingTest).
+func edgePosition(cur string, test xpath.NodeTest, op, lit string, opt EdgeOptions) string {
 	return fmt.Sprintf(
-		"(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.kind = %s.kind AND s.name = %s.name AND s.ordinal < %s.ordinal) + 1 %s %s",
-		opt.Table, cur, cur, cur, cur, op, lit)
+		"(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal) + 1 %s %s",
+		opt.Table, cur, siblingTest(test, cur), cur, op, lit)
 }
 
 // edgePredChain builds the EXISTS body for a relative predicate path.

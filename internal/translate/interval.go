@@ -132,8 +132,11 @@ func Interval(p *xpath.Path, opt IntervalOptions) (string, error) {
 		default:
 			return "", unsupported("interval", "axis "+s.Axis.String())
 		}
+		if err := checkPositional("interval", &s); err != nil {
+			return "", err
+		}
 		for _, pe := range s.Preds {
-			c, err := intervalPred(pe, cur, opt)
+			c, err := intervalPred(pe, cur, s.Test, opt)
 			if err != nil {
 				return "", err
 			}
@@ -172,25 +175,25 @@ func intervalTestCond(a string, t xpath.NodeTest, isAttr bool) string {
 	return ""
 }
 
-func intervalPred(e xpath.Expr, cur string, opt IntervalOptions) (string, error) {
+func intervalPred(e xpath.Expr, cur string, test xpath.NodeTest, opt IntervalOptions) (string, error) {
 	switch e := e.(type) {
 	case *xpath.BinaryExpr:
 		switch e.Op {
 		case "and", "or":
-			l, err := intervalPred(e.L, cur, opt)
+			l, err := intervalPred(e.L, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
-			r, err := intervalPred(e.R, cur, opt)
+			r, err := intervalPred(e.R, cur, test, opt)
 			if err != nil {
 				return "", err
 			}
 			return "(" + l + " " + strings.ToUpper(e.Op) + " " + r + ")", nil
 		default:
-			return intervalComparison(e, cur, opt)
+			return intervalComparison(e, cur, test, opt)
 		}
 	case *xpath.NumberLit:
-		return intervalPosition(cur, "=", numLiteral(e.Val), opt), nil
+		return intervalPosition(cur, test, "=", numLiteral(e.Val), opt), nil
 	case *xpath.PathOperand:
 		chain, _, err := intervalPredChain(e.Path, cur, opt)
 		if err != nil {
@@ -198,18 +201,18 @@ func intervalPred(e xpath.Expr, cur string, opt IntervalOptions) (string, error)
 		}
 		return "EXISTS (" + chain + ")", nil
 	case *xpath.FuncCall:
-		return intervalPredFunc(e, cur, opt)
+		return intervalPredFunc(e, cur, test, opt)
 	}
 	return "", unsupported("interval", fmt.Sprintf("predicate %T", e))
 }
 
-func intervalPredFunc(e *xpath.FuncCall, cur string, opt IntervalOptions) (string, error) {
+func intervalPredFunc(e *xpath.FuncCall, cur string, test xpath.NodeTest, opt IntervalOptions) (string, error) {
 	switch e.Name {
 	case "not":
 		if len(e.Args) != 1 {
 			return "", unsupported("interval", "not() arity")
 		}
-		inner, err := intervalPred(e.Args[0], cur, opt)
+		inner, err := intervalPred(e.Args[0], cur, test, opt)
 		if err != nil {
 			return "", err
 		}
@@ -248,7 +251,7 @@ func intervalPredFunc(e *xpath.FuncCall, cur string, opt IntervalOptions) (strin
 	return "", unsupported("interval", e.Name+"() in a predicate")
 }
 
-func intervalComparison(e *xpath.BinaryExpr, cur string, opt IntervalOptions) (string, error) {
+func intervalComparison(e *xpath.BinaryExpr, cur string, test xpath.NodeTest, opt IntervalOptions) (string, error) {
 	l, r, op := e.L, e.R, e.Op
 	if isLiteral(l) && !isLiteral(r) {
 		l, r = r, l
@@ -265,7 +268,7 @@ func intervalComparison(e *xpath.BinaryExpr, cur string, opt IntervalOptions) (s
 	case *xpath.FuncCall:
 		switch lx.Name {
 		case "position":
-			return intervalPosition(cur, op, lit, opt), nil
+			return intervalPosition(cur, test, op, lit, opt), nil
 		case "count":
 			if len(lx.Args) != 1 {
 				return "", unsupported("interval", "count() arity")
@@ -299,10 +302,13 @@ func intervalComparison(e *xpath.BinaryExpr, cur string, opt IntervalOptions) (s
 	return "", unsupported("interval", fmt.Sprintf("comparison of %T", l))
 }
 
-func intervalPosition(cur, op, lit string, opt IntervalOptions) string {
+// intervalPosition renders the positional predicate: the rank of the
+// context node among its preceding siblings that the step's node test
+// admits (see siblingTest).
+func intervalPosition(cur string, test xpath.NodeTest, op, lit string, opt IntervalOptions) string {
 	return fmt.Sprintf(
-		"(SELECT COUNT(*) FROM %s s WHERE s.parent = %s.parent AND s.kind = %s.kind AND s.name = %s.name AND s.ordinal < %s.ordinal) + 1 %s %s",
-		opt.Table, cur, cur, cur, cur, op, lit)
+		"(SELECT COUNT(*) FROM %s s WHERE s.parent = %s.parent AND %s AND s.ordinal < %s.ordinal) + 1 %s %s",
+		opt.Table, cur, siblingTest(test, cur), cur, op, lit)
 }
 
 // intervalPredChain builds the EXISTS body for a relative predicate path

@@ -295,3 +295,30 @@ func TestInlineTranslationShape(t *testing.T) {
 		t.Error("anchored descendant through recursion should be unsupported")
 	}
 }
+
+// TestNamedPositionSQLUnchanged pins the positional SQL of named steps,
+// which the plan cache and the F1 plans key on: counting by the step's
+// node test changed only the *, node() and text() forms.
+func TestNamedPositionSQLUnchanged(t *testing.T) {
+	q := xpath.MustParse("/site/open_auctions/open_auction/bidder[1]/increase")
+	for _, c := range []struct {
+		scheme string
+		sql    func() (string, error)
+		want   string
+	}{
+		{"interval", func() (string, error) { return Interval(q, IntervalOptions{}) },
+			"(SELECT COUNT(*) FROM accel s WHERE s.parent = a4.parent AND s.kind = a4.kind AND s.name = a4.name AND s.ordinal < a4.ordinal) + 1 = 1"},
+		{"dewey", func() (string, error) { return Dewey(q, DeweyOptions{}) },
+			"(SELECT COUNT(*) FROM dewey s WHERE s.parent = d4.parent AND s.kind = d4.kind AND s.name = d4.name AND s.path < d4.path) + 1 = 1"},
+		{"edge", func() (string, error) { return Edge(q, EdgeOptions{MaxDepth: 8}) },
+			"(SELECT COUNT(*) FROM edge s WHERE s.source = e4.source AND s.kind = e4.kind AND s.name = e4.name AND s.ordinal < e4.ordinal) + 1 = 1"},
+	} {
+		sql, err := c.sql()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sql, c.want) {
+			t.Errorf("%s positional SQL changed:\n%s", c.scheme, sql)
+		}
+	}
+}
