@@ -48,9 +48,9 @@ test:
 race:
 	$(GO) test -race ./internal/sqldb ./internal/core ./internal/lru
 
-## pmatrix: the engine suite (including the parallel-vs-serial
-## differential battery) at GOMAXPROCS 1, 2 and 4 — morsel-parallel
-## execution must return byte-identical results at every width.
+## pmatrix: the engine suite at GOMAXPROCS 1, 2 and 4 — concurrent
+## readers, writers, group commit, checkpoints and buffer-pool pins must
+## behave the same on one, two and four OS threads.
 pmatrix:
 	@for p in 1 2 4; do \
 		echo "pmatrix: GOMAXPROCS=$$p"; \
@@ -59,14 +59,14 @@ pmatrix:
 
 ## concurrency: the snapshot-isolation gate — the reconstruction-
 ## during-updates differential (snapshot XML byte-identical to serial
-## replay at every commit boundary, DOP 1/4/16), query cancellation,
-## and the concurrent cached-query/DDL races, under -race across a
-## GOMAXPROCS matrix.
+## replay at every commit boundary), query cancellation, and the
+## concurrent cached-query/DDL and query/mutation races, under -race
+## across a GOMAXPROCS matrix.
 concurrency:
 	@for p in 1 2 4; do \
 		echo "concurrency: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestSnapshotReconstructDuringUpdates|TestQueryContextCancel|TestConcurrentCachedQueriesWithDDL|TestParallelQueriesUnderConcurrentMutations' \
+			-run 'TestSnapshotReconstructDuringUpdates|TestQueryContextCancel|TestConcurrentCachedQueriesWithDDL|TestQueriesUnderConcurrentMutations' \
 			./internal/sqldb ./internal/core || exit 1; \
 	done
 
@@ -116,7 +116,7 @@ crash:
 
 ## chaos: the resource-governor / fail-safe gate — concurrent writers
 ## and governed queries (memory budgets, admission control, injected
-## worker panics, canceled contexts) against a mid-flight ENOSPC fault,
+## executor panics, canceled contexts) against a mid-flight ENOSPC fault,
 ## through degraded read-only mode and Recover, under -race across a
 ## GOMAXPROCS matrix. Proves ack-implies-durable and that no abort or
 ## panic path wedges a lock or leaks a reservation.
@@ -124,7 +124,7 @@ chaos:
 	@for p in 1 2 4; do \
 		echo "chaos: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestChaosGovernedConcurrency|TestMorselWorkerPanicFailsOnlyThatQuery|TestWriterPanicReleasesLocks|TestBudgetAbortLeavesConcurrentTrafficUnaffected|TestAdmissionControlEndToEnd' \
+			-run 'TestChaosGovernedConcurrency|TestExecutorPanicFailsOnlyThatQuery|TestWriterPanicReleasesLocks|TestBudgetAbortLeavesConcurrentTrafficUnaffected|TestAdmissionControlEndToEnd' \
 			./internal/sqldb || exit 1; \
 	done
 

@@ -48,7 +48,6 @@ func main() {
 		scheme    = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey|inline")
 		dtdFile   = flag.String("dtd", "", "DTD file (required for -scheme inline)")
 		valueIdx  = flag.Bool("value-index", false, "create content-value indexes")
-		parallel  = flag.Int("parallel", 0, "intra-query parallelism: 0=auto (GOMAXPROCS), 1=serial, n=worker cap")
 		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes for tracked query memory (joins, sorts, aggregates); queries that exceed it abort (0 = unlimited)")
 		queryMem  = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
@@ -83,8 +82,7 @@ func main() {
 		// document is supplied and the store is still empty, load it
 		// (durably, as one crash-atomic group commit).
 		opts := core.Options{
-			WithValueIndex: *valueIdx, Parallelism: *parallel,
-			MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
+			WithValueIndex: *valueIdx, MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
 			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
 			BufferPoolPages: *bufPool,
 		}
@@ -138,9 +136,6 @@ func main() {
 		if err != nil {
 			fail("reopening %s: %v", *openDB, err)
 		}
-		if *parallel > 0 {
-			st.DB().SetParallelism(*parallel)
-		}
 		if *memBudget > 0 {
 			st.DB().SetMemoryBudget(*memBudget)
 		}
@@ -155,8 +150,7 @@ func main() {
 		}
 	case *in != "":
 		opts := core.Options{
-			WithValueIndex: *valueIdx, Parallelism: *parallel,
-			MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
+			WithValueIndex: *valueIdx, MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
 			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
 			BufferPoolPages: *bufPool,
 		}

@@ -40,7 +40,6 @@ func main() {
 		maxSess    = flag.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
 		stmtCache  = flag.Int("stmt-cache", 0, "per-session prepared-statement cache entries (0 = 32)")
 		valueIdx   = flag.Bool("value-index", false, "create content-value indexes")
-		parallel   = flag.Int("parallel", 0, "intra-query parallelism: 0=auto, 1=serial, n=worker cap")
 		memBudget  = flag.Int64("mem-budget", 0, "engine memory budget in bytes (0 = unlimited)")
 		queryMem   = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc    = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
@@ -57,7 +56,6 @@ func main() {
 		authFile: *authFile, maxSess: *maxSess, stmtCache: *stmtCache,
 		opts: core.Options{
 			WithValueIndex:       *valueIdx,
-			Parallelism:          *parallel,
 			MemoryBudget:         *memBudget,
 			QueryMemoryLimit:     *queryMem,
 			MaxConcurrentQueries: *maxConc,

@@ -8,7 +8,7 @@ import (
 )
 
 // f1RoundAllocCeiling bounds the bytes one round of the F1 mix may
-// allocate over an XMark factor-0.1 Interval store at DOP 1. Measured
+// allocate over an XMark factor-0.1 Interval store. Measured
 // at 0.39 MiB per round once index probes reuse one cursor per
 // operator, joins test residuals on the probed table in place,
 // projections carve rows from an arena and correlated subqueries are
@@ -20,7 +20,7 @@ const f1RoundAllocCeiling = 2 * 0.39 * (1 << 20)
 // TestF1RoundAllocation guards against per-row allocation creeping back
 // into the join operators.
 func TestF1RoundAllocation(t *testing.T) {
-	st, err := OpenWith(Interval, Options{Parallelism: 1})
+	st, err := Open(Interval)
 	if err != nil {
 		t.Fatal(err)
 	}

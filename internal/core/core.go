@@ -64,9 +64,6 @@ type Options struct {
 	// the others). Root optionally names the document element.
 	DTD  string
 	Root string
-	// Parallelism sets the engine's intra-query degree of parallelism:
-	// 0 = automatic (GOMAXPROCS), 1 = serial, n>1 = at most n workers.
-	Parallelism int
 	// MemoryBudget caps the engine's total tracked query memory in
 	// bytes; queries that would push the shared pool past it abort with
 	// sqldb.ErrMemoryBudgetExceeded. 0 disables the budget.
@@ -194,9 +191,6 @@ func OpenWith(kind SchemeKind, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("core: unknown scheme %q", kind)
 	}
 	db := sqldb.New()
-	if opts.Parallelism > 0 {
-		db.SetParallelism(opts.Parallelism)
-	}
 	if opts.MemoryBudget > 0 {
 		db.SetMemoryBudget(opts.MemoryBudget)
 	}

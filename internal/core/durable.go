@@ -73,9 +73,6 @@ func OpenDurableVFS(kind SchemeKind, fs sqldb.VFS, opts Options, dopts DurableOp
 		return nil, err
 	}
 	db := ddb.DB()
-	if opts.Parallelism > 0 {
-		db.SetParallelism(opts.Parallelism)
-	}
 	if opts.MemoryBudget > 0 {
 		db.SetMemoryBudget(opts.MemoryBudget)
 	}

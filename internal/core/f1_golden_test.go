@@ -35,7 +35,7 @@ func TestF1ExaminedGolden(t *testing.T) {
 	var got bytes.Buffer
 	fmt.Fprintln(&got, "# scheme class examined result")
 	for _, kind := range []SchemeKind{Edge, Binary, Universal, Interval, Dewey, Inline} {
-		opts := Options{Parallelism: 1}
+		var opts Options
 		if kind == Inline {
 			opts.DTD, opts.Root = xmlgen.AuctionDTD, "site"
 		}

@@ -6,12 +6,6 @@ type aggSpec struct {
 	name     string       // COUNT, SUM, AVG, MIN, MAX
 	arg      compiledExpr // nil for COUNT(*)
 	distinct bool
-	// exact marks aggregates whose partial states merge without any
-	// result drift, making them eligible for parallel partial
-	// aggregation: COUNT/MIN/MAX always, SUM/AVG only when the argument
-	// is statically integer-typed (float addition is not associative),
-	// and never DISTINCT (the dedup set is per-partition).
-	exact bool
 }
 
 type aggNode struct {
@@ -76,38 +70,6 @@ func (s *aggState) add(v Value, distinct bool) {
 		}
 		if Compare(v, s.max) > 0 {
 			s.max = v
-		}
-	}
-}
-
-// merge folds another partial state into s. Only reached for exact
-// aggregates (see aggSpec.exact), so DISTINCT sets never need merging
-// and any float sums came from explicit float inputs.
-func (s *aggState) merge(o *aggState) {
-	s.count += o.count
-	switch {
-	case !s.isFloat && o.isFloat:
-		s.sumF = float64(s.sumI) + o.sumF
-		s.sumI = 0
-		s.isFloat = true
-	case s.isFloat && o.isFloat:
-		s.sumF += o.sumF
-	case s.isFloat:
-		s.sumF += float64(o.sumI)
-	default:
-		s.sumI += o.sumI
-	}
-	if o.hasVal {
-		if !s.hasVal {
-			s.min, s.max = o.min, o.max
-			s.hasVal = true
-		} else {
-			if Compare(o.min, s.min) < 0 {
-				s.min = o.min
-			}
-			if Compare(o.max, s.max) > 0 {
-				s.max = o.max
-			}
 		}
 	}
 }

@@ -187,49 +187,41 @@ func TestExplainAnalyzeMatchesRepeatedRuns(t *testing.T) {
 // ANALYZE and checks the accounting contract against want, the expected
 // result: Query returns want byte-identical; the analyzed run reports
 // want's cardinality at the root; every operator was opened and was
-// asked for at least as many rows as it produced; and, for plans
-// without a Limit (whose children may be pulled past the cut by the
-// gather), the untimed run folded exactly the analyzed run's
-// per-operator opens, rows, next() calls and build sizes into the
-// metrics registry.
+// asked for at least as many rows as it produced; and the untimed run
+// folded exactly the analyzed run's per-operator opens, rows, next()
+// calls and build sizes into the metrics registry.
 func checkAccounting(t *testing.T, db *Database, want *Rows, sql string, args ...Value) {
 	t.Helper()
-	dop := db.Parallelism()
 	before := db.Metrics()
 	got, err := db.Query(sql, args...)
 	if err != nil {
-		t.Fatalf("dop=%d: %v", dop, err)
+		t.Fatal(err)
 	}
 	after := db.Metrics()
 	if !reflect.DeepEqual(want.Columns, got.Columns) || !IdenticalRows(want.Data, got.Data) {
-		t.Fatalf("dop=%d: %d rows vs expected %d rows, or order/value drift", dop, got.Len(), want.Len())
+		t.Fatalf("%d rows vs expected %d rows, or order/value drift", got.Len(), want.Len())
 	}
 	ap, err := db.ExplainAnalyzePlan(sql, args...)
 	if err != nil {
-		t.Fatalf("dop=%d analyze: %v", dop, err)
+		t.Fatalf("analyze: %v", err)
 	}
 	if ap.Rows != want.Len() || len(ap.Ops) == 0 || ap.Ops[0].Rows != int64(want.Len()) {
-		t.Fatalf("dop=%d: analyzed cardinality %d, want %d", dop, ap.Rows, want.Len())
+		t.Fatalf("analyzed cardinality %d, want %d", ap.Rows, want.Len())
 	}
 	analyzed := map[string]OpTotalStats{}
-	limited := false
 	for _, op := range ap.Ops {
 		if op.Opens < 1 {
-			t.Errorf("dop=%d %s: opens=%d, want >= 1", dop, op.Kind, op.Opens)
+			t.Errorf("%s: opens=%d, want >= 1", op.Kind, op.Opens)
 		}
 		if op.Nexts < op.Rows {
-			t.Errorf("dop=%d %s: nexts=%d < rows=%d", dop, op.Kind, op.Nexts, op.Rows)
+			t.Errorf("%s: nexts=%d < rows=%d", op.Kind, op.Nexts, op.Rows)
 		}
-		limited = limited || op.Kind == "Limit"
 		s := analyzed[op.Kind]
 		s.Opens += uint64(op.Opens)
 		s.Rows += uint64(op.Rows)
 		s.Nexts += uint64(op.Nexts)
 		s.BuildRows += uint64(op.BuildRows)
 		analyzed[op.Kind] = s
-	}
-	if limited {
-		return
 	}
 	folded := map[string]OpTotalStats{}
 	for _, op := range after.Operators {
@@ -246,31 +238,29 @@ func checkAccounting(t *testing.T, db *Database, want *Rows, sql string, args ..
 	for kind, f := range folded {
 		f.Kind, f.Time = "", 0
 		if a := analyzed[kind]; f != a {
-			t.Errorf("dop=%d %s: registry folded %+v, analyzed run reported %+v", dop, kind, f, a)
+			t.Errorf("%s: registry folded %+v, analyzed run reported %+v", kind, f, a)
 		}
 	}
 	for kind := range analyzed {
 		if _, ok := folded[kind]; !ok && analyzed[kind] != (OpTotalStats{}) {
-			t.Errorf("dop=%d %s: analyzed but never folded into the registry", dop, kind)
+			t.Errorf("%s: analyzed but never folded into the registry", kind)
 		}
 	}
 }
 
-// TestVectorizedMatchesRowEngine drives the parallel battery at DOP 1,
-// 4 and 16 and holds every execution to the serial answer and to the
-// accounting contract of checkAccounting. The name is kept from the
-// batch-engine differential this test succeeds.
+// TestVectorizedMatchesRowEngine drives the battery and holds every
+// execution to the first answer and to the accounting contract of
+// checkAccounting. The name is kept from the batch-engine differential
+// this test succeeds.
 func TestVectorizedMatchesRowEngine(t *testing.T) {
-	dbs := parallelFixture(t, 10000, 1, 4, 16)
+	db := bigFixture(t, 10000)
 	for _, tc := range parallelBattery {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := dbs[0].Query(tc.sql, tc.args...)
+			want, err := db.Query(tc.sql, tc.args...)
 			if err != nil {
-				t.Fatalf("serial: %v", err)
+				t.Fatal(err)
 			}
-			for _, db := range dbs {
-				checkAccounting(t, db, want, tc.sql, tc.args...)
-			}
+			checkAccounting(t, db, want, tc.sql, tc.args...)
 		})
 	}
 }
@@ -281,7 +271,6 @@ func TestVectorizedMatchesRowEngine(t *testing.T) {
 // probe. Index scans report their descents too.
 func TestExplainAnalyzeDescents(t *testing.T) {
 	db := New()
-	db.SetParallelism(1)
 	db.MustExec(`CREATE TABLE s (id INTEGER PRIMARY KEY, k INTEGER)`)
 	db.MustExec(`CREATE INDEX s_k ON s (k)`)
 	var rows []string

@@ -22,13 +22,12 @@ type dbState struct {
 	// the state's seq, so "snapshot at seq S" names both an in-memory
 	// version and a WAL position.
 	seq uint64
-	// epoch is the schema version, advanced by every DDL statement (and
-	// by SetParallelism). Compiled plans — cached or prepared — are
-	// valid only for the epoch they were planned at (see plancache.go).
-	epoch       uint64
-	tables      map[string]*table
-	indexes     map[string]*IndexDef // index name -> def (table lookup)
-	parallelism int
+	// epoch is the schema version, advanced by every DDL statement.
+	// Compiled plans — cached or prepared — are valid only for the
+	// epoch they were planned at (see plancache.go).
+	epoch   uint64
+	tables  map[string]*table
+	indexes map[string]*IndexDef // index name -> def (table lookup)
 }
 
 func (st *dbState) table(name string) *table {
@@ -37,11 +36,10 @@ func (st *dbState) table(name string) *table {
 
 func (st *dbState) shallowClone() *dbState {
 	c := &dbState{
-		seq:         st.seq,
-		epoch:       st.epoch,
-		parallelism: st.parallelism,
-		tables:      make(map[string]*table, len(st.tables)),
-		indexes:     make(map[string]*IndexDef, len(st.indexes)),
+		seq:     st.seq,
+		epoch:   st.epoch,
+		tables:  make(map[string]*table, len(st.tables)),
+		indexes: make(map[string]*IndexDef, len(st.indexes)),
 	}
 	for k, v := range st.tables {
 		c.tables[k] = v
@@ -229,9 +227,7 @@ func (db *Database) newMemAccountant() *memAccountant {
 // runGuarded executes a compiled plan to completion behind the
 // executor panic barrier: a panic anywhere below (operator code,
 // expression evaluation) becomes a typed ErrInternal result
-// for this query alone. Gather workers install their own barriers
-// (parallel.go) so a worker panic drains the segment and surfaces
-// here as an ordinary error.
+// for this query alone.
 func runGuarded(ctx *evalCtx, root planNode) (data [][]Value, err error) {
 	defer recoverToError(&err)
 	return materialize(ctx, root)
@@ -443,17 +439,15 @@ func (db *Database) resetStaged() {
 
 // resetToRecovered replaces both the published and staged state with a
 // state the durability layer rebuilt from the acknowledged WAL prefix.
-// The live engine's parallelism carries over, and the schema epoch
-// advances past everything this engine has handed out, so every cached
-// plan and prepared statement
-// goes stale — the schema may have rolled back to a shape an old epoch
-// number described. Caller must have quiesced writers (resetStaged).
+// The schema epoch advances past everything this engine has handed
+// out, so every cached plan and prepared statement goes stale — the
+// schema may have rolled back to a shape an old epoch number
+// described. Caller must have quiesced writers (resetStaged).
 func (db *Database) resetToRecovered(st *dbState) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	cur := db.state.Load()
 	ns := st.shallowClone()
-	ns.parallelism = cur.parallelism
 	if ns.epoch <= cur.epoch {
 		ns.epoch = cur.epoch + 1
 	}

@@ -11,8 +11,8 @@ import (
 // the stream from its beginning, reading the evaluation context afresh
 // — above all the current outer row of a correlated subquery — so one
 // iterator tree serves every execution of a subquery body (see
-// evalCtx.subquery). close releases the page pins and workers the
-// iterator holds; a closed iterator can still be rewound.
+// evalCtx.subquery). close releases the page pins the iterator holds;
+// a closed iterator can still be rewound.
 //
 // A row next returns stays valid until the iterator is rewound: an
 // operator may reuse its output rows' storage across a rewind, never
@@ -26,8 +26,7 @@ type rowIter interface {
 
 // planNode is a physical operator in a compiled plan. Opening a node
 // yields a fresh iterator; a node can be opened multiple times (e.g. the
-// build side of a join each time the join is rewound, or a gather
-// segment once per morsel).
+// build side of a join each time the join is rewound).
 type planNode interface {
 	sch() schema
 	open(ctx *evalCtx) (rowIter, error)
@@ -61,10 +60,10 @@ func resolveIndex(t *table, idx *tableIndex) *tableIndex {
 
 // canceled polls the execution context for cancellation, deadline
 // expiry, or a tripped memory budget. Chokepoints (statIter.next,
-// materialize) call it on a coarse stride so the
-// hot path stays cheap; a budget overrun anywhere in the query (any
-// worker) is observed here by every other worker, so the whole query
-// unwinds and releases its partially-built state.
+// materialize) call it on a coarse stride so the hot path stays cheap;
+// a budget overrun anywhere in the query is observed at the next
+// chokepoint, so the whole query unwinds and releases its
+// partially-built state.
 func (ctx *evalCtx) canceled() error {
 	if err := ctx.mem.err(); err != nil {
 		return err
@@ -113,13 +112,6 @@ func (n *seqScanNode) open(ctx *evalCtx) (rowIter, error) {
 func (it *seqScanIter) rewind() error {
 	it.tbl = it.ctx.resolveTable(it.node.tbl)
 	it.pos, it.end = 0, it.tbl.slotCount()
-	// Inside a gather worker, the scan that drives the parallel segment
-	// is restricted to the worker's claimed morsel. Pointer identity
-	// guarantees only the driver scan is clipped — any other table
-	// scanned by the segment (join build sides, subqueries) reads fully.
-	if m := it.ctx.morsel; m != nil && m.node == it.node {
-		it.pos, it.end = int64(m.lo), int64(m.hi)
-	}
 	return nil
 }
 
@@ -619,12 +611,12 @@ func (n *nlJoinNode) open(ctx *evalCtx) (rowIter, error) {
 // build materializes the inner side against the context's current
 // outer row, which a correlated inner side reads.
 func (it *nlJoinIter) build() error {
-	inner, built, err := it.node.innerRows(it.ctx)
+	inner, err := materialize(it.ctx, it.node.right)
 	if err != nil {
 		return err
 	}
 	if s := it.ctx.opStat(it.node); s != nil {
-		s.BuildRows += built
+		s.BuildRows += int64(len(inner))
 	}
 	it.inner = inner
 	return nil
@@ -637,38 +629,6 @@ func (it *nlJoinIter) rewind() error {
 		return err
 	}
 	return it.left.rewind()
-}
-
-// innerRows materializes the inner side, sharing the result across a
-// parallel segment's per-morsel re-opens (the inner is loop-invariant).
-func (n *nlJoinNode) innerRows(ctx *evalCtx) ([][]Value, int64, error) {
-	if sh := ctx.shared; sh != nil {
-		e := sh.entry(n)
-		builtNow := false
-		e.once.Do(func() {
-			// A panic inside the shared build must still publish an
-			// error: sync.Once marks itself done even when f panics, so
-			// without this every other waiter would see a nil e.err and
-			// a nil build.
-			defer func() {
-				if r := recover(); r != nil {
-					e.err = internalError(r)
-				}
-			}()
-			e.rows, e.err = materialize(ctx, n.right)
-			e.n = int64(len(e.rows))
-			builtNow = true
-		})
-		if e.err != nil {
-			return nil, 0, e.err
-		}
-		if builtNow {
-			return e.rows, e.n, nil
-		}
-		return e.rows, 0, nil
-	}
-	rows, err := materialize(ctx, n.right)
-	return rows, int64(len(rows)), err
 }
 
 type nlJoinIter struct {
@@ -724,9 +684,6 @@ type hashJoinNode struct {
 	extraCond           compiledExpr
 	leftOuter           bool
 	joinOut
-	// buildPar is the degree of parallelism for the partitioned build
-	// (set by the planner's parallelize pass; 0/1 = serial build).
-	buildPar int
 }
 
 func (n *hashJoinNode) estRows() float64 {
@@ -822,15 +779,15 @@ func (n *hashJoinNode) open(ctx *evalCtx) (rowIter, error) {
 // buildTable builds the hash table against the context's current outer
 // row, which a correlated build side reads.
 func (it *hashJoinIter) buildTable() error {
-	ht, built, err := it.node.build(it.ctx)
+	rows, err := materialize(it.ctx, it.node.right)
 	if err != nil {
 		return err
 	}
 	if s := it.ctx.opStat(it.node); s != nil {
-		s.BuildRows += built
+		s.BuildRows += int64(len(rows))
 	}
-	it.ht = ht
-	return nil
+	it.ht, err = hashRows(it.ctx, rows, it.node.rightKeys)
+	return err
 }
 
 func (it *hashJoinIter) rewind() error {
@@ -842,48 +799,36 @@ func (it *hashJoinIter) rewind() error {
 	return it.left.rewind()
 }
 
-// build produces the hash table for the right side. Inside a gather
-// worker the result is shared across the segment's per-morsel re-opens
-// (and across workers): the build side is loop-invariant, so it is
-// computed once, by whichever worker gets there first. The returned
-// count is non-zero only when this call actually built, keeping
-// BuildRows comparable with serial execution.
-func (n *hashJoinNode) build(ctx *evalCtx) (map[string][][]Value, int64, error) {
-	if sh := ctx.shared; sh != nil {
-		e := sh.entry(n)
-		builtNow := false
-		e.once.Do(func() {
-			// See innerRows: a panicking build must set e.err for the
-			// other waiters (once.Do completes even on panic).
-			defer func() {
-				if r := recover(); r != nil {
-					e.err = internalError(r)
-				}
-			}()
-			e.ht, e.n, e.err = n.buildHashTable(ctx)
-			builtNow = true
-		})
-		if e.err != nil {
-			return nil, 0, e.err
+// hashRows builds the hash-join table over rows, in row order, so every
+// bucket lists its rows in build order.
+func hashRows(ctx *evalCtx, rows [][]Value, keys []compiledExpr) (map[string][][]Value, error) {
+	ht := make(map[string][][]Value, len(rows))
+	var key probeKey
+	var pending int64
+	for n, r := range rows {
+		ok, err := key.encode(ctx, keys, r)
+		if err != nil {
+			return nil, err
 		}
-		if builtNow {
-			return e.ht, e.n, nil
+		if !ok {
+			continue
 		}
-		return e.ht, 0, nil
+		k := string(key.enc)
+		// The rows were charged when the build input materialized; the
+		// table itself costs roughly key bytes + bucket bookkeeping.
+		pending += int64(len(k)) + 48
+		if n&1023 == 1023 {
+			if err := ctx.mem.charge(pending); err != nil {
+				return nil, err
+			}
+			pending = 0
+		}
+		ht[k] = append(ht[k], r)
 	}
-	return n.buildHashTable(ctx)
-}
-
-func (n *hashJoinNode) buildHashTable(ctx *evalCtx) (map[string][][]Value, int64, error) {
-	rightRows, err := materialize(ctx, n.right)
-	if err != nil {
-		return nil, 0, err
+	if err := ctx.mem.charge(pending); err != nil {
+		return nil, err
 	}
-	ht, err := hashRows(ctx, rightRows, n.rightKeys, n.buildPar)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ht, int64(len(rightRows)), nil
+	return ht, nil
 }
 
 type hashJoinIter struct {
@@ -1438,7 +1383,7 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 // subInstance is one compiled subquery's iterator tree inside one
 // execution, with the context it evaluates in. It lives in the
 // evaluating context's subs, never in the shared cached plan: every
-// execution, and every worker of a parallel one, has its own.
+// execution has its own.
 type subInstance struct {
 	ctx evalCtx
 	it  rowIter

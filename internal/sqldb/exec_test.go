@@ -416,18 +416,15 @@ func TestScalarFunctions(t *testing.T) {
 		{`9223372036854775808`, NewFloat(9223372036854775808)},
 		{`99999999999999999999`, NewFloat(1e20)},
 	}
-	for _, dop := range []int{1, 4} {
-		db := New()
-		db.SetParallelism(dop)
-		for _, c := range cases {
-			v, err := db.QueryScalar(`SELECT ` + c.expr)
-			if err != nil {
-				t.Errorf("dop=%d %s: %v", dop, c.expr, err)
-				continue
-			}
-			if v.t != c.want.t || Compare(v, c.want) != 0 {
-				t.Errorf("dop=%d %s = %#v, want %#v", dop, c.expr, v, c.want)
-			}
+	db := New()
+	for _, c := range cases {
+		v, err := db.QueryScalar(`SELECT ` + c.expr)
+		if err != nil {
+			t.Errorf("%s: %v", c.expr, err)
+			continue
+		}
+		if v.t != c.want.t || Compare(v, c.want) != 0 {
+			t.Errorf("%s = %#v, want %#v", c.expr, v, c.want)
 		}
 	}
 }

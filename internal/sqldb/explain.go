@@ -116,16 +116,6 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 			case *indexScanNode, *indexJoinNode:
 				actual += fmt.Sprintf(" descents=%d", op.Descents)
 			}
-			if op.Workers > 0 {
-				actual += fmt.Sprintf(" workers=%d", op.Workers)
-				if len(op.WorkerRows) > 0 {
-					parts := make([]string, len(op.WorkerRows))
-					for i, r := range op.WorkerRows {
-						parts[i] = fmt.Sprintf("%d", r)
-					}
-					actual += " worker_rows=" + strings.Join(parts, "/")
-				}
-			}
 			actual += fmt.Sprintf(" time=%s)", op.Time.Round(time.Microsecond))
 			if ops != nil {
 				*ops = append(*ops, OpReport{Kind: opKind(n), Depth: depth, Est: n.estRows(), OpStats: op})
@@ -183,11 +173,6 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 		write("Values %d row(s)", len(n.rows))
 	case *cutNode:
 		write("Cut to %d cols", n.width)
-	case *gatherNode:
-		write("Gather over %s (dop %d, morsel %d)", n.driver.tbl.def.Name, n.dop, morselSize)
-	case *parallelAggNode:
-		write("ParallelAggregate %d group key(s), %d aggregate(s) over %s (dop %d)",
-			len(n.groupBy), len(n.aggs), n.driver.tbl.def.Name, n.dop)
 	default:
 		fmt.Fprintf(b, "%s%T\n", indent, n)
 	}

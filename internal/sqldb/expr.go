@@ -63,16 +63,9 @@ type evalCtx struct {
 	outer  []Value
 	// stats collects per-operator counters when non-nil (see metrics.go).
 	stats *runStats
-	// morsel, when non-nil, restricts the scan of exactly one
-	// seqScanNode (matched by pointer) to a rowid range; set by gather
-	// workers so each worker processes its claimed morsel (parallel.go).
-	morsel *morselRange
-	// shared caches join build sides across the morsel re-opens of one
-	// parallel segment; nil outside gather workers (parallel.go).
-	shared *sharedBuilds
 	// mem is the query's memory accountant; nil when no budget is
-	// configured. Inherited by gather workers and subquery executions
-	// so every allocation anywhere in the query charges one ledger
+	// configured. Inherited by subquery executions so every allocation
+	// anywhere in the query charges one ledger
 	// (see governor.go).
 	mem *memAccountant
 	// subs holds the iterator trees of the subqueries evaluated in this

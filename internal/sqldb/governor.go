@@ -41,11 +41,10 @@ func (p *memPool) release(n int64) {
 
 // memAccountant tracks one query's working-set bytes. Operators charge
 // it at their allocation chokepoints (materialize output, hash-join
-// builds and output arenas, sort keys, aggregation tables, per-worker
-// scratchpads); a charge that overruns the query limit or the shared
-// pool trips the exceeded flag, which the cancellation chokepoints
-// observe so every worker unwinds promptly. A nil accountant is a
-// no-op.
+// builds and output arenas, sort keys, aggregation tables); a charge
+// that overruns the query limit or the shared pool trips the exceeded
+// flag, which the cancellation chokepoints observe so the query
+// unwinds promptly. A nil accountant is a no-op.
 type memAccountant struct {
 	used     atomic.Int64
 	limit    int64 // per-query cap in bytes, 0 = unlimited

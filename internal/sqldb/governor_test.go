@@ -260,13 +260,12 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestMorselWorkerPanicFailsOnlyThatQuery injects a panic into one
-// gather worker: the query fails with a typed ErrInternal, the other
-// workers drain, no snapshot pin leaks, and both the parallel plan and
-// concurrent writes keep working afterwards.
-func TestMorselWorkerPanicFailsOnlyThatQuery(t *testing.T) {
+// TestExecutorPanicFailsOnlyThatQuery injects a panic into a running
+// scan: the query fails with a typed ErrInternal carrying the panic
+// value and stack, no snapshot pin leaks, and both the same query and a
+// write keep working afterwards.
+func TestExecutorPanicFailsOnlyThatQuery(t *testing.T) {
 	db := governorFixture(t, 4000)
-	db.SetParallelism(4)
 
 	const q = `SELECT k FROM big WHERE v <> ''`
 	want, err := db.Query(q)
@@ -274,19 +273,15 @@ func TestMorselWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 		t.Fatalf("control run: %v", err)
 	}
 
-	hook := func(idx int) {
-		if idx == 1 {
-			panic("injected morsel panic")
-		}
-	}
-	testWorkerPanic.Store(&hook)
+	hook := func() { panic("injected executor panic") }
+	testExecPanic.Store(&hook)
 	_, err = db.Query(q)
-	testWorkerPanic.Store(nil)
+	testExecPanic.Store(nil)
 	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("panicking worker: %v, want ErrInternal", err)
+		t.Fatalf("panicking scan: %v, want ErrInternal", err)
 	}
 	var ie *InternalError
-	if !errors.As(err, &ie) || ie.PanicValue != "injected morsel panic" || len(ie.Stack) == 0 {
+	if !errors.As(err, &ie) || ie.PanicValue != "injected executor panic" || len(ie.Stack) == 0 {
 		t.Fatalf("InternalError payload: %#v", ie)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -83,10 +84,6 @@ func planChildren(n planNode) []planNode {
 		return []planNode{n.p.root}
 	case *cutNode:
 		return []planNode{n.in}
-	case *gatherNode:
-		return []planNode{n.seg}
-	case *parallelAggNode:
-		return []planNode{n.seg}
 	}
 	return nil
 }
@@ -132,10 +129,6 @@ func opKind(n planNode) string {
 		return "Values"
 	case *cutNode:
 		return "Cut"
-	case *gatherNode:
-		return "Gather"
-	case *parallelAggNode:
-		return "ParallelAggregate"
 	}
 	return "Unknown"
 }
@@ -160,38 +153,16 @@ type OpStats struct {
 	Descents int64
 	// Time is cumulative wall clock inside open/next, inclusive of
 	// children. Only populated when timing is enabled (EXPLAIN ANALYZE).
-	// For operators below a Gather the per-worker clocks are summed, so
-	// it reads as CPU time rather than wall time.
 	Time time.Duration
-	// Workers is the number of worker goroutines a parallel operator
-	// (Gather, ParallelAggregate) actually ran with; zero elsewhere.
-	Workers int
-	// WorkerRows holds per-worker produced-row totals for a Gather.
-	WorkerRows []int64
 }
 
-// runStats is the per-execution scratchpad. Each scratchpad is written
-// by exactly one goroutine — parallel operators give every worker its
-// own runStats (sharing the read-only meta) and fold them into the
-// parent's after joining the workers — so plain increments suffice;
-// cross-query aggregation happens in the registry under its mutex.
+// runStats is the per-execution scratchpad. One execution runs on one
+// goroutine, so plain increments suffice; cross-query aggregation
+// happens in the registry under its mutex.
 type runStats struct {
 	meta  *planOps
 	ops   []OpStats
 	timed bool
-}
-
-// fold adds a worker's counters into st's.
-func (st *runStats) fold(w *runStats) {
-	for i := range w.ops {
-		o, wo := &st.ops[i], &w.ops[i]
-		o.Opens += wo.Opens
-		o.Rows += wo.Rows
-		o.Nexts += wo.Nexts
-		o.BuildRows += wo.BuildRows
-		o.Descents += wo.Descents
-		o.Time += wo.Time
-	}
 }
 
 func newRunStats(p *plan, timed bool) *runStats {
@@ -243,7 +214,7 @@ func openNode(ctx *evalCtx, n planNode) (rowIter, error) {
 // Because every execution is instrumented, it doubles as the
 // cancellation chokepoint: on a coarse stride it polls the execution
 // context and aborts with its error, which propagates through operators
-// (and out of gather workers) exactly like any row error.
+// exactly like any row error.
 type statIter struct {
 	in    rowIter
 	ctx   *evalCtx
@@ -251,8 +222,7 @@ type statIter struct {
 	timed bool
 	// seen strides the cancellation poll. It is per-iterator, not the
 	// shared op.Nexts: an operator re-opened under a nested-loop driver
-	// or a gather worker's per-morsel re-opens inherits its predecessors'
-	// cumulative Nexts, which would make the poll cadence within one open
+	// inherits its predecessors' cumulative Nexts, which would make the poll cadence within one open
 	// depend on every earlier open. The shared counter stays the
 	// accounting truth; the stride is private.
 	seen int64
@@ -262,6 +232,9 @@ func (it *statIter) next() ([]Value, error) {
 	if it.seen&255 == 255 {
 		if err := it.ctx.canceled(); err != nil {
 			return nil, err
+		}
+		if f := testExecPanic.Load(); f != nil {
+			(*f)()
 		}
 	}
 	it.seen++
@@ -280,6 +253,12 @@ func (it *statIter) next() ([]Value, error) {
 	}
 	return row, err
 }
+
+// testExecPanic, when non-nil, runs on statIter.next's cancellation
+// stride (every 256th row an operator returns); the fault-injection
+// tests use it to panic inside a running query and assert the blast
+// radius is that one query.
+var testExecPanic atomic.Pointer[func()]
 
 func (it *statIter) rewind() error {
 	it.op.Opens++

@@ -51,64 +51,58 @@ func checkMinMax(t *testing.T, db *sqldb.Database, step string, cols ...string) 
 // IndexMinMax rule: empty table, all-NULL column, NULLs among values,
 // integer/float coercion and signed-zero ties (equal under Compare,
 // different bits: the lowest rowid must win, as in the scan), text
-// keys, and the extreme row deleted or updated — at DOP 1, 4 and 16,
-// where the scan side runs as a parallel aggregate.
+// keys, and the extreme row deleted or updated.
 func TestIndexMinMaxMatchesScan(t *testing.T) {
 	negZero := sqldb.NewFloat(math.Copysign(0, -1))
-	for _, dop := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-			db := sqldb.New()
-			db.SetParallelism(dop)
-			db.MustExec(`CREATE TABLE m (i INTEGER, f REAL, z REAL, s TEXT, n INTEGER, w TEXT)`)
-			db.MustExec(`CREATE INDEX m_i ON m (i)`)
-			db.MustExec(`CREATE INDEX m_f ON m (f)`)
-			db.MustExec(`CREATE INDEX m_zw ON m (z, w)`) // ties ordered by w, not rowid
-			db.MustExec(`CREATE INDEX m_s ON m (s)`)
-			db.MustExec(`CREATE INDEX m_n ON m (n)`)
-			cols := []string{"i", "f", "z", "s", "n"}
-			checkMinMax(t, db, "empty", cols...)
+	db := sqldb.New()
+	db.MustExec(`CREATE TABLE m (i INTEGER, f REAL, z REAL, s TEXT, n INTEGER, w TEXT)`)
+	db.MustExec(`CREATE INDEX m_i ON m (i)`)
+	db.MustExec(`CREATE INDEX m_f ON m (f)`)
+	db.MustExec(`CREATE INDEX m_zw ON m (z, w)`) // ties ordered by w, not rowid
+	db.MustExec(`CREATE INDEX m_s ON m (s)`)
+	db.MustExec(`CREATE INDEX m_n ON m (n)`)
+	cols := []string{"i", "f", "z", "s", "n"}
+	checkMinMax(t, db, "empty", cols...)
 
-			for r := 0; r < 3000; r++ {
-				i := sqldb.NewInt(int64(r*7919%5003) - 2500)
-				if r%5 == 0 {
-					i = sqldb.Null
-				}
-				// Whole numbers given as integers and as floats coerce to
-				// the same REAL.
-				f := sqldb.NewInt(int64(r % 97))
-				if r%2 == 1 {
-					f = sqldb.NewFloat(float64(r%97) + 0.5*float64(r%3))
-				}
-				z := sqldb.NewFloat(0)
-				if r%3 == 0 {
-					z = negZero
-				}
-				w := sqldb.NewText(fmt.Sprintf("w%05d", 3000-r))
-				db.MustExec(`INSERT INTO m VALUES (?, ?, ?, ?, NULL, ?)`, i, f, z,
-					sqldb.NewText(fmt.Sprintf("s%04d", r*31%3001)), w)
-			}
-			checkMinMax(t, db, "loaded", cols...)
-			if v, _ := db.QueryScalar(`SELECT MIN(z) FROM m`); !math.Signbit(v.Float()) {
-				t.Fatalf("MIN(z) = %v, want the -0.0 of rowid 0", v)
-			}
-
-			// Extreme rows deleted. MIN(s) is rowid 0, the first -0.0, so
-			// a +0.0 row now has the lowest rowid among the zeros.
-			db.MustExec(`DELETE FROM m WHERE i = (SELECT MAX(i) FROM m) OR s = (SELECT MIN(s) FROM m)`)
-			checkMinMax(t, db, "deleted", cols...)
-			if v, _ := db.QueryScalar(`SELECT MAX(z) FROM m`); math.Signbit(v.Float()) {
-				t.Fatalf("MAX(z) = %v after deleting rowid 0, want +0.0", v)
-			}
-			// Extreme rows updated past the other end, or to NULL.
-			db.MustExec(`UPDATE m SET i = 9999 WHERE i = (SELECT MIN(i) FROM m)`)
-			db.MustExec(`UPDATE m SET s = NULL WHERE s = (SELECT MAX(s) FROM m)`)
-			db.MustExec(`UPDATE m SET f = -1 WHERE f = (SELECT MAX(f) FROM m)`)
-			checkMinMax(t, db, "updated", cols...)
-
-			db.MustExec(`DELETE FROM m`)
-			checkMinMax(t, db, "emptied", cols...)
-		})
+	for r := 0; r < 3000; r++ {
+		i := sqldb.NewInt(int64(r*7919%5003) - 2500)
+		if r%5 == 0 {
+			i = sqldb.Null
+		}
+		// Whole numbers given as integers and as floats coerce to
+		// the same REAL.
+		f := sqldb.NewInt(int64(r % 97))
+		if r%2 == 1 {
+			f = sqldb.NewFloat(float64(r%97) + 0.5*float64(r%3))
+		}
+		z := sqldb.NewFloat(0)
+		if r%3 == 0 {
+			z = negZero
+		}
+		w := sqldb.NewText(fmt.Sprintf("w%05d", 3000-r))
+		db.MustExec(`INSERT INTO m VALUES (?, ?, ?, ?, NULL, ?)`, i, f, z,
+			sqldb.NewText(fmt.Sprintf("s%04d", r*31%3001)), w)
 	}
+	checkMinMax(t, db, "loaded", cols...)
+	if v, _ := db.QueryScalar(`SELECT MIN(z) FROM m`); !math.Signbit(v.Float()) {
+		t.Fatalf("MIN(z) = %v, want the -0.0 of rowid 0", v)
+	}
+
+	// Extreme rows deleted. MIN(s) is rowid 0, the first -0.0, so
+	// a +0.0 row now has the lowest rowid among the zeros.
+	db.MustExec(`DELETE FROM m WHERE i = (SELECT MAX(i) FROM m) OR s = (SELECT MIN(s) FROM m)`)
+	checkMinMax(t, db, "deleted", cols...)
+	if v, _ := db.QueryScalar(`SELECT MAX(z) FROM m`); math.Signbit(v.Float()) {
+		t.Fatalf("MAX(z) = %v after deleting rowid 0, want +0.0", v)
+	}
+	// Extreme rows updated past the other end, or to NULL.
+	db.MustExec(`UPDATE m SET i = 9999 WHERE i = (SELECT MIN(i) FROM m)`)
+	db.MustExec(`UPDATE m SET s = NULL WHERE s = (SELECT MAX(s) FROM m)`)
+	db.MustExec(`UPDATE m SET f = -1 WHERE f = (SELECT MAX(f) FROM m)`)
+	checkMinMax(t, db, "updated", cols...)
+
+	db.MustExec(`DELETE FROM m`)
+	checkMinMax(t, db, "emptied", cols...)
 }
 
 // TestIndexMinMaxShapes pins where the rule fires: a whole-table MIN or

@@ -56,9 +56,6 @@ func planSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schema, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if outer == nil {
-		root = parallelize(st, root)
-	}
 	return &plan{root: root, cols: outSch}, outSch, nil
 }
 
@@ -270,13 +267,6 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 			}
 		}
 		root = &limitNode{in: root, limit: limitFn, offset: offsetFn}
-	}
-	// Top-level plans get the parallel decoration; subqueries always run
-	// serially inside whichever worker evaluates them (outer != nil).
-	// The pass is idempotent over already-decorated subtrees, so UNION
-	// ALL members wrapped here are left alone by planSelect's own pass.
-	if outer == nil {
-		root = parallelize(st, root)
 	}
 	return &plan{root: root, cols: outSch}, outSch, nil
 }
@@ -2014,7 +2004,6 @@ func planAggregation(st *dbState, stmt *SelectStmt, items []SelectItem, in planN
 			if a.Name != "COUNT" {
 				return nil, nil, nil, nil, errorf("%s(*) is not valid", a.Name)
 			}
-			spec.exact = true
 		} else {
 			if len(a.Args) != 1 {
 				return nil, nil, nil, nil, errorf("%s expects exactly one argument", a.Name)
@@ -2024,19 +2013,6 @@ func planAggregation(st *dbState, stmt *SelectStmt, items []SelectItem, in planN
 				return nil, nil, nil, nil, err
 			}
 			spec.arg = ce
-			if !a.Distinct {
-				switch a.Name {
-				case "COUNT", "MIN", "MAX":
-					spec.exact = true
-				case "SUM", "AVG":
-					// Integer sums merge exactly; float addition does
-					// not associate, so float sums stay serial to keep
-					// parallel results byte-identical.
-					if t, ok := staticExprType(a.Args[0], inSch); ok && (t == TypeInt || t == TypeBool) {
-						spec.exact = true
-					}
-				}
-			}
 		}
 		specs = append(specs, spec)
 	}

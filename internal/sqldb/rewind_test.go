@@ -12,8 +12,7 @@ import (
 // subqueries whose outer rows arrive ascending, descending and shuffled
 // must answer exactly as their references do — the same join over
 // tables without indexes (a seq-scan filter) and each subquery run on
-// its own with the outer values spelled out — at DOP 1 and 4, and leave
-// no page pinned.
+// its own with the outer values spelled out — and leave no page pinned.
 
 // drawProbeKey draws a key: mostly a string of one to nine letters over
 // {a, b}, so keys of different lengths share prefixes ('a', 'ab',
@@ -142,34 +141,29 @@ func TestIndexJoinProbeOrders(t *testing.T) {
 	for _, inner := range [][2]string{{"i", "n"}, {"i1", "n1"}} {
 		for _, cond := range probeJoins {
 			ref := ""
-			for _, dop := range []int{1, 4} {
-				db.SetParallelism(dop)
-				for _, outer := range probeOuterTables {
-					q := func(y string) string {
-						// A third of the outer rows keeps results small; the
-						// filter sits in the scan, which still runs in
-						// parallel at DOP 4.
-						return "SELECT x.k, x.lo, y.id FROM " + outer + " x, " + y + " y WHERE x.lo % 3 = 1 AND " + cond
-					}
-					plan, err := db.Explain(q(inner[0]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The 40-row i1 drives instead, probing the outer
-					// table's index where it can (its own one-leaf tree is
-					// probed by the subquery battery's rewound index scans).
-					if inner[0] == "i" && !strings.Contains(plan, "IndexJoin i") {
-						t.Fatalf("%s: no index join into i:\n%s", q(inner[0]), plan)
-					}
-					got := sortedRows(t, db, q(inner[0]))
-					if ref == "" {
-						ref = sortedRows(t, db, q(inner[1]))
-					}
-					if got != ref {
-						t.Fatalf("dop %d %s: index join differs from the seq-scan join", dop, q(inner[0]))
-					}
-					checkUnpinned(t, db, q(inner[0]))
+			for _, outer := range probeOuterTables {
+				q := func(y string) string {
+					// A third of the outer rows keeps results small.
+					return "SELECT x.k, x.lo, y.id FROM " + outer + " x, " + y + " y WHERE x.lo % 3 = 1 AND " + cond
 				}
+				plan, err := db.Explain(q(inner[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The 40-row i1 drives instead, probing the outer
+				// table's index where it can (its own one-leaf tree is
+				// probed by the subquery battery's rewound index scans).
+				if inner[0] == "i" && !strings.Contains(plan, "IndexJoin i") {
+					t.Fatalf("%s: no index join into i:\n%s", q(inner[0]), plan)
+				}
+				got := sortedRows(t, db, q(inner[0]))
+				if ref == "" {
+					ref = sortedRows(t, db, q(inner[1]))
+				}
+				if got != ref {
+					t.Fatalf("%s: index join differs from the seq-scan join", q(inner[0]))
+				}
+				checkUnpinned(t, db, q(inner[0]))
 			}
 		}
 	}
@@ -242,21 +236,15 @@ func TestCorrelatedSubqueryRewinds(t *testing.T) {
 				memo[key] = renderValue(rows.Data[0][0])
 				return memo[key]
 			}
-			// Every outer order serially, and one in parallel, where
-			// each worker opens its own instance of the subquery.
-			for _, run := range []struct {
-				dop int
-				tbl string
-			}{{1, "oasc"}, {1, "odesc"}, {1, "oshuf"}, {4, "oshuf"}} {
-				db.SetParallelism(run.dop)
-				q := "SELECT x.k, x.lo, " + fill(form, y, "x.k", "x.lo") + " FROM " + run.tbl + " x WHERE x.id % 3 = 0"
+			for _, tbl := range []string{"oasc", "odesc", "oshuf"} {
+				q := "SELECT x.k, x.lo, " + fill(form, y, "x.k", "x.lo") + " FROM " + tbl + " x WHERE x.id % 3 = 0"
 				rows, err := db.Query(q)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
 				for _, r := range rows.Data {
 					if got, want := renderValue(r[2]), alone(r[0], r[1]); got != want {
-						t.Fatalf("dop %d %s: outer (%v, %v) gives %q, alone %q", run.dop, q, r[0], r[1], got, want)
+						t.Fatalf("%s: outer (%v, %v) gives %q, alone %q", q, r[0], r[1], got, want)
 					}
 				}
 				checkUnpinned(t, db, q)
@@ -339,7 +327,6 @@ func TestUpdateReadsItsOwnWrites(t *testing.T) {
 // in-place residual rejects, so it returns no row to pay for.
 func TestProbeAllocationsFlat(t *testing.T) {
 	db := New()
-	db.SetParallelism(1)
 	db.MustExec("CREATE TABLE s (id INTEGER PRIMARY KEY, k INTEGER, w INTEGER)")
 	db.MustExec("CREATE INDEX s_k ON s (k)")
 	var rows []string
