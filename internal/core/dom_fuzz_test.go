@@ -13,8 +13,9 @@ import (
 )
 
 // domCorpus is the XPath corpus the six schemes are held to the DOM
-// on: the F1 query mix plus fuzz-derived shapes — deep descendants,
-// chained predicates, empty results, attribute tests, positional steps.
+// on: the F1 query mix, fuzz-derived shapes — deep descendants,
+// chained predicates, empty results, attribute tests, positional steps —
+// and one query per predicate form the translators emit.
 var domCorpus = append(append([]string{}, f1Queries...),
 	"/site",
 	"/site//item",
@@ -28,6 +29,32 @@ var domCorpus = append(append([]string{}, f1Queries...),
 	"//category/description",
 	"//person[@id='person0']/name",
 	"/site/closed_auctions/closed_auction/price",
+	"//open_auction[reserve and privacy]/initial",
+	"//person[phone or homepage]/name",
+	"//person[not(address)]/@id",
+	"/site/people/person[true()]/name",
+	"/site/categories/category[false()]",
+	"//person/name[contains(., 'an')]",
+	"//bidder/time[starts-with(., '1')]",
+	// String functions over a path read its first node: bidders carry
+	// different dates, mails different senders, and a person may have
+	// no phone or homepage (the empty string).
+	"//open_auction[contains(bidder/date, '2001')]/initial",
+	"//item[starts-with(mailbox/mail/from, 'J')]/name",
+	"//person[starts-with(phone, '')]/name",
+	"//open_auction[string-length(bidder/increase) = 5]/initial",
+	"//person[string-length(homepage) = 0]/name",
+	"//person/name[string-length() > 12]",
+	"//open_auction[count(bidder) > 5]/initial",
+	"//open_auction[count(bidder) = 0]/initial",
+	"/site/open_auctions/open_auction/bidder[position() < 3]/increase",
+	"//bidder[position() = 2]/date",
+	"/site/people/person[position() > 45]/name",
+	"//open_auction[200 < initial]/initial",
+	// Forms on . over elements with element children (a fifth of the
+	// item descriptions hold a parlist): DESIGN.md's simple content.
+	"//item/description[contains(., 'the')]",
+	"//item/description[string-length() > 0]",
 )
 
 // fuzzStores lazily builds the shared Interval stores for

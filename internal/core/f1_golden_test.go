@@ -13,7 +13,7 @@ import (
 	"repro/internal/xpath"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/f1_examined.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from this run")
 
 // f1GoldenFile records, for every scheme and F1 class that translates,
 // the rows the plan's scan and join operators produce ("examined") and
@@ -34,18 +34,7 @@ func TestF1ExaminedGolden(t *testing.T) {
 
 	var got bytes.Buffer
 	fmt.Fprintln(&got, "# scheme class examined result")
-	for _, kind := range []SchemeKind{Edge, Binary, Universal, Interval, Dewey, Inline} {
-		var opts Options
-		if kind == Inline {
-			opts.DTD, opts.Root = xmlgen.AuctionDTD, "site"
-		}
-		st, err := OpenWith(kind, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.LoadDocument(doc); err != nil {
-			t.Fatalf("%s: load: %v", kind, err)
-		}
+	eachSchemeLoaded(t, doc, func(kind SchemeKind, st *Store) {
 		for i, q := range queries {
 			sql, err := st.Translate(q)
 			if err != nil {
@@ -63,21 +52,82 @@ func TestF1ExaminedGolden(t *testing.T) {
 			}
 			fmt.Fprintf(&got, "%s Q%d %d %d\n", kind, i+1, examined, ap.Rows)
 		}
-	}
+	})
+	checkGolden(t, f1GoldenFile, got.Bytes())
+}
 
+// translateGoldenFile records the SQL every scheme emits for every
+// domCorpus query on the F1 document, or the error text of a query the
+// scheme refuses. A translator change shows here as a diff of SQL text;
+// rewrite the file with `go test ./internal/core -run
+// TestTranslationGolden -update`.
+const translateGoldenFile = "testdata/translate.golden"
+
+// TestTranslationGolden compares each scheme's translation of the DOM
+// corpus with the checked-in golden.
+func TestTranslationGolden(t *testing.T) {
+	var got bytes.Buffer
+	eachSchemeLoaded(t, xmlgen.Auction(xmlgen.Config{Factor: 1, Seed: 1}), func(kind SchemeKind, st *Store) {
+		for _, q := range domCorpus {
+			sql, err := st.Translate(q)
+			if err != nil {
+				sql = "error: " + err.Error()
+			}
+			fmt.Fprintf(&got, "%s %s\n\t%s\n", kind, q, sql)
+		}
+	})
+	checkGolden(t, translateGoldenFile, got.Bytes())
+}
+
+// eachSchemeLoaded calls fn with a store of each of the six schemes
+// loaded with doc, one at a time.
+func eachSchemeLoaded(t *testing.T, doc *xmldom.Document, fn func(SchemeKind, *Store)) {
+	t.Helper()
+	for _, kind := range []SchemeKind{Edge, Binary, Universal, Interval, Dewey, Inline} {
+		var opts Options
+		if kind == Inline {
+			opts.DTD, opts.Root = xmlgen.AuctionDTD, "site"
+		}
+		st, err := OpenWith(kind, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.LoadDocument(doc); err != nil {
+			t.Fatalf("%s: load: %v", kind, err)
+		}
+		fn(kind, st)
+	}
+}
+
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(f1GoldenFile, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(file, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(f1GoldenFile)
+	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("rows examined moved; if intended, rerun with -update.\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	if bytes.Equal(got, want) {
+		return
 	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of file)"
+	}
+	t.Errorf("%s differs from line %d; if intended, rerun with -update.\ngot:  %s\nwant: %s", file, i+1, line(g), line(w))
 }
 
 // commonCity is the most frequent person city, ties to the smaller
