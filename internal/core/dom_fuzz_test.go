@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/sqldb"
+	"repro/internal/translate"
 	"repro/internal/xmldom"
 	"repro/internal/xmlgen"
 	"repro/internal/xpath"
@@ -52,7 +55,7 @@ var domCorpus = append(append([]string{}, f1Queries...),
 	"/site/people/person[position() > 45]/name",
 	"//open_auction[200 < initial]/initial",
 	// Forms on . over elements with element children (a fifth of the
-	// item descriptions hold a parlist): DESIGN.md's simple content.
+	// item descriptions hold a parlist): see domDivergent.
 	"//item/description[contains(., 'the')]",
 	"//item/description[string-length() > 0]",
 )
@@ -158,10 +161,57 @@ func FuzzXPathVsDOM(f *testing.F) {
 	})
 }
 
-// TestStoreMatchesDOM loads every scheme and runs the DOM corpus: for
-// every scheme but Inline (whose ids are row ids, not node ids) each
-// match list must be exactly the nodes xpath.Eval finds in the DOM, in
-// document order; Inline must find as many matches as the DOM.
+// domRefused lists, per scheme, the corpus queries it refuses with its
+// unsupported error (DESIGN.md, "Semantics and documented limitations"):
+// Universal has no order columns, cannot branch or negate through its
+// self-joins and has no row of its own for "."; Inline renders neither
+// count() nor string-length(). Edge, Binary, Interval and Dewey
+// translate the whole corpus.
+var domRefused = map[SchemeKind][]string{
+	Universal: {
+		"/site/open_auctions/open_auction/bidder[1]/increase",
+		"/site/open_auctions/open_auction[3]/initial",
+		"//person[phone or homepage]/name",
+		"//person[not(address)]/@id",
+		"//person/name[contains(., 'an')]",
+		"//bidder/time[starts-with(., '1')]",
+		"//open_auction[string-length(bidder/increase) = 5]/initial",
+		"//person[string-length(homepage) = 0]/name",
+		"//person/name[string-length() > 12]",
+		"//open_auction[count(bidder) > 5]/initial",
+		"//open_auction[count(bidder) = 0]/initial",
+		"/site/open_auctions/open_auction/bidder[position() < 3]/increase",
+		"//bidder[position() = 2]/date",
+		"/site/people/person[position() > 45]/name",
+		"//item/description[contains(., 'the')]",
+		"//item/description[string-length() > 0]",
+	},
+	Inline: {
+		"//open_auction[string-length(bidder/increase) = 5]/initial",
+		"//person[string-length(homepage) = 0]/name",
+		"//person/name[string-length() > 12]",
+		"//open_auction[count(bidder) > 5]/initial",
+		"//open_auction[count(bidder) = 0]/initial",
+		"//item/description[string-length() > 0]",
+	},
+}
+
+// domDivergent lists the corpus queries whose answers depart from the
+// DOM by DESIGN.md's simple-content rule: an element's value is its own
+// text, so "." over an element with element children reads the empty
+// string where XPath reads the text of the whole subtree.
+var domDivergent = map[string]bool{
+	"//item/description[contains(., 'the')]":  true,
+	"//item/description[string-length() > 0]": true,
+}
+
+// TestStoreMatchesDOM loads every scheme and runs the DOM corpus. A
+// scheme must refuse exactly its domRefused queries, with its
+// unsupported error. For every scheme but Inline (whose ids are row ids,
+// not node ids) each other match list must be exactly the nodes
+// xpath.Eval finds in the DOM, in document order; Inline must find as
+// many matches as the DOM. A domDivergent query must instead miss some
+// of the DOM's matches, and only elements with element children.
 func TestStoreMatchesDOM(t *testing.T) {
 	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.05, Seed: 11})
 	for _, kind := range []SchemeKind{Edge, Binary, Universal, Interval, Dewey, Inline} {
@@ -178,29 +228,78 @@ func TestStoreMatchesDOM(t *testing.T) {
 			if err := st.LoadDocument(doc); err != nil {
 				t.Fatalf("load: %v", err)
 			}
+			refused := map[string]bool{}
+			for _, q := range domRefused[kind] {
+				refused[q] = true
+			}
 			for _, q := range domCorpus {
-				if _, err := st.Translate(q); err != nil {
-					continue // documented mapping limitation
+				_, err := st.Translate(q)
+				var unsup *translate.ErrUnsupported
+				switch {
+				case refused[q] && err == nil:
+					t.Errorf("%s: translates now; take it off domRefused", q)
+					continue
+				case refused[q] && !errors.As(err, &unsup):
+					t.Errorf("%s: refused without the unsupported error: %v", q, err)
+					continue
+				case refused[q]:
+					continue
+				case err != nil:
+					t.Errorf("%s: refused: %v", q, err)
+					continue
 				}
 				res, err := st.Query(q)
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
-				var got, want []int64
+				var got []int64
 				for _, m := range res.Matches {
 					got = append(got, m.ID)
 				}
-				for _, n := range xpath.Eval(doc, xpath.MustParse(q)) {
+				dom := xpath.Eval(doc, xpath.MustParse(q))
+				var want []int64
+				for _, n := range dom {
 					want = append(want, int64(n.Pre))
 				}
-				if kind == Inline {
+				switch {
+				case domDivergent[q]:
+					if msg := simpleContentDeparture(kind, got, dom); msg != "" {
+						t.Errorf("%s: %s", q, msg)
+					}
+				case kind == Inline:
 					if len(got) != len(want) {
 						t.Errorf("%s: store matched %d nodes, DOM %d", q, len(got), len(want))
 					}
-				} else if !reflect.DeepEqual(got, want) {
+				case !reflect.DeepEqual(got, want):
 					t.Errorf("%s: store matched %d nodes, DOM %d", q, len(got), len(want))
 				}
 			}
 		})
 	}
+}
+
+// simpleContentDeparture checks a domDivergent answer: got must be the
+// DOM's matches less at least one, and (for node-id schemes) less only
+// elements with element children. It returns what is wrong, or "".
+func simpleContentDeparture(kind SchemeKind, got []int64, dom []*xmldom.Node) string {
+	if len(got) >= len(dom) {
+		return fmt.Sprintf("store matched %d nodes, DOM %d: the documented divergence is gone; take it off domDivergent", len(got), len(dom))
+	}
+	if kind == Inline {
+		return ""
+	}
+	i := 0
+	for _, n := range dom {
+		if i < len(got) && got[i] == int64(n.Pre) {
+			i++
+			continue
+		}
+		if !slices.ContainsFunc(n.Children, func(c *xmldom.Node) bool { return c.Kind == xmldom.ElementNode }) {
+			return fmt.Sprintf("store misses node %d, which has simple content", n.Pre)
+		}
+	}
+	if i != len(got) {
+		return fmt.Sprintf("store matched node %d, which the DOM does not", got[i])
+	}
+	return ""
 }

@@ -127,7 +127,6 @@ func (bn *Binary) Translate(q *xpath.Path) (string, error) {
 			t, ok := bn.attrTables[label]
 			return t, ok
 		},
-		TextTable: "bt_text",
 	})
 }
 

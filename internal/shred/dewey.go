@@ -156,7 +156,7 @@ func (d *Dewey) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Docume
 
 // Translate implements Scheme.
 func (d *Dewey) Translate(q *xpath.Path) (string, error) {
-	return translate.Dewey(q, translate.DeweyOptions{Table: "dewey"})
+	return translate.Dewey(q)
 }
 
 // Reconstruct implements Scheme.

@@ -79,7 +79,7 @@ func (e *Edge) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Documen
 
 // Translate implements Scheme.
 func (e *Edge) Translate(q *xpath.Path) (string, error) {
-	opt := translate.EdgeOptions{Table: "edge", MaxDepth: e.maxDepth}
+	opt := translate.EdgeOptions{MaxDepth: e.maxDepth}
 	if e.useCatalog {
 		opt.Catalog = e.catalog
 	}

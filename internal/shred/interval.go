@@ -82,7 +82,7 @@ func (iv *Interval) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Do
 
 // Translate implements Scheme.
 func (iv *Interval) Translate(q *xpath.Path) (string, error) {
-	return translate.Interval(q, translate.IntervalOptions{Table: "accel", ChildViaRegion: iv.childViaRegion})
+	return translate.Interval(q, translate.IntervalOptions{ChildViaRegion: iv.childViaRegion})
 }
 
 // Reconstruct implements Scheme.

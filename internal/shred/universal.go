@@ -184,7 +184,6 @@ func (u *Universal) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Do
 // Translate implements Scheme.
 func (u *Universal) Translate(q *xpath.Path) (string, error) {
 	return translate.Universal(q, translate.UniversalOptions{
-		Table:   "universal",
 		Catalog: u.catalog,
 		Column: func(seg string) (string, bool) {
 			s, ok := u.suffix[seg]

@@ -11,7 +11,7 @@ import (
 // BinaryOptions parameterizes the Binary (attribute-partitioned)
 // translation. The edge table is split by label: element edges with
 // label L live in ElemTable(L), attribute edges in AttrTable(L), text
-// edges in TextTable. Every partition has columns
+// edges in bt_text. Every partition has columns
 // (source, ordinal, target, value).
 type BinaryOptions struct {
 	// Catalog lists the concrete label paths of the loaded documents;
@@ -22,8 +22,6 @@ type BinaryOptions struct {
 	ElemTable func(label string) (string, bool)
 	// AttrTable maps an attribute label to its partition.
 	AttrTable func(label string) (string, bool)
-	// TextTable is the text-node partition.
-	TextTable string
 }
 
 // Binary translates XPath to SQL over the partitioned layout. Because a
@@ -33,9 +31,6 @@ type BinaryOptions struct {
 func Binary(p *xpath.Path, opt BinaryOptions) (string, error) {
 	if opt.Catalog == nil || opt.ElemTable == nil || opt.AttrTable == nil {
 		return "", fmt.Errorf("translate: binary options missing catalog or table maps")
-	}
-	if opt.TextTable == "" {
-		opt.TextTable = "bt_text"
 	}
 	if !p.Absolute {
 		return "", unsupported("binary", "relative paths")
@@ -70,7 +65,7 @@ func Binary(p *xpath.Path, opt BinaryOptions) (string, error) {
 func binaryTableFor(seg string, opt BinaryOptions) (string, bool) {
 	switch {
 	case seg == "#text":
-		return opt.TextTable, true
+		return "bt_text", true
 	case strings.HasPrefix(seg, "@"):
 		return opt.AttrTable(seg[1:])
 	default:
@@ -104,13 +99,14 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 	var from []string
 	var where []string
 	aliases := make([]string, len(m.Segments))
+	tables := make([]string, len(m.Segments))
 	for k, seg := range m.Segments {
 		tbl, ok := binaryTableFor(seg, opt)
 		if !ok {
 			return "SELECT 0 AS id, NULL AS val WHERE 1 = 0", nil
 		}
 		a := fmt.Sprintf("b%d", k+1)
-		aliases[k] = a
+		aliases[k], tables[k] = a, tbl
 		from = append(from, tbl+" "+a)
 		src := "0"
 		if k > 0 {
@@ -120,7 +116,9 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 	}
 	for k := range m.Segments {
 		for _, pe := range predsAt[k] {
-			c, err := binaryPred(pe, aliases[k], m.Segments[k], opt)
+			// A partition holds one label, so the step's node test is
+			// implied (wildcards with positions are refused above).
+			c, err := compilePred(binaryLayout{opt, tables[k]}, pe, aliases[k], xpath.NodeTest{})
 			if err != nil {
 				return "", err
 			}
@@ -135,170 +133,51 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 	return sql, nil
 }
 
-// binaryPred translates one predicate anchored at alias `cur`, whose
-// label is curSeg (needed to resolve child partitions).
-func binaryPred(e xpath.Expr, cur, curSeg string, opt BinaryOptions) (string, error) {
-	switch e := e.(type) {
-	case *xpath.BinaryExpr:
-		switch e.Op {
-		case "and", "or":
-			l, err := binaryPred(e.L, cur, curSeg, opt)
-			if err != nil {
-				return "", err
-			}
-			r, err := binaryPred(e.R, cur, curSeg, opt)
-			if err != nil {
-				return "", err
-			}
-			return "(" + l + " " + strings.ToUpper(e.Op) + " " + r + ")", nil
-		default:
-			return binaryComparison(e, cur, curSeg, opt)
-		}
-	case *xpath.NumberLit:
-		// Positional within a partition: rank among same-label siblings,
-		// which is the step's own node test (wildcards are refused in
-		// binaryChainSQL).
-		tbl, ok := binaryTableFor(curSeg, opt)
-		if !ok {
-			return "1 = 0", nil
-		}
-		return fmt.Sprintf(
-			"(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.ordinal < %s.ordinal) + 1 = %s",
-			tbl, cur, cur, numLiteral(e.Val)), nil
-	case *xpath.PathOperand:
-		chain, _, err := binaryPredChain(e.Path, cur, opt)
-		if err != nil {
-			return "", err
-		}
-		return "EXISTS (" + chain + ")", nil
-	case *xpath.FuncCall:
-		switch e.Name {
-		case "not":
-			if len(e.Args) != 1 {
-				return "", unsupported("binary", "not() arity")
-			}
-			inner, err := binaryPred(e.Args[0], cur, curSeg, opt)
-			if err != nil {
-				return "", err
-			}
-			return "NOT (" + inner + ")", nil
-		case "true":
-			return "1 = 1", nil
-		case "false":
-			return "1 = 0", nil
-		case "contains", "starts-with":
-			if len(e.Args) != 2 {
-				return "", unsupported("binary", e.Name+"() arity")
-			}
-			lit, ok := e.Args[1].(*xpath.StringLit)
-			if !ok {
-				return "", unsupported("binary", e.Name+"() with a non-literal pattern")
-			}
-			pattern := "%" + likeEscapeMeta(lit.Val) + "%"
-			if e.Name == "starts-with" {
-				pattern = likeEscapeMeta(lit.Val) + "%"
-			}
-			cond := func(operand string) string {
-				return fmt.Sprintf("%s LIKE %s ESCAPE '\\'", operand, QuoteString(pattern))
-			}
-			if po, ok := e.Args[0].(*xpath.PathOperand); ok {
-				if len(po.Path.Steps) == 1 && po.Path.Steps[0].Axis == xpath.AxisSelf {
-					return cond(cur + ".value"), nil
-				}
-				chain, valCol, err := binaryPredChain(po.Path, cur, opt)
-				if err != nil {
-					return "", err
-				}
-				return "EXISTS (" + chain + " AND " + cond(valCol) + ")", nil
-			}
-			return "", unsupported("binary", "non-path operand in string function")
-		}
-		return "", unsupported("binary", e.Name+"() in a predicate")
-	}
-	return "", unsupported("binary", fmt.Sprintf("predicate %T", e))
+// binaryLayout is the partitioned layout as the predicate compiler sees
+// it, anchored at a context node in partition table.
+type binaryLayout struct {
+	opt   BinaryOptions
+	table string
 }
 
-func binaryComparison(e *xpath.BinaryExpr, cur, curSeg string, opt BinaryOptions) (string, error) {
-	l, r, op := e.L, e.R, e.Op
-	if isLiteral(l) && !isLiteral(r) {
-		l, r = r, l
-		op = flipXPathOp(op)
-	}
-	lit, err := literalSQL(r)
-	if err != nil {
-		return "", err
-	}
-	if op == "!=" {
-		op = "<>"
-	}
-	switch lx := l.(type) {
-	case *xpath.FuncCall:
-		switch lx.Name {
-		case "position":
-			tbl, ok := binaryTableFor(curSeg, opt)
-			if !ok {
-				return "1 = 0", nil
-			}
-			return fmt.Sprintf(
-				"(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.ordinal < %s.ordinal) + 1 %s %s",
-				tbl, cur, cur, op, lit), nil
-		case "count":
-			if len(lx.Args) != 1 {
-				return "", unsupported("binary", "count() arity")
-			}
-			po, ok := lx.Args[0].(*xpath.PathOperand)
-			if !ok {
-				return "", unsupported("binary", "count() of a non-path")
-			}
-			chain, _, err := binaryPredChain(po.Path, cur, opt)
-			if err != nil {
-				return "", err
-			}
-			countQ := strings.Replace(chain, "SELECT 1 ", "SELECT COUNT(*) ", 1)
-			return "(" + countQ + ") " + op + " " + lit, nil
-		}
-		return "", unsupported("binary", lx.Name+"() comparison")
-	case *xpath.PathOperand:
-		if len(lx.Path.Steps) == 1 && lx.Path.Steps[0].Axis == xpath.AxisSelf {
-			return cur + ".value " + op + " " + lit, nil
-		}
-		chain, valCol, err := binaryPredChain(lx.Path, cur, opt)
-		if err != nil {
-			return "", err
-		}
-		return "EXISTS (" + chain + " AND " + valCol + " " + op + " " + lit + ")", nil
-	}
-	return "", unsupported("binary", fmt.Sprintf("comparison of %T", l))
+func (binaryLayout) scheme() string { return "binary" }
+
+// siblingsBefore counts within the context's partition: its same-label
+// siblings.
+func (l binaryLayout) siblingsBefore(cur string, _ xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.ordinal < %s.ordinal)",
+		l.table, cur, cur)
 }
 
-// binaryPredChain builds the EXISTS body for a relative predicate path
-// of child/attribute steps with name tests (each step knows its
-// partition directly).
-func binaryPredChain(p *xpath.Path, cur string, opt BinaryOptions) (string, string, error) {
+// predPath builds the EXISTS body of a relative predicate path of
+// child and attribute steps with name tests and text() (each step knows
+// its partition directly).
+func (l binaryLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
 	if p.Absolute {
-		return "", "", unsupported("binary", "absolute paths inside predicates")
+		return predPath{}, unsupported("binary", "absolute paths inside predicates")
 	}
 	var from []string
 	var where []string
 	prev := cur
 	for i, s := range p.Steps {
 		if len(s.Preds) > 0 {
-			return "", "", unsupported("binary", "nested predicates")
+			return predPath{}, unsupported("binary", "nested predicates")
 		}
 		var tbl string
 		var ok bool
 		switch {
 		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
-			tbl, ok = opt.ElemTable(s.Test.Name)
+			tbl, ok = l.opt.ElemTable(s.Test.Name)
 		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
-			tbl, ok = opt.TextTable, true
+			tbl, ok = "bt_text", true
 		case s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
-			tbl, ok = opt.AttrTable(s.Test.Name)
+			tbl, ok = l.opt.AttrTable(s.Test.Name)
 		default:
-			return "", "", unsupported("binary", "predicate step "+s.Axis.String())
+			return predPath{}, unsupported("binary", "predicate step "+s.Axis.String())
 		}
 		if !ok {
-			return "SELECT 1 WHERE 1 = 0", "NULL", nil
+			// The label never occurred: the path selects nothing.
+			return predPath{q: "SELECT 1 WHERE 1 = 0", val: "NULL", order: "1"}, nil
 		}
 		a := fmt.Sprintf("%sp%d", cur, i+1)
 		from = append(from, tbl+" "+a)
@@ -306,8 +185,8 @@ func binaryPredChain(p *xpath.Path, cur string, opt BinaryOptions) (string, stri
 		prev = a
 	}
 	if prev == cur {
-		return "", "", unsupported("binary", "empty predicate path")
+		return predPath{}, unsupported("binary", "empty predicate path")
 	}
 	q := "SELECT 1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
-	return q, prev + ".value", nil
+	return predPath{q: q, val: prev + ".value", order: prev + ".target"}, nil
 }

@@ -46,6 +46,15 @@ func likeEscapeMeta(s string) string {
 	return s
 }
 
+// likePattern renders the LIKE pattern, for ESCAPE '\', of contains()
+// or starts-with() (fn) with the literal s.
+func likePattern(fn, s string) string {
+	if fn == "starts-with" {
+		return likeEscapeMeta(s) + "%"
+	}
+	return "%" + likeEscapeMeta(s) + "%"
+}
+
 // numLiteral renders an XPath number as a SQL literal, preferring the
 // integer form.
 func numLiteral(f float64) string {

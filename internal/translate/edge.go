@@ -9,15 +9,11 @@ import (
 
 // EdgeOptions parameterizes the Edge-table translation.
 type EdgeOptions struct {
-	// Table is the edge table name (default "edge").
-	Table string
 	// MaxDepth bounds the expansion of descendant steps: the Edge
 	// scheme has no structural index, so `//x` becomes a UNION over
 	// explicit join chains of every possible length — the cost the
 	// interval encoding exists to remove (experiment F2).
 	MaxDepth int
-	// MaxExpansions caps the UNION size (safety valve).
-	MaxExpansions int
 	// Catalog, when set, switches descendant expansion from blind
 	// wildcard chains to the concrete label paths observed in the data
 	// (the path-index variant; ablation A1). Wildcard hops disappear
@@ -25,17 +21,9 @@ type EdgeOptions struct {
 	Catalog *PathCatalog
 }
 
-func (o *EdgeOptions) defaults() {
-	if o.Table == "" {
-		o.Table = "edge"
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 16
-	}
-	if o.MaxExpansions <= 0 {
-		o.MaxExpansions = 256
-	}
-}
+// maxEdgeExpansions caps the UNION a descendant expansion produces (a
+// safety valve: three // steps at depth 16 would need 4,096 chains).
+const maxEdgeExpansions = 256
 
 // edgeHop is one join hop of an expanded path.
 type edgeHop struct {
@@ -52,7 +40,9 @@ type edgeHop struct {
 // Edge translates an XPath query to SQL over the Edge table
 // edge(source, ordinal, name, kind, target, value).
 func Edge(p *xpath.Path, opt EdgeOptions) (string, error) {
-	opt.defaults()
+	if opt.MaxDepth <= 0 {
+		opt.MaxDepth = 16
+	}
 	if !p.Absolute {
 		return "", unsupported("edge", "relative paths")
 	}
@@ -71,7 +61,7 @@ func Edge(p *xpath.Path, opt EdgeOptions) (string, error) {
 	}
 	var parts []string
 	for _, hops := range expansions {
-		q, err := edgeChainSQL(hops, opt)
+		q, err := edgeChainSQL(hops)
 		if err != nil {
 			return "", err
 		}
@@ -127,8 +117,8 @@ func expandEdgeSteps(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, error) {
 					}
 					hops = append(hops, edgeHop{axis: xpath.AxisChild, test: s.Test, preds: s.Preds, posTest: s.Test})
 					next = append(next, hops)
-					if len(next) > opt.MaxExpansions {
-						return nil, fmt.Errorf("translate: edge descendant expansion exceeds %d chains (depth %d); raise MaxExpansions", opt.MaxExpansions, opt.MaxDepth)
+					if len(next) > maxEdgeExpansions {
+						return nil, fmt.Errorf("translate: edge descendant expansion exceeds %d chains (depth %d)", maxEdgeExpansions, opt.MaxDepth)
 					}
 				}
 			}
@@ -157,8 +147,8 @@ func expandEdgeViaCatalog(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, err
 		return expandEdgeSteps(steps, opt)
 	}
 	matches := opt.Catalog.Expand(pat)
-	if len(matches) > opt.MaxExpansions {
-		return nil, fmt.Errorf("translate: edge catalog expansion exceeds %d chains", opt.MaxExpansions)
+	if len(matches) > maxEdgeExpansions {
+		return nil, fmt.Errorf("translate: edge catalog expansion exceeds %d chains", maxEdgeExpansions)
 	}
 	var out [][]edgeHop
 	for _, m := range matches {
@@ -196,48 +186,36 @@ func expandEdgeViaCatalog(steps []xpath.Step, opt EdgeOptions) ([][]edgeHop, err
 }
 
 // edgeChainSQL renders one expansion as a single-block SELECT.
-func edgeChainSQL(hops []edgeHop, opt EdgeOptions) (string, error) {
-	tbl := opt.Table
+func edgeChainSQL(hops []edgeHop) (string, error) {
 	var from []string
 	var where []string
-	alias := func(i int) string { return fmt.Sprintf("e%d", i+1) }
-
 	cur := "" // empty means the document node (id 0)
-	n := 0
 	for _, h := range hops {
 		switch h.axis {
 		case xpath.AxisParent:
 			if cur == "" {
 				return "", unsupported("edge", "parent of the document node")
 			}
-			a := alias(n)
-			n++
-			from = append(from, tbl+" "+a)
+			a := fmt.Sprintf("e%d", len(from)+1)
+			from = append(from, "edge "+a)
 			where = append(where, fmt.Sprintf("%s.target = %s.source", a, cur))
-			if c := edgeTestCond(a, h.test, false); c != "" {
-				where = append(where, c)
-			}
 			cur = a
 		case xpath.AxisSelf:
-			if c := edgeTestCond(cur, h.test, false); c != "" {
-				where = append(where, c)
-			}
 		default: // child, attribute
-			a := alias(n)
-			n++
-			from = append(from, tbl+" "+a)
+			a := fmt.Sprintf("e%d", len(from)+1)
+			from = append(from, "edge "+a)
 			src := "0"
 			if cur != "" {
 				src = cur + ".target"
 			}
 			where = append(where, fmt.Sprintf("%s.source = %s", a, src))
-			if c := edgeTestCond(a, h.test, h.axis == xpath.AxisAttribute); c != "" {
-				where = append(where, c)
-			}
 			cur = a
 		}
+		if c := testCond(cur, h.test, h.axis == xpath.AxisAttribute); cur != "" && c != "" {
+			where = append(where, c)
+		}
 		for _, pe := range h.preds {
-			c, err := edgePred(pe, cur, h.posTest, opt)
+			c, err := compilePred(edgeLayout{}, pe, cur, h.posTest)
 			if err != nil {
 				return "", err
 			}
@@ -254,261 +232,49 @@ func edgeChainSQL(hops []edgeHop, opt EdgeOptions) (string, error) {
 	return sql, nil
 }
 
-// edgeTestCond renders the node test for an edge alias.
-func edgeTestCond(a string, t xpath.NodeTest, isAttr bool) string {
-	if a == "" {
-		return ""
-	}
-	switch t.Kind {
-	case xpath.TestName:
-		kind := "elem"
-		if isAttr {
-			kind = "attr"
-		}
-		return fmt.Sprintf("%s.kind = '%s' AND %s.name = %s", a, kind, a, QuoteString(t.Name))
-	case xpath.TestWildcard:
-		kind := "elem"
-		if isAttr {
-			kind = "attr"
-		}
-		return fmt.Sprintf("%s.kind = '%s'", a, kind)
-	case xpath.TestText:
-		return fmt.Sprintf("%s.kind = 'text'", a)
-	case xpath.TestComment:
-		return fmt.Sprintf("%s.kind = 'comment'", a)
-	case xpath.TestNode:
-		return fmt.Sprintf("%s.kind <> 'attr'", a)
-	}
-	return ""
+// edgeLayout is the Edge table as the predicate compiler sees it: a
+// context alias is the edge into the context node, whose id is
+// cur.target.
+type edgeLayout struct{}
+
+func (edgeLayout) scheme() string { return "edge" }
+
+func (edgeLayout) siblingsBefore(cur string, test xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM edge s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal)",
+		cur, siblingTest(test, cur), cur)
 }
 
-// edgePred translates one predicate for the context edge alias `cur`.
-// The context node id is cur.target.
-func edgePred(e xpath.Expr, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
-	switch e := e.(type) {
-	case *xpath.BinaryExpr:
-		switch e.Op {
-		case "and", "or":
-			l, err := edgePred(e.L, cur, test, opt)
-			if err != nil {
-				return "", err
-			}
-			r, err := edgePred(e.R, cur, test, opt)
-			if err != nil {
-				return "", err
-			}
-			op := strings.ToUpper(e.Op)
-			return "(" + l + " " + op + " " + r + ")", nil
-		default:
-			return edgeComparison(e, cur, test, opt)
-		}
-	case *xpath.NumberLit:
-		// [N] == [position() = N]
-		return edgePosition(cur, test, "=", numLiteral(e.Val), opt), nil
-	case *xpath.PathOperand:
-		chain, _, err := edgePredChain(e.Path, cur, opt)
-		if err != nil {
-			return "", err
-		}
-		return "EXISTS (" + chain + ")", nil
-	case *xpath.FuncCall:
-		return edgePredFunc(e, cur, test, opt)
-	}
-	return "", unsupported("edge", fmt.Sprintf("predicate %T", e))
-}
-
-func edgePredFunc(e *xpath.FuncCall, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
-	switch e.Name {
-	case "not":
-		if len(e.Args) != 1 {
-			return "", unsupported("edge", "not() arity")
-		}
-		inner, err := edgePred(e.Args[0], cur, test, opt)
-		if err != nil {
-			return "", err
-		}
-		return "NOT (" + inner + ")", nil
-	case "true":
-		return "1 = 1", nil
-	case "false":
-		return "1 = 0", nil
-	case "contains", "starts-with":
-		if len(e.Args) != 2 {
-			return "", unsupported("edge", e.Name+"() arity")
-		}
-		lit, ok := e.Args[1].(*xpath.StringLit)
-		if !ok {
-			return "", unsupported("edge", e.Name+"() with a non-literal pattern")
-		}
-		pattern := "%" + likeEscapeMeta(lit.Val) + "%"
-		if e.Name == "starts-with" {
-			pattern = likeEscapeMeta(lit.Val) + "%"
-		}
-		return edgeValueMatch(e.Args[0], cur, opt, func(operand string) string {
-			return fmt.Sprintf("%s LIKE %s ESCAPE '\\'", operand, QuoteString(pattern))
-		})
-	}
-	return "", unsupported("edge", e.Name+"() in a predicate")
-}
-
-// edgeValueMatch applies cond() to the string value of the first
-// argument (a relative path or "."). Dot is the context node's value.
-func edgeValueMatch(arg xpath.Expr, cur string, opt EdgeOptions, cond func(string) string) (string, error) {
-	if po, ok := arg.(*xpath.PathOperand); ok {
-		if len(po.Path.Steps) == 1 && po.Path.Steps[0].Axis == xpath.AxisSelf {
-			return cond(cur + ".value"), nil
-		}
-		chain, valCol, err := edgePredChain(po.Path, cur, opt)
-		if err != nil {
-			return "", err
-		}
-		return "EXISTS (" + chain + " AND " + cond(valCol) + ")", nil
-	}
-	return "", unsupported("edge", "non-path operand in string function")
-}
-
-// edgeComparison translates [path op literal] and positional forms.
-func edgeComparison(e *xpath.BinaryExpr, cur string, test xpath.NodeTest, opt EdgeOptions) (string, error) {
-	l, r, op := e.L, e.R, e.Op
-	// Normalize literal-first comparisons.
-	if isLiteral(l) && !isLiteral(r) {
-		l, r = r, l
-		op = flipXPathOp(op)
-	}
-	lit, err := literalSQL(r)
-	if err != nil {
-		return "", err
-	}
-	sqlOp := op
-	if sqlOp == "!=" {
-		sqlOp = "<>"
-	}
-	switch lx := l.(type) {
-	case *xpath.FuncCall:
-		switch lx.Name {
-		case "position":
-			return edgePosition(cur, test, sqlOp, lit, opt), nil
-		case "count":
-			if len(lx.Args) != 1 {
-				return "", unsupported("edge", "count() arity")
-			}
-			po, ok := lx.Args[0].(*xpath.PathOperand)
-			if !ok {
-				return "", unsupported("edge", "count() of a non-path")
-			}
-			chain, _, err := edgePredChain(po.Path, cur, opt)
-			if err != nil {
-				return "", err
-			}
-			countQ := strings.Replace(chain, "SELECT 1 ", "SELECT COUNT(*) ", 1)
-			return "(" + countQ + ") " + sqlOp + " " + lit, nil
-		case "string-length":
-			if len(lx.Args) == 0 {
-				return "LENGTH(" + cur + ".value) " + sqlOp + " " + lit, nil
-			}
-			return edgeValueMatch(lx.Args[0], cur, opt, func(operand string) string {
-				return "LENGTH(" + operand + ") " + sqlOp + " " + lit
-			})
-		}
-		return "", unsupported("edge", lx.Name+"() comparison")
-	case *xpath.PathOperand:
-		if len(lx.Path.Steps) == 1 && lx.Path.Steps[0].Axis == xpath.AxisSelf {
-			return cur + ".value " + sqlOp + " " + lit, nil
-		}
-		chain, valCol, err := edgePredChain(lx.Path, cur, opt)
-		if err != nil {
-			return "", err
-		}
-		return "EXISTS (" + chain + " AND " + valCol + " " + sqlOp + " " + lit + ")", nil
-	}
-	return "", unsupported("edge", fmt.Sprintf("comparison of %T", l))
-}
-
-// edgePosition renders the positional predicate: the rank of the
-// context node among its preceding siblings that the step's node test
-// admits (see siblingTest).
-func edgePosition(cur string, test xpath.NodeTest, op, lit string, opt EdgeOptions) string {
-	return fmt.Sprintf(
-		"(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal) + 1 %s %s",
-		opt.Table, cur, siblingTest(test, cur), cur, op, lit)
-}
-
-// edgePredChain builds the EXISTS body for a relative predicate path.
-// It returns the subquery (without closing paren) and the value column
-// of its final hop.
-func edgePredChain(p *xpath.Path, cur string, opt EdgeOptions) (string, string, error) {
+// predPath builds the EXISTS body of a relative predicate path of child,
+// attribute and parent steps.
+func (edgeLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
 	if p.Absolute {
-		return "", "", unsupported("edge", "absolute paths inside predicates")
+		return predPath{}, unsupported("edge", "absolute paths inside predicates")
 	}
 	var from []string
 	var where []string
-	prev := ""
+	prev := cur
 	for i, s := range p.Steps {
 		if len(s.Preds) > 0 {
-			return "", "", unsupported("edge", "nested predicates")
+			return predPath{}, unsupported("edge", "nested predicates")
 		}
 		a := fmt.Sprintf("%sp%d", cur, i+1)
 		switch s.Axis {
 		case xpath.AxisChild, xpath.AxisAttribute:
-			from = append(from, opt.Table+" "+a)
-			src := cur + ".target"
-			if prev != "" {
-				src = prev + ".target"
-			}
-			where = append(where, fmt.Sprintf("%s.source = %s", a, src))
-			if c := edgeTestCond(a, s.Test, s.Axis == xpath.AxisAttribute); c != "" {
+			where = append(where, fmt.Sprintf("%s.source = %s.target", a, prev))
+			if c := testCond(a, s.Test, s.Axis == xpath.AxisAttribute); c != "" {
 				where = append(where, c)
 			}
-			prev = a
 		case xpath.AxisParent:
-			from = append(from, opt.Table+" "+a)
-			tgt := cur + ".source"
-			if prev != "" {
-				tgt = prev + ".source"
-			}
-			where = append(where, fmt.Sprintf("%s.target = %s", a, tgt))
-			prev = a
+			where = append(where, fmt.Sprintf("%s.target = %s.source", a, prev))
 		default:
-			return "", "", unsupported("edge", "axis "+s.Axis.String()+" inside predicates")
+			return predPath{}, unsupported("edge", "axis "+s.Axis.String()+" inside predicates")
 		}
+		from = append(from, "edge "+a)
+		prev = a
 	}
-	if prev == "" {
-		return "", "", unsupported("edge", "empty predicate path")
+	if prev == cur {
+		return predPath{}, unsupported("edge", "empty predicate path")
 	}
 	q := "SELECT 1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
-	return q, prev + ".value", nil
-}
-
-// Shared predicate-literal helpers.
-
-func isLiteral(e xpath.Expr) bool {
-	switch e.(type) {
-	case *xpath.StringLit, *xpath.NumberLit:
-		return true
-	}
-	return false
-}
-
-func literalSQL(e xpath.Expr) (string, error) {
-	switch e := e.(type) {
-	case *xpath.StringLit:
-		return QuoteString(e.Val), nil
-	case *xpath.NumberLit:
-		return numLiteral(e.Val), nil
-	}
-	return "", fmt.Errorf("translate: comparison requires a literal operand, got %T", e)
-}
-
-func flipXPathOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
+	return predPath{q: q, val: prev + ".value", order: prev + ".target"}, nil
 }

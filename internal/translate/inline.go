@@ -491,7 +491,7 @@ func inlinePred(m *InlineMapping, pos inlinePos, e xpath.Expr) (routeCond, error
 			return "1 = 0"
 		}}, nil
 	case *xpath.PathOperand:
-		return inlineValueCond(m, pos, e.Path, func(col string) string {
+		return inlineValueCond(m, pos, e.Path, false, func(col string) string {
 			return col + " IS NOT NULL"
 		})
 	case *xpath.FuncCall:
@@ -519,10 +519,7 @@ func inlinePred(m *InlineMapping, pos inlinePos, e xpath.Expr) (routeCond, error
 			if !ok {
 				return routeCond{}, unsupported("inline", e.Name+"() with a non-literal pattern")
 			}
-			pattern := "%" + likeEscapeMeta(lit.Val) + "%"
-			if e.Name == "starts-with" {
-				pattern = likeEscapeMeta(lit.Val) + "%"
-			}
+			pattern := likePattern(e.Name, lit.Val)
 			po, ok := e.Args[0].(*xpath.PathOperand)
 			if !ok {
 				return routeCond{}, unsupported("inline", "non-path operand in string function")
@@ -536,7 +533,7 @@ func inlinePred(m *InlineMapping, pos inlinePos, e xpath.Expr) (routeCond, error
 					return fmt.Sprintf("%s.%s LIKE %s ESCAPE '\\'", a, QuoteIdent(key), QuoteString(pattern))
 				}}, nil
 			}
-			return inlineValueCond(m, pos, po.Path, func(col string) string {
+			return inlineValueCond(m, pos, po.Path, true, func(col string) string {
 				return fmt.Sprintf("%s LIKE %s ESCAPE '\\'", col, QuoteString(pattern))
 			})
 		}
@@ -586,7 +583,7 @@ func inlineComparison(m *InlineMapping, pos inlinePos, e *xpath.BinaryExpr) (rou
 				return a + "." + QuoteIdent(key) + " " + sqlOp + " " + lit
 			}}, nil
 		}
-		return inlineValueCond(m, pos, lx.Path, func(col string) string {
+		return inlineValueCond(m, pos, lx.Path, false, func(col string) string {
 			return col + " " + op + " " + lit
 		})
 	}
@@ -595,12 +592,18 @@ func inlineComparison(m *InlineMapping, pos inlinePos, e *xpath.BinaryExpr) (rou
 
 // inlineValueCond resolves a relative predicate path to a condition over
 // either a column of the anchor relation or an EXISTS over child
-// relations.
-func inlineValueCond(m *InlineMapping, pos inlinePos, p *xpath.Path, mk func(col string) string) (routeCond, error) {
+// relations. With first set, mk gets instead the path's string value as
+// a string function reads it: the value of its first node in document
+// order, or the empty string when it selects none.
+func inlineValueCond(m *InlineMapping, pos inlinePos, p *xpath.Path, first bool, mk func(col string) string) (routeCond, error) {
 	if p.Absolute {
 		return routeCond{}, unsupported("inline", "absolute paths inside predicates")
 	}
 	idx := len(pos.joins) - 1
+	none := routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}
+	if first {
+		none.cond = func(string) string { return mk("''") }
+	}
 	cur := pos
 	// Chain of shared crossings: each adds one EXISTS level. code is
 	// the parentCODE the crossing must match.
@@ -627,7 +630,7 @@ func inlineValueCond(m *InlineMapping, pos inlinePos, p *xpath.Path, mk func(col
 				}
 			}
 			if !ok {
-				return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}, nil
+				return none, nil
 			}
 			if m.Shared[s.Test.Name] {
 				crossings = append(crossings, crossing{rel: m.Relations[s.Test.Name], code: strings.Join(cur.path, ".")})
@@ -650,24 +653,40 @@ func inlineValueCond(m *InlineMapping, pos inlinePos, p *xpath.Path, mk func(col
 		}
 	}
 
-	var innerPath []string
-	if len(crossings) == 0 {
-		innerPath = cur.path
-	} else {
-		innerPath = cur.path
-	}
-	key := ColumnKey(innerPath, attr)
+	key := ColumnKey(cur.path, attr)
 	lastRel := pos.rel()
 	if len(crossings) > 0 {
 		lastRel = crossings[len(crossings)-1].rel
 	}
 	if _, ok := lastRel.ByKey[key]; !ok {
-		return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}, nil
+		return none, nil
 	}
 
 	if len(crossings) == 0 {
 		return routeCond{joinIdx: idx, cond: func(a string) string {
+			if first {
+				return mk("COALESCE(" + a + "." + QuoteIdent(key) + ", '')")
+			}
 			return mk(a + "." + QuoteIdent(key))
+		}}, nil
+	}
+	if first {
+		// The first node: join the crossing chain and order it by each
+		// relation's sibling ordinal, outermost first.
+		return routeCond{joinIdx: idx, cond: func(a string) string {
+			var from, where, order []string
+			parentAlias := a
+			for ci, cr := range crossings {
+				sub := fmt.Sprintf("%s_x%d", a, ci+1)
+				from = append(from, cr.rel.Table+" "+sub)
+				where = append(where, sub+".parentid = "+parentAlias+".id", sub+".parentcode = "+QuoteString(cr.code))
+				order = append(order, sub+".ordinal")
+				parentAlias = sub
+			}
+			col := parentAlias + "." + QuoteIdent(key)
+			return mk("COALESCE((SELECT " + col + " FROM " + strings.Join(from, ", ") +
+				" WHERE " + strings.Join(where, " AND ") + " AND " + col + " IS NOT NULL ORDER BY " +
+				strings.Join(order, ", ") + " LIMIT 1), '')")
 		}}, nil
 	}
 	// Build nested EXISTS over the crossing chain.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDeweyAncestorTranslation(t *testing.T) {
-	sql, err := Dewey(xpath.MustParse("//city/ancestor::person"), DeweyOptions{})
+	sql, err := Dewey(xpath.MustParse("//city/ancestor::person"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTranslationsQuoteValues(t *testing.T) {
 	for name, f := range map[string]func() (string, error){
 		"edge":     func() (string, error) { return Edge(q, EdgeOptions{MaxDepth: 4}) },
 		"interval": func() (string, error) { return Interval(q, IntervalOptions{}) },
-		"dewey":    func() (string, error) { return Dewey(q, DeweyOptions{}) },
+		"dewey":    func() (string, error) { return Dewey(q) },
 	} {
 		sql, err := f()
 		if err != nil {
@@ -115,7 +115,7 @@ func TestAttrDescendantPattern(t *testing.T) {
 	if _, err := Interval(q, IntervalOptions{}); err != nil {
 		t.Errorf("interval //@id: %v", err)
 	}
-	if _, err := Dewey(q, DeweyOptions{}); err != nil {
+	if _, err := Dewey(q); err != nil {
 		t.Errorf("dewey //@id: %v", err)
 	}
 }

@@ -114,8 +114,8 @@ func TestEdgeTranslationShape(t *testing.T) {
 	if cs != 3 || cd != 9 {
 		t.Errorf("union sizes: depth4 %d (want 3), depth10 %d (want 9)", cs, cd)
 	}
-	// Expansion explosion is bounded.
-	if _, err := Edge(xpath.MustParse("//a//b//c"), EdgeOptions{MaxDepth: 16, MaxExpansions: 10}); err == nil {
+	// Expansion explosion is bounded: 16³ chains exceed the cap of 256.
+	if _, err := Edge(xpath.MustParse("//a//b//c"), EdgeOptions{MaxDepth: 16}); err == nil {
 		t.Error("expected expansion cap error")
 	}
 }
@@ -145,7 +145,7 @@ func TestIntervalTranslationShape(t *testing.T) {
 }
 
 func TestDeweyTranslationShape(t *testing.T) {
-	sql, err := Dewey(xpath.MustParse("/site//item"), DeweyOptions{})
+	sql, err := Dewey(xpath.MustParse("/site//item"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDeweyTranslationShape(t *testing.T) {
 		}
 	}
 	// Child steps probe the parent path, not a range.
-	sql, err = Dewey(xpath.MustParse("/site/people"), DeweyOptions{})
+	sql, err = Dewey(xpath.MustParse("/site/people"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestNamedPositionSQLUnchanged(t *testing.T) {
 	}{
 		{"interval", func() (string, error) { return Interval(q, IntervalOptions{}) },
 			"(SELECT COUNT(*) FROM accel s WHERE s.parent = a4.parent AND s.kind = a4.kind AND s.name = a4.name AND s.ordinal < a4.ordinal) + 1 = 1"},
-		{"dewey", func() (string, error) { return Dewey(q, DeweyOptions{}) },
+		{"dewey", func() (string, error) { return Dewey(q) },
 			"(SELECT COUNT(*) FROM dewey s WHERE s.parent = d4.parent AND s.kind = d4.kind AND s.name = d4.name AND s.path < d4.path) + 1 = 1"},
 		{"edge", func() (string, error) { return Edge(q, EdgeOptions{MaxDepth: 8}) },
 			"(SELECT COUNT(*) FROM edge s WHERE s.source = e4.source AND s.kind = e4.kind AND s.name = e4.name AND s.ordinal < e4.ordinal) + 1 = 1"},

@@ -16,22 +16,14 @@ import (
 // conjunctions; the price is massive redundancy (experiment T1) and
 // awkward branching predicates (self-joins below).
 type UniversalOptions struct {
-	Table   string
 	Catalog *PathCatalog
 	// Column maps a path segment ("person", "@id", "#text") to the
 	// sanitized column suffix; labels never seen return false.
 	Column func(seg string) (string, bool)
 }
 
-func (o *UniversalOptions) defaults() {
-	if o.Table == "" {
-		o.Table = "universal"
-	}
-}
-
 // Universal translates XPath to SQL over the universal table.
 func Universal(p *xpath.Path, opt UniversalOptions) (string, error) {
-	opt.defaults()
 	if opt.Catalog == nil || opt.Column == nil {
 		return "", fmt.Errorf("translate: universal options missing catalog or column map")
 	}
@@ -88,7 +80,7 @@ func universalChainSQL(steps []xpath.Step, m CatalogMatch, opt UniversalOptions)
 		where = append(where, fmt.Sprintf("%s.%s IS NOT NULL", u, QuoteIdent(idCol)))
 	}
 
-	joins := []string{opt.Table + " " + u}
+	joins := []string{"universal " + u}
 	joinN := 0
 
 	pi := 0
@@ -150,11 +142,11 @@ func universalPred(e xpath.Expr, u, anchorSeg string, joinN *int, opt UniversalO
 			return universalComparison(e, u, anchorSeg, joinN, opt)
 		}
 	case *xpath.PathOperand:
-		cond, joins, _, err := universalPredTarget(e.Path, u, anchorSeg, joinN, opt)
+		t, err := universalPredTarget(e.Path, u, anchorSeg, joinN, opt)
 		if err != nil {
 			return "", nil, err
 		}
-		return cond, joins, nil
+		return t.cond, t.join, nil
 	case *xpath.FuncCall:
 		switch e.Name {
 		case "not":
@@ -181,19 +173,15 @@ func universalPred(e xpath.Expr, u, anchorSeg string, joinN *int, opt UniversalO
 			if !ok {
 				return "", nil, unsupported("universal", e.Name+"() with a non-literal pattern")
 			}
-			pattern := "%" + likeEscapeMeta(lit.Val) + "%"
-			if e.Name == "starts-with" {
-				pattern = likeEscapeMeta(lit.Val) + "%"
-			}
 			po, ok := e.Args[0].(*xpath.PathOperand)
 			if !ok {
 				return "", nil, unsupported("universal", "non-path operand in string function")
 			}
-			exist, joins, valExpr, err := universalPredTarget(po.Path, u, anchorSeg, joinN, opt)
+			t, err := universalPredTarget(po.Path, u, anchorSeg, joinN, opt)
 			if err != nil {
 				return "", nil, err
 			}
-			return fmt.Sprintf("(%s AND %s LIKE %s ESCAPE '\\')", exist, valExpr, QuoteString(pattern)), joins, nil
+			return t.first() + " LIKE " + QuoteString(likePattern(e.Name, lit.Val)) + ` ESCAPE '\'`, nil, nil
 		}
 		return "", nil, unsupported("universal", e.Name+"() in a predicate")
 	case *xpath.NumberLit:
@@ -219,33 +207,54 @@ func universalComparison(e *xpath.BinaryExpr, u, anchorSeg string, joinN *int, o
 	if !ok {
 		return "", nil, unsupported("universal", fmt.Sprintf("comparison of %T", l))
 	}
-	exist, joins, valExpr, err := universalPredTarget(po.Path, u, anchorSeg, joinN, opt)
+	t, err := universalPredTarget(po.Path, u, anchorSeg, joinN, opt)
 	if err != nil {
 		return "", nil, err
 	}
-	return "(" + exist + " AND " + valExpr + " " + op + " " + lit + ")", joins, nil
+	return "(" + t.cond + " AND " + t.val + " " + op + " " + lit + ")", t.join, nil
 }
 
-// universalPredTarget resolves a relative predicate path to a value
-// expression, adding a self-join on the anchor element's id (the sibling
-// branch lives in a different leaf row). Returns (existence condition,
-// joins, value expression).
-func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt UniversalOptions) (string, []string, string, error) {
+// universalTarget is a relative predicate path resolved on a self-joined
+// universal row: another leaf row sharing the anchor element's id, as
+// the sibling branch lives in a different leaf row.
+type universalTarget struct {
+	// cond puts the row on the path, join is the row's FROM entry (none
+	// when the path cannot match), and val and id are the value and id
+	// columns of the path's final step on the row.
+	cond    string
+	join    []string
+	val, id string
+}
+
+// first renders the string value of the path's first node in document
+// order (ids are pre-order ranks), or the empty string when it selects
+// none: the operand of a string function.
+func (t universalTarget) first() string {
+	if len(t.join) == 0 {
+		return "''"
+	}
+	return "COALESCE((SELECT " + t.val + " FROM " + t.join[0] + " WHERE " + t.cond + " ORDER BY " + t.id + " LIMIT 1), '')"
+}
+
+// universalPredTarget resolves a relative predicate path on a new
+// self-joined row.
+func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt UniversalOptions) (universalTarget, error) {
+	none := universalTarget{cond: "1 = 0", val: "NULL"}
 	if p.Absolute {
-		return "", nil, "", unsupported("universal", "absolute paths inside predicates")
+		return none, unsupported("universal", "absolute paths inside predicates")
 	}
 	anchorID, ok := universalCol(anchorSeg, "id", opt)
 	if !ok {
-		return "1 = 0", nil, "NULL", nil
+		return none, nil
 	}
 	*joinN++
 	v := fmt.Sprintf("v%d", *joinN)
-	join := []string{opt.Table + " " + v}
+	join := []string{"universal " + v}
 	conds := []string{fmt.Sprintf("%s.%s = %s.%s", v, QuoteIdent(anchorID), u, QuoteIdent(anchorID))}
 	lastSeg := ""
 	for _, s := range p.Steps {
 		if len(s.Preds) > 0 {
-			return "", nil, "", unsupported("universal", "nested predicates")
+			return none, unsupported("universal", "nested predicates")
 		}
 		var seg string
 		switch {
@@ -256,22 +265,23 @@ func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt Uni
 		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
 			seg = "#text"
 		default:
-			return "", nil, "", unsupported("universal", "predicate step "+s.Axis.String())
+			return none, unsupported("universal", "predicate step "+s.Axis.String())
 		}
 		idCol, ok := universalCol(seg, "id", opt)
 		if !ok {
-			return "1 = 0", nil, "NULL", nil
+			return none, nil
 		}
 		conds = append(conds, fmt.Sprintf("%s.%s IS NOT NULL", v, QuoteIdent(idCol)))
 		lastSeg = seg
 	}
 	if lastSeg == "" {
-		return "", nil, "", unsupported("universal", "empty predicate path")
+		return none, unsupported("universal", "empty predicate path")
 	}
-	valCol, ok := universalCol(lastSeg, "val", opt)
-	valExpr := "NULL"
-	if ok {
-		valExpr = v + "." + QuoteIdent(valCol)
+	t := universalTarget{cond: strings.Join(conds, " AND "), join: join, val: "NULL"}
+	idCol, _ := universalCol(lastSeg, "id", opt)
+	t.id = v + "." + QuoteIdent(idCol)
+	if valCol, ok := universalCol(lastSeg, "val", opt); ok {
+		t.val = v + "." + QuoteIdent(valCol)
 	}
-	return strings.Join(conds, " AND "), join, valExpr, nil
+	return t, nil
 }
