@@ -556,24 +556,39 @@ func (db *Database) queryAt(qctx context.Context, st *dbState, sql string, args 
 	if err != nil {
 		return nil, err
 	}
+	data, _, _, err := db.execPlan(qctx, st, e.p, false, sql, args)
+	if err != nil {
+		return nil, err
+	}
+	return &Rows{Columns: e.cols, Data: data}, nil
+}
+
+// execPlan is the one execution path of a compiled plan, against the
+// pinned state st: admission through the governor's gate, a memory
+// accountant, per-operator run statistics (with wall time per operator
+// when timed) and the metrics registry, which records the query under
+// sql and the plan's template. It returns the rows, the run statistics
+// and the execution's wall time.
+func (db *Database) execPlan(qctx context.Context, st *dbState, p *plan, timed bool, sql string, args []Value) ([][]Value, *runStats, time.Duration, error) {
 	release, err := db.gate.Load().admit(qctx)
 	if err != nil {
 		db.metrics.recordQueryError()
-		return nil, err
+		return nil, nil, 0, err
 	}
 	defer release()
 	mem := db.newMemAccountant()
 	defer mem.close()
-	rs := newRunStats(e.p, false)
+	rs := newRunStats(p, timed)
 	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, mem: mem}
 	start := time.Now()
-	data, err := runGuarded(ctx, e.p.root)
+	data, err := runGuarded(ctx, p.root)
+	d := time.Since(start)
 	if err != nil {
 		db.metrics.recordQueryError()
-		return nil, err
+		return nil, nil, 0, err
 	}
-	db.metrics.recordQuery(sql, e.p.template, time.Since(start), len(data), rs)
-	return &Rows{Columns: e.cols, Data: data}, nil
+	db.metrics.recordQuery(sql, p.template, d, len(data), rs)
+	return data, rs, d, nil
 }
 
 // QueryScalar runs a SELECT expected to return a single value; it
@@ -645,23 +660,10 @@ func (p *Prepared) QueryContext(qctx context.Context, args ...Value) (*Rows, err
 	if p.epoch != st.epoch {
 		return nil, fmt.Errorf("sqldb: %w: schema changed since Prepare (%s)", ErrPreparedStale, p.sql)
 	}
-	release, err := p.db.gate.Load().admit(qctx)
+	data, _, _, err := p.db.execPlan(qctx, st, p.plan, false, p.sql, args)
 	if err != nil {
-		p.db.metrics.recordQueryError()
 		return nil, err
 	}
-	defer release()
-	mem := p.db.newMemAccountant()
-	defer mem.close()
-	rs := newRunStats(p.plan, false)
-	ctx := &evalCtx{snap: st, qctx: qctx, params: args, stats: rs, mem: mem}
-	start := time.Now()
-	data, err := runGuarded(ctx, p.plan.root)
-	if err != nil {
-		p.db.metrics.recordQueryError()
-		return nil, err
-	}
-	p.db.metrics.recordQuery(p.sql, p.plan.template, time.Since(start), len(data), rs)
 	return &Rows{Columns: p.cols, Data: data}, nil
 }
 

@@ -69,24 +69,10 @@ func (db *Database) ExplainAnalyzePlan(sql string, args ...Value) (*AnalyzedPlan
 	if err != nil {
 		return nil, err
 	}
-	release, err := db.gate.Load().admit(context.Background())
+	data, rs, total, err := db.execPlan(context.Background(), st, e.p, true, sql, args)
 	if err != nil {
-		db.metrics.recordQueryError()
 		return nil, err
 	}
-	defer release()
-	mem := db.newMemAccountant()
-	defer mem.close()
-	rs := newRunStats(e.p, true)
-	ctx := &evalCtx{snap: st, qctx: context.Background(), params: args, stats: rs, mem: mem}
-	start := time.Now()
-	data, err := runGuarded(ctx, e.p.root)
-	total := time.Since(start)
-	if err != nil {
-		db.metrics.recordQueryError()
-		return nil, err
-	}
-	db.metrics.recordQuery(sql, e.p.template, total, len(data), rs)
 
 	ap := &AnalyzedPlan{Rows: len(data), Duration: total}
 	var b strings.Builder

@@ -52,7 +52,7 @@ func planSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schema, err
 	}
 	var root planNode = &unionAllNode{parts: nodes, schema: outSch}
 	var err error
-	root, err = applyOrderLimit(st, root, outSch, orderBy, limit, offset, false)
+	root, err = applyOrderLimit(st, root, outSch, orderBy, limit, offset)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,7 +272,7 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 }
 
 // applyOrderLimit adds sort/limit over a union.
-func applyOrderLimit(st *dbState, root planNode, sch schema, orderBy []OrderItem, limit, offset Expr, _ bool) (planNode, error) {
+func applyOrderLimit(st *dbState, root planNode, sch schema, orderBy []OrderItem, limit, offset Expr) (planNode, error) {
 	if len(orderBy) > 0 {
 		comp := &compiler{st: st, sch: sch}
 		keys := make([]compiledExpr, len(orderBy))
