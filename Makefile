@@ -94,9 +94,12 @@ server:
 
 ## cover: per-package statement-coverage floors for the packages that
 ## hold the engine (sqldb), the mappings (shred), the façade (core) and
-## the XML data model with its streaming tokenizer (xmldom).
+## the XML data model with its streaming tokenizer (xmldom). The
+## mappings sit a few points under their suite's measure (about 75%),
+## so losing the tests of the shared shredding walk or tree assembler
+## fails the gate.
 cover:
-	@for entry in "./internal/sqldb $(COVER_FLOOR_SQLDB)" "./internal/shred $(COVER_FLOOR)" "./internal/core $(COVER_FLOOR)" "./internal/xmldom $(COVER_FLOOR_XMLDOM)"; do \
+	@for entry in "./internal/sqldb $(COVER_FLOOR_SQLDB)" "./internal/shred 72" "./internal/core $(COVER_FLOOR)" "./internal/xmldom $(COVER_FLOOR_XMLDOM)"; do \
 		pkg=$${entry% *}; floor=$${entry#* }; \
 		pct=$$($(GO) test -cover $$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for $$pkg" >&2; exit 1; fi; \

@@ -9,8 +9,8 @@
 //	xrdb -in doc.xml [-scheme interval] [-dtd doc.dtd] <action>
 //	xrdb -data dir [-in doc.xml] [-scheme interval] <action>   durable mode:
 //	    write-ahead logged, crash-recovering store in dir (-checkpoint
-//	    forces a snapshot + log rotation before exit;
-//	    -group-commit-window lets concurrent commits share one fsync)
+//	    forces a snapshot + log rotation before exit; concurrent
+//	    commits share one fsync)
 //
 // Actions (pick one):
 //
@@ -44,7 +44,6 @@ func main() {
 		saveDB    = flag.String("savedb", "", "write a database snapshot after loading (atomic: temp file + rename)")
 		dataDir   = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery; interval/dewey)")
 		ckpt      = flag.Bool("checkpoint", false, "with -data: force a checkpoint before exit")
-		gcWindow  = flag.Duration("group-commit-window", 0, "with -data: linger this long before each WAL fsync so concurrent commits share it (0 = flush immediately)")
 		scheme    = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey|inline")
 		dtdFile   = flag.String("dtd", "", "DTD file (required for -scheme inline)")
 		valueIdx  = flag.Bool("value-index", false, "create content-value indexes")
@@ -53,7 +52,7 @@ func main() {
 		maxConc   = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "with -max-concurrent: max queries waiting for admission before rejection")
 		bufPool   = flag.Int("buffer-pool", 0, "cap resident 512-row heap pages; full pages beyond the cap spill to disk and page back in on demand (0 = unbounded, all in memory)")
-		stream    = flag.Bool("stream", false, "with -in: shred the document from a stream (bounded memory; edge/interval, durable loads lose document-level crash atomicity)")
+		stream    = flag.Bool("stream", false, "with -in: shred the document from a stream (bounded memory for edge/binary/interval/dewey; durable loads lose document-level crash atomicity)")
 		query     = flag.String("query", "", "XPath query to run")
 		timeout   = flag.Duration("timeout", 0, "per-operation deadline (e.g. 500ms) for loads and queries; 0 = no limit")
 		showSQL   = flag.Bool("sql", false, "print the generated SQL")
@@ -86,9 +85,8 @@ func main() {
 			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
 			BufferPoolPages: *bufPool,
 		}
-		dopts := core.DurableOptions{GroupCommitWindow: *gcWindow}
 		var err error
-		ds, err = core.OpenDurableWith(core.SchemeKind(*scheme), *dataDir, opts, dopts)
+		ds, err = core.OpenDurable(core.SchemeKind(*scheme), *dataDir, opts)
 		if err != nil {
 			fail("opening data directory %s: %v", *dataDir, err)
 		}

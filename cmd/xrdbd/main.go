@@ -44,7 +44,6 @@ func main() {
 		queryMem   = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc    = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "admission control: queries allowed to wait when saturated; beyond fail 429")
-		gcWindow   = flag.Duration("group-commit-window", 0, "linger before each WAL fsync so concurrent commits share it")
 		bufPool    = flag.Int("buffer-pool", 0, "cap resident 512-row heap pages; full pages beyond the cap spill to disk and page back in on demand (0 = unbounded)")
 		stream     = flag.Bool("stream", false, "with -in: shred the initial document from a stream (bounded memory; per-batch durability instead of one crash-atomic load)")
 	)
@@ -63,7 +62,6 @@ func main() {
 			BufferPoolPages:      *bufPool,
 		},
 		stream: *stream,
-		dopts:  core.DurableOptions{GroupCommitWindow: *gcWindow},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "xrdbd:", err)
 		os.Exit(1)
@@ -79,7 +77,6 @@ type serveConfig struct {
 	maxSess, stmtCache  int
 	stream              bool
 	opts                core.Options
-	dopts               core.DurableOptions
 }
 
 func run(cfg serveConfig) error {
@@ -97,7 +94,7 @@ func run(cfg serveConfig) error {
 		}
 	}
 
-	store, err := core.OpenDurableWith(kind, cfg.dataDir, cfg.opts, cfg.dopts)
+	store, err := core.OpenDurable(kind, cfg.dataDir, cfg.opts)
 	if err != nil {
 		return err
 	}

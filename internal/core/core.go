@@ -234,9 +234,10 @@ func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
 }
 
 // LoadXMLStream shreds a document directly from a stream. When the
-// scheme supports streaming shredding (Edge, Interval and Binary), the
-// document is parsed and shredded in one pass with memory proportional
-// to its depth plus one insert batch — the full DOM is never built.
+// scheme supports streaming shredding (Edge, Interval, Binary and
+// Dewey), the document is parsed and shredded in one pass with memory
+// proportional to its depth plus one insert batch — the full DOM is
+// never built.
 // Other schemes parse the stream into a DOM first. On error the store
 // may hold a partial shred; discard it.
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {

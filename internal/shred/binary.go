@@ -20,8 +20,8 @@ import (
 //
 // Element partitions are named be_<label>, attribute partitions
 // ba_<label>, and text/comment/pi nodes share bt_text / bt_comment /
-// bt_pi. A path catalog collected at load time drives descendant-step
-// expansion.
+// bt_pi, which adds a name column for the PI's target. A path catalog
+// collected at load time drives descendant-step expansion.
 type Binary struct {
 	elemTables map[string]string
 	attrTables map[string]string
@@ -56,13 +56,17 @@ func (bn *Binary) Setup(db *sqldb.Database) error {
 }
 
 func (bn *Binary) createPartition(db *sqldb.Database, table string) error {
+	extra := ""
+	if table == "bt_pi" {
+		extra = ", name TEXT" // the PI's target
+	}
 	stmts := []string{
 		fmt.Sprintf(`CREATE TABLE %s (
 			source INTEGER NOT NULL,
 			ordinal INTEGER NOT NULL,
 			target INTEGER NOT NULL PRIMARY KEY,
-			value TEXT
-		)`, table),
+			value TEXT%s
+		)`, table, extra),
 		fmt.Sprintf(`CREATE INDEX %s_source ON %s (source, ordinal)`, table, table),
 	}
 	if bn.valueIndex {
@@ -130,97 +134,29 @@ func (bn *Binary) Translate(q *xpath.Path) (string, error) {
 	})
 }
 
-// Reconstruct implements Scheme: the partitions are unioned back into
-// edge form and assembled.
+// Reconstruct implements Scheme: each partition's rows are read back
+// with the kind and label its table implies.
 func (bn *Binary) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
-	type edgeRow struct {
-		source, ordinal, target int64
-		name, kind, value       string
+	queries := []string{
+		`SELECT target, source, ordinal, 'text', NULL, value FROM bt_text`,
+		`SELECT target, source, ordinal, 'comment', NULL, value FROM bt_comment`,
+		`SELECT target, source, ordinal, 'pi', name, value FROM bt_pi`,
 	}
-	bySource := map[int64][]edgeRow{}
-	collect := func(table, kind, name string) error {
-		rows, err := db.Query("SELECT source, ordinal, target, value FROM " + table)
+	for kind, tables := range map[string]map[string]string{"elem": bn.elemTables, "attr": bn.attrTables} {
+		for label, t := range tables {
+			queries = append(queries, fmt.Sprintf(`SELECT target, source, ordinal, '%s', %s, value FROM %s`,
+				kind, translate.QuoteString(label), t))
+		}
+	}
+	var stored []storedNode
+	for _, q := range queries {
+		rows, err := db.Query(q)
 		if err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			er := edgeRow{
-				source:  r[0].Int(),
-				ordinal: r[1].Int(),
-				target:  r[2].Int(),
-				name:    name,
-				kind:    kind,
-				value:   r[3].Text(),
-			}
-			bySource[er.source] = append(bySource[er.source], er)
-		}
-		return nil
-	}
-	elemLabels := make([]string, 0, len(bn.elemTables))
-	for l := range bn.elemTables {
-		elemLabels = append(elemLabels, l)
-	}
-	sort.Strings(elemLabels)
-	for _, l := range elemLabels {
-		if err := collect(bn.elemTables[l], "elem", l); err != nil {
 			return nil, err
 		}
+		stored = appendStored(stored, rows)
 	}
-	attrLabels := make([]string, 0, len(bn.attrTables))
-	for l := range bn.attrTables {
-		attrLabels = append(attrLabels, l)
-	}
-	sort.Strings(attrLabels)
-	for _, l := range attrLabels {
-		if err := collect(bn.attrTables[l], "attr", l); err != nil {
-			return nil, err
-		}
-	}
-	if err := collect("bt_text", "text", ""); err != nil {
-		return nil, err
-	}
-	if err := collect("bt_comment", "comment", ""); err != nil {
-		return nil, err
-	}
-	if err := collect("bt_pi", "pi", ""); err != nil {
-		return nil, err
-	}
-
-	for k := range bySource {
-		rs := bySource[k]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].ordinal < rs[j].ordinal })
-	}
-	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
-	var build func(parent *xmldom.Node, id int64) error
-	build = func(parent *xmldom.Node, id int64) error {
-		for _, er := range bySource[id] {
-			switch er.kind {
-			case "attr":
-				parent.Attrs = append(parent.Attrs, &xmldom.Node{Kind: xmldom.AttributeNode, Name: er.name, Value: er.value, Parent: parent})
-			case "elem":
-				el := &xmldom.Node{Kind: xmldom.ElementNode, Name: er.name, Parent: parent}
-				parent.Children = append(parent.Children, el)
-				if err := build(el, er.target); err != nil {
-					return err
-				}
-			case "text":
-				parent.Children = append(parent.Children, &xmldom.Node{Kind: xmldom.TextNode, Value: er.value, Parent: parent})
-			case "comment":
-				parent.Children = append(parent.Children, &xmldom.Node{Kind: xmldom.CommentNode, Value: er.value, Parent: parent})
-			case "pi":
-				parent.Children = append(parent.Children, &xmldom.Node{Kind: xmldom.ProcInstNode, Value: er.value, Parent: parent})
-			}
-		}
-		return nil
-	}
-	if err := build(doc.Root, 0); err != nil {
-		return nil, err
-	}
-	if doc.RootElement() == nil {
-		return nil, errScheme("binary", "no root element stored")
-	}
-	doc.Number()
-	return doc, nil
+	return assemble("binary", stored)
 }
 
 // InsertSubtree implements Scheme: like Edge, a local ordinal shift on

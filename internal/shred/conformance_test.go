@@ -199,24 +199,31 @@ func prefixStr(v []string, n int) []string {
 	return v
 }
 
-// TestReconstruct round-trips the document through every scheme that
-// preserves full fidelity.
+// TestReconstruct round-trips documents through every scheme that
+// preserves full fidelity: the auction, and one holding every node kind
+// — a processing instruction with its target, a comment, attributes and
+// mixed content.
 func TestReconstruct(t *testing.T) {
-	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 3})
-	want := xmldom.SerializeString(doc.Root)
-	for _, s := range All(false) {
-		s := s
+	kinds, err := xmldom.ParseString(`<r a="1" b="two"><?tgt some data?>lead<x k="v">in<!--note-->side<?bare?></x>tail<y/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []*xmldom.Document{xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 3}), kinds}
+	for i, s := range All(false) {
 		t.Run(s.Name(), func(t *testing.T) {
-			db, err := LoadDocument(s, doc)
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			got, err := s.Reconstruct(db)
-			if err != nil {
-				t.Fatalf("reconstruct: %v", err)
-			}
-			if xmldom.SerializeString(got.Root) != want {
-				t.Errorf("%s: reconstruction differs from original", s.Name())
+			for _, doc := range docs {
+				s := All(false)[i] // a fresh instance per document
+				db, err := LoadDocument(s, doc)
+				if err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				got, err := s.Reconstruct(db)
+				if err != nil {
+					t.Fatalf("reconstruct: %v", err)
+				}
+				if got, want := xmldom.SerializeString(got.Root), xmldom.SerializeString(doc.Root); got != want {
+					t.Errorf("%s: reconstruction differs from original\n got %s\nwant %s", s.Name(), clip(got), clip(want))
+				}
 			}
 		})
 	}

@@ -80,8 +80,8 @@ func deweyComp(i int64) string {
 	return fmt.Sprintf("%0*d", deweyWidth, i)
 }
 
-// errLabelOverflow is returned before anything is written when a label
-// component would reach deweyLimit.
+// errLabelOverflow refuses a label component that would reach
+// deweyLimit.
 func errLabelOverflow(comp int64) error {
 	return errScheme("dewey", "label component %d exceeds %d digits (relabel required)", comp, deweyWidth)
 }
@@ -100,58 +100,14 @@ func checkFanout(n *xmldom.Node) error {
 	return nil
 }
 
-// Load implements Scheme. It keeps a DOM walk: a label overflow is
-// refused before anything is written, so every fanout must be known
-// before the first row.
+// Load implements Scheme: every fanout is checked first, so a label
+// overflow is refused before anything is written; then the document's
+// replay goes through the shredding walk.
 func (d *Dewey) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
 	if err := checkFanout(doc.Root); err != nil {
 		return err
 	}
-	doc.Number()
-	b := newBatcherCtx(ctx, db, "dewey")
-	var walk func(n *xmldom.Node, prefix string, level int) error
-	walk = func(n *xmldom.Node, prefix string, level int) error {
-		ord := int64(1)
-		emit := func(c *xmldom.Node) error {
-			label := prefix + deweyComp(ord*deweyGap)
-			parent := sqldb.Null
-			if prefix != "" {
-				parent = sqldb.NewText(strings.TrimSuffix(prefix, "."))
-			}
-			row := []sqldb.Value{
-				sqldb.NewInt(int64(c.Pre)),
-				sqldb.NewText(label),
-				parent,
-				sqldb.NewInt(int64(level)),
-				sqldb.NewText(c.Kind.String()),
-				nodeName(c),
-				nodeValue(c),
-			}
-			if err := b.add(row); err != nil {
-				return err
-			}
-			ord++
-			if c.Kind == xmldom.ElementNode {
-				return walk(c, label+".", level+1)
-			}
-			return nil
-		}
-		for _, a := range n.Attrs {
-			if err := emit(a); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.Children {
-			if err := emit(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(doc.Root, "", 1); err != nil {
-		return err
-	}
-	return b.flush()
+	return d.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.
@@ -159,53 +115,31 @@ func (d *Dewey) Translate(q *xpath.Path) (string, error) {
 	return translate.Dewey(q)
 }
 
-// Reconstruct implements Scheme.
+// Reconstruct implements Scheme: a node's parent is the row whose path
+// is its parent label, and its rank among siblings is its last label
+// component.
 func (d *Dewey) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
-	rows, err := db.Query(`SELECT path, kind, name, value FROM dewey ORDER BY path`)
+	rows, err := db.Query(`SELECT pre, path, parent, kind, name, value FROM dewey`)
 	if err != nil {
 		return nil, err
 	}
-	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
-	byPath := map[string]*xmldom.Node{"": doc.Root}
+	idOf := make(map[string]int64, rows.Len())
 	for _, r := range rows.Data {
-		path := r[0].Text()
-		kind := r[1].Text()
-		parentPath := ""
-		if i := strings.LastIndexByte(path, '.'); i >= 0 {
-			parentPath = path[:i]
-		}
-		parent := byPath[parentPath]
-		if parent == nil {
-			return nil, errScheme("dewey", "dangling parent path %q", parentPath)
-		}
-		var n *xmldom.Node
-		switch kind {
-		case "elem":
-			n = &xmldom.Node{Kind: xmldom.ElementNode, Name: r[2].Text()}
-		case "attr":
-			n = &xmldom.Node{Kind: xmldom.AttributeNode, Name: r[2].Text(), Value: r[3].Text()}
-		case "text":
-			n = &xmldom.Node{Kind: xmldom.TextNode, Value: r[3].Text()}
-		case "comment":
-			n = &xmldom.Node{Kind: xmldom.CommentNode, Value: r[3].Text()}
-		case "pi":
-			n = &xmldom.Node{Kind: xmldom.ProcInstNode, Name: r[2].Text(), Value: r[3].Text()}
-		default:
-			return nil, errScheme("dewey", "unknown node kind %q", kind)
-		}
-		n.Parent = parent
-		if n.Kind == xmldom.AttributeNode {
-			parent.Attrs = append(parent.Attrs, n)
-		} else {
-			parent.Children = append(parent.Children, n)
-		}
-		byPath[path] = n
+		idOf[r[1].Text()] = r[0].Int()
 	}
-	if doc.RootElement() == nil {
-		return nil, errScheme("dewey", "no root element stored")
+	stored := make([]storedNode, 0, rows.Len())
+	for _, r := range rows.Data {
+		var parent int64
+		if !r[2].IsNull() {
+			var ok bool
+			if parent, ok = idOf[r[2].Text()]; !ok {
+				return nil, errScheme("dewey", "dangling parent path %q", r[2].Text())
+			}
+		}
+		stored = append(stored, storedNode{id: r[0].Int(), parent: parent, order: lastComp(r[1].Text()),
+			kind: r[3].Text(), name: r[4].Text(), value: r[5].Text()})
 	}
-	doc.Number()
-	return doc, nil
+	return assemble("dewey", stored)
 }
 
 // InsertSubtree implements Scheme. A new sibling label is the midpoint
@@ -267,43 +201,14 @@ func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, 
 	if err != nil {
 		return err
 	}
-	nextID := maxID.Int() + 1
 
-	b := newBatcher(db, "dewey")
-	var insert func(n *xmldom.Node, path, parent string, level int64) error
-	insert = func(n *xmldom.Node, path, parent string, level int64) error {
-		row := []sqldb.Value{
-			sqldb.NewInt(nextID),
-			sqldb.NewText(path),
-			sqldb.NewText(parent),
-			sqldb.NewInt(level),
-			sqldb.NewText(n.Kind.String()),
-			nodeName(n),
-			nodeValue(n),
-		}
-		nextID++
-		if err := b.add(row); err != nil {
-			return err
-		}
-		ord := int64(1)
-		for _, a := range n.Attrs {
-			if err := insert(a, path+"."+deweyComp(ord*deweyGap), path, level+1); err != nil {
-				return err
-			}
-			ord++
-		}
-		for _, c := range n.Children {
-			if err := insert(c, path+"."+deweyComp(ord*deweyGap), path, level+1); err != nil {
-				return err
-			}
-			ord++
-		}
-		return nil
-	}
-	if err := insert(subtree, parentPath+"."+deweyComp(newComp), parentPath, parentLevel+1); err != nil {
+	s := &deweySink{b: newBatcher(db, "dewey"), labels: []string{parentPath},
+		first: parentPath + "." + deweyComp(newComp)}
+	at := walkAt{parent: parentID, level: int(parentLevel), next: maxID.Int() + 1}
+	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
 		return err
 	}
-	return b.flush()
+	return s.b.flush()
 }
 
 // lastComp parses the final numeric component of a Dewey path.

@@ -2,7 +2,6 @@ package shred
 
 import (
 	"context"
-	"sort"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -88,69 +87,11 @@ func (e *Edge) Translate(q *xpath.Path) (string, error) {
 
 // Reconstruct implements Scheme.
 func (e *Edge) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
-	rows, err := db.Query(`SELECT source, ordinal, name, kind, target, value FROM edge`)
+	rows, err := db.Query(`SELECT target, source, ordinal, kind, name, value FROM edge`)
 	if err != nil {
 		return nil, err
 	}
-	type edgeRow struct {
-		source, ordinal, target int64
-		name, kind, value       string
-		hasValue                bool
-	}
-	bySource := map[int64][]edgeRow{}
-	for _, r := range rows.Data {
-		er := edgeRow{
-			source:   r[0].Int(),
-			ordinal:  r[1].Int(),
-			name:     r[2].Text(),
-			kind:     r[3].Text(),
-			target:   r[4].Int(),
-			value:    r[5].Text(),
-			hasValue: !r[5].IsNull(),
-		}
-		bySource[er.source] = append(bySource[er.source], er)
-	}
-	for k := range bySource {
-		rs := bySource[k]
-		sort.Slice(rs, func(i, j int) bool { return rs[i].ordinal < rs[j].ordinal })
-	}
-	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
-	var build func(parent *xmldom.Node, id int64) error
-	build = func(parent *xmldom.Node, id int64) error {
-		for _, er := range bySource[id] {
-			switch er.kind {
-			case "attr":
-				a := &xmldom.Node{Kind: xmldom.AttributeNode, Name: er.name, Value: er.value, Parent: parent}
-				parent.Attrs = append(parent.Attrs, a)
-			case "elem":
-				el := &xmldom.Node{Kind: xmldom.ElementNode, Name: er.name, Parent: parent}
-				parent.Children = append(parent.Children, el)
-				if err := build(el, er.target); err != nil {
-					return err
-				}
-			case "text":
-				t := &xmldom.Node{Kind: xmldom.TextNode, Value: er.value, Parent: parent}
-				parent.Children = append(parent.Children, t)
-			case "comment":
-				c := &xmldom.Node{Kind: xmldom.CommentNode, Value: er.value, Parent: parent}
-				parent.Children = append(parent.Children, c)
-			case "pi":
-				p := &xmldom.Node{Kind: xmldom.ProcInstNode, Name: er.name, Value: er.value, Parent: parent}
-				parent.Children = append(parent.Children, p)
-			default:
-				return errScheme("edge", "unknown edge kind %q", er.kind)
-			}
-		}
-		return nil
-	}
-	if err := build(doc.Root, 0); err != nil {
-		return nil, err
-	}
-	if doc.RootElement() == nil {
-		return nil, errScheme("edge", "no root element stored")
-	}
-	doc.Number()
-	return doc, nil
+	return assemble("edge", appendStored(nil, rows))
 }
 
 // InsertSubtree implements Scheme: following siblings' ordinals shift by

@@ -2,7 +2,6 @@ package shred
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/sqldb"
 	"repro/internal/translate"
@@ -87,70 +86,11 @@ func (iv *Interval) Translate(q *xpath.Path) (string, error) {
 
 // Reconstruct implements Scheme.
 func (iv *Interval) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
-	rows, err := db.Query(`SELECT pre, parent, kind, name, value, ordinal FROM accel ORDER BY pre`)
+	rows, err := db.Query(`SELECT pre, parent, ordinal, kind, name, value FROM accel`)
 	if err != nil {
 		return nil, err
 	}
-	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
-	nodes := map[int64]*xmldom.Node{}
-	type pending struct {
-		node    *xmldom.Node
-		parent  int64
-		ordinal int64
-		pre     int64
-	}
-	var pend []pending
-	for _, r := range rows.Data {
-		pre := r[0].Int()
-		kind := r[2].Text()
-		var n *xmldom.Node
-		switch kind {
-		case "doc":
-			n = doc.Root
-		case "elem":
-			n = &xmldom.Node{Kind: xmldom.ElementNode, Name: r[3].Text()}
-		case "attr":
-			n = &xmldom.Node{Kind: xmldom.AttributeNode, Name: r[3].Text(), Value: r[4].Text()}
-		case "text":
-			n = &xmldom.Node{Kind: xmldom.TextNode, Value: r[4].Text()}
-		case "comment":
-			n = &xmldom.Node{Kind: xmldom.CommentNode, Value: r[4].Text()}
-		case "pi":
-			n = &xmldom.Node{Kind: xmldom.ProcInstNode, Name: r[3].Text(), Value: r[4].Text()}
-		default:
-			return nil, errScheme("interval", "unknown node kind %q", kind)
-		}
-		nodes[pre] = n
-		if kind != "doc" {
-			pend = append(pend, pending{node: n, parent: r[1].Int(), ordinal: r[5].Int(), pre: pre})
-		}
-	}
-	sort.Slice(pend, func(i, j int) bool {
-		if pend[i].parent != pend[j].parent {
-			return pend[i].parent < pend[j].parent
-		}
-		if pend[i].ordinal != pend[j].ordinal {
-			return pend[i].ordinal < pend[j].ordinal
-		}
-		return pend[i].pre < pend[j].pre
-	})
-	for _, p := range pend {
-		parent := nodes[p.parent]
-		if parent == nil {
-			return nil, errScheme("interval", "dangling parent reference %d", p.parent)
-		}
-		p.node.Parent = parent
-		if p.node.Kind == xmldom.AttributeNode {
-			parent.Attrs = append(parent.Attrs, p.node)
-		} else {
-			parent.Children = append(parent.Children, p.node)
-		}
-	}
-	if doc.RootElement() == nil {
-		return nil, errScheme("interval", "no root element stored")
-	}
-	doc.Number()
-	return doc, nil
+	return assemble("interval", appendStored(nil, rows))
 }
 
 // InsertSubtree implements Scheme. The interval encoding pays the

@@ -13,8 +13,10 @@
 package shred
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/sqldb"
 	"repro/internal/xmldom"
@@ -154,13 +156,77 @@ func nodeValue(n *xmldom.Node) sqldb.Value {
 	return sqldb.Null
 }
 
-// nodeName returns the name column (NULL for unnamed kinds).
-func nodeName(n *xmldom.Node) sqldb.Value {
-	switch n.Kind {
-	case xmldom.ElementNode, xmldom.AttributeNode, xmldom.ProcInstNode:
-		return sqldb.NewText(n.Name)
+// storedNode is one node as a node-per-row mapping reads it back for
+// reconstruction: the node-plus-parent shape.
+type storedNode struct {
+	id, parent  int64 // parent 0 is the document node
+	order       int64 // sibling rank: ascending is document order
+	kind        string
+	name, value string
+}
+
+// appendStored reads rows of (id, parent, order, kind, name, value),
+// skipping the document node's own row where a mapping stores one.
+func appendStored(dst []storedNode, rows *sqldb.Rows) []storedNode {
+	for _, r := range rows.Data {
+		if kind := r[3].Text(); kind != "doc" {
+			dst = append(dst, storedNode{id: r[0].Int(), parent: r[1].Int(), order: r[2].Int(),
+				kind: kind, name: r[4].Text(), value: r[5].Text()})
+		}
 	}
-	return sqldb.Null
+	return dst
+}
+
+// assemble rebuilds the document from its stored nodes; it is the
+// reconstruction of every mapping that stores one row per node (Edge,
+// Binary, Interval, Dewey) or per root-to-leaf chain (Universal). An
+// element's stored value is its denormalized content and is dropped.
+func assemble(scheme string, stored []storedNode) (*xmldom.Document, error) {
+	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
+	nodes := make([]xmldom.Node, len(stored))
+	byID := make(map[int64]*xmldom.Node, len(stored)+1)
+	byID[0] = doc.Root
+	for i, r := range stored {
+		n := &nodes[i]
+		switch r.kind {
+		case "elem":
+			*n = xmldom.Node{Kind: xmldom.ElementNode, Name: r.name}
+		case "attr":
+			*n = xmldom.Node{Kind: xmldom.AttributeNode, Name: r.name, Value: r.value}
+		case "text":
+			*n = xmldom.Node{Kind: xmldom.TextNode, Value: r.value}
+		case "comment":
+			*n = xmldom.Node{Kind: xmldom.CommentNode, Value: r.value}
+		case "pi":
+			*n = xmldom.Node{Kind: xmldom.ProcInstNode, Name: r.name, Value: r.value}
+		default:
+			return nil, errScheme(scheme, "unknown node kind %q", r.kind)
+		}
+		n.Ordinal = int(r.order) // the stored rank, until Number renumbers
+		byID[r.id] = n
+	}
+	for i, r := range stored {
+		p := byID[r.parent]
+		if p == nil {
+			return nil, errScheme(scheme, "dangling parent reference %d", r.parent)
+		}
+		if n := &nodes[i]; n.Kind == xmldom.AttributeNode {
+			p.Attrs = append(p.Attrs, n)
+		} else {
+			p.Children = append(p.Children, n)
+		}
+	}
+	byRank := func(a, b *xmldom.Node) int { return cmp.Compare(a.Ordinal, b.Ordinal) }
+	slices.SortFunc(doc.Root.Children, byRank)
+	for i := range nodes {
+		slices.SortFunc(nodes[i].Attrs, byRank)
+		slices.SortFunc(nodes[i].Children, byRank)
+	}
+	if doc.RootElement() == nil {
+		return nil, errScheme(scheme, "no root element stored")
+	}
+	doc.Number()
+	return doc, nil
 }
 
 // errScheme builds scheme-level errors.

@@ -116,7 +116,8 @@ func TestDeweyPathOrderIsDocumentOrder(t *testing.T) {
 // TestDeweyLabelOverflow: eight-digit components spaced 1000 apart
 // number at most 99 999 siblings; the 100 000th label would print nine
 // digits and sort right after the 10 000th. Load and an appending
-// insert refuse with the relabel-required error and write nothing.
+// insert refuse with the relabel-required error and write nothing; a
+// Tokenizer load refuses when it reaches the 100 000th sibling.
 func TestDeweyLabelOverflow(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<r>")
@@ -138,6 +139,14 @@ func TestDeweyLabelOverflow(t *testing.T) {
 	}
 	if n := db.TotalRows(); n != 0 {
 		t.Fatalf("refused load left %d rows", n)
+	}
+	db = sqldb.New()
+	if err := s.Setup(db); err != nil {
+		t.Fatal(err)
+	}
+	tz := xmldom.NewTokenizer(strings.NewReader(b.String()))
+	if err := s.LoadStream(context.Background(), db, tz); err == nil || !strings.Contains(err.Error(), "relabel required") {
+		t.Fatalf("stream-loading 100 003 siblings: got %v, want the relabel-required error", err)
 	}
 
 	wide := func(n int) *xmldom.Node {

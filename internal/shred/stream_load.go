@@ -1,13 +1,13 @@
 package shred
 
-// One shredding walk: Edge, Interval and Binary decompose a document in
-// a single pass over an xmldom.TokenSource — a Tokenizer over XML text,
-// or a parsed Document's replay — with memory proportional to its depth
-// (plus one insert batch). The same walk shreds an inserted subtree,
-// placed under its parent with fresh ids. Element rows are emitted when
-// the element CLOSES, because subtree size and denormalized simple
-// content are only known then; queries order by stored ranks, so the
-// physical insertion order is never observed.
+// One shredding walk: Edge, Interval, Binary and Dewey decompose a
+// document in a single pass over an xmldom.TokenSource — a Tokenizer
+// over XML text, or a parsed Document's replay — with memory
+// proportional to its depth (plus one insert batch). The same walk
+// shreds an inserted subtree, placed under its parent with fresh ids.
+// Element rows are emitted when the element CLOSES, because subtree size
+// and denormalized simple content are only known then; queries order by
+// stored ranks, so the physical insertion order is never observed.
 
 import (
 	"context"
@@ -20,8 +20,8 @@ import (
 )
 
 // StreamLoader is implemented by the schemes that shred a token stream
-// without materializing it (Edge, Interval, Binary). Cancellation is
-// honored at bulk-insert batch granularity.
+// without materializing it (Edge, Interval, Binary, Dewey).
+// Cancellation is honored at bulk-insert batch granularity.
 type StreamLoader interface {
 	LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error
 }
@@ -43,8 +43,9 @@ type shredNode struct {
 // their pre-order position, elements at close.
 type streamSink interface {
 	// open reports an element's start tag, in pre-order, before any of
-	// its rows (Binary creates label partitions in document order).
-	open(name string) error
+	// its rows (Binary creates label partitions in document order, Dewey
+	// labels the element so its attributes and children can extend it).
+	open(f *streamFrame) error
 	node(n *shredNode) error
 }
 
@@ -127,7 +128,7 @@ func streamWalk(src xmldom.TokenSource, sink streamSink, catalog *translate.Path
 			}
 			nextPre++
 			maxLevel = max(maxLevel, f.level)
-			if err := sink.open(tok.Name); err != nil {
+			if err := sink.open(f); err != nil {
 				return 0, 0, err
 			}
 			if catalog != nil {
@@ -184,7 +185,7 @@ func subtreeTokens(n *xmldom.Node) xmldom.TokenSource {
 // edgeSink shreds into the edge relation.
 type edgeSink struct{ b *batcher }
 
-func (s *edgeSink) open(string) error { return nil }
+func (s *edgeSink) open(*streamFrame) error { return nil }
 
 func (s *edgeSink) node(n *shredNode) error {
 	return s.b.add([]sqldb.Value{
@@ -213,7 +214,7 @@ func (e *Edge) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.To
 // intervalSink shreds into the accel relation.
 type intervalSink struct{ b *batcher }
 
-func (s *intervalSink) open(string) error { return nil }
+func (s *intervalSink) open(*streamFrame) error { return nil }
 
 func (s *intervalSink) node(n *shredNode) error {
 	return s.b.add([]sqldb.Value{
@@ -254,8 +255,8 @@ type binarySink struct {
 	batchers map[string]*batcher
 }
 
-func (s *binarySink) open(name string) error {
-	_, err := s.bn.partitionFor(s.db, s.bn.elemTables, "be_", name)
+func (s *binarySink) open(f *streamFrame) error {
+	_, err := s.bn.partitionFor(s.db, s.bn.elemTables, "be_", f.name)
 	return err
 }
 
@@ -282,7 +283,11 @@ func (s *binarySink) node(n *shredNode) error {
 		b = newBatcherCtx(s.ctx, s.db, table)
 		s.batchers[table] = b
 	}
-	return b.add([]sqldb.Value{sqldb.NewInt(n.parent), sqldb.NewInt(n.ordinal), sqldb.NewInt(n.pre), n.value})
+	row := []sqldb.Value{sqldb.NewInt(n.parent), sqldb.NewInt(n.ordinal), sqldb.NewInt(n.pre), n.value}
+	if n.kind == "pi" {
+		row = append(row, n.name) // the target
+	}
+	return b.add(row)
 }
 
 // flush flushes every partition's batch, in table-name order.
@@ -307,4 +312,79 @@ func (bn *Binary) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom
 		return err
 	}
 	return s.flush()
+}
+
+// deweySink shreds into the dewey relation. labels stacks the open
+// elements' labels above the label of the node the walk starts under
+// ("" for the document node).
+type deweySink struct {
+	b      *batcher
+	labels []string
+	// first, when set, labels the walk's first top-level node instead of
+	// its ordinal: an insert's label between its new neighbours.
+	first string
+}
+
+// label numbers a node by its global ordinal under the innermost open
+// element, refusing a component that would not fit deweyWidth digits.
+func (s *deweySink) label(ordinal int64) (string, error) {
+	if s.first != "" && len(s.labels) == 1 {
+		l := s.first
+		s.first = ""
+		return l, nil
+	}
+	comp := ordinal * deweyGap
+	if comp >= deweyLimit {
+		return "", errLabelOverflow(comp)
+	}
+	if parent := s.labels[len(s.labels)-1]; parent != "" {
+		return parent + "." + deweyComp(comp), nil
+	}
+	return deweyComp(comp), nil
+}
+
+func (s *deweySink) open(f *streamFrame) error {
+	l, err := s.label(f.ordinal)
+	if err != nil {
+		return err
+	}
+	s.labels = append(s.labels, l)
+	return nil
+}
+
+func (s *deweySink) node(n *shredNode) error {
+	var label string
+	if n.kind == "elem" {
+		label = s.labels[len(s.labels)-1]
+		s.labels = s.labels[:len(s.labels)-1]
+	} else {
+		var err error
+		if label, err = s.label(n.ordinal); err != nil {
+			return err
+		}
+	}
+	parent := sqldb.Null
+	if p := s.labels[len(s.labels)-1]; p != "" {
+		parent = sqldb.NewText(p)
+	}
+	return s.b.add([]sqldb.Value{
+		sqldb.NewInt(n.pre),
+		sqldb.NewText(label),
+		parent,
+		sqldb.NewInt(int64(n.level)),
+		sqldb.NewText(n.kind),
+		n.name,
+		n.value,
+	})
+}
+
+// LoadStream implements StreamLoader for the Dewey mapping. A label
+// overflow is refused when the walk reaches it, after the rows before
+// it were written; Load checks every fanout first.
+func (d *Dewey) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error {
+	s := &deweySink{b: newBatcherCtx(ctx, db, "dewey"), labels: []string{""}}
+	if _, _, err := streamWalk(src, s, nil, loadAt); err != nil {
+		return err
+	}
+	return s.b.flush()
 }

@@ -2,7 +2,7 @@ package shred
 
 // The shredders' oracle: rows derived in the test from a numbered DOM's
 // fields (Pre, Parent.Pre, Size, Level, global ordinal, kind, name and
-// value), checked against what Edge, Interval and Binary store — fed
+// value), checked against what Edge, Interval, Binary and Dewey store — fed
 // once by a Tokenizer over the document's text and once by the parsed
 // Document's replay.
 
@@ -301,6 +301,58 @@ func TestBinaryStreamDifferential(t *testing.T) {
 	})
 }
 
+// TestDeweyStreamDifferential checks the dewey rows against the oracle:
+// a node's label chains its ancestors' and its own global ordinals, each
+// times the gap in eight digits.
+func TestDeweyStreamDifferential(t *testing.T) {
+	const dump = `SELECT pre, path, parent, level, kind, name, value FROM dewey ORDER BY pre`
+	forEachShred(t, func() Scheme { return NewDewey(false) }, func(t *testing.T, s Scheme, db *sqldb.Database, doc *xmldom.Document) {
+		var want strings.Builder
+		labels := map[*xmldom.Node]string{}
+		for _, n := range doc.Nodes()[1:] {
+			label := fmt.Sprintf("%08d", globalOrdinal(n)*1000)
+			var parent any
+			if p, ok := labels[n.Parent]; ok {
+				label, parent = p+"."+label, p
+			}
+			labels[n] = label
+			renderRow(&want, n.Pre, label, parent, n.Level, n.Kind.String(), oracleName(n), oracleValue(n))
+		}
+		expectDump(t, "dewey", dumpTable(t, db, dump), want.String())
+	})
+}
+
+// TestDeweyStreamMatchesLoad: a Tokenizer over a document's text and
+// Load of the document itself store the same dewey rows, on the auction
+// and on the random documents.
+func TestDeweyStreamMatchesLoad(t *testing.T) {
+	const dump = `SELECT pre, path, parent, level, kind, name, value FROM dewey ORDER BY pre`
+	docs := []*xmldom.Document{xmlgen.Auction(xmlgen.Config{Factor: 0.05, Seed: 1})}
+	for seed := uint64(1); seed <= 12; seed++ {
+		docs = append(docs, genDoc(seed))
+	}
+	for i, doc := range docs {
+		var dumps [2]string
+		for k, load := range []func(d *Dewey, db *sqldb.Database) error{
+			func(d *Dewey, db *sqldb.Database) error {
+				src := xmldom.NewTokenizer(strings.NewReader(xmldom.SerializeString(doc.Root)))
+				return d.LoadStream(context.Background(), db, src)
+			},
+			func(d *Dewey, db *sqldb.Database) error { return d.Load(context.Background(), db, doc) },
+		} {
+			d, db := NewDewey(false), sqldb.New()
+			if err := d.Setup(db); err != nil {
+				t.Fatal(err)
+			}
+			if err := load(d, db); err != nil {
+				t.Fatalf("document %d: %v", i, err)
+			}
+			dumps[k] = dumpTable(t, db, dump)
+		}
+		expectDump(t, fmt.Sprintf("document %d, LoadStream against Load", i), dumps[0], dumps[1])
+	}
+}
+
 // TestBinaryPartitionsInDocumentOrder pins partition naming: labels that
 // sanitize alike are numbered in pre-order of their first node (a-b,
 // @x-y, a_b, @x_y, A-B), so an element's partition exists before its
@@ -353,7 +405,7 @@ func TestStreamLoadQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	schemes := []Scheme{NewEdge(false), NewInterval(false), NewBinary(false)}
+	schemes := []Scheme{NewEdge(false), NewInterval(false), NewBinary(false), NewDewey(false)}
 	for _, s := range schemes {
 		db := sqldb.New()
 		if err := s.Setup(db); err != nil {

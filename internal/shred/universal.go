@@ -1,9 +1,10 @@
 package shred
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -124,6 +125,8 @@ func (u *Universal) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Do
 
 	// Create the wide table.
 	var cols []string
+	// leafseg is the leaf's label segment, or a PI leaf's target, which
+	// no label column holds.
 	cols = append(cols, "leaf INTEGER NOT NULL PRIMARY KEY", "leafseg TEXT NOT NULL")
 	for _, seg := range u.order {
 		s := u.suffix[seg]
@@ -156,6 +159,9 @@ func (u *Universal) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Do
 			}
 			row[0] = sqldb.NewInt(int64(n.Pre))
 			row[1] = sqldb.NewText(segmentOf(n))
+			if n.Kind == xmldom.ProcInstNode {
+				row[1] = sqldb.NewText(n.Name)
+			}
 			for _, m := range chain {
 				pos := colPos[segmentOf(m)]
 				row[pos] = sqldb.NewInt(int64(m.Pre))
@@ -192,84 +198,59 @@ func (u *Universal) Translate(q *xpath.Path) (string, error) {
 	})
 }
 
-// Reconstruct implements Scheme: merge the leaf rows' ancestor chains.
+// Reconstruct implements Scheme: every id column of a row names one
+// node of its leaf's root-to-leaf chain, and in id order each is the
+// parent of the next.
 func (u *Universal) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
-	rows, err := db.Query(`SELECT * FROM universal ORDER BY leaf`)
+	rows, err := db.Query(`SELECT * FROM universal`)
 	if err != nil {
 		return nil, err
 	}
-	colSeg := map[int]string{} // id-column position -> segment label
+	type idCol struct {
+		pos int // the id column; its value column follows it
+		seg string
+	}
+	var cols []idCol
 	for i, name := range rows.Columns {
-		if strings.HasPrefix(name, "id_") {
-			if seg, ok := u.labels[name[3:]]; ok {
-				colSeg[i] = seg
+		if suffix, ok := strings.CutPrefix(name, "id_"); ok {
+			if seg, ok := u.labels[suffix]; ok {
+				cols = append(cols, idCol{i, seg})
 			}
 		}
 	}
-	doc := &xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode}}
-	nodes := map[int64]*xmldom.Node{}
+	var stored []storedNode
+	seen := map[int64]bool{}
+	var chain []idCol
 	for _, r := range rows.Data {
-		type entry struct {
-			pre int64
-			seg string
-			val string
-			has bool
-		}
-		var chain []entry
-		for i, seg := range colSeg {
-			if r[i].IsNull() {
-				continue
+		chain = chain[:0]
+		for _, c := range cols {
+			if !r[c.pos].IsNull() {
+				chain = append(chain, c)
 			}
-			chain = append(chain, entry{pre: r[i].Int(), seg: seg, val: r[i+1].Text(), has: !r[i+1].IsNull()})
 		}
-		sort.Slice(chain, func(a, b int) bool { return chain[a].pre < chain[b].pre })
-		var parent *xmldom.Node = doc.Root
-		for _, e := range chain {
-			n, ok := nodes[e.pre]
-			if !ok {
+		slices.SortFunc(chain, func(a, b idCol) int { return cmp.Compare(r[a.pos].Int(), r[b.pos].Int()) })
+		parent := int64(0)
+		for _, c := range chain {
+			id := r[c.pos].Int()
+			if !seen[id] {
+				seen[id] = true
+				n := storedNode{id: id, parent: parent, order: id, kind: "elem", name: c.seg, value: r[c.pos+1].Text()}
 				switch {
-				case strings.HasPrefix(e.seg, "@"):
-					n = &xmldom.Node{Kind: xmldom.AttributeNode, Name: e.seg[1:], Value: e.val, Parent: parent}
-					parent.Attrs = append(parent.Attrs, n)
-				case e.seg == "#text":
-					n = &xmldom.Node{Kind: xmldom.TextNode, Value: e.val, Parent: parent}
-					parent.Children = append(parent.Children, n)
-				case e.seg == "#comment":
-					n = &xmldom.Node{Kind: xmldom.CommentNode, Value: e.val, Parent: parent}
-					parent.Children = append(parent.Children, n)
-				case e.seg == "#pi":
-					n = &xmldom.Node{Kind: xmldom.ProcInstNode, Value: e.val, Parent: parent}
-					parent.Children = append(parent.Children, n)
-				default:
-					n = &xmldom.Node{Kind: xmldom.ElementNode, Name: e.seg, Parent: parent}
-					parent.Children = append(parent.Children, n)
+				case strings.HasPrefix(c.seg, "@"):
+					n.kind, n.name = "attr", c.seg[1:]
+				case c.seg == "#text":
+					n.kind = "text"
+				case c.seg == "#comment":
+					n.kind = "comment"
+				case c.seg == "#pi":
+					n.kind, n.name = "pi", r[1].Text() // a PI is its row's leaf
 				}
-				nodes[e.pre] = n
+				stored = append(stored, n)
 			}
-			parent = n
+			parent = id
 		}
 	}
-	if doc.RootElement() == nil {
-		return nil, errScheme("universal", "no rows stored")
-	}
-	// Children were appended in leaf order, which is document order;
-	// but attribute/child interleaving can misorder empty elements that
-	// share a prefix — sort children by pre to be safe.
-	var fix func(n *xmldom.Node)
-	preOf := map[*xmldom.Node]int64{}
-	for pre, n := range nodes {
-		preOf[n] = pre
-	}
-	fix = func(n *xmldom.Node) {
-		sort.SliceStable(n.Children, func(i, j int) bool { return preOf[n.Children[i]] < preOf[n.Children[j]] })
-		sort.SliceStable(n.Attrs, func(i, j int) bool { return preOf[n.Attrs[i]] < preOf[n.Attrs[j]] })
-		for _, c := range n.Children {
-			fix(c)
-		}
-	}
-	fix(doc.Root)
-	doc.Number()
-	return doc, nil
+	return assemble("universal", stored)
 }
 
 // InsertSubtree implements Scheme. Ordered insertion is not expressible

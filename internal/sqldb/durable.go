@@ -124,12 +124,6 @@ type DurableOptions struct {
 	// crash may then lose acknowledged commits; recovery is still
 	// never corrupt thanks to the CRC framing.
 	NoSync bool
-	// GroupCommitWindow makes the batch leader linger this long before
-	// collecting the queue, trading commit latency for larger batches
-	// (fewer fsyncs per commit) under concurrent writers. 0 — the
-	// default — flushes as soon as the leader reaches the WAL, which
-	// already batches whatever queued during the previous fsync.
-	GroupCommitWindow time.Duration
 	// BufferPoolPages caps how many sealed heap pages stay resident,
 	// from recovery on; evicted pages fault back in from the pages file
 	// on demand. 0 keeps everything in memory.
@@ -360,13 +354,6 @@ func (d *DurableDB) awaitFlush(w *commitWaiter) error {
 // acknowledged.
 func (d *DurableDB) flushLocked() {
 	d.flushing = true
-	if win := d.opts.GroupCommitWindow; win > 0 {
-		// Linger with the lock released so more committers can queue up
-		// behind this batch.
-		d.walMu.Unlock()
-		time.Sleep(win)
-		d.walMu.Lock()
-	}
 	batch := d.queue
 	d.queue = nil
 	if len(batch) == 0 {
