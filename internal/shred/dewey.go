@@ -203,7 +203,7 @@ func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, 
 	}
 
 	s := &deweySink{b: newBatcher(db, "dewey"), labels: []string{parentPath},
-		first: parentPath + "." + deweyComp(newComp)}
+		top: parentPath + "." + deweyComp(newComp)}
 	at := walkAt{parent: parentID, level: int(parentLevel), next: maxID.Int() + 1}
 	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
 		return err

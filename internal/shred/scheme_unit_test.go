@@ -140,13 +140,21 @@ func TestDeweyLabelOverflow(t *testing.T) {
 	if n := db.TotalRows(); n != 0 {
 		t.Fatalf("refused load left %d rows", n)
 	}
-	db = sqldb.New()
-	if err := s.Setup(db); err != nil {
-		t.Fatal(err)
+	streamSiblings := func(src string) error {
+		db := sqldb.New()
+		if err := s.Setup(db); err != nil {
+			t.Fatal(err)
+		}
+		return s.LoadStream(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
 	}
-	tz := xmldom.NewTokenizer(strings.NewReader(b.String()))
-	if err := s.LoadStream(context.Background(), db, tz); err == nil || !strings.Contains(err.Error(), "relabel required") {
+	if err := streamSiblings(b.String()); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("stream-loading 100 003 siblings: got %v, want the relabel-required error", err)
+	}
+	if err := streamSiblings("<r>" + strings.Repeat("<c/>", 100000) + "</r>"); err == nil {
+		t.Fatal("stream-loading 100 000 siblings: accepted")
+	}
+	if err := streamSiblings("<r>" + strings.Repeat("<c/>", 99999) + "</r>"); err != nil {
+		t.Fatalf("stream-loading 99 999 siblings: %v", err)
 	}
 
 	wide := func(n int) *xmldom.Node {

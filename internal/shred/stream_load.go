@@ -320,18 +320,16 @@ func (bn *Binary) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom
 type deweySink struct {
 	b      *batcher
 	labels []string
-	// first, when set, labels the walk's first top-level node instead of
-	// its ordinal: an insert's label between its new neighbours.
-	first string
+	// top, when set, labels the walk's one top-level node instead of its
+	// ordinal: an inserted subtree's label between its new neighbours.
+	top string
 }
 
 // label numbers a node by its global ordinal under the innermost open
 // element, refusing a component that would not fit deweyWidth digits.
 func (s *deweySink) label(ordinal int64) (string, error) {
-	if s.first != "" && len(s.labels) == 1 {
-		l := s.first
-		s.first = ""
-		return l, nil
+	if s.top != "" && len(s.labels) == 1 {
+		return s.top, nil
 	}
 	comp := ordinal * deweyGap
 	if comp >= deweyLimit {

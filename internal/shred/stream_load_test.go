@@ -2,9 +2,9 @@ package shred
 
 // The shredders' oracle: rows derived in the test from a numbered DOM's
 // fields (Pre, Parent.Pre, Size, Level, global ordinal, kind, name and
-// value), checked against what Edge, Interval, Binary and Dewey store — fed
-// once by a Tokenizer over the document's text and once by the parsed
-// Document's replay.
+// value), checked against what Edge, Interval, Binary and Dewey store —
+// fed once by a Tokenizer over the document's text and once by the
+// parsed Document's replay.
 
 import (
 	"context"
