@@ -15,26 +15,21 @@ COVER_FLOOR_XMLDOM ?= 88
 ## seed corpora already run as plain tests under `make test`).
 FUZZ_TIME ?= 5s
 
-.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz crash chaos pmatrix concurrency writers server
+.PHONY: check vet build test race cover bench-smoke benchmark-smoke bench fuzz
 
-## check: the full CI gate — vet (with the test-selector audit), build,
-## tests (race-enabled where it matters), the engine suite across a
-## GOMAXPROCS matrix, the snapshot isolation battery, per-package
-## coverage floors, the fault-injection and chaos batteries, short fuzz
-## sessions, a one-shot run of the query-cache benchmark, and the
-## repository benchmark's smoke test. Every store runs the pooled heap,
-## and the differential and crash batteries take the pool cap as a
-## table input (unbounded and a two- or three-page pool), so the plain
-## suite covers bounded memory too.
-check: vet build test race pmatrix concurrency writers server cover crash chaos fuzz bench-smoke benchmark-smoke
+## check: the full CI gate — vet, build, the whole suite, the engine
+## packages under the race detector at three GOMAXPROCS values,
+## per-package coverage floors, short fuzz sessions for every fuzz
+## target, one iteration of every benchmark, and the repository
+## benchmark's smoke test. No gate names a test: each selects by
+## package, so a renamed or added test is run without a Makefile edit.
+## Every store runs the pooled heap, and the differential and crash
+## batteries take the pool cap as a table input (unbounded and a two-
+## or three-page pool), so the plain suite covers bounded memory too.
+check: vet build test race cover fuzz bench-smoke benchmark-smoke
 
-## vet: static checks — go vet, and scripts/check-selectors.sh, which
-## fails when any alternative of any -run/-fuzz/-bench pattern below
-## matches no test in its packages (`go test -list`), so a renamed or
-## deleted test cannot silently shrink a gate.
 vet:
 	$(GO) vet ./...
-	GO=$(GO) bash scripts/check-selectors.sh Makefile
 
 build:
 	$(GO) build ./...
@@ -42,55 +37,17 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the data-race gate for the concurrent query/DDL paths (the
-## full suite under -race is covered by `test` + these two packages,
-## which hold all shared mutable state).
+## race: every test of the packages that hold shared mutable state —
+## the engine (sqldb: readers, writers, group commit, checkpoints,
+## crash-at-every-offset sweeps, the resource governor and its chaos
+## battery, buffer-pool pins), the façade (core: snapshot
+## reconstruction during updates, cancellation, durable stores), the
+## network front door (server: pinned sessions, overload, shutdown
+## drain) and the LRU — under the race detector at GOMAXPROCS 1, 2 and
+## 4 (go test's own -cpu list). -count=1 keeps a second run from being
+## served from the test cache.
 race:
-	$(GO) test -race ./internal/sqldb ./internal/core ./internal/lru
-
-## pmatrix: the engine suite at GOMAXPROCS 1, 2 and 4 — concurrent
-## readers, writers, group commit, checkpoints and buffer-pool pins must
-## behave the same on one, two and four OS threads.
-pmatrix:
-	@for p in 1 2 4; do \
-		echo "pmatrix: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/sqldb || exit 1; \
-	done
-
-## concurrency: the snapshot-isolation gate — the reconstruction-
-## during-updates differential (snapshot XML byte-identical to serial
-## replay at every commit boundary), query cancellation, and the
-## concurrent cached-query/DDL and query/mutation races, under -race
-## across a GOMAXPROCS matrix.
-concurrency:
-	@for p in 1 2 4; do \
-		echo "concurrency: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestSnapshotReconstructDuringUpdates|TestQueryContextCancel|TestConcurrentCachedQueriesWithDDL|TestQueriesUnderConcurrentMutations' \
-			./internal/sqldb ./internal/core || exit 1; \
-	done
-
-## writers: the group-commit race battery — N writer goroutines with
-## concurrent DDL, checkpoints and a durability group against one WAL,
-## plus the batch-fault and mid-group crash regressions, under -race.
-writers:
-	@for p in 1 2 4; do \
-		echo "writers: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestConcurrentWritersDDLCheckpoint|TestConcurrentCommitFaultAckedSurvive|TestGroupConcurrentCommits|TestGroupCommitBatches|TestBatchFsyncFault|TestDurableStoreConcurrentExecDuringLoad' \
-			./internal/sqldb ./internal/core || exit 1; \
-	done
-
-## server: the network front-door battery — 64 concurrent pinned
-## sessions over HTTP running the F1 mix, the line protocol with
-## drop-releases-pin, overload 429s, graceful-shutdown drain and the
-## post-Close typed-error taxonomy, under -race across a GOMAXPROCS
-## matrix. Proves zero leaked snapshot pins after shutdown.
-server:
-	@for p in 1 2 4; do \
-		echo "server: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/server || exit 1; \
-	done
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/sqldb ./internal/core ./internal/server ./internal/lru
 
 ## cover: per-package statement-coverage floors for the packages that
 ## hold the engine (sqldb), the mappings (shred), the façade (core) and
@@ -109,54 +66,27 @@ cover:
 		fi; \
 	done
 
-## crash: the durability gate — the crash-at-every-offset fault
-## injection sweeps (unbounded and under a small pool, across a
-## pages-file switch), the commit-failure rollback regressions, recovery
-## after a failed pages-file switch, and the concurrent-commit recovery
-## tests (unbounded and evicting), under the race detector.
-crash:
-	$(GO) test -race -run 'TestCrash|TestCommitFault|TestConcurrentCommits|TestDurable|TestBatchFsyncFault|TestGroupConcurrentCommits|TestRotateFailure|TestCheckpointInsideGroup|TestNestedGroup|TestDegraded|TestGroupFaultDegradedRecover|TestRecoverAfterFailedPagesSwitch|TestClose|TestSnapshotReleaseIdempotent' ./internal/sqldb ./internal/core
-
-## chaos: the resource-governor / fail-safe gate — concurrent writers
-## and governed queries (memory budgets, admission control, injected
-## executor panics, canceled contexts) against a mid-flight ENOSPC fault,
-## through degraded read-only mode and Recover, under -race across a
-## GOMAXPROCS matrix. Proves ack-implies-durable and that no abort or
-## panic path wedges a lock or leaks a reservation.
-chaos:
-	@for p in 1 2 4; do \
-		echo "chaos: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 \
-			-run 'TestChaosGovernedConcurrency|TestExecutorPanicFailsOnlyThatQuery|TestWriterPanicReleasesLocks|TestBudgetAbortLeavesConcurrentTrafficUnaffected|TestAdmissionControlEndToEnd' \
-			./internal/sqldb || exit 1; \
+## fuzz: a short fuzzing session for every fuzz target in the module,
+## found with `go test -list`, so a new, renamed or deleted target needs
+## no Makefile edit. Each -fuzz invocation accepts one target, so they
+## run one after another; raise FUZZ_TIME for a real session.
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list" >&2; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, t[i]; n = 0}'); \
+	[ -n "$$targets" ] || { echo "fuzz: no fuzz targets found" >&2; exit 1; }; \
+	echo "$$targets" | while read pkg target; do \
+		echo "fuzz: $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
 	done
 
-## fuzz: short fuzzing sessions for every fuzz target (SQL parser,
-## snapshot loader, WAL replay, index key codec, resumable B-tree probe
-## cursor against fresh descents, LIKE matcher against
-## its recursive reference, XML lexer under chunked reads, Interval
-## store vs the DOM). Each
-## -fuzz invocation accepts one target, so they run sequentially; raise
-## FUZZ_TIME for a real session.
-fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzProbeOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzLike$$' -fuzztime $(FUZZ_TIME) ./internal/sqldb
-	$(GO) test -run '^$$' -fuzz '^FuzzParseChunked$$' -fuzztime $(FUZZ_TIME) ./internal/xmldom
-	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsDOM$$' -fuzztime $(FUZZ_TIME) ./internal/core
-
-## bench-smoke: executes BenchmarkQueryCache once and BenchmarkPageDecode
-## (which fails above four allocations per page), to keep them compiling
-## and running; use `make bench` for real numbers. The per-scheme ordered
-## inserts (edge, binary, interval, dewey, inline) run in `make test`:
-## TestRunAllQuick drives every xbench experiment, and F3 fails on any
-## insert error.
+## bench-smoke: one iteration of every benchmark, to keep them compiling
+## and running (the page-decode benchmark also fails above four
+## allocations per page); use `make bench` for real numbers. The
+## per-scheme ordered inserts (edge, binary, interval, dewey, inline)
+## run in `make test`: internal/bench drives every xbench experiment at
+## smoke scale, and F3 fails on any insert error.
 bench-smoke:
-	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 1x
-	$(GO) test ./internal/sqldb -run '^$$' -bench PageDecode -benchtime 1x
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 ## benchmark-smoke: the repository benchmark's smoke test (benchmark/,
 ## its own module) — all four workloads at factor 0.02 in sub-second
@@ -166,4 +96,4 @@ benchmark-smoke:
 	$(GO) -C benchmark test ./...
 
 bench:
-	$(GO) test ./internal/bench -run '^$$' -bench QueryCache -benchtime 2s
+	$(GO) test ./internal/bench -run '^$$' -bench . -benchtime 2s

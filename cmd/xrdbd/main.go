@@ -1,9 +1,9 @@
 // Command xrdbd serves a durable XML store over the network: an
 // HTTP/JSON API and an optional length-prefixed line protocol over the
-// same handler core, with per-session pinned snapshots, bounded
-// prepared-statement caches, governor-backed overload responses (429)
-// and graceful shutdown that drains in-flight requests, releases every
-// snapshot pin and closes the store exactly once.
+// same handler core, with per-session pinned snapshots, governor-backed
+// overload responses (429) and graceful shutdown that drains in-flight
+// requests, releases every snapshot pin and closes the store exactly
+// once.
 //
 //	xrdbd -data ./data -scheme interval -listen :8080
 //	curl -s localhost:8080/health
@@ -38,7 +38,6 @@ func main() {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		authFile   = flag.String("auth-file", "", "bearer-token allow-list file, one token per line (empty = no auth)")
 		maxSess    = flag.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
-		stmtCache  = flag.Int("stmt-cache", 0, "per-session prepared-statement cache entries (0 = 32)")
 		valueIdx   = flag.Bool("value-index", false, "create content-value indexes")
 		memBudget  = flag.Int64("mem-budget", 0, "engine memory budget in bytes (0 = unlimited)")
 		queryMem   = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
@@ -52,7 +51,7 @@ func main() {
 		dataDir: *dataDir, scheme: *scheme, in: *in,
 		listen: *listen, listenLine: *listenLine,
 		timeout: *timeout, maxTimeout: *maxTimeout, drain: *drain,
-		authFile: *authFile, maxSess: *maxSess, stmtCache: *stmtCache,
+		authFile: *authFile, maxSess: *maxSess,
 		opts: core.Options{
 			WithValueIndex:       *valueIdx,
 			MemoryBudget:         *memBudget,
@@ -74,7 +73,7 @@ type serveConfig struct {
 	timeout, maxTimeout time.Duration
 	drain               time.Duration
 	authFile            string
-	maxSess, stmtCache  int
+	maxSess             int
 	stream              bool
 	opts                core.Options
 }
@@ -129,7 +128,6 @@ func run(cfg serveConfig) error {
 		DefaultTimeout: cfg.timeout,
 		MaxTimeout:     cfg.maxTimeout,
 		MaxSessions:    cfg.maxSess,
-		StmtCacheSize:  cfg.stmtCache,
 		Auth:           auth,
 	})
 

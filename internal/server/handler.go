@@ -182,14 +182,9 @@ func (s *Server) doQuery(ctx context.Context, req *QueryRequest) (*QueryResponse
 			return nil, err
 		}
 		var rows *sqldb.Rows
-		switch {
-		case snap != nil:
+		if snap != nil {
 			rows, err = snap.xml.DB().QueryContext(ctx, req.SQL, args...)
-		case sess != nil:
-			// Unpinned session: route through its bounded prepared-
-			// statement cache (epoch-keyed; re-prepares after DDL).
-			rows, err = sess.preparedQuery(ctx, req.SQL, args)
-		default:
+		} else {
 			rows, err = s.store.DB().QueryContext(ctx, req.SQL, args...)
 		}
 		if err != nil {

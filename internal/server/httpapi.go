@@ -126,8 +126,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatsCheck())
 }
 
+// decodeJSON decodes a request body of at most maxFrame bytes, the cap
+// the line protocol puts on a frame; a larger body is a bad request.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFrame))
 	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "malformed JSON: " + err.Error(), Code: CodeBadRequest})

@@ -1,14 +1,14 @@
 // Package server is the engine's network front door: a concurrent
 // query service over one durable XML store, decomposed the way the
 // ROADMAP's exemplar suggests — a transport-agnostic handler core
-// (handler.go), a session layer with optional pinned snapshots and a
-// per-session prepared-statement cache (session.go), an HTTP/JSON API
-// and a length-prefixed line protocol as two thin transports over the
-// same core (httpapi.go, lineproto.go), and an auth seam (auth.go).
+// (handler.go), a session layer with optional pinned snapshots
+// (session.go), an HTTP/JSON API and a length-prefixed line protocol
+// as two thin transports over the same core (httpapi.go,
+// lineproto.go), and an auth seam (auth.go).
 //
 // The server owns the engine-vs-session state split: the engine holds
 // published database state, the WAL and the governor; the server holds
-// per-connection state only — pinned snapshots, prepared plans, auth.
+// per-connection state only — pinned snapshots and auth.
 // Overload surfaces as typed 429/ErrOverloaded responses (the PR 8
 // admission gate does the queueing), degraded read-only mode and the
 // closed lifecycle state surface in /health, and graceful shutdown
@@ -51,17 +51,11 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxSessions bounds concurrently open sessions (0 = 1024).
 	MaxSessions int
-	// StmtCacheSize bounds each session's prepared-statement cache
-	// (0 = 32 entries).
-	StmtCacheSize int
 	// Auth authenticates request tokens; nil serves everyone.
 	Auth Authenticator
 }
 
-const (
-	defaultMaxSessions   = 1024
-	defaultStmtCacheSize = 32
-)
+const defaultMaxSessions = 1024
 
 // Server is the front door over one durable store.
 type Server struct {
@@ -105,9 +99,6 @@ type Server struct {
 func New(store *core.DurableStore, cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = defaultMaxSessions
-	}
-	if cfg.StmtCacheSize <= 0 {
-		cfg.StmtCacheSize = defaultStmtCacheSize
 	}
 	s := &Server{
 		store:    store,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,29 @@ func TestHTTPRoundTrip(t *testing.T) {
 	status, code = postJSON(t, ts.Client(), ts.URL+"/query", "", QueryRequest{}, nil)
 	if status != 400 || code != CodeBadRequest {
 		t.Fatalf("empty query: status %d code %s, want 400 %s", status, code, CodeBadRequest)
+	}
+
+	// A body one byte over the line protocol's frame cap is refused
+	// before it is decoded, and the server keeps answering.
+	padded := func(n int) QueryRequest {
+		return QueryRequest{XPath: "//item[name = '" + strings.Repeat("x", n) + "']"}
+	}
+	base, err := json.Marshal(padded(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := padded(maxFrame + 1 - len(base))
+	if payload, _ := json.Marshal(big); len(payload) != maxFrame+1 {
+		t.Fatalf("oversized body is %d bytes, want %d", len(payload), maxFrame+1)
+	}
+	status, code = postJSON(t, ts.Client(), ts.URL+"/query", "", big, nil)
+	if status != 400 || code != CodeBadRequest {
+		t.Fatalf("oversized body: status %d code %s, want 400 %s", status, code, CodeBadRequest)
+	}
+	var after QueryResponse
+	status, code = postJSON(t, ts.Client(), ts.URL+"/query", "", QueryRequest{XPath: "//item/name"}, &after)
+	if status != 200 || after.Count == 0 {
+		t.Fatalf("query after oversized body: status %d code %s count %d", status, code, after.Count)
 	}
 }
 
@@ -547,9 +571,9 @@ func TestSessionLimitAndUnknown(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheAcrossDDL: an unpinned session's cached plan
-// survives DDL via transparent re-prepare (ErrPreparedStale handling).
-func TestPreparedCacheAcrossDDL(t *testing.T) {
+// TestSessionQueryAcrossDDL: an unpinned session's SQL still answers
+// after DDL moves the schema epoch (the engine's plan cache re-plans).
+func TestSessionQueryAcrossDDL(t *testing.T) {
 	s, _ := newTestServer(t, core.Options{}, Config{})
 	sess, err := s.CreateSession(false)
 	if err != nil {

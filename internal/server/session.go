@@ -1,22 +1,17 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/lru"
-	"repro/internal/sqldb"
 )
 
 // Session is one client's server-side state: an optional pinned
 // snapshot for multi-statement consistency (the engine's
-// sqldb.AcquireSnapshot / core.StoreSnapshot pin API) and a bounded
-// prepared-statement cache. Engine state never lives here — a session
-// holds only pins and compiled plans, so releasing it can never lose
-// data.
+// sqldb.AcquireSnapshot / core.StoreSnapshot pin API). Engine state
+// never lives here — a session holds only a pin, so releasing it can
+// never lose data. Compiled plans live in the engine's own plan cache,
+// shared by every request.
 //
 // A line-protocol connection owns exactly one session (created at
 // connect, released at disconnect); HTTP clients create sessions
@@ -28,7 +23,6 @@ type Session struct {
 
 	mu       sync.Mutex
 	snap     *storeSnap // nil when unpinned
-	stmts    *lru.Cache[*sqldb.Prepared]
 	released bool
 }
 
@@ -56,7 +50,6 @@ func (s *Server) CreateSession(pin bool) (*Session, error) {
 		id:      id,
 		srv:     s,
 		created: time.Now(),
-		stmts:   lru.New[*sqldb.Prepared](s.cfg.StmtCacheSize),
 	}
 	if pin {
 		sess.snap = s.pinStore()
@@ -118,7 +111,6 @@ func (sess *Session) release() {
 		sess.snap.release()
 		sess.snap = nil
 	}
-	sess.stmts.Purge()
 }
 
 // Pin (re-)pins the session to the latest published snapshot and
@@ -159,37 +151,4 @@ func (sess *Session) pinned() *storeSnap {
 		return nil
 	}
 	return sess.snap
-}
-
-// preparedQuery runs a SQL SELECT through the session's bounded
-// prepared-statement cache. Entries are implicitly keyed by schema
-// epoch: a Prepared carries the epoch it was compiled at and fails
-// typed (sqldb.ErrPreparedStale) after any DDL, at which point the
-// session transparently re-prepares and replaces the entry.
-func (sess *Session) preparedQuery(ctx context.Context, sql string, args []sqldb.Value) (*sqldb.Rows, error) {
-	sess.mu.Lock()
-	if sess.released {
-		sess.mu.Unlock()
-		return nil, ErrUnknownSession
-	}
-	p, ok := sess.stmts.Get(sql)
-	sess.mu.Unlock()
-	if ok {
-		rows, err := p.QueryContext(ctx, args...)
-		if err == nil || !errors.Is(err, sqldb.ErrPreparedStale) {
-			return rows, err
-		}
-		// DDL advanced the schema epoch since this plan was compiled:
-		// fall through and re-prepare against the new epoch.
-	}
-	p, err := sess.srv.store.DB().Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	sess.mu.Lock()
-	if !sess.released {
-		sess.stmts.Put(sql, p)
-	}
-	sess.mu.Unlock()
-	return p.QueryContext(ctx, args...)
 }

@@ -248,13 +248,12 @@ func checkAccounting(t *testing.T, db *Database, want *Rows, sql string, args ..
 	}
 }
 
-// TestVectorizedMatchesRowEngine drives the battery and holds every
-// execution to the first answer and to the accounting contract of
-// checkAccounting. The name is kept from the batch-engine differential
-// this test succeeds.
-func TestVectorizedMatchesRowEngine(t *testing.T) {
+// TestBatteryAccounting drives the battery and holds every execution
+// to the first answer and to the accounting contract of
+// checkAccounting.
+func TestBatteryAccounting(t *testing.T) {
 	db := bigFixture(t, 10000)
-	for _, tc := range parallelBattery {
+	for _, tc := range queryBattery {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := db.Query(tc.sql, tc.args...)
 			if err != nil {

@@ -54,7 +54,7 @@ func bigFixture(t *testing.T, rows int) *Database {
 	return db
 }
 
-var parallelBattery = []struct {
+var queryBattery = []struct {
 	name string
 	sql  string
 	args []Value
@@ -183,13 +183,11 @@ func pooledPair(fixture func() *Database) (unbounded, pooled *Database) {
 	return unbounded, pooled
 }
 
-// TestParallelMatchesSerial runs the battery on an unbounded heap and
-// behind a three-page buffer pool and requires the same answers. The
-// name is kept from the serial-versus-parallel differential this test
-// succeeds; its inputs are unchanged.
-func TestParallelMatchesSerial(t *testing.T) {
+// TestBatteryPooledMatchesHeap runs the battery on an unbounded heap
+// and behind a three-page buffer pool and requires the same answers.
+func TestBatteryPooledMatchesHeap(t *testing.T) {
 	heap, pooled := pooledPair(func() *Database { return bigFixture(t, 10000) })
-	for _, tc := range parallelBattery {
+	for _, tc := range queryBattery {
 		t.Run(tc.name, func(t *testing.T) { sameRows(t, heap, pooled, tc.sql, tc.args...) })
 	}
 

@@ -682,7 +682,6 @@ type hashJoinNode struct {
 	left, right         planNode
 	leftKeys, rightKeys []compiledExpr
 	extraCond           compiledExpr
-	leftOuter           bool
 	joinOut
 }
 
@@ -791,7 +790,7 @@ func (it *hashJoinIter) buildTable() error {
 }
 
 func (it *hashJoinIter) rewind() error {
-	it.lrow, it.ht, it.bucket, it.bpos, it.matched = nil, nil, nil, 0, false
+	it.lrow, it.ht, it.bucket, it.bpos = nil, nil, nil, 0
 	it.buf.rewind()
 	if err := it.buildTable(); err != nil {
 		return err
@@ -832,31 +831,25 @@ func hashRows(ctx *evalCtx, rows [][]Value, keys []compiledExpr) (map[string][][
 }
 
 type hashJoinIter struct {
-	node    *hashJoinNode
-	ctx     *evalCtx
-	left    rowIter
-	ht      map[string][][]Value
-	lrow    []Value
-	key     probeKey
-	bucket  [][]Value
-	bpos    int
-	matched bool
-	buf     joinBuf
+	node   *hashJoinNode
+	ctx    *evalCtx
+	left   rowIter
+	ht     map[string][][]Value
+	lrow   []Value
+	key    probeKey
+	bucket [][]Value
+	bpos   int
+	buf    joinBuf
 }
 
 func (it *hashJoinIter) next() ([]Value, error) {
 	for {
 		if it.lrow == nil || it.bpos >= len(it.bucket) {
-			if it.lrow != nil && it.node.leftOuter && !it.matched {
-				it.lrow = nil
-				return it.buf.pad(), nil
-			}
 			var err error
 			it.lrow, err = it.left.next()
 			if err != nil || it.lrow == nil {
 				return nil, err
 			}
-			it.matched = false
 			if it.bucket, err = it.key.lookup(it.ctx, it.node.leftKeys, it.lrow, it.ht); err != nil {
 				return nil, err
 			}
@@ -871,7 +864,6 @@ func (it *hashJoinIter) next() ([]Value, error) {
 				return nil, err
 			}
 			if ok {
-				it.matched = true
 				return it.buf.emit(r), nil
 			}
 		}
@@ -902,7 +894,6 @@ type indexJoinNode struct {
 	indexProbe
 	tableCond compiledExpr // over the probed table's row
 	extraCond compiledExpr // over the full joined row
-	leftOuter bool
 	joinOut
 	sel float64
 }
@@ -930,20 +921,19 @@ func (n *indexJoinNode) open(ctx *evalCtx) (rowIter, error) {
 // where the previous one landed when it starts no earlier (see
 // probeCursor).
 type indexJoinIter struct {
-	node    *indexJoinNode
-	ctx     *evalCtx
-	left    rowIter
-	tbl     *table
-	tree    *btree
-	lrow    []Value
-	cur     probeCursor
-	stop    keyBound
-	keys    probeBuf
-	active  bool
-	matched bool
-	ref     pageRef
-	buf     joinBuf
-	stat    *OpStats
+	node   *indexJoinNode
+	ctx    *evalCtx
+	left   rowIter
+	tbl    *table
+	tree   *btree
+	lrow   []Value
+	cur    probeCursor
+	stop   keyBound
+	keys   probeBuf
+	active bool
+	ref    pageRef
+	buf    joinBuf
+	stat   *OpStats
 }
 
 // resolve looks up the table version and index tree the snapshot sees.
@@ -953,7 +943,7 @@ func (it *indexJoinIter) resolve() {
 }
 
 func (it *indexJoinIter) rewind() error {
-	it.lrow, it.active, it.matched = nil, false, false
+	it.lrow, it.active = nil, false
 	it.buf.rewind()
 	it.resolve()
 	return it.left.rewind()
@@ -962,16 +952,11 @@ func (it *indexJoinIter) rewind() error {
 func (it *indexJoinIter) next() ([]Value, error) {
 	for {
 		if !it.active {
-			if it.lrow != nil && it.node.leftOuter && !it.matched {
-				it.lrow = nil
-				return it.buf.pad(), nil
-			}
 			var err error
 			it.lrow, err = it.left.next()
 			if err != nil || it.lrow == nil {
 				return nil, err
 			}
-			it.matched = false
 			if it.stop, err = it.node.seek(it.ctx, it.lrow, it.tree, &it.keys, &it.cur, it.stat); err != nil {
 				return nil, err
 			}
@@ -1002,7 +987,6 @@ func (it *indexJoinIter) next() ([]Value, error) {
 				return nil, err
 			}
 			if ok {
-				it.matched = true
 				return it.buf.emit(row), nil
 			}
 		}

@@ -134,11 +134,7 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 		}
 		write("%s %s", kind, n.cols())
 	case *hashJoinNode:
-		kind := "HashJoin"
-		if n.leftOuter {
-			kind = "HashLeftJoin"
-		}
-		write("%s on %d key(s) %s", kind, len(n.leftKeys), n.cols())
+		write("HashJoin on %d key(s) %s", len(n.leftKeys), n.cols())
 	case *indexJoinNode:
 		write("IndexJoin %s via %s (eq %d, range lo=%v hi=%v) %s", n.tbl.def.Name, n.idx.def.Name, len(n.eq), n.lo != nil, n.hi != nil, n.cols())
 	case *sortNode:

@@ -105,9 +105,6 @@ func opKind(n planNode) string {
 		}
 		return "NestedLoopJoin"
 	case *hashJoinNode:
-		if n.leftOuter {
-			return "HashLeftJoin"
-		}
 		return "HashJoin"
 	case *indexJoinNode:
 		return "IndexJoin"

@@ -39,7 +39,7 @@ const chainQuery = `
 	  AND e2.source = e1.target AND e2.name = 'row'
 	  AND e3.source = e2.target AND e3.name = 'val' AND e3.value = 'v007'`
 
-func TestSampledOrderingUsesValueIndex(t *testing.T) {
+func TestJoinOrderUsesValueIndex(t *testing.T) {
 	db := chainDB(t, true)
 	plan, err := db.Explain(chainQuery)
 	if err != nil {
@@ -54,7 +54,7 @@ func TestSampledOrderingUsesValueIndex(t *testing.T) {
 	}
 }
 
-func TestSampledOrderingCorrectWithoutIndex(t *testing.T) {
+func TestJoinOrderCorrectWithoutIndex(t *testing.T) {
 	db := chainDB(t, false)
 	rows, err := db.Query(chainQuery)
 	if err != nil || rows.Len() != 1 {
