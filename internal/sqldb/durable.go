@@ -374,7 +374,10 @@ func (d *DurableDB) flushLocked() {
 
 	var n int
 	var err error
-	if wal == nil {
+	// A batch behind a failed one must not land: its states build on
+	// the failed commits, and its frame would follow bytes recovery never
+	// reads past — acknowledged, then lost.
+	if wal == nil || d.failed.Load() {
 		err = ErrReadOnlyDegraded
 	} else {
 		n, err = wal.Write(frame)

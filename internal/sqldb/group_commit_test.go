@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -312,6 +313,90 @@ func TestBatchFsyncFaultFailsWholeBatch(t *testing.T) {
 		t.Fatalf("acked row missing under keep-all recovery: %v %v", v, err)
 	}
 	rd2.Close()
+}
+
+// tearVFS parks the WAL's next Write while armed, then writes only its
+// first five bytes and fails: a torn append. Later writes pass.
+type tearVFS struct {
+	VFS
+	armed   atomic.Bool
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (v *tearVFS) OpenRW(name string) (File, error) {
+	f, err := v.VFS.OpenRW(name)
+	if err != nil || name != walFile {
+		return f, err
+	}
+	return &tearFile{File: f, v: v}, nil
+}
+
+type tearFile struct {
+	File
+	v *tearVFS
+}
+
+func (f *tearFile) Write(p []byte) (int, error) {
+	if !f.v.armed.CompareAndSwap(true, false) {
+		return f.File.Write(p)
+	}
+	f.v.arrived <- struct{}{}
+	<-f.v.release
+	n, _ := f.File.Write(p[:5])
+	return n, errors.New("injected torn write")
+}
+
+// TestCommitQueuedBehindTornBatchFails is the regression test for a
+// commit acknowledged behind a failed batch: writer 1 stages while
+// writer 0's append tears, and its state already holds writer 0's row.
+// Flushing it after the tear would land its frame past bytes recovery
+// never reads past — acknowledged, then lost. It must fail instead, and
+// neither row may become visible.
+func TestCommitQueuedBehindTornBatchFails(t *testing.T) {
+	mem := NewMemVFS()
+	v := &tearVFS{VFS: mem, arrived: make(chan struct{}), release: make(chan struct{})}
+	d := mustOpenDurable(t, v, DurableOptions{})
+	db := d.DB()
+	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY)`)
+
+	v.armed.Store(true)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, errs[0] = db.Exec(`INSERT INTO kv VALUES (0)`)
+	}()
+	<-v.arrived // writer 0 is inside its WAL append
+	go func() {
+		defer wg.Done()
+		_, errs[1] = db.Exec(`INSERT INTO kv VALUES (1)`)
+	}()
+	waitQueueLen(t, d, 1)
+	close(v.release)
+	wg.Wait()
+
+	if errs[0] == nil {
+		t.Fatal("writer 0 acknowledged a torn append")
+	}
+	if !errors.Is(errs[1], ErrReadOnlyDegraded) {
+		t.Fatalf("writer 1 queued behind the torn batch: %v, want ErrReadOnlyDegraded", errs[1])
+	}
+	if !d.Failed() {
+		t.Fatal("engine not degraded after a torn append")
+	}
+	if n := db.TotalRows(); n != 0 {
+		t.Fatalf("live rows %d, want 0", n)
+	}
+	lost := mem.Clone()
+	lost.Crash(CrashLoseUnsynced)
+	rd := mustOpenDurable(t, lost, DurableOptions{})
+	if diff := dbStateDiff(db, rd.DB()); diff != "" {
+		t.Fatalf("recovery differs from live state: %s", diff)
+	}
+	rd.Close()
+	d.Close()
 }
 
 // ---------------------------------------------------------------------------
