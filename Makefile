@@ -38,13 +38,13 @@ test:
 	$(GO) test ./...
 
 ## race: every test of the packages that hold shared mutable state —
-## the engine (sqldb: readers, writers, group commit, checkpoints,
-## crash-at-every-offset sweeps, the resource governor and its chaos
-## battery, buffer-pool pins), the façade (core: snapshot
-## reconstruction during updates, cancellation, durable stores), the
-## network front door (server: pinned sessions, overload, shutdown
-## drain) and the LRU — under the race detector at GOMAXPROCS 1, 2 and
-## 4 (go test's own -cpu list). -count=1 keeps a second run from being
+## the engine (sqldb: readers, writers and transactions, the WAL commit
+## pipeline, checkpoints, crash-at-every-offset sweeps, the resource
+## governor and its chaos battery, buffer-pool pins), the façade
+## (core: snapshot reconstruction during updates, cancellation, durable
+## stores), the network front door (server: pinned sessions, overload,
+## shutdown drain) and the LRU — under the race detector at GOMAXPROCS
+## 1, 2 and 4 (go test's own -cpu list). -count=1 keeps a second run from being
 ## served from the test cache.
 race:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/sqldb ./internal/core ./internal/server ./internal/lru

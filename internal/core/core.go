@@ -237,9 +237,9 @@ func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
 // scheme supports streaming shredding (Edge, Interval, Binary and
 // Dewey), the document is parsed and shredded in one pass with memory
 // proportional to its depth plus one insert batch — the full DOM is
-// never built.
-// Other schemes parse the stream into a DOM first. On error the store
-// may hold a partial shred; discard it.
+// never built, and each insert batch commits on its own: on error the
+// store may hold a partial shred; discard it. Other schemes parse the
+// stream into a DOM first and load it as one transaction.
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
 	if st.loaded {
 		return fmt.Errorf("core: store already holds a document")
@@ -268,13 +268,14 @@ func (st *Store) LoadDocument(doc *xmldom.Document) error {
 }
 
 // LoadDocumentContext is LoadDocument honoring a context, checked at
-// shred-batch granularity.
+// shred-batch granularity. The load is one transaction: a failed or
+// canceled load leaves nothing behind.
 func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) error {
 	if st.loaded {
 		return fmt.Errorf("core: store already holds a document")
 	}
 	start := time.Now()
-	if err := st.scheme.Load(ctx, st.db, doc); err != nil {
+	if err := st.db.Update(func(tx *sqldb.Tx) error { return st.scheme.Load(ctx, tx, doc) }); err != nil {
 		return err
 	}
 	st.shredPhase.add(time.Since(start))
@@ -418,7 +419,8 @@ func (st *Store) WriteXML(w io.Writer) error {
 }
 
 // InsertXML inserts an XML fragment as the position-th child of the
-// element with the given node id.
+// element with the given node id, as one transaction: a refused or
+// failed insert leaves nothing behind.
 func (st *Store) InsertXML(parentID int64, position int, fragment []byte) error {
 	// Wrap so the fragment parses as a document.
 	doc, err := xmldom.Parse(fragment)
@@ -430,7 +432,8 @@ func (st *Store) InsertXML(parentID int64, position int, fragment []byte) error 
 		return fmt.Errorf("core: fragment has no element")
 	}
 	start := time.Now()
-	if err := st.scheme.InsertSubtree(st.db, parentID, position, root.Copy()); err != nil {
+	insert := func(tx *sqldb.Tx) error { return st.scheme.InsertSubtree(tx, parentID, position, root.Copy()) }
+	if err := st.db.Update(insert); err != nil {
 		return err
 	}
 	st.shredPhase.add(time.Since(start))

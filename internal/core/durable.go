@@ -14,8 +14,8 @@ import (
 // DurableStore is a Store bound to a data directory with write-ahead
 // logging and crash recovery: every load, subtree insertion and direct
 // SQL write is durable once acknowledged, document-level operations
-// are crash-atomic (group-committed as one WAL frame), and reopening
-// the directory after a crash replays the log over the last checkpoint.
+// are crash-atomic (one transaction, one WAL frame), and reopening the
+// directory after a crash replays the log over the last checkpoint.
 //
 // Only the stateless schemes — Interval and Dewey — can be durable:
 // they keep all their state in the database, so snapshot + log replay
@@ -117,18 +117,16 @@ func (ds *DurableStore) Health() sqldb.Health { return ds.ddb.Health() }
 // the published (acknowledged) state and starting a fresh WAL.
 func (ds *DurableStore) Recover() error { return ds.ddb.Recover() }
 
-// LoadDocument shreds a document as one crash-atomic group commit:
+// LoadDocument shreds a document as one crash-atomic transaction:
 // recovery sees the whole document or none of it.
 func (ds *DurableStore) LoadDocument(doc *xmldom.Document) error {
 	return ds.LoadDocumentContext(context.Background(), doc)
 }
 
 // LoadDocumentContext is LoadDocument honoring a context, checked at
-// shred-batch granularity inside the group commit.
+// shred-batch granularity inside the transaction.
 func (ds *DurableStore) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) error {
-	if err := ds.ddb.Group(func() error {
-		return ds.Store.LoadDocumentContext(ctx, doc)
-	}); err != nil {
+	if err := ds.Store.LoadDocumentContext(ctx, doc); err != nil {
 		return err
 	}
 	_, err := ds.ddb.MaybeCheckpoint()
@@ -136,8 +134,8 @@ func (ds *DurableStore) LoadDocumentContext(ctx context.Context, doc *xmldom.Doc
 }
 
 // LoadXML parses and shreds an XML document (crash-atomic). Parsing
-// finishes before the group opens: a malformed document writes nothing,
-// and nothing partial can become durable.
+// finishes before the transaction opens: a malformed document writes
+// nothing, and nothing partial can become durable.
 func (ds *DurableStore) LoadXML(src []byte) error {
 	return ds.LoadXMLContext(context.Background(), src)
 }
@@ -153,12 +151,12 @@ func (ds *DurableStore) LoadXMLContext(ctx context.Context, src []byte) error {
 }
 
 // LoadXMLStream shreds a document from a stream with bounded memory.
-// Unlike LoadXML, the load is NOT one crash-atomic group: each insert
-// batch commits (and is WAL-acknowledged) on its own, so a crash
+// Unlike LoadXML, the load is NOT one crash-atomic transaction: each
+// insert batch commits (and is WAL-acknowledged) on its own, so a crash
 // mid-load can leave a partial document — rerun the load into a fresh
-// directory in that case. The trade is deliberate: a group commit
-// buffers every staged row until its one fsync, which would defeat
-// the bounded-memory purpose of streaming.
+// directory in that case. The trade is deliberate: a transaction holds
+// every row it wrote until its one fsync, which would defeat the
+// bounded-memory purpose of streaming.
 func (ds *DurableStore) LoadXMLStream(ctx context.Context, r io.Reader) error {
 	if err := ds.Store.LoadXMLStream(ctx, r); err != nil {
 		return err
@@ -167,11 +165,9 @@ func (ds *DurableStore) LoadXMLStream(ctx context.Context, r io.Reader) error {
 	return err
 }
 
-// InsertXML inserts a fragment as one crash-atomic group commit.
+// InsertXML inserts a fragment as one crash-atomic transaction.
 func (ds *DurableStore) InsertXML(parentID int64, position int, fragment []byte) error {
-	if err := ds.ddb.Group(func() error {
-		return ds.Store.InsertXML(parentID, position, fragment)
-	}); err != nil {
+	if err := ds.Store.InsertXML(parentID, position, fragment); err != nil {
 		return err
 	}
 	_, err := ds.ddb.MaybeCheckpoint()

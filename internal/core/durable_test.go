@@ -7,7 +7,9 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sqldb"
 	"repro/internal/xmldom"
@@ -290,11 +292,12 @@ func TestDurableStoreExec(t *testing.T) {
 }
 
 // TestDurableStoreConcurrentExecDuringLoad is the end-to-end face of
-// the group-commit durability fix: direct SQL writes acknowledged while
-// a document load's durability group is open must survive a crash that
-// hits before the load finishes — and the half-loaded document must
-// not. (Before the WAL pipeline, those writes sat in the group buffer:
-// acked, published, and gone on crash.)
+// the durability contract beside an open document load: a direct SQL
+// write waits for the load's transaction and is acknowledged only once
+// durable, so a crash that hits before the load commits recovers every
+// acknowledged write and none of the half-loaded document. (Before the
+// WAL pipeline, such writes sat in the load's group buffer: acked,
+// published, and gone on crash.)
 func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 	for _, mode := range []sqldb.CrashMode{sqldb.CrashLoseUnsynced, sqldb.CrashKeepAll} {
 		fs := sqldb.NewMemVFS()
@@ -304,48 +307,65 @@ func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 		}
 		db := ds.Durable().DB()
 		db.MustExec(`CREATE TABLE audit (k INTEGER PRIMARY KEY, note TEXT)`)
+		db.MustExec(`INSERT INTO audit VALUES (0, 'acked before the load')`)
+		doc, err := xmldom.ParseString(smallDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var midLoad *sqldb.MemVFS
-		gErr := ds.Durable().Group(func() error {
-			if err := ds.Store.LoadXML([]byte(smallDoc)); err != nil {
+		var acked atomic.Int64
+		var ackedAtCrash int64
+		done := make(chan error, 1)
+		txErr := db.Update(func(tx *sqldb.Tx) error {
+			if err := ds.scheme.Load(context.Background(), tx, doc); err != nil {
 				return err
 			}
 			// An auditor on another goroutine records rows while the load
-			// is mid-group; each Exec return is a durability ack.
-			done := make(chan error, 1)
+			// is open; each Exec return is a durability ack, which waits
+			// for the load to commit.
 			go func() {
-				for i := 0; i < 3; i++ {
+				for i := 1; i <= 3; i++ {
 					if _, err := db.Exec(`INSERT INTO audit VALUES (?, 'acked')`, sqldb.NewInt(int64(i))); err != nil {
 						done <- err
 						return
 					}
+					acked.Add(1)
 				}
 				done <- nil
 			}()
-			if err := <-done; err != nil {
-				return err
-			}
+			// Give the auditor time to reach the writer slot; nothing
+			// below depends on whether it has.
+			time.Sleep(5 * time.Millisecond)
+			ackedAtCrash = acked.Load()
 			midLoad = fs.Clone()
 			midLoad.Crash(mode)
 			return nil
 		})
-		if gErr != nil {
-			t.Fatalf("mode %v: group load: %v", mode, gErr)
+		if txErr != nil {
+			t.Fatalf("mode %v: transactional load: %v", mode, txErr)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("mode %v: auditor: %v", mode, err)
+		}
+		if ackedAtCrash != 0 {
+			t.Fatalf("mode %v: %d audit rows acknowledged while the load was open", mode, ackedAtCrash)
 		}
 
 		rds, err := OpenDurableVFS(Interval, midLoad, Options{}, DurableOptions{})
 		if err != nil {
 			t.Fatalf("mode %v: mid-load recovery: %v", mode, err)
 		}
-		if v, err := rds.DB().QueryScalar(`SELECT COUNT(*) FROM audit`); err != nil || v.Int() != 3 {
-			t.Fatalf("mode %v: acked audit rows after mid-load crash: %v %v, want 3", mode, v, err)
+		if v, err := rds.DB().QueryScalar(`SELECT COUNT(*) FROM audit`); err != nil || v.Int() != 1 {
+			t.Fatalf("mode %v: acked audit rows after mid-load crash: %v %v, want 1", mode, v, err)
 		}
 		if v, err := rds.DB().QueryScalar(`SELECT COUNT(*) FROM accel`); err != nil || v.Int() != 0 {
-			t.Fatalf("mode %v: %v document rows leaked from open group (%v)", mode, v, err)
+			t.Fatalf("mode %v: %v document rows leaked from the open load (%v)", mode, v, err)
 		}
 		rds.Close()
 
-		// Once the load's group frame is durable, the whole document is.
+		// Once the load's frame is durable, the whole document is, and so
+		// is every audit row acknowledged after it.
 		after := fs.Clone()
 		after.Crash(mode)
 		rds2, err := OpenDurableVFS(Interval, after, Options{}, DurableOptions{})
@@ -356,8 +376,8 @@ func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 		if err != nil || n != 2 {
 			t.Fatalf("mode %v: post-load document query: %d books, %v", mode, n, err)
 		}
-		if v, err := rds2.DB().QueryScalar(`SELECT COUNT(*) FROM audit`); err != nil || v.Int() != 3 {
-			t.Fatalf("mode %v: audit rows after post-load crash: %v %v", mode, v, err)
+		if v, err := rds2.DB().QueryScalar(`SELECT COUNT(*) FROM audit`); err != nil || v.Int() != 4 {
+			t.Fatalf("mode %v: audit rows after post-load crash: %v %v, want 4", mode, v, err)
 		}
 		rds2.Close()
 		ds.Close()

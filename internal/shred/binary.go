@@ -3,6 +3,7 @@ package shred
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -55,7 +56,7 @@ func (bn *Binary) Setup(db *sqldb.Database) error {
 	return nil
 }
 
-func (bn *Binary) createPartition(db *sqldb.Database, table string) error {
+func (bn *Binary) createPartition(db sqldb.Writer, table string) error {
 	extra := ""
 	if table == "bt_pi" {
 		extra = ", name TEXT" // the PI's target
@@ -80,10 +81,23 @@ func (bn *Binary) createPartition(db *sqldb.Database, table string) error {
 	return nil
 }
 
+// forgetPartitionsOnError returns a function, to be deferred, that
+// restores the partition maps to their current contents when *errp is
+// set: a failed load or insert rolls the partitions it created back
+// with its transaction, and the scheme must not go on naming them.
+func (bn *Binary) forgetPartitionsOnError(errp *error) func() {
+	elem, attr, seq := maps.Clone(bn.elemTables), maps.Clone(bn.attrTables), bn.nameSeq
+	return func() {
+		if *errp != nil {
+			bn.elemTables, bn.attrTables, bn.nameSeq = elem, attr, seq
+		}
+	}
+}
+
 // partitionFor resolves (creating on demand) the partition table for a
 // named node. Sanitized labels can collide; a sequence suffix keeps the
 // table names unique.
-func (bn *Binary) partitionFor(db *sqldb.Database, m map[string]string, prefix, label string) (string, error) {
+func (bn *Binary) partitionFor(db sqldb.Writer, m map[string]string, prefix, label string) (string, error) {
 	if t, ok := m[label]; ok {
 		return t, nil
 	}
@@ -115,7 +129,7 @@ func (bn *Binary) partitionFor(db *sqldb.Database, m map[string]string, prefix, 
 
 // Load implements Scheme: the document's replay goes through the same
 // walk as a token stream.
-func (bn *Binary) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (bn *Binary) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	return bn.LoadStream(ctx, db, doc.Tokens())
 }
 
@@ -162,7 +176,8 @@ func (bn *Binary) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // InsertSubtree implements Scheme: like Edge, a local ordinal shift on
 // the parent's partitions plus appends — but the shift must touch every
 // partition holding a child of the parent.
-func (bn *Binary) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
+func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) (err error) {
+	defer bn.forgetPartitionsOnError(&err)()
 	// Count attributes of the parent across attribute partitions.
 	var nAttrs int64
 	for _, t := range bn.attrTables {
@@ -203,7 +218,7 @@ func (bn *Binary) InsertSubtree(db *sqldb.Database, parentID int64, position int
 
 // labelPathOf reconstructs the label path of a stored element by walking
 // parent links across partitions (update-path bookkeeping only).
-func (bn *Binary) labelPathOf(db *sqldb.Database, id int64) (string, error) {
+func (bn *Binary) labelPathOf(db sqldb.Writer, id int64) (string, error) {
 	if id == 0 {
 		return "", nil
 	}

@@ -86,27 +86,9 @@ func errLabelOverflow(comp int64) error {
 	return errScheme("dewey", "label component %d exceeds %d digits (relabel required)", comp, deweyWidth)
 }
 
-// checkFanout rejects a subtree holding an element with more attributes
-// and children than deweyWidth-digit labels deweyGap apart can number.
-func checkFanout(n *xmldom.Node) error {
-	if last := int64(len(n.Attrs)+len(n.Children)) * deweyGap; last >= deweyLimit {
-		return errLabelOverflow(last)
-	}
-	for _, c := range n.Children {
-		if err := checkFanout(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load implements Scheme: every fanout is checked first, so a label
-// overflow is refused before anything is written; then the document's
-// replay goes through the shredding walk.
-func (d *Dewey) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
-	if err := checkFanout(doc.Root); err != nil {
-		return err
-	}
+// Load implements Scheme: the document's replay goes through the
+// shredding walk, which refuses a label overflow when it reaches it.
+func (d *Dewey) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	return d.LoadStream(ctx, db, doc.Tokens())
 }
 
@@ -148,8 +130,10 @@ func (d *Dewey) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // (Tatarinov's headline result, experiment F3). The parent lookup and
 // MAX(pre) are each one probe of dewey_pre; the sibling read lists the
 // parent's children through dewey_parent. A label that would overflow
-// deweyWidth digits is refused before anything is written.
-func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
+// deweyWidth digits is refused; rows written before the refusal roll
+// back with the transaction the insert runs in (core's InsertXML runs
+// it in one).
+func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	prow, err := db.Query(`SELECT path, level FROM dewey WHERE pre = ? AND kind = 'elem'`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err
@@ -192,9 +176,6 @@ func (d *Dewey) InsertSubtree(db *sqldb.Database, parentID int64, position int, 
 		newComp = lo + (hi-lo)/2
 	default:
 		return errScheme("dewey", "no label gap left at this position (relabel required); spread your insertion points")
-	}
-	if err := checkFanout(subtree); err != nil {
-		return err
 	}
 
 	maxID, err := db.QueryScalar(`SELECT MAX(pre) FROM dewey`)

@@ -72,7 +72,7 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 
 // Load implements Scheme: the document's replay goes through the same
 // walk as a token stream.
-func (e *Edge) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (e *Edge) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	return e.LoadStream(ctx, db, doc.Tokens())
 }
 
@@ -97,7 +97,7 @@ func (e *Edge) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // InsertSubtree implements Scheme: following siblings' ordinals shift by
 // one (a local update), then the subtree's edges are appended with fresh
 // node ids.
-func (e *Edge) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
+func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	nAttrs, err := db.QueryScalar(`SELECT COUNT(*) FROM edge WHERE source = ? AND kind = 'attr'`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err
@@ -129,7 +129,7 @@ func (e *Edge) InsertSubtree(db *sqldb.Database, parentID int64, position int, s
 
 // storedLabelPath walks parent links in the edge table to recover the
 // label path of a stored element.
-func (e *Edge) storedLabelPath(db *sqldb.Database, id int64) (string, error) {
+func (e *Edge) storedLabelPath(db sqldb.Writer, id int64) (string, error) {
 	var segs []string
 	cur := id
 	for cur != 0 {

@@ -89,7 +89,7 @@ type openRow struct {
 }
 
 // Load implements Scheme. The document must conform to the DTD.
-func (in *Inline) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	doc.Number()
 	root := doc.RootElement()
 	if root == nil {
@@ -379,7 +379,7 @@ func (in *Inline) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // InsertSubtree implements Scheme for subtrees rooted at a shared
 // element (a new relation row); inserting inlined fragments in order is
 // not expressible.
-func (in *Inline) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
+func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	if subtree.Kind != xmldom.ElementNode || !in.mapping.Shared[subtree.Name] {
 		return errScheme("inline", "only subtrees rooted at a shared element can be inserted")
 	}

@@ -75,7 +75,7 @@ func (iv *Interval) Setup(db *sqldb.Database) error {
 
 // Load implements Scheme: the document's replay goes through the same
 // walk as a token stream.
-func (iv *Interval) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (iv *Interval) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	return iv.LoadStream(ctx, db, doc.Tokens())
 }
 
@@ -97,7 +97,7 @@ func (iv *Interval) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // paper's documented price here: every node at or after the insertion
 // point must be renumbered (two document-wide UPDATE sweeps), in
 // contrast to Dewey's local relabeling — the F3 contrast.
-func (iv *Interval) InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error {
+func (iv *Interval) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	prow, err := db.Query(`SELECT level, size FROM accel WHERE pre = ?`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err

@@ -33,7 +33,7 @@ type Scheme interface {
 	// single document per database. Cancellation is honored at
 	// bulk-insert batch granularity, so a canceled or expired context
 	// bounds a long load at its next flush.
-	Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error
+	Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error
 	// Translate compiles an XPath query to SQL with result columns
 	// (id, val) in document order.
 	Translate(q *xpath.Path) (string, error)
@@ -46,7 +46,7 @@ type Scheme interface {
 	// (0-based, counted among non-attribute children) of the element
 	// with the given node id. Schemes that cannot express ordered
 	// updates return an error.
-	InsertSubtree(db *sqldb.Database, parentID int64, position int, subtree *xmldom.Node) error
+	InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error
 }
 
 // Query parses an XPath string, translates it under the scheme, and
@@ -81,17 +81,17 @@ func QueryIDs(db *sqldb.Database, s Scheme, query string) ([]int64, error) {
 // cancellation bounds a load at batch granularity.
 type batcher struct {
 	ctx   context.Context // nil: never canceled
-	db    *sqldb.Database
+	db    sqldb.Writer
 	table string
 	rows  [][]sqldb.Value
 	limit int
 }
 
-func newBatcher(db *sqldb.Database, table string) *batcher {
+func newBatcher(db sqldb.Writer, table string) *batcher {
 	return &batcher{db: db, table: table, limit: 4096}
 }
 
-func newBatcherCtx(ctx context.Context, db *sqldb.Database, table string) *batcher {
+func newBatcherCtx(ctx context.Context, db sqldb.Writer, table string) *batcher {
 	b := newBatcher(db, table)
 	b.ctx = ctx
 	return b

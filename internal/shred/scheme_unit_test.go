@@ -130,16 +130,35 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewDewey(false)
-	db := sqldb.New()
-	if err := s.Setup(db); err != nil {
-		t.Fatal(err)
+	// A refused load runs inside one transaction, which it rolls back.
+	load := func(doc *xmldom.Document) (*sqldb.Database, error) {
+		db := sqldb.New()
+		if err := s.Setup(db); err != nil {
+			t.Fatal(err)
+		}
+		return db, db.Update(func(tx *sqldb.Tx) error { return s.Load(context.Background(), tx, doc) })
 	}
-	if err := s.Load(context.Background(), db, doc); err == nil || !strings.Contains(err.Error(), "relabel required") {
+	db, err := load(doc)
+	if err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("loading 100 003 siblings: got %v, want the relabel-required error", err)
 	}
 	if n := db.TotalRows(); n != 0 {
 		t.Fatalf("refused load left %d rows", n)
 	}
+	siblings := func(n int) *xmldom.Document {
+		doc, err := xmldom.ParseString("<r>" + strings.Repeat("<c/>", n) + "</r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	if _, err := load(siblings(99999)); err != nil {
+		t.Fatalf("loading 99 999 siblings: %v", err)
+	}
+	if db, err := load(siblings(100000)); err == nil || db.TotalRows() != 0 {
+		t.Fatalf("loading 100 000 siblings: got %v and %d rows, want a refusal and none", err, db.TotalRows())
+	}
+	// A Tokenizer stream refuses partway, after its earlier batches.
 	streamSiblings := func(src string) error {
 		db := sqldb.New()
 		if err := s.Setup(db); err != nil {
@@ -157,20 +176,6 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		t.Fatalf("stream-loading 99 999 siblings: %v", err)
 	}
 
-	wide := func(n int) *xmldom.Node {
-		w := &xmldom.Node{Kind: xmldom.ElementNode, Name: "w"}
-		for i := 0; i < n; i++ {
-			w.Children = append(w.Children, &xmldom.Node{Kind: xmldom.ElementNode, Name: "c", Parent: w})
-		}
-		return w
-	}
-	if err := checkFanout(wide(99999)); err != nil {
-		t.Fatalf("99 999 siblings fit eight digits: %v", err)
-	}
-	if err := checkFanout(wide(100000)); err == nil {
-		t.Fatal("100 000 siblings accepted")
-	}
-
 	// An appending insert after a last label of 99999000.
 	db = loadUnit(t, s)
 	if _, err := db.Exec(`UPDATE dewey SET path = '00001000.99999000' WHERE name = 'z'`); err != nil {
@@ -184,11 +189,15 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.TotalRows()
+	insert := func(position int, subtree *xmldom.Node) error {
+		return db.Update(func(tx *sqldb.Tx) error { return s.InsertSubtree(tx, root.Int(), position, subtree) })
+	}
 	frag := &xmldom.Node{Kind: xmldom.ElementNode, Name: "new"}
-	if err := s.InsertSubtree(db, root.Int(), 99, frag); err == nil || !strings.Contains(err.Error(), "relabel required") {
+	if err := insert(99, frag); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("appending past 99999000: got %v, want the relabel-required error", err)
 	}
-	if err := s.InsertSubtree(db, root.Int(), 0, wide(100000)); err == nil || !strings.Contains(err.Error(), "relabel required") {
+	wide := siblings(100000).RootElement()
+	if err := insert(0, wide); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("inserting 100 000 siblings: got %v, want the relabel-required error", err)
 	}
 	if n := db.TotalRows(); n != before {

@@ -23,7 +23,7 @@ import (
 // without materializing it (Edge, Interval, Binary, Dewey).
 // Cancellation is honored at bulk-insert batch granularity.
 type StreamLoader interface {
-	LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error
+	LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error
 }
 
 // shredNode is one non-document node as the walk ranks it: the column
@@ -199,7 +199,7 @@ func (s *edgeSink) node(n *shredNode) error {
 }
 
 // LoadStream implements StreamLoader for the edge mapping.
-func (e *Edge) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error {
+func (e *Edge) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	s := &edgeSink{b: newBatcherCtx(ctx, db, "edge")}
 	_, maxLevel, err := streamWalk(src, s, e.catalog, loadAt)
 	if err != nil {
@@ -230,7 +230,7 @@ func (s *intervalSink) node(n *shredNode) error {
 }
 
 // LoadStream implements StreamLoader for the interval mapping.
-func (iv *Interval) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error {
+func (iv *Interval) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	s := &intervalSink{b: newBatcherCtx(ctx, db, "accel")}
 	nodes, _, err := streamWalk(src, s, nil, loadAt)
 	if err != nil {
@@ -251,7 +251,7 @@ func (iv *Interval) LoadStream(ctx context.Context, db *sqldb.Database, src xmld
 type binarySink struct {
 	bn       *Binary
 	ctx      context.Context // nil: never canceled
-	db       *sqldb.Database
+	db       sqldb.Writer
 	batchers map[string]*batcher
 }
 
@@ -306,7 +306,8 @@ func (s *binarySink) flush() error {
 }
 
 // LoadStream implements StreamLoader for the binary mapping.
-func (bn *Binary) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error {
+func (bn *Binary) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) (err error) {
+	defer bn.forgetPartitionsOnError(&err)()
 	s := &binarySink{bn: bn, ctx: ctx, db: db, batchers: map[string]*batcher{}}
 	if _, _, err := streamWalk(src, s, bn.catalog, loadAt); err != nil {
 		return err
@@ -377,9 +378,11 @@ func (s *deweySink) node(n *shredNode) error {
 }
 
 // LoadStream implements StreamLoader for the Dewey mapping. A label
-// overflow is refused when the walk reaches it, after the rows before
-// it were written; Load checks every fanout first.
-func (d *Dewey) LoadStream(ctx context.Context, db *sqldb.Database, src xmldom.TokenSource) error {
+// overflow is refused when the walk reaches it, after the batches
+// before it were written — unless the load runs in one transaction
+// (sqldb.Database.Update, as core's document loads do), which the
+// refusal then rolls back whole.
+func (d *Dewey) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	s := &deweySink{b: newBatcherCtx(ctx, db, "dewey"), labels: []string{""}}
 	if _, _, err := streamWalk(src, s, nil, loadAt); err != nil {
 		return err

@@ -84,7 +84,7 @@ func (u *Universal) suffixFor(seg string) string {
 
 // Load implements Scheme. It keeps a DOM walk: the wide table's columns
 // are one per label, so every label must be seen before the first row.
-func (u *Universal) Load(ctx context.Context, db *sqldb.Database, doc *xmldom.Document) error {
+func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	doc.Number()
 
 	// Pass 1: labels, catalog, recursion check.
@@ -256,6 +256,6 @@ func (u *Universal) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // InsertSubtree implements Scheme. Ordered insertion is not expressible
 // on the universal layout (every ancestor id is denormalized into every
 // leaf row); the F3 experiment documents this as "not supported".
-func (u *Universal) InsertSubtree(*sqldb.Database, int64, int, *xmldom.Node) error {
+func (u *Universal) InsertSubtree(sqldb.Writer, int64, int, *xmldom.Node) error {
 	return errScheme("universal", "ordered insertion is not supported by the universal mapping")
 }

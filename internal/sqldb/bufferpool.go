@@ -11,15 +11,12 @@ package sqldb
 // pages file like any other, but nothing is ever evicted and the pool
 // keeps no eviction ring.
 //
-// Eviction ordering invariant: a page sealed by commit seq S may only
-// be written back and dropped once the WAL fsync covering S has
-// completed (spillBarrier). Commits publish after their fsync in the
-// normal pipeline, which makes the barrier structural — except for
-// group-buffered commits, whose members publish before the group
-// frame's fsync; the barrier keeps their pages resident until the
-// group closes durably. When every candidate is pinned or too new the
-// pool grows past its cap instead of blocking: memory pressure never
-// deadlocks the engine.
+// Eviction ordering invariant: a page is written back and dropped only
+// once the WAL record of the commit that sealed it is durable. This is
+// structural: a transaction publishes after its fsync, and commit hands
+// its pages to the pool only after publishing. When every candidate is
+// pinned the pool grows past its cap instead of blocking: memory
+// pressure never deadlocks the engine.
 //
 // Fault-in failures panic with pageIOPanic, which the executor and
 // writer panic barriers convert to ErrPageIO: the one operation fails,
@@ -130,9 +127,6 @@ type pageStore struct {
 	clock  []*heapPage
 	hand   int
 	closed bool
-	// spillBarrier gates writeback/eviction on WAL durability; nil
-	// allows everything (non-durable databases).
-	spillBarrier func(seq uint64) bool
 
 	spilled   int64 // page images in the current pages file
 	spillErrs uint64
@@ -207,12 +201,6 @@ func (ps *pageStore) setCap(pages int, live func() []*heapPage) {
 	ps.evictLocked()
 }
 
-func (ps *pageStore) setSpillBarrier(fn func(seq uint64) bool) {
-	ps.mu.Lock()
-	ps.spillBarrier = fn
-	ps.mu.Unlock()
-}
-
 // fileLocked returns the current pages file, opening it on first use.
 func (ps *pageStore) fileLocked() (pf *pageFile, err error) {
 	switch {
@@ -257,6 +245,19 @@ func (ps *pageStore) attach(name string) (*pageFile, error) {
 	return pf, nil
 }
 
+// reinstall makes the pages file the installed snapshot names current
+// again, as restoring that snapshot would: after a failed checkpoint
+// moved to the other name, that file holds images no snapshot
+// references, and the next checkpoint must not unlink the installed
+// one to reuse its name. Durable pools only.
+func (ps *pageStore) reinstall() {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.installed != nil {
+		ps.cur = ps.installed
+	}
+}
+
 func (ps *pageStore) stats() BufferPoolStats {
 	ps.mu.Lock()
 	s := BufferPoolStats{
@@ -279,23 +280,22 @@ func (ps *pageStore) stats() BufferPoolStats {
 	return s
 }
 
-// add seals a page into the pool at commit seq. Idempotent: the same
+// add seals a page into the pool. Idempotent: the same
 // shared page object may be noted by several writers (the tx that
 // filled it, a checkpoint straggler walk, a copy-on-write of a full
 // page).
-func (ps *pageStore) add(p *heapPage, seq uint64) {
+func (ps *pageStore) add(p *heapPage) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.addLocked(p, seq)
+	ps.addLocked(p)
 	ps.evictLocked()
 }
 
-func (ps *pageStore) addLocked(p *heapPage, seq uint64) {
+func (ps *pageStore) addLocked(p *heapPage) {
 	if p.pooled {
 		return
 	}
 	p.pooled = true
-	p.seal = seq
 	p.store.Store(ps)
 	p.ref.Store(true)
 	if ps.bounded() {
@@ -306,11 +306,10 @@ func (ps *pageStore) addLocked(p *heapPage, seq uint64) {
 // adopt registers a page a snapshot says is already in pf at slot pid.
 // The page is not resident, so it joins the clock ring only when first
 // faulted in; until then it costs no memory.
-func (ps *pageStore) adopt(p *heapPage, pf *pageFile, pid int64, slots int32, seq uint64) {
+func (ps *pageStore) adopt(p *heapPage, pf *pageFile, pid int64, slots int32) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	p.pooled = true
-	p.seal = seq
 	p.file, p.pid, p.slots = pf, pid, slots
 	p.store.Store(ps)
 	ps.spilled++
@@ -327,7 +326,7 @@ func (ps *pageStore) adopt(p *heapPage, pf *pageFile, pid int64, slots int32, se
 // fresh file is created by unlinking that name first, so an evicted page
 // of an older pinned version keeps reading the file it was written to.
 // The caller syncs before installing the snapshot, then calls install.
-func (ps *pageStore) checkpoint(pages []*heapPage, seq uint64) (string, []savedPage, error) {
+func (ps *pageStore) checkpoint(pages []*heapPage) (string, []savedPage, error) {
 	if len(pages) == 0 {
 		return "", nil, nil
 	}
@@ -360,7 +359,7 @@ func (ps *pageStore) checkpoint(pages []*heapPage, seq uint64) (string, []savedP
 		ps.mu.Lock()
 		// A page that filled exactly at the last commit is not sealed
 		// until the next insert; it is immutable already.
-		ps.addLocked(p, seq)
+		ps.addLocked(p)
 		if p.file != ps.cur || p.pid == 0 {
 			if err := ps.copyLocked(p); err != nil {
 				ps.mu.Unlock()
@@ -421,8 +420,8 @@ func (ps *pageStore) install(name string) {
 }
 
 // evictLocked sweeps the clock hand until the resident count is within
-// cap or no page is evictable (pinned, referenced this sweep, or not
-// yet covered by a WAL fsync). Two full sweeps bound the walk: the
+// cap or no page is evictable (pinned, or referenced this sweep). Two
+// full sweeps bound the walk: the
 // first clears reference bits, the second takes victims. over is
 // published before the sweep, so a pin released after the sweep passed
 // its page sees it and sweeps again (pageRef.release): a bounded pool
@@ -441,8 +440,7 @@ func (ps *pageStore) evictLocked() {
 		}
 		p := ps.clock[ps.hand]
 		budget--
-		if p.ref.CompareAndSwap(true, false) || p.pins.Load() > 0 ||
-			(ps.spillBarrier != nil && !ps.spillBarrier(p.seal)) {
+		if p.ref.CompareAndSwap(true, false) || p.pins.Load() > 0 {
 			ps.hand++
 			continue
 		}

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,8 +43,11 @@ func TestClosePostCloseWritesErrClosed(t *testing.T) {
 	if err := d.Checkpoint(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Checkpoint err = %v, want ErrClosed", err)
 	}
-	if err := d.Group(func() error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close Group err = %v, want ErrClosed", err)
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tx.Exec(`INSERT INTO kv VALUES (4, 'lost')`)
+		return err
+	}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close transaction err = %v, want ErrClosed", err)
 	}
 	if err := d.Recover(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Recover err = %v, want ErrClosed", err)
@@ -205,67 +207,45 @@ func TestCloseRacingWriters(t *testing.T) {
 	}
 }
 
-// TestCloseInsideGroupRefused pins the goid discipline: the goroutine
-// that owns an open durability group cannot Close (it would
-// self-deadlock on ckptMu), while a Close from another goroutine waits
-// for the group to land and then succeeds — with the group's frame
-// durable.
-func TestCloseInsideGroupRefused(t *testing.T) {
+// TestCloseDuringOpenTransaction closes the store while a transaction
+// is open on another goroutine: Close does not wait for it, and the
+// transaction's commit is refused with ErrClosed — it was never
+// acknowledged, so neither memory nor the reopened directory holds it.
+func TestCloseDuringOpenTransaction(t *testing.T) {
 	fs := NewMemVFS()
 	d := mustOpenDurable(t, fs, DurableOptions{})
 	db := d.DB()
 	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
+	db.MustExec(`INSERT INTO kv VALUES (1, 'acked')`)
 
-	if err := d.Group(func() error {
-		if _, err := db.Exec(`INSERT INTO kv VALUES (1, 'in-group')`); err != nil {
-			return err
-		}
-		if err := d.Close(); !errors.Is(err, ErrCloseInsideGroup) {
-			return fmt.Errorf("close inside group = %v, want ErrCloseInsideGroup", err)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("group: %v", err)
-	}
-	if d.Closed() {
-		t.Fatal("refused in-group Close still marked the store closed")
-	}
-
-	// Close racing an open group on another goroutine: it must wait for
-	// the group, not tear the WAL out from under its atomic frame.
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	groupDone := make(chan error, 1)
+	txDone := make(chan error, 1)
 	go func() {
-		groupDone <- d.Group(func() error {
-			_, err := db.Exec(`INSERT INTO kv VALUES (2, 'second-group')`)
+		txDone <- db.Update(func(tx *Tx) error {
+			_, err := tx.Exec(`INSERT INTO kv VALUES (2, 'open')`)
 			close(entered)
 			<-release
 			return err
 		})
 	}()
 	<-entered
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- d.Close() }()
-	// The group is still open; Close must be parked on ckptMu.
-	select {
-	case err := <-closeDone:
-		t.Fatalf("Close returned (%v) while a durability group was open", err)
-	case <-time.After(20 * time.Millisecond):
+	if err := d.Close(); err != nil {
+		t.Fatalf("close beside an open transaction: %v", err)
 	}
 	close(release)
-	if err := <-groupDone; err != nil {
-		t.Fatalf("group racing close: %v", err)
+	if err := <-txDone; !errors.Is(err, ErrClosed) {
+		t.Fatalf("transaction committing after Close: %v, want ErrClosed", err)
 	}
-	if err := <-closeDone; err != nil {
-		t.Fatalf("close after group: %v", err)
+	if n := db.TotalRows(); n != 1 {
+		t.Fatalf("%d live rows, want 1", n)
 	}
 
 	rd := mustOpenDurable(t, fs, DurableOptions{})
 	defer rd.Close()
 	n, err := rd.DB().QueryScalar(`SELECT count(*) FROM kv`)
-	if err != nil || n.Int() != 2 {
-		t.Fatalf("reopen count = %v (%v), want 2 (both group frames durable)", n, err)
+	if err != nil || n.Int() != 1 {
+		t.Fatalf("reopen count = %v (%v), want 1", n, err)
 	}
 }
 

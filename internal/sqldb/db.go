@@ -93,15 +93,14 @@ type Database struct {
 	// their ages, writer publish waits, superseded-version counts.
 	snaps *snapTracker
 	// commitHook, when set (by DurableDB), stages one logical record per
-	// committed mutation while writeMu is held, so log order equals
+	// committed transaction while writeMu is held, so log order equals
 	// commit order. It returns a wait function the writer invokes after
 	// releasing writeMu; wait blocks until the record's WAL frame is
 	// fsynced (batched with concurrently arriving commits). A non-nil
 	// error from either phase means the commit is not durable: the
 	// writer then discards its pending state without publishing, so the
 	// published state never diverges from the WAL. A nil wait means the
-	// record needs no post-stage durability step (group-buffered
-	// records, stub loggers).
+	// record needs no post-stage durability step (stub loggers).
 	commitHook func(*walRecord) (wait func() error, err error)
 	// memBudget is the engine-wide memory pool queries reserve their
 	// working set from (total <= 0 = unlimited); queryMemLimit caps one
@@ -249,36 +248,94 @@ func (db *Database) setSeq(n uint64) {
 	}
 }
 
-// writeTx is one writer transaction: a private clone of the published
-// state at begin time. Tables are cloned copy-on-write on first touch
-// (wtable); commit logs the statement's record and publishes the clone,
-// while abort simply drops it — nothing the transaction did is ever
-// visible.
-type writeTx struct {
+// Tx is one writer transaction: the callback of Update, or one
+// statement run through a Database write method. It holds the writer
+// slot (writeMu) from begin to end, so no other writer interleaves,
+// and its statements run against a private copy-on-write clone of the
+// newest staged state — cloning head, not the published state, keeps
+// the commit chain linear while earlier commits still wait on their
+// WAL fsync. Statements and reads inside the transaction see its
+// earlier statements; readers of the Database see nothing until
+// commit logs them as one WAL record and publishes them together once
+// that record is durable. Abort is simply never publishing. A Tx is
+// used by one goroutine at a time.
+type Tx struct {
 	db   *Database
-	base *dbState
-	st   *dbState
-	gen  uint64
+	base *dbState // the staged head the transaction began from
+	st   *dbState // base plus every statement committed so far
+	recs []*walRecord
+	// sealed collects the pages the statements filled; the buffer pool
+	// takes them once the state publishes.
+	sealed []*heapPage
+	// group logs the statements as one opGroup frame even when there
+	// is only one (Update); a Database write method logs its statement
+	// as a plain record.
+	group bool
 	// done flips when the transaction released writeMu (commit or
-	// abort); guard uses it to unwind a panicking writer safely.
-	done bool
-	// ticket/finished track the publish turn commit staged: if a panic
-	// fires after staging but before the turn is consumed, guard
-	// consumes it so successors don't block forever.
+	// abort); ticket/finished track the publish turn commit staged, so
+	// guard can unwind a panic at any point.
+	done     bool
 	ticket   uint64
 	finished bool
 }
 
-// guard is the writer-side panic barrier: install as
+// errTxDone refuses a statement on a transaction whose Update
+// callback already returned.
+var errTxDone = errorf("transaction has ended")
+
+// Update runs fn as one writer transaction. Its statements (tx.Exec,
+// tx.BulkInsert) and reads (tx.Query, tx.QueryScalar) see its earlier
+// writes; readers see none of them until fn returns nil, when they are
+// logged as one WAL record and published together once it is durable
+// (the returned error reports a failed commit). If fn returns an error
+// or panics — a canceled context included, which fn reports as its
+// error — nothing is logged or published: the error is returned, a
+// panic as a typed ErrInternal, and the writer slot is freed. Other
+// writers wait for the transaction to end.
 //
-//	defer tx.guard(&err)
-//
-// right after beginWrite. A panic anywhere in the statement body
+// fn writes only through tx: the Database's own write methods and
+// DurableDB.Recover take the writer slot tx holds, so calling them
+// inside fn deadlocks, and nothing checks which goroutine calls them.
+func (db *Database) Update(fn func(*Tx) error) (err error) {
+	tx := db.begin(true)
+	defer tx.guard(&err)
+	if err := fn(tx); err != nil {
+		tx.abort()
+		return err
+	}
+	return tx.commit()
+}
+
+// autocommit runs one statement as a transaction of its own. A
+// statement that failed part-way (a multi-row INSERT or UPDATE) still
+// commits the prefix it applied and reports both.
+func (db *Database) autocommit(stmt func(*Tx) (int, error)) (n int, err error) {
+	tx := db.begin(false)
+	defer tx.guard(&err)
+	n, err = stmt(tx)
+	if cerr := tx.commit(); cerr != nil {
+		return 0, cerr
+	}
+	return n, err
+}
+
+// begin acquires the writer slot and starts a transaction on the
+// newest staged state. If a predecessor still waiting on its fsync
+// fails, the engine degrades and this commit fails too, so a state
+// built on a doomed predecessor is never published.
+func (db *Database) begin(group bool) *Tx {
+	waitStart := time.Now()
+	db.writeMu.Lock()
+	db.snaps.recordPublishWait(time.Since(waitStart))
+	return &Tx{db: db, base: db.head, st: db.head, group: group}
+}
+
+// guard is the transaction's panic barrier: a panic anywhere in it
 // becomes a typed ErrInternal, the pending state is discarded
-// unpublished, writeMu is released, and any staged publish ticket is
+// unpublished, writeMu is released, and a staged publish turn is
 // consumed — a panicking writer never wedges writeMu or the publish
 // pipeline.
-func (tx *writeTx) guard(errp *error) {
+func (tx *Tx) guard(errp *error) {
 	r := recover()
 	if r == nil {
 		return
@@ -291,63 +348,45 @@ func (tx *writeTx) guard(errp *error) {
 	*errp = internalError(r)
 }
 
-// beginWrite acquires the writer slot and clones the newest staged
-// state. Cloning head (not the published state) keeps the commit chain
-// linear while earlier commits are still waiting on their batched WAL
-// fsync: this writer's statement observes every commit serialized
-// before it, published or not. If any of those predecessors fails its
-// fsync the engine goes fail-stop and this commit fails too, so a
-// state built on a doomed predecessor is never published.
-func (db *Database) beginWrite() *writeTx {
-	waitStart := time.Now()
-	db.writeMu.Lock()
-	db.snaps.recordPublishWait(time.Since(waitStart))
-	base := db.head
-	return &writeTx{db: db, base: base, st: base.shallowClone(), gen: db.gen.Add(1)}
+// abort discards the transaction and frees the writer slot.
+func (tx *Tx) abort() {
+	if tx.done {
+		return
+	}
+	tx.done = true
+	tx.db.writeMu.Unlock()
 }
 
-// wtable returns a writable version of the named table in the pending
-// state, cloning the published version on first touch. Nil when the
-// table does not exist.
-func (tx *writeTx) wtable(name string) *table {
-	key := lowerName(name)
-	t := tx.st.tables[key]
-	if t == nil {
+// commit logs the transaction's records as one and publishes its
+// state. The ack-implies-durable contract is structural: with a
+// durability hook attached, the record is staged into the WAL pipeline
+// under writeMu (so log order equals commit order), writeMu is released
+// so later writers can stage and share the next fsync batch, and only
+// after the batch fsync covers the record is the state published — in
+// stage order — and the call returned. If staging or the fsync fails
+// the state is discarded unpublished and the error returned.
+func (tx *Tx) commit() error {
+	db := tx.db
+	if len(tx.recs) == 0 {
+		tx.abort()
 		return nil
 	}
-	if t.gen != tx.gen {
-		t = t.beginWrite(tx.gen)
-		tx.st.tables[key] = t
+	rec := tx.recs[0]
+	if tx.group || len(tx.recs) > 1 {
+		rec = &walRecord{Op: opGroup, Group: tx.recs}
 	}
-	return t
-}
-
-// commit stages rec (nil for a metadata-only change that has no WAL
-// effect) and publishes the pending state. The ack-implies-durable
-// contract is structural: with a durability hook attached, the record
-// is staged into the WAL pipeline under writeMu (so log order equals
-// commit order), writeMu is released so later writers can stage and
-// share the next fsync batch, and only after the batch fsync covers
-// this record is the state published — in stage order — and the call
-// returns. If staging or the fsync fails the pending state is discarded
-// — "rollback" is simply never publishing — and the error is returned.
-func (tx *writeTx) commit(rec *walRecord) error {
-	db := tx.db
 	var wait func() error
-	if rec != nil {
-		if db.commitHook != nil {
-			w, err := db.commitHook(rec)
-			if err != nil {
-				tx.done = true
-				db.writeMu.Unlock()
-				return err
-			}
-			wait = w
-			tx.st.seq = rec.Seq
-			db.seq.Store(rec.Seq)
-		} else {
-			tx.st.seq = db.seq.Add(1)
+	if db.commitHook != nil {
+		w, err := db.commitHook(rec)
+		if err != nil {
+			tx.abort()
+			return err
 		}
+		wait = w
+		tx.st.seq = rec.maxSeq()
+		db.seq.Store(tx.st.seq)
+	} else {
+		tx.st.seq = db.seq.Add(uint64(len(tx.recs)))
 	}
 	reclaimed := 0
 	for k, t := range tx.base.tables {
@@ -355,21 +394,9 @@ func (tx *writeTx) commit(rec *walRecord) error {
 			reclaimed++
 		}
 	}
-	// Collect pages this writer filled (or copy-on-wrote full) while
-	// writeMu still guards the table versions; they are sealed into the
-	// buffer pool only after the version publishes. A failed commit
-	// skips registration: its pages refill under the re-anchored count.
-	var sealed []*heapPage
-	for _, t := range tx.st.tables {
-		if t.gen == tx.gen && len(t.sealq) > 0 {
-			sealed = append(sealed, t.sealq...)
-			t.sealq = nil
-		}
-	}
 	db.head = tx.st
 	db.stageTicket++
-	ticket := db.stageTicket
-	tx.ticket = ticket
+	tx.ticket = db.stageTicket
 	tx.done = true
 	db.writeMu.Unlock()
 
@@ -377,15 +404,15 @@ func (tx *writeTx) commit(rec *walRecord) error {
 		if err := wait(); err != nil {
 			// Not durable: take the publish turn without publishing, so
 			// successors (which are failing too) don't block forever.
-			db.finishTicket(ticket, nil, 0)
+			db.finishTicket(tx.ticket, nil, 0)
 			tx.finished = true
 			return err
 		}
 	}
-	db.finishTicket(ticket, tx.st, reclaimed)
+	db.finishTicket(tx.ticket, tx.st, reclaimed)
 	tx.finished = true
-	for _, p := range sealed {
-		db.pool.add(p, tx.st.seq)
+	for _, p := range tx.sealed {
+		db.pool.add(p)
 	}
 	return nil
 }
@@ -410,15 +437,6 @@ func (db *Database) finishTicket(ticket uint64, st *dbState, reclaimed int) {
 	db.pubMu.Unlock()
 }
 
-// abort discards the pending state.
-func (tx *writeTx) abort() {
-	if tx.done {
-		return
-	}
-	tx.done = true
-	tx.db.writeMu.Unlock()
-}
-
 // resetStaged discards any staged-but-unpublished chain: it waits until
 // every issued publish ticket has been consumed (failed commits consume
 // theirs without publishing), then re-anchors head and the sequence
@@ -437,23 +455,48 @@ func (db *Database) resetStaged() {
 	db.seq.Store(st.seq)
 }
 
-// resetToRecovered replaces both the published and staged state with a
-// state the durability layer rebuilt from the acknowledged WAL prefix.
-// The schema epoch advances past everything this engine has handed
-// out, so every cached plan and prepared statement goes stale — the
-// schema may have rolled back to a shape an old epoch number
-// described. Caller must have quiesced writers (resetStaged).
-func (db *Database) resetToRecovered(st *dbState) {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.state.Load()
-	ns := st.shallowClone()
-	if ns.epoch <= cur.epoch {
-		ns.epoch = cur.epoch + 1
+// txStmt is one statement of a transaction: a private clone of the
+// transaction's state at a fresh generation, whose tables are cloned
+// copy-on-write on first touch (wtable). commit merges it into the
+// transaction; a statement that fails is dropped, leaving the
+// transaction as it was.
+type txStmt struct {
+	tx  *Tx
+	st  *dbState
+	gen uint64
+}
+
+func (tx *Tx) stmt() *txStmt {
+	return &txStmt{tx: tx, st: tx.st.shallowClone(), gen: tx.db.gen.Add(1)}
+}
+
+// wtable returns a writable version of the named table in the
+// statement's state, cloning it on first touch. Nil when the table
+// does not exist.
+func (w *txStmt) wtable(name string) *table {
+	key := lowerName(name)
+	t := w.st.tables[key]
+	if t == nil {
+		return nil
 	}
-	db.state.Store(ns)
-	db.head = ns
-	db.seq.Store(ns.seq)
+	if t.gen != w.gen {
+		t = t.beginWrite(w.gen)
+		w.st.tables[key] = t
+	}
+	return t
+}
+
+// commit merges the statement, with rec as its WAL effect, into its
+// transaction, collecting the pages it filled for the buffer pool.
+func (w *txStmt) commit(rec *walRecord) {
+	for _, t := range w.st.tables {
+		if t.gen == w.gen && len(t.sealq) > 0 {
+			w.tx.sealed = append(w.tx.sealed, t.sealq...)
+			t.sealq = nil
+		}
+	}
+	w.tx.st = w.st
+	w.tx.recs = append(w.tx.recs, rec)
 }
 
 // Rows is a fully materialized query result.
@@ -472,37 +515,72 @@ type Queryer interface {
 	QueryScalar(sql string, args ...Value) (Value, error)
 }
 
-// Exec runs a DDL or DML statement. It returns the number of affected
-// rows (0 for DDL). Args bind ? placeholders in order.
+// Writer is the read-write surface shared by Database and Tx: on a
+// Database every write is a transaction of its own, on a Tx it joins
+// the open transaction, whose reads see it.
+type Writer interface {
+	Queryer
+	Exec(sql string, args ...Value) (int, error)
+	BulkInsert(table string, rows [][]Value) (int, error)
+}
+
+// Exec runs a DDL or DML statement as its own transaction. It returns
+// the number of affected rows (0 for DDL). Args bind ? placeholders in
+// order.
 func (db *Database) Exec(sql string, args ...Value) (int, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return 0, err
 	}
-	return db.ExecStmt(stmt, args...)
+	return db.autocommit(func(tx *Tx) (int, error) { return tx.execStmt(stmt, args) })
 }
 
-// ExecStmt runs a pre-parsed statement.
-func (db *Database) ExecStmt(stmt Stmt, args ...Value) (int, error) {
+// Exec runs a DDL or DML statement inside the transaction.
+func (tx *Tx) Exec(sql string, args ...Value) (int, error) {
+	if tx.done {
+		return 0, errTxDone
+	}
+	stmt, err := Parse(sql)
+	if err != nil {
+		return 0, err
+	}
+	return tx.execStmt(stmt, args)
+}
+
+func (tx *Tx) execStmt(stmt Stmt, args []Value) (int, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
 		return 0, errorf("use Query for SELECT statements")
 	case *CreateTableStmt:
-		return 0, db.createTableDef(s.Def)
+		return 0, tx.createTableDef(s.Def)
 	case *CreateIndexStmt:
-		return 0, db.createIndex(s)
+		return 0, tx.createIndex(s)
 	case *DropTableStmt:
-		return 0, db.dropTable(s.Name)
+		return 0, tx.dropTable(s.Name)
 	case *DropIndexStmt:
-		return 0, db.dropIndex(s.Name)
+		return 0, tx.dropIndex(s.Name)
 	case *InsertStmt:
-		return db.execInsert(s, args)
+		return tx.execInsert(s, args)
 	case *DeleteStmt:
-		return db.execDelete(s, args)
+		return tx.execDelete(s, args)
 	case *UpdateStmt:
-		return db.execUpdate(s, args)
+		return tx.execUpdate(s, args)
 	}
 	return 0, errorf("unsupported statement %T", stmt)
+}
+
+// Query runs a SELECT against the transaction's state: its own earlier
+// writes included.
+func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
+	if tx.done {
+		return nil, errTxDone
+	}
+	return tx.db.queryAt(context.Background(), tx.st, sql, args)
+}
+
+// QueryScalar is QueryScalar against the transaction's state.
+func (tx *Tx) QueryScalar(sql string, args ...Value) (Value, error) {
+	return scalarOf(tx.Query(sql, args...))
 }
 
 // MustExec is Exec that panics on error; intended for tests and setup.
@@ -667,26 +745,18 @@ func (p *Prepared) QueryContext(qctx context.Context, args ...Value) (*Rows, err
 	return &Rows{Columns: p.cols, Data: data}, nil
 }
 
-// CreateTableDef registers a table programmatically (used by the
-// shredding schemes for bulk setup without SQL round trips, by SQL
-// CREATE TABLE, and by snapshot restore/WAL replay).
-func (db *Database) CreateTableDef(def TableDef) error {
-	return db.createTableDef(def)
-}
-
-func (db *Database) createTableDef(def TableDef) (err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
+func (tx *Tx) createTableDef(def TableDef) error {
+	w := tx.stmt()
 	key := lowerName(def.Name)
-	if _, ok := tx.st.tables[key]; ok {
-		tx.abort()
+	if _, ok := w.st.tables[key]; ok {
 		return errorf("table %s already exists", def.Name)
 	}
-	tx.purgeStaleIndexDefs(def.Name)
+	w.purgeStaleIndexDefs(def.Name)
 	d := def
-	tx.st.tables[key] = newTable(&d, tx.gen)
-	tx.st.epoch++
-	return tx.commit(&walRecord{Op: opCreateTable, Def: &d})
+	w.st.tables[key] = newTable(&d, w.gen)
+	w.st.epoch++
+	w.commit(&walRecord{Op: opCreateTable, Def: &d})
+	return nil
 }
 
 // purgeStaleIndexDefs drops catalog index definitions claiming a table
@@ -694,104 +764,93 @@ func (db *Database) createTableDef(def TableDef) (err error) {
 // point, so any such definition is a leftover from a dropped
 // incarnation; keeping it would let a recreated table resurrect or
 // collide with indexes it never defined.
-func (tx *writeTx) purgeStaleIndexDefs(tableName string) {
-	for k, def := range tx.st.indexes {
+func (w *txStmt) purgeStaleIndexDefs(tableName string) {
+	for k, def := range w.st.indexes {
 		if strings.EqualFold(def.Table, tableName) {
-			delete(tx.st.indexes, k)
+			delete(w.st.indexes, k)
 		}
 	}
 }
 
-func (db *Database) createIndex(s *CreateIndexStmt) (err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
+func (tx *Tx) createIndex(s *CreateIndexStmt) error {
+	w := tx.stmt()
 	key := lowerName(s.Name)
-	if _, ok := tx.st.indexes[key]; ok {
-		tx.abort()
+	if _, ok := w.st.indexes[key]; ok {
 		return errorf("index %s already exists", s.Name)
 	}
-	tbl := tx.wtable(s.Table)
+	tbl := w.wtable(s.Table)
 	if tbl == nil {
-		tx.abort()
 		return errorf("no such table: %s", s.Table)
 	}
 	def := IndexDef{Name: s.Name, Table: tbl.def.Name, Unique: s.Unique}
 	for _, c := range s.Columns {
 		ci := tbl.def.ColumnIndex(c)
 		if ci < 0 {
-			tx.abort()
 			return errorf("no such column %s in table %s", c, s.Table)
 		}
 		def.Columns = append(def.Columns, ci)
 	}
 	if _, err := tbl.addIndex(def); err != nil {
-		tx.abort()
 		return err
 	}
-	tx.st.indexes[key] = &def
-	tx.st.epoch++
-	return tx.commit(&walRecord{Op: opCreateIndex, Index: &def})
+	w.st.indexes[key] = &def
+	w.st.epoch++
+	w.commit(&walRecord{Op: opCreateIndex, Index: &def})
+	return nil
 }
 
-// createIndexDef registers an index from a definition (snapshot
-// restore and WAL replay; column ordinals are already resolved).
-func (db *Database) createIndexDef(def IndexDef) (err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
+// createIndexDef registers an index from a definition (WAL replay;
+// column ordinals are already resolved).
+func (tx *Tx) createIndexDef(def IndexDef) error {
+	w := tx.stmt()
 	key := lowerName(def.Name)
-	if _, ok := tx.st.indexes[key]; ok {
-		tx.abort()
+	if _, ok := w.st.indexes[key]; ok {
 		return errorf("index %s already exists", def.Name)
 	}
-	tbl := tx.wtable(def.Table)
+	tbl := w.wtable(def.Table)
 	if tbl == nil {
-		tx.abort()
 		return errorf("no such table: %s", def.Table)
 	}
 	for _, c := range def.Columns {
 		if c < 0 || c >= len(tbl.def.Columns) {
-			tx.abort()
 			return errorf("index %s: column ordinal %d out of range", def.Name, c)
 		}
 	}
 	d := def
 	d.Columns = append([]int{}, def.Columns...)
 	if _, err := tbl.addIndex(d); err != nil {
-		tx.abort()
 		return err
 	}
-	tx.st.indexes[key] = &d
-	tx.st.epoch++
-	return tx.commit(&walRecord{Op: opCreateIndex, Index: &d})
+	w.st.indexes[key] = &d
+	w.st.epoch++
+	w.commit(&walRecord{Op: opCreateIndex, Index: &d})
+	return nil
 }
 
-func (db *Database) dropTable(name string) (err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
+func (tx *Tx) dropTable(name string) error {
+	w := tx.stmt()
 	key := lowerName(name)
-	tbl, ok := tx.st.tables[key]
+	tbl, ok := w.st.tables[key]
 	if !ok {
-		tx.abort()
 		return errorf("no such table: %s", name)
 	}
 	for _, idx := range tbl.indexes {
-		delete(tx.st.indexes, lowerName(idx.def.Name))
+		delete(w.st.indexes, lowerName(idx.def.Name))
 	}
-	delete(tx.st.tables, key)
-	tx.st.epoch++
-	return tx.commit(&walRecord{Op: opDropTable, Table: tbl.def.Name})
+	delete(w.st.tables, key)
+	w.st.epoch++
+	w.commit(&walRecord{Op: opDropTable, Table: tbl.def.Name})
+	return nil
 }
 
-func (db *Database) dropIndex(name string) (err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
+func (tx *Tx) dropIndex(name string) error {
+	w := tx.stmt()
 	key := lowerName(name)
-	def, ok := tx.st.indexes[key]
+	def, ok := w.st.indexes[key]
 	if !ok {
-		tx.abort()
 		return errorf("no such index: %s", name)
 	}
-	if tbl := tx.wtable(def.Table); tbl != nil {
+	if tbl := w.wtable(def.Table); tbl != nil {
 		for i, idx := range tbl.indexes {
 			if strings.EqualFold(idx.def.Name, name) {
 				tbl.indexes = append(tbl.indexes[:i], tbl.indexes[i+1:]...)
@@ -799,17 +858,16 @@ func (db *Database) dropIndex(name string) (err error) {
 			}
 		}
 	}
-	delete(tx.st.indexes, key)
-	tx.st.epoch++
-	return tx.commit(&walRecord{Op: opDropIndex, Name: def.Name})
+	delete(w.st.indexes, key)
+	w.st.epoch++
+	w.commit(&walRecord{Op: opDropIndex, Name: def.Name})
+	return nil
 }
 
-func (db *Database) execInsert(s *InsertStmt, args []Value) (n int, err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
-	tbl := tx.wtable(s.Table)
+func (tx *Tx) execInsert(s *InsertStmt, args []Value) (int, error) {
+	w := tx.stmt()
+	tbl := w.wtable(s.Table)
 	if tbl == nil {
-		tx.abort()
 		return 0, errorf("no such table: %s", s.Table)
 	}
 	// Column mapping: target ordinal for each provided value position.
@@ -818,7 +876,6 @@ func (db *Database) execInsert(s *InsertStmt, args []Value) (n int, err error) {
 		for _, c := range s.Columns {
 			ci := tbl.def.ColumnIndex(c)
 			if ci < 0 {
-				tx.abort()
 				return 0, errorf("no such column %s in table %s", c, s.Table)
 			}
 			mapping = append(mapping, ci)
@@ -849,34 +906,26 @@ func (db *Database) execInsert(s *InsertStmt, args []Value) (n int, err error) {
 		return row, nil
 	}
 
-	// applied collects the rows that actually landed; they are logged
-	// and published as the statement's effect (including a partial
-	// prefix when the statement errors mid-way, so durable state tracks
-	// memory). If the commit itself cannot be logged, the pending state
-	// is discarded unpublished: memory never holds state the WAL does
-	// not.
+	// applied collects the rows that actually landed; they are the
+	// statement's effect, including a partial prefix when the statement
+	// errors mid-way, so the log tracks memory.
 	var applied [][]Value
 	finish := func(execErr error) (int, error) {
 		if len(applied) == 0 {
-			tx.abort()
 			return 0, execErr
 		}
-		if logErr := tx.commit(&walRecord{Op: opInsert, Table: tbl.def.Name, Rows: applied}); logErr != nil {
-			return 0, logErr
-		}
+		w.commit(&walRecord{Op: opInsert, Table: tbl.def.Name, Rows: applied})
 		return len(applied), execErr
 	}
 
-	ctx := &evalCtx{snap: tx.st, qctx: context.Background(), params: args}
+	ctx := &evalCtx{snap: w.st, qctx: context.Background(), params: args}
 	if s.Select != nil {
-		p, _, err := planSelect(tx.st, s.Select, nil)
+		p, _, err := planSelect(w.st, s.Select, nil)
 		if err != nil {
-			tx.abort()
 			return 0, err
 		}
 		data, err := materialize(ctx, p.root)
 		if err != nil {
-			tx.abort()
 			return 0, err
 		}
 		for _, vals := range data {
@@ -892,7 +941,7 @@ func (db *Database) execInsert(s *InsertStmt, args []Value) (n int, err error) {
 		return finish(nil)
 	}
 
-	comp := &compiler{st: tx.st, sch: schema{}}
+	comp := &compiler{st: w.st, sch: schema{}}
 	for _, exprs := range s.Rows {
 		vals := make([]Value, len(exprs))
 		for i, e := range exprs {
@@ -917,66 +966,60 @@ func (db *Database) execInsert(s *InsertStmt, args []Value) (n int, err error) {
 	return finish(nil)
 }
 
-// BulkInsert appends rows to a table without SQL parsing, for loaders.
-// Values are coerced to the declared column types. The batch is atomic:
-// every row is validated before any is stored, and a constraint failure
-// mid-batch (duplicate key, unique index) discards the pending version,
-// leaving the published table and its indexes unchanged.
-func (db *Database) BulkInsert(tableName string, rows [][]Value) (n int, err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
-	tbl := tx.wtable(tableName)
+// BulkInsert appends rows to a table without SQL parsing, for loaders,
+// as its own transaction. Values are coerced to the declared column
+// types. The batch is atomic: every row is validated before any is
+// stored, and a constraint failure mid-batch (duplicate key, unique
+// index) leaves the table and its indexes unchanged.
+func (db *Database) BulkInsert(tableName string, rows [][]Value) (int, error) {
+	return db.autocommit(func(tx *Tx) (int, error) { return tx.BulkInsert(tableName, rows) })
+}
+
+// BulkInsert is BulkInsert inside the transaction.
+func (tx *Tx) BulkInsert(tableName string, rows [][]Value) (int, error) {
+	if tx.done {
+		return 0, errTxDone
+	}
+	w := tx.stmt()
+	tbl := w.wtable(tableName)
 	if tbl == nil {
-		tx.abort()
 		return 0, errorf("no such table: %s", tableName)
 	}
 	// Phase 1: coerce and validate every row before touching storage.
 	coerced := make([][]Value, len(rows))
 	for ri, vals := range rows {
 		if len(vals) != len(tbl.def.Columns) {
-			tx.abort()
 			return 0, errorf("table %s: expected %d values, got %d", tableName, len(tbl.def.Columns), len(vals))
 		}
 		row := make([]Value, len(vals))
 		for i, v := range vals {
 			row[i] = coerceTo(v, tbl.def.Columns[i].Type)
 			if tbl.def.Columns[i].NotNull && row[i].IsNull() {
-				tx.abort()
 				return 0, errorf("table %s: column %s is NOT NULL", tableName, tbl.def.Columns[i].Name)
 			}
 		}
 		coerced[ri] = row
 	}
-	// Phase 2: insert into the pending version; a constraint violation
-	// discards it whole, so the batch is all-or-nothing.
+	// Phase 2: insert into the statement's version; a constraint
+	// violation drops it whole, so the batch is all-or-nothing.
 	if err := tbl.insertBatch(coerced); err != nil {
-		tx.abort()
 		return 0, err
 	}
 	if len(coerced) == 0 {
-		tx.abort()
 		return 0, nil
 	}
-	// Phase 3: log the commit and publish. A logging failure means the
-	// batch is not durable; the pending version is dropped so memory
-	// equals what recovery will replay.
-	if err := tx.commit(&walRecord{Op: opInsert, Table: tbl.def.Name, Rows: coerced}); err != nil {
-		return 0, err
-	}
+	w.commit(&walRecord{Op: opInsert, Table: tbl.def.Name, Rows: coerced})
 	return len(coerced), nil
 }
 
-func (db *Database) execDelete(s *DeleteStmt, args []Value) (n int, err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
-	tbl := tx.wtable(s.Table)
+func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (int, error) {
+	w := tx.stmt()
+	tbl := w.wtable(s.Table)
 	if tbl == nil {
-		tx.abort()
 		return 0, errorf("no such table: %s", s.Table)
 	}
-	rids, err := matchRows(tx.st, tbl, s.Where, args)
+	rids, err := matchRows(w.st, tbl, s.Where, args)
 	if err != nil {
-		tx.abort()
 		return 0, err
 	}
 	images := make([][]Value, 0, len(rids))
@@ -986,29 +1029,23 @@ func (db *Database) execDelete(s *DeleteStmt, args []Value) (n int, err error) {
 		}
 		tbl.delete(rid)
 	}
-	if len(images) == 0 {
-		tx.abort()
-		return len(rids), nil
-	}
-	if err := tx.commit(&walRecord{Op: opDelete, Table: tbl.def.Name, Rows: images}); err != nil {
-		return 0, err
+	if len(images) > 0 {
+		w.commit(&walRecord{Op: opDelete, Table: tbl.def.Name, Rows: images})
 	}
 	return len(rids), nil
 }
 
-func (db *Database) execUpdate(s *UpdateStmt, args []Value) (n int, err error) {
-	tx := db.beginWrite()
-	defer tx.guard(&err)
-	tbl := tx.wtable(s.Table)
+func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (int, error) {
+	w := tx.stmt()
+	tbl := w.wtable(s.Table)
 	if tbl == nil {
-		tx.abort()
 		return 0, errorf("no such table: %s", s.Table)
 	}
 	sch := make(schema, len(tbl.def.Columns))
 	for i, c := range tbl.def.Columns {
 		sch[i] = colInfo{alias: tbl.def.Name, name: c.Name}
 	}
-	comp := &compiler{st: tx.st, sch: sch}
+	comp := &compiler{st: w.st, sch: sch}
 	type setOp struct {
 		col int
 		fn  compiledExpr
@@ -1017,40 +1054,31 @@ func (db *Database) execUpdate(s *UpdateStmt, args []Value) (n int, err error) {
 	for _, sc := range s.Sets {
 		ci := tbl.def.ColumnIndex(sc.Column)
 		if ci < 0 {
-			tx.abort()
 			return 0, errorf("no such column %s in table %s", sc.Column, s.Table)
 		}
 		fn, err := comp.compile(sc.Value)
 		if err != nil {
-			tx.abort()
 			return 0, err
 		}
 		sets = append(sets, setOp{col: ci, fn: fn})
 	}
-	rids, err := matchRows(tx.st, tbl, s.Where, args)
+	rids, err := matchRows(w.st, tbl, s.Where, args)
 	if err != nil {
-		tx.abort()
 		return 0, err
 	}
-	ctx := &evalCtx{snap: tx.st, qctx: context.Background(), params: args}
+	ctx := &evalCtx{snap: w.st, qctx: context.Background(), params: args}
 	// oldImages/newImages collect the (before, after) row pairs that
-	// actually applied; they are logged as the statement's effect (a
-	// partial prefix when the statement errors mid-way). If logging the
-	// commit fails the pending version is discarded unpublished, so
-	// memory matches what recovery will replay.
+	// actually applied; they are the statement's effect (a partial
+	// prefix when the statement errors mid-way).
 	var oldImages, newImages [][]Value
 	finish := func(execErr error) (int, error) {
 		if len(newImages) == 0 {
-			tx.abort()
 			return 0, execErr
 		}
-		logErr := tx.commit(&walRecord{
+		w.commit(&walRecord{
 			Op: opUpdate, Table: tbl.def.Name,
 			OldRows: oldImages, Rows: newImages,
 		})
-		if logErr != nil {
-			return 0, logErr
-		}
 		return len(newImages), execErr
 	}
 	for _, rid := range rids {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,11 +14,14 @@ import (
 // DurableDB binds a Database to a data directory (through a VFS) with
 // write-ahead logging and atomic checkpointing:
 //
-//   - Every committed mutation is staged into the WAL group-commit
-//     pipeline and fsynced before the commit call returns (see db.go's
-//     commit-hook chokepoint): committers that arrive while an fsync is
-//     in flight queue up, and the first waiter flushes the whole queue
-//     with one Write + one Sync — many commits, one fsync.
+//   - Every committed transaction (Database.Update, or one statement
+//     through a Database write method) is one WAL record, staged into
+//     the group-commit pipeline and fsynced before the commit call
+//     returns (see db.go's Tx.commit): committers that arrive while an
+//     fsync is in flight queue up, and the first waiter flushes the
+//     whole queue with one Write + one Sync — many commits, one fsync.
+//     A transaction's state publishes only after that fsync, so the
+//     published state is always exactly the acknowledged history.
 //   - Checkpoint writes a CRC-sealed snapshot to a temp file, fsyncs
 //     it, renames it over the previous snapshot, fsyncs the directory,
 //     then rotates the WAL — so there is never a moment without a
@@ -29,9 +31,9 @@ import (
 //
 // Failure model is degraded read-only: once a WAL append, sync or
 // checkpoint write fails, the DurableDB refuses further commits
-// (ErrReadOnlyDegraded, which wraps ErrWALFailed) — the in-memory
-// state may be ahead of the durable state, and continuing to
-// acknowledge writes would silently widen that gap. Reads keep
+// (ErrReadOnlyDegraded, which wraps ErrWALFailed) — the WAL's tail
+// may hold torn or unacknowledged frames, and a frame appended after
+// them would be acknowledged yet unreadable to recovery. Reads keep
 // serving the last published snapshot, Health reports the cause, and
 // Recover re-establishes durability by checkpointing the published
 // (acked) state and starting a fresh WAL.
@@ -44,28 +46,16 @@ type DurableDB struct {
 	// the snapshot's sequence are replayed, the rest skipped.
 	seq atomic.Uint64
 
-	// walMu guards the WAL handle, the commit queue, group buffering
-	// and log rotation. The flusher releases it for the duration of the
-	// Write+Sync (flushing=true marks the handle as borrowed) so new
-	// committers can stage into the next batch while this one syncs.
-	walMu   sync.Mutex
-	wal     File
-	walSize int64
-	// ackedSize is the length of the WAL prefix covered by a successful
-	// flush (append + fsync): every byte below it belongs to an
-	// acknowledged commit, every byte above it to a failed or torn one.
-	// Recover rebuilds the engine's state from exactly this prefix.
-	ackedSize int64
-	// ackedSeq is the highest commit sequence covered by a successful
-	// fsync. The buffer pool's spill barrier reads it to keep a sealed
-	// page resident until the WAL covering its commits is durable
-	// (written under walMu, read lock-free).
-	ackedSeq  atomic.Uint64
+	// walMu guards the WAL handle, the commit queue and log rotation.
+	// The flusher releases it for the duration of the Write+Sync
+	// (flushing=true marks the handle as borrowed) so new committers can
+	// stage into the next batch while this one syncs.
+	walMu     sync.Mutex
+	wal       File
+	walSize   int64
 	queue     []*commitWaiter
 	flushing  bool
 	flushCond *sync.Cond
-	grouping  bool
-	groupBuf  []*walRecord
 
 	// Pipeline counters (guarded by walMu); Stats derives fsyncs/commit.
 	commits  uint64
@@ -73,19 +63,14 @@ type DurableDB struct {
 	batches  uint64
 	maxBatch int
 
-	// groupOwner is the id of the goroutine inside Group (0 when none):
-	// only its commits buffer into the group's atomicity unit, and it is
-	// refused re-entrant Group/Checkpoint calls that would self-deadlock.
-	groupOwner atomic.Int64
-
 	// ckptMu serializes checkpoints (and Recover, which is one).
 	ckptMu      sync.Mutex
 	checkpoints atomic.Uint64
 	needCkpt    atomic.Bool
 
 	// closed is the sticky lifecycle flag: set once by Close (under
-	// ckptMu + walMu), it turns every later commit, checkpoint, group
-	// and recovery away with ErrClosed. Without it a post-Close commit
+	// ckptMu + walMu), it turns every later commit, checkpoint and
+	// recovery away with ErrClosed. Without it a post-Close commit
 	// would be acknowledged while memory-only — ack-implies-durable
 	// silently broken on a supposedly closed store.
 	closed atomic.Bool
@@ -106,10 +91,6 @@ type DurableDB struct {
 // covers it. All fields are guarded by walMu.
 type commitWaiter struct {
 	payload []byte
-	// seq is the record's highest commit sequence (a group frame covers
-	// its members' range); a successful flush advances ackedSeq to the
-	// batch maximum.
-	seq     uint64
 	flushed bool
 	err     error
 }
@@ -234,7 +215,6 @@ func OpenDurable(fs VFS, opts DurableOptions) (*DurableDB, error) {
 	}
 	d.wal = wal
 	d.walSize = goodLen
-	d.ackedSize = goodLen
 	d.seq.Store(maxSeq)
 	// Align the in-memory commit sequence (and the published state's
 	// seq) with the WAL high-water mark, so the next commit's WAL
@@ -248,11 +228,6 @@ func OpenDurable(fs VFS, opts DurableOptions) (*DurableDB, error) {
 		return nil, fmt.Errorf("sqldb: syncing data directory: %w", err)
 	}
 	d.flushCond = sync.NewCond(&d.walMu)
-	// Everything replayed so far is durable by definition; from here on
-	// the spill barrier keeps a sealed page resident until the WAL fsync
-	// covering its commits lands.
-	d.ackedSeq.Store(maxSeq)
-	d.db.pool.setSpillBarrier(func(seq uint64) bool { return seq <= d.ackedSeq.Load() })
 	d.db.setCommitHook(d.stageCommit)
 	return d, nil
 }
@@ -282,47 +257,40 @@ func readSnapshotFile(fs VFS) ([]byte, error) {
 func (d *DurableDB) DB() *Database { return d.db }
 
 // stageCommit is the commit hook: it is invoked by the Database for
-// every committed mutation, while the database write lock is still
-// held, so WAL order equals commit order. It encodes and enqueues the
-// record, then returns a wait function the committer calls *after*
-// releasing the write lock; the wait blocks until a batch fsync covers
-// the record, so the commit is acknowledged only once durable while
+// every committed transaction, while the database write lock is still
+// held, so WAL order equals commit order. It numbers the record (each
+// member of a group frame in turn), encodes and enqueues it, then
+// returns a wait function the committer calls *after* releasing the
+// write lock; the wait blocks until a batch fsync covers the record, so
+// the commit is acknowledged — and published — only once durable while
 // later writers are already free to stage into the same batch.
-//
-// Commits made by the goroutine that owns an open Group don't enter
-// the queue: they buffer into the group's single atomic frame, staged
-// when the group closes. Commits from any other goroutine — even while
-// a group is open — ride the normal pipeline and are durable before
-// they are acknowledged.
 func (d *DurableDB) stageCommit(rec *walRecord) (func() error, error) {
-	rec.Seq = d.seq.Add(1)
 	d.walMu.Lock()
+	defer d.walMu.Unlock()
 	// The closed check lives under walMu so it is ordered against
 	// Close's queue drain: a commit either stages in time to ride the
 	// final flush, or observes the flag and is refused — never acked
 	// memory-only against a closed WAL.
 	if d.closed.Load() {
-		d.walMu.Unlock()
 		return nil, ErrClosed
 	}
 	// The degraded check lives under walMu so it is ordered against
 	// Recover's queue drain: a commit either stages in time to receive
 	// its verdict from the drain, or observes the flag and is refused.
 	if d.failed.Load() {
-		d.walMu.Unlock()
 		return nil, ErrReadOnlyDegraded
 	}
-	if d.grouping && d.groupOwner.Load() == goid() {
-		// Inside a group: buffer; the whole group lands as one frame
-		// (one CRC unit) when it closes.
-		d.groupBuf = append(d.groupBuf, rec)
-		d.walMu.Unlock()
-		return nil, nil
+	if rec.Op == opGroup {
+		for _, m := range rec.Group {
+			m.Seq = d.seq.Add(1)
+		}
+		rec.Seq = rec.Group[0].Seq
+	} else {
+		rec.Seq = d.seq.Add(1)
 	}
-	w := &commitWaiter{payload: encodeRecordPayload(nil, rec), seq: rec.Seq}
+	w := &commitWaiter{payload: encodeRecordPayload(nil, rec)}
 	d.queue = append(d.queue, w)
 	d.commits++
-	d.walMu.Unlock()
 	return func() error { return d.awaitFlush(w) }, nil
 }
 
@@ -397,18 +365,8 @@ func (d *DurableDB) flushLocked() {
 	}
 	if err != nil {
 		d.degrade(err)
-	} else {
-		d.ackedSize = d.walSize
-		top := d.ackedSeq.Load()
-		for _, w := range batch {
-			if w.seq > top {
-				top = w.seq
-			}
-		}
-		d.ackedSeq.Store(top)
-		if d.opts.AutoCheckpointBytes > 0 && d.walSize >= d.opts.AutoCheckpointBytes {
-			d.needCkpt.Store(true)
-		}
+	} else if d.opts.AutoCheckpointBytes > 0 && d.walSize >= d.opts.AutoCheckpointBytes {
+		d.needCkpt.Store(true)
 	}
 	for _, w := range batch {
 		w.flushed = true
@@ -418,27 +376,9 @@ func (d *DurableDB) flushLocked() {
 	d.flushCond.Broadcast()
 }
 
-// goid returns the current goroutine's id, parsed from the
-// runtime.Stack header ("goroutine N [...]"). Used only to attribute
-// commits to an open Group and to catch re-entrant Group/Checkpoint
-// calls; never for synchronization.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine " (10 bytes), parse digits up to the next space.
-	var id int64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
-
 // DurableStats reports group-commit pipeline counters.
 type DurableStats struct {
-	// Commits counts staged WAL commits (a Group's atomic frame counts
+	// Commits counts staged WAL commits (a transaction's frame counts
 	// as one).
 	Commits uint64
 	// Fsyncs counts WAL fsyncs; Fsyncs/Commits < 1 means batching is
@@ -501,68 +441,6 @@ func (d *DurableDB) Stats() DurableStats {
 	}
 }
 
-// Group runs fn with commit buffering: every record fn commits (from
-// fn's own goroutine) is written as a single WAL frame when fn
-// returns, so the whole batch is crash-atomic — recovery sees all of
-// it or none of it. If fn errors after committing some statements, the
-// partial batch is still flushed (the in-memory state has those
-// effects, and durable state must match). Groups serialize with each
-// other. Commits from *other* goroutines during a group never join its
-// atomicity unit: they ride the normal group-commit pipeline and are
-// durable before they are acknowledged, exactly as without a group.
-// Checkpoint/MaybeCheckpoint must not be called inside fn (they return
-// an error rather than self-deadlock).
-func (d *DurableDB) Group(fn func() error) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	if d.failed.Load() {
-		return ErrReadOnlyDegraded
-	}
-	gid := goid()
-	if d.groupOwner.Load() == gid {
-		return ErrNestedGroup
-	}
-	d.ckptMu.Lock() // keep snapshot/rotation out of the buffer-to-flush window
-	if d.closed.Load() {
-		// Close won ckptMu first: the WAL is gone, so the group's frame
-		// could never become durable. Refuse before buffering anything.
-		d.ckptMu.Unlock()
-		return ErrClosed
-	}
-	d.walMu.Lock()
-	d.grouping = true
-	d.groupOwner.Store(gid)
-	d.walMu.Unlock()
-
-	fnErr := fn()
-
-	d.walMu.Lock()
-	d.grouping = false
-	d.groupOwner.Store(0)
-	buf := d.groupBuf
-	d.groupBuf = nil
-	var w *commitWaiter
-	if len(buf) > 0 {
-		// Stage the whole group as one frame in the pipeline; it shares
-		// its batch fsync with any concurrently queued commits.
-		group := &walRecord{Op: opGroup, Seq: buf[0].Seq, Group: buf}
-		w = &commitWaiter{payload: encodeRecordPayload(nil, group), seq: group.maxSeq()}
-		d.queue = append(d.queue, w)
-		d.commits++
-	}
-	d.walMu.Unlock()
-	d.ckptMu.Unlock()
-	var flushErr error
-	if w != nil {
-		flushErr = d.awaitFlush(w)
-	}
-	if fnErr != nil {
-		return fnErr
-	}
-	return flushErr
-}
-
 // Checkpoint writes an atomic snapshot of the current state and
 // rotates the WAL. The protocol never leaves the directory without a
 // loadable state:
@@ -585,11 +463,6 @@ func (d *DurableDB) Checkpoint() error {
 	if d.failed.Load() {
 		return ErrReadOnlyDegraded
 	}
-	if d.groupOwner.Load() == goid() {
-		// Group holds ckptMu across the user callback; taking it again
-		// here would self-deadlock, so refuse loudly instead.
-		return ErrCheckpointInsideGroup
-	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	// Close serializes on ckptMu and sets the flag while holding it, so
@@ -606,7 +479,7 @@ func (d *DurableDB) Checkpoint() error {
 	// written to the pages file (most already were, by an earlier
 	// checkpoint or an eviction) and referenced by slot, not
 	// re-serialized.
-	snapSeq, err := d.installCheckpoint(d.db)
+	snapSeq, err := d.installCheckpoint()
 	if err != nil {
 		d.degrade(err)
 		return fmt.Errorf("sqldb: checkpoint: %w", err)
@@ -635,18 +508,17 @@ func (d *DurableDB) Checkpoint() error {
 	return nil
 }
 
-// installCheckpoint snapshots db's published state and atomically
+// installCheckpoint snapshots the published state and atomically
 // replaces snapshot.db with it, returning the sequence it contains.
 // Every page the snapshot references is made durable in the pages file
 // (write + fsync) before the rename, so the snapshot never publishes a
 // reference to an unwritten page; once it is installed, the other
 // pages file is garbage and is deleted. Until then the pool keeps the
 // previous snapshot's pages file intact, so a failure anywhere here
-// leaves snapshot.db valid. The pages file is always d.db's pool's: it
-// is the file's single appender, even when db is a recovery rebuild.
-func (d *DurableDB) installCheckpoint(db *Database) (uint64, error) {
+// leaves snapshot.db valid.
+func (d *DurableDB) installCheckpoint() (uint64, error) {
 	ps := d.db.pool
-	state := db.state.Load()
+	state := d.db.state.Load()
 	var buf bytes.Buffer
 	name, err := writeSnapshot(&buf, state, ps)
 	if err != nil {
@@ -684,9 +556,6 @@ func (d *DurableDB) rotateLocked(snapSeq uint64) error {
 	if err := WriteFileAtomic(d.fs, walFile, keep); err != nil {
 		return err
 	}
-	// The file now holds exactly the kept (all acknowledged) frames,
-	// whatever happens to the handle below.
-	d.ackedSize = int64(len(keep))
 	// The old handle points at the replaced file; reopen the new one.
 	// Nil the field across the gap: if reopening fails we must not
 	// leave d.wal aimed at a closed file, or later Close/flush would
@@ -743,39 +612,30 @@ const (
 	recoverBackoff  = 2 * time.Millisecond
 )
 
-// Recover attempts to leave degraded read-only mode by rebuilding the
-// engine on exactly the acknowledged history:
+// Recover attempts to leave degraded read-only mode by checkpointing
+// the published state, which is exactly the acknowledged history — a
+// transaction publishes only after its WAL record is durable:
 //
-//  1. Quiesce the pipeline: wait out any in-flight flush and drain
-//     queued commits (their waiters get their verdicts), then discard
-//     the staged-but-unpublished chain so the write path restarts from
-//     the published state.
-//  2. Reconstruct the acked state from disk — the last good snapshot
-//     plus the WAL prefix covered by a successful fsync. The live
-//     published state is NOT a safe source: a failed group commit has
-//     already published its member statements in memory while their
-//     atomic frame never reached the WAL, and conversely a failed
-//     batch can leave whole frames appended on disk that no caller was
-//     ever acked for. The fsync-covered prefix is, by definition, the
-//     acked history and nothing else.
-//  3. Checkpoint that state atomically to snapshot.db, replace the WAL
-//     with a fresh empty log, and install the rebuilt state as the
-//     live one (published and staged), so reads and recovery agree
-//     again.
+//  1. Quiesce the pipeline: wait out any in-flight flush and fail the
+//     queued commits (their waiters get their verdicts), wait for an
+//     open transaction to end, then discard the staged-but-unpublished
+//     chain so the write path restarts from the published state.
+//  2. Make the pages file the installed snapshot names current again
+//     (a failed checkpoint may have moved to the other name), write
+//     the published state as a checkpoint, and replace the WAL with a
+//     fresh empty log: its tail may hold frames of failed commits.
 //
 // Each attempt that fails against still-faulty storage backs off and
 // retries, up to recoverAttempts; the engine re-enters read-write mode
 // only after the checkpoint sequence fully succeeds. Calling Recover
-// when healthy is a no-op.
+// when healthy is a no-op. Recover takes the writer slot, so it must
+// not be called inside a Database.Update callback.
 func (d *DurableDB) Recover() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
 	if !d.failed.Load() {
 		return nil
-	}
-	if d.groupOwner.Load() == goid() {
-		return errorf("recover inside durability group")
 	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -786,9 +646,8 @@ func (d *DurableDB) Recover() error {
 		return nil
 	}
 
-	// 1. Quiesce. Draining the queue delivers each waiter's error (the
-	// storage is still marked degraded, so none can be newly acked
-	// unless their write genuinely lands); resetStaged then waits for
+	// 1. Quiesce. Draining the queue fails each waiter (the engine is
+	// degraded, so no batch is written); resetStaged then waits for
 	// those commits to consume their publish tickets and rewinds the
 	// staged chain to the published state. New commits can't race in:
 	// stageCommit refuses while degraded.
@@ -824,22 +683,17 @@ func (d *DurableDB) Recover() error {
 	return fmt.Errorf("sqldb: recover: %w", lastErr)
 }
 
-// recoverOnce runs one rebuild-checkpoint-restart attempt. Caller
-// holds ckptMu with the pipeline quiesced.
+// recoverOnce runs one checkpoint-restart attempt. Caller holds ckptMu
+// with the pipeline quiesced; the degraded flag keeps every commit out.
 func (d *DurableDB) recoverOnce() error {
-	d.walMu.Lock()
-	acked := d.ackedSize
-	d.walMu.Unlock()
-	rdb, maxSeq, err := d.loadAckedState(acked)
+	d.db.pool.reinstall()
+	seq, err := d.installCheckpoint()
 	if err != nil {
 		return err
 	}
-	if _, err := d.installCheckpoint(rdb); err != nil {
-		return err
-	}
 	d.walMu.Lock()
+	defer d.walMu.Unlock()
 	if err := WriteFileAtomic(d.fs, walFile, nil); err != nil {
-		d.walMu.Unlock()
 		return err
 	}
 	if d.wal != nil {
@@ -848,78 +702,18 @@ func (d *DurableDB) recoverOnce() error {
 	}
 	w, err := d.fs.OpenRW(walFile)
 	if err != nil {
-		d.walMu.Unlock()
 		return err
 	}
 	d.wal = w
 	d.walSize = 0
-	d.ackedSize = 0
-	d.walMu.Unlock()
-	// Install the rebuilt state as the live one — published and staged
-	// — dropping any published-but-unacked group mutations, and restart
-	// the commit numbering at the acked high-water mark. This must not
-	// run under walMu: a writer holding the database write lock blocks
-	// on walMu in stageCommit, and resetToRecovered needs that write
-	// lock — taking it with walMu held deadlocks against such a writer.
-	// Running outside walMu is safe: the degraded flag is still set, so
-	// every commit that wins walMu is refused before touching state.
-	d.db.resetToRecovered(rdb.state.Load())
-	d.seq.Store(maxSeq)
-	// Commit numbering restarts at maxSeq: rewind the spill barrier's
-	// horizon with it, or pages sealed by post-recovery commits (seq
-	// maxSeq+1…) could evict before their WAL fsync lands.
-	d.ackedSeq.Store(maxSeq)
+	// Commit numbering continues from the published state: the failed
+	// commits' sequence numbers were never acknowledged.
+	d.seq.Store(seq)
 	return nil
 }
 
-// loadAckedState loads the last good snapshot and replays the first
-// ackedLen bytes of the WAL — the prefix covered by a successful fsync
-// — into a fresh database: the acknowledged history, nothing more.
-func (d *DurableDB) loadAckedState(ackedLen int64) (*Database, uint64, error) {
-	data, err := readSnapshotFile(d.fs)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Rebuild on the live engine's pool: it stays the pages file's
-	// single appender, and the rebuilt state keeps paging lazily after
-	// resetToRecovered installs it. Restoring makes the snapshot's pages
-	// file current again if a failed checkpoint had moved off it.
-	rdb, snapSeq, err := restoreSnapshot(data, d.db.pool)
-	if err != nil {
-		return nil, 0, fmt.Errorf("sqldb: recovering snapshot: %w", err)
-	}
-	f, err := d.fs.Open(walFile)
-	if err != nil {
-		return nil, 0, fmt.Errorf("sqldb: opening wal: %w", err)
-	}
-	data, err = io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return nil, 0, fmt.Errorf("sqldb: reading wal: %w", err)
-	}
-	if int64(len(data)) > ackedLen {
-		data = data[:ackedLen]
-	}
-	records, _ := scanWAL(data)
-	maxSeq := snapSeq
-	for _, rec := range records {
-		if rec.Seq <= snapSeq {
-			continue
-		}
-		if err := rdb.applyRecord(rec); err != nil {
-			return nil, 0, fmt.Errorf("sqldb: wal replay (seq %d): %w", rec.Seq, err)
-		}
-		if s := rec.maxSeq(); s > maxSeq {
-			maxSeq = s
-		}
-	}
-	rdb.setSeq(maxSeq)
-	return rdb, maxSeq, nil
-}
-
 // Closed reports whether Close has completed (or is in progress): the
-// store refuses commits, checkpoints, groups and recovery with
-// ErrClosed. Reads keep serving the last published snapshot.
+// store refuses commits, checkpoints and recovery with ErrClosed. Reads keep serving the last published snapshot.
 func (d *DurableDB) Closed() bool { return d.closed.Load() }
 
 // Close is the store's lifecycle edge: it drains any in-flight or
@@ -929,15 +723,10 @@ func (d *DurableDB) Closed() bool { return d.closed.Load() }
 // commit fails typed instead of being acknowledged while memory-only.
 // Close serializes with Checkpoint/MaybeCheckpoint/Recover on ckptMu,
 // so a racing checkpoint can never rotate — and re-open — the WAL
-// after Close returns. Double-Close is idempotent; Close from inside
-// an open durability Group is refused with ErrCloseInsideGroup (the
-// group holds ckptMu; a Close from another goroutine simply waits for
-// the group to finish). It does not checkpoint; the WAL replays on the
-// next open.
+// after Close returns. Double-Close is idempotent. A transaction still
+// open when Close runs fails its commit with ErrClosed. Close does not
+// checkpoint; the WAL replays on the next open.
 func (d *DurableDB) Close() error {
-	if d.groupOwner.Load() == goid() {
-		return ErrCloseInsideGroup
-	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	d.walMu.Lock()

@@ -30,24 +30,11 @@ var (
 	// since Prepare.
 	ErrPreparedStale = errors.New("prepared statement is stale")
 
-	// ErrCheckpointInsideGroup refuses a checkpoint requested from
-	// inside an open durability group (it would self-deadlock).
-	ErrCheckpointInsideGroup = errors.New("sqldb: checkpoint inside durability group")
-
-	// ErrNestedGroup refuses opening a durability group from a
-	// goroutine that already owns one.
-	ErrNestedGroup = errors.New("sqldb: nested durability group")
-
 	// ErrClosed is returned for any commit, checkpoint or recovery
 	// attempted after DurableDB.Close: the store is a closed lifecycle
 	// edge, not a silently writable in-memory database. Reads keep
 	// serving the last published snapshot.
 	ErrClosed = errors.New("sqldb: database is closed")
-
-	// ErrCloseInsideGroup refuses DurableDB.Close called from the
-	// goroutine that owns an open durability group (it would
-	// self-deadlock on the checkpoint mutex the group holds).
-	ErrCloseInsideGroup = errors.New("sqldb: close inside durability group")
 
 	// ErrReadOnlyDegraded is returned by writes while the durability
 	// layer is in degraded read-only mode after a storage fault.

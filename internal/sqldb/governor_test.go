@@ -351,23 +351,6 @@ func TestErrorSentinels(t *testing.T) {
 		t.Fatalf("stale message drifted: %q", err)
 	}
 
-	d := mustOpenDurable(t, NewMemVFS(), DurableOptions{})
-	defer d.Close()
-	err = d.Group(func() error { return d.Group(func() error { return nil }) })
-	if !errors.Is(err, ErrNestedGroup) {
-		t.Fatalf("nested group: %v, want ErrNestedGroup", err)
-	}
-	if err.Error() != "sqldb: nested durability group" {
-		t.Fatalf("nested-group message drifted: %q", err)
-	}
-	err = d.Group(func() error { return d.Checkpoint() })
-	if !errors.Is(err, ErrCheckpointInsideGroup) {
-		t.Fatalf("checkpoint inside group: %v, want ErrCheckpointInsideGroup", err)
-	}
-	if err.Error() != "sqldb: checkpoint inside durability group" {
-		t.Fatalf("checkpoint-in-group message drifted: %q", err)
-	}
-
 	// Degraded mode wraps the historical WAL sentinel.
 	if !errors.Is(ErrReadOnlyDegraded, ErrWALFailed) {
 		t.Fatal("ErrReadOnlyDegraded must wrap ErrWALFailed")

@@ -99,15 +99,15 @@ func waitQueueLen(t *testing.T, d *DurableDB, want int) {
 }
 
 // ---------------------------------------------------------------------------
-// Headline regression: commits concurrent with an open Group
+// Headline regression: commits concurrent with an open transaction
 
-// TestGroupConcurrentCommitsDurableBeforeGroupCloses is the regression
-// test for the Group durability hole: an independent commit acknowledged
-// while a Group is open used to sit in the group buffer, so a crash
-// before the group closed silently lost it. Under the pipeline the
-// independent commit is fsynced (in its own batch) before its Exec
-// returns, and the group's rows stay invisible to recovery until the
-// group frame lands.
+// TestGroupConcurrentCommitsDurableBeforeGroupCloses pins what an
+// independent commit owes a transaction open beside it. It once sat in
+// the open group's buffer, acknowledged, so a crash before the group
+// closed silently lost it. Now it waits for the transaction to commit
+// and is acknowledged only once its own frame is fsynced: a crash taken
+// mid-transaction recovers every acknowledged independent write and
+// nothing of the open transaction.
 func TestGroupConcurrentCommitsDurableBeforeGroupCloses(t *testing.T) {
 	for _, mode := range []CrashMode{CrashLoseUnsynced, CrashKeepAll} {
 		mem := NewMemVFS()
@@ -116,35 +116,46 @@ func TestGroupConcurrentCommitsDurableBeforeGroupCloses(t *testing.T) {
 		db.MustExec(`CREATE TABLE grp (k INTEGER PRIMARY KEY)`)
 		db.MustExec(`CREATE TABLE ind (k INTEGER PRIMARY KEY)`)
 
-		var midGroup *MemVFS
-		gErr := d.Group(func() error {
-			db.MustExec(`INSERT INTO grp VALUES (1)`)
-			// Independent commits from another goroutine, acked while the
-			// group is open.
-			done := make(chan error, 1)
+		var midTx *MemVFS
+		var acked atomic.Int64
+		var ackedAtCrash int64
+		done := make(chan error, 1)
+		txErr := db.Update(func(tx *Tx) error {
+			if _, err := tx.Exec(`INSERT INTO grp VALUES (1)`); err != nil {
+				return err
+			}
+			// Independent commits from another goroutine: they wait for
+			// the writer slot this transaction holds.
 			go func() {
 				for i := 0; i < 5; i++ {
 					if _, err := db.Exec(`INSERT INTO ind VALUES (?)`, NewInt(int64(i))); err != nil {
 						done <- err
 						return
 					}
+					acked.Add(1)
 				}
 				done <- nil
 			}()
-			if err := <-done; err != nil {
-				return fmt.Errorf("independent commit: %w", err)
+			// Give the writer time to reach the writer slot; nothing
+			// below depends on whether it has.
+			time.Sleep(5 * time.Millisecond)
+			if _, err := tx.Exec(`INSERT INTO grp VALUES (2)`); err != nil {
+				return err
 			}
-			db.MustExec(`INSERT INTO grp VALUES (2)`)
-			// Crash while the group is still open.
-			midGroup = mem.Clone()
-			midGroup.Crash(mode)
+			// Crash while the transaction is still open.
+			ackedAtCrash = acked.Load()
+			midTx = mem.Clone()
+			midTx.Crash(mode)
 			return nil
 		})
-		if gErr != nil {
-			t.Fatalf("mode %v: group: %v", mode, gErr)
+		if txErr != nil {
+			t.Fatalf("mode %v: transaction: %v", mode, txErr)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("mode %v: independent commit: %v", mode, err)
 		}
 
-		rd := mustOpenDurable(t, midGroup, DurableOptions{})
+		rd := mustOpenDurable(t, midTx, DurableOptions{})
 		count := func(db *Database, table string) int64 {
 			v, err := db.QueryScalar(`SELECT COUNT(*) FROM ` + table)
 			if err != nil {
@@ -152,29 +163,30 @@ func TestGroupConcurrentCommitsDurableBeforeGroupCloses(t *testing.T) {
 			}
 			return v.Int()
 		}
-		// Every acked independent commit survived the mid-group crash...
-		if n := count(rd.DB(), "ind"); n != 5 {
-			t.Fatalf("mode %v: %d independent rows recovered mid-group, want 5", mode, n)
+		// The independent writer waited for the transaction: nothing of
+		// it was acknowledged, or recovered, mid-transaction...
+		if n := count(rd.DB(), "ind"); ackedAtCrash != 0 || n != 0 {
+			t.Fatalf("mode %v: %d independent rows acked, %d recovered mid-transaction, want 0", mode, ackedAtCrash, n)
 		}
-		// ...and the unclosed group contributed nothing (atomicity).
+		// ...and the open transaction contributed nothing (atomicity).
 		if n := count(rd.DB(), "grp"); n != 0 {
-			t.Fatalf("mode %v: %d group rows recovered mid-group, want 0", mode, n)
+			t.Fatalf("mode %v: %d transaction rows recovered mid-transaction, want 0", mode, n)
 		}
 		rd.Close()
 
-		// After Group returns, its frame is durable: a crash now recovers
-		// the whole group.
+		// After Update returns, its frame is durable, and so is every
+		// acknowledged independent commit: a crash now recovers both.
 		afterGroup := mem.Clone()
 		afterGroup.Crash(mode)
 		rd2 := mustOpenDurable(t, afterGroup, DurableOptions{})
 		if n := count(rd2.DB(), "grp"); n != 2 {
-			t.Fatalf("mode %v: %d group rows recovered post-group, want 2", mode, n)
+			t.Fatalf("mode %v: %d transaction rows recovered post-commit, want 2", mode, n)
 		}
 		if n := count(rd2.DB(), "ind"); n != 5 {
-			t.Fatalf("mode %v: %d independent rows recovered post-group, want 5", mode, n)
+			t.Fatalf("mode %v: %d independent rows recovered post-commit, want 5", mode, n)
 		}
 		if diff := dbStateDiff(db, rd2.DB()); diff != "" {
-			t.Fatalf("mode %v: post-group recovery differs: %s", mode, diff)
+			t.Fatalf("mode %v: post-commit recovery differs: %s", mode, diff)
 		}
 		checkIndexes(t, rd2.DB())
 		rd2.Close()
@@ -400,83 +412,6 @@ func TestCommitQueuedBehindTornBatchFails(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Group re-entrancy guards
-
-func TestCheckpointInsideGroupErrors(t *testing.T) {
-	// AutoCheckpointBytes=1 arms needCkpt on the first commit so
-	// MaybeCheckpoint inside the group actually attempts a checkpoint.
-	d := mustOpenDurable(t, NewMemVFS(), DurableOptions{AutoCheckpointBytes: 1})
-	db := d.DB()
-	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY)`)
-
-	err := d.Group(func() error {
-		db.MustExec(`INSERT INTO kv VALUES (1)`)
-		if err := d.Checkpoint(); err == nil || !strings.Contains(err.Error(), "checkpoint inside durability group") {
-			return fmt.Errorf("Checkpoint inside group returned %v, want refusal", err)
-		}
-		if _, err := d.MaybeCheckpoint(); err == nil || !strings.Contains(err.Error(), "checkpoint inside durability group") {
-			return fmt.Errorf("MaybeCheckpoint inside group returned %v, want refusal", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The refusal is not sticky: checkpointing works once the group ends.
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after group: %v", err)
-	}
-	if d.WALSize() != 0 {
-		t.Fatalf("WAL not rotated after group: %d bytes", d.WALSize())
-	}
-	d.Close()
-}
-
-func TestNestedGroupErrors(t *testing.T) {
-	mem := NewMemVFS()
-	d := mustOpenDurable(t, mem, DurableOptions{})
-	db := d.DB()
-	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY)`)
-
-	done := make(chan error, 1)
-	err := d.Group(func() error {
-		db.MustExec(`INSERT INTO kv VALUES (1)`)
-		// Re-entrant Group from the owning goroutine is refused (it used
-		// to deadlock on ckptMu before ever reaching the nesting check).
-		if err := d.Group(func() error { return nil }); err == nil || !strings.Contains(err.Error(), "nested durability group") {
-			return fmt.Errorf("nested group returned %v, want refusal", err)
-		}
-		// A group from another goroutine is not nested: it serializes
-		// behind this one and proceeds once we close.
-		go func() {
-			done <- d.Group(func() error {
-				db.MustExec(`INSERT INTO kv VALUES (2)`)
-				return nil
-			})
-		}()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("serialized group: %v", err)
-	}
-	if n := db.TotalRows(); n != 2 {
-		t.Fatalf("%d rows, want 2", n)
-	}
-	// Both groups' frames are durable.
-	crashed := mem.Clone()
-	crashed.Crash(CrashLoseUnsynced)
-	rd := mustOpenDurable(t, crashed, DurableOptions{})
-	if n := rd.DB().TotalRows(); n != 2 {
-		t.Fatalf("%d rows recovered, want 2", n)
-	}
-	rd.Close()
-	d.Close()
-}
-
-// ---------------------------------------------------------------------------
 // Rotation failure hygiene
 
 // TestRotateFailureNilsWAL sweeps a fault budget across Checkpoint and
@@ -543,8 +478,9 @@ func TestRotateFailureNilsWAL(t *testing.T) {
 // Concurrent-writers batteries
 
 // TestConcurrentWritersDDLCheckpoint is the race battery: N writer
-// goroutines, concurrent DDL, checkpoints and a Group all run against
-// one DurableDB; afterwards recovery must equal live memory exactly.
+// goroutines, concurrent DDL, checkpoints and a multi-statement
+// transaction all run against one DurableDB; afterwards recovery must
+// equal live memory exactly.
 func TestConcurrentWritersDDLCheckpoint(t *testing.T) {
 	const writers = 8
 	const perWriter = 30
@@ -589,17 +525,20 @@ func TestConcurrentWritersDDLCheckpoint(t *testing.T) {
 			}
 		}
 	}()
-	// A durability group runs concurrently with independent writers.
+	// A multi-statement transaction runs concurrently with independent
+	// writers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := d.Group(func() error {
+		if err := db.Update(func(tx *Tx) error {
 			for i := 0; i < 10; i++ {
-				db.MustExec(`INSERT INTO shared VALUES (?, -1, 'g')`, NewInt(int64(1_000_000+i)))
+				if _, err := tx.Exec(`INSERT INTO shared VALUES (?, -1, 'g')`, NewInt(int64(1_000_000+i))); err != nil {
+					return err
+				}
 			}
 			return nil
 		}); err != nil {
-			t.Errorf("group: %v", err)
+			t.Errorf("transaction: %v", err)
 		}
 	}()
 	wg.Wait()
@@ -690,8 +629,9 @@ func TestConcurrentCommitFaultAckedSurvive(t *testing.T) {
 }
 
 // TestGroupFaultDegradedRecover fills the disk mid-way through a stream
-// of group commits: the interrupted group must vanish atomically, the
-// engine must degrade to read-only (serving every acked group) instead
+// of multi-statement transactions: the interrupted one must vanish
+// atomically — never visible, not even to degraded reads — the engine
+// must degrade to read-only (serving every acked transaction) instead
 // of fail-stopping, and once space returns Recover must restore
 // read-write service on exactly the acked prefix.
 func TestGroupFaultDegradedRecover(t *testing.T) {
@@ -709,10 +649,10 @@ func TestGroupFaultDegradedRecover(t *testing.T) {
 
 		ackedGroups := 0
 		for g := 0; g < 60; g++ {
-			err := d.Group(func() error {
+			err := db.Update(func(tx *Tx) error {
 				for i := 0; i < rowsPerGroup; i++ {
 					k := int64(g*rowsPerGroup + i)
-					if _, err := db.Exec(`INSERT INTO kv VALUES (?, ?)`, NewInt(k), NewInt(int64(g))); err != nil {
+					if _, err := tx.Exec(`INSERT INTO kv VALUES (?, ?)`, NewInt(k), NewInt(int64(g))); err != nil {
 						return err
 					}
 				}
@@ -737,16 +677,19 @@ func TestGroupFaultDegradedRecover(t *testing.T) {
 		if h.State != "degraded" || !strings.Contains(h.Cause, "no space") {
 			t.Fatalf("budget %d: health %+v, want degraded on ENOSPC", budget, h)
 		}
-		// ...writes (grouped or plain) are refused with the sentinel...
-		if err := d.Group(func() error { return nil }); !errors.Is(err, ErrReadOnlyDegraded) {
-			t.Fatalf("budget %d: degraded Group: %v", budget, err)
+		// ...writes (transactions or plain) are refused with the sentinel...
+		if err := db.Update(func(tx *Tx) error {
+			_, err := tx.Exec(`INSERT INTO kv VALUES (99998, 0)`)
+			return err
+		}); !errors.Is(err, ErrReadOnlyDegraded) {
+			t.Fatalf("budget %d: degraded transaction: %v", budget, err)
 		}
 		if _, err := db.Exec(`INSERT INTO kv VALUES (99999, 0)`); !errors.Is(err, ErrReadOnlyDegraded) {
 			t.Fatalf("budget %d: degraded insert: %v", budget, err)
 		}
-		// ...and reads still work. The degraded snapshot may include the
-		// doomed group's statements: its members published in memory
-		// before the atomic frame hit the full disk.
+		// ...and reads still work, on the acked prefix: the doomed
+		// transaction published nothing, since it publishes only after
+		// its frame is durable.
 		assertGroups := func(when string, groups int) {
 			t.Helper()
 			n, err := db.QueryScalar(`SELECT COUNT(*) FROM kv`)
@@ -759,27 +702,26 @@ func TestGroupFaultDegradedRecover(t *testing.T) {
 				t.Fatalf("budget %d %s: groups (%v, %v), want %d", budget, when, g, err, groups)
 			}
 		}
-		assertGroups("degraded", ackedGroups+1)
+		assertGroups("degraded", ackedGroups)
 
-		// Space returns: Recover must land on the acked prefix — the
-		// doomed group's published-but-unacked rows are rolled back.
+		// Space returns: Recover must land on the acked prefix.
 		fvfs.Heal()
 		if err := d.Recover(); err != nil {
 			t.Fatalf("budget %d: recover: %v", budget, err)
 		}
 		assertGroups("post-recover", ackedGroups)
-		if err := d.Group(func() error {
-			_, err := db.Exec(`INSERT INTO kv VALUES (?, -1)`, NewInt(int64(100000)))
+		if err := db.Update(func(tx *Tx) error {
+			_, err := tx.Exec(`INSERT INTO kv VALUES (?, -1)`, NewInt(int64(100000)))
 			return err
 		}); err != nil {
-			t.Fatalf("budget %d: group after recover: %v", budget, err)
+			t.Fatalf("budget %d: transaction after recover: %v", budget, err)
 		}
 		if err := d.Close(); err != nil {
 			t.Fatalf("budget %d: close: %v", budget, err)
 		}
 
 		// The reopened directory holds the acked prefix plus the
-		// post-recovery group.
+		// post-recovery transaction.
 		rd := mustOpenDurable(t, fvfs, DurableOptions{})
 		if diff := dbStateDiff(db, rd.DB()); diff != "" {
 			t.Fatalf("budget %d: reopened state != live state: %s", budget, diff)

@@ -122,7 +122,7 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		snap.Tables = append(snap.Tables, st)
 	}
 	if ps != nil {
-		name, refs, err := ps.checkpoint(full, state.seq)
+		name, refs, err := ps.checkpoint(full)
 		if err != nil {
 			return "", err
 		}
@@ -238,7 +238,7 @@ func restoreSnapshot(data []byte, pool *pageStore) (*Database, uint64, error) {
 	st := db.state.Load()
 	gen := db.gen.Add(1)
 	for _, sv := range snap.Tables {
-		t, err := restoreTable(sv, pool, pf, gen, snap.Seq)
+		t, err := restoreTable(sv, pool, pf, gen)
 		if err != nil {
 			return nil, 0, fmt.Errorf("sqldb: snapshot table %s: %w", sv.Name, err)
 		}
@@ -254,7 +254,7 @@ func restoreSnapshot(data []byte, pool *pageStore) (*Database, uint64, error) {
 }
 
 // restoreTable rebuilds one table version from its snapshot record.
-func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen, seq uint64) (*table, error) {
+func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*table, error) {
 	def := TableDef{Name: sv.Name, PrimaryKey: append([]int(nil), sv.PrimaryKey...)}
 	for _, c := range sv.Columns {
 		def.Columns = append(def.Columns, Column{Name: c.Name, Type: c.Type, NotNull: c.NotNull})
@@ -271,7 +271,7 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen, seq uint64)
 			if pf == nil || pi >= full || sp.Pid <= 0 || sp.Slots <= 0 {
 				return nil, errorf("bad page reference %d", pi)
 			}
-			pool.adopt(p, pf, sp.Pid, sp.Slots, seq)
+			pool.adopt(p, pf, sp.Pid, sp.Slots)
 		default:
 			limit := int(min(sv.Count-int64(pi)<<heapPageShift, heapPageSize))
 			f, err := decodePagePayload(int64(pi), sp.Inline, limit)
@@ -280,7 +280,7 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen, seq uint64)
 			}
 			p.res.Store(f)
 			if pi < full {
-				pool.add(p, seq)
+				pool.add(p)
 			}
 		}
 		t.pages = append(t.pages, p)

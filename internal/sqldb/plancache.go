@@ -120,6 +120,11 @@ func (db *Database) SchemaEpoch() uint64 {
 // serving from the plan cache when the schema epoch still matches and
 // compiling (and caching) on a miss. The bool reports whether the plan
 // came from the cache. verb names the calling API for error messages.
+//
+// A plan enters the cache only when st's epoch is the published one. A
+// transaction's pending state may carry an epoch its own DDL advanced
+// to, and an aborted transaction's epoch numbers are reused by the next
+// DDL: a plan cached under one could be served for another schema.
 func (db *Database) cachedPlanFor(st *dbState, sql, verb string) (*cachedPlan, bool, error) {
 	if e, ok := db.plans.get(sql, st.epoch); ok {
 		return e, true, nil
@@ -144,6 +149,8 @@ func (db *Database) cachedPlanFor(st *dbState, sql, verb string) (*cachedPlan, b
 		cols[i] = c.name
 	}
 	e := &cachedPlan{p: p, cols: cols, epoch: st.epoch}
-	db.plans.put(sql, e)
+	if st.epoch == db.state.Load().epoch {
+		db.plans.put(sql, e)
+	}
 	return e, false, nil
 }

@@ -64,7 +64,6 @@ type heapPage struct {
 	// Pool bookkeeping, owned by the pageStore (see bufferpool.go).
 	store  atomic.Pointer[pageStore]
 	pooled bool
-	seal   uint64    // commit seq whose WAL fsync must cover eviction
 	file   *pageFile // pages file holding the image; nil = no on-disk copy yet
 	pid    int64     // 1-based first slot of the image in file
 	slots  int32     // image chain length in file slots

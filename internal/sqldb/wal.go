@@ -27,8 +27,9 @@ import (
 //
 // A group frame packs several records into one frame with a single
 // CRC: either the whole group survives recovery or none of it does.
-// The durability layer uses groups to make multi-statement operations
-// (document load, subtree insertion) crash-atomic.
+// A transaction (Database.Update) logs its statements as one group
+// frame, which makes multi-statement operations (document load, subtree
+// insertion) crash-atomic.
 
 // walOp enumerates the logical record kinds.
 type walOp uint8
@@ -565,9 +566,9 @@ func payloadMaxSeq(p []byte, depth int) (uint64, error) {
 // zero/oversized length or undecodable payload ends the scan.
 // Corruption never yields an error — the log is simply truncated at
 // the last good frame, which is exactly the recovery semantics a torn
-// tail needs. Group frames land in the file when the group closes,
-// which may be after later independent commits; sequence numbers
-// restore commit order for replay.
+// tail needs. Frames land in the file in commit order; the sort by
+// sequence number also replays a log whose group frame landed after
+// later commits, which older builds wrote.
 func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
 	off := 0
 	for {
@@ -593,26 +594,12 @@ func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
 // ---------------------------------------------------------------------------
 // Replay
 
-// applyRecord replays one logical record against the database. The
-// commit logger must not be attached while replaying (records would be
-// re-logged); OpenDurable attaches it only after recovery completes.
+// applyRecord replays one logical record against the database, each
+// record as its own transaction. The commit logger must not be
+// attached while replaying (records would be re-logged); OpenDurable
+// attaches it only after recovery completes.
 func (db *Database) applyRecord(rec *walRecord) error {
-	switch rec.Op {
-	case opCreateTable:
-		return db.CreateTableDef(*rec.Def)
-	case opCreateIndex:
-		return db.createIndexDef(*rec.Index)
-	case opDropTable:
-		return db.dropTable(rec.Table)
-	case opDropIndex:
-		return db.dropIndex(rec.Name)
-	case opInsert:
-		return db.applyInsert(rec.Table, rec.Rows)
-	case opDelete:
-		return db.applyDelete(rec.Table, rec.Rows)
-	case opUpdate:
-		return db.applyUpdate(rec.Table, rec.OldRows, rec.Rows)
-	case opGroup:
+	if rec.Op == opGroup {
 		for _, g := range rec.Group {
 			if err := db.applyRecord(g); err != nil {
 				return err
@@ -620,29 +607,46 @@ func (db *Database) applyRecord(rec *walRecord) error {
 		}
 		return nil
 	}
-	return errorf("wal: unknown record op %d", rec.Op)
+	_, err := db.autocommit(func(tx *Tx) (int, error) {
+		switch rec.Op {
+		case opCreateTable:
+			return 0, tx.createTableDef(*rec.Def)
+		case opCreateIndex:
+			return 0, tx.createIndexDef(*rec.Index)
+		case opDropTable:
+			return 0, tx.dropTable(rec.Table)
+		case opDropIndex:
+			return 0, tx.dropIndex(rec.Name)
+		case opInsert:
+			return 0, tx.applyInsert(rec)
+		case opDelete:
+			return 0, tx.applyDelete(rec)
+		case opUpdate:
+			return 0, tx.applyUpdate(rec)
+		}
+		return 0, errorf("wal: unknown record op %d", rec.Op)
+	})
+	return err
 }
 
 // applyInsert replays an insert-effect batch: rows are already coerced
 // and were valid when logged.
-func (db *Database) applyInsert(tableName string, rows [][]Value) error {
-	tx := db.beginWrite()
-	tbl := tx.wtable(tableName)
+func (tx *Tx) applyInsert(rec *walRecord) error {
+	w := tx.stmt()
+	tbl := w.wtable(rec.Table)
 	if tbl == nil {
-		tx.abort()
-		return errorf("wal: insert into missing table %s", tableName)
+		return errorf("wal: insert into missing table %s", rec.Table)
 	}
-	for _, row := range rows {
+	for _, row := range rec.Rows {
 		if len(row) != len(tbl.def.Columns) {
-			tx.abort()
-			return errorf("wal: insert arity mismatch for %s", tableName)
+			return errorf("wal: insert arity mismatch for %s", rec.Table)
 		}
 	}
-	if err := tbl.insertBatch(rows); err != nil {
-		tx.abort()
+	if err := tbl.insertBatch(rec.Rows); err != nil {
 		return fmt.Errorf("sqldb: wal replay: %w", err)
 	}
-	return tx.commit(nil)
+	w.commit(rec)
+	return nil
 }
 
 // rowImageKey renders a row as a comparable byte string for image
@@ -689,55 +693,50 @@ func popImage(m map[string][]int64, key string) (int64, bool) {
 }
 
 // applyDelete replays a delete-effect batch by matching row images.
-func (db *Database) applyDelete(tableName string, images [][]Value) error {
-	tx := db.beginWrite()
-	tbl := tx.wtable(tableName)
+func (tx *Tx) applyDelete(rec *walRecord) error {
+	w := tx.stmt()
+	tbl := w.wtable(rec.Table)
 	if tbl == nil {
-		tx.abort()
-		return errorf("wal: delete from missing table %s", tableName)
+		return errorf("wal: delete from missing table %s", rec.Table)
 	}
 	idx := imageIndex(tbl)
-	for _, img := range images {
+	for _, img := range rec.Rows {
 		rid, ok := popImage(idx, rowImageKey(img))
 		if !ok {
-			tx.abort()
-			return errorf("wal: delete image not found in %s", tableName)
+			return errorf("wal: delete image not found in %s", rec.Table)
 		}
 		tbl.delete(rid)
 	}
-	return tx.commit(nil)
+	w.commit(rec)
+	return nil
 }
 
 // applyUpdate replays an update-effect batch of (old, new) image pairs.
-func (db *Database) applyUpdate(tableName string, oldImages, newImages [][]Value) error {
-	tx := db.beginWrite()
-	tbl := tx.wtable(tableName)
+func (tx *Tx) applyUpdate(rec *walRecord) error {
+	w := tx.stmt()
+	tbl := w.wtable(rec.Table)
 	if tbl == nil {
-		tx.abort()
-		return errorf("wal: update of missing table %s", tableName)
+		return errorf("wal: update of missing table %s", rec.Table)
 	}
-	if len(oldImages) != len(newImages) {
-		tx.abort()
-		return errorf("wal: update image pair mismatch for %s", tableName)
+	if len(rec.OldRows) != len(rec.Rows) {
+		return errorf("wal: update image pair mismatch for %s", rec.Table)
 	}
 	idx := imageIndex(tbl)
-	for i, img := range oldImages {
+	for i, img := range rec.OldRows {
 		rid, ok := popImage(idx, rowImageKey(img))
 		if !ok {
-			tx.abort()
-			return errorf("wal: update image not found in %s", tableName)
+			return errorf("wal: update image not found in %s", rec.Table)
 		}
-		newRow := newImages[i]
+		newRow := rec.Rows[i]
 		if len(newRow) != len(tbl.def.Columns) {
-			tx.abort()
-			return errorf("wal: update arity mismatch for %s", tableName)
+			return errorf("wal: update arity mismatch for %s", rec.Table)
 		}
 		if err := tbl.update(rid, newRow); err != nil {
-			tx.abort()
 			return fmt.Errorf("sqldb: wal replay: %w", err)
 		}
 		k := rowImageKey(newRow)
 		idx[k] = append(idx[k], rid)
 	}
-	return tx.commit(nil)
+	w.commit(rec)
+	return nil
 }

@@ -421,38 +421,47 @@ func TestDurableGroupAtomic(t *testing.T) {
 	db := d.DB()
 	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY)`)
 	pre := d.WALSize()
-	err := d.Group(func() error {
-		db.MustExec(`INSERT INTO kv VALUES (1)`)
-		db.MustExec(`INSERT INTO kv VALUES (2)`)
+	err := db.Update(func(tx *Tx) error {
+		for _, k := range []int64{1, 2} {
+			if _, err := tx.Exec(`INSERT INTO kv VALUES (?)`, NewInt(k)); err != nil {
+				return err
+			}
+		}
 		if d.WALSize() != pre {
-			t.Errorf("group commits hit the log before the group closed")
+			t.Errorf("transaction statements hit the log before the commit")
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("group: %v", err)
+		t.Fatalf("transaction: %v", err)
 	}
 	if d.WALSize() <= pre {
-		t.Fatal("group frame never flushed")
+		t.Fatal("transaction frame never flushed")
 	}
 
-	// A group whose fn errors after committing still flushes the partial
-	// batch — durable state must track the in-memory effects.
+	// A transaction whose fn errors after a statement flushes nothing
+	// and publishes nothing.
+	pre = d.WALSize()
 	wantErr := errors.New("downstream failure")
-	if err := d.Group(func() error {
-		db.MustExec(`INSERT INTO kv VALUES (3)`)
+	if err := db.Update(func(tx *Tx) error {
+		if _, err := tx.Exec(`INSERT INTO kv VALUES (3)`); err != nil {
+			return err
+		}
 		return wantErr
 	}); !errors.Is(err, wantErr) {
-		t.Fatalf("group error = %v, want %v", err, wantErr)
+		t.Fatalf("transaction error = %v, want %v", err, wantErr)
 	}
-	if err := d.Group(func() error { return nil }); err != nil {
-		t.Fatalf("empty group: %v", err)
+	if d.WALSize() != pre || db.TotalRows() != 2 {
+		t.Fatalf("failed transaction left %d WAL bytes, %d rows; want 0, 2", d.WALSize()-pre, db.TotalRows())
+	}
+	if err := db.Update(func(*Tx) error { return nil }); err != nil {
+		t.Fatalf("empty transaction: %v", err)
 	}
 	d.Close()
 
 	d2 := mustOpenDurable(t, fs, DurableOptions{})
-	if n := d2.DB().TotalRows(); n != 3 {
-		t.Fatalf("%d rows after group recovery, want 3", n)
+	if n := d2.DB().TotalRows(); n != 2 {
+		t.Fatalf("%d rows after transaction recovery, want 2", n)
 	}
 	d2.Close()
 }
@@ -485,8 +494,11 @@ func TestDurableFailStop(t *testing.T) {
 	if err := d.Checkpoint(); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("post-failure checkpoint: %v, want ErrWALFailed", err)
 	}
-	if err := d.Group(func() error { return nil }); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("post-failure group: %v, want ErrWALFailed", err)
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tx.Exec(`INSERT INTO kv VALUES (4)`)
+		return err
+	}); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("post-failure transaction: %v, want ErrWALFailed", err)
 	}
 	d.Close()
 
