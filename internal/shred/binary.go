@@ -218,7 +218,7 @@ func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 
 // labelPathOf reconstructs the label path of a stored element by walking
 // parent links across partitions (update-path bookkeeping only).
-func (bn *Binary) labelPathOf(db sqldb.Writer, id int64) (string, error) {
+func (bn *Binary) labelPathOf(db sqldb.Queryer, id int64) (string, error) {
 	if id == 0 {
 		return "", nil
 	}

@@ -129,7 +129,7 @@ func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subt
 
 // storedLabelPath walks parent links in the edge table to recover the
 // label path of a stored element.
-func (e *Edge) storedLabelPath(db sqldb.Writer, id int64) (string, error) {
+func (e *Edge) storedLabelPath(db sqldb.Queryer, id int64) (string, error) {
 	var segs []string
 	cur := id
 	for cur != 0 {

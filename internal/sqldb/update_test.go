@@ -28,9 +28,7 @@ func walImage(t *testing.T, fs VFS) []byte {
 	return data
 }
 
-func rowCount(t *testing.T, q interface {
-	QueryScalar(string, ...Value) (Value, error)
-}, table string) int64 {
+func rowCount(t *testing.T, q Queryer, table string) int64 {
 	t.Helper()
 	v, err := q.QueryScalar(`SELECT COUNT(*) FROM ` + table)
 	if err != nil {
