@@ -1,16 +1,19 @@
 package sqldb
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 )
 
 // B+tree index over packed composite keys (keycodec.go). Entries are
 // (key, rowid) pairs; rowid acts as a tiebreaker so duplicate keys are
-// supported. An inner node records how many entries each child
-// subtree holds, so a key range is counted from the two root-to-leaf
-// paths that bound it (rank, countRange) without visiting the leaves
-// between them.
+// supported. Every node holds its keys as one packedKeys run — a
+// leaf's entries, an inner node's separators — whose arrays hold no Go
+// pointers and store the bytes the run's keys share once. An inner
+// node records how many entries each child subtree holds, so a key
+// range is counted from the two root-to-leaf paths that bound it
+// (rank, countRange) without visiting the leaves between them.
 //
 // The tree is copy-on-write: every node carries the generation that
 // created it, and a writer first calls beginWrite to obtain a private
@@ -22,23 +25,33 @@ import (
 
 const btreeOrder = 64 // max entries per node
 
+// btreeEntry is one (key, rowid) pair outside the tree: a bulk build's
+// input, or a separator on its way up to an inner node.
 type btreeEntry struct {
 	key string // packed key columns
 	rid int64
 }
 
+// compareEntries orders two entries by key, then rowid.
+func compareEntries(a, b btreeEntry) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rid, b.rid)
+}
+
 type btreeNode struct {
 	gen      uint64
 	leaf     bool
-	entries  []btreeEntry // in leaf: data; in inner: separator keys
-	children []*btreeNode // inner only; len = len(entries)+1
+	keys     packedKeys   // in leaf: data; in inner: separator keys
+	children []*btreeNode // inner only; len = keys.len()+1
 	counts   []int        // inner only: entries under each child
 }
 
 // size returns the number of entries under n.
 func (n *btreeNode) size() int {
 	if n.leaf {
-		return len(n.entries)
+		return n.keys.len()
 	}
 	s := 0
 	for _, c := range n.counts {
@@ -92,8 +105,7 @@ func (t *btree) mutable(n *btreeNode) *btreeNode {
 	if n.gen == t.gen {
 		return n
 	}
-	c := &btreeNode{gen: t.gen, leaf: n.leaf}
-	c.entries = append([]btreeEntry(nil), n.entries...)
+	c := &btreeNode{gen: t.gen, leaf: n.leaf, keys: n.keys.clone()}
 	if len(n.children) > 0 {
 		c.children = append([]*btreeNode(nil), n.children...)
 		c.counts = append([]int(nil), n.counts...)
@@ -113,54 +125,8 @@ func (t *btree) DistinctPrefix(l int) int {
 	return d
 }
 
-func compareEntry(a btreeEntry, key string, rid int64) int {
-	if c := strings.Compare(a.key, key); c != 0 {
-		return c
-	}
-	switch {
-	case a.rid < rid:
-		return -1
-	case a.rid > rid:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// lowerBound returns the first index i in n.entries with
-// compareEntry(entries[i], key, rid) >= 0.
-func (n *btreeNode) lowerBound(key string, rid int64) int {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareEntry(n.entries[mid], key, rid) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// childIndex returns the inner-node child to descend to for an exact
-// (key, rid). Separators are copies of their right subtree's first
-// entry, so an entry equal to a separator lives in the RIGHT child:
-// descend left of the first separator strictly greater than the key.
-func (n *btreeNode) childIndex(key string, rid int64) int {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareEntry(n.entries[mid], key, rid) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Insert adds (key, rid) and keeps key. Duplicate (key, rid) pairs are
-// ignored.
+// Insert adds (key, rid); the tree copies key's bytes and does not
+// retain key. Duplicate (key, rid) pairs are ignored.
 func (t *btree) Insert(key string, rid int64) {
 	t.mods++
 	t.root = t.mutable(t.root)
@@ -169,7 +135,7 @@ func (t *btree) Insert(key string, rid int64) {
 		t.root = &btreeNode{
 			gen:      t.gen,
 			leaf:     false,
-			entries:  []btreeEntry{promoted},
+			keys:     packKeys([]btreeEntry{promoted}),
 			children: []*btreeNode{t.root, right},
 			counts:   []int{t.root.size(), right.size()},
 		}
@@ -182,41 +148,40 @@ func (t *btree) Insert(key string, rid int64) {
 // sibling.
 func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btreeEntry, *btreeNode) {
 	if n.leaf {
-		i := n.lowerBound(key, rid)
-		if i < len(n.entries) && compareEntry(n.entries[i], key, rid) == 0 {
+		i := n.keys.search(key, rid, 0)
+		if i < n.keys.len() && n.keys.equal(i, key, rid) {
 			return btreeEntry{}, nil // duplicate
 		}
-		e := btreeEntry{key: key, rid: rid}
 		t.size++
-		t.countPrefixes(key, n.entries, i, 1)
-		if len(n.entries) < btreeOrder {
-			n.entries = slices.Insert(n.entries, i, e)
+		t.countPrefixes(key, &n.keys, i, 1)
+		if n.keys.len() < btreeOrder {
+			n.keys.insert(i, key, rid)
 			return btreeEntry{}, nil
 		}
 		right := t.splitLeaf(n, i, last)
-		if i > len(n.entries) || len(n.entries) == btreeOrder {
-			right.entries = slices.Insert(right.entries, i-len(n.entries), e)
+		if left := n.keys.len(); i > left || left == btreeOrder {
+			right.keys.insert(i-left, key, rid)
 		} else {
-			n.entries = slices.Insert(n.entries, i, e)
+			n.keys.insert(i, key, rid)
 		}
 		// Leaf split promotes a copy of the right node's first entry.
-		return right.entries[0], right
+		return btreeEntry{key: right.keys.key(0), rid: right.keys.rids[0]}, right
 	}
-	i := n.childIndex(key, rid)
+	i := n.keys.search(key, rid, 1)
 	child := t.mutable(n.children[i])
 	n.children[i] = child
 	before := t.size
-	promoted, right := t.insertInto(child, key, rid, last && i == len(n.entries))
+	promoted, right := t.insertInto(child, key, rid, last && i == n.keys.len())
 	n.counts[i] += t.size - before
 	if right == nil {
 		return btreeEntry{}, nil
 	}
-	n.entries = slices.Insert(n.entries, i, promoted)
+	n.keys.insert(i, promoted.key, promoted.rid)
 	n.children = slices.Insert(n.children, i+1, right)
 	rc := right.size()
 	n.counts[i] -= rc
 	n.counts = slices.Insert(n.counts, i+1, rc)
-	if len(n.entries) <= btreeOrder {
+	if n.keys.len() <= btreeOrder {
 		return btreeEntry{}, nil
 	}
 	return t.splitInner(n)
@@ -225,27 +190,35 @@ func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btre
 // splitLeaf splits the full leaf n before the entry that goes at
 // position i is placed, and returns the new right sibling. An insert
 // past the end of the tree's last leaf (ascending keys) leaves n full
-// and starts the sibling empty; any other splits n in half, each half
-// in an array of its own size.
+// and starts the sibling empty, sized for as many keys as n holds; any
+// other splits n in half, each half in arrays of its own size.
 func (t *btree) splitLeaf(n *btreeNode, i int, last bool) *btreeNode {
 	right := &btreeNode{gen: t.gen, leaf: true}
-	if last && i == len(n.entries) {
+	if last && i == n.keys.len() {
+		if s := n.keys.suffix; cap(s)-len(s) > len(s)/8 {
+			n.keys.suffix = slices.Clone(s)
+		}
+		right.keys = packedKeys{
+			suffix: make([]byte, 0, len(n.keys.suffix)),
+			ends:   make([]uint32, 0, btreeOrder),
+			rids:   make([]int64, 0, btreeOrder),
+		}
 		return right
 	}
-	mid := len(n.entries) / 2
-	right.entries = slices.Clone(n.entries[mid:])
-	n.entries = slices.Clone(n.entries[:mid])
+	mid := n.keys.len() / 2
+	right.keys = n.keys.slice(mid, n.keys.len())
+	n.keys = n.keys.slice(0, mid)
 	return right
 }
 
 func (t *btree) splitInner(n *btreeNode) (btreeEntry, *btreeNode) {
-	mid := len(n.entries) / 2
-	promoted := n.entries[mid]
+	mid := n.keys.len() / 2
+	promoted := btreeEntry{key: n.keys.key(mid), rid: n.keys.rids[mid]}
 	right := &btreeNode{gen: t.gen, leaf: false}
-	right.entries = append(right.entries, n.entries[mid+1:]...)
+	right.keys = n.keys.slice(mid+1, n.keys.len())
 	right.children = append(right.children, n.children[mid+1:]...)
 	right.counts = append(right.counts, n.counts[mid+1:]...)
-	n.entries = n.entries[:mid:mid]
+	n.keys = n.keys.slice(0, mid)
 	n.children = n.children[: mid+1 : mid+1]
 	n.counts = n.counts[: mid+1 : mid+1]
 	return promoted, right
@@ -258,42 +231,43 @@ func (t *btree) Delete(key string, rid int64) bool {
 	// Probe first so a missing entry does not path-copy for nothing.
 	n := t.root
 	for !n.leaf {
-		n = n.children[n.childIndex(key, rid)]
+		n = n.children[n.keys.search(key, rid, 1)]
 	}
-	i := n.lowerBound(key, rid)
-	if i >= len(n.entries) || compareEntry(n.entries[i], key, rid) != 0 {
+	i := n.keys.search(key, rid, 0)
+	if i >= n.keys.len() || !n.keys.equal(i, key, rid) {
 		return false
 	}
 	t.mods++
 	t.root = t.mutable(t.root)
 	n = t.root
 	for !n.leaf {
-		ci := n.childIndex(key, rid)
+		ci := n.keys.search(key, rid, 1)
 		c := t.mutable(n.children[ci])
 		n.children[ci] = c
 		n.counts[ci]--
 		n = c
 	}
-	i = n.lowerBound(key, rid)
-	n.entries = slices.Delete(n.entries, i, i+1)
-	t.countPrefixes(key, n.entries, i, -1)
+	i = n.keys.search(key, rid, 0)
+	n.keys.delete(i)
+	t.countPrefixes(key, &n.keys, i, -1)
 	t.size--
 	return true
 }
 
 // countPrefixes adds delta to the count of every prefix of key that
-// neither leaf neighbor shares: entries is the leaf without key, and i
-// the position key goes to (+1) or left (-1).
-func (t *btree) countPrefixes(key string, entries []btreeEntry, i, delta int) {
-	near := entries[max(i-1, 0):min(i+1, len(entries))]
+// neither leaf neighbor shares: leaf is the leaf without key, and i the
+// position key goes to (+1) or left (-1).
+func (t *btree) countPrefixes(key string, leaf *packedKeys, i, delta int) {
+	shared := 0 // the most leading bytes key shares with a neighbor
+	for j := max(i-1, 0); j < min(i+1, leaf.len()); j++ {
+		shared = max(shared, leaf.sharedLen(j, key))
+	}
 	end := 0
 	for l := range t.distinct {
-		end = keyColumnEnd(key, end)
-		shared := false
-		for _, e := range near {
-			shared = shared || strings.HasPrefix(e.key, key[:end])
+		if end <= shared {
+			end = keyColumnEnd(key, end)
 		}
-		if !shared && t.distinct[l]+delta >= 0 {
+		if end > shared && t.distinct[l]+delta >= 0 {
 			t.distinct[l] += delta
 		}
 	}
@@ -310,56 +284,69 @@ func (t *btree) Len() int { return t.size }
 // over a rowid-order scan keeps.
 func (t *btree) extreme(max bool) (rid int64, ok bool) {
 	var c btreeCursor
+	var buf [keyScratch]byte
 	if max {
-		last, ok := t.root.last()
-		if !ok || last.key[0] == keyNull {
+		leaf := t.root.lastLeaf()
+		if leaf == nil {
 			return 0, false
 		}
-		c = t.seek(last.key[:keyColumnEnd(last.key, 0)])
+		last := keyView(leaf.keys.appendKey(buf[:0], leaf.keys.len()-1))
+		if last[0] == keyNull {
+			return 0, false
+		}
+		c = t.seek(last[:keyColumnEnd(last, 0)])
 	} else {
 		c = t.seekAfter(nullColumn)
 	}
 	if !c.valid() {
 		return 0, false
 	}
-	best := c.entry()
+	rid = c.rid()
 	// Equal keys sort by rowid, but equal leading values of a wider key
 	// sort by the later columns first; only numbers have several forms.
-	if len(t.distinct) > 1 && best.key[0] == keyNumber {
-		lead := best.key[:keyColumnEnd(best.key, 0)]
-		for c.advance(); c.valid() && strings.HasPrefix(c.entry().key, lead); c.advance() {
-			if e := c.entry(); e.rid < best.rid {
-				best = e
+	if len(t.distinct) > 1 {
+		pre, suf := c.key()
+		key := keyView(append(append(buf[:0], pre...), suf...))
+		if key[0] == keyNumber {
+			lead := key[:keyColumnEnd(key, 0)]
+			for c.advance(); c.valid(); c.advance() {
+				if pre, suf := c.key(); !hasPrefixParts(pre, suf, lead) {
+					break
+				}
+				rid = min(rid, c.rid())
 			}
 		}
 	}
-	return best.rid, true
+	return rid, true
 }
 
-// last returns the greatest entry under n, skipping the empty leaves
-// deletes leave behind.
-func (n *btreeNode) last() (btreeEntry, bool) {
+// lastLeaf returns the rightmost leaf under n that holds an entry,
+// skipping the empty leaves deletes leave behind; nil when there is
+// none.
+func (n *btreeNode) lastLeaf() *btreeNode {
 	if n.leaf {
-		if len(n.entries) == 0 {
-			return btreeEntry{}, false
+		if n.keys.len() == 0 {
+			return nil
 		}
-		return n.entries[len(n.entries)-1], true
+		return n
 	}
 	for i := len(n.children) - 1; i >= 0; i-- {
-		if e, ok := n.children[i].last(); ok {
-			return e, true
+		if l := n.children[i].lastLeaf(); l != nil {
+			return l
 		}
 	}
-	return btreeEntry{}, false
+	return nil
 }
 
 // buildBtree builds a tree at generation gen bottom-up from entries,
-// which it sorts in place and then owns: full leaves are windows onto
-// the one sorted array, inner levels are packed above them, and the
-// distinct-prefix counts are exact. When two entries share a key, dup
-// is the least rowid that has an equal key at a lower rowid.
+// which it sorts in place: full leaves are packed from runs of the
+// sorted array, inner levels are packed above them, and the
+// distinct-prefix counts are exact. The tree copies every key it keeps,
+// so neither entries nor the bytes their keys view are retained. When
+// two entries share a key, dup is the least rowid that has an equal key
+// at a lower rowid.
 func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int64, hasDup bool) {
-	slices.SortFunc(entries, func(a, b btreeEntry) int { return compareEntry(a, b.key, b.rid) })
+	slices.SortFunc(entries, compareEntries)
 	t = newBtree(gen, width)
 	t.size = len(entries)
 	for i, e := range entries {
@@ -367,11 +354,7 @@ func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int6
 		// in are shared; every later prefix is new.
 		common, end := 0, 0
 		if i > 0 {
-			prev := entries[i-1].key
-			n := 0
-			for n < len(prev) && n < len(e.key) && prev[n] == e.key[n] {
-				n++
-			}
+			n := commonPrefixLen(entries[i-1].key, e.key)
 			for common < width {
 				next := keyColumnEnd(e.key, end)
 				if next > n {
@@ -391,15 +374,13 @@ func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int6
 		return t, dup, hasDup
 	}
 	level := make([]*btreeNode, 0, (len(entries)+btreeOrder-1)/btreeOrder)
-	for lo := 0; lo < len(entries); lo += btreeOrder {
-		hi := min(lo+btreeOrder, len(entries))
-		level = append(level, &btreeNode{gen: gen, leaf: true, entries: entries[lo:hi:hi]})
-	}
 	// first[i] is the least entry under level[i]: the separator to its
 	// left one level up.
-	first := make([]btreeEntry, len(level))
-	for i, n := range level {
-		first[i] = n.entries[0]
+	first := make([]btreeEntry, 0, cap(level))
+	for lo := 0; lo < len(entries); lo += btreeOrder {
+		hi := min(lo+btreeOrder, len(entries))
+		level = append(level, &btreeNode{gen: gen, leaf: true, keys: packKeys(entries[lo:hi])})
+		first = append(first, entries[lo])
 	}
 	for len(level) > 1 {
 		// Spread the level evenly over as few parents as hold it, so
@@ -416,7 +397,7 @@ func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int6
 			}
 			up[k] = &btreeNode{
 				gen:      gen,
-				entries:  slices.Clone(first[lo+1 : hi]),
+				keys:     packKeys(first[lo+1 : hi]),
 				children: level[lo:hi:hi],
 				counts:   counts,
 			}
@@ -467,7 +448,7 @@ func (c *btreeCursor) descend(t *btree, bound string, strict int) {
 	c.frames = c.frames[:0]
 	n := t.root
 	for {
-		lo := bisectAbove(n.entries, 0, bound, strict)
+		lo := n.keys.bisectAbove(bound, strict)
 		c.frames = append(c.frames, cursorFrame{node: n, pos: lo})
 		if n.leaf {
 			break
@@ -475,35 +456,6 @@ func (c *btreeCursor) descend(t *btree, bound string, strict int) {
 		n = n.children[lo]
 	}
 	c.skipEmpty()
-}
-
-// firstAbove returns the first index i >= from of entries whose key
-// prefix compares above bound by at least strict, len(entries) when
-// there is none; the entries before from are not looked at. It gallops
-// — from, from+1, from+3, from+7, … — and then bisects the last step,
-// so a position k entries on costs O(log k) comparisons.
-func firstAbove(entries []btreeEntry, from int, bound string, strict int) int {
-	lo, hi, step := from, from, 1
-	for hi < len(entries) && prefixCompare(entries[hi].key, bound) < strict {
-		lo = hi + 1
-		hi += step
-		step *= 2
-	}
-	return bisectAbove(entries[:min(hi, len(entries))], lo, bound, strict)
-}
-
-// bisectAbove is firstAbove by binary search over entries[lo:].
-func bisectAbove(entries []btreeEntry, lo int, bound string, strict int) int {
-	hi := len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if prefixCompare(entries[mid].key, bound) < strict {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // rank returns the number of entries before the position descend(bound,
@@ -514,7 +466,7 @@ func (t *btree) rank(bound string, strict int) int {
 	r := 0
 	n := t.root
 	for {
-		lo := bisectAbove(n.entries, 0, bound, strict)
+		lo := n.keys.bisectAbove(bound, strict)
 		if n.leaf {
 			return r + lo
 		}
@@ -548,13 +500,13 @@ func (c *btreeCursor) skipEmpty() {
 	for len(c.frames) > 0 {
 		top := &c.frames[len(c.frames)-1]
 		if top.node.leaf {
-			if top.pos < len(top.node.entries) {
+			if top.pos < top.node.keys.len() {
 				return
 			}
 			c.frames = c.frames[:len(c.frames)-1]
 			continue
 		}
-		if top.pos+1 <= len(top.node.entries) {
+		if top.pos+1 <= top.node.keys.len() {
 			top.pos++
 			n := top.node.children[top.pos]
 			for !n.leaf {
@@ -574,13 +526,22 @@ func (c *btreeCursor) valid() bool {
 		return false
 	}
 	top := c.frames[len(c.frames)-1]
-	return top.node.leaf && top.pos < len(top.node.entries)
+	return top.node.leaf && top.pos < top.node.keys.len()
 }
 
-// entry returns the current entry; caller must check valid first.
-func (c *btreeCursor) entry() btreeEntry {
+// key returns the current entry's key in two parts, its leaf's shared
+// prefix and its own suffix: views into the leaf, good only until the
+// tree next changes. The caller must check valid first.
+func (c *btreeCursor) key() (pre, suf string) {
 	top := c.frames[len(c.frames)-1]
-	return top.node.entries[top.pos]
+	return top.node.keys.pre(), top.node.keys.suf(top.pos)
+}
+
+// rid returns the current entry's rowid; the caller must check valid
+// first.
+func (c *btreeCursor) rid() int64 {
+	top := c.frames[len(c.frames)-1]
+	return top.node.keys.rids[top.pos]
 }
 
 // advance moves to the next entry in key order.
@@ -674,17 +635,18 @@ func (p *probeCursor) resume(bound string, strict int) {
 	l := len(p.frames) - 1
 	for ; l > 0; l-- {
 		f := p.frames[l]
-		last := len(f.node.entries) - 1
-		if last >= f.pos && prefixCompare(f.node.entries[last].key, bound) >= strict {
-			break
+		if last := f.node.keys.len() - 1; last >= f.pos {
+			if c, _ := f.node.keys.cmpBound(last, bound); c >= strict {
+				break
+			}
 		}
 	}
 	f := &p.frames[l]
-	f.pos = firstAbove(f.node.entries, f.pos, bound, strict)
+	f.pos = f.node.keys.firstAbove(f.pos, bound, strict)
 	p.frames = p.frames[:l+1]
 	for n := f.node; !n.leaf; {
 		n = n.children[p.frames[len(p.frames)-1].pos]
-		p.frames = append(p.frames, cursorFrame{node: n, pos: firstAbove(n.entries, 0, bound, strict)})
+		p.frames = append(p.frames, cursorFrame{node: n, pos: n.keys.firstAbove(0, bound, strict)})
 	}
 	p.skipEmpty()
 }

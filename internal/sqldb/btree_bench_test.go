@@ -1,0 +1,107 @@
+package sqldb
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// BenchmarkBtree measures the index B-tree on keys shaped like an
+// Interval name index's, (kind, name, pre): 300 names, each over a run
+// of ascending numbers.
+//
+//   - insert/ascending and insert/random: one Insert per op, in key
+//     order or in a random one; the tree starts over every 1<<16 keys.
+//   - probe: a probe cursor's seek to a random (kind, name, pre) start,
+//     then a walk of up to eight entries that stops at the end of the
+//     name, as an index join does per outer row.
+//
+// Each reports bytes/entry: what a tree of all 1<<16 keys, grown in the
+// same order, holds in its nodes and their arrays.
+func BenchmarkBtree(b *testing.B) {
+	const size = 1 << 16
+	keys := make([]string, size)
+	for i := range keys {
+		keys[i] = encKey(NewInt(1), NewText(fmt.Sprintf("name%03d", i%300)), NewInt(int64(i)))
+	}
+	slices.Sort(keys)
+	names := make([]string, size) // names[i] is keys[i]'s (kind, name)
+	for i, k := range keys {
+		names[i] = k[:keyColumnEnd(k, keyColumnEnd(k, 0))]
+	}
+	rng := rand.New(rand.NewSource(1))
+	ascending := make([]int, size)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	random := slices.Clone(ascending)
+	rng.Shuffle(size, func(i, j int) { random[i], random[j] = random[j], random[i] })
+	grow := func(order []int) *btree {
+		tr := newBtree(1, 3)
+		for _, i := range order {
+			tr.Insert(keys[i], int64(i))
+		}
+		return tr
+	}
+	perEntry := func(tr *btree) float64 { return float64(footprint(tr.root)) / float64(tr.Len()) }
+
+	for _, c := range []struct {
+		name  string
+		order []int
+	}{{"ascending", ascending}, {"random", random}} {
+		b.Run("insert/"+c.name, func(b *testing.B) {
+			bytes := perEntry(grow(c.order))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var tr *btree
+			for n := 0; n < b.N; n++ {
+				if n%size == 0 {
+					tr = newBtree(1, 3)
+				}
+				i := c.order[n%size]
+				tr.Insert(keys[i], int64(i))
+			}
+			b.StopTimer()
+			b.ReportMetric(bytes, "bytes/entry")
+		})
+	}
+
+	for _, c := range []struct {
+		name  string
+		order []int
+	}{{"ascending", ascending}, {"random", random}} {
+		b.Run("probe/"+c.name, func(b *testing.B) {
+			tr := grow(random)
+			bytes := perEntry(tr)
+			var p probeCursor
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				i := c.order[n%size]
+				stop := keyBound{key: names[i], incl: true}
+				p.seek(tr, keys[i], 0)
+				for k := 0; k < 8; k++ {
+					if _, ok := stop.next(&p.btreeCursor); !ok {
+						break
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(bytes, "bytes/entry")
+		})
+	}
+}
+
+// footprint returns the bytes the nodes under n and their arrays hold,
+// counted at capacity.
+func footprint(n *btreeNode) int {
+	k := &n.keys
+	s := int(unsafe.Sizeof(*n)) + cap(k.prefix) + cap(k.suffix) + 4*cap(k.ends) + 8*cap(k.rids) +
+		8*cap(n.children) + 8*cap(n.counts)
+	for _, c := range n.children {
+		s += footprint(c)
+	}
+	return s
+}

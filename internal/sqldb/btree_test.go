@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -24,6 +25,13 @@ func intKey(is ...int64) string {
 		vals[i] = NewInt(x)
 	}
 	return encKey(vals...)
+}
+
+// entry returns the cursor's entry with its key built; the caller must
+// check valid first.
+func (c *btreeCursor) entry() btreeEntry {
+	pre, suf := c.key()
+	return btreeEntry{key: pre + suf, rid: c.rid()}
 }
 
 func collectAll(t *btree) []btreeEntry {
@@ -63,34 +71,36 @@ func distinctRecount(entries []btreeEntry, width int) []int {
 // first Delete (deletes leave separators in place). exactDistinct
 // requires the distinct-prefix counts to match a recount, which holds
 // for built trees. Every inner node's per-child counts must match the
-// entries under the child.
+// entries under the child, and every node's packed run must be well
+// formed (checkRun).
 func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntry {
 	t.Helper()
 	var all []btreeEntry
 	var walk func(n *btreeNode, lo, hi *btreeEntry)
 	walk = func(n *btreeNode, lo, hi *btreeEntry) {
-		if len(n.entries) > btreeOrder {
-			t.Fatalf("node holds %d entries, order %d", len(n.entries), btreeOrder)
+		keys := checkRun(t, &n.keys)
+		if len(keys) > btreeOrder {
+			t.Fatalf("node holds %d entries, order %d", len(keys), btreeOrder)
 		}
 		if n.leaf {
-			for _, e := range n.entries {
-				if lo != nil && compareEntry(e, lo.key, lo.rid) < 0 || hi != nil && compareEntry(e, hi.key, hi.rid) >= 0 {
+			for _, e := range keys {
+				if lo != nil && compareEntries(e, *lo) < 0 || hi != nil && compareEntries(e, *hi) >= 0 {
 					t.Fatalf("entry %q/%d outside its separators", e.key, e.rid)
 				}
 				all = append(all, e)
 			}
 			return
 		}
-		if len(n.children) != len(n.entries)+1 || len(n.counts) != len(n.children) {
-			t.Fatalf("inner node: %d children, %d counts for %d separators", len(n.children), len(n.counts), len(n.entries))
+		if len(n.children) != len(keys)+1 || len(n.counts) != len(n.children) {
+			t.Fatalf("inner node: %d children, %d counts for %d separators", len(n.children), len(n.counts), len(keys))
 		}
 		for i, child := range n.children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = &n.entries[i-1]
+				clo = &keys[i-1]
 			}
-			if i < len(n.entries) {
-				chi = &n.entries[i]
+			if i < len(keys) {
+				chi = &keys[i]
 			}
 			before := len(all)
 			walk(child, clo, chi)
@@ -98,15 +108,15 @@ func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntr
 				t.Fatalf("inner node counts %d entries under child %d, which holds %d", n.counts[i], i, len(all)-before)
 			}
 			if strict && i > 0 {
-				if len(all) == before || all[before] != n.entries[i-1] {
-					t.Fatalf("separator %q/%d is not its right subtree's first entry", n.entries[i-1].key, n.entries[i-1].rid)
+				if len(all) == before || all[before] != keys[i-1] {
+					t.Fatalf("separator %q/%d is not its right subtree's first entry", keys[i-1].key, keys[i-1].rid)
 				}
 			}
 		}
 	}
 	walk(tr.root, nil, nil)
 	for i := 1; i < len(all); i++ {
-		if compareEntry(all[i-1], all[i].key, all[i].rid) >= 0 {
+		if compareEntries(all[i-1], all[i]) >= 0 {
 			t.Fatalf("entries %d and %d out of (key, rid) order", i-1, i)
 		}
 	}
@@ -122,6 +132,37 @@ func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntr
 		}
 	}
 	return all
+}
+
+// checkRun verifies a packed run — offsets and rowids in step, offsets
+// ascending to the end of the suffix bytes, the prefix the longest its
+// first and last keys share — and returns its entries.
+func checkRun(t *testing.T, r *packedKeys) []btreeEntry {
+	t.Helper()
+	if len(r.ends) != len(r.rids) {
+		t.Fatalf("run has %d offsets for %d rowids", len(r.ends), len(r.rids))
+	}
+	var out []btreeEntry
+	for i, end := range r.ends {
+		if int(end) < r.start(i) || int(end) > len(r.suffix) {
+			t.Fatalf("offset %d of key %d outside [%d, %d]", end, i, r.start(i), len(r.suffix))
+		}
+		out = append(out, btreeEntry{key: r.key(i), rid: r.rids[i]})
+	}
+	if len(out) == 0 {
+		if len(r.prefix) != 0 || len(r.suffix) != 0 {
+			t.Fatalf("empty run keeps a %d-byte prefix and %d suffix bytes", len(r.prefix), len(r.suffix))
+		}
+		return nil
+	}
+	if int(r.ends[len(r.ends)-1]) != len(r.suffix) {
+		t.Fatalf("offsets end at %d, suffix holds %d bytes", r.ends[len(r.ends)-1], len(r.suffix))
+	}
+	first, last := out[0].key, out[len(out)-1].key
+	if want := first[:commonPrefixLen(first, last)]; string(r.prefix) != want {
+		t.Fatalf("run prefix %q, its end keys share %q", r.prefix, want)
+	}
+	return out
 }
 
 func TestBtreeOrderedInsertScan(t *testing.T) {
@@ -205,33 +246,139 @@ func TestBtreeRangeScan(t *testing.T) {
 	}
 }
 
-// Property: the tree agrees with a reference sorted slice under random
-// interleaved inserts and deletes.
+// modelKeys are two-column keys for the reference model: TEXT of 0 to
+// 300 bytes sharing long leading runs, so leaf prefixes shrink and grow
+// as keys come and go at a leaf's ends; numbers and NULLs, which share
+// nothing with the TEXT keys; and last, one key over 64 KiB, which
+// needs offsets wider than 16 bits.
+func modelKeys() []string {
+	base := strings.Repeat("ab", 150)
+	var keys []string
+	for _, l := range []int{0, 1, 7, 40, 41, 120, 299, 300} {
+		keys = append(keys,
+			encKey(NewText(base[:l]), NewInt(int64(l))),
+			encKey(NewText(base[:l]), NewFloat(-0.5)),
+			encKey(NewText(base[:l/2]+"z"+base[:l/2]), NewInt(1)))
+	}
+	keys = append(keys, intKey(5, 6), intKey(5, 7), encKey(Null, NewInt(1)), encKey(NewInt(-3), Null))
+	return append(keys, encKey(NewText(strings.Repeat("ab", 1<<15)+"!"), NewInt(2)))
+}
+
+// pickKey returns one of keys, the long last one only rarely so the
+// trees stay small.
+func pickKey(rng *rand.Rand, keys []string) string {
+	if rng.Intn(64) == 0 {
+		return keys[len(keys)-1]
+	}
+	return keys[rng.Intn(len(keys)-1)]
+}
+
+// Property: the tree agrees with a reference set under random
+// interleaved inserts and deletes of two-column keys, long enough to
+// split leaves and fill two levels, and stays well formed throughout.
 func TestBtreeAgainstReferenceModel(t *testing.T) {
 	type op struct {
-		Key uint8
-		Rid uint8
+		Key string
+		Rid int64
 		Del bool
 	}
+	keys := modelKeys()
 	check := func(ops []op) bool {
-		tr := newBtree(1, 1)
+		tr := newBtree(1, 2)
 		ref := map[btreeEntry]bool{}
 		for _, o := range ops {
-			e := btreeEntry{key: intKey(int64(o.Key % 16)), rid: int64(o.Rid % 32)}
+			e := btreeEntry{key: o.Key, rid: o.Rid}
 			if o.Del {
-				tr.Delete(e.key, e.rid)
+				if tr.Delete(e.key, e.rid) != ref[e] {
+					return false
+				}
 				delete(ref, e)
 			} else {
 				tr.Insert(e.key, e.rid)
 				ref[e] = true
 			}
 		}
-		return sameEntries(collectAll(tr), ref) && tr.Len() == len(ref)
+		return sameEntries(checkBtree(t, tr, false, false), ref) && tr.Len() == len(ref)
 	}
-	cfg := &quick.Config{MaxCount: 200}
+	cfg := &quick.Config{MaxCount: 40, Values: func(args []reflect.Value, rng *rand.Rand) {
+		ops := make([]op, rng.Intn(2500))
+		for i := range ops {
+			ops[i] = op{Key: pickKey(rng, keys), Rid: int64(rng.Intn(64)), Del: rng.Intn(3) == 0}
+		}
+		args[0] = reflect.ValueOf(ops)
+	}}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBtreeCopyOnWrite: a handle taken before beginWrite reads exactly
+// its original entries after the writer's inserts, deletes and splits —
+// and so does the writer's handle after a second writer's.
+func TestBtreeCopyOnWrite(t *testing.T) {
+	keys := modelKeys()
+	rng := rand.New(rand.NewSource(5))
+	tr := newBtree(1, 2)
+	for i := 0; i < 3000; i++ {
+		tr.Insert(pickKey(rng, keys), int64(i))
+	}
+	write := func(tr *btree, gen uint64) *btree {
+		w := tr.beginWrite(gen)
+		live := collectAll(w)
+		for i := 0; i < 3000; i++ {
+			if rng.Intn(3) == 0 {
+				e := live[rng.Intn(len(live))]
+				w.Delete(e.key, e.rid)
+				continue
+			}
+			w.Insert(pickKey(rng, keys), int64(gen)<<20+int64(i))
+		}
+		return w
+	}
+	want := checkBtree(t, tr, false, false)
+	w := write(tr, 2)
+	wantW := checkBtree(t, w, false, false)
+	if slices.Equal(wantW, want) {
+		t.Fatal("the writer changed nothing")
+	}
+	write(w, 3)
+	if got := checkBtree(t, tr, false, false); !slices.Equal(got, want) {
+		t.Fatalf("the original handle reads %d entries after two writers, %d before, or they differ", len(got), len(want))
+	}
+	if got := checkBtree(t, w, false, false); !slices.Equal(got, wantW) {
+		t.Fatalf("the first writer's handle reads %d entries after the second writer, %d before, or they differ", len(got), len(wantW))
+	}
+}
+
+// TestPackedKeysHoldNoPointers guards the point of the packed run: each
+// of its fields is a slice whose elements cannot hold a pointer, so its
+// arrays are allocated in memory the garbage collector does not scan.
+func TestPackedKeysHoldNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(packedKeys{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Slice || mayHoldPointer(f.Type.Elem()) {
+			t.Errorf("packedKeys.%s is a %s: a run's storage must hold no pointers", f.Name, f.Type)
+		}
+	}
+}
+
+func mayHoldPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && mayHoldPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if mayHoldPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // sameEntries reports whether got, which must be in (key, rid) order,
@@ -241,7 +388,7 @@ func sameEntries(got []btreeEntry, ref map[btreeEntry]bool) bool {
 		return false
 	}
 	for i, e := range got {
-		if !ref[e] || i > 0 && compareEntry(got[i-1], e.key, e.rid) >= 0 {
+		if !ref[e] || i > 0 && compareEntries(got[i-1], e) >= 0 {
 			return false
 		}
 	}
@@ -352,7 +499,7 @@ func checkCountRange(t *testing.T, tr *btree, all []btreeEntry) {
 			var cur probeCursor
 			want := 0
 			stop, _ := p.seek(nil, nil, tr, &buf, &cur, nil)
-			for ; cur.valid() && !stop.passed(cur.entry().key); cur.advance() {
+			for _, ok := stop.next(&cur.btreeCursor); ok; _, ok = stop.next(&cur.btreeCursor) {
 				want++
 			}
 			if got != want {

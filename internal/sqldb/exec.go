@@ -175,17 +175,51 @@ type probeBuf struct {
 type keyBound struct {
 	key  string
 	incl bool
+	// run is the leaf passed last looked at, and rest, c and decided are
+	// its cutBound of key: the leaf's keys are compared by suffix alone,
+	// or not at all when its prefix decides. No write changes the tree
+	// while a range is walked, so the cut holds for the whole leaf.
+	run     *packedKeys
+	rest    string
+	c       int
+	decided bool
 }
 
-func (b *keyBound) passed(key string) bool {
+// next returns the rowid of the entry the cursor stands on and steps
+// past it; ok is false when the cursor is exhausted or the entry's key
+// lies past the bound.
+func (b *keyBound) next(c *btreeCursor) (rid int64, ok bool) {
+	if len(c.frames) == 0 {
+		return 0, false
+	}
+	top := &c.frames[len(c.frames)-1]
+	run, i := &top.node.keys, top.pos
+	if b.passed(run, i) {
+		return 0, false
+	}
+	if top.pos++; top.pos == run.len() {
+		c.skipEmpty()
+	}
+	return run.rids[i], true
+}
+
+// passed reports whether key i of the leaf run lies past the bound.
+func (b *keyBound) passed(run *packedKeys, i int) bool {
 	if b.key == "" {
 		return false
 	}
-	c := prefixCompare(key, b.key)
-	if b.incl {
-		return c > 0
+	if run != b.run {
+		b.run = run
+		b.rest, b.c, b.decided = run.cutBound(b.key)
 	}
-	return c >= 0
+	cmp := b.c
+	if !b.decided {
+		cmp = prefixCompare(run.suf(i), b.rest)
+	}
+	if b.incl {
+		return cmp > 0
+	}
+	return cmp >= 0
 }
 
 // seek evaluates the probe against row and positions cur at the first
@@ -318,13 +352,12 @@ func (it *indexScanIter) rewind() error {
 }
 
 func (it *indexScanIter) next() ([]Value, error) {
-	for it.cur.valid() {
-		e := it.cur.entry()
-		if it.stop.passed(e.key) {
+	for {
+		rid, ok := it.stop.next(&it.cur.btreeCursor)
+		if !ok {
 			return nil, nil
 		}
-		it.cur.advance()
-		row := it.tbl.rowRef(e.rid, &it.ref)
+		row := it.tbl.rowRef(rid, &it.ref)
 		if row == nil {
 			continue
 		}
@@ -339,7 +372,6 @@ func (it *indexScanIter) next() ([]Value, error) {
 		}
 		return row, nil
 	}
-	return nil, nil
 }
 
 func (it *indexScanIter) close() { it.ref.release() }
@@ -963,13 +995,12 @@ func (it *indexJoinIter) next() ([]Value, error) {
 			it.buf.setLeft(it.lrow)
 			it.active = true
 		}
-		for it.cur.valid() {
-			e := it.cur.entry()
-			if it.stop.passed(e.key) {
+		for {
+			rid, ok := it.stop.next(&it.cur.btreeCursor)
+			if !ok {
 				break
 			}
-			it.cur.advance()
-			row := it.tbl.rowRef(e.rid, &it.ref)
+			row := it.tbl.rowRef(rid, &it.ref)
 			if row == nil {
 				continue
 			}

@@ -203,3 +203,17 @@ func prefixCompare(key, bound string) int {
 	}
 	return strings.Compare(key, bound)
 }
+
+// equalParts reports whether pre+suf is key, without building pre+suf.
+func equalParts(pre, suf, key string) bool {
+	return len(pre)+len(suf) == len(key) && hasPrefixParts(pre, suf, key)
+}
+
+// hasPrefixParts is strings.HasPrefix(pre+suf, p), without building
+// pre+suf.
+func hasPrefixParts(pre, suf, p string) bool {
+	if len(p) <= len(pre) {
+		return pre[:len(p)] == p
+	}
+	return pre == p[:len(pre)] && strings.HasPrefix(suf, p[len(pre):])
+}

@@ -228,44 +228,19 @@ func (idx *tableIndex) keyValues(row []Value) []Value {
 	return key
 }
 
-// insert appends a row (already coerced and validated) and maintains all
-// indexes. It returns the new rowid.
-func (t *table) insert(row []Value) (int64, error) { return t.insertKeyed(row, nil) }
-
 // insertBatch inserts rows (already coerced and validated) in order.
-// Each index's keys for the whole batch are encoded into one string, so
-// a bulk load makes one key allocation per index, not one per row and
-// index, and the long-lived keys do not interleave with the load's
-// short-lived allocations. A key outlives a delete of its row only as
-// part of that string.
 func (t *table) insertBatch(rows [][]Value) error {
-	n := len(t.indexes)
-	keys := make([]string, len(rows)*n)
-	var enc []byte
-	ends := make([]int, len(rows))
-	for i, idx := range t.indexes {
-		enc = enc[:0]
-		for r, row := range rows {
-			enc = appendRowKey(enc, idx.def.Columns, row)
-			ends[r] = len(enc)
-		}
-		all, start := string(enc), 0
-		for r, end := range ends {
-			keys[r*n+i] = all[start:end]
-			start = end
-		}
-	}
-	for r, row := range rows {
-		if _, err := t.insertKeyed(row, keys[r*n:(r+1)*n]); err != nil {
+	for _, row := range rows {
+		if _, err := t.insert(row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// insertKeyed is insert with the row's index keys given, keys[i] for
-// t.indexes[i]; nil encodes them here.
-func (t *table) insertKeyed(row []Value, keys []string) (int64, error) {
+// insert appends a row (already coerced and validated) and maintains all
+// indexes. It returns the new rowid.
+func (t *table) insert(row []Value) (int64, error) {
 	var buf [keyScratch]byte
 	// The primary key index comes first, so it is checked first.
 	for _, idx := range t.indexes {
@@ -296,12 +271,8 @@ func (t *table) insertKeyed(row []Value, keys []string) (int64, error) {
 	t.count++
 	t.live++
 	t.bytes += t.rowBytes(row)
-	for i, idx := range t.indexes {
-		if keys != nil {
-			idx.tree.Insert(keys[i], rid)
-		} else {
-			idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
-		}
+	for _, idx := range t.indexes {
+		idx.tree.Insert(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
 	}
 	return rid, nil
 }
@@ -310,10 +281,13 @@ func (t *table) insertKeyed(row []Value, keys []string) (int64, error) {
 func (t *table) lookupUnique(idx *tableIndex, key []byte) (int64, bool) {
 	k := keyView(key)
 	c := idx.tree.seek(k)
-	if !c.valid() || c.entry().key != k {
+	if !c.valid() {
 		return 0, false
 	}
-	return c.entry().rid, true
+	if pre, suf := c.key(); !equalParts(pre, suf, k) {
+		return 0, false
+	}
+	return c.rid(), true
 }
 
 // delete tombstones the row at rid and removes index entries.
@@ -356,7 +330,7 @@ func (t *table) update(rid int64, row []Value) error {
 	t.bytes += t.rowBytes(row) - t.rowBytes(old)
 	t.writableFrame(rid).rows[rid&heapPageMask] = row
 	for _, idx := range t.indexes {
-		idx.tree.Insert(string(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
+		idx.tree.Insert(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
 	}
 	return nil
 }
@@ -381,7 +355,8 @@ func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
 
 // indexBuild collects one index's (key, rowid) entries from a scan, the
 // keys packed back to back in one arena, and builds its tree bottom-up
-// (CREATE INDEX on a populated table, and snapshot restore).
+// (CREATE INDEX on a populated table, and snapshot restore). The tree
+// copies the keys, so the arena is dropped once it is built.
 type indexBuild struct {
 	idx   *tableIndex
 	arena []byte
@@ -398,7 +373,7 @@ func (b *indexBuild) add(row []Value, rid int64) {
 // finish installs the built tree at t's generation. A unique index
 // with two equal keys fails, naming the key of the later row.
 func (b *indexBuild) finish(t *table) error {
-	keys := string(b.arena) // exact size: the arena's spare capacity is dropped
+	keys := keyView(b.arena)
 	entries := make([]btreeEntry, len(b.rids))
 	start := 0
 	for i, end := range b.ends {
