@@ -231,52 +231,84 @@ func TestReconstruct(t *testing.T) {
 
 // TestInsertSubtree checks ordered insertion across the updatable
 // schemes: after inserting, reconstruction must match a DOM-level
-// insertion into the same document.
+// insertion into the same document, and queries must find as many
+// nodes as the DOM does — also below the loaded document's depth.
 func TestInsertSubtree(t *testing.T) {
+	cases := []struct {
+		doc      func() *xmldom.Document
+		parent   string // the element the fragment goes under
+		position int
+		fragment string
+		queries  []string
+	}{
+		{
+			doc:      func() *xmldom.Document { return xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 3}) },
+			parent:   "/site/categories",
+			position: 1, // the 2nd child of <categories>
+			fragment: `<category id="categoryNEW"><name>Fresh Category</name><description>inserted</description></category>`,
+			queries:  []string{"/site/categories/category[@id='categoryNEW']"},
+		},
+		{
+			doc: func() *xmldom.Document {
+				doc, err := xmldom.ParseString(`<a><b/></a>`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return doc
+			},
+			parent:   "/a/b",
+			fragment: `<c><d><e><f>x</f></e></d></c>`,
+			queries:  []string{"//f", "/a//e", "//d/e/f"},
+		},
+	}
 	for _, mk := range []func() Scheme{
 		func() Scheme { return NewEdge(false) },
 		func() Scheme { return NewBinary(false) },
 		func() Scheme { return NewInterval(false) },
 		func() Scheme { return NewDewey(false) },
 	} {
-		s := mk()
-		t.Run(s.Name(), func(t *testing.T) {
-			doc := xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 3})
-			db, err := LoadDocument(s, doc)
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			// Insert a new category as the 2nd child of <categories>.
-			cats := xpath.Eval(doc, xpath.MustParse("/site/categories"))
-			if len(cats) != 1 {
-				t.Fatalf("expected one categories element")
-			}
-			sub, err := xmldom.ParseString(`<category id="categoryNEW"><name>Fresh Category</name><description>inserted</description></category>`)
-			if err != nil {
-				t.Fatalf("parse subtree: %v", err)
-			}
-			subtree := sub.RootElement().Copy()
-			if err := s.InsertSubtree(db, int64(cats[0].Pre), 1, subtree); err != nil {
-				t.Fatalf("insert: %v", err)
-			}
-			// Mirror the insertion on the DOM.
-			cats[0].InsertChild(sub.RootElement().Copy(), 1)
-			doc.Number()
-			want := xmldom.SerializeString(doc.Root)
-			got, err := s.Reconstruct(db)
-			if err != nil {
-				t.Fatalf("reconstruct: %v", err)
-			}
-			if xmldom.SerializeString(got.Root) != want {
-				t.Errorf("%s: post-insert reconstruction differs", s.Name())
-			}
-			// Queries still work and see the new node.
-			ids, err := QueryIDs(db, s, "/site/categories/category[@id='categoryNEW']")
-			if err != nil {
-				t.Fatalf("query after insert: %v", err)
-			}
-			if len(ids) != 1 {
-				t.Errorf("%s: expected to find inserted category, got %d rows", s.Name(), len(ids))
+		t.Run(mk().Name(), func(t *testing.T) {
+			for _, c := range cases {
+				s := mk()
+				doc := c.doc()
+				db, err := LoadDocument(s, doc)
+				if err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				parents := xpath.Eval(doc, xpath.MustParse(c.parent))
+				if len(parents) != 1 {
+					t.Fatalf("expected one %s element", c.parent)
+				}
+				sub, err := xmldom.ParseString(c.fragment)
+				if err != nil {
+					t.Fatalf("parse subtree: %v", err)
+				}
+				if err := s.InsertSubtree(db, int64(parents[0].Pre), c.position, sub.RootElement().Copy()); err != nil {
+					t.Fatalf("insert under %s: %v", c.parent, err)
+				}
+				// Mirror the insertion on the DOM.
+				parents[0].InsertChild(sub.RootElement().Copy(), c.position)
+				doc.Number()
+				want := xmldom.SerializeString(doc.Root)
+				got, err := s.Reconstruct(db)
+				if err != nil {
+					t.Fatalf("reconstruct: %v", err)
+				}
+				if xmldom.SerializeString(got.Root) != want {
+					t.Errorf("%s: post-insert reconstruction differs", s.Name())
+				}
+				// Queries still work and see the new nodes. Inserted
+				// nodes take fresh ids while the DOM renumbers, so the
+				// counts are compared.
+				for _, q := range c.queries {
+					ids, err := QueryIDs(db, s, q)
+					if err != nil {
+						t.Fatalf("%s after insert: %v", q, err)
+					}
+					if want := len(domIDs(doc, q)); len(ids) != want {
+						t.Errorf("%s: %s found %d nodes after the insert, the DOM %d", s.Name(), q, len(ids), want)
+					}
+				}
 			}
 		})
 	}

@@ -120,10 +120,14 @@ func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subt
 	}
 
 	s := &edgeSink{b: newBatcher(db, "edge")}
-	at := walkAt{parent: parentID, path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
-	if _, _, err := streamWalk(subtreeTokens(subtree), s, e.catalog, at); err != nil {
+	at := walkAt{parent: parentID, level: pathLevel(parentPath), path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
+	_, maxLevel, err := streamWalk(subtreeTokens(subtree), s, e.catalog, at)
+	if err != nil {
 		return err
 	}
+	// A subtree reaching below the deepest loaded node raises the bound
+	// descendant steps expand to.
+	e.maxDepth = max(e.maxDepth, maxLevel)
 	return s.b.flush()
 }
 

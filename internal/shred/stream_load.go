@@ -76,6 +76,15 @@ type streamFrame struct {
 	sawElem  bool
 }
 
+// pathLevel is the level of the node a label path leads to: its
+// segment count, 0 for the document node's empty path.
+func pathLevel(path string) int {
+	if path == "" {
+		return 0
+	}
+	return strings.Count(path, "/") + 1
+}
+
 func joinPath(parent, seg string) string {
 	if parent == "" {
 		return seg
