@@ -7,10 +7,12 @@
 // Usage:
 //
 //	xrdb -in doc.xml [-scheme interval] [-dtd doc.dtd] <action>
-//	xrdb -data dir [-in doc.xml] [-scheme interval] <action>   durable mode:
-//	    write-ahead logged, crash-recovering store in dir (-checkpoint
-//	    forces a snapshot + log rotation before exit; concurrent
-//	    commits share one fsync)
+//	xrdb -data dir [-in doc.xml] [-scheme interval] [-dtd doc.dtd] <action>
+//	    durable mode, any scheme: a write-ahead logged, crash-recovering
+//	    store in dir, which is also how a store is saved and reopened
+//	    (-checkpoint forces a snapshot + log rotation before exit;
+//	    concurrent commits share one fsync; an inline store reopens
+//	    under the DTD it stored)
 //
 // Actions (pick one):
 //
@@ -40,19 +42,17 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "", "input XML document")
-		openDB    = flag.String("opendb", "", "reopen a saved database snapshot instead of -in (interval/dewey)")
-		saveDB    = flag.String("savedb", "", "write a database snapshot after loading (atomic: temp file + rename)")
-		dataDir   = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery; interval/dewey)")
+		dataDir   = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery; any scheme): the saved store, reopened on the next run")
 		ckpt      = flag.Bool("checkpoint", false, "with -data: force a checkpoint before exit")
 		scheme    = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey|inline")
-		dtdFile   = flag.String("dtd", "", "DTD file (required for -scheme inline)")
+		dtdFile   = flag.String("dtd", "", "DTD file (required for -scheme inline, except to reopen a -data directory)")
 		valueIdx  = flag.Bool("value-index", false, "create content-value indexes")
 		memBudget = flag.Int64("mem-budget", 0, "engine memory budget in bytes for tracked query memory (joins, sorts, aggregates); queries that exceed it abort (0 = unlimited)")
 		queryMem  = flag.Int64("query-mem-limit", 0, "per-query tracked-memory limit in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "with -max-concurrent: max queries waiting for admission before rejection")
 		bufPool   = flag.Int("buffer-pool", 0, "cap resident 512-row heap pages; full pages beyond the cap spill to disk and page back in on demand (0 = unbounded, all in memory)")
-		stream    = flag.Bool("stream", false, "with -in: shred the document from a stream (bounded memory for edge/binary/interval/dewey; durable loads lose document-level crash atomicity)")
+		stream    = flag.Bool("stream", false, "with -in: shred the document from a stream (bounded memory for edge/binary/interval/dewey; universal and inline parse it first; durable streamed loads lose document-level crash atomicity)")
 		query     = flag.String("query", "", "XPath query to run")
 		timeout   = flag.Duration("timeout", 0, "per-operation deadline (e.g. 500ms) for loads and queries; 0 = no limit")
 		showSQL   = flag.Bool("sql", false, "print the generated SQL")
@@ -73,97 +73,39 @@ func main() {
 		return context.Background(), func() {}
 	}
 
+	opts := core.Options{
+		WithValueIndex: *valueIdx, MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
+		MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
+		BufferPoolPages: *bufPool,
+	}
+	if *dtdFile != "" {
+		dtdSrc, err := os.ReadFile(*dtdFile)
+		if err != nil {
+			fail("%v", err)
+		}
+		opts.DTD = string(dtdSrc)
+	}
+	// Durable mode opens or crash-recovers the data directory; a
+	// document given with -in is loaded only into an empty store
+	// (durably, as one crash-atomic transaction unless -stream).
 	var st *core.Store
 	var ds *core.DurableStore
+	var err error
 	switch {
 	case *dataDir != "":
-		// Durable mode: open or crash-recover the data directory; if a
-		// document is supplied and the store is still empty, load it
-		// (durably, as one crash-atomic group commit).
-		opts := core.Options{
-			WithValueIndex: *valueIdx, MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
-			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
-			BufferPoolPages: *bufPool,
-		}
-		var err error
-		ds, err = core.OpenDurable(core.SchemeKind(*scheme), *dataDir, opts)
-		if err != nil {
+		if ds, err = core.OpenDurable(core.SchemeKind(*scheme), *dataDir, opts); err != nil {
 			fail("opening data directory %s: %v", *dataDir, err)
 		}
 		defer ds.Close()
-		if *in != "" && !ds.Loaded() {
-			ctx, cancel := opCtx()
-			if *stream {
-				f, ferr := os.Open(*in)
-				if ferr != nil {
-					fail("%v", ferr)
-				}
-				err = ds.LoadXMLStream(ctx, f)
-				f.Close()
-			} else {
-				src, ferr := os.ReadFile(*in)
-				if ferr != nil {
-					fail("%v", ferr)
-				}
-				err = ds.LoadXMLContext(ctx, src)
-			}
-			cancel()
-			if err != nil {
-				fail("loading %s: %v", *in, err)
-			}
-			fmt.Fprintf(os.Stderr, "xrdb: %s loaded durably into %s (wal %d bytes)\n",
-				*in, *dataDir, ds.Durable().WALSize())
-		}
-		if !ds.Loaded() {
-			fail("data directory %s is empty: pass -in to load a document", *dataDir)
-		}
-		if *ckpt {
-			if err := ds.Checkpoint(); err != nil {
-				fail("checkpoint: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "xrdb: checkpointed %s (wal now %d bytes)\n", *dataDir, ds.Durable().WALSize())
-		}
 		st = ds.Store
-	case *openDB != "":
-		f, err := os.Open(*openDB)
-		if err != nil {
-			fail("%v", err)
-		}
-		st, err = core.OpenSaved(core.SchemeKind(*scheme), f)
-		f.Close()
-		if err != nil {
-			fail("reopening %s: %v", *openDB, err)
-		}
-		if *memBudget > 0 {
-			st.DB().SetMemoryBudget(*memBudget)
-		}
-		if *queryMem > 0 {
-			st.DB().SetQueryMemoryLimit(*queryMem)
-		}
-		if *maxConc > 0 {
-			st.DB().SetAdmissionControl(*maxConc, *maxQueue)
-		}
-		if *bufPool > 0 {
-			st.DB().SetBufferPool(*bufPool)
-		}
 	case *in != "":
-		opts := core.Options{
-			WithValueIndex: *valueIdx, MemoryBudget: *memBudget, QueryMemoryLimit: *queryMem,
-			MaxConcurrentQueries: *maxConc, MaxQueuedQueries: *maxQueue,
-			BufferPoolPages: *bufPool,
-		}
-		if *dtdFile != "" {
-			dtdSrc, err := os.ReadFile(*dtdFile)
-			if err != nil {
-				fail("%v", err)
-			}
-			opts.DTD = string(dtdSrc)
-		}
-		var err error
-		st, err = core.OpenWith(core.SchemeKind(*scheme), opts)
-		if err != nil {
+		if st, err = core.OpenWith(core.SchemeKind(*scheme), opts); err != nil {
 			fail("%v", err)
 		}
+	default:
+		fail("missing -in document (or -data directory)")
+	}
+	if *in != "" && !st.Loaded() {
 		ctx, cancel := opCtx()
 		if *stream {
 			f, ferr := os.Open(*in)
@@ -183,17 +125,21 @@ func main() {
 		if err != nil {
 			fail("loading %s: %v", *in, err)
 		}
-	default:
-		fail("missing -in document (or -opendb snapshot, or -data directory)")
-	}
-	if *saveDB != "" {
-		// Atomic: temp file in the target directory, fsync, rename,
-		// fsync the directory — a crash mid-save never corrupts an
-		// existing snapshot at this path.
-		if err := st.SaveDBFile(*saveDB); err != nil {
-			fail("saving snapshot: %v", err)
+		if ds != nil {
+			fmt.Fprintf(os.Stderr, "xrdb: %s loaded durably into %s (wal %d bytes)\n",
+				*in, *dataDir, ds.Durable().WALSize())
 		}
-		fmt.Fprintf(os.Stderr, "xrdb: snapshot written to %s\n", *saveDB)
+	}
+	if ds != nil {
+		if !st.Loaded() {
+			fail("data directory %s is empty: pass -in to load a document", *dataDir)
+		}
+		if *ckpt {
+			if err := ds.Checkpoint(); err != nil {
+				fail("checkpoint: %v", err)
+			}
+			fmt.Fprintf(os.Stderr, "xrdb: checkpointed %s (wal now %d bytes)\n", *dataDir, ds.Durable().WALSize())
+		}
 	}
 
 	did := false

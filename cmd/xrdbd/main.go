@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		dataDir    = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery) — required")
-		scheme     = flag.String("scheme", "interval", "mapping scheme: interval|dewey (stateless schemes only)")
+		scheme     = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey, or inline over a data directory that xrdb -dtd created")
 		in         = flag.String("in", "", "XML document to load when the data directory is fresh")
 		listen     = flag.String("listen", ":8080", "HTTP/JSON listen address")
 		listenLine = flag.String("listen-line", "", "line-protocol listen address (empty = disabled)")

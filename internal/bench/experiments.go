@@ -33,9 +33,9 @@ var queryClasses = []struct {
 // schemeNames is the six mappings in report order.
 var schemeNames = []string{"edge", "binary", "universal", "interval", "dewey", "inline"}
 
-// newScheme returns a fresh instance of the named mapping: schemes hold
-// per-load state such as path catalogs, so every load takes its own.
-// Inline is generated from the auction DTD.
+// newScheme returns an instance of the named mapping (its state lives
+// in the database it loads into). Inline is generated from the auction
+// DTD.
 func newScheme(name string, valueIndex bool) (shred.Scheme, error) {
 	switch name {
 	case "edge":
@@ -91,7 +91,7 @@ var errNoSQL = errors.New("scheme cannot translate the query")
 // timeQuery translates query under l's mapping, prepares it once and
 // reports the best execution time and the result count.
 func timeQuery(cfg Config, l loaded, query string) (time.Duration, int, error) {
-	sql, err := l.s.Translate(xpath.MustParse(query))
+	sql, err := l.s.Translate(l.db, xpath.MustParse(query))
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s: %q: %w", l.s.Name(), query, errNoSQL)
 	}
@@ -245,7 +245,7 @@ func runP1(w io.Writer, cfg Config) error {
 		nResults := len(xpath.Eval(doc, xpath.MustParse(qc.Query)))
 		row := []string{qc.ID, fmt.Sprintf("%d", nResults)}
 		for _, l := range ls {
-			sql, err := l.s.Translate(xpath.MustParse(qc.Query))
+			sql, err := l.s.Translate(l.db, xpath.MustParse(qc.Query))
 			if err != nil {
 				row = append(row, "n/a")
 				continue
@@ -433,7 +433,7 @@ func runT4(w io.Writer, cfg Config) error {
 		row := []string{q}
 		var times []time.Duration
 		for _, l := range ls {
-			sql, err := l.s.Translate(xpath.MustParse(q))
+			sql, err := l.s.Translate(l.db, xpath.MustParse(q))
 			if err != nil {
 				return err
 			}
@@ -627,7 +627,7 @@ func runA1(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			sql, err := s.Translate(xpath.MustParse(q))
+			sql, err := s.Translate(db, xpath.MustParse(q))
 			if err != nil {
 				return err
 			}

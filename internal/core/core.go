@@ -17,11 +17,12 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +62,9 @@ type Options struct {
 	// WithValueIndex adds content-value indexes (the F5 ablation).
 	WithValueIndex bool
 	// DTD supplies the document type for the Inline scheme (ignored by
-	// the others). Root optionally names the document element.
+	// the others). Root optionally names the document element. A data
+	// directory reopens under the DTD it stored; a different one is
+	// refused.
 	DTD  string
 	Root string
 	// MemoryBudget caps the engine's total tracked query memory in
@@ -94,14 +97,17 @@ type Store struct {
 	kind   SchemeKind
 	scheme shred.Scheme
 	db     *sqldb.Database
-	loaded bool
+	// afterWrite runs after each committed load or insert: a durable
+	// store's auto-checkpoint policy; nil in memory.
+	afterWrite func() error
 
 	// trans caches XPath query text → generated SQL. Translation is a
-	// pure function of the scheme and its catalogs, so the cache is
-	// invalidated (purged) whenever scheme state may change: document
-	// load and subtree insertion. Relational DDL is covered one layer
-	// down by the sqldb plan cache's schema epoch.
-	trans                  *lru.Cache[string]
+	// pure function of the scheme and the state rows it reads, so an
+	// entry records the commit it was translated at and is served only
+	// to a reader of that same commit; the cache is also purged after
+	// each document load and subtree insertion. Relational DDL is
+	// covered one layer down by the sqldb plan cache's schema epoch.
+	trans                  *lru.Cache[translation]
 	transHits, transMisses atomic.Uint64
 	transInvalidations     atomic.Uint64
 
@@ -111,6 +117,13 @@ type Store struct {
 	// time, the fourth component, is tracked one layer down by the
 	// sqldb metrics registry.
 	shredPhase, translatePhase, execPhase, publishPhase phaseTimer
+}
+
+// translation is one cached XPath translation and the commit sequence
+// of the state it was translated against.
+type translation struct {
+	sql string
+	seq uint64
 }
 
 // phaseTimer accumulates a span count and total duration; atomic so
@@ -166,31 +179,17 @@ func Open(kind SchemeKind) (*Store, error) {
 
 // OpenWith creates an empty Store.
 func OpenWith(kind SchemeKind, opts Options) (*Store, error) {
-	var s shred.Scheme
-	switch kind {
-	case Edge:
-		s = shred.NewEdge(opts.WithValueIndex)
-	case Binary:
-		s = shred.NewBinary(opts.WithValueIndex)
-	case Universal:
-		s = shred.NewUniversal()
-	case Interval:
-		s = shred.NewInterval(opts.WithValueIndex)
-	case Dewey:
-		s = shred.NewDewey(opts.WithValueIndex)
-	case Inline:
-		if opts.DTD == "" {
-			return nil, fmt.Errorf("core: the inline scheme requires Options.DTD")
-		}
-		var err error
-		s, err = shred.NewInline(opts.DTD, opts.Root)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %q", kind)
-	}
 	db := sqldb.New()
+	if opts.BufferPoolPages > 0 {
+		db.SetBufferPool(opts.BufferPoolPages)
+	}
+	return newStore(kind, opts, db)
+}
+
+// newStore binds kind to db — both open paths come through here: it
+// applies the governor options and builds the scheme, then sets up an
+// empty database or refuses one that holds another scheme's layout.
+func newStore(kind SchemeKind, opts Options, db *sqldb.Database) (*Store, error) {
 	if opts.MemoryBudget > 0 {
 		db.SetMemoryBudget(opts.MemoryBudget)
 	}
@@ -200,13 +199,64 @@ func OpenWith(kind SchemeKind, opts Options) (*Store, error) {
 	if opts.MaxConcurrentQueries > 0 {
 		db.SetAdmissionControl(opts.MaxConcurrentQueries, opts.MaxQueuedQueries)
 	}
-	if opts.BufferPoolPages > 0 {
-		db.SetBufferPool(opts.BufferPoolPages)
-	}
-	if err := s.Setup(db); err != nil {
+	s, err := newScheme(kind, opts, db)
+	if err != nil {
 		return nil, err
 	}
-	return &Store{kind: kind, scheme: s, db: db, trans: lru.New[string](defaultTransCacheCap)}, nil
+	if len(db.TableNames()) == 0 {
+		err = s.Setup(db)
+	} else {
+		err = checkLayout(kind, s, db)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Store{kind: kind, scheme: s, db: db, trans: lru.New[translation](defaultTransCacheCap)}, nil
+}
+
+// newScheme builds kind's scheme. Inline takes the DTD db stored, when
+// it holds one, and refuses a different one in opts.
+func newScheme(kind SchemeKind, opts Options, db *sqldb.Database) (shred.Scheme, error) {
+	switch kind {
+	case Edge:
+		return shred.NewEdge(opts.WithValueIndex), nil
+	case Binary:
+		return shred.NewBinary(opts.WithValueIndex), nil
+	case Universal:
+		return shred.NewUniversal(), nil
+	case Interval:
+		return shred.NewInterval(opts.WithValueIndex), nil
+	case Dewey:
+		return shred.NewDewey(opts.WithValueIndex), nil
+	case Inline:
+		text, root := opts.DTD, opts.Root
+		if stored, storedRoot, ok := shred.StoredDTD(db); ok {
+			if text != "" && text != stored {
+				return nil, fmt.Errorf("core: the data directory holds a different DTD than Options.DTD")
+			}
+			text, root = stored, storedRoot
+		}
+		if text == "" {
+			return nil, fmt.Errorf("core: the inline scheme requires Options.DTD")
+		}
+		return shred.NewInline(text, root)
+	}
+	return nil, fmt.Errorf("core: unknown scheme %q", kind)
+}
+
+// checkLayout refuses a database that does not hold s's layout: every
+// table s's Setup creates must be there with the same definition.
+func checkLayout(kind SchemeKind, s shred.Scheme, db *sqldb.Database) error {
+	fresh := sqldb.New()
+	if err := s.Setup(fresh); err != nil {
+		return err
+	}
+	for _, name := range fresh.TableNames() {
+		if !reflect.DeepEqual(db.TableDef(name), fresh.TableDef(name)) {
+			return fmt.Errorf("core: data directory holds a different scheme (no %s table for %q)", name, kind)
+		}
+	}
+	return nil
 }
 
 // Kind returns the store's scheme.
@@ -237,13 +287,17 @@ func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
 // scheme supports streaming shredding (Edge, Interval, Binary and
 // Dewey), the document is parsed and shredded in one pass with memory
 // proportional to its depth plus one insert batch — the full DOM is
-// never built, and each insert batch commits on its own: on error the
-// store may hold a partial shred; discard it. Other schemes parse the
-// stream into a DOM first and load it as one transaction.
+// never built, and each insert batch commits (durably, in a data
+// directory) on its own: on error or a crash the store may hold a
+// partial shred; discard it. The trade is deliberate: a transaction
+// holds every row it wrote until it commits, which would defeat the
+// bounded memory. Other schemes parse the stream into a DOM first and
+// load it as one transaction.
+//
+// The streaming check that the store is still empty reads the database
+// before the first batch, outside any transaction: two concurrent
+// stream loads into one store may both pass it.
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
-	if st.loaded {
-		return fmt.Errorf("core: store already holds a document")
-	}
 	sl, ok := st.scheme.(shred.StreamLoader)
 	if !ok {
 		doc, err := xmldom.ParseReader(r)
@@ -252,14 +306,14 @@ func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
 		}
 		return st.LoadDocumentContext(ctx, doc)
 	}
+	if loaded, err := st.holdsDocument(st.db); err != nil || loaded {
+		return cmp.Or(err, errSecondDocument)
+	}
 	start := time.Now()
 	if err := sl.LoadStream(ctx, st.db, xmldom.NewTokenizer(r)); err != nil {
 		return err
 	}
-	st.shredPhase.add(time.Since(start))
-	st.loaded = true
-	st.invalidateTranslations()
-	return nil
+	return st.wrote(start)
 }
 
 // LoadDocument shreds an already-parsed document.
@@ -268,30 +322,58 @@ func (st *Store) LoadDocument(doc *xmldom.Document) error {
 }
 
 // LoadDocumentContext is LoadDocument honoring a context, checked at
-// shred-batch granularity. The load is one transaction: a failed or
-// canceled load leaves nothing behind.
+// shred-batch granularity. The load is one transaction — the check that
+// the store is still empty included: a failed or canceled load leaves
+// nothing behind, and of two concurrent loads one is refused.
 func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) error {
-	if st.loaded {
-		return fmt.Errorf("core: store already holds a document")
-	}
 	start := time.Now()
-	if err := st.db.Update(func(tx *sqldb.Tx) error { return st.scheme.Load(ctx, tx, doc) }); err != nil {
+	load := func(tx *sqldb.Tx) error {
+		if loaded, err := st.holdsDocument(tx); err != nil || loaded {
+			return cmp.Or(err, errSecondDocument)
+		}
+		return st.scheme.Load(ctx, tx, doc)
+	}
+	if err := st.db.Update(load); err != nil {
 		return err
 	}
-	st.shredPhase.add(time.Since(start))
-	st.loaded = true
-	st.invalidateTranslations()
-	return nil
+	return st.wrote(start)
 }
 
-// invalidateTranslations purges the translation cache after an
-// operation that may change scheme state (path catalogs, element
-// numbering) and with it the SQL a given XPath translates to.
-func (st *Store) invalidateTranslations() {
+// rootElement is the query every scheme answers with the stored
+// document's element, and with nothing when no document is stored.
+var rootElement = xpath.MustParse("/*")
+
+// holdsDocument reports whether the state db reads holds a document.
+func (st *Store) holdsDocument(db sqldb.Queryer) (bool, error) {
+	sql, err := st.scheme.Translate(db, rootElement)
+	if err != nil {
+		return false, err
+	}
+	rows, err := db.Query(sql)
+	if err != nil {
+		return false, err
+	}
+	return rows.Len() > 0, nil
+}
+
+// errSecondDocument refuses a load into a store that holds a document:
+// a Store holds exactly one.
+var errSecondDocument = errors.New("core: store already holds a document")
+
+// wrote finishes a load or insert that began at start and committed:
+// it records the shred phase, purges the translation cache — the write
+// may have changed scheme state (label paths, element numbering) and
+// with it the SQL a given XPath translates to — and runs afterWrite.
+func (st *Store) wrote(start time.Time) error {
+	st.shredPhase.add(time.Since(start))
 	if n := st.trans.Len(); n > 0 {
 		st.transInvalidations.Add(uint64(n))
 	}
 	st.trans.Purge()
+	if st.afterWrite == nil {
+		return nil
+	}
+	return st.afterWrite()
 }
 
 // Match is one query result: the matched node's id (pre-order rank in
@@ -312,27 +394,36 @@ type Result struct {
 }
 
 // Translate compiles an XPath query to this store's SQL without running
-// it. Translations are served from a bounded per-Store cache: the
-// XPath→SQL mapping is pure for a fixed scheme state, so repeated query
-// templates skip XPath parsing and SQL generation entirely. The cache
-// is purged when scheme state changes (document load, subtree insert).
+// it, against the latest committed scheme state. Translations are
+// served from a bounded per-Store cache: the XPath→SQL mapping is pure
+// for a fixed scheme state, so repeated query templates skip XPath
+// parsing and SQL generation entirely. The cache is purged when scheme
+// state changes (document load, subtree insert), and an entry made
+// against an older commit than the reader's is never served.
 func (st *Store) Translate(query string) (string, error) {
+	return st.translate(st.db, st.db.Seq(), query)
+}
+
+// translate compiles query against the scheme state db reads, which is
+// that of commit seq. A write that commits while it runs leaves the
+// entry stamped with the older seq, so no later reader is served it.
+func (st *Store) translate(db sqldb.Queryer, seq uint64, query string) (string, error) {
 	start := time.Now()
 	defer func() { st.translatePhase.add(time.Since(start)) }()
-	if sql, ok := st.trans.Get(query); ok {
+	if t, ok := st.trans.Get(query); ok && t.seq == seq {
 		st.transHits.Add(1)
-		return sql, nil
+		return t.sql, nil
 	}
 	st.transMisses.Add(1)
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return "", err
 	}
-	sql, err := st.scheme.Translate(p)
+	sql, err := st.scheme.Translate(db, p)
 	if err != nil {
 		return "", err
 	}
-	st.trans.Put(query, sql)
+	st.trans.Put(query, translation{sql: sql, seq: seq})
 	return sql, nil
 }
 
@@ -436,58 +527,13 @@ func (st *Store) InsertXML(parentID int64, position int, fragment []byte) error 
 	if err := st.db.Update(insert); err != nil {
 		return err
 	}
-	st.shredPhase.add(time.Since(start))
-	st.invalidateTranslations()
-	return nil
-}
-
-// SaveDB writes a snapshot of the store's relational database to a
-// stream. Reopen it with OpenSaved. For writing to a file, prefer
-// SaveDBFile, which replaces the destination atomically.
-func (st *Store) SaveDB(w io.Writer) error {
-	return st.db.Save(w)
-}
-
-// SaveDBFile writes a snapshot to path atomically: the snapshot goes
-// to a temp file in the same directory, is fsynced, renamed over the
-// destination, and the directory is fsynced — a crash mid-save never
-// leaves a torn snapshot at the final path.
-func (st *Store) SaveDBFile(path string) error {
-	var buf bytes.Buffer
-	if err := st.db.Save(&buf); err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	fs, err := sqldb.NewOSVFS(dir)
-	if err != nil {
-		return err
-	}
-	return sqldb.WriteFileAtomic(fs, filepath.Base(path), buf.Bytes())
+	return st.wrote(start)
 }
 
 // Loaded reports whether the store holds a document.
-func (st *Store) Loaded() bool { return st.loaded }
-
-// OpenSaved reopens a store from a snapshot written by SaveDB. Only the
-// stateless schemes can be reopened this way: Interval and Dewey keep
-// all their state in the database. (Edge, Binary, Universal and Inline
-// carry in-memory catalogs/mappings that a snapshot does not capture —
-// reload those from the XML source.)
-func OpenSaved(kind SchemeKind, r io.Reader) (*Store, error) {
-	var s shred.Scheme
-	switch kind {
-	case Interval:
-		s = shred.NewInterval(false)
-	case Dewey:
-		s = shred.NewDewey(false)
-	default:
-		return nil, fmt.Errorf("core: scheme %q cannot be reopened from a snapshot (in-memory mapping state); reload from XML", kind)
-	}
-	db, err := sqldb.LoadFrom(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{kind: kind, scheme: s, db: db, loaded: true, trans: lru.New[string](defaultTransCacheCap)}, nil
+func (st *Store) Loaded() bool {
+	loaded, err := st.holdsDocument(st.db)
+	return err == nil && loaded
 }
 
 // StorageStats summarizes the relational footprint of the store.

@@ -6,10 +6,30 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sqldb"
 	"repro/internal/xmlgen"
 )
 
 const smallDoc = `<bib><book year="1994"><title>TCP</title><price>65.95</price></book><book year="2000"><title>Web</title><price>39.95</price></book></bib>`
+
+// smallDocDTD types smallDoc (and the books inserted into it) for the
+// Inline scheme.
+const smallDocDTD = `<!ELEMENT bib (book*)>
+<!ELEMENT book (title, price?)>
+<!ATTLIST book year CDATA #REQUIRED>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT price (#PCDATA)>`
+
+// allSchemes lists the six mappings.
+var allSchemes = []SchemeKind{Edge, Binary, Universal, Interval, Dewey, Inline}
+
+// smallDocOptions opens kind for smallDoc: Inline needs its DTD.
+func smallDocOptions(kind SchemeKind) Options {
+	if kind == Inline {
+		return Options{DTD: smallDocDTD, Root: "bib"}
+	}
+	return Options{}
+}
 
 func TestOpenAllSchemes(t *testing.T) {
 	for _, kind := range []SchemeKind{Edge, Binary, Universal, Interval, Dewey} {
@@ -64,6 +84,9 @@ func TestOpenUnknownScheme(t *testing.T) {
 	}
 }
 
+// TestDoubleLoadRejected: a store holds one document. A second load is
+// refused, and of loads racing into one empty store exactly one lands —
+// the check that the store is empty runs in the load's transaction.
 func TestDoubleLoadRejected(t *testing.T) {
 	st, _ := Open(Interval)
 	if err := st.LoadXML([]byte(smallDoc)); err != nil {
@@ -71,6 +94,30 @@ func TestDoubleLoadRejected(t *testing.T) {
 	}
 	if err := st.LoadXML([]byte(smallDoc)); err == nil {
 		t.Fatal("second load accepted")
+	}
+	for _, kind := range allSchemes {
+		st, err := OpenWith(kind, smallDocOptions(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const loaders = 4
+		errs := make(chan error, loaders)
+		for i := 0; i < loaders; i++ {
+			go func() { errs <- st.LoadXML([]byte(smallDoc)) }()
+		}
+		landed := 0
+		for i := 0; i < loaders; i++ {
+			if err := <-errs; err == nil {
+				landed++
+			}
+		}
+		if landed != 1 {
+			t.Errorf("%s: %d of %d concurrent loads landed, want 1", kind, landed, loaders)
+		}
+		var b strings.Builder
+		if err := st.WriteXML(&b); err != nil || b.String() != smallDoc {
+			t.Errorf("%s: store holds %q (%v) after the concurrent loads", kind, b.String(), err)
+		}
 	}
 }
 
@@ -121,17 +168,25 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestSaveAndReopen checkpoints a data directory under each scheme and
+// reopens it with no options: the reopened store answers and publishes
+// like the one that wrote it — Inline under the DTD it stored — and
+// refuses a second document.
 func TestSaveAndReopen(t *testing.T) {
-	for _, kind := range []SchemeKind{Interval, Dewey} {
-		st, _ := Open(kind)
-		if err := st.LoadXML([]byte(smallDoc)); err != nil {
-			t.Fatal(err)
+	for _, kind := range allSchemes {
+		fs := sqldb.NewMemVFS()
+		ds, err := OpenDurableVFS(kind, fs, smallDocOptions(kind), DurableOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
-		var buf strings.Builder
-		if err := st.SaveDB(&buf); err != nil {
-			t.Fatalf("%s save: %v", kind, err)
+		if err := ds.LoadXML([]byte(smallDoc)); err != nil {
+			t.Fatalf("%s load: %v", kind, err)
 		}
-		re, err := OpenSaved(kind, strings.NewReader(buf.String()))
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatalf("%s checkpoint: %v", kind, err)
+		}
+		ds.Close()
+		re, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
 		if err != nil {
 			t.Fatalf("%s reopen: %v", kind, err)
 		}
@@ -144,16 +199,13 @@ func TestSaveAndReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if out.String() != smallDoc {
-			t.Errorf("%s reopened round trip mismatch", kind)
+			t.Errorf("%s reopened round trip mismatch:\n%s", kind, out.String())
 		}
 		// A second document may not be loaded into a reopened store.
 		if err := re.LoadXML([]byte(smallDoc)); err == nil {
 			t.Errorf("%s: double load after reopen accepted", kind)
 		}
-	}
-	// Catalog-carrying schemes refuse snapshot reopen.
-	if _, err := OpenSaved(Edge, strings.NewReader("")); err == nil {
-		t.Error("edge snapshot reopen accepted")
+		re.Close()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -30,11 +31,53 @@ func durableXML(t *testing.T, st *Store) string {
 	return b.String()
 }
 
+// sameAnswers holds got to want on every query: the same SQL, or the
+// same refusal, and the same matches.
+func sameAnswers(t *testing.T, got, want *Store, queries []string) {
+	t.Helper()
+	for _, q := range queries {
+		gotSQL, gotErr := got.Translate(q)
+		wantSQL, wantErr := want.Translate(q)
+		if gotSQL != wantSQL || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: translates to\n%s (%v)\nwant\n%s (%v)", q, gotSQL, gotErr, wantSQL, wantErr)
+			continue
+		}
+		if wantErr != nil {
+			continue
+		}
+		gotRes, err := got.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		wantRes, err := want.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !reflect.DeepEqual(gotRes.Matches, wantRes.Matches) {
+			t.Errorf("%s: %d matches, want %d", q, len(gotRes.Matches), len(wantRes.Matches))
+		}
+	}
+}
+
+// corpusOptions opens kind for the auction documents: Inline needs
+// their DTD.
+func corpusOptions(kind SchemeKind) Options {
+	if kind == Inline {
+		return Options{DTD: xmlgen.AuctionDTD, Root: "site"}
+	}
+	return Options{}
+}
+
+// TestDurableStoreLoadReopen reopens a data directory under each
+// scheme after a load, and after a checkpoint and an insert (which
+// Universal refuses): WAL replay and snapshot plus WAL rebuild the
+// document, and a reopened auction store answers the domCorpus like a
+// fresh in-memory one.
 func TestDurableStoreLoadReopen(t *testing.T) {
-	for _, kind := range []SchemeKind{Interval, Dewey} {
+	for _, kind := range allSchemes {
 		t.Run(string(kind), func(t *testing.T) {
 			fs := sqldb.NewMemVFS()
-			ds, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
+			ds, err := OpenDurableVFS(kind, fs, smallDocOptions(kind), DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +91,7 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 			ds.Close()
 
 			// Reopen: WAL replay alone must rebuild the document.
-			ds2, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
+			ds2, err := OpenDurableVFS(kind, fs, smallDocOptions(kind), DurableOptions{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -75,13 +118,13 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 				t.Fatalf("root query: %v (%d matches)", err, len(res.Matches))
 			}
 			frag := `<book year="2010"><title>WAL</title><price>12.50</price></book>`
-			if err := ds2.InsertXML(res.Matches[0].ID, 2, []byte(frag)); err != nil {
+			if err := ds2.InsertXML(res.Matches[0].ID, 2, []byte(frag)); err != nil && kind != Universal {
 				t.Fatalf("insert: %v", err)
 			}
 			want2 := durableXML(t, ds2.Store)
 			ds2.Close()
 
-			ds3, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
+			ds3, err := OpenDurableVFS(kind, fs, smallDocOptions(kind), DurableOptions{})
 			if err != nil {
 				t.Fatalf("second reopen: %v", err)
 			}
@@ -89,6 +132,30 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 				t.Fatalf("snapshot+WAL recovery diverged:\n%s\nvs\n%s", got, want2)
 			}
 			ds3.Close()
+
+			doc := xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 5})
+			fresh, err := OpenWith(kind, corpusOptions(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.LoadDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+			fs = sqldb.NewMemVFS()
+			ds, err = OpenDurableVFS(kind, fs, corpusOptions(kind), DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.LoadDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+			ds.Close()
+			re, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
+			if err != nil {
+				t.Fatalf("reopening the auction store: %v", err)
+			}
+			defer re.Close()
+			sameAnswers(t, re.Store, fresh, domCorpus)
 		})
 	}
 }
@@ -140,42 +207,79 @@ func TestLoadXMLParseBeforeWrite(t *testing.T) {
 	}
 }
 
+// TestDurableStoreSchemeChecks: a data directory written under one
+// scheme is refused under each of the other five, and an Inline
+// directory is refused under a different DTD but reopens under its own
+// or none.
 func TestDurableStoreSchemeChecks(t *testing.T) {
-	if _, err := OpenDurableVFS(Edge, sqldb.NewMemVFS(), Options{}, DurableOptions{}); err == nil {
-		t.Fatal("edge scheme accepted as durable (its catalog lives in memory)")
+	for _, kind := range allSchemes {
+		fs := sqldb.NewMemVFS()
+		ds, err := OpenDurableVFS(kind, fs, smallDocOptions(kind), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.Close()
+		for _, other := range allSchemes {
+			if other == kind {
+				continue
+			}
+			if re, err := OpenDurableVFS(other, fs, smallDocOptions(other), DurableOptions{}); err == nil {
+				re.Close()
+				t.Errorf("%s store opened a %s data directory", other, kind)
+			}
+		}
 	}
 	fs := sqldb.NewMemVFS()
-	ds, err := OpenDurableVFS(Interval, fs, Options{}, DurableOptions{})
+	ds, err := OpenDurableVFS(Inline, fs, smallDocOptions(Inline), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds.Close()
-	if _, err := OpenDurableVFS(Dewey, fs, Options{}, DurableOptions{}); err == nil {
-		t.Fatal("dewey store opened an interval data directory")
+	if _, err := OpenDurableVFS(Inline, fs, Options{DTD: xmlgen.AuctionDTD, Root: "site"}, DurableOptions{}); err == nil {
+		t.Error("inline data directory opened under a different DTD")
+	}
+	for _, opts := range []Options{smallDocOptions(Inline), {}} {
+		re, err := OpenDurableVFS(Inline, fs, opts, DurableOptions{})
+		if err != nil {
+			t.Fatalf("inline reopen with DTD %q: %v", opts.DTD, err)
+		}
+		re.Close()
 	}
 }
 
 // TestDurableStoreCrashSweep kills the store at every write-budget
 // offset across load / insert / checkpoint and verifies recovery always
 // lands on a whole-operation prefix: document loads and subtree inserts
-// are group-committed, so a crash can never surface half a document.
+// are group-committed, scheme state rows included, so a crash can never
+// surface half a document. Universal refuses inserts: its sweep covers
+// the load and the checkpoint.
 func TestDurableStoreCrashSweep(t *testing.T) {
-	for _, kind := range []SchemeKind{Interval, Dewey} {
+	for _, kind := range allSchemes {
 		t.Run(string(kind), func(t *testing.T) { durableStoreCrashSweep(t, kind) })
 	}
 }
 
+// sweepDoc is the crash sweep's document: smallDoc cut to one book
+// without a price, since the sweep's cost grows with the square of
+// the bytes a run writes.
+const sweepDoc = `<bib><book year="1994"><title>TCP</title></book></bib>`
+
 func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
-	frag := `<book year="2010"><title>WAL</title><price>12.50</price></book>`
+	frag := `<book year="2010"><title>WAL</title></book>`
+	opts := smallDocOptions(kind)
+	ops := 2
+	if kind == Universal {
+		ops = 1
+	}
 
 	// Baselines: plain in-memory stores after 0, 1, 2 whole ops, plus
 	// the root ID the insert op targets (shredding is deterministic, so
 	// it is the same in every run).
-	base1, err := Open(kind)
+	base1, err := OpenWith(kind, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base1.LoadXML([]byte(smallDoc)); err != nil {
+	if err := base1.LoadXML([]byte(sweepDoc)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := base1.Query(`/bib`)
@@ -183,25 +287,28 @@ func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
 		t.Fatalf("root query: %v", err)
 	}
 	rootID := res.Matches[0].ID
-	base2, err := Open(kind)
-	if err != nil {
-		t.Fatal(err)
+	prefixes := []string{"", durableXML(t, base1)}
+	if ops == 2 {
+		base2, err := OpenWith(kind, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := base2.LoadXML([]byte(sweepDoc)); err != nil {
+			t.Fatal(err)
+		}
+		if err := base2.InsertXML(rootID, 2, []byte(frag)); err != nil {
+			t.Fatal(err)
+		}
+		prefixes = append(prefixes, durableXML(t, base2))
 	}
-	if err := base2.LoadXML([]byte(smallDoc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := base2.InsertXML(rootID, 2, []byte(frag)); err != nil {
-		t.Fatal(err)
-	}
-	prefixes := []string{"", durableXML(t, base1), durableXML(t, base2)}
 
 	run := func(fs sqldb.VFS) int {
 		acked := 0
-		ds, err := OpenDurableVFS(kind, fs, Options{}, DurableOptions{})
+		ds, err := OpenDurableVFS(kind, fs, opts, DurableOptions{})
 		if err != nil {
 			return 0
 		}
-		if err := ds.LoadXML([]byte(smallDoc)); err == nil {
+		if err := ds.LoadXML([]byte(sweepDoc)); err == nil {
 			acked++
 			if err := ds.InsertXML(rootID, 2, []byte(frag)); err == nil {
 				acked++
@@ -212,8 +319,8 @@ func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
 	}
 
 	probe := sqldb.NewFaultVFS(sqldb.NewMemVFS(), -1)
-	if acked := run(probe); acked != 2 {
-		t.Fatalf("fault-free run acked %d/2 ops", acked)
+	if acked := run(probe); acked != ops {
+		t.Fatalf("fault-free run acked %d/%d ops", acked, ops)
 	}
 	total := probe.Written()
 
@@ -227,7 +334,7 @@ func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
 		for _, mode := range []sqldb.CrashMode{sqldb.CrashLoseUnsynced, sqldb.CrashKeepAll} {
 			crashed := inner.Clone()
 			crashed.Crash(mode)
-			ds, err := OpenDurableVFS(kind, crashed, Options{}, DurableOptions{})
+			ds, err := OpenDurableVFS(kind, crashed, opts, DurableOptions{})
 			if err != nil {
 				// Acceptable only when the crash predates a working
 				// store: a torn scheme setup cannot have acked ops.
@@ -250,7 +357,7 @@ func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
 			if mode == sqldb.CrashLoseUnsynced && k != acked {
 				t.Fatalf("budget %d: lose-unsynced recovered prefix %d, acked %d", budget, k, acked)
 			}
-			if mode == sqldb.CrashKeepAll && (k < acked || k > acked+1) {
+			if mode == sqldb.CrashKeepAll && (k < acked || k > min(acked+1, ops)) {
 				t.Fatalf("budget %d: keep-all recovered prefix %d, acked %d", budget, k, acked)
 			}
 			// Recovered stores stay writable and queryable.

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/sqldb"
+	"repro/internal/xmldom"
 	"repro/internal/xmlgen"
-	"repro/internal/xpath"
 )
 
 // cancelAfterCtx reports cancellation from its n+1-th Err check on: a
@@ -34,28 +35,33 @@ func (c *cancelAfterCtx) Err() error {
 }
 
 // TestCanceledLoadLeavesNothing cancels a document load after its first
-// insert batches. The load is one transaction, so it leaves no row, no
-// WAL byte and no loaded flag — and no partition Binary created for it —
-// and a second load of the same document answers F1 like the DOM.
+// insert batches, under every scheme, in memory and in a data
+// directory; Universal also refuses a recursive document. The load is
+// one transaction, so it leaves no row, table, state row or WAL byte and
+// no loaded store behind: after a second load, the store's tables and
+// its translations of the domCorpus are a fresh store's, and so are its
+// answers.
 func TestCanceledLoadLeavesNothing(t *testing.T) {
 	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.05, Seed: 11})
+	recursive, err := xmldom.ParseString(`<a><zzz q="1"><a/></zzz></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type store struct {
 		*Store
 		walSize func() int64
 	}
 	opens := map[string]func(t *testing.T) store{}
-	for _, kind := range []SchemeKind{Binary, Interval, Dewey} {
+	for _, kind := range allSchemes {
 		opens["mem/"+string(kind)] = func(t *testing.T) store {
-			st, err := Open(kind)
+			st, err := OpenWith(kind, corpusOptions(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return store{st, func() int64 { return 0 }}
 		}
-	}
-	for _, kind := range []SchemeKind{Interval, Dewey} {
 		opens["durable/"+string(kind)] = func(t *testing.T) store {
-			ds, err := OpenDurableVFS(kind, sqldb.NewMemVFS(), Options{}, DurableOptions{})
+			ds, err := OpenDurableVFS(kind, sqldb.NewMemVFS(), corpusOptions(kind), DurableOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,47 +72,61 @@ func TestCanceledLoadLeavesNothing(t *testing.T) {
 	for name, open := range opens {
 		t.Run(name, func(t *testing.T) {
 			st := open(t)
-			tables := st.DB().TableNames()
+			tables, rows := st.DB().TableNames(), st.DB().TotalRows()
 			wal := st.walSize()
+			leftNothing := func(what string) {
+				t.Helper()
+				if n := st.DB().TotalRows() - rows; n != 0 {
+					t.Errorf("%s left %d rows", what, n)
+				}
+				if got := st.DB().TableNames(); !reflect.DeepEqual(got, tables) {
+					t.Errorf("%s left tables %v, want %v", what, got, tables)
+				}
+				if n := st.walSize() - wal; n != 0 {
+					t.Errorf("%s wrote %d WAL bytes", what, n)
+				}
+				if st.Loaded() {
+					t.Errorf("%s marked the store loaded", what)
+				}
+			}
+			// Universal writes this document in one batch: cancel it there.
 			ctx := cancelAfter(1)
+			if st.Kind() == Universal {
+				ctx = cancelAfter(0)
+			}
 			if err := st.LoadDocumentContext(ctx, doc); !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled load: %v, want context.Canceled", err)
 			}
 			if ctx.checks.Load() >= 0 {
 				t.Fatal("the load finished before the context canceled it")
 			}
-			if n := st.DB().TotalRows(); n != 0 {
-				t.Errorf("canceled load left %d rows", n)
-			}
-			if got := st.DB().TableNames(); !reflect.DeepEqual(got, tables) {
-				t.Errorf("canceled load left tables %v, want %v", got, tables)
-			}
-			if n := st.walSize() - wal; n != 0 {
-				t.Errorf("canceled load wrote %d WAL bytes", n)
-			}
-			if st.Loaded() {
-				t.Error("canceled load marked the store loaded")
+			leftNothing("canceled load")
+			if st.Kind() == Universal {
+				if err := st.LoadDocument(recursive); err == nil || !strings.Contains(err.Error(), "recursive") {
+					t.Fatalf("recursive document: %v, want a refusal", err)
+				}
+				leftNothing("refused load")
 			}
 
 			if err := st.LoadDocument(doc); err != nil {
 				t.Fatalf("second load: %v", err)
 			}
-			for _, q := range f1Queries {
-				res, err := st.Query(q)
-				if err != nil {
-					t.Fatalf("%s: %v", q, err)
-				}
-				var got, want []int64
-				for _, m := range res.Matches {
-					got = append(got, m.ID)
-				}
-				for _, n := range xpath.Eval(doc, xpath.MustParse(q)) {
-					want = append(want, int64(n.Pre))
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: store matched %d nodes, DOM %d", q, len(got), len(want))
+			fresh, err := OpenWith(st.Kind(), corpusOptions(st.Kind()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.LoadDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range fresh.DB().TableNames() {
+				if got, want := st.DB().TableDef(name), fresh.DB().TableDef(name); !reflect.DeepEqual(got, want) {
+					t.Errorf("table %s is %+v, a fresh store's %+v", name, got, want)
 				}
 			}
+			if got, want := st.DB().TableNames(), fresh.DB().TableNames(); !reflect.DeepEqual(got, want) {
+				t.Errorf("tables %v, a fresh store's %v", got, want)
+			}
+			sameAnswers(t, st.Store, fresh, domCorpus)
 		})
 	}
 }

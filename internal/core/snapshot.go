@@ -13,7 +13,7 @@ import (
 // StoreSnapshot is a pinned, consistent view of a Store: every query,
 // count and reconstruction through it observes exactly the commits with
 // seq <= Seq(), no matter how many subtree insertions publish
-// concurrently. It is the multi-statement read surface the engine's
+// concurrently — and translates against the scheme state it pinned. It is the multi-statement read surface the engine's
 // snapshot isolation exposes at the XML level — e.g. reconstructing a
 // document while a writer keeps inserting, with the guarantee that the
 // produced XML equals the document as of one single commit boundary.
@@ -49,7 +49,7 @@ func (s *StoreSnapshot) Query(query string) (*Result, error) {
 
 // QueryContext is Query honoring a context deadline/cancellation.
 func (s *StoreSnapshot) QueryContext(ctx context.Context, query string) (*Result, error) {
-	sql, err := s.st.Translate(query)
+	sql, err := s.st.translate(s.snap, s.snap.Seq(), query)
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,21 @@ import (
 // reconstruct the document from them concurrently. The XML produced
 // from the snapshot pinned after insert k must be byte-identical to a
 // serial store that replayed exactly the first k inserts — no torn
-// reads, no rows from later commits. Run under `go test -race` for both
-// order-preserving update schemes.
+// reads, no rows from later commits. Every insert brings an element and
+// an attribute label the document lacked, so a snapshot also has to
+// translate and reconstruct against the scheme state it pinned (Binary's
+// partitions, Edge's and Binary's label paths). Run under `go test
+// -race` for the schemes that take ordered inserts.
 
 const snapBaseDoc = `<site><regions><namerica><item id="i1"><name>one</name><quantity>1</quantity></item><item id="i2"><name>two</name><quantity>2</quantity></item></namerica></regions><people><person id="p1"><name>alice</name></person></people></site>`
 
 func snapFragment(i int) []byte {
-	return []byte(fmt.Sprintf(`<item id="n%d"><name>new-%d</name><quantity>%d</quantity></item>`, i, i, i))
+	return []byte(fmt.Sprintf(`<item id="n%d"><name>new-%d</name><quantity>%d</quantity><zz%d q%d="%d">x</zz%d></item>`, i, i, i, i, i, i, i))
 }
+
+// snapCount is the query each snapshot also counts: it reaches the
+// labels the inserts bring.
+const snapCount = `//item/*`
 
 // openSnapStore opens a store under kind and loads the shared base
 // document.
@@ -53,7 +60,7 @@ func snapParent(t *testing.T, st *Store) int64 {
 
 func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 	const inserts = 12
-	for _, kind := range []SchemeKind{Interval, Dewey} {
+	for _, kind := range []SchemeKind{Edge, Binary, Interval, Dewey} {
 		t.Run(string(kind), func(t *testing.T) {
 			st := openSnapStore(t, kind)
 			parent := snapParent(t, st)
@@ -61,6 +68,7 @@ func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 			// Serial baselines: replay(k) is the document after
 			// exactly the first k inserts, on an untouched store.
 			replay := make([][]byte, inserts+1)
+			counts := make([]int, inserts+1)
 			for k := 0; k <= inserts; k++ {
 				base := openSnapStore(t, kind)
 				for i := 0; i < k; i++ {
@@ -73,6 +81,11 @@ func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 					t.Fatalf("baseline reconstruct %d: %v", k, err)
 				}
 				replay[k] = buf.Bytes()
+				n, err := base.Count(snapCount)
+				if err != nil {
+					t.Fatalf("baseline count %d: %v", k, err)
+				}
+				counts[k] = n
 			}
 
 			type pinned struct {
@@ -133,9 +146,18 @@ func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 						var buf bytes.Buffer
 						err := p.snap.WriteXML(&buf)
 						seq := p.snap.Seq()
-						p.snap.Release()
 						if err != nil {
 							errc <- fmt.Errorf("snapshot reconstruct k=%d: %w", p.k, err)
+							return
+						}
+						n, err := p.snap.Count(snapCount)
+						p.snap.Release()
+						if err != nil {
+							errc <- fmt.Errorf("snapshot count k=%d: %w", p.k, err)
+							return
+						}
+						if n != counts[p.k] {
+							errc <- fmt.Errorf("snapshot k=%d counts %d for %s, serial replay %d", p.k, n, snapCount, counts[p.k])
 							return
 						}
 						mu.Lock()

@@ -76,12 +76,12 @@ func TestFragmentByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := shred.QueryIDs(db, s, `/bib/book[@id='b1']`)
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("locate: %v %v", ids, err)
+	rows, err := shred.Query(db, s, `/bib/book[@id='b1']`)
+	if err != nil || rows.Len() != 1 {
+		t.Fatalf("locate: %v %v", rows, err)
 	}
 	var b strings.Builder
-	if err := Fragment(&b, db, s, ids[0]); err != nil {
+	if err := Fragment(&b, db, s, rows.Data[0][0].Int()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "<title>TCP</title>") {

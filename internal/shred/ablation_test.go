@@ -34,7 +34,7 @@ func TestEdgeCatalogConformance(t *testing.T) {
 		}
 	}
 	// The catalog-driven SQL must not contain blind wildcard hops.
-	sql, err := s.Translate(xpath.MustParse("//item/name"))
+	sql, err := s.Translate(db, xpath.MustParse("//item/name"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,7 @@ func TestEdgeCatalogConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = dbBlind
-	sqlBlind, err := blind.Translate(xpath.MustParse("//item/name"))
+	sqlBlind, err := blind.Translate(dbBlind, xpath.MustParse("//item/name"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestIntervalChildViaRegion(t *testing.T) {
 			t.Errorf("%s: want %d ids, got %d", cq.query, len(want), len(got))
 		}
 	}
-	sql, err := region.Translate(xpath.MustParse("/site/people/person"))
+	sql, err := region.Translate(db, xpath.MustParse("/site/people/person"))
 	if err != nil {
 		t.Fatal(err)
 	}

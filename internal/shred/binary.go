@@ -3,7 +3,6 @@ package shred
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 
@@ -21,25 +20,17 @@ import (
 //
 // Element partitions are named be_<label>, attribute partitions
 // ba_<label>, and text/comment/pi nodes share bt_text / bt_comment /
-// bt_pi, which adds a name column for the PI's target. A path catalog
-// collected at load time drives descendant-step expansion.
+// bt_pi, which adds a name column for the PI's target. The label →
+// partition table and the label paths that drive descendant-step
+// expansion are the scheme's state rows.
 type Binary struct {
-	elemTables map[string]string
-	attrTables map[string]string
-	catalog    *translate.PathCatalog
 	valueIndex bool
-	nameSeq    int
 }
 
 // NewBinary returns a Binary scheme; withValueIndex adds (value) indexes
 // on every partition for the F5 ablation.
 func NewBinary(withValueIndex bool) *Binary {
-	return &Binary{
-		elemTables: map[string]string{},
-		attrTables: map[string]string{},
-		catalog:    translate.NewPathCatalog(),
-		valueIndex: withValueIndex,
-	}
+	return &Binary{valueIndex: withValueIndex}
 }
 
 // Name implements Scheme.
@@ -53,7 +44,7 @@ func (bn *Binary) Setup(db *sqldb.Database) error {
 			return err
 		}
 	}
-	return nil
+	return createState(db, "binary")
 }
 
 func (bn *Binary) createPartition(db sqldb.Writer, table string) error {
@@ -81,49 +72,33 @@ func (bn *Binary) createPartition(db sqldb.Writer, table string) error {
 	return nil
 }
 
-// forgetPartitionsOnError returns a function, to be deferred, that
-// restores the partition maps to their current contents when *errp is
-// set: a failed load or insert rolls the partitions it created back
-// with its transaction, and the scheme must not go on naming them.
-func (bn *Binary) forgetPartitionsOnError(errp *error) func() {
-	elem, attr, seq := maps.Clone(bn.elemTables), maps.Clone(bn.attrTables), bn.nameSeq
-	return func() {
-		if *errp != nil {
-			bn.elemTables, bn.attrTables, bn.nameSeq = elem, attr, seq
-		}
-	}
-}
-
 // partitionFor resolves (creating on demand) the partition table for a
-// named node. Sanitized labels can collide; a sequence suffix keeps the
-// table names unique.
-func (bn *Binary) partitionFor(db sqldb.Writer, m map[string]string, prefix, label string) (string, error) {
+// named node. Sanitized labels can collide; a suffix numbering the
+// labels that share a table name keeps the names unique.
+func (bn *Binary) partitionFor(db sqldb.Writer, st *schemeState, kind, label string) (string, error) {
+	m, prefix := st.elem, "be_"
+	if kind == stateAttr {
+		m, prefix = st.attr, "ba_"
+	}
 	if t, ok := m[label]; ok {
 		return t, nil
 	}
+	taken := map[string]bool{}
+	for _, t := range st.elem {
+		taken[t] = true
+	}
+	for _, t := range st.attr {
+		taken[t] = true
+	}
 	base := prefix + translate.SanitizeName(label)
 	table := base
-	for taken := true; taken; {
-		taken = false
-		for _, existing := range bn.elemTables {
-			if existing == table {
-				taken = true
-			}
-		}
-		for _, existing := range bn.attrTables {
-			if existing == table {
-				taken = true
-			}
-		}
-		if taken {
-			bn.nameSeq++
-			table = fmt.Sprintf("%s_%d", base, bn.nameSeq)
-		}
+	for i := 1; taken[table]; i++ {
+		table = fmt.Sprintf("%s_%d", base, i)
 	}
 	if err := bn.createPartition(db, table); err != nil {
 		return "", err
 	}
-	m[label] = table
+	st.set(m, kind, label, table)
 	return table, nil
 }
 
@@ -134,15 +109,19 @@ func (bn *Binary) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Documen
 }
 
 // Translate implements Scheme.
-func (bn *Binary) Translate(q *xpath.Path) (string, error) {
+func (bn *Binary) Translate(db sqldb.Queryer, q *xpath.Path) (string, error) {
+	st, err := readState(db, "binary")
+	if err != nil {
+		return "", err
+	}
 	return translate.Binary(q, translate.BinaryOptions{
-		Catalog: bn.catalog,
+		Catalog: st.catalog,
 		ElemTable: func(label string) (string, bool) {
-			t, ok := bn.elemTables[label]
+			t, ok := st.elem[label]
 			return t, ok
 		},
 		AttrTable: func(label string) (string, bool) {
-			t, ok := bn.attrTables[label]
+			t, ok := st.attr[label]
 			return t, ok
 		},
 	})
@@ -151,12 +130,16 @@ func (bn *Binary) Translate(q *xpath.Path) (string, error) {
 // Reconstruct implements Scheme: each partition's rows are read back
 // with the kind and label its table implies.
 func (bn *Binary) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
+	st, err := readState(db, "binary")
+	if err != nil {
+		return nil, err
+	}
 	queries := []string{
 		`SELECT target, source, ordinal, 'text', NULL, value FROM bt_text`,
 		`SELECT target, source, ordinal, 'comment', NULL, value FROM bt_comment`,
 		`SELECT target, source, ordinal, 'pi', name, value FROM bt_pi`,
 	}
-	for kind, tables := range map[string]map[string]string{"elem": bn.elemTables, "attr": bn.attrTables} {
+	for kind, tables := range map[string]map[string]string{"elem": st.elem, "attr": st.attr} {
 		for label, t := range tables {
 			queries = append(queries, fmt.Sprintf(`SELECT target, source, ordinal, '%s', %s, value FROM %s`,
 				kind, translate.QuoteString(label), t))
@@ -176,11 +159,14 @@ func (bn *Binary) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // InsertSubtree implements Scheme: like Edge, a local ordinal shift on
 // the parent's partitions plus appends — but the shift must touch every
 // partition holding a child of the parent.
-func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) (err error) {
-	defer bn.forgetPartitionsOnError(&err)()
+func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
+	st, err := readState(db, "binary")
+	if err != nil {
+		return err
+	}
 	// Count attributes of the parent across attribute partitions.
 	var nAttrs int64
-	for _, t := range bn.attrTables {
+	for _, t := range st.attr {
 		v, err := db.QueryScalar("SELECT COUNT(*) FROM "+t+" WHERE source = ?", sqldb.NewInt(parentID))
 		if err != nil {
 			return err
@@ -189,9 +175,8 @@ func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 	}
 	ordinal := nAttrs + int64(position) + 1
 
-	allTables := bn.allPartitions()
 	var maxID int64
-	for _, t := range allTables {
+	for _, t := range st.partitions() {
 		if _, err := db.Exec("UPDATE "+t+" SET ordinal = ordinal + 1 WHERE source = ? AND ordinal >= ?",
 			sqldb.NewInt(parentID), sqldb.NewInt(ordinal)); err != nil {
 			return err
@@ -204,29 +189,22 @@ func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 			maxID = v.Int()
 		}
 	}
-	parentPath, err := bn.labelPathOf(db, parentID)
+	parentPath, err := labelPathOf(db, st, parentID)
 	if err != nil {
 		return err
 	}
-	sink := &binarySink{bn: bn, db: db, batchers: map[string]*batcher{}}
+	sink := &binarySink{bn: bn, st: st, db: db, bs: newTableBatchers(nil, db)}
 	at := walkAt{parent: parentID, path: parentPath, next: maxID + 1, ordinal: ordinal}
-	if _, _, err := streamWalk(subtreeTokens(subtree), sink, bn.catalog, at); err != nil {
-		return err
-	}
-	return sink.flush()
+	return sink.shred(subtreeTokens(subtree), at)
 }
 
 // labelPathOf reconstructs the label path of a stored element by walking
 // parent links across partitions (update-path bookkeeping only).
-func (bn *Binary) labelPathOf(db sqldb.Queryer, id int64) (string, error) {
-	if id == 0 {
-		return "", nil
-	}
+func labelPathOf(db sqldb.Queryer, st *schemeState, id int64) (string, error) {
 	var segs []string
-	cur := id
-	for cur != 0 {
+	for cur := id; cur != 0; {
 		found := false
-		for label, t := range bn.elemTables {
+		for label, t := range st.elem {
 			rows, err := db.Query("SELECT source FROM "+t+" WHERE target = ?", sqldb.NewInt(cur))
 			if err != nil {
 				return "", err
@@ -245,15 +223,15 @@ func (bn *Binary) labelPathOf(db sqldb.Queryer, id int64) (string, error) {
 	return strings.Join(segs, "/"), nil
 }
 
-func (bn *Binary) allPartitions() []string {
-	var out []string
-	for _, t := range bn.elemTables {
+// partitions lists every partition table, sorted.
+func (st *schemeState) partitions() []string {
+	out := []string{"bt_text", "bt_comment", "bt_pi"}
+	for _, t := range st.elem {
 		out = append(out, t)
 	}
-	for _, t := range bn.attrTables {
+	for _, t := range st.attr {
 		out = append(out, t)
 	}
-	out = append(out, "bt_text", "bt_comment", "bt_pi")
 	sort.Strings(out)
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/sqldb"
 	"repro/internal/xmldom"
 	"repro/internal/xmlgen"
 	"repro/internal/xpath"
@@ -55,6 +56,31 @@ var conformanceQueries = []struct {
 	{name: "sibling_then_value", query: "/site/people/person/name/following-sibling::emailaddress",
 		skip: map[string]bool{"edge": true, "binary": true, "universal": true}},
 	{name: "starts_with", query: "/site/people/person[starts-with(name, 'A')]/name"},
+}
+
+// All returns one instance of every scheme that needs no DTD, for the
+// batteries. withValueIndex toggles the F5 ablation.
+func All(withValueIndex bool) []Scheme {
+	return []Scheme{
+		NewEdge(withValueIndex),
+		NewBinary(withValueIndex),
+		NewUniversal(),
+		NewInterval(withValueIndex),
+		NewDewey(withValueIndex),
+	}
+}
+
+// QueryIDs runs Query and returns just the id column.
+func QueryIDs(db *sqldb.Database, s Scheme, query string) ([]int64, error) {
+	rows, err := Query(db, s, query)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, 0, rows.Len())
+	for _, r := range rows.Data {
+		out = append(out, r[0].Int())
+	}
+	return out, nil
 }
 
 func domIDs(doc *xmldom.Document, query string) []int64 {

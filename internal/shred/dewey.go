@@ -93,7 +93,7 @@ func (d *Dewey) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document)
 }
 
 // Translate implements Scheme.
-func (d *Dewey) Translate(q *xpath.Path) (string, error) {
+func (d *Dewey) Translate(_ sqldb.Queryer, q *xpath.Path) (string, error) {
 	return translate.Dewey(q)
 }
 
@@ -183,7 +183,7 @@ func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, sub
 		return err
 	}
 
-	s := &deweySink{b: newBatcher(db, "dewey"), labels: []string{parentPath},
+	s := &deweySink{b: newBatcher(nil, db, "dewey"), labels: []string{parentPath},
 		top: parentPath + "." + deweyComp(newComp)}
 	at := walkAt{parent: parentID, level: int(parentLevel), next: maxID.Int() + 1}
 	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {

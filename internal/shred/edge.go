@@ -19,22 +19,19 @@ import (
 // unions of join chains (the scheme has no structural index), which is
 // the cost experiment F2 measures against the interval encoding.
 type Edge struct {
-	// maxDepth is remembered from the loaded document and bounds the
-	// descendant expansion.
-	maxDepth int
 	// valueIndex requests an additional (name, value) index at Setup,
 	// the F5 ablation toggle.
 	valueIndex bool
-	// catalog records observed label paths; UseCatalog switches the
-	// descendant translation to catalog-driven expansion (ablation A1).
-	catalog    *translate.PathCatalog
+	// useCatalog switches the descendant translation from blind chains
+	// bounded by the stored depth to the stored label paths (ablation
+	// A1).
 	useCatalog bool
 }
 
 // NewEdge returns an Edge scheme. withValueIndex adds the (name, value)
 // index used by the F5 ablation.
 func NewEdge(withValueIndex bool) *Edge {
-	return &Edge{maxDepth: 16, valueIndex: withValueIndex, catalog: translate.NewPathCatalog()}
+	return &Edge{valueIndex: withValueIndex}
 }
 
 // UseCatalog toggles catalog-driven descendant expansion (ablation A1):
@@ -67,7 +64,7 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 			return err
 		}
 	}
-	return nil
+	return createState(db, "edge")
 }
 
 // Load implements Scheme: the document's replay goes through the same
@@ -76,11 +73,17 @@ func (e *Edge) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) 
 	return e.LoadStream(ctx, db, doc.Tokens())
 }
 
-// Translate implements Scheme.
-func (e *Edge) Translate(q *xpath.Path) (string, error) {
-	opt := translate.EdgeOptions{MaxDepth: e.maxDepth}
+// Translate implements Scheme: descendant steps expand to chains no
+// deeper than the stored depth bound, or along the stored label paths
+// under UseCatalog.
+func (e *Edge) Translate(db sqldb.Queryer, q *xpath.Path) (string, error) {
+	st, err := readState(db, "edge")
+	if err != nil {
+		return "", err
+	}
+	opt := translate.EdgeOptions{MaxDepth: st.depth}
 	if e.useCatalog {
-		opt.Catalog = e.catalog
+		opt.Catalog = st.catalog
 	}
 	return translate.Edge(q, opt)
 }
@@ -118,17 +121,30 @@ func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subt
 	if err != nil {
 		return err
 	}
-
-	s := &edgeSink{b: newBatcher(db, "edge")}
-	at := walkAt{parent: parentID, level: pathLevel(parentPath), path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
-	_, maxLevel, err := streamWalk(subtreeTokens(subtree), s, e.catalog, at)
+	st, err := readState(db, "edge")
 	if err != nil {
 		return err
 	}
-	// A subtree reaching below the deepest loaded node raises the bound
-	// descendant steps expand to.
-	e.maxDepth = max(e.maxDepth, maxLevel)
-	return s.b.flush()
+	s := &edgeSink{b: newBatcher(nil, db, "edge")}
+	at := walkAt{parent: parentID, level: pathLevel(parentPath), path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
+	return e.shred(db, st, subtreeTokens(subtree), s, at)
+}
+
+// shred walks src into the edge relation and saves the label paths and
+// the depth bound it adds: a subtree reaching below the deepest stored
+// node raises the bound descendant steps expand to.
+func (e *Edge) shred(db sqldb.Writer, st *schemeState, src xmldom.TokenSource, s *edgeSink, at walkAt) error {
+	_, maxLevel, err := streamWalk(src, s, st.catalog, at)
+	if err != nil {
+		return err
+	}
+	if err := s.b.flush(); err != nil {
+		return err
+	}
+	if err := st.raiseDepth(db, maxLevel); err != nil {
+		return err
+	}
+	return st.save(db)
 }
 
 // storedLabelPath walks parent links in the edge table to recover the

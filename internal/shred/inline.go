@@ -23,7 +23,12 @@ import (
 // Documented information loss (inherent to the mapping): comments, PIs
 // and mixed-content ordering are not preserved, and inlined elements
 // share their host row's id.
+//
+// The DTD text is the scheme's one state row, written at Setup; the
+// mapping is derived from it, and a database holding an Inline layout
+// reopens through StoredDTD.
 type Inline struct {
+	text    string
 	dtd     *dtd.DTD
 	mapping *translate.InlineMapping
 }
@@ -40,7 +45,17 @@ func NewInline(dtdText, root string) (*Inline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Inline{dtd: d, mapping: m}, nil
+	return &Inline{text: dtdText, dtd: d, mapping: m}, nil
+}
+
+// StoredDTD reads the DTD text and document element an Inline Setup
+// stored in db; ok is false when db holds none.
+func StoredDTD(db sqldb.Queryer) (text, root string, ok bool) {
+	rows, err := db.Query("SELECT label, value FROM "+stateTable("inline")+" WHERE kind = ?", sqldb.NewText(stateDTD))
+	if err != nil || rows.Len() != 1 {
+		return "", "", false
+	}
+	return rows.Data[0][1].Text(), rows.Data[0][0].Text(), true
 }
 
 // Mapping exposes the derived relational mapping (for the T4 report:
@@ -75,7 +90,12 @@ func (in *Inline) Setup(db *sqldb.Database) error {
 			return err
 		}
 	}
-	return nil
+	if err := createState(db, "inline"); err != nil {
+		return err
+	}
+	_, err := db.Exec("INSERT INTO "+stateTable("inline")+" VALUES (?, ?, ?)",
+		sqldb.NewText(stateDTD), sqldb.NewText(in.dtd.Root), sqldb.NewText(in.text))
+	return err
 }
 
 // openRow accumulates one relation row during loading.
@@ -86,6 +106,23 @@ type openRow struct {
 	code   sqldb.Value // parentCODE: inner path of the parent element
 	ord    int64
 	vals   map[string]sqldb.Value
+}
+
+// values lays the row out in its relation's column order.
+func (r *openRow) values() []sqldb.Value {
+	row := make([]sqldb.Value, 4+len(r.rel.Columns))
+	row[0] = sqldb.NewInt(r.id)
+	row[1] = r.parent
+	row[2] = r.code
+	row[3] = sqldb.NewInt(r.ord)
+	for i, c := range r.rel.Columns {
+		if v, ok := r.vals[c.Key]; ok {
+			row[4+i] = v
+		} else {
+			row[4+i] = sqldb.Null
+		}
+	}
+	return row
 }
 
 // Load implements Scheme. The document must conform to the DTD.
@@ -99,28 +136,7 @@ func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Documen
 		return errScheme("inline", "root element <%s> does not match DTD root <%s>", root.Name, in.dtd.Root)
 	}
 
-	batchers := map[string]*batcher{}
-	flushRow := func(r *openRow) error {
-		b := batchers[r.rel.Table]
-		if b == nil {
-			b = newBatcherCtx(ctx, db, r.rel.Table)
-			batchers[r.rel.Table] = b
-		}
-		row := make([]sqldb.Value, 4+len(r.rel.Columns))
-		row[0] = sqldb.NewInt(r.id)
-		row[1] = r.parent
-		row[2] = r.code
-		row[3] = sqldb.NewInt(r.ord)
-		for i, c := range r.rel.Columns {
-			if v, ok := r.vals[c.Key]; ok {
-				row[4+i] = v
-			} else {
-				row[4+i] = sqldb.Null
-			}
-		}
-		return b.add(row)
-	}
-
+	bs := newTableBatchers(ctx, db)
 	// sibCount tracks per-(host row, element) occurrence ordinals.
 	var walk func(el *xmldom.Node, host *openRow, innerPath []string, sibCount map[string]int64) error
 	walk = func(el *xmldom.Node, host *openRow, innerPath []string, sibCount map[string]int64) error {
@@ -160,7 +176,7 @@ func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Documen
 					return err
 				}
 			}
-			return flushRow(row)
+			return bs.add(row.rel.Table, row.values())
 		}
 
 		// Inlined element: fill columns on the host row.
@@ -189,21 +205,10 @@ func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Documen
 		return nil
 	}
 
-	rootCounts := map[string]int64{}
-	if err := walk(root, nil, nil, rootCounts); err != nil {
+	if err := walk(root, nil, nil, map[string]int64{}); err != nil {
 		return err
 	}
-	tables := make([]string, 0, len(batchers))
-	for t := range batchers {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		if err := batchers[t].flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bs.flush()
 }
 
 // fillNode stores an element's own value and attributes into row.
@@ -238,7 +243,7 @@ func directText(el *xmldom.Node) string {
 }
 
 // Translate implements Scheme.
-func (in *Inline) Translate(q *xpath.Path) (string, error) {
+func (in *Inline) Translate(_ sqldb.Queryer, q *xpath.Path) (string, error) {
 	return translate.Inline(q, in.mapping)
 }
 
@@ -403,7 +408,7 @@ func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 		return err
 	}
 
-	batchers := map[string]*batcher{}
+	bs := newTableBatchers(nil, db)
 	var store func(el *xmldom.Node, parent sqldb.Value, code string, ord int64) error
 	store = func(el *xmldom.Node, parent sqldb.Value, code string, ord int64) error {
 		r := in.mapping.Relations[el.Name]
@@ -442,39 +447,12 @@ func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 		if err := fill(el, nil); err != nil {
 			return err
 		}
-		b := batchers[r.Table]
-		if b == nil {
-			b = newBatcher(db, r.Table)
-			batchers[r.Table] = b
-		}
-		vals := make([]sqldb.Value, 4+len(r.Columns))
-		vals[0] = sqldb.NewInt(row.id)
-		vals[1] = row.parent
-		vals[2] = row.code
-		vals[3] = sqldb.NewInt(row.ord)
-		for i, c := range r.Columns {
-			if v, ok := row.vals[c.Key]; ok {
-				vals[4+i] = v
-			} else {
-				vals[4+i] = sqldb.Null
-			}
-		}
-		return b.add(vals)
+		return bs.add(r.Table, row.values())
 	}
 	if err := store(subtree, sqldb.NewInt(parentID), "", int64(position)+1); err != nil {
 		return err
 	}
-	tables := make([]string, 0, len(batchers))
-	for t := range batchers {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		if err := batchers[t].flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bs.flush()
 }
 
 var _ Scheme = (*Inline)(nil)
@@ -483,18 +461,6 @@ var _ Scheme = (*Binary)(nil)
 var _ Scheme = (*Universal)(nil)
 var _ Scheme = (*Interval)(nil)
 var _ Scheme = (*Dewey)(nil)
-
-// All returns one instance of every scheme that needs no DTD, keyed for
-// the experiment harness. withValueIndex toggles the F5 ablation.
-func All(withValueIndex bool) []Scheme {
-	return []Scheme{
-		NewEdge(withValueIndex),
-		NewBinary(withValueIndex),
-		NewUniversal(),
-		NewInterval(withValueIndex),
-		NewDewey(withValueIndex),
-	}
-}
 
 // LoadDocument is a convenience: set up a fresh database and load doc
 // under scheme s.

@@ -80,7 +80,7 @@ func (iv *Interval) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Docum
 }
 
 // Translate implements Scheme.
-func (iv *Interval) Translate(q *xpath.Path) (string, error) {
+func (iv *Interval) Translate(_ sqldb.Queryer, q *xpath.Path) (string, error) {
 	return translate.Interval(q, translate.IntervalOptions{ChildViaRegion: iv.childViaRegion})
 }
 
@@ -178,7 +178,7 @@ func (iv *Interval) InsertSubtree(db sqldb.Writer, parentID int64, position int,
 	}
 
 	// Insert the subtree rows with contiguous pre numbers at boundary.
-	s := &intervalSink{b: newBatcher(db, "accel")}
+	s := &intervalSink{b: newBatcher(nil, db, "accel")}
 	at := walkAt{parent: parentID, level: int(pLevel), next: boundary, ordinal: newOrdinal}
 	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
 		return err

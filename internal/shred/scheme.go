@@ -27,7 +27,8 @@ import (
 type Scheme interface {
 	// Name is the scheme's short identifier ("edge", "interval", ...).
 	Name() string
-	// Setup creates the scheme's tables and indexes.
+	// Setup creates the scheme's tables and indexes, and the state
+	// relation of a scheme that keeps state (state.go).
 	Setup(db *sqldb.Database) error
 	// Load shreds one document. Schemes in this reproduction store a
 	// single document per database. Cancellation is honored at
@@ -35,12 +36,12 @@ type Scheme interface {
 	// bounds a long load at its next flush.
 	Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error
 	// Translate compiles an XPath query to SQL with result columns
-	// (id, val) in document order.
-	Translate(q *xpath.Path) (string, error)
-	// Reconstruct rebuilds the stored document from tuples. It takes
-	// the read-only Queryer surface so it can run either against the
-	// live database or against one pinned snapshot version
-	// (reconstruct-while-updating).
+	// (id, val) in document order, against the scheme state db holds.
+	// Translate and Reconstruct take the read-only Queryer surface so
+	// they run against the live database, an open transaction or one
+	// pinned snapshot version (reconstruct-while-updating) alike.
+	Translate(db sqldb.Queryer, q *xpath.Path) (string, error)
+	// Reconstruct rebuilds the stored document from tuples.
 	Reconstruct(db sqldb.Queryer) (*xmldom.Document, error)
 	// InsertSubtree inserts subtree as the position-th element child
 	// (0-based, counted among non-attribute children) of the element
@@ -56,29 +57,16 @@ func Query(db *sqldb.Database, s Scheme, query string) (*sqldb.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	sql, err := s.Translate(p)
+	sql, err := s.Translate(db, p)
 	if err != nil {
 		return nil, err
 	}
 	return db.Query(sql)
 }
 
-// QueryIDs runs Query and returns just the id column.
-func QueryIDs(db *sqldb.Database, s Scheme, query string) ([]int64, error) {
-	rows, err := Query(db, s, query)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, rows.Len())
-	for _, r := range rows.Data {
-		out = append(out, r[0].Int())
-	}
-	return out, nil
-}
-
 // batcher accumulates rows and bulk-inserts them in chunks. With a
-// context attached (newBatcherCtx) each flush first checks it, so
-// cancellation bounds a load at batch granularity.
+// context attached each flush first checks it, so cancellation bounds
+// a load at batch granularity.
 type batcher struct {
 	ctx   context.Context // nil: never canceled
 	db    sqldb.Writer
@@ -87,14 +75,8 @@ type batcher struct {
 	limit int
 }
 
-func newBatcher(db sqldb.Writer, table string) *batcher {
-	return &batcher{db: db, table: table, limit: 4096}
-}
-
-func newBatcherCtx(ctx context.Context, db sqldb.Writer, table string) *batcher {
-	b := newBatcher(db, table)
-	b.ctx = ctx
-	return b
+func newBatcher(ctx context.Context, db sqldb.Writer, table string) *batcher {
+	return &batcher{ctx: ctx, db: db, table: table, limit: 4096}
 }
 
 func (b *batcher) add(row []sqldb.Value) error {
@@ -117,6 +99,42 @@ func (b *batcher) flush() error {
 	_, err := b.db.BulkInsert(b.table, b.rows)
 	b.rows = b.rows[:0]
 	return err
+}
+
+// tableBatchers batches rows into several tables, one batcher each,
+// created on first use.
+type tableBatchers struct {
+	ctx context.Context // nil: never canceled
+	db  sqldb.Writer
+	m   map[string]*batcher
+}
+
+func newTableBatchers(ctx context.Context, db sqldb.Writer) *tableBatchers {
+	return &tableBatchers{ctx: ctx, db: db, m: map[string]*batcher{}}
+}
+
+func (bs *tableBatchers) add(table string, row []sqldb.Value) error {
+	b := bs.m[table]
+	if b == nil {
+		b = newBatcher(bs.ctx, bs.db, table)
+		bs.m[table] = b
+	}
+	return b.add(row)
+}
+
+// flush flushes every table's batch, in table-name order.
+func (bs *tableBatchers) flush() error {
+	tables := make([]string, 0, len(bs.m))
+	for t := range bs.m {
+		tables = append(tables, t)
+	}
+	slices.Sort(tables)
+	for _, t := range tables {
+		if err := bs.m[t].flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // simpleContent returns an element's denormalized value: the

@@ -235,7 +235,11 @@ func TestNextIDIsIndexProbe(t *testing.T) {
 		}
 	}
 	check(edge, "edge")
-	for _, table := range bn.allPartitions() {
+	st, err := readState(binary, "binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range st.partitions() {
 		check(binary, table)
 	}
 }

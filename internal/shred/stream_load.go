@@ -11,7 +11,6 @@ package shred
 
 import (
 	"context"
-	"sort"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -209,15 +208,11 @@ func (s *edgeSink) node(n *shredNode) error {
 
 // LoadStream implements StreamLoader for the edge mapping.
 func (e *Edge) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &edgeSink{b: newBatcherCtx(ctx, db, "edge")}
-	_, maxLevel, err := streamWalk(src, s, e.catalog, loadAt)
+	st, err := readState(db, "edge")
 	if err != nil {
 		return err
 	}
-	if maxLevel > 0 {
-		e.maxDepth = maxLevel
-	}
-	return s.b.flush()
+	return e.shred(db, st, src, &edgeSink{b: newBatcher(ctx, db, "edge")}, loadAt)
 }
 
 // intervalSink shreds into the accel relation.
@@ -240,7 +235,7 @@ func (s *intervalSink) node(n *shredNode) error {
 
 // LoadStream implements StreamLoader for the interval mapping.
 func (iv *Interval) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &intervalSink{b: newBatcherCtx(ctx, db, "accel")}
+	s := &intervalSink{b: newBatcher(ctx, db, "accel")}
 	nodes, _, err := streamWalk(src, s, nil, loadAt)
 	if err != nil {
 		return err
@@ -258,14 +253,14 @@ func (iv *Interval) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.
 // binarySink shreds into the label partitions, creating each on first
 // sight.
 type binarySink struct {
-	bn       *Binary
-	ctx      context.Context // nil: never canceled
-	db       sqldb.Writer
-	batchers map[string]*batcher
+	bn *Binary
+	st *schemeState
+	db sqldb.Writer
+	bs *tableBatchers
 }
 
 func (s *binarySink) open(f *streamFrame) error {
-	_, err := s.bn.partitionFor(s.db, s.bn.elemTables, "be_", f.name)
+	_, err := s.bn.partitionFor(s.db, s.st, stateElem, f.name)
 	return err
 }
 
@@ -274,9 +269,9 @@ func (s *binarySink) node(n *shredNode) error {
 	var err error
 	switch n.kind {
 	case "elem":
-		table, err = s.bn.partitionFor(s.db, s.bn.elemTables, "be_", n.name.Text())
+		table, err = s.bn.partitionFor(s.db, s.st, stateElem, n.name.Text())
 	case "attr":
-		table, err = s.bn.partitionFor(s.db, s.bn.attrTables, "ba_", n.name.Text())
+		table, err = s.bn.partitionFor(s.db, s.st, stateAttr, n.name.Text())
 	case "text":
 		table = "bt_text"
 	case "comment":
@@ -287,41 +282,34 @@ func (s *binarySink) node(n *shredNode) error {
 	if err != nil {
 		return err
 	}
-	b := s.batchers[table]
-	if b == nil {
-		b = newBatcherCtx(s.ctx, s.db, table)
-		s.batchers[table] = b
-	}
 	row := []sqldb.Value{sqldb.NewInt(n.parent), sqldb.NewInt(n.ordinal), sqldb.NewInt(n.pre), n.value}
 	if n.kind == "pi" {
 		row = append(row, n.name) // the target
 	}
-	return b.add(row)
+	return s.bs.add(table, row)
 }
 
-// flush flushes every partition's batch, in table-name order.
-func (s *binarySink) flush() error {
-	tables := make([]string, 0, len(s.batchers))
-	for t := range s.batchers {
-		tables = append(tables, t)
+// shred walks src into the partitions, flushes every partition's batch
+// in table-name order, and saves the partitions and label paths the
+// walk added.
+func (s *binarySink) shred(src xmldom.TokenSource, at walkAt) error {
+	if _, _, err := streamWalk(src, s, s.st.catalog, at); err != nil {
+		return err
 	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		if err := s.batchers[t].flush(); err != nil {
-			return err
-		}
+	if err := s.bs.flush(); err != nil {
+		return err
 	}
-	return nil
+	return s.st.save(s.db)
 }
 
 // LoadStream implements StreamLoader for the binary mapping.
-func (bn *Binary) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) (err error) {
-	defer bn.forgetPartitionsOnError(&err)()
-	s := &binarySink{bn: bn, ctx: ctx, db: db, batchers: map[string]*batcher{}}
-	if _, _, err := streamWalk(src, s, bn.catalog, loadAt); err != nil {
+func (bn *Binary) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+	st, err := readState(db, "binary")
+	if err != nil {
 		return err
 	}
-	return s.flush()
+	s := &binarySink{bn: bn, st: st, db: db, bs: newTableBatchers(ctx, db)}
+	return s.shred(src, loadAt)
 }
 
 // deweySink shreds into the dewey relation. labels stacks the open
@@ -392,7 +380,7 @@ func (s *deweySink) node(n *shredNode) error {
 // (sqldb.Database.Update, as core's document loads do), which the
 // refusal then rolls back whole.
 func (d *Dewey) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &deweySink{b: newBatcherCtx(ctx, db, "dewey"), labels: []string{""}}
+	s := &deweySink{b: newBatcher(ctx, db, "dewey"), labels: []string{""}}
 	if _, _, err := streamWalk(src, s, nil, loadAt); err != nil {
 		return err
 	}

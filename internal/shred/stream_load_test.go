@@ -212,11 +212,14 @@ func TestEdgeStreamDifferential(t *testing.T) {
 			renderRow(&want, n.Parent.Pre, globalOrdinal(n), oracleName(n), n.Kind.String(), n.Pre, oracleValue(n))
 		}
 		expectDump(t, "edge", dumpTable(t, db, dump), want.String())
-		e := s.(*Edge)
-		if e.maxDepth != doc.MaxDepth() {
-			t.Fatalf("maxDepth %d, want %d", e.maxDepth, doc.MaxDepth())
+		st, err := readState(db, "edge")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := e.catalog.Paths(), oraclePaths(doc); strings.Join(got, " ") != strings.Join(want, " ") {
+		if st.depth != doc.MaxDepth() {
+			t.Fatalf("depth bound %d, want %d", st.depth, doc.MaxDepth())
+		}
+		if got, want := st.catalog.Paths(), oraclePaths(doc); strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Fatalf("catalog %v, want %v", got, want)
 		}
 	})
@@ -236,7 +239,7 @@ func TestEdgeCatalogTranslation(t *testing.T) {
 				t.Fatalf("%s/%s: %v", tc.name, in.name, err)
 			}
 			e.UseCatalog(true)
-			sql, err := e.Translate(xpath.MustParse("//name"))
+			sql, err := e.Translate(db, xpath.MustParse("//name"))
 			sqls = append(sqls, fmt.Sprint(sql, err))
 		}
 		if sqls[0] != sqls[1] {
@@ -265,16 +268,19 @@ func TestIntervalStreamDifferential(t *testing.T) {
 // oracle.
 func TestBinaryStreamDifferential(t *testing.T) {
 	forEachShred(t, func() Scheme { return NewBinary(false) }, func(t *testing.T, s Scheme, db *sqldb.Database, doc *xmldom.Document) {
-		bn := s.(*Binary)
+		st, err := readState(db, "binary")
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := map[string]*strings.Builder{}
 		for _, n := range doc.Nodes()[1:] {
 			var table string
 			var ok bool
 			switch n.Kind {
 			case xmldom.ElementNode:
-				table, ok = bn.elemTables[n.Name]
+				table, ok = st.elem[n.Name]
 			case xmldom.AttributeNode:
-				table, ok = bn.attrTables[n.Name]
+				table, ok = st.attr[n.Name]
 			default:
 				table, ok = "bt_"+n.Kind.String(), true
 			}
@@ -286,7 +292,7 @@ func TestBinaryStreamDifferential(t *testing.T) {
 			}
 			renderRow(want[table], n.Parent.Pre, globalOrdinal(n), n.Pre, oracleValue(n))
 		}
-		for _, table := range bn.allPartitions() {
+		for _, table := range st.partitions() {
 			var w string
 			if want[table] != nil {
 				w = want[table].String()
@@ -295,7 +301,7 @@ func TestBinaryStreamDifferential(t *testing.T) {
 				t.Fatalf("%s mismatch\n-- oracle --\n%s\n-- stored --\n%s", table, clip(w), clip(got))
 			}
 		}
-		if got, want := bn.catalog.Paths(), oraclePaths(doc); strings.Join(got, " ") != strings.Join(want, " ") {
+		if got, want := st.catalog.Paths(), oraclePaths(doc); strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Fatalf("catalog %v, want %v", got, want)
 		}
 	})
@@ -354,9 +360,10 @@ func TestDeweyStreamMatchesLoad(t *testing.T) {
 }
 
 // TestBinaryPartitionsInDocumentOrder pins partition naming: labels that
-// sanitize alike are numbered in pre-order of their first node (a-b,
-// @x-y, a_b, @x_y, A-B), so an element's partition exists before its
-// attributes' even though its row is written when it closes.
+// sanitize to one table name are numbered per name in pre-order of their
+// first node (a-b, a_b, A-B; @x-y, @x_y), so an element's partition
+// exists before its attributes' even though its row is written when it
+// closes.
 func TestBinaryPartitionsInDocumentOrder(t *testing.T) {
 	for _, in := range shredInputs {
 		bn, db := NewBinary(false), sqldb.New()
@@ -366,8 +373,12 @@ func TestBinaryPartitionsInDocumentOrder(t *testing.T) {
 		if err := in.load(bn, db, `<a-b x-y="1"><a_b x_y="2"><A-B/></a_b></a-b>`); err != nil {
 			t.Fatal(err)
 		}
-		got := fmt.Sprint(bn.elemTables, bn.attrTables)
-		const want = "map[A-B:be_a_b_3 a-b:be_a_b a_b:be_a_b_1] map[x-y:ba_x_y x_y:ba_x_y_2]"
+		st, err := readState(db, "binary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(st.elem, st.attr)
+		const want = "map[A-B:be_a_b_2 a-b:be_a_b a_b:be_a_b_1] map[x-y:ba_x_y x_y:ba_x_y_1]"
 		if got != want {
 			t.Fatalf("%s: partitions %s, want %s", in.name, got, want)
 		}

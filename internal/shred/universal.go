@@ -23,30 +23,20 @@ import (
 // Restrictions (inherent to the mapping, documented in DESIGN.md):
 // recursive documents (a label repeating on one root-to-leaf path) are
 // rejected, and positional predicates are untranslatable.
-type Universal struct {
-	// suffix maps a label segment ("person", "@id", "#text") to its
-	// sanitized column suffix; labels maps back.
-	suffix  map[string]string
-	labels  map[string]string
-	order   []string
-	catalog *translate.PathCatalog
-}
+//
+// The label segment → column suffix table and the label paths are the
+// scheme's state rows; the column order is the table's.
+type Universal struct{}
 
 // NewUniversal returns a Universal scheme.
-func NewUniversal() *Universal {
-	return &Universal{
-		suffix:  map[string]string{},
-		labels:  map[string]string{},
-		catalog: translate.NewPathCatalog(),
-	}
-}
+func NewUniversal() *Universal { return &Universal{} }
 
 // Name implements Scheme.
 func (u *Universal) Name() string { return "universal" }
 
 // Setup implements Scheme. The universal table's columns depend on the
 // document's labels, so the table is created by Load.
-func (u *Universal) Setup(*sqldb.Database) error { return nil }
+func (u *Universal) Setup(db *sqldb.Database) error { return createState(db, "universal") }
 
 func segmentOf(n *xmldom.Node) string {
 	switch n.Kind {
@@ -64,28 +54,34 @@ func segmentOf(n *xmldom.Node) string {
 	return ""
 }
 
-func (u *Universal) suffixFor(seg string) string {
-	if s, ok := u.suffix[seg]; ok {
-		return s
+// suffixFor resolves (assigning on first sight) a label segment's
+// column suffix; order collects the segments in column order.
+func suffixFor(st *schemeState, order *[]string, seg string) {
+	if _, ok := st.column[seg]; ok {
+		return
+	}
+	taken := map[string]bool{}
+	for _, s := range st.column {
+		taken[s] = true
 	}
 	base := translate.SanitizeName(seg)
 	s := base
-	for i := 2; ; i++ {
-		if _, taken := u.labels[s]; !taken {
-			break
-		}
+	for i := 2; taken[s]; i++ {
 		s = fmt.Sprintf("%s_%d", base, i)
 	}
-	u.suffix[seg] = s
-	u.labels[s] = seg
-	u.order = append(u.order, seg)
-	return s
+	st.set(st.column, stateColumn, seg, s)
+	*order = append(*order, seg)
 }
 
 // Load implements Scheme. It keeps a DOM walk: the wide table's columns
 // are one per label, so every label must be seen before the first row.
 func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
 	doc.Number()
+	st, err := readState(db, "universal")
+	if err != nil {
+		return err
+	}
+	var order []string
 
 	// Pass 1: labels, catalog, recursion check.
 	var label func(n *xmldom.Node, chain []string, labelPath string) error
@@ -96,12 +92,9 @@ func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Docum
 				return errScheme("universal", "recursive document: label %q repeats on one path (the universal mapping cannot represent it)", seg)
 			}
 		}
-		u.suffixFor(seg)
-		path := seg
-		if labelPath != "" {
-			path = labelPath + "/" + seg
-		}
-		u.catalog.Add(path)
+		suffixFor(st, &order, seg)
+		path := joinPath(labelPath, seg)
+		st.catalog.Add(path)
 		chain = append(chain, seg)
 		for _, a := range n.Attrs {
 			if err := label(a, chain, path); err != nil {
@@ -128,8 +121,8 @@ func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Docum
 	// leafseg is the leaf's label segment, or a PI leaf's target, which
 	// no label column holds.
 	cols = append(cols, "leaf INTEGER NOT NULL PRIMARY KEY", "leafseg TEXT NOT NULL")
-	for _, seg := range u.order {
-		s := u.suffix[seg]
+	for _, seg := range order {
+		s := st.column[seg]
 		cols = append(cols, fmt.Sprintf("%s INTEGER, %s TEXT",
 			translate.QuoteIdent("id_"+s), translate.QuoteIdent("val_"+s)))
 	}
@@ -142,12 +135,12 @@ func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Docum
 	}
 
 	// Pass 2: one row per leaf.
-	width := 2 + 2*len(u.order)
+	width := 2 + 2*len(order)
 	colPos := map[string]int{} // seg -> index of its id column in the row
-	for i, seg := range u.order {
+	for i, seg := range order {
 		colPos[seg] = 2 + 2*i
 	}
-	b := newBatcherCtx(ctx, db, "universal")
+	b := newBatcher(ctx, db, "universal")
 	var emit func(n *xmldom.Node, chain []*xmldom.Node) error
 	emit = func(n *xmldom.Node, chain []*xmldom.Node) error {
 		chain = append(chain, n)
@@ -184,15 +177,22 @@ func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Docum
 	if err := emit(root, nil); err != nil {
 		return err
 	}
-	return b.flush()
+	if err := b.flush(); err != nil {
+		return err
+	}
+	return st.save(db)
 }
 
 // Translate implements Scheme.
-func (u *Universal) Translate(q *xpath.Path) (string, error) {
+func (u *Universal) Translate(db sqldb.Queryer, q *xpath.Path) (string, error) {
+	st, err := readState(db, "universal")
+	if err != nil {
+		return "", err
+	}
 	return translate.Universal(q, translate.UniversalOptions{
-		Catalog: u.catalog,
+		Catalog: st.catalog,
 		Column: func(seg string) (string, bool) {
-			s, ok := u.suffix[seg]
+			s, ok := st.column[seg]
 			return s, ok
 		},
 	})
@@ -202,6 +202,14 @@ func (u *Universal) Translate(q *xpath.Path) (string, error) {
 // node of its leaf's root-to-leaf chain, and in id order each is the
 // parent of the next.
 func (u *Universal) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
+	st, err := readState(db, "universal")
+	if err != nil {
+		return nil, err
+	}
+	labels := make(map[string]string, len(st.column)) // column suffix → segment
+	for seg, suffix := range st.column {
+		labels[suffix] = seg
+	}
 	rows, err := db.Query(`SELECT * FROM universal`)
 	if err != nil {
 		return nil, err
@@ -213,7 +221,7 @@ func (u *Universal) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	var cols []idCol
 	for i, name := range rows.Columns {
 		if suffix, ok := strings.CutPrefix(name, "id_"); ok {
-			if seg, ok := u.labels[suffix]; ok {
+			if seg, ok := labels[suffix]; ok {
 				cols = append(cols, idCol{i, seg})
 			}
 		}

@@ -218,9 +218,6 @@ func (ps *pageStore) fileLocked() (pf *pageFile, err error) {
 // may be the other name, holding images no snapshot references: it is
 // garbage, and pages still pointing into it keep their handle.
 func (ps *pageStore) attach(name string) (*pageFile, error) {
-	if ps.fs == nil {
-		return nil, errorf("snapshot references pages file %q; a standalone dump must inline its pages", name)
-	}
 	if name != pagesFiles[0] && name != pagesFiles[1] {
 		return nil, errorf("snapshot names unknown pages file %q", name)
 	}

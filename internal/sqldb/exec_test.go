@@ -11,6 +11,12 @@ import (
 func testDB(t *testing.T) *Database {
 	t.Helper()
 	db := New()
+	fillTestDB(db)
+	return db
+}
+
+// fillTestDB creates and fills testDB's tables nums and tags in db.
+func fillTestDB(db *Database) {
 	db.MustExec(`CREATE TABLE nums (n INTEGER PRIMARY KEY, sq INTEGER, label TEXT, grp TEXT)`)
 	for i := 1; i <= 100; i++ {
 		grp := "even"
@@ -27,7 +33,6 @@ func testDB(t *testing.T) *Database {
 	for i := 1; i <= 100; i += 7 {
 		db.MustExec(`INSERT INTO tags VALUES (?, 'seven')`, NewInt(int64(i)))
 	}
-	return db
 }
 
 func scalarInt(t *testing.T, db *Database, sql string, args ...Value) int64 {

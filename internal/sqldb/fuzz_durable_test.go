@@ -1,23 +1,40 @@
 package sqldb
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
 
-// fuzzSnapshotSeed builds a small database and returns its snapshot
-// bytes: one inline tail page.
-func fuzzSnapshotSeed() []byte {
-	db := New()
-	db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
-	db.MustExec(`INSERT INTO kv VALUES (1, 'one'), (2, NULL)`)
-	db.MustExec(`CREATE INDEX kv_v ON kv (v)`)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+// checkpointSnapshot builds a database in a fresh data directory with
+// fill, checkpoints it, and returns the directory and its snapshot
+// bytes.
+func checkpointSnapshot(fill func(db *Database)) (*MemVFS, []byte) {
+	fs := NewMemVFS()
+	d, err := OpenDurable(fs, DurableOptions{})
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	fill(d.DB())
+	if err := d.Checkpoint(); err != nil {
+		panic(err)
+	}
+	d.Close()
+	data, err := readSnapshotFile(fs)
+	if err != nil {
+		panic(err)
+	}
+	return fs, data
+}
+
+// fuzzSnapshotSeed is a small database's checkpoint: one inline tail
+// page.
+func fuzzSnapshotSeed() []byte {
+	_, data := checkpointSnapshot(func(db *Database) {
+		db.MustExec(`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
+		db.MustExec(`INSERT INTO kv VALUES (1, 'one'), (2, NULL)`)
+		db.MustExec(`CREATE INDEX kv_v ON kv (v)`)
+	})
+	return data
 }
 
 // pagedFixture fills table t(id, grp, val) with rows rows on db.
@@ -32,43 +49,27 @@ func pagedFixture(db *Database, rows int) {
 	}
 }
 
-// fuzzInlinePagesSeed is a dump whose table spans two full inline pages
-// and a tail.
-func fuzzInlinePagesSeed() []byte {
-	db := New()
-	pagedFixture(db, 2*heapPageSize+3)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+// fuzzPagedDir is a checkpointed data directory whose table spans one
+// full page, referenced in its pages file, and a tail; it returns the
+// directory and its snapshot.
+func fuzzPagedDir() (*MemVFS, []byte) {
+	return checkpointSnapshot(func(db *Database) { pagedFixture(db, heapPageSize+3) })
 }
 
-// fuzzPageRefSeed is a durable checkpoint's snapshot: it references its
-// full pages in a pages file a standalone load does not have.
+// fuzzPageRefSeed is a checkpoint whose two full pages are referenced
+// in a pages file no other directory has.
 func fuzzPageRefSeed() []byte {
-	fs := NewMemVFS()
-	d, err := OpenDurable(fs, DurableOptions{})
-	if err != nil {
-		panic(err)
-	}
-	pagedFixture(d.DB(), heapPageSize+3)
-	if err := d.Checkpoint(); err != nil {
-		panic(err)
-	}
-	d.Close()
-	data, err := readSnapshotFile(fs)
-	if err != nil {
-		panic(err)
-	}
+	_, data := checkpointSnapshot(func(db *Database) { pagedFixture(db, 2*heapPageSize+3) })
 	return data
 }
 
-// FuzzLoadFrom feeds arbitrary bytes to the snapshot loader: it must
-// return a database or an error — never panic, and never hand back a
-// silently partial database on corrupt input (the envelope's length
-// and CRC checks see to that).
+// FuzzLoadFrom opens a data directory whose snapshot file holds
+// arbitrary bytes — beside the pages file of a real checkpoint, so
+// references into it resolve: opening must return a database or an
+// error, never panic, and never hand back a silently partial database
+// on corrupt input (the envelope's length and CRC checks see to that).
 func FuzzLoadFrom(f *testing.F) {
+	dir, paged := fuzzPagedDir()
 	valid := fuzzSnapshotSeed()
 	f.Add(valid)
 	f.Add([]byte{})
@@ -81,18 +82,24 @@ func FuzzLoadFrom(f *testing.F) {
 	trailing := append(append([]byte(nil), valid...), 'x')
 	f.Add(trailing)
 	f.Add([]byte("xrdb-but-not-a-snapshot"))
-	f.Add(fuzzInlinePagesSeed())
-	f.Add(fuzzPageRefSeed()) // must be refused: no pages file
+	f.Add(paged)
+	f.Add(fuzzPageRefSeed()) // must be refused: a page past the pages file
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := LoadFrom(bytes.NewReader(data))
+		fs := dir.Clone()
+		if err := WriteFileAtomic(fs, snapshotFile, data); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(fs, DurableOptions{})
 		if err != nil {
 			return
 		}
-		// Whatever loads must be a coherent, usable database.
+		defer d.Close()
+		// Whatever opens must be a coherent, usable database.
+		db := d.DB()
 		checkIndexes(t, db)
 		if _, err := db.Exec(`CREATE TABLE fuzz_probe (x INTEGER)`); err != nil {
-			t.Fatalf("loaded database rejects DDL: %v", err)
+			t.Fatalf("opened database rejects DDL: %v", err)
 		}
 	})
 }

@@ -16,14 +16,14 @@ import (
 //	"xmlrdb-snapshot-v4\n" | u32 payload length | gob payload | u32 CRC32
 //
 // so a truncated or bit-flipped snapshot is detected with a clear error
-// instead of being half-loaded. Each page is either inline (its page
-// payload, pagefile.go's encoding) or a {Pid, Slots} reference into the
-// pages file the snapshot names. A checkpoint (durable.go) references
-// every full page, so it writes only what changed since the last one,
-// and inlines the unsealed tails; Save inlines every page, so a
-// standalone dump is a single file. LoadFrom and OpenDurable read the
-// same format through restoreSnapshot, which adopts referenced pages
-// lazily and rebuilds the indexes with one scan and a sort.
+// instead of being half-loaded. A checkpoint (durable.go) writes one
+// into its data directory: every full page is a {Pid, Slots} reference
+// into the pages file the snapshot names, so a checkpoint writes only
+// what changed since the last one, and each unsealed tail page is
+// inline (its page payload, pagefile.go's encoding). OpenDurable reads
+// it through restoreSnapshot, which adopts referenced pages lazily and
+// rebuilds the indexes with one scan and a sort. A data directory is
+// the one persistent form of a database.
 
 // snapshotMagic opens every snapshot. Snapshots written by older
 // versions of this package (v1 bare gob streams, v2 row dumps, v3 paged
@@ -40,8 +40,8 @@ type savedColumn struct {
 	NotNull bool
 }
 
-// savedPage is one heap page: Inline holds its payload, or Pid/Slots
-// name its slot chain in the snapshot's pages file.
+// savedPage is one heap page: Inline holds a tail page's payload, or
+// Pid/Slots name a full page's slot chain in the snapshot's pages file.
 type savedPage struct {
 	Pid    int64
 	Slots  int32
@@ -65,26 +65,15 @@ type snapshot struct {
 	// Seq is the last WAL commit sequence the snapshot contains; WAL
 	// replay skips records at or below it.
 	Seq uint64
-	// PagesFile names the pages file the references point into; empty
-	// when every page is inline.
+	// PagesFile names the pages file the references point into.
 	PagesFile string
 	Tables    []savedTable
 }
 
-// Save writes a standalone snapshot of the current published state —
-// one atomic pointer read, no lock, so writers keep committing while it
-// serializes. Every page is inlined; evicted pages fault in through the
-// pool to be encoded.
-func (db *Database) Save(w io.Writer) error {
-	_, err := writeSnapshot(w, db.state.Load(), nil)
-	return err
-}
-
-// writeSnapshot serializes one immutable state version. With ps nil
-// every page is inlined. Otherwise every full page is given an image in
-// ps's current pages file and referenced there (the caller must sync the
-// pages file before installing the snapshot); only tails are inlined.
-// It returns the pages file the snapshot names.
+// writeSnapshot serializes one immutable state version. Every full page
+// is given an image in ps's current pages file and referenced there
+// (the caller must sync the pages file before installing the snapshot);
+// only tails are inlined. It returns the pages file the snapshot names.
 func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 	names := make([]string, 0, len(state.tables))
 	for n := range state.tables {
@@ -106,11 +95,8 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		for _, c := range t.def.Columns {
 			st.Columns = append(st.Columns, savedColumn{Name: c.Name, Type: c.Type, NotNull: c.NotNull})
 		}
-		inlineFrom := 0
-		if ps != nil {
-			inlineFrom = t.fullPages()
-			full = append(full, t.pages[:inlineFrom]...)
-		}
+		inlineFrom := t.fullPages()
+		full = append(full, t.pages[:inlineFrom]...)
 		if err := inlinePages(t, st.Pages, inlineFrom); err != nil {
 			return "", fmt.Errorf("sqldb: snapshot of %s: %w", t.def.Name, err)
 		}
@@ -121,15 +107,13 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		}
 		snap.Tables = append(snap.Tables, st)
 	}
-	if ps != nil {
-		name, refs, err := ps.checkpoint(full)
-		if err != nil {
-			return "", err
-		}
-		snap.PagesFile = name
-		for _, st := range snap.Tables {
-			refs = refs[copy(st.Pages[:st.Count>>heapPageShift], refs):]
-		}
+	name, refs, err := ps.checkpoint(full)
+	if err != nil {
+		return "", err
+	}
+	snap.PagesFile = name
+	for _, st := range snap.Tables {
+		refs = refs[copy(st.Pages[:st.Count>>heapPageShift], refs):]
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
@@ -196,16 +180,6 @@ func openSealed(data []byte) ([]byte, error) {
 		return nil, errorf("snapshot corrupt (CRC mismatch)")
 	}
 	return payload, nil
-}
-
-// LoadFrom rebuilds a database from a snapshot written by Save.
-func LoadFrom(r io.Reader) (*Database, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: reading snapshot: %w", err)
-	}
-	db, _, err := restoreSnapshot(data, newPageStore())
-	return db, err
 }
 
 // restoreSnapshot rebuilds a database on pool from snapshot bytes (nil

@@ -11,9 +11,31 @@ import (
 	"testing"
 )
 
-// TestSaveLoadRoundTrip dumps and reloads a database with full pages,
-// tombstones and secondary indexes, unbounded and under a two-page pool
-// — where the dump has to fault evicted pages in through pins.
+// checkpointedCopy checkpoints d and returns a copy of its data
+// directory as it then stands.
+func checkpointedCopy(t *testing.T, d *DurableDB, fs *MemVFS) *MemVFS {
+	t.Helper()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return fs.Clone()
+}
+
+// reopenDir opens a data directory that holds a checkpoint.
+func reopenDir(t *testing.T, fs VFS, pool int) *Database {
+	t.Helper()
+	d, err := OpenDurable(fs, DurableOptions{BufferPoolPages: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d.DB()
+}
+
+// TestSaveLoadRoundTrip checkpoints a database with full pages,
+// tombstones and secondary indexes and reopens a copy of its data
+// directory, unbounded and under a two-page pool — where the checkpoint
+// has to reach evicted pages.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, pool := range []int{0, 2} {
 		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { saveLoadRoundTrip(t, pool) })
@@ -21,8 +43,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func saveLoadRoundTrip(t *testing.T, pool int) {
-	db := testDB(t)
-	db.SetBufferPool(pool)
+	fs := NewMemVFS()
+	d, err := OpenDurable(fs, DurableOptions{BufferPoolPages: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	db := d.DB()
+	fillTestDB(db)
 	db.MustExec(`CREATE INDEX nums_grp ON nums (grp)`)
 	db.MustExec(`CREATE UNIQUE INDEX nums_label ON nums (label)`)
 	db.MustExec(`DELETE FROM nums WHERE n > 90`) // deleted rows must not come back
@@ -30,20 +58,10 @@ func saveLoadRoundTrip(t *testing.T, pool int) {
 	fillWide(t, db, 5*heapPageSize+7)
 	db.MustExec(`DELETE FROM t WHERE grp = 5`)
 	if bp := db.Stats().BufferPool; pool > 0 && bp.Evictions == 0 {
-		t.Fatalf("nothing was evicted before the dump: %+v", bp)
+		t.Fatalf("nothing was evicted before the checkpoint: %+v", bp)
 	}
 
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bp := db.Stats().BufferPool; pool > 0 && bp.Misses == 0 {
-		t.Fatalf("the dump faulted no page in: %+v", bp)
-	}
-	re, err := LoadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := reopenDir(t, checkpointedCopy(t, d, fs), pool)
 	if diff := dbStateDiff(db, re); diff != "" {
 		t.Fatalf("restored state differs: %s", diff)
 	}
@@ -97,36 +115,38 @@ func saveLoadRoundTrip(t *testing.T, pool int) {
 	}
 }
 
+// TestLoadFromRejectsGarbage: a data directory whose snapshot file is
+// not a snapshot is refused, and one checkpointed empty reopens empty.
 func TestLoadFromRejectsGarbage(t *testing.T) {
-	if _, err := LoadFrom(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	var buf bytes.Buffer
-	db := New()
-	if err := db.Save(&buf); err != nil {
+	fs := NewMemVFS()
+	if err := WriteFileAtomic(fs, snapshotFile, []byte("not a snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	re, err := LoadFrom(&buf)
+	if _, err := OpenDurable(fs, DurableOptions{}); err == nil {
+		t.Fatal("garbage accepted")
+	}
+	fs = NewMemVFS()
+	d, err := OpenDurable(fs, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
+	re := reopenDir(t, checkpointedCopy(t, d, fs), 0)
 	if len(re.TableNames()) != 0 {
 		t.Errorf("empty snapshot restored tables: %v", re.TableNames())
 	}
 }
 
 func TestSaveLoadValueTypes(t *testing.T) {
-	db := New()
-	db.MustExec(`CREATE TABLE v (i INTEGER, f REAL, s TEXT, b BOOLEAN)`)
-	db.MustExec(`INSERT INTO v VALUES (1, 2.5, 'x', TRUE), (NULL, NULL, NULL, NULL)`)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := LoadFrom(&buf)
+	fs := NewMemVFS()
+	d, err := OpenDurable(fs, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
+	d.DB().MustExec(`CREATE TABLE v (i INTEGER, f REAL, s TEXT, b BOOLEAN)`)
+	d.DB().MustExec(`INSERT INTO v VALUES (1, 2.5, 'x', TRUE), (NULL, NULL, NULL, NULL)`)
+	re := reopenDir(t, checkpointedCopy(t, d, fs), 0)
 	rows, err := re.Query(`SELECT * FROM v ORDER BY i`)
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +172,9 @@ func sealedSnapshot(magic string, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// TestOlderSnapshotFormatsRefused feeds a dump and a data directory in
-// each older snapshot format: both are refused with the typed error
-// that says to reload the document.
+// TestOlderSnapshotFormatsRefused feeds a data directory in each older
+// snapshot format: it is refused with the typed error that says to
+// reload the document.
 func TestOlderSnapshotFormatsRefused(t *testing.T) {
 	type header struct {
 		Magic   string
@@ -175,15 +195,12 @@ func TestOlderSnapshotFormatsRefused(t *testing.T) {
 	}
 	for name, data := range formats {
 		t.Run(name, func(t *testing.T) {
-			_, err := LoadFrom(bytes.NewReader(data))
-			if !errors.Is(err, ErrUnsupportedSnapshot) || !strings.Contains(err.Error(), "reload the document") {
-				t.Fatalf("dump: %v, want ErrUnsupportedSnapshot", err)
-			}
 			fs := NewMemVFS()
 			if err := WriteFileAtomic(fs, snapshotFile, data); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenDurable(fs, DurableOptions{}); !errors.Is(err, ErrUnsupportedSnapshot) {
+			_, err := OpenDurable(fs, DurableOptions{})
+			if !errors.Is(err, ErrUnsupportedSnapshot) || !strings.Contains(err.Error(), "reload the document") {
 				t.Fatalf("data directory: %v, want ErrUnsupportedSnapshot", err)
 			}
 		})
@@ -191,10 +208,14 @@ func TestOlderSnapshotFormatsRefused(t *testing.T) {
 }
 
 // TestLoadFromRefusesPageReferences: a checkpoint's snapshot points
-// into its data directory's pages file, which a standalone load does
-// not have — an error, not a panic or a half-loaded table.
+// into its data directory's pages file; in a directory without that
+// file it is refused with an error, not a panic or a half-loaded table.
 func TestLoadFromRefusesPageReferences(t *testing.T) {
-	if _, err := LoadFrom(bytes.NewReader(fuzzPageRefSeed())); err == nil || !strings.Contains(err.Error(), "inline its pages") {
-		t.Fatalf("LoadFrom of a checkpoint snapshot: %v", err)
+	fs := NewMemVFS()
+	if err := WriteFileAtomic(fs, snapshotFile, fuzzPageRefSeed()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(fs, DurableOptions{}); err == nil || !strings.Contains(err.Error(), "pages file") {
+		t.Fatalf("opening a snapshot without its pages file: %v", err)
 	}
 }

@@ -291,7 +291,7 @@ func xmarkPlan(t *testing.T, db *sqldb.Database, s shred.Scheme, query string) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql, err := s.Translate(p)
+	sql, err := s.Translate(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}

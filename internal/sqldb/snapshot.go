@@ -31,6 +31,10 @@ func (db *Database) AcquireSnapshot() *Snapshot {
 	return s
 }
 
+// Seq returns the commit sequence of the latest published state: the
+// one a read started now observes.
+func (db *Database) Seq() uint64 { return db.state.Load().seq }
+
 // Seq returns the commit sequence the snapshot observes: every commit
 // with seq <= Seq() is visible, nothing later is.
 func (s *Snapshot) Seq() uint64 { return s.st.seq }

@@ -213,6 +213,10 @@ func (c *PathCatalog) Paths() []string {
 	return out
 }
 
+// Since returns the paths recorded after the first n, in the order
+// they were recorded.
+func (c *PathCatalog) Since(n int) []string { return c.paths[n:] }
+
 // Len reports the number of distinct paths.
 func (c *PathCatalog) Len() int { return len(c.paths) }
 

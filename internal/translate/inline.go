@@ -224,6 +224,10 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 	rest := p.Steps
 	switch first.Axis {
 	case xpath.AxisChild:
+		if first.Test.Kind == xpath.TestWildcard {
+			// `/*` is the one document element the DTD allows.
+			first.Test = xpath.NodeTest{Kind: xpath.TestName, Name: m.Graph.DTD.Root}
+		}
 		if first.Test.Kind != xpath.TestName {
 			return "", unsupported("inline", "a non-name root step")
 		}
