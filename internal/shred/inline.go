@@ -205,7 +205,8 @@ func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Documen
 		return nil
 	}
 
-	if err := walk(root, nil, nil, map[string]int64{}); err != nil {
+	rootCounts := map[string]int64{}
+	if err := walk(root, nil, nil, rootCounts); err != nil {
 		return err
 	}
 	return bs.flush()

@@ -184,11 +184,11 @@ func openSealed(data []byte) ([]byte, error) {
 
 // restoreSnapshot rebuilds a database on pool from snapshot bytes (nil
 // for an empty database) and reports the WAL sequence it contains.
-// Referenced pages are adopted into the pool without being read; inline
-// full pages are pooled resident. Every index (primary key included) is
-// then rebuilt bottom-up from one scan, which faults pages through the
-// pool under its cap — so recovery holds no more pages than the cap
-// allows.
+// Full pages must be references, which are adopted into the pool
+// without being read; only a tail page is inline. Every index (primary
+// key included) is then rebuilt bottom-up from one scan, which faults
+// pages through the pool under its cap — so recovery holds no more
+// pages than the cap allows.
 func restoreSnapshot(data []byte, pool *pageStore) (*Database, uint64, error) {
 	db := New()
 	db.pool = pool
@@ -240,22 +240,17 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*ta
 	full := int(sv.Count >> heapPageShift)
 	for pi, sp := range sv.Pages {
 		p := &heapPage{gen: gen}
-		switch {
-		case sp.Inline == nil:
-			if pf == nil || pi >= full || sp.Pid <= 0 || sp.Slots <= 0 {
+		if pi < full {
+			if pf == nil || sp.Inline != nil || sp.Pid <= 0 || sp.Slots <= 0 {
 				return nil, errorf("bad page reference %d", pi)
 			}
 			pool.adopt(p, pf, sp.Pid, sp.Slots)
-		default:
-			limit := int(min(sv.Count-int64(pi)<<heapPageShift, heapPageSize))
-			f, err := decodePagePayload(int64(pi), sp.Inline, limit)
+		} else {
+			f, err := decodePagePayload(int64(pi), sp.Inline, int(sv.Count-int64(pi)<<heapPageShift))
 			if err != nil {
 				return nil, err
 			}
 			p.res.Store(f)
-			if pi < full {
-				pool.add(p)
-			}
 		}
 		t.pages = append(t.pages, p)
 	}
