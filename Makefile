@@ -17,8 +17,12 @@ FUZZ_TIME ?= 5s
 ## or three-page pool), so the plain suite covers bounded memory too.
 check: vet build test race cover fuzz bench-smoke benchmark-smoke
 
+## vet: go vet, and gofmt over every Go source directory of the module
+## (benchmark/ is its own module); any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l internal cmd examples); \
+	if [ -n "$$unformatted" ]; then echo "vet: gofmt would rewrite:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...

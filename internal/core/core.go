@@ -111,6 +111,11 @@ type Store struct {
 	transHits, transMisses atomic.Uint64
 	transInvalidations     atomic.Uint64
 
+	// loaded is Loaded's last answer and the commit it holds for: the
+	// probe runs on a snapshot pinned at that commit, so the answer is
+	// served until the next commit and never for another.
+	loaded atomic.Pointer[loadedAt]
+
 	// Phase timers decompose end-to-end latency: shred (document load
 	// and subtree insertion), translate (XPath→SQL), exec (relational
 	// execution), publish (reconstruction/serialization). Plan-compile
@@ -124,6 +129,12 @@ type Store struct {
 type translation struct {
 	sql string
 	seq uint64
+}
+
+// loadedAt is Loaded's answer at commit seq.
+type loadedAt struct {
+	seq    uint64
+	loaded bool
 }
 
 // phaseTimer accumulates a span count and total duration; atomic so
@@ -530,10 +541,22 @@ func (st *Store) InsertXML(parentID int64, position int, fragment []byte) error 
 	return st.wrote(start)
 }
 
-// Loaded reports whether the store holds a document.
+// Loaded reports whether the store holds a document. The answer is
+// probed once per commit (the /* query, which on Dewey walks every
+// element entry of an index) and kept until the next one, so a health
+// check that asks again and again costs no query.
 func (st *Store) Loaded() bool {
-	loaded, err := st.holdsDocument(st.db)
-	return err == nil && loaded
+	if c := st.loaded.Load(); c != nil && c.seq == st.db.Seq() {
+		return c.loaded
+	}
+	snap := st.db.AcquireSnapshot()
+	defer snap.Release()
+	loaded, err := st.holdsDocument(snap)
+	if err != nil {
+		return false
+	}
+	st.loaded.Store(&loadedAt{seq: snap.Seq(), loaded: loaded})
+	return loaded
 }
 
 // StorageStats summarizes the relational footprint of the store.

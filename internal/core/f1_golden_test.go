@@ -26,7 +26,14 @@ const f1GoldenFile = "testdata/f1_examined.golden"
 // TestF1ExaminedGolden compares rows examined per (scheme, F1 class)
 // with the checked-in golden. Examined rows are counted as the
 // benchmark counts them: under EXPLAIN ANALYZE, the rows of every
-// operator whose kind names a Scan or a Join.
+// operator whose kind names a Scan or a Join. It also pins the plans
+// the child keys are for: Interval's Q2 scans the item elements and
+// probes accel_parent on (parent, kind, name) — the planner prices the
+// literal tail behind the join key rather than scanning every name
+// element — and Q5's sibling count is an IndexCount that reads no heap
+// row on Interval, Edge and Binary, whose child keys end in the
+// ordinal (Dewey's stops at the name, so its count walks the same-name
+// siblings).
 func TestF1ExaminedGolden(t *testing.T) {
 	doc := xmlgen.Auction(xmlgen.Config{Factor: 1, Seed: 1})
 	queries := append([]string(nil), f1Queries...)
@@ -51,6 +58,17 @@ func TestF1ExaminedGolden(t *testing.T) {
 				}
 			}
 			fmt.Fprintf(&got, "%s Q%d %d %d\n", kind, i+1, examined, ap.Rows)
+			switch {
+			case kind == Interval && i == 1:
+				if !strings.Contains(ap.Text, "IndexJoin accel via accel_parent (eq 3,") ||
+					!strings.Contains(ap.Text, "IndexScan accel via accel_kind_name (eq 2,") {
+					t.Errorf("Q2 does not scan item and probe accel_parent on three columns:\n%s", ap.Text)
+				}
+			case i == 4 && (kind == Interval || kind == Edge || kind == Binary):
+				if !strings.Contains(ap.Text, "SubPlan") || !strings.Contains(ap.Text, "IndexCount ") {
+					t.Errorf("%s Q5's sibling count is not an IndexCount:\n%s", kind, ap.Text)
+				}
+			}
 		}
 	})
 	checkGolden(t, f1GoldenFile, got.Bytes())

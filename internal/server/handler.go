@@ -36,9 +36,9 @@ type QueryRequest struct {
 
 // MatchJSON is one XPath match on the wire.
 type MatchJSON struct {
-	ID    int64  `json:"id"`
-	Value string `json:"value,omitempty"`
-	HasValue bool `json:"has_value"`
+	ID       int64  `json:"id"`
+	Value    string `json:"value,omitempty"`
+	HasValue bool   `json:"has_value"`
 }
 
 // QueryResponse is a read result on the wire.
@@ -287,18 +287,18 @@ func (s *Server) HealthCheck() HealthStatus {
 // StatsSnapshot is the /stats payload: server counters plus the
 // engine's storage, snapshot, governor and durability statistics.
 type StatsSnapshot struct {
-	Server   Stats              `json:"server"`
-	Health   HealthStatus       `json:"health"`
-	Scheme   string             `json:"scheme"`
-	Tables   int                `json:"tables"`
-	Rows     int                `json:"rows"`
-	Bytes    int64              `json:"bytes"`
-	CommitSeq   uint64          `json:"commit_seq"`
-	SchemaEpoch uint64          `json:"schema_epoch"`
-	Snapshots  sqldb.SnapshotStats   `json:"snapshots"`
-	Governor   sqldb.GovernorStats   `json:"governor"`
-	BufferPool sqldb.BufferPoolStats `json:"buffer_pool"`
-	Durable    DurableJSON           `json:"durable"`
+	Server      Stats                 `json:"server"`
+	Health      HealthStatus          `json:"health"`
+	Scheme      string                `json:"scheme"`
+	Tables      int                   `json:"tables"`
+	Rows        int                   `json:"rows"`
+	Bytes       int64                 `json:"bytes"`
+	CommitSeq   uint64                `json:"commit_seq"`
+	SchemaEpoch uint64                `json:"schema_epoch"`
+	Snapshots   sqldb.SnapshotStats   `json:"snapshots"`
+	Governor    sqldb.GovernorStats   `json:"governor"`
+	BufferPool  sqldb.BufferPoolStats `json:"buffer_pool"`
+	Durable     DurableJSON           `json:"durable"`
 }
 
 // DurableJSON is the WAL pipeline's counter block on the wire.

@@ -20,9 +20,9 @@ type sessionRequest struct {
 }
 
 type sessionResponse struct {
-	Session string `json:"session,omitempty"`
-	Seq     uint64 `json:"seq,omitempty"`
-	Pinned  bool   `json:"pinned"`
+	Session  string `json:"session,omitempty"`
+	Seq      uint64 `json:"seq,omitempty"`
+	Pinned   bool   `json:"pinned"`
 	Released string `json:"released,omitempty"`
 }
 

@@ -62,7 +62,7 @@ func (d *Dewey) Setup(db *sqldb.Database) error {
 		)`,
 		`CREATE INDEX dewey_pre ON dewey (pre)`,
 		`CREATE INDEX dewey_path ON dewey (path)`,
-		`CREATE INDEX dewey_parent ON dewey (parent)`,
+		`CREATE INDEX dewey_parent ON dewey (parent, kind, name)`,
 		`CREATE INDEX dewey_kind_name ON dewey (kind, name, path)`,
 	}
 	if d.valueIndex {
@@ -129,10 +129,11 @@ func (d *Dewey) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 // writes only the subtree's new rows and updates nothing in place
 // (Tatarinov's headline result, experiment F3). The parent lookup and
 // MAX(pre) are each one probe of dewey_pre; the sibling read lists the
-// parent's children through dewey_parent. A label that would overflow
-// deweyWidth digits is refused; rows written before the refusal roll
-// back with the transaction the insert runs in (core's InsertXML runs
-// it in one).
+// parent's children through dewey_parent, whose (parent, kind, name)
+// key groups them by name, and sorts them by path. A label that would
+// overflow deweyWidth digits is refused; rows written before the
+// refusal roll back with the transaction the insert runs in (core's
+// InsertXML runs it in one).
 func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	prow, err := db.Query(`SELECT path, level FROM dewey WHERE pre = ? AND kind = 'elem'`, sqldb.NewInt(parentID))
 	if err != nil {

@@ -53,7 +53,7 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 			target INTEGER NOT NULL PRIMARY KEY,
 			value TEXT
 		)`,
-		`CREATE INDEX edge_source ON edge (source, ordinal)`,
+		`CREATE INDEX edge_source ON edge (source, kind, name, ordinal)`,
 		`CREATE INDEX edge_kind_name ON edge (kind, name)`,
 	}
 	if e.valueIndex {

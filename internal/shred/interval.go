@@ -18,8 +18,13 @@ import (
 //
 // The post rank is derivable from (pre, size, level) and is not stored.
 // Three indexes serve the translated steps: (pre) region scans,
-// (parent, ordinal) child steps and positions, and (kind, name, pre)
-// name tests. A name test always comes with its kind, and XMark reuses
+// (parent, kind, name, ordinal) child steps and positions, and (kind,
+// name, pre) name tests. The child key carries the step's node test,
+// so a named child step reads only the children it returns and a
+// positional step's sibling count is a count of index entries; a
+// wildcard step reads one parent's children grouped by name, and the
+// translation's ORDER BY pre restores document order. A name test
+// always comes with its kind, and XMark reuses
 // element names as attribute names (@person, @item, @open_auction,
 // @category), so keying names by kind keeps a name step from fetching
 // its attribute namesakes; wildcard and text() steps use the kind
@@ -59,7 +64,7 @@ func (iv *Interval) Setup(db *sqldb.Database) error {
 			value TEXT
 		)`,
 		`CREATE INDEX accel_pre ON accel (pre)`,
-		`CREATE INDEX accel_parent ON accel (parent, ordinal)`,
+		`CREATE INDEX accel_parent ON accel (parent, kind, name, ordinal)`,
 		`CREATE INDEX accel_kind_name ON accel (kind, name, pre)`,
 	}
 	if iv.valueIndex {

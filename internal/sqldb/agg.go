@@ -144,6 +144,64 @@ func (n *indexMinMaxNode) extreme(ctx *evalCtx) ([][]Value, error) {
 	return [][]Value{{v}}, nil
 }
 
+// indexCountNode answers COUNT(*) over an index range that consumes
+// every condition of the statement: it counts the range's entries on
+// the B-tree and reads no heap row. The probe cursor lives across
+// rewinds, so a correlated count — a positional step's sibling count,
+// one per outer row — seeks from the last one's landing and counts
+// from there (see probeCursor and btreeCursor.countTo). See indexCount
+// for when the planner picks it.
+type indexCountNode struct {
+	scan   *indexScanNode // the range; its filter is nil
+	schema schema         // one column per COUNT(*)
+}
+
+func (n *indexCountNode) sch() schema      { return n.schema }
+func (n *indexCountNode) estRows() float64 { return 1 }
+
+func (n *indexCountNode) open(ctx *evalCtx) (rowIter, error) {
+	it := &indexCountIter{node: n, ctx: ctx, row: make([]Value, len(n.schema)), stat: ctx.opStat(n)}
+	if err := it.rewind(); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+type indexCountIter struct {
+	node *indexCountNode
+	ctx  *evalCtx
+	cur  probeCursor
+	buf  probeBuf
+	row  []Value
+	done bool
+	stat *OpStats
+}
+
+func (it *indexCountIter) rewind() error {
+	scan := it.node.scan
+	tree := resolveIndex(it.ctx.resolveTable(scan.tbl), scan.idx).tree
+	stop, err := scan.seek(it.ctx, nil, tree, &it.buf, &it.cur, it.stat)
+	if err != nil {
+		return err
+	}
+	v := NewInt(int64(it.cur.countTo(&stop)))
+	for i := range it.row {
+		it.row[i] = v
+	}
+	it.done = false
+	return nil
+}
+
+func (it *indexCountIter) next() ([]Value, error) {
+	if it.done {
+		return nil, nil
+	}
+	it.done = true
+	return it.row, nil
+}
+
+func (it *indexCountIter) close() {}
+
 func (n *aggNode) open(ctx *evalCtx) (rowIter, error) {
 	if len(n.groupBy) > 0 {
 		return openBuilt(ctx, n.groups)

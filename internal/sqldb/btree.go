@@ -492,6 +492,45 @@ func (t *btree) countRange(from string, after int, stop keyBound) int {
 	return max(end-t.rank(from, after), 0)
 }
 
+// countTo returns how many entries lie from the cursor's position up
+// to stop, without moving the cursor. It reads the leaf the cursor
+// stands on and, only when the range runs past that leaf, the inner
+// nodes on the cursor's path and one path down to where the range ends:
+// a subtree wholly inside the range is added from its parent's count,
+// unvisited.
+func (c *btreeCursor) countTo(stop *keyBound) int {
+	if !c.valid() {
+		return 0
+	}
+	top := c.frames[len(c.frames)-1]
+	k := stop.firstPassed(&top.node.keys, top.pos)
+	n := k - top.pos
+	if k < top.node.keys.len() {
+		return n
+	}
+	// Child j of an inner node lies between separators j-1 and j, so it
+	// is wholly inside the range when separator j is not past stop; the
+	// first child that is not ends the range inside it. The last child's
+	// right edge is the parent's business: count its inside prefix and
+	// climb on only if that is all of it.
+	for l := len(c.frames) - 2; l >= 0; l-- {
+		node := c.frames[l].node
+		m := node.keys.len()
+		for j := c.frames[l].pos + 1; j <= m; j++ {
+			if j < m && !stop.passed(&node.keys, j) {
+				n += node.counts[j]
+				continue
+			}
+			p := stop.prefix(node.children[j])
+			n += p
+			if j < m || p < node.counts[j] {
+				return n
+			}
+		}
+	}
+	return n
+}
+
 // skipEmpty normalizes the cursor so its top frame is a leaf with a
 // valid entry index, climbing and re-descending across leaf boundaries
 // (and over empty leaves, which deletes tolerate) as needed. When the
@@ -551,15 +590,15 @@ func (c *btreeCursor) advance() {
 }
 
 // probeCursor is the cursor of an operator that probes one index again
-// and again — an index join once per outer row, a rewound index scan
-// once per execution of its subquery. It owns its frame storage for the
-// whole execution, so a probe allocates nothing, and keeps a finger:
-// the path its last probe landed on. A probe whose range starts at or
-// after the last one's gallops forward from the finger, climbing only
-// as far as the levels whose right edge the new start lies beyond;
-// any other probe descends from the root. Outer rows in key order — the
-// usual case, since index scans and joins emit pre order — thus make a
-// child step one forward pass over the index.
+// and again — an index join once per outer row, a rewound index scan or
+// index count once per execution of its subquery. It owns its frame
+// storage for the whole execution, so a probe allocates nothing, and
+// keeps a finger: the path its last probe landed on. A probe whose
+// range starts at or after the last one's gallops forward from the
+// finger, climbing only as far as the levels whose right edge the new
+// start lies beyond; any other probe descends from the root. Outer
+// rows in key order — the usual case, since index scans and joins emit
+// pre order — thus make a child step one forward pass over the index.
 //
 // The finger is only good for the tree it points into, unchanged: the
 // copy-on-write tree a snapshot reads never changes, but a statement

@@ -222,6 +222,37 @@ func (b *keyBound) passed(run *packedKeys, i int) bool {
 	return cmp >= 0
 }
 
+// firstPassed returns the first position at or after from in run whose
+// key lies past the bound, run.len() when there is none. Keys past the
+// bound form a suffix of any run; the position sought is usually a few
+// keys on (a handful of siblings), so it gallops — from, from+1,
+// from+3, … — and bisects the last step, as packedKeys.firstAbove does.
+func (b *keyBound) firstPassed(run *packedKeys, from int) int {
+	lo, hi, step := from, from, 1
+	for hi < run.len() && !b.passed(run, hi) {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, run.len())
+	return lo + sort.Search(hi-lo, func(i int) bool { return b.passed(run, lo+i) })
+}
+
+// prefix returns how many entries of n's subtree, from its first, lie
+// before the bound: the children left of the first separator past it
+// whole, then the same count inside the child that separator opens.
+func (b *keyBound) prefix(n *btreeNode) int {
+	c := 0
+	for !n.leaf {
+		s := b.firstPassed(&n.keys, 0)
+		for _, k := range n.counts[:s] {
+			c += k
+		}
+		n = n.children[s]
+	}
+	return c + b.firstPassed(&n.keys, 0)
+}
+
 // seek evaluates the probe against row and positions cur at the first
 // entry of the range in tree, leaving it past the end when a bound is
 // NULL, which matches nothing in SQL. The returned bound points into
@@ -383,6 +414,7 @@ type filterNode struct {
 	in   planNode
 	pred compiledExpr
 	sel  float64
+	subs []*plan // the subqueries pred evaluates, for EXPLAIN
 }
 
 func (n *filterNode) sch() schema      { return n.in.sch() }
@@ -1194,9 +1226,13 @@ func (n *distinctNode) open(ctx *evalCtx) (rowIter, error) {
 	return &distinctIter{in: in, seen: map[string]bool{}, mem: ctx.mem}, nil
 }
 
+// distinctIter encodes each row's key into one reused buffer; the map
+// lookup with string(buf) does not allocate, so only a row with a new
+// key costs an allocation, the key it keeps.
 type distinctIter struct {
 	in   rowIter
 	seen map[string]bool
+	buf  []byte
 	mem  *memAccountant
 }
 
@@ -1206,14 +1242,14 @@ func (it *distinctIter) next() ([]Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		k := distinctKey(row)
-		if it.seen[k] {
+		it.buf = appendDistinctKey(it.buf[:0], row)
+		if it.seen[string(it.buf)] {
 			continue
 		}
-		if err := it.mem.charge(int64(len(k)) + 48); err != nil {
+		if err := it.mem.charge(int64(len(it.buf)) + 48); err != nil {
 			return nil, err
 		}
-		it.seen[k] = true
+		it.seen[string(it.buf)] = true
 		return row, nil
 	}
 }
@@ -1228,11 +1264,15 @@ func (it *distinctIter) close() { it.in.close() }
 // distinctKey encodes a row for duplicate elimination; unlike hashKey it
 // keeps NULLs (two NULL rows are duplicates under DISTINCT).
 func distinctKey(vals []Value) string {
-	var b []byte
+	return string(appendDistinctKey(nil, vals))
+}
+
+// appendDistinctKey appends distinctKey(vals) to dst.
+func appendDistinctKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
-		b = appendKey(b, v)
+		dst = appendKey(dst, v)
 	}
-	return string(b)
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -1417,8 +1457,9 @@ func (ctx *evalCtx) subquery(p *plan, outerRow []Value) (rowIter, error) {
 		}
 		return inst.it, nil
 	}
-	inst := &subInstance{ctx: evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem}}
-	it, err := p.root.open(&inst.ctx)
+	inst := &subInstance{ctx: evalCtx{snap: ctx.snap, qctx: ctx.qctx, params: ctx.params, outer: outerRow, mem: ctx.mem,
+		stats: ctx.stats.sub(p)}}
+	it, err := openNode(&inst.ctx, p.root)
 	if err != nil {
 		return nil, err
 	}

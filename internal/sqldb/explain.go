@@ -85,9 +85,12 @@ func (db *Database) ExplainAnalyzePlan(sql string, args ...Value) (*AnalyzedPlan
 	return ap, nil
 }
 
-// explainTree renders the operator tree. With rs non-nil each line is
-// annotated with the execution's actual counters, and when ops is also
-// non-nil a structured OpReport is appended per operator in pre-order.
+// explainTree renders the operator tree, a filter's subquery plans
+// beneath it under a SubPlan line. With rs non-nil each line is
+// annotated with the execution's actual counters, summed over every
+// execution of a subquery, and when ops is also non-nil a structured
+// OpReport is appended per operator of the statement's own tree in
+// pre-order.
 func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[]OpReport) {
 	indent := strings.Repeat("  ", depth)
 	var actual string
@@ -99,7 +102,7 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 				actual += fmt.Sprintf(" build=%d", op.BuildRows)
 			}
 			switch n.(type) {
-			case *indexScanNode, *indexJoinNode:
+			case *indexScanNode, *indexJoinNode, *indexCountNode:
 				actual += fmt.Sprintf(" descents=%d", op.Descents)
 			}
 			actual += fmt.Sprintf(" time=%s)", op.Time.Round(time.Microsecond))
@@ -147,6 +150,8 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 		write("Aggregate %d group key(s), %d aggregate(s)", len(n.groupBy), len(n.aggs))
 	case *indexMinMaxNode:
 		write("IndexMinMax %s %s", n.idx.def.Name, n.fn())
+	case *indexCountNode:
+		write("IndexCount %s via %s (eq %d, range lo=%v hi=%v)", n.scan.tbl.def.Name, n.scan.idx.def.Name, len(n.scan.eq), n.scan.lo != nil, n.scan.hi != nil)
 	case *unionAllNode:
 		write("UnionAll %d parts", len(n.parts))
 	case *derivedNode:
@@ -160,6 +165,12 @@ func explainTree(b *strings.Builder, n planNode, depth int, rs *runStats, ops *[
 	}
 	for _, c := range planChildren(n) {
 		explainTree(b, c, depth+1, rs, ops)
+	}
+	if f, ok := n.(*filterNode); ok {
+		for _, sub := range f.subs {
+			fmt.Fprintf(b, "%s  SubPlan\n", indent)
+			explainTree(b, sub.root, depth+2, rs.sub(sub), nil)
+		}
 	}
 }
 

@@ -94,6 +94,19 @@ type compiler struct {
 	st    *dbState
 	sch   schema
 	outer schema
+	// subs, when set, collects the plans of the subqueries compiled, for
+	// EXPLAIN to render beneath the operator that evaluates them.
+	subs *[]*plan
+}
+
+// planSub plans a subquery body correlated with c's schema and records
+// it in c.subs.
+func (c *compiler) planSub(s *SelectStmt) (*plan, schema, error) {
+	p, sch, err := planSelect(c.st, s, c.sch)
+	if err == nil && c.subs != nil {
+		*c.subs = append(*c.subs, p)
+	}
+	return p, sch, err
 }
 
 func (c *compiler) compile(e Expr) (compiledExpr, error) {
@@ -430,7 +443,7 @@ func (c *compiler) compileIn(e *InExpr) (compiledExpr, error) {
 	}
 	not := e.Not
 	if e.Sub != nil {
-		subPlan, subSch, err := planSelect(c.st, e.Sub, c.sch)
+		subPlan, subSch, err := c.planSub(e.Sub)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +502,7 @@ func (c *compiler) compileIn(e *InExpr) (compiledExpr, error) {
 }
 
 func (c *compiler) compileExists(e *ExistsExpr) (compiledExpr, error) {
-	subPlan, _, err := planSelect(c.st, e.Sub, c.sch)
+	subPlan, _, err := c.planSub(e.Sub)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +517,7 @@ func (c *compiler) compileExists(e *ExistsExpr) (compiledExpr, error) {
 }
 
 func (c *compiler) compileScalarSub(sub *SelectStmt) (compiledExpr, error) {
-	subPlan, subSch, err := planSelect(c.st, sub, c.sch)
+	subPlan, subSch, err := c.planSub(sub)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // A column is one tag byte that fixes the band, then the payload:
 //
 //	NULL    keyNull                          sorts before everything
-//	number  keyNumber | 8-byte ordered value | 2-byte tiebreak if |v| >= 2^53
+//	number  keyNumber | ordered value, 1-10 bytes | 2-byte tiebreak if |v| >= 2^53
 //	text    keyText   | escaped bytes | 0x00 0x01
 //	blob    keyBlob   | escaped bytes | 0x00 0x01
 //
@@ -28,8 +28,11 @@ import (
 // INTEGER, REAL and BOOLEAN share the number band and sort by exact
 // value: 3, 3.0 and TRUE/1 encode to identical bytes, as do 0.0 and
 // -0.0, so values equal under Compare tie and break by rowid. The
-// 8-byte part is the value rounded to float64 in an order-preserving
-// bit form; integers that float64 cannot hold (beyond ±2^53) carry
+// ordered value is the number rounded to float64 in an order-preserving
+// 64-bit form, written seven bits to a byte with its trailing zero bits
+// left off (appendOrderedFloat): an integer's float64 is mostly
+// trailing zeros, so a node id or an ordinal takes three to six bytes,
+// not eight. Integers that float64 cannot hold (beyond ±2^53) carry
 // their distance from that float in the tiebreak, so they keep their
 // integer order. Where Compare itself is not a total order the codec
 // picks one:
@@ -95,10 +98,17 @@ func appendRowKey(dst []byte, cols []int, row []Value) []byte {
 	return dst
 }
 
-// appendOrderedFloat appends f as 8 big-endian bytes whose unsigned
-// order is f's numeric order: positives get the sign bit set, negatives
-// are complemented. -0.0 is folded into 0.0 and every NaN into the one
-// code below -Inf.
+// appendOrderedFloat appends f in an order-preserving form: the 64-bit
+// word whose unsigned order is f's numeric order (positives get the
+// sign bit set, negatives are complemented; -0.0 is folded into 0.0 and
+// every NaN into the one code below -Inf), seven bits to a byte from
+// the top, each byte's low bit set when bits follow, and the word's
+// trailing zero bits dropped. Comparing two such encodings bytewise
+// orders their words: at the first byte they differ in, either the
+// seven bits differ, and the low bit cannot outweigh them, or only the
+// low bit does, and the one that stops there has nothing but zeros
+// left. The last byte is the only one with a clear low bit, so no
+// encoding is a prefix of another.
 func appendOrderedFloat(dst []byte, f float64) []byte {
 	var u uint64
 	switch {
@@ -114,7 +124,33 @@ func appendOrderedFloat(dst []byte, f float64) []byte {
 			u = ^u
 		}
 	}
-	return binary.BigEndian.AppendUint64(dst, u)
+	var b [10]byte
+	n := 0
+	for ; ; n++ {
+		b[n] = byte(u>>57)<<1 | 1
+		if u <<= 7; u == 0 {
+			break
+		}
+	}
+	b[n] &^= 1
+	return append(dst, b[:n+1]...)
+}
+
+// orderedWord decodes the word appendOrderedFloat wrote at the front of
+// b and returns it with the bytes it took (len(b) when it runs off).
+func orderedWord(b string) (u uint64, n int) {
+	for shift := 57; n < len(b); shift -= 7 {
+		g := uint64(b[n] >> 1)
+		if shift >= 0 {
+			u |= g << shift
+		} else {
+			u |= g >> -shift
+		}
+		if n++; b[n-1]&1 == 0 {
+			break
+		}
+	}
+	return u, n
 }
 
 // orderedFloat inverts appendOrderedFloat's mapping (NaN for code 0).
@@ -160,14 +196,8 @@ func keyColumnEnd(key string, off int) int {
 	}
 	switch key[off] {
 	case keyNumber:
-		end := off + 9
-		if end > len(key) {
-			return len(key)
-		}
-		var u uint64
-		for i := off + 1; i < end; i++ {
-			u = u<<8 | uint64(key[i])
-		}
+		u, n := orderedWord(key[off+1:])
+		end := off + 1 + n
 		if math.Abs(orderedFloat(u)) >= twoPow53 {
 			end += 2
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -362,6 +363,56 @@ func TestKeyOrderDeparturesVsSeqScan(t *testing.T) {
 		}
 		if got := query("u", c.cond, c.arg); got != c.scan {
 			t.Errorf("filter %s with %v: got [%s], want [%s]", c.cond, c.arg, got, c.scan)
+		}
+	}
+}
+
+// TestOrderedFloatEncoding checks the variable-length number encoding
+// word by word: over words with every count of trailing zero bits and
+// random words, bytewise order is word order, orderedWord reads back
+// the word and its length, and integers below 2^16 take at most four
+// bytes and below 2^23 five: an ordinal or a node id, not eight.
+func TestOrderedFloatEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var words []uint64
+	for tz := range 64 {
+		words = append(words, 1<<tz, ^uint64(0)<<tz, rng.Uint64()<<tz|1<<tz)
+	}
+	for range 2000 {
+		words = append(words, rng.Uint64())
+	}
+	words = append(words, 0, 1<<63, math.MaxUint64)
+	enc := func(u uint64) string {
+		// appendOrderedFloat's word for f is u: feed it the float whose
+		// word u is (NaN payloads all fold to word 0, so skip them).
+		return string(appendOrderedFloat(nil, orderedFloat(u)))
+	}
+	for _, u := range words {
+		f := orderedFloat(u)
+		if f != f && u != 0 {
+			continue
+		}
+		e := enc(u)
+		got, n := orderedWord(e + "\x02tail")
+		if n != len(e) || (got != u && !(f == 0 && got == 1<<63)) {
+			t.Fatalf("word %#x: encoded %x, read back %#x in %d bytes", u, e, got, n)
+		}
+	}
+	slices.Sort(words)
+	for i := 1; i < len(words); i++ {
+		a, b := orderedFloat(words[i-1]), orderedFloat(words[i])
+		if a != a || b != b || a == b {
+			continue // NaNs, and 0.0 beside -0.0, fold together
+		}
+		if ea, eb := enc(words[i-1]), enc(words[i]); strings.Compare(ea, eb) >= 0 {
+			t.Fatalf("%v < %v but encodes %x >= %x", a, b, ea, eb)
+		}
+	}
+	for _, c := range []struct{ below, bytes int }{{1 << 16, 4}, {1 << 23, 5}} {
+		for _, i := range []int{0, 1, 3, 1000, c.below - 1} {
+			if n := len(appendOrderedFloat(nil, float64(i))); n > c.bytes {
+				t.Errorf("%d takes %d bytes, want at most %d", i, n, c.bytes)
+			}
 		}
 	}
 }

@@ -57,7 +57,9 @@ func (p *plan) opsMeta() *planOps {
 // planChildren returns an operator's input nodes in display order. It
 // is the single tree-shape oracle shared by EXPLAIN rendering and the
 // instrumentation walker. Subquery plans compiled inside expressions
-// are separate plans and are intentionally not part of the tree.
+// are separate plans, not part of the tree: EXPLAIN renders a filter's
+// beneath it (filterNode.subs), and only EXPLAIN ANALYZE counts them
+// (runStats.sub).
 func planChildren(n planNode) []planNode {
 	switch n := n.(type) {
 	case *filterNode:
@@ -118,6 +120,8 @@ func opKind(n planNode) string {
 		return "Aggregate"
 	case *indexMinMaxNode:
 		return "IndexMinMax"
+	case *indexCountNode:
+		return "IndexCount"
 	case *unionAllNode:
 		return "UnionAll"
 	case *derivedNode:
@@ -160,6 +164,27 @@ type runStats struct {
 	meta  *planOps
 	ops   []OpStats
 	timed bool
+	// subs holds the counters of the subquery plans the execution ran,
+	// kept only under EXPLAIN ANALYZE (timed) for it to render.
+	subs map[*plan]*runStats
+}
+
+// sub returns the counters of subquery plan p, made on first use; nil
+// unless the execution is timed, so plain queries run their subqueries
+// uninstrumented.
+func (rs *runStats) sub(p *plan) *runStats {
+	if rs == nil || !rs.timed {
+		return nil
+	}
+	if s := rs.subs[p]; s != nil {
+		return s
+	}
+	if rs.subs == nil {
+		rs.subs = map[*plan]*runStats{}
+	}
+	s := newRunStats(p, true)
+	rs.subs[p] = s
+	return s
 }
 
 func newRunStats(p *plan, timed bool) *runStats {

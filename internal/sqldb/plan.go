@@ -425,13 +425,13 @@ func andAll(conjs []conjunct) Expr {
 
 // filterOver wraps in with a filter applying the AND of conjs.
 func filterOver(st *dbState, in planNode, conjs []conjunct, outer schema) (planNode, error) {
-	pred := andAll(conjs)
-	c := &compiler{st: st, sch: in.sch(), outer: outer}
-	f, err := c.compile(pred)
-	if err != nil {
+	n := &filterNode{in: in, sel: 0.5}
+	c := &compiler{st: st, sch: in.sch(), outer: outer, subs: &n.subs}
+	var err error
+	if n.pred, err = c.compile(andAll(conjs)); err != nil {
 		return nil, err
 	}
-	return &filterNode{in: in, pred: f, sel: 0.5}, nil
+	return n, nil
 }
 
 // analyzeConjunct determines which relation aliases a conjunct touches.
@@ -1412,7 +1412,7 @@ func bestChoice(rel *relation, bounds []rangeBound, accept func(*choice) bool) *
 		if ch.score == 0 || accept != nil && !accept(ch) {
 			continue
 		}
-		ch.est = ch.rows()
+		ch.est = ch.rows(rel.tbl.indexes)
 		if best == nil || ch.est < best.est || ch.est == best.est && ch.score > best.score {
 			best = ch
 		}
@@ -1420,13 +1420,17 @@ func bestChoice(rel *relation, bounds []rangeBound, accept func(*choice) bool) *
 	return best
 }
 
-// rows estimates the entries ch's range holds, from the index alone:
-// bounds the planner knows (literals) are counted exactly on the
-// B-tree (inner nodes and two boundary leaves); a bound known only at
-// run time (a join key, parameter or outer reference) matches the
-// average group, live / distinct prefixes, or half the range for each
-// unknown range end.
-func (ch *choice) rows() float64 {
+// rows estimates the entries ch's range holds, from the indexes of its
+// table alone: bounds the planner knows (literals) are counted exactly
+// on the B-tree (inner nodes and two boundary leaves); a bound known
+// only at run time (a join key, parameter or outer reference) matches
+// the average group, live / distinct prefixes, or half the range for
+// each unknown range end. A run-time lead followed by literals is
+// priced by tailRows.
+func (ch *choice) rows(indexes []*tableIndex) float64 {
+	if rows, ok := ch.tailRows(indexes); ok {
+		return rows
+	}
 	tree := ch.idx.tree
 	var p indexProbe
 	for _, b := range ch.eq {
@@ -1467,6 +1471,63 @@ func (ch *choice) rows() float64 {
 		rows *= 0.5
 	}
 	return rows
+}
+
+// tailRows prices a range whose leading equalities are known only at
+// run time and whose later ones are all literals — a child step's
+// parent key followed by its node test: the literals' count, exact on
+// an index of indexes led by their columns, spread evenly over the
+// distinct lead prefixes of ch's index, and halved per range end. ok
+// is false for any other shape, or when no index is led by the
+// literals' columns.
+func (ch *choice) tailRows(indexes []*tableIndex) (rows float64, ok bool) {
+	lead := 0
+	for lead < len(ch.eq) && !isLiteral(ch.eq[lead].bound) {
+		lead++
+	}
+	if lead == 0 || lead == len(ch.eq) {
+		return 0, false
+	}
+	tail := map[int]Value{}
+	for _, b := range ch.eq[lead:] {
+		v, ok := planConst(b.bound)
+		if !ok {
+			return 0, false
+		}
+		tail[b.col] = v
+	}
+	for _, idx := range indexes {
+		var p indexProbe
+		for _, c := range idx.def.Columns {
+			v, ok := tail[c]
+			if !ok || len(p.eq) == len(tail) {
+				break
+			}
+			p.eq = append(p.eq, constBound(v))
+		}
+		if len(p.eq) < len(tail) {
+			continue
+		}
+		n, err := p.count(nil, idx.tree)
+		if err != nil {
+			return 0, false
+		}
+		rows = float64(n) / float64(ch.idx.tree.DistinctPrefix(lead))
+		if ch.lo != nil {
+			rows *= 0.5
+		}
+		if ch.hi != nil && ch.hi != ch.lo {
+			rows *= 0.5
+		}
+		return rows, true
+	}
+	return 0, false
+}
+
+// isLiteral reports whether the planner knows e's value.
+func isLiteral(e Expr) bool {
+	_, ok := planConst(e)
+	return ok
 }
 
 // constBound is a compiled bound that always yields v.
@@ -2026,6 +2087,9 @@ func planAggregation(st *dbState, stmt *SelectStmt, items []SelectItem, in planN
 	}
 	node := indexMinMax(stmt, rw.aggs, in, aggSch)
 	if node == nil {
+		node = indexCount(stmt, rw.aggs, in, aggSch)
+	}
+	if node == nil {
 		node = &aggNode{in: in, groupBy: groupBy, aggs: specs, schema: aggSch}
 	}
 
@@ -2066,4 +2130,21 @@ func indexMinMax(stmt *SelectStmt, aggs []*FuncExpr, in planNode, sch schema) pl
 		return nil
 	}
 	return &indexMinMaxNode{tbl: scan.tbl, idx: idx, max: a.Name == "MAX", schema: sch}
+}
+
+// indexCount plans a statement whose aggregates are all COUNT(*) over
+// one index range that applies every condition — no residual filter,
+// no GROUP BY — as a count on the index. It returns nil for any other
+// shape.
+func indexCount(stmt *SelectStmt, aggs []*FuncExpr, in planNode, sch schema) planNode {
+	scan, ok := in.(*indexScanNode)
+	if !ok || scan.filter != nil || len(stmt.GroupBy) > 0 {
+		return nil
+	}
+	for _, a := range aggs {
+		if a.Name != "COUNT" || !a.Star || a.Distinct {
+			return nil
+		}
+	}
+	return &indexCountNode{scan: scan, schema: sch}
 }

@@ -31,13 +31,16 @@ func layoutCorners() []Value {
 	}
 }
 
-// The corners' WAL value codec and index key encodings, as written by
-// the 64-byte Value this layout replaced: stored bytes must not change.
+// The corners' WAL value codec and index key encodings. The WAL bytes
+// are stored and are those the 64-byte Value this layout replaced
+// wrote: they must not change. Index keys are rebuilt from the rows at
+// every open and never stored; their bytes are the packed codec's
+// current form, with numbers written seven bits to a byte.
 const (
 	layoutWALHex = "02010000000000f87f02000000000000008001feffffffffffffffff0101fdffffffffffffffff01" +
 		"01ffffffffffffffffff01018280808080808020030000050003036100620402040a"
-	layoutKeyHex = "02000000000000000002800000000000000002c3e00000000000007fff023c1fffffffffffff8001" +
-		"023c1fffffffffffff800002c340000000000000800103000101040001036100ff62000102bff000000000000002c014000000000000"
+	layoutKeyHex = "0200028002c3f07fff023d0fffffffffffffff808001023d0fffffffffffffff80800002c3a08001" +
+		"03000101040001036100ff62000102bff802c10a"
 )
 
 // TestValueLayout pins the 24-byte Value and its codecs: the corner
