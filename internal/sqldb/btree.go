@@ -621,6 +621,9 @@ type probeCursor struct {
 func (p *probeCursor) seek(t *btree, bound string, strict int) (descended bool) {
 	if p.tree == t && p.mods == t.mods && startsNoEarlier(keyView(p.from), p.strict, bound, strict) {
 		p.frames = append(p.frames[:0], p.finger...)
+		if strict == p.strict && bound == keyView(p.from) {
+			return false // the same start again (siblings' counts): the finger is the landing
+		}
 		if len(p.frames) > 0 {
 			p.resume(bound, strict)
 		}

@@ -113,6 +113,7 @@ var probeCorners = [][]byte{
 	{1 | 8, 0, 1 | 16, 0, 1, 0},             // inserts and deletes between probes
 	{1, 1, 1 | 16, 1},                       // 'b', then 'b' again once an entry before it is gone
 	{1 | 0xe0, 0, 1 | 4, 0, 2 | 0xe0, 0, 0}, // walk the range before the next probe
+	{1 | 0xe0, 1, 1 | 0xe0, 1, 1, 1},        // the same start again, after walking its range
 }
 
 func FuzzProbeOrder(f *testing.F) {
