@@ -370,12 +370,13 @@ func (ps *pageStore) checkpoint(pages []*heapPage) (string, []savedPage, error) 
 	return name, refs, nil
 }
 
-// copyLocked appends p's image to the current pages file: encoded from
-// the resident frame, or copied from the file p was written to.
+// copyLocked appends p's image to the current pages file: the resident
+// frame's (its image, or its rows encoded), or copied from the file p
+// was written to.
 func (ps *pageStore) copyLocked(p *heapPage) error {
 	var payload []byte
 	if f := p.res.Load(); f != nil {
-		payload = encodePageFrame(f, heapPageSize)
+		payload = f.payload()
 	} else {
 		var err error
 		if payload, err = p.file.read(p.pid, p.slots); err != nil {
@@ -478,7 +479,7 @@ func (ps *pageStore) spillLocked(p *heapPage) bool {
 	if f == nil {
 		return false
 	}
-	if err := ps.writeLocked(p, encodePageFrame(f, heapPageSize)); err != nil {
+	if err := ps.writeLocked(p, f.payload()); err != nil {
 		ps.spillErrs++
 		return false
 	}
@@ -508,7 +509,9 @@ func (ps *pageStore) close() error {
 	return ps.sync()
 }
 
-// faultIn loads an evicted page's frame from its pages file. p.mu
+// faultIn loads an evicted page's frame from its pages file: the image
+// is checked in full, and its rows are decoded as readers reach them
+// (see scanPagePayload). p.mu
 // serializes concurrent faults of the same page; the read itself runs
 // without the pool lock.
 func (ps *pageStore) faultIn(p *heapPage) *pageFrame {
@@ -530,7 +533,7 @@ func (ps *pageStore) faultIn(p *heapPage) *pageFrame {
 	payload, err := pf.read(pid, slots)
 	var f *pageFrame
 	if err == nil {
-		f, err = decodePagePayload(pid, payload, heapPageSize)
+		f, err = scanPagePayload(pid, payload, heapPageSize)
 	}
 	if err != nil {
 		ps.readErrs.Add(1)

@@ -1,6 +1,8 @@
 package sqldb_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/shred"
@@ -8,27 +10,104 @@ import (
 	"repro/internal/xmlgen"
 )
 
-// BenchmarkPageDecode decodes one full 512-row accel page of a
-// factor-0.1 Interval store, the unit of work behind every buffer-pool
-// fault. A page decodes into one value arena and one text arena, so it
-// fails above four allocations.
+// eagerPageBytes is what decoding every row of the benchmark's page cost
+// when a fault decoded the whole page into value and text arenas: a full
+// scan of a faulted page must not allocate more than that.
+const eagerPageBytes = 139136
+
+// BenchmarkPageDecode measures a buffer-pool fault's work on one full
+// 512-row accel page of a factor-0.1 Interval store, from the checked
+// image to a frame: the structural pass that validates every slot and
+// records where it starts, decoding no row. It fails above four
+// allocations per fault. The all-rows case then reads every row, as a
+// full scan does, and fails if that allocates more per page than the
+// eager decode it replaced.
 func BenchmarkPageDecode(b *testing.B) {
 	db, err := shred.LoadDocument(shred.NewInterval(false), xmlgen.Auction(xmlgen.Config{Factor: 0.1, Seed: 1}))
 	if err != nil {
 		b.Fatal(err)
 	}
 	payload := sqldb.PagePayload(db, "accel", 1)
-	decode := func() {
-		if n, err := sqldb.DecodePagePayload(payload); err != nil || n != 512 {
-			b.Fatalf("decoded %d rows: %v", n, err)
+	fault := func() sqldb.FaultedPage {
+		p, err := sqldb.FaultPage(payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	readAll := func() {
+		p, n := fault(), 0
+		for i := range 512 {
+			if p.Row(i) != nil {
+				n++
+			}
+		}
+		if n != 512 {
+			b.Fatalf("read %d rows, want 512", n)
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, decode); allocs > 4 {
-		b.Fatalf("%.0f allocations per page decode, want <= 4", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { fault() }); allocs > 4 {
+		b.Fatalf("%.0f allocations per page fault, want <= 4", allocs)
 	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for b.Loop() {
-		decode()
+	if n := bytesPerRun(20, readAll); n > eagerPageBytes {
+		b.Fatalf("reading every row of a faulted page allocates %d bytes, want <= %d", n, eagerPageBytes)
 	}
+	b.Run("fault", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for b.Loop() {
+			fault()
+		}
+	})
+	b.Run("all-rows", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		for b.Loop() {
+			readAll()
+		}
+	})
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	f() // warm up, as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// FuzzPagePayload holds the fault-time check to the row decoder: a
+// payload the check accepts decodes in every slot, and the materialized
+// frame encodes back to the payload byte for byte (the slots past the
+// payload's last one encode as tombstones, one zero byte each). The
+// corpus starts from a real accel page and a truncated copy of it.
+func FuzzPagePayload(f *testing.F) {
+	db, err := shred.LoadDocument(shred.NewInterval(false), xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 1}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	page := sqldb.PagePayload(db, "accel", 0)
+	f.Add(page)
+	f.Add(page[:len(page)/2])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		p, err := sqldb.FaultPage(payload)
+		if err != nil {
+			return
+		}
+		for i := range 512 {
+			p.Row(i)
+		}
+		enc := p.Encode()
+		if len(enc) < len(payload) || !bytes.Equal(enc[:len(payload)], payload) {
+			t.Fatalf("accepted payload does not round-trip:\n got %x\nwant %x", enc, payload)
+		}
+		if tail := enc[len(payload):]; len(bytes.Trim(tail, "\x00")) != 0 {
+			t.Fatalf("slots past the payload encode as %x, want tombstones", tail)
+		}
+	})
 }

@@ -22,6 +22,8 @@ package sqldb
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"unsafe"
 )
 
 const (
@@ -44,7 +46,7 @@ func pageSlotsFor(payloadLen int) int {
 func encodePageFrame(f *pageFrame, n int) []byte {
 	e := &walEncoder{}
 	for i := 0; i < n; i++ {
-		row := f.rows[i]
+		row := f.row(i)
 		if row == nil {
 			e.uvarint(0)
 			continue
@@ -92,48 +94,151 @@ func pageImagePayload(pid int64, img []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// decodePagePayload decodes at most limit row slots of a page payload
-// into a fresh frame; more slots than that is corruption.
-//
-// A page decodes into two arenas: every row is a capacity-capped window
-// of one []Value, and every TEXT or BLOB points into one byte arena.
-// Those bytes are copied out of the payload, so an arena of the
-// payload's length never reallocates under the values pointing into it.
-func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
-	d := &walDecoder{b: payload, text: make([]byte, 0, len(payload))}
-	f := &pageFrame{}
-	var vals []Value
-	for i := 0; d.off < len(d.b); i++ {
+// A faulted page keeps its checked payload as the frame's image and
+// decodes a row slot the first time a reader asks for it (see
+// pageFrame.row). scanPagePayload is the check: one pass over the
+// payload that records where every live slot starts and applies every
+// bound and tag check a full decode would, so a corrupt page fails when
+// it is faulted in, on the one operation that needed it, and never on a
+// later row access. Decoded TEXT and BLOB values point into the image,
+// which is allocated per read and owned by the frame alone.
+
+// slotBusy marks a lazy slot one reader is publishing (see
+// pageFrame.row); a slot offset is stored plus one, so a payload shorter
+// than slotBusy never collides with it.
+const slotBusy = math.MaxUint32
+
+// scanPagePayload checks at most limit row slots of a page payload and
+// returns an image-backed frame over it; more slots than that is
+// corruption. No row is decoded.
+func scanPagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
+	if uint64(len(payload)) >= slotBusy {
+		return nil, errorf("pagefile: page %d: payload of %d bytes", pid, len(payload))
+	}
+	f := &pageFrame{img: payload}
+	b := payload
+	for i, off := 0, 0; off < len(b); i++ {
 		if i == limit {
 			return nil, errorf("pagefile: page %d: more than %d row slots", pid, limit)
 		}
-		nc, err := d.uvarint()
-		if err != nil {
+		start := off
+		nc, n := pageUvarint(b, off)
+		if n <= 0 {
 			return nil, errorf("pagefile: page %d slot %d: corrupt", pid, i)
 		}
+		off += n
 		if nc == 0 {
 			continue // tombstone
 		}
 		nc--
-		rest := len(d.b) - d.off
-		if nc > uint64(rest)+1 {
+		if nc > uint64(len(b)-off)+1 {
 			return nil, errorf("pagefile: page %d slot %d: corrupt arity", pid, i)
 		}
-		if n := int(nc); n > len(vals) {
-			// Size the arena for every remaining slot at this arity; a
-			// value takes at least one payload byte, which caps the guess.
-			vals = make([]Value, min((limit-i)*n, rest+1))
-		}
-		row := vals[:nc:nc]
-		vals = vals[nc:]
-		for j := range row {
-			v, err := d.value()
-			if err != nil {
+		for ; nc > 0; nc-- {
+			if off = skipValue(b, off); off < 0 {
 				return nil, errorf("pagefile: page %d slot %d: corrupt value", pid, i)
 			}
-			row[j] = v
 		}
-		f.rows[i] = row
+		f.lazy[i] = uint32(start) + 1
 	}
+	return f, nil
+}
+
+// skipValue returns the offset just past the WAL-codec value at off, or
+// -1 where walDecoder.value would fail or where a varint is longer than
+// the encoder writes it.
+func skipValue(b []byte, off int) int {
+	if off+1 >= len(b) {
+		if off+1 == len(b) && b[off] == byte(TypeNull) {
+			return off + 1
+		}
+		return -1
+	}
+	switch Type(b[off]) {
+	case TypeNull:
+		return off + 1
+	case TypeInt, TypeBool:
+		off++
+		for i := off; i < len(b) && i-off < binary.MaxVarintLen64; i++ {
+			if c := b[i]; c < 0x80 {
+				if i > off && (c == 0 || i-off == binary.MaxVarintLen64-1 && c > 1) {
+					return -1
+				}
+				return i + 1
+			}
+		}
+	case TypeFloat:
+		if len(b)-off > 8 {
+			return off + 9
+		}
+	case TypeText, TypeBlob:
+		if l := int(b[off+1]); l < 0x80 {
+			if l <= len(b)-off-2 {
+				return off + 2 + l
+			}
+		} else if l, n := pageUvarint(b, off+1); n > 0 && l <= uint64(len(b)-off-1-n) {
+			return off + 1 + n + int(l)
+		}
+	}
+	return -1
+}
+
+// pageUvarint reads the uvarint at b[off:]. n <= 0 where
+// binary.Uvarint fails, and also for an encoding longer than needed:
+// the encoder never writes one, and rejecting it keeps a checked
+// payload the one encoding of its rows.
+func pageUvarint(b []byte, off int) (v uint64, n int) {
+	v, n = binary.Uvarint(b[off:])
+	if n > 1 && b[off+n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
+}
+
+// decodeSlot decodes the live row slot starting at off of a payload
+// scanPagePayload checked, so it meets no malformed byte. Its TEXT and
+// BLOB values point into the payload.
+func decodeSlot(b []byte, off int) []Value {
+	nc, n := binary.Uvarint(b[off:])
+	off += n
+	row := make([]Value, nc-1)
+	for j := range row {
+		t := Type(b[off])
+		off++
+		switch t {
+		case TypeInt, TypeBool:
+			u, n := binary.Uvarint(b[off:])
+			off += n
+			row[j] = Value{t: t, n: u>>1 ^ -(u & 1)} // zigzag, as binary.Varint
+		case TypeFloat:
+			row[j] = Value{t: t, n: binary.LittleEndian.Uint64(b[off:])}
+			off += 8
+		case TypeText, TypeBlob:
+			l, n := binary.Uvarint(b[off:])
+			off += n
+			row[j] = Value{t: t, n: l}
+			if l > 0 {
+				row[j].p = unsafe.Pointer(&b[off])
+			}
+			off += int(l)
+		}
+	}
+	return row
+}
+
+// decodePagePayload decodes at most limit row slots of a page payload
+// into a plain frame, every row decoded: a snapshot's inlined tail page,
+// which inserts keep filling. The rows' text points into payload.
+func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
+	f, err := scanPagePayload(pid, payload, limit)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range f.lazy {
+		if s != 0 {
+			f.rows[i], f.lazy[i] = decodeSlot(payload, int(s-1)), 0
+		}
+	}
+	f.img = nil
 	return f, nil
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -44,8 +45,76 @@ const (
 // array is a true array (not a slice) so a frame copy duplicates every
 // slot header and concurrent readers of the old frame never observe
 // the copy.
+//
+// A frame is plain or image-backed. A writer builds plain frames (tail
+// pages, copy-on-write copies) and stores rows straight into the array.
+// A buffer-pool fault builds an image-backed frame: img is the page's
+// checked payload, and lazy[i] holds the offset plus one of slot i's
+// bytes in it until a reader first asks for the row (see row). Readers
+// go through row, never through rows directly.
 type pageFrame struct {
 	rows [heapPageSize][]Value
+	lazy [heapPageSize]uint32 // 0: rows[i] is final; slotBusy: being published
+	img  []byte               // the payload of an image-backed frame; nil when plain
+}
+
+// row returns slot i's row (nil when deleted), decoding it from the
+// image on first use. Two readers that race on an undecoded slot may
+// both decode it; the one whose CAS claims the slot publishes its copy
+// and the other returns its own, so rows[i] is written once and read
+// only after the atomic store that publishes it.
+func (f *pageFrame) row(i int) []Value {
+	s := atomic.LoadUint32(&f.lazy[i])
+	if s == 0 {
+		return f.rows[i]
+	}
+	return f.decodeRow(i, s)
+}
+
+func (f *pageFrame) decodeRow(i int, s uint32) []Value {
+	for s == slotBusy {
+		// Another reader is between its CAS and its store.
+		runtime.Gosched()
+		if s = atomic.LoadUint32(&f.lazy[i]); s == 0 {
+			return f.rows[i]
+		}
+	}
+	row := decodeSlot(f.img, int(s-1))
+	if h := testSlotDecoded.Load(); h != nil {
+		(*h)()
+	}
+	if atomic.CompareAndSwapUint32(&f.lazy[i], s, slotBusy) {
+		f.rows[i] = row
+		atomic.StoreUint32(&f.lazy[i], 0)
+	}
+	return row
+}
+
+// testSlotDecoded, when non-nil, runs after every lazy slot decode;
+// tests count decodes with it.
+var testSlotDecoded atomic.Pointer[func()]
+
+// clone returns a plain copy of f for a copy-on-write writer; an
+// image-backed frame's rows are decoded through row, so a concurrent
+// reader's publication is never read torn.
+func (f *pageFrame) clone() *pageFrame {
+	if f.img == nil {
+		return &pageFrame{rows: f.rows}
+	}
+	c := &pageFrame{}
+	for i := range c.rows {
+		c.rows[i] = f.row(i)
+	}
+	return c
+}
+
+// payload returns f's page payload: the image it was faulted from, or
+// its rows encoded.
+func (f *pageFrame) payload() []byte {
+	if f.img != nil {
+		return f.img
+	}
+	return encodePageFrame(f, heapPageSize)
 }
 
 // heapPage holds a fixed run of row slots behind one level of
@@ -141,7 +210,7 @@ func (t *table) beginWrite(gen uint64) *table {
 // Unpinned: the frame pointer keeps the page's rows alive even if the
 // pool evicts the page immediately after.
 func (t *table) row(rid int64) []Value {
-	return t.pages[rid>>heapPageShift].frame().rows[rid&heapPageMask]
+	return t.pages[rid>>heapPageShift].frame().row(int(rid & heapPageMask))
 }
 
 // rowRef is row for scans: it keeps the containing page pinned in *ref
@@ -152,7 +221,7 @@ func (t *table) rowRef(rid int64, ref *pageRef) []Value {
 	if ref.p != p {
 		ref.pin(p)
 	}
-	return ref.f.rows[rid&heapPageMask]
+	return ref.f.row(int(rid & heapPageMask))
 }
 
 // slotCount returns the number of allocated rowids; rowids in [0,
@@ -186,7 +255,7 @@ func (t *table) writableFrame(rid int64) *pageFrame {
 	}
 	src := p.frame()
 	np := &heapPage{gen: t.gen}
-	np.res.Store(&pageFrame{rows: src.rows})
+	np.res.Store(src.clone())
 	t.pages[pi] = np
 	if int(pi) < t.fullPages() {
 		t.noteSealable(np)

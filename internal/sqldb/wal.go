@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
-	"unsafe"
 )
 
 // Write-ahead log. Every committed mutation — DML effect batches and
@@ -184,10 +183,6 @@ func encodeRecordPayload(dst []byte, rec *walRecord) []byte {
 type walDecoder struct {
 	b   []byte
 	off int
-	// text, when non-nil, is an arena that TEXT and BLOB bytes are
-	// appended to instead of being copied value by value; it must have
-	// room for every text byte still to be decoded.
-	text []byte
 }
 
 func (d *walDecoder) fail() error { return errorf("wal: corrupt record at offset %d", d.off) }
@@ -269,20 +264,12 @@ func (d *walDecoder) value() (Value, error) {
 	}
 }
 
-// textValue returns a TEXT or BLOB holding a copy of p, in the text
-// arena when there is one.
+// textValue returns a TEXT or BLOB holding a copy of p.
 func (d *walDecoder) textValue(t Type, p []byte) Value {
-	switch {
-	case d.text == nil && t == TypeText:
+	if t == TypeText {
 		return NewText(string(p))
-	case d.text == nil:
-		return NewBlob(append([]byte(nil), p...))
-	case len(p) == 0:
-		return Value{t: t}
 	}
-	start := len(d.text)
-	d.text = append(d.text, p...)
-	return Value{t: t, p: unsafe.Pointer(&d.text[start]), n: uint64(len(p))}
+	return NewBlob(append([]byte(nil), p...))
 }
 
 func (d *walDecoder) rows() ([][]Value, error) {
