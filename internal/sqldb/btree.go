@@ -338,6 +338,116 @@ func (n *btreeNode) lastLeaf() *btreeNode {
 	return nil
 }
 
+// sortEntries sorts entries by key, then rowid. An index rebuild's keys
+// lie in an arena in rowid order, so comparing two keys is two cache
+// misses. Instead the entries are put in rowid order (as a rebuild
+// collects them already) and radix-sorted, stably, on a fixed-width
+// abbreviation of their keys (abbreviate); each run that ties on it and
+// whose keys go on sorts again on their next bytes. No two keys are
+// compared.
+func sortEntries(entries []btreeEntry) {
+	if len(entries) < 2 {
+		return
+	}
+	byRid := func(a, b btreeEntry) int { return cmp.Compare(a.rid, b.rid) }
+	if !slices.IsSortedFunc(entries, byRid) {
+		slices.SortFunc(entries, byRid)
+	}
+	s := make([]abbrEntry, len(entries))
+	for i := range s {
+		s[i].i = i
+	}
+	sortAbbreviated(s, make([]abbrEntry, len(s)), entries, 0)
+	sorted := make([]btreeEntry, len(entries))
+	for k, a := range s {
+		sorted[k] = entries[a.i]
+	}
+	copy(entries, sorted)
+}
+
+// abbrEntry is an entry's index and its key's current abbreviation.
+type abbrEntry struct {
+	abbr uint64
+	i    int
+}
+
+// abbrBytes is how many key bytes an abbreviation holds.
+const abbrBytes = 7
+
+// abbreviate returns key's bytes from off on as a word that orders as
+// they do: abbrBytes bytes big-endian (zero past the key's end), then a
+// low byte counting those that are the key's (abbrBytes+1 when the key
+// goes on), so a key sorts before any longer key it is a prefix of.
+func abbreviate(key string, off int) uint64 {
+	if len(key)-off > abbrBytes {
+		k := key[off : off+8]
+		w := uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+			uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+		return w&^0xff | (abbrBytes + 1)
+	}
+	w := uint64(len(key) - off)
+	for i, c := range []byte(key[off:]) {
+		w |= uint64(c) << (56 - 8*i)
+	}
+	return w
+}
+
+// sortAbbreviated stably sorts s, whose keys agree before byte off, by
+// the rest of their keys; tmp is scratch of s's length.
+func sortAbbreviated(s, tmp []abbrEntry, entries []btreeEntry, off int) {
+	for k := range s {
+		s[k].abbr = abbreviate(entries[s[k].i].key, off)
+	}
+	radixSort(s, tmp)
+	for lo := 0; lo < len(s); {
+		hi := lo + 1
+		for hi < len(s) && s[hi].abbr == s[lo].abbr {
+			hi++
+		}
+		// Equal words whose keys end inside them are equal keys, which
+		// the stable sort left in rowid order.
+		if hi-lo > 1 && s[lo].abbr&0xff > abbrBytes {
+			sortAbbreviated(s[lo:hi], tmp[lo:hi], entries, off+abbrBytes)
+		}
+		lo = hi
+	}
+}
+
+// radixSort stably sorts s by abbr, least significant byte first,
+// skipping the bytes every word shares; tmp is scratch of s's length.
+func radixSort(s, tmp []abbrEntry) {
+	if len(s) < 64 {
+		slices.SortStableFunc(s, func(a, b abbrEntry) int { return cmp.Compare(a.abbr, b.abbr) })
+		return
+	}
+	var counts [8][256]int
+	for _, e := range s {
+		for d := range counts {
+			counts[d][byte(e.abbr>>(8*d))]++
+		}
+	}
+	src, dst := s, tmp
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(src[0].abbr>>(8*d))] == len(src) {
+			continue
+		}
+		pos := 0
+		for b, n := range c {
+			c[b], pos = pos, pos+n
+		}
+		for _, e := range src {
+			b := byte(e.abbr >> (8 * d))
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
 // buildBtree builds a tree at generation gen bottom-up from entries,
 // which it sorts in place: full leaves are packed from runs of the
 // sorted array, inner levels are packed above them, and the
@@ -346,7 +456,7 @@ func (n *btreeNode) lastLeaf() *btreeNode {
 // two entries share a key, dup is the least rowid that has an equal key
 // at a lower rowid.
 func buildBtree(gen uint64, width int, entries []btreeEntry) (t *btree, dup int64, hasDup bool) {
-	slices.SortFunc(entries, compareEntries)
+	sortEntries(entries)
 	t = newBtree(gen, width)
 	t.size = len(entries)
 	for i, e := range entries {

@@ -17,6 +17,9 @@ import (
 //   - probe: a probe cursor's seek to a random (kind, name, pre) start,
 //     then a walk of up to eight entries that stops at the end of the
 //     name, as an index join does per outer row.
+//   - build: buildBtree over all 1<<16 entries, their keys packed into
+//     one arena in a random order, as an index rebuild at open collects
+//     them in rowid order; one op is one whole build.
 //
 // Each reports bytes/entry: what a tree of all 1<<16 keys, grown in the
 // same order, holds in its nodes and their arrays.
@@ -92,6 +95,28 @@ func BenchmarkBtree(b *testing.B) {
 			b.ReportMetric(bytes, "bytes/entry")
 		})
 	}
+	b.Run("build", func(b *testing.B) {
+		var arena []byte
+		ends := make([]int, size)
+		for k, i := range random {
+			arena = append(arena, keys[i]...)
+			ends[k] = len(arena)
+		}
+		built := make([]btreeEntry, size)
+		start := 0
+		for k := range random {
+			built[k] = btreeEntry{key: keyView(arena[start:ends[k]]), rid: int64(k)}
+			start = ends[k]
+		}
+		entries := make([]btreeEntry, size)
+		b.ReportAllocs()
+		for b.Loop() {
+			copy(entries, built)
+			if tr, _, _ := buildBtree(1, 3, entries); tr.Len() != size {
+				b.Fatalf("built %d entries, want %d", tr.Len(), size)
+			}
+		}
+	})
 }
 
 // footprint returns the bytes the nodes under n and their arrays hold,

@@ -587,3 +587,34 @@ func indexEntries(db *Database) map[string][]btreeEntry {
 	}
 	return out
 }
+
+// TestSortEntriesMatchesCompare holds the abbreviated radix sort to
+// compareEntries on keys built to tie: shared prefixes longer than an
+// abbreviation, keys that are prefixes of others with zero bytes after,
+// equal keys under several rowids, and rowids out of order.
+func TestSortEntriesMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{2, 63, 64, 500, 5000} {
+		for trial := range 4 {
+			entries := make([]btreeEntry, n)
+			for i := range entries {
+				key := make([]byte, rng.Intn(24))
+				for j := range key {
+					key[j] = byte(rng.Intn(3))
+				}
+				if trial%2 == 1 {
+					key = append([]byte("a shared prefix of twenty"), key...)
+				}
+				entries[i] = btreeEntry{key: string(key), rid: int64(rng.Intn(n))}
+			}
+			want := slices.Clone(entries)
+			slices.SortFunc(want, compareEntries)
+			sortEntries(entries)
+			for i := range want {
+				if entries[i] != want[i] {
+					t.Fatalf("n=%d trial %d: entry %d is %q/%d, want %q/%d", n, trial, i, entries[i].key, entries[i].rid, want[i].key, want[i].rid)
+				}
+			}
+		}
+	}
+}
