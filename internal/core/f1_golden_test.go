@@ -35,43 +35,12 @@ const f1GoldenFile = "testdata/f1_examined.golden"
 // ordinal (Dewey's stops at the name, so its count walks the same-name
 // siblings).
 func TestF1ExaminedGolden(t *testing.T) {
-	doc := xmlgen.Auction(xmlgen.Config{Factor: 1, Seed: 1})
-	queries := append([]string(nil), f1Queries...)
-	queries[2] = fmt.Sprintf("/site/people/person[address/city='%s']/name", commonCity(doc))
-
-	var got bytes.Buffer
-	fmt.Fprintln(&got, "# scheme class examined result")
-	eachSchemeLoaded(t, doc, func(kind SchemeKind, st *Store) {
-		for i, q := range queries {
-			sql, err := st.Translate(q)
-			if err != nil {
-				continue // a documented mapping limitation (Universal Q5)
-			}
-			ap, err := st.DB().ExplainAnalyzePlan(sql)
-			if err != nil {
-				t.Fatalf("%s Q%d: %v", kind, i+1, err)
-			}
-			var examined int64
-			for _, op := range ap.Ops {
-				if strings.Contains(op.Kind, "Scan") || strings.Contains(op.Kind, "Join") {
-					examined += op.Rows
-				}
-			}
-			fmt.Fprintf(&got, "%s Q%d %d %d\n", kind, i+1, examined, ap.Rows)
-			switch {
-			case kind == Interval && i == 1:
-				if !strings.Contains(ap.Text, "IndexJoin accel via accel_parent (eq 3,") ||
-					!strings.Contains(ap.Text, "IndexScan accel via accel_kind_name (eq 2,") {
-					t.Errorf("Q2 does not scan item and probe accel_parent on three columns:\n%s", ap.Text)
-				}
-			case i == 4 && (kind == Interval || kind == Edge || kind == Binary):
-				if !strings.Contains(ap.Text, "SubPlan") || !strings.Contains(ap.Text, "IndexCount ") {
-					t.Errorf("%s Q5's sibling count is not an IndexCount:\n%s", kind, ap.Text)
-				}
-			}
-		}
-	})
-	checkGolden(t, f1GoldenFile, got.Bytes())
+	out := runGoldens(t)
+	pendingTranslation = out.translated
+	for _, e := range out.planErrs {
+		t.Error(e)
+	}
+	checkGolden(t, f1GoldenFile, out.examined)
 }
 
 // translateGoldenFile records the SQL every scheme emits for every
@@ -82,19 +51,81 @@ func TestF1ExaminedGolden(t *testing.T) {
 const translateGoldenFile = "testdata/translate.golden"
 
 // TestTranslationGolden compares each scheme's translation of the DOM
-// corpus with the checked-in golden.
+// corpus with the checked-in golden. It checks the output the
+// TestF1ExaminedGolden just before it computed, or computes its own.
 func TestTranslationGolden(t *testing.T) {
-	var got bytes.Buffer
-	eachSchemeLoaded(t, xmlgen.Auction(xmlgen.Config{Factor: 1, Seed: 1}), func(kind SchemeKind, st *Store) {
+	got := pendingTranslation
+	pendingTranslation = nil
+	if got == nil {
+		got = runGoldens(t).translated
+	}
+	checkGolden(t, translateGoldenFile, got)
+}
+
+// pendingTranslation hands the translation output a TestF1ExaminedGolden
+// run computed to the TestTranslationGolden that follows it, which
+// takes it once.
+var pendingTranslation []byte
+
+// goldenOutputs is what the two goldens record, from one load of each
+// scheme: rows examined per F1 class (with the plan checks that
+// failed), and every DOM corpus query's translation.
+type goldenOutputs struct {
+	examined, translated []byte
+	planErrs             []string
+}
+
+// runGoldens loads the F1 document into each scheme in turn, one store
+// alive at a time (factor 1 in six schemes is most of a -race pass of
+// this package), and records both goldens' outputs from it.
+func runGoldens(t *testing.T) goldenOutputs {
+	t.Helper()
+	doc := xmlgen.Auction(xmlgen.Config{Factor: 1, Seed: 1})
+	queries := append([]string(nil), f1Queries...)
+	queries[2] = fmt.Sprintf("/site/people/person[address/city='%s']/name", commonCity(doc))
+
+	var out goldenOutputs
+	var examined, translated bytes.Buffer
+	fmt.Fprintln(&examined, "# scheme class examined result")
+	eachSchemeLoaded(t, doc, func(kind SchemeKind, st *Store) {
 		for _, q := range domCorpus {
 			sql, err := st.Translate(q)
 			if err != nil {
 				sql = "error: " + err.Error()
 			}
-			fmt.Fprintf(&got, "%s %s\n\t%s\n", kind, q, sql)
+			fmt.Fprintf(&translated, "%s %s\n\t%s\n", kind, q, sql)
+		}
+		for i, q := range queries {
+			sql, err := st.Translate(q)
+			if err != nil {
+				continue // a documented mapping limitation (Universal Q5)
+			}
+			ap, err := st.DB().ExplainAnalyzePlan(sql)
+			if err != nil {
+				t.Fatalf("%s Q%d: %v", kind, i+1, err)
+			}
+			var rows int64
+			for _, op := range ap.Ops {
+				if strings.Contains(op.Kind, "Scan") || strings.Contains(op.Kind, "Join") {
+					rows += op.Rows
+				}
+			}
+			fmt.Fprintf(&examined, "%s Q%d %d %d\n", kind, i+1, rows, ap.Rows)
+			switch {
+			case kind == Interval && i == 1:
+				if !strings.Contains(ap.Text, "IndexJoin accel via accel_parent (eq 3,") ||
+					!strings.Contains(ap.Text, "IndexScan accel via accel_kind_name (eq 2,") {
+					out.planErrs = append(out.planErrs, fmt.Sprintf("Q2 does not scan item and probe accel_parent on three columns:\n%s", ap.Text))
+				}
+			case i == 4 && (kind == Interval || kind == Edge || kind == Binary):
+				if !strings.Contains(ap.Text, "SubPlan") || !strings.Contains(ap.Text, "IndexCount ") {
+					out.planErrs = append(out.planErrs, fmt.Sprintf("%s Q5's sibling count is not an IndexCount:\n%s", kind, ap.Text))
+				}
+			}
 		}
 	})
-	checkGolden(t, translateGoldenFile, got.Bytes())
+	out.examined, out.translated = examined.Bytes(), translated.Bytes()
+	return out
 }
 
 // eachSchemeLoaded calls fn with a store of each of the six schemes
