@@ -75,8 +75,10 @@ fuzz:
 	done
 
 ## bench-smoke: one iteration of every benchmark, to keep them compiling
-## and running (the page-decode benchmark also fails above four
-## allocations per page); use `make bench` for real numbers. The
+## and running (the page-decode benchmark also fails when a page fault,
+## image to frame, makes more than four allocations, or when reading
+## every row of a faulted page allocates more than the eager decode it
+## replaced); use `make bench` for real numbers. The
 ## per-scheme ordered inserts (edge, binary, interval, dewey, inline)
 ## run in `make test`: internal/bench drives every xbench experiment at
 ## smoke scale, and F3 fails on any insert error.

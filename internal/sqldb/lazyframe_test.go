@@ -73,8 +73,8 @@ func TestFaultDecodesOnlyTouchedRows(t *testing.T) {
 	if f == nil || f.img == nil {
 		t.Fatalf("probed page is not resident image-backed")
 	}
-	for i := range f.lazy {
-		if decoded := f.lazy[i] == 0; decoded != (i == 37) {
+	for i, s := range f.img.lazy {
+		if decoded := s == 0; decoded != (i == 37) {
 			t.Fatalf("slot %d decoded = %v after probing slot 37", i, decoded)
 		}
 	}

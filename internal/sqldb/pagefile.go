@@ -113,9 +113,9 @@ const slotBusy = math.MaxUint32
 // corruption. No row is decoded.
 func scanPagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
 	if uint64(len(payload)) >= slotBusy {
-		return nil, errorf("pagefile: page %d: payload of %d bytes", pid, len(payload))
+		return nil, errorf("pagefile: page %d: payload too large (%d bytes)", pid, len(payload))
 	}
-	f := &pageFrame{img: payload}
+	im := &pageImage{b: payload}
 	b := payload
 	for i, off := 0, 0; off < len(b); i++ {
 		if i == limit {
@@ -139,9 +139,9 @@ func scanPagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
 				return nil, errorf("pagefile: page %d slot %d: corrupt value", pid, i)
 			}
 		}
-		f.lazy[i] = uint32(start) + 1
+		im.lazy[i] = uint32(start) + 1
 	}
-	return f, nil
+	return &pageFrame{img: im}, nil
 }
 
 // skipValue returns the offset just past the WAL-codec value at off, or
@@ -234,9 +234,9 @@ func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range f.lazy {
+	for i, s := range f.img.lazy {
 		if s != 0 {
-			f.rows[i], f.lazy[i] = decodeSlot(payload, int(s-1)), 0
+			f.rows[i] = decodeSlot(payload, int(s-1))
 		}
 	}
 	f.img = nil

@@ -48,14 +48,22 @@ const (
 //
 // A frame is plain or image-backed. A writer builds plain frames (tail
 // pages, copy-on-write copies) and stores rows straight into the array.
-// A buffer-pool fault builds an image-backed frame: img is the page's
-// checked payload, and lazy[i] holds the offset plus one of slot i's
-// bytes in it until a reader first asks for the row (see row). Readers
-// go through row, never through rows directly.
+// A buffer-pool fault builds an image-backed frame, whose rows decode
+// from img the first time a reader asks for them (see row). Readers go
+// through row, never through rows directly.
 type pageFrame struct {
 	rows [heapPageSize][]Value
-	lazy [heapPageSize]uint32 // 0: rows[i] is final; slotBusy: being published
-	img  []byte               // the payload of an image-backed frame; nil when plain
+	img  *pageImage // nil for a plain frame
+}
+
+// pageImage is the checked payload of a faulted page (see
+// scanPagePayload) and where each of its undecoded slots starts.
+type pageImage struct {
+	b []byte
+	// lazy[i] is the offset plus one of slot i's bytes in b until
+	// rows[i] holds its row, then 0; slotBusy while a reader publishes
+	// it. Tombstones are 0 from the start.
+	lazy [heapPageSize]uint32
 }
 
 // row returns slot i's row (nil when deleted), decoding it from the
@@ -64,28 +72,30 @@ type pageFrame struct {
 // and the other returns its own, so rows[i] is written once and read
 // only after the atomic store that publishes it.
 func (f *pageFrame) row(i int) []Value {
-	s := atomic.LoadUint32(&f.lazy[i])
-	if s == 0 {
-		return f.rows[i]
+	if im := f.img; im != nil {
+		if s := atomic.LoadUint32(&im.lazy[i]); s != 0 {
+			return f.decodeRow(i, s)
+		}
 	}
-	return f.decodeRow(i, s)
+	return f.rows[i]
 }
 
 func (f *pageFrame) decodeRow(i int, s uint32) []Value {
+	lazy := &f.img.lazy[i]
 	for s == slotBusy {
 		// Another reader is between its CAS and its store.
 		runtime.Gosched()
-		if s = atomic.LoadUint32(&f.lazy[i]); s == 0 {
+		if s = atomic.LoadUint32(lazy); s == 0 {
 			return f.rows[i]
 		}
 	}
-	row := decodeSlot(f.img, int(s-1))
+	row := decodeSlot(f.img.b, int(s-1))
 	if h := testSlotDecoded.Load(); h != nil {
 		(*h)()
 	}
-	if atomic.CompareAndSwapUint32(&f.lazy[i], s, slotBusy) {
+	if atomic.CompareAndSwapUint32(lazy, s, slotBusy) {
 		f.rows[i] = row
-		atomic.StoreUint32(&f.lazy[i], 0)
+		atomic.StoreUint32(lazy, 0)
 	}
 	return row
 }
@@ -112,7 +122,7 @@ func (f *pageFrame) clone() *pageFrame {
 // its rows encoded.
 func (f *pageFrame) payload() []byte {
 	if f.img != nil {
-		return f.img
+		return f.img.b
 	}
 	return encodePageFrame(f, heapPageSize)
 }

@@ -58,8 +58,8 @@ func (t Type) String() string {
 // The word holds an INTEGER's or BOOLEAN's bits, a REAL's
 // math.Float64bits, or a TEXT's or BLOB's byte length; the pointer
 // addresses the text or blob bytes. A text Value decoded from a heap
-// page points into that page's text arena and keeps the whole arena
-// alive. Values are not comparable with ==, which would compare text by
+// page points into that page's image and keeps the whole image alive.
+// Values are not comparable with ==, which would compare text by
 // address (as reflect.DeepEqual does); use Compare, or Identical for an
 // exact match.
 type Value struct {
