@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// countSlotDecodes counts lazy slot decodes until the returned stop
-// runs.
-func countSlotDecodes(t *testing.T) (n *atomic.Int64) {
+// countSlotDecodes counts lazy slot decodes until the test ends.
+func countSlotDecodes(t *testing.T) *atomic.Int64 {
 	t.Helper()
-	n = new(atomic.Int64)
+	n := new(atomic.Int64)
 	hook := func() { n.Add(1) }
 	testSlotDecoded.Store(&hook)
 	t.Cleanup(func() { testSlotDecoded.Store(nil) })
