@@ -1,22 +1,25 @@
 package sqldb
 
 // The buffer pool holds every sealed heap page and bounds how many stay
-// resident in memory. Pages enter the pool when a commit publishes them
-// full (see table.sealq); once pooled they are immutable — inserts only
-// touch the unsealed tail page and deletes/updates copy-on-write a fresh
-// page for the writer's generation — so eviction is simply dropping the
-// in-memory frame after an (at most once per pages file) writeback, and
-// a later access faults the frame back in by rowid. A cap of 0 means
-// unbounded: pages are pooled, so a checkpoint references them in the
-// pages file like any other, but nothing is ever evicted and the pool
-// keeps no eviction ring.
+// resident in memory. Pages enter the pool when the statement that
+// filled them commits into its transaction (see table.sealq), before
+// the transaction publishes; once pooled they are immutable — inserts
+// only touch the unsealed tail page and deletes/updates copy-on-write a
+// fresh page for the writer's generation — so eviction is simply
+// dropping the in-memory frame after an (at most once per pages file)
+// writeback, and a later access faults the frame back in by rowid. A
+// cap of 0 means unbounded: pages are pooled, so a checkpoint
+// references them in the pages file like any other, but nothing is
+// ever evicted and the pool keeps no eviction ring.
 //
-// Eviction ordering invariant: a page is written back and dropped only
-// once the WAL record of the commit that sealed it is durable. This is
-// structural: a transaction publishes after its fsync, and commit hands
-// its pages to the pool only after publishing. When every candidate is
-// pinned the pool grows past its cap instead of blocking: memory
-// pressure never deadlocks the engine.
+// Shadow pages: a page of a transaction still open may be written back
+// and evicted like any other. Its image goes to a fresh slot, and only
+// a checkpoint references slots, of the published state's pages alone:
+// until the commit publishes (after its WAL fsync) no snapshot names
+// the slot, and an abort or a crash leaves it dead, for a later
+// compaction to drop. When every candidate is pinned the pool grows
+// past its cap instead of blocking: memory pressure never deadlocks the
+// engine.
 //
 // Fault-in failures panic with pageIOPanic, which the executor and
 // writer panic barriers convert to ErrPageIO: the one operation fails,

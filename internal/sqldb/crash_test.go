@@ -25,7 +25,8 @@ import (
 
 // crashWorkload is the op sequence the sweep drives. An empty SQL
 // string means "checkpoint here", exercising snapshot replacement and
-// WAL rotation at every interior byte too.
+// WAL rotation at every interior byte too. An op may also be a
+// transaction (see txOp).
 var crashWorkload = []string{
 	`CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`,
 	`INSERT INTO kv VALUES (1, 'one'), (2, 'two')`,
@@ -61,10 +62,51 @@ var pagedCrashWorkload = []string{
 	`INSERT INTO pg VALUES (-1)`,
 }
 
+// streamCrashWorkload runs transactions whose records stream out as
+// continuation frames (TestCrashAtEveryOffset lowers txStreamBytes to
+// 0, so every statement but a transaction's last does): one commits
+// after four continuation frames, one aborts after two and another
+// commit follows it, and one is open across a checkpoint taken from
+// another goroutine. Each 560-row insert fills a heap page inside the
+// transaction: the first seals three, which a two-page pool writes
+// back and evicts before the commit.
+var streamCrashWorkload = []string{
+	`CREATE TABLE pg (k INTEGER)`,
+	`INSERT INTO pg VALUES ` + valuesList(40),
+	`BEGIN; ` + fill560(10000) + `; ` + fill560(20000) + `; ` + fill560(30000) + `; ` + fill560(80000) + `; INSERT INTO pg VALUES (-1); COMMIT`,
+	`BEGIN; ` + fill560(40000) + `; ` + fill560(50000) + `; INSERT INTO pg VALUES (-2); ROLLBACK`,
+	`INSERT INTO pg VALUES (-3)`,
+	`BEGIN; ` + fill560(60000) + `; INSERT INTO pg VALUES (-4); CHECKPOINT; ` + fill560(70000) + `; INSERT INTO pg VALUES (-5); COMMIT`,
+	`INSERT INTO pg VALUES (-6)`,
+}
+
+// fill560 inserts 560 rows, keys base and up, from the 40 seed rows.
+func fill560(base int) string {
+	return fmt.Sprintf(`INSERT INTO pg SELECT a.k + 40 * b.k + %d FROM pg a, pg b WHERE a.k >= 0 AND a.k < 40 AND b.k >= 0 AND b.k < 14`, base)
+}
+
+// txOp splits a transaction op — "BEGIN; s1; ...; COMMIT" or "...;
+// ROLLBACK", whose callback fails after its statements — into its
+// statements. A CHECKPOINT statement checkpoints from another
+// goroutine while the transaction is open.
+func txOp(op string) (stmts []string, rollback, ok bool) {
+	rest, ok := strings.CutPrefix(op, "BEGIN; ")
+	if !ok {
+		return nil, false, false
+	}
+	stmts = strings.Split(rest, "; ")
+	end := stmts[len(stmts)-1]
+	return stmts[:len(stmts)-1], end == "ROLLBACK", true
+}
+
+// errRollback is a rolled-back transaction's callback error.
+var errRollback = errors.New("rollback")
+
 // crashCases are the sweeps TestCrashAtEveryOffset runs: a workload
-// under a buffer pool cap (0 = unbounded). The paged workload's long
-// writes — kilobytes of WAL frame or page image — are sampled (see
-// crashBudgets); everything else is crashed at every offset.
+// under a buffer pool cap (0 = unbounded). The long writes of the paged
+// and stream workloads — kilobytes of WAL frame or page image — are
+// sampled (see crashBudgets); everything else is crashed at every
+// offset. The paged workload must switch pages files.
 var crashCases = []struct {
 	name     string // subtest; "" puts the budgets directly under the test
 	workload []string
@@ -73,6 +115,8 @@ var crashCases = []struct {
 	{"", crashWorkload, 0},
 	{"paged", pagedCrashWorkload, 0},
 	{"paged,pool=2", pagedCrashWorkload, 2},
+	{"stream", streamCrashWorkload, 0},
+	{"stream,pool=2", streamCrashWorkload, 2},
 }
 
 // valuesList renders (0), (1), ..., (n-1).
@@ -85,30 +129,78 @@ func valuesList(n int) string {
 }
 
 // crashBaselines returns baseline databases: baselines[k] is the state
-// after the first k non-checkpoint operations of workload succeeded.
+// after the first k committing operations of workload succeeded
+// (checkpoints and rolled-back transactions change nothing).
 func crashBaselines(t *testing.T, workload []string) []*Database {
 	t.Helper()
-	var sqls []string
+	var ops []string
 	for _, op := range workload {
-		if op != "" {
-			sqls = append(sqls, op)
+		if _, rollback, _ := txOp(op); op != "" && !rollback {
+			ops = append(ops, op)
 		}
 	}
-	baselines := make([]*Database, len(sqls)+1)
-	for k := 0; k <= len(sqls); k++ {
+	baselines := make([]*Database, len(ops)+1)
+	for k := 0; k <= len(ops); k++ {
 		db := New()
-		for _, sql := range sqls[:k] {
-			db.MustExec(sql)
+		for _, op := range ops[:k] {
+			stmts, _, ok := txOp(op)
+			if !ok {
+				db.MustExec(op)
+				continue
+			}
+			err := db.Update(func(tx *Tx) error {
+				for _, s := range stmts {
+					if s == "CHECKPOINT" {
+						continue
+					}
+					if _, err := tx.Exec(s); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("baseline %q: %v", op, err)
+			}
 		}
 		baselines[k] = db
 	}
 	return baselines
 }
 
+// runCrashOp runs one workload op against d.
+func runCrashOp(d *DurableDB, op string) error {
+	stmts, rollback, ok := txOp(op)
+	if !ok {
+		_, err := d.DB().Exec(op)
+		return err
+	}
+	return d.DB().Update(func(tx *Tx) error {
+		for _, s := range stmts {
+			if s == "CHECKPOINT" {
+				done := make(chan error)
+				go func() { done <- d.Checkpoint() }()
+				if err := <-done; err != nil {
+					return err
+				}
+				continue
+			}
+			if _, err := tx.Exec(s); err != nil {
+				return err
+			}
+		}
+		if rollback {
+			return errRollback
+		}
+		return nil
+	})
+}
+
 // runCrashWorkload drives workload against a DurableDB opened on fs
 // with the given pool cap, returning how many DML/DDL ops were
-// acknowledged (err == nil). Fail-stop guarantees the acked ops are a
-// prefix of the workload.
+// acknowledged (err == nil; a transaction that rolls back as planned
+// is neither acknowledged nor a failure). Fail-stop guarantees the
+// acked ops are a prefix of the workload.
 func runCrashWorkload(fs VFS, workload []string, pool int) (acked int, openErr error) {
 	d, err := OpenDurable(fs, DurableOptions{BufferPoolPages: pool})
 	if err != nil {
@@ -122,7 +214,9 @@ func runCrashWorkload(fs VFS, workload []string, pool int) (acked int, openErr e
 			}
 			continue
 		}
-		if _, err := d.DB().Exec(op); err != nil {
+		if err := runCrashOp(d, op); errors.Is(err, errRollback) {
+			continue
+		} else if err != nil {
 			sawErr = true
 		} else if !sawErr {
 			acked++
@@ -203,6 +297,10 @@ func crashBudgets(total int64, spans [][2]int64) []int64 {
 }
 
 func TestCrashAtEveryOffset(t *testing.T) {
+	// Every statement of a transaction but its last streams out as a
+	// continuation frame; a single statement never does.
+	prev := SetTxStreamBytes(0)
+	t.Cleanup(func() { SetTxStreamBytes(prev) })
 	for _, c := range crashCases {
 		if c.name == "" {
 			crashSweep(t, c.workload, c.pool, false)
@@ -252,10 +350,10 @@ func crashSweep(t *testing.T, workload []string, pool int, paged bool) {
 	}
 	var spans [][2]int64
 	if paged {
-		if _, err := probe.Size(pagesFiles[1]); err != nil {
-			t.Fatalf("no checkpoint switched to %s: %v", pagesFiles[1], err)
-		}
 		spans = probe.spans
+	}
+	if _, err := probe.Size(pagesFiles[1]); err != nil && strings.HasPrefix(t.Name(), "TestCrashAtEveryOffset/paged") {
+		t.Fatalf("no checkpoint switched to %s: %v", pagesFiles[1], err)
 	}
 	budgets := crashBudgets(total, spans)
 	if testing.Short() {

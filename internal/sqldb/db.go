@@ -82,7 +82,7 @@ type Database struct {
 	gen atomic.Uint64
 	// seq issues commit sequence numbers when no durability layer is
 	// attached; with a commit hook, the WAL assigns them (see
-	// stageCommit in durable.go).
+	// DurableDB.stage).
 	seq   atomic.Uint64
 	plans *planCache
 	// metrics is the runtime observability registry: query-latency
@@ -92,16 +92,10 @@ type Database struct {
 	// snaps tracks snapshot activity: acquisitions, pinned snapshots and
 	// their ages, writer publish waits, superseded-version counts.
 	snaps *snapTracker
-	// commitHook, when set (by DurableDB), stages one logical record per
-	// committed transaction while writeMu is held, so log order equals
-	// commit order. It returns a wait function the writer invokes after
-	// releasing writeMu; wait blocks until the record's WAL frame is
-	// fsynced (batched with concurrently arriving commits). A non-nil
-	// error from either phase means the commit is not durable: the
-	// writer then discards its pending state without publishing, so the
-	// published state never diverges from the WAL. A nil wait means the
-	// record needs no post-stage durability step (stub loggers).
-	commitHook func(*walRecord) (wait func() error, err error)
+	// log, when set (by DurableDB), is where transactions log their
+	// records, while writeMu is held, so log order equals commit order
+	// (see commitLog). Without one, a transaction keeps no records.
+	log commitLog
 	// memBudget is the engine-wide memory pool queries reserve their
 	// working set from (total <= 0 = unlimited); queryMemLimit caps one
 	// query's reservation. See governor.go.
@@ -117,26 +111,55 @@ type Database struct {
 	pool *pageStore
 }
 
-// setCommitLogger attaches (or detaches, with nil) a synchronous commit
-// logger: the record is durable (or rejected) by the time the logger
-// returns. Kept for stub loggers in tests; DurableDB attaches the
-// two-phase pipeline via setCommitHook.
-func (db *Database) setCommitLogger(fn func(*walRecord) error) {
-	if fn == nil {
-		db.setCommitHook(nil)
-		return
-	}
-	db.setCommitHook(func(rec *walRecord) (func() error, error) {
-		return nil, fn(rec)
-	})
+// commitLog is the durability layer's side of a transaction. Every
+// method is called with writeMu held, so no other transaction's frame
+// can come between an open transaction's continuation frames and its
+// commit frame.
+type commitLog interface {
+	// stage logs rec as the transaction's commit frame and numbers it.
+	// The writer calls the returned wait after releasing writeMu; it
+	// blocks until the frame is fsynced (batched with concurrently
+	// arriving commits). A non-nil error from either phase means the
+	// commit is not durable: the writer then discards its pending state
+	// without publishing, so the published state never diverges from
+	// the log. A nil wait means the record needs no post-stage step.
+	stage(rec *walRecord) (wait func() error, err error)
+	// stream logs recs, numbered, as one continuation frame of the open
+	// transaction and returns the bytes it appended.
+	stream(recs []*walRecord) (int64, error)
+	// unstream drops an aborted transaction's continuation frames: the
+	// last n bytes of the log, holding k numbered records.
+	unstream(n int64, k int)
 }
 
-// setCommitHook attaches (or detaches, with nil) the durability layer's
-// two-phase commit pipeline.
-func (db *Database) setCommitHook(fn func(*walRecord) (func() error, error)) {
+// syncLog is a synchronous commit logger: the record is durable (or
+// rejected) by the time it returns, and a continuation frame is logged
+// as one record of its own. Tests attach stub loggers with it.
+type syncLog func(*walRecord) error
+
+func (f syncLog) stage(rec *walRecord) (func() error, error) { return nil, f(rec) }
+
+func (f syncLog) stream(recs []*walRecord) (int64, error) {
+	return 0, f(&walRecord{Op: opCont, Group: recs})
+}
+
+func (f syncLog) unstream(int64, int) {}
+
+// setCommitLogger attaches (or detaches, with nil) a synchronous stub
+// logger; DurableDB attaches its pipeline with setCommitLog.
+func (db *Database) setCommitLogger(fn func(*walRecord) error) {
+	if fn == nil {
+		db.setCommitLog(nil)
+		return
+	}
+	db.setCommitLog(syncLog(fn))
+}
+
+// setCommitLog attaches (or detaches, with nil) the commit log.
+func (db *Database) setCommitLog(l commitLog) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	db.commitHook = fn
+	db.log = l
 }
 
 // New creates an empty database.
@@ -256,17 +279,36 @@ func (db *Database) setSeq(n uint64) {
 // the commit chain linear while earlier commits still wait on their
 // WAL fsync. Statements and reads inside the transaction see its
 // earlier statements; readers of the Database see nothing until
-// commit logs them as one WAL record and publishes them together once
-// that record is durable. Abort is simply never publishing. A Tx is
-// used by one goroutine at a time.
+// commit logs them and publishes them together once the log is
+// durable. Abort is never publishing, and dropping any continuation
+// frames. A Tx is used by one goroutine at a time.
+//
+// Its memory stays bounded whatever it writes. A full page a statement
+// seals enters the buffer pool at once, where a bounded pool may write
+// it back to a fresh slot and evict it: no checkpoint references that
+// slot before the state publishes, and an abort leaves it dead. Once
+// the pending records pass txStreamBytes, the log takes them as a
+// continuation frame (see stream).
 type Tx struct {
 	db   *Database
 	base *dbState // the staged head the transaction began from
 	st   *dbState // base plus every statement committed so far
-	recs []*walRecord
-	// sealed collects the pages the statements filled; the buffer pool
-	// takes them once the state publishes.
+	// gen0 is the newest generation before the transaction's first
+	// statement. A page of gen0 or older that a statement sealed is a
+	// tail page base shares, which stays base's resident tail if the
+	// transaction aborts: it waits in sealed for the publish.
+	gen0   uint64
 	sealed []*heapPage
+	// n counts the statements' records; recs holds those not logged
+	// yet, pending estimates their encoded bytes. Without a commit log
+	// the count is all a transaction keeps.
+	n       int
+	recs    []*walRecord
+	pending int64
+	// streamed is the bytes of continuation frames logged so far, and
+	// streamedRecs the records they hold.
+	streamed     int64
+	streamedRecs int
 	// group logs the statements as one opGroup frame even when there
 	// is only one (Update); a Database write method logs its statement
 	// as a plain record.
@@ -327,7 +369,7 @@ func (db *Database) begin(group bool) *Tx {
 	waitStart := time.Now()
 	db.writeMu.Lock()
 	db.snaps.recordPublishWait(time.Since(waitStart))
-	return &Tx{db: db, base: db.head, st: db.head, group: group}
+	return &Tx{db: db, base: db.head, st: db.head, gen0: db.gen.Load(), group: group}
 }
 
 // guard is the transaction's panic barrier: a panic anywhere in it
@@ -348,13 +390,54 @@ func (tx *Tx) guard(errp *error) {
 	*errp = internalError(r)
 }
 
-// abort discards the transaction and frees the writer slot.
+// abort discards the transaction, drops its continuation frames and
+// frees the writer slot.
 func (tx *Tx) abort() {
 	if tx.done {
 		return
 	}
 	tx.done = true
+	if tx.streamed > 0 || tx.streamedRecs > 0 {
+		tx.db.log.unstream(tx.streamed, tx.streamedRecs)
+	}
 	tx.db.writeMu.Unlock()
+}
+
+// txStreamBytes is the estimated size of an open transaction's pending
+// records past which its commit log takes them as a continuation
+// frame. A variable so tests can lower it (SetTxStreamBytes).
+var txStreamBytes int64 = 1 << 20
+
+// SetTxStreamBytes sets the pending-record size past which an open
+// transaction logs a continuation frame and returns the previous size.
+// It exists for tests, which lower it so a small load spans several
+// frames; it must not race with a transaction.
+func SetTxStreamBytes(n int64) int64 {
+	prev := txStreamBytes
+	txStreamBytes = n
+	return prev
+}
+
+// stream logs every pending record but the last as one continuation
+// frame once they pass txStreamBytes, so the transaction holds at most
+// about that much of its log. The last record stays for the commit
+// frame, which therefore always carries one.
+func (tx *Tx) stream() error {
+	if tx.db.log == nil || tx.pending <= txStreamBytes || len(tx.recs) < 2 {
+		return nil
+	}
+	last := len(tx.recs) - 1
+	n, err := tx.db.log.stream(tx.recs[:last])
+	tx.streamed += n
+	if err != nil {
+		return err
+	}
+	tx.streamedRecs += last
+	keep := tx.recs[last]
+	clear(tx.recs)
+	tx.recs = append(tx.recs[:0], keep)
+	tx.pending = keep.size()
+	return nil
 }
 
 // commit logs the transaction's records as one and publishes its
@@ -367,17 +450,17 @@ func (tx *Tx) abort() {
 // the state is discarded unpublished and the error returned.
 func (tx *Tx) commit() error {
 	db := tx.db
-	if len(tx.recs) == 0 {
+	if tx.n == 0 {
 		tx.abort()
 		return nil
 	}
-	rec := tx.recs[0]
-	if tx.group || len(tx.recs) > 1 {
-		rec = &walRecord{Op: opGroup, Group: tx.recs}
-	}
 	var wait func() error
-	if db.commitHook != nil {
-		w, err := db.commitHook(rec)
+	if db.log != nil {
+		rec := tx.recs[0]
+		if tx.group || len(tx.recs) > 1 {
+			rec = &walRecord{Op: opGroup, Group: tx.recs}
+		}
+		w, err := db.log.stage(rec)
 		if err != nil {
 			tx.abort()
 			return err
@@ -386,7 +469,7 @@ func (tx *Tx) commit() error {
 		tx.st.seq = rec.maxSeq()
 		db.seq.Store(tx.st.seq)
 	} else {
-		tx.st.seq = db.seq.Add(uint64(len(tx.recs)))
+		tx.st.seq = db.seq.Add(uint64(tx.n))
 	}
 	reclaimed := 0
 	for k, t := range tx.base.tables {
@@ -487,16 +570,28 @@ func (w *txStmt) wtable(name string) *table {
 }
 
 // commit merges the statement, with rec as its WAL effect, into its
-// transaction, collecting the pages it filled for the buffer pool.
+// transaction, and hands the pages it filled to the buffer pool as
+// shadow pages (see Tx).
 func (w *txStmt) commit(rec *walRecord) {
+	tx := w.tx
 	for _, t := range w.st.tables {
 		if t.gen == w.gen && len(t.sealq) > 0 {
-			w.tx.sealed = append(w.tx.sealed, t.sealq...)
+			for _, p := range t.sealq {
+				if p.gen <= tx.gen0 {
+					tx.sealed = append(tx.sealed, p)
+				} else {
+					tx.db.pool.add(p)
+				}
+			}
 			t.sealq = nil
 		}
 	}
-	w.tx.st = w.st
-	w.tx.recs = append(w.tx.recs, rec)
+	tx.st = w.st
+	tx.n++
+	if tx.db.log != nil {
+		tx.recs = append(tx.recs, rec)
+		tx.pending += rec.size()
+	}
 }
 
 // Rows is a fully materialized query result.
@@ -544,7 +639,16 @@ func (tx *Tx) Exec(sql string, args ...Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return tx.execStmt(stmt, args)
+	return tx.streamAfter(tx.execStmt(stmt, args))
+}
+
+// streamAfter returns a statement's result once the transaction has
+// streamed its pending records, if they grew past txStreamBytes.
+func (tx *Tx) streamAfter(n int, err error) (int, error) {
+	if serr := tx.stream(); serr != nil {
+		return 0, serr
+	}
+	return n, err
 }
 
 func (tx *Tx) execStmt(stmt Stmt, args []Value) (int, error) {
@@ -700,27 +804,11 @@ type Prepared struct {
 
 // Prepare compiles a SELECT statement once for repeated execution.
 func (db *Database) Prepare(sql string) (*Prepared, error) {
-	stmt, err := Parse(sql)
+	e, err := db.compile(db.readState(), sql, "Prepare")
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, errorf("Prepare requires a SELECT statement")
-	}
-	st := db.readState()
-	start := time.Now()
-	p, sch, err := planSelect(st, sel, nil)
-	if err != nil {
-		return nil, err
-	}
-	p.template = NormalizeSQL(sql)
-	db.metrics.recordPlanCompile(time.Since(start))
-	cols := make([]string, len(sch))
-	for i, c := range sch {
-		cols[i] = c.name
-	}
-	return &Prepared{db: db, sql: sql, plan: p, cols: cols, epoch: st.epoch}, nil
+	return &Prepared{db: db, sql: sql, plan: e.p, cols: e.cols, epoch: e.epoch}, nil
 }
 
 // Query executes the prepared statement against the latest published
@@ -972,11 +1060,15 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (int, error) {
 // stored, and a constraint failure mid-batch (duplicate key, unique
 // index) leaves the table and its indexes unchanged.
 func (db *Database) BulkInsert(tableName string, rows [][]Value) (int, error) {
-	return db.autocommit(func(tx *Tx) (int, error) { return tx.BulkInsert(tableName, rows) })
+	return db.autocommit(func(tx *Tx) (int, error) { return tx.bulkInsert(tableName, rows) })
 }
 
 // BulkInsert is BulkInsert inside the transaction.
 func (tx *Tx) BulkInsert(tableName string, rows [][]Value) (int, error) {
+	return tx.streamAfter(tx.bulkInsert(tableName, rows))
+}
+
+func (tx *Tx) bulkInsert(tableName string, rows [][]Value) (int, error) {
 	if tx.done {
 		return 0, errTxDone
 	}

@@ -58,10 +58,11 @@ type DurableDB struct {
 	flushCond *sync.Cond
 
 	// Pipeline counters (guarded by walMu); Stats derives fsyncs/commit.
-	commits  uint64
-	fsyncs   uint64
-	batches  uint64
-	maxBatch int
+	commits       uint64
+	continuations uint64
+	fsyncs        uint64
+	batches       uint64
+	maxBatch      int
 
 	// ckptMu serializes checkpoints (and Recover, which is one).
 	ckptMu      sync.Mutex
@@ -228,7 +229,7 @@ func OpenDurable(fs VFS, opts DurableOptions) (*DurableDB, error) {
 		return nil, fmt.Errorf("sqldb: syncing data directory: %w", err)
 	}
 	d.flushCond = sync.NewCond(&d.walMu)
-	d.db.setCommitHook(d.stageCommit)
+	d.db.setCommitLog(d)
 	return d, nil
 }
 
@@ -256,15 +257,15 @@ func readSnapshotFile(fs VFS) ([]byte, error) {
 // it; writes are logged and acknowledged durably.
 func (d *DurableDB) DB() *Database { return d.db }
 
-// stageCommit is the commit hook: it is invoked by the Database for
-// every committed transaction, while the database write lock is still
-// held, so WAL order equals commit order. It numbers the record (each
+// stage is the commit log's commit frame: it is invoked by the Database
+// for every committed transaction, while the database write lock is
+// still held, so WAL order equals commit order. It numbers the record (each
 // member of a group frame in turn), encodes and enqueues it, then
 // returns a wait function the committer calls *after* releasing the
 // write lock; the wait blocks until a batch fsync covers the record, so
 // the commit is acknowledged — and published — only once durable while
 // later writers are already free to stage into the same batch.
-func (d *DurableDB) stageCommit(rec *walRecord) (func() error, error) {
+func (d *DurableDB) stage(rec *walRecord) (func() error, error) {
 	d.walMu.Lock()
 	defer d.walMu.Unlock()
 	// The closed check lives under walMu so it is ordered against
@@ -292,6 +293,70 @@ func (d *DurableDB) stageCommit(rec *walRecord) (func() error, error) {
 	d.queue = append(d.queue, w)
 	d.commits++
 	return func() error { return d.awaitFlush(w) }, nil
+}
+
+// stream writes recs as one continuation frame of the transaction that
+// holds the writer slot, numbering them as stage numbers a group's
+// members. Commits staged before the transaction began are flushed
+// first, so the frame lands at the log's tail, after them. It is
+// written but not synced: the commit frame's fsync covers it, and a
+// crash before that leaves a run recovery discards as torn tail.
+func (d *DurableDB) stream(recs []*walRecord) (int64, error) {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	for d.flushing || len(d.queue) > 0 {
+		if d.flushing {
+			d.flushCond.Wait()
+		} else {
+			d.flushLocked()
+		}
+	}
+	switch {
+	case d.closed.Load():
+		return 0, ErrClosed
+	case d.failed.Load():
+		return 0, ErrReadOnlyDegraded
+	}
+	for _, m := range recs {
+		m.Seq = d.seq.Add(1)
+	}
+	rec := &walRecord{Op: opCont, Seq: recs[0].Seq, Group: recs}
+	n, err := d.wal.Write(appendFrame(nil, encodeRecordPayload(nil, rec)))
+	d.walSize += int64(n)
+	d.continuations++
+	if err != nil {
+		err = fmt.Errorf("sqldb: wal append: %w", err)
+		d.degrade(err)
+		return int64(n), err
+	}
+	return int64(n), nil
+}
+
+// unstream truncates an aborted transaction's continuation frames, the
+// last n bytes of the log, and gives back their k sequence numbers. A
+// checkpoint that rotated the log meanwhile kept them, still at its
+// tail. When the log is closed or degraded, the run is left for
+// recovery to discard (or Recover to replace).
+func (d *DurableDB) unstream(n int64, k int) {
+	d.walMu.Lock()
+	defer d.walMu.Unlock()
+	for d.flushing {
+		d.flushCond.Wait()
+	}
+	d.seq.Add(-uint64(k))
+	if d.wal == nil || d.closed.Load() || d.failed.Load() {
+		return
+	}
+	size := d.walSize - n
+	if err := d.wal.Truncate(size); err != nil {
+		d.degrade(fmt.Errorf("sqldb: wal truncate: %w", err))
+		return
+	}
+	if _, err := d.wal.Seek(size, io.SeekStart); err != nil {
+		d.degrade(fmt.Errorf("sqldb: wal seek: %w", err))
+		return
+	}
+	d.walSize = size
 }
 
 // awaitFlush blocks until w's batch fsync completes and returns its
@@ -381,6 +446,9 @@ type DurableStats struct {
 	// Commits counts staged WAL commits (a transaction's frame counts
 	// as one).
 	Commits uint64
+	// Continuations counts continuation frames: records of an open
+	// transaction logged ahead of its commit frame.
+	Continuations uint64
 	// Fsyncs counts WAL fsyncs; Fsyncs/Commits < 1 means batching is
 	// amortizing the sync cost across concurrent writers.
 	Fsyncs uint64
@@ -433,11 +501,12 @@ func (d *DurableDB) Stats() DurableStats {
 	d.walMu.Lock()
 	defer d.walMu.Unlock()
 	return DurableStats{
-		Commits:  d.commits,
-		Fsyncs:   d.fsyncs,
-		Batches:  d.batches,
-		MaxBatch: d.maxBatch,
-		Health:   d.Health(),
+		Commits:       d.commits,
+		Continuations: d.continuations,
+		Fsyncs:        d.fsyncs,
+		Batches:       d.batches,
+		MaxBatch:      d.maxBatch,
+		Health:        d.Health(),
 	}
 }
 
@@ -535,7 +604,9 @@ func (d *DurableDB) installCheckpoint() (uint64, error) {
 }
 
 // rotateLocked rewrites the WAL keeping only frames whose records are
-// newer than snapSeq, reading frame headers only. Caller holds walMu.
+// newer than snapSeq, reading frame headers only: an open transaction's
+// continuation frames are newer than any published state, so they stay
+// at the tail. Caller holds walMu.
 func (d *DurableDB) rotateLocked(snapSeq uint64) error {
 	rf, err := d.fs.Open(walFile)
 	if err != nil {

@@ -64,7 +64,21 @@ func (db *Database) ExplainAnalyze(sql string, args ...Value) (string, error) {
 
 // ExplainAnalyzePlan is ExplainAnalyze returning the structured form.
 func (db *Database) ExplainAnalyzePlan(sql string, args ...Value) (*AnalyzedPlan, error) {
-	st := db.readState()
+	return db.analyzeAt(db.readState(), sql, args)
+}
+
+// ExplainAnalyze is Database.ExplainAnalyze against the pinned version
+// set.
+func (s *Snapshot) ExplainAnalyze(sql string, args ...Value) (string, error) {
+	ap, err := s.db.analyzeAt(s.st, sql, args)
+	if err != nil {
+		return "", err
+	}
+	return ap.Text, nil
+}
+
+// analyzeAt executes and annotates a SELECT against one pinned state.
+func (db *Database) analyzeAt(st *dbState, sql string, args []Value) (*AnalyzedPlan, error) {
 	e, fromCache, err := db.cachedPlanFor(st, sql, "ExplainAnalyze")
 	if err != nil {
 		return nil, err

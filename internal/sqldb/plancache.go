@@ -129,18 +129,32 @@ func (db *Database) cachedPlanFor(st *dbState, sql, verb string) (*cachedPlan, b
 	if e, ok := db.plans.get(sql, st.epoch); ok {
 		return e, true, nil
 	}
+	e, err := db.compile(st, sql, verb)
+	if err != nil {
+		return nil, false, err
+	}
+	if st.epoch == db.state.Load().epoch {
+		db.plans.put(sql, e)
+	}
+	return e, false, nil
+}
+
+// compile parses sql, refuses anything but a SELECT (verb names the
+// calling API in the error), plans it against st and records the
+// compile time: the one compile path of the plan cache and Prepare.
+func (db *Database) compile(st *dbState, sql, verb string) (*cachedPlan, error) {
 	start := time.Now()
 	stmt, err := Parse(sql)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	sel, ok := stmt.(*SelectStmt)
 	if !ok {
-		return nil, false, errorf("%s requires a SELECT statement", verb)
+		return nil, errorf("%s requires a SELECT statement", verb)
 	}
 	p, sch, err := planSelect(st, sel, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	p.template = NormalizeSQL(sql)
 	db.metrics.recordPlanCompile(time.Since(start))
@@ -148,9 +162,5 @@ func (db *Database) cachedPlanFor(st *dbState, sql, verb string) (*cachedPlan, b
 	for i, c := range sch {
 		cols[i] = c.name
 	}
-	e := &cachedPlan{p: p, cols: cols, epoch: st.epoch}
-	if st.epoch == db.state.Load().epoch {
-		db.plans.put(sql, e)
-	}
-	return e, false, nil
+	return &cachedPlan{p: p, cols: cols, epoch: st.epoch}, nil
 }

@@ -28,7 +28,13 @@ import (
 // CRC: either the whole group survives recovery or none of it does.
 // A transaction (Database.Update) logs its statements as one group
 // frame, which makes multi-statement operations (document load, subtree
-// insertion) crash-atomic.
+// insertion) crash-atomic. A transaction whose records outgrow
+// txStreamBytes logs them ahead of that frame in continuation frames,
+// the same shape under opCont. It holds the writer slot throughout, so
+// its continuation frames and its commit frame are the log's tail, in
+// that order: recovery applies a run of continuation frames only with
+// the commit frame that follows it, and a run at the end of the log is
+// a torn tail, as is a torn frame. An abort truncates its run away.
 
 // walOp enumerates the logical record kinds.
 type walOp uint8
@@ -42,6 +48,7 @@ const (
 	opDelete
 	opUpdate
 	opGroup
+	opCont // a continuation frame: members of the commit frame to come
 )
 
 // walRecord is one logical WAL entry.
@@ -60,8 +67,21 @@ type walRecord struct {
 	// OldRows holds the pre-update images for opUpdate, pairwise with
 	// Rows.
 	OldRows [][]Value
-	// Group holds the member records of an opGroup frame.
+	// Group holds the member records of an opGroup or opCont frame.
 	Group []*walRecord
+}
+
+// size estimates the record's encoded bytes without encoding it.
+func (r *walRecord) size() int64 {
+	n := int64(16 + len(r.Table))
+	for _, rows := range [2][][]Value{r.Rows, r.OldRows} {
+		for _, row := range rows {
+			for _, v := range row {
+				n += valueBytes(v)
+			}
+		}
+	}
+	return n
 }
 
 // maxSeq returns the highest sequence number in the record (descending
@@ -170,7 +190,7 @@ func encodeRecordPayload(dst []byte, rec *walRecord) []byte {
 		e.str(rec.Table)
 		e.rows(rec.OldRows)
 		e.rows(rec.Rows)
-	case opGroup:
+	case opGroup, opCont:
 		e.uvarint(uint64(len(rec.Group)))
 		for _, g := range rec.Group {
 			sub := encodeRecordPayload(nil, g)
@@ -415,7 +435,7 @@ func decodeRecordPayload(p []byte, depth int) (*walRecord, error) {
 				rec.Rows, err = d.rows()
 			}
 		}
-	case opGroup:
+	case opGroup, opCont:
 		if depth >= 2 {
 			return nil, errorf("wal: group nesting too deep")
 		}
@@ -523,7 +543,7 @@ func payloadMaxSeq(p []byte, depth int) (uint64, error) {
 		return 0, err
 	}
 	seq, err := d.uvarint()
-	if err != nil || walOp(op) != opGroup {
+	if err != nil || (walOp(op) != opGroup && walOp(op) != opCont) {
 		return seq, err
 	}
 	if depth >= 2 {
@@ -548,16 +568,19 @@ func payloadMaxSeq(p []byte, depth int) (uint64, error) {
 }
 
 // scanWAL parses the valid prefix of a WAL image and returns the
-// decoded records with group frames flattened, ordered by sequence
-// number. The first torn frame (short header or payload), CRC mismatch,
-// zero/oversized length or undecodable payload ends the scan.
-// Corruption never yields an error — the log is simply truncated at
-// the last good frame, which is exactly the recovery semantics a torn
-// tail needs. Frames land in the file in commit order; the sort by
+// decoded records with group and continuation frames flattened,
+// ordered by sequence number. The first torn frame (short header or
+// payload), CRC mismatch, zero/oversized length or undecodable payload
+// ends the scan, and goodLen ends at the last commit frame before it:
+// a run of continuation frames no commit frame follows is torn tail
+// too. Corruption never yields an error — the log is simply truncated
+// at the last good frame, which is exactly the recovery semantics a
+// torn tail needs. Frames land in the file in commit order; the sort by
 // sequence number also replays a log whose group frame landed after
 // later commits, which older builds wrote.
 func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
 	off := 0
+	var run []*walRecord // continuation members awaiting their commit frame
 	for {
 		payload, ok := nextWALFrame(data, off)
 		if !ok {
@@ -567,15 +590,21 @@ func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
 		if err != nil {
 			break
 		}
-		if rec.Op == opGroup {
-			records = append(records, rec.Group...)
-		} else {
-			records = append(records, rec)
-		}
 		off += walFrameOverhead + len(payload)
+		switch rec.Op {
+		case opCont:
+			run = append(run, rec.Group...)
+			continue
+		case opGroup:
+			records = append(append(records, run...), rec.Group...)
+		default:
+			records = append(append(records, run...), rec)
+		}
+		run = nil
+		goodLen = int64(off)
 	}
 	sort.SliceStable(records, func(i, j int) bool { return records[i].Seq < records[j].Seq })
-	return records, int64(off)
+	return records, goodLen
 }
 
 // ---------------------------------------------------------------------------
