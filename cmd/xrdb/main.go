@@ -52,7 +52,6 @@ func main() {
 		maxConc   = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "with -max-concurrent: max queries waiting for admission before rejection")
 		bufPool   = flag.Int("buffer-pool", 0, "cap resident 512-row heap pages; full pages beyond the cap spill to disk and page back in on demand (0 = unbounded, all in memory)")
-		stream    = flag.Bool("stream", false, "with -in: shred the document from a stream (bounded memory for edge/binary/interval/dewey; universal and inline parse it first; durable streamed loads lose document-level crash atomicity)")
 		query     = flag.String("query", "", "XPath query to run")
 		timeout   = flag.Duration("timeout", 0, "per-operation deadline (e.g. 500ms) for loads and queries; 0 = no limit")
 		showSQL   = flag.Bool("sql", false, "print the generated SQL")
@@ -86,8 +85,8 @@ func main() {
 		opts.DTD = string(dtdSrc)
 	}
 	// Durable mode opens or crash-recovers the data directory; a
-	// document given with -in is loaded only into an empty store
-	// (durably, as one crash-atomic transaction unless -stream).
+	// document given with -in is loaded only into an empty store,
+	// streamed from the file as one crash-atomic transaction.
 	var st *core.Store
 	var ds *core.DurableStore
 	var err error
@@ -106,22 +105,14 @@ func main() {
 		fail("missing -in document (or -data directory)")
 	}
 	if *in != "" && !st.Loaded() {
-		ctx, cancel := opCtx()
-		if *stream {
-			f, ferr := os.Open(*in)
-			if ferr != nil {
-				fail("%v", ferr)
-			}
-			err = st.LoadXMLStream(ctx, f)
-			f.Close()
-		} else {
-			src, ferr := os.ReadFile(*in)
-			if ferr != nil {
-				fail("%v", ferr)
-			}
-			err = st.LoadXMLContext(ctx, src)
+		f, ferr := os.Open(*in)
+		if ferr != nil {
+			fail("%v", ferr)
 		}
+		ctx, cancel := opCtx()
+		err = st.LoadXMLStream(ctx, f)
 		cancel()
+		f.Close()
 		if err != nil {
 			fail("loading %s: %v", *in, err)
 		}

@@ -30,7 +30,7 @@ func main() {
 	var (
 		dataDir    = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery) — required")
 		scheme     = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey, or inline over a data directory that xrdb -dtd created")
-		in         = flag.String("in", "", "XML document to load when the data directory is fresh")
+		in         = flag.String("in", "", "XML document to load when the data directory is fresh (streamed, one crash-atomic transaction)")
 		listen     = flag.String("listen", ":8080", "HTTP/JSON listen address")
 		listenLine = flag.String("listen-line", "", "line-protocol listen address (empty = disabled)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request timeout when the client names none (0 = unbounded)")
@@ -44,7 +44,6 @@ func main() {
 		maxConc    = flag.Int("max-concurrent", 0, "admission control: max queries executing at once (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "admission control: queries allowed to wait when saturated; beyond fail 429")
 		bufPool    = flag.Int("buffer-pool", 0, "cap resident 512-row heap pages; full pages beyond the cap spill to disk and page back in on demand (0 = unbounded)")
-		stream     = flag.Bool("stream", false, "with -in: shred the initial document from a stream (bounded memory; per-batch durability instead of one crash-atomic load)")
 	)
 	flag.Parse()
 	if err := run(serveConfig{
@@ -60,7 +59,6 @@ func main() {
 			MaxQueuedQueries:     *maxQueue,
 			BufferPoolPages:      *bufPool,
 		},
-		stream: *stream,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "xrdbd:", err)
 		os.Exit(1)
@@ -74,7 +72,6 @@ type serveConfig struct {
 	drain               time.Duration
 	authFile            string
 	maxSess             int
-	stream              bool
 	opts                core.Options
 }
 
@@ -99,28 +96,16 @@ func run(cfg serveConfig) error {
 	}
 	if cfg.in != "" && !store.Loaded() {
 		log.Printf("loading %s into fresh data directory %s", cfg.in, cfg.dataDir)
-		if cfg.stream {
-			f, err := os.Open(cfg.in)
-			if err != nil {
-				store.Close()
-				return err
-			}
-			err = store.LoadXMLStream(context.Background(), f)
-			f.Close()
-			if err != nil {
-				store.Close()
-				return err
-			}
-		} else {
-			src, err := os.ReadFile(cfg.in)
-			if err != nil {
-				store.Close()
-				return err
-			}
-			if err := store.LoadXML(src); err != nil {
-				store.Close()
-				return err
-			}
+		f, err := os.Open(cfg.in)
+		if err != nil {
+			store.Close()
+			return err
+		}
+		err = store.LoadXMLStream(context.Background(), f)
+		f.Close()
+		if err != nil {
+			store.Close()
+			return err
 		}
 	}
 

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -277,72 +278,50 @@ func (st *Store) Kind() SchemeKind { return st.kind }
 // escape hatch the tutorial's SQL/X discussion motivates).
 func (st *Store) DB() *sqldb.Database { return st.db }
 
-// LoadXML parses and shreds an XML document. A Store holds exactly one
-// document. The whole document is parsed before the first row is
-// written, so a malformed one leaves the store empty.
+// LoadXML loads an XML document through LoadXMLStream. A Store holds
+// exactly one document. A malformed one fails the load's transaction
+// at the parse error and leaves the store empty.
 func (st *Store) LoadXML(src []byte) error {
 	return st.LoadXMLContext(context.Background(), src)
 }
 
 // LoadXMLContext is LoadXML honoring a context: cancellation or
-// deadline expiry aborts the shred at its next bulk-insert batch.
+// deadline expiry aborts the load at its next bulk-insert batch.
 func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
-	doc, err := xmldom.Parse(src)
-	if err != nil {
-		return err
-	}
-	return st.LoadDocumentContext(ctx, doc)
+	return st.LoadXMLStream(ctx, bytes.NewReader(src))
 }
 
-// LoadXMLStream shreds a document directly from a stream. When the
-// scheme supports streaming shredding (Edge, Interval, Binary and
-// Dewey), the document is parsed and shredded in one pass with memory
-// proportional to its depth plus one insert batch — the full DOM is
-// never built, and each insert batch commits (durably, in a data
-// directory) on its own: on error or a crash the store may hold a
-// partial shred; discard it. The trade is deliberate: a transaction
-// holds every row it wrote until it commits, which would defeat the
-// bounded memory. Other schemes parse the stream into a DOM first and
-// load it as one transaction.
-//
-// The streaming check that the store is still empty reads the database
-// before the first batch, outside any transaction: two concurrent
-// stream loads into one store may both pass it.
+// LoadXMLStream loads a document from a stream: it is tokenized and
+// shredded in one pass, as one transaction — the check that the store
+// is still empty included. A malformed, failed or canceled load leaves
+// nothing behind, in memory or in a data directory, and of two
+// concurrent loads one is refused. Every scheme but Universal shreds
+// the tokens as they arrive, so the document is never held whole: the
+// transaction's full pages stay under the buffer pool cap and its log
+// records stream to the WAL (see sqldb.Tx).
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
-	sl, ok := st.scheme.(shred.StreamLoader)
-	if !ok {
-		doc, err := xmldom.ParseReader(r)
-		if err != nil {
-			return err
-		}
-		return st.LoadDocumentContext(ctx, doc)
-	}
-	if loaded, err := st.holdsDocument(st.db); err != nil || loaded {
-		return cmp.Or(err, errSecondDocument)
-	}
-	start := time.Now()
-	if err := sl.LoadStream(ctx, st.db, xmldom.NewTokenizer(r)); err != nil {
-		return err
-	}
-	return st.wrote(start)
+	return st.load(ctx, xmldom.NewTokenizer(r))
 }
 
-// LoadDocument shreds an already-parsed document.
+// LoadDocument loads an already-parsed document.
 func (st *Store) LoadDocument(doc *xmldom.Document) error {
 	return st.LoadDocumentContext(context.Background(), doc)
 }
 
-// LoadDocumentContext is LoadDocument honoring a context, checked at
-// shred-batch granularity. The load is one transaction — the check that
-// the store is still empty included: a failed or canceled load leaves
-// nothing behind, and of two concurrent loads one is refused.
+// LoadDocumentContext is LoadDocument honoring a context: the load
+// replays the document's tokens through LoadXMLStream's transaction.
 func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) error {
+	return st.load(ctx, doc.Tokens())
+}
+
+// load shreds src into the empty store as one transaction.
+func (st *Store) load(ctx context.Context, src xmldom.TokenSource) error {
 	start := time.Now()
 	load := func(tx *sqldb.Tx) error {
 		if loaded, err := st.holdsDocument(tx); err != nil || loaded {
 			return cmp.Or(err, errSecondDocument)
 		}
-		return st.scheme.Load(ctx, tx, doc)
+		return st.scheme.Load(ctx, tx, src)
 	}
 	if err := st.db.Update(load); err != nil {
 		return err
@@ -445,19 +424,12 @@ func (st *Store) Query(query string) (*Result, error) {
 
 // QueryContext is Query honoring a context: cancellation or deadline
 // expiry aborts the SQL execution at its next operator chokepoint and
-// returns the context's error.
+// returns the context's error. Like every read of the Store, it
+// translates and executes on one published state (StoreSnapshot).
 func (st *Store) QueryContext(ctx context.Context, query string) (*Result, error) {
-	sql, err := st.Translate(query)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rows, err := st.db.QueryContext(ctx, sql)
-	if err != nil {
-		return nil, fmt.Errorf("core: executing translation of %q: %w", query, err)
-	}
-	st.execPhase.add(time.Since(start))
-	return resultFrom(query, sql, rows), nil
+	s := st.Snapshot()
+	defer s.Release()
+	return s.QueryContext(ctx, query)
 }
 
 // resultFrom extracts Matches from a translated query's row set.
@@ -478,46 +450,31 @@ func resultFrom(query, sql string, rows *sqldb.Rows) *Result {
 // per-operator instrumentation, returning the annotated physical plan
 // (see sqldb.Database.ExplainAnalyze).
 func (st *Store) ExplainAnalyze(query string) (string, error) {
-	sql, err := st.Translate(query)
-	if err != nil {
-		return "", err
-	}
-	start := time.Now()
-	text, err := st.db.ExplainAnalyze(sql)
-	if err != nil {
-		return "", fmt.Errorf("core: analyzing translation of %q: %w", query, err)
-	}
-	st.execPhase.add(time.Since(start))
-	return text, nil
+	s := st.Snapshot()
+	defer s.Release()
+	return s.ExplainAnalyze(query)
 }
 
 // Count runs a query and returns only the cardinality.
 func (st *Store) Count(query string) (int, error) {
-	res, err := st.Query(query)
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Matches), nil
+	s := st.Snapshot()
+	defer s.Release()
+	return s.Count(query)
 }
 
-// Reconstruct rebuilds the stored document from its tuples.
+// Reconstruct rebuilds the stored document from its tuples, all read
+// at one commit.
 func (st *Store) Reconstruct() (*xmldom.Document, error) {
-	start := time.Now()
-	doc, err := st.scheme.Reconstruct(st.db)
-	if err != nil {
-		return nil, err
-	}
-	st.publishPhase.add(time.Since(start))
-	return doc, nil
+	s := st.Snapshot()
+	defer s.Release()
+	return s.Reconstruct()
 }
 
 // WriteXML publishes the stored document as XML text.
 func (st *Store) WriteXML(w io.Writer) error {
-	doc, err := st.Reconstruct()
-	if err != nil {
-		return err
-	}
-	return xmldom.Serialize(w, doc.Root)
+	s := st.Snapshot()
+	defer s.Release()
+	return s.WriteXML(w)
 }
 
 // InsertXML inserts an XML fragment as the position-th child of the

@@ -169,9 +169,9 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 }
 
 // TestLoadXMLParseBeforeWrite feeds LoadXML a document truncated in the
-// middle of an element: the whole document parses before the first row
-// is written, so both stores refuse it with a *xmldom.ParseError and
-// hold no rows, and a reopened durable directory holds none either.
+// middle of an element: the parse error aborts the load's transaction,
+// so both stores refuse it with a *xmldom.ParseError and hold no rows,
+// and a reopened durable directory holds none either.
 func TestLoadXMLParseBeforeWrite(t *testing.T) {
 	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.02, Seed: 6})
 	cut := len(src)/2 + strings.Index(src[len(src)/2:], "<person") + len("<per")
@@ -260,10 +260,18 @@ func TestDurableStoreSchemeChecks(t *testing.T) {
 // lands on a whole-operation prefix: document loads and subtree inserts
 // are group-committed, scheme state rows included, so a crash can never
 // surface half a document. Universal refuses inserts: its sweep covers
-// the load and the checkpoint.
+// the load and the checkpoint. Edge's sweep logs every statement of a
+// transaction but its last as a continuation frame, so its load spans
+// several frames.
 func TestDurableStoreCrashSweep(t *testing.T) {
 	for _, kind := range allSchemes {
-		t.Run(string(kind), func(t *testing.T) { durableStoreCrashSweep(t, kind) })
+		t.Run(string(kind), func(t *testing.T) {
+			if kind == Edge {
+				prev := sqldb.SetTxStreamBytes(0)
+				defer sqldb.SetTxStreamBytes(prev)
+			}
+			durableStoreCrashSweep(t, kind)
+		})
 	}
 }
 
@@ -329,6 +337,19 @@ func durableStoreCrashSweep(t *testing.T, kind SchemeKind) {
 	probe := sqldb.NewFaultVFS(sqldb.NewMemVFS(), -1)
 	if acked := run(probe); acked != ops {
 		t.Fatalf("fault-free run acked %d/%d ops", acked, ops)
+	}
+	if kind == Edge {
+		ds, err := OpenDurableVFS(kind, sqldb.NewMemVFS(), opts, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.LoadXML([]byte(sweepDoc)); err != nil {
+			t.Fatal(err)
+		}
+		if n := ds.Durable().Stats().Continuations; n < 2 {
+			t.Fatalf("the swept load wrote %d continuation frames, want at least 2", n)
+		}
+		ds.Close()
 	}
 	total := probe.Written()
 
@@ -433,7 +454,7 @@ func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 		var ackedAtCrash int64
 		done := make(chan error, 1)
 		txErr := db.Update(func(tx *sqldb.Tx) error {
-			if err := ds.scheme.Load(context.Background(), tx, doc); err != nil {
+			if err := ds.scheme.Load(context.Background(), tx, doc.Tokens()); err != nil {
 				return err
 			}
 			// An auditor on another goroutine records rows while the load

@@ -15,10 +15,11 @@ import (
 
 // cancelAfterCtx reports cancellation from its n+1-th Err check on: a
 // load it bounds flushes its first n insert batches, then stops partway
-// through the document.
+// through the document. probe, when set, runs at every check.
 type cancelAfterCtx struct {
 	context.Context
 	checks atomic.Int64
+	probe  func()
 }
 
 func cancelAfter(n int64) *cancelAfterCtx {
@@ -28,6 +29,9 @@ func cancelAfter(n int64) *cancelAfterCtx {
 }
 
 func (c *cancelAfterCtx) Err() error {
+	if c.probe != nil {
+		c.probe()
+	}
 	if c.checks.Add(-1) < 0 {
 		return context.Canceled
 	}
@@ -36,13 +40,18 @@ func (c *cancelAfterCtx) Err() error {
 
 // TestCanceledLoadLeavesNothing cancels a document load after its first
 // insert batches, under every scheme, in memory and in a data
-// directory; Universal also refuses a recursive document. The load is
-// one transaction, so it leaves no row, table, state row or WAL byte and
-// no loaded store behind: after a second load, the store's tables and
-// its translations of the domCorpus are a fresh store's, and so are its
-// answers to the F1 mix.
+// directory, through LoadDocumentContext and through LoadXMLStream;
+// Universal also refuses a recursive document. The load is one
+// transaction, so it leaves no row, table, state row or WAL byte and no
+// loaded store behind: after a second load, the store's tables and its
+// translations of the domCorpus are a fresh store's, and so are its
+// answers to the F1 mix. The durable stream loads log every statement
+// but their last as a continuation frame, so Binary's and Inline's,
+// which make several statements before the cancel, cancel after writing
+// some: the abort truncates them away.
 func TestCanceledLoadLeavesNothing(t *testing.T) {
 	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.05, Seed: 11})
+	text := xmldom.SerializeString(doc.Root)
 	recursive, err := xmldom.ParseString(`<a><zzz q="1"><a/></zzz></a>`)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +59,7 @@ func TestCanceledLoadLeavesNothing(t *testing.T) {
 	type store struct {
 		*Store
 		walSize func() int64
+		conts   func() uint64 // continuation frames written so far
 	}
 	fresh := map[SchemeKind]*Store{} // one loaded fresh store per scheme
 	opens := map[string]func(t *testing.T) store{}
@@ -59,7 +69,7 @@ func TestCanceledLoadLeavesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return store{st, func() int64 { return 0 }}
+			return store{st, func() int64 { return 0 }, nil}
 		}
 		opens["durable/"+string(kind)] = func(t *testing.T) store {
 			ds, err := OpenDurableVFS(kind, sqldb.NewMemVFS(), corpusOptions(kind), DurableOptions{})
@@ -67,7 +77,7 @@ func TestCanceledLoadLeavesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { ds.Close() })
-			return store{ds.Store, ds.Durable().WALSize}
+			return store{ds.Store, ds.Durable().WALSize, func() uint64 { return ds.Durable().Stats().Continuations }}
 		}
 	}
 	for name, open := range opens {
@@ -102,6 +112,39 @@ func TestCanceledLoadLeavesNothing(t *testing.T) {
 				t.Fatal("the load finished before the context canceled it")
 			}
 			leftNothing("canceled load")
+
+			if st.conts != nil {
+				prev := sqldb.SetTxStreamBytes(0)
+				defer sqldb.SetTxStreamBytes(prev)
+			}
+			// Binary's partitions and Inline's tables make several
+			// statements before the cancel, so each streams a frame.
+			streams := st.Kind() == Binary || st.Kind() == Inline
+			switch st.Kind() {
+			case Universal:
+				ctx = cancelAfter(0)
+			case Inline:
+				ctx = cancelAfter(2)
+			default:
+				ctx = cancelAfter(1)
+			}
+			var conts uint64
+			var peak int64
+			ctx.probe = func() {
+				if st.conts != nil {
+					conts, peak = st.conts(), max(peak, st.walSize())
+				}
+			}
+			if err := st.LoadXMLStream(ctx, strings.NewReader(text)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled stream load: %v, want context.Canceled", err)
+			}
+			if ctx.checks.Load() >= 0 {
+				t.Fatal("the stream load finished before the context canceled it")
+			}
+			if st.conts != nil && streams && (conts == 0 || peak <= wal) {
+				t.Fatalf("the stream load canceled after %d continuation frames (WAL peak %d, base %d), want one written", conts, peak, wal)
+			}
+			leftNothing("canceled stream load")
 			if st.Kind() == Universal {
 				if err := st.LoadDocument(recursive); err == nil || !strings.Contains(err.Error(), "recursive") {
 					t.Fatalf("recursive document: %v, want a refusal", err)

@@ -13,8 +13,10 @@ import (
 // StoreSnapshot is a pinned, consistent view of a Store: every query,
 // count and reconstruction through it observes exactly the commits with
 // seq <= Seq(), no matter how many subtree insertions publish
-// concurrently — and translates against the scheme state it pinned. It is the multi-statement read surface the engine's
-// snapshot isolation exposes at the XML level — e.g. reconstructing a
+// concurrently — and translates against the scheme state it pinned.
+// It is the multi-statement read surface the engine's snapshot
+// isolation exposes at the XML level, and the Store's own reads run
+// through one — e.g. reconstructing a
 // document while a writer keeps inserting, with the guarantee that the
 // produced XML equals the document as of one single commit boundary.
 // Release it when done so the snapshot-age metrics stop tracking it.
@@ -60,6 +62,23 @@ func (s *StoreSnapshot) QueryContext(ctx context.Context, query string) (*Result
 	}
 	s.st.execPhase.add(time.Since(start))
 	return resultFrom(query, sql, rows), nil
+}
+
+// ExplainAnalyze translates an XPath query and executes it against the
+// snapshot under full per-operator instrumentation (see
+// sqldb.Database.ExplainAnalyze).
+func (s *StoreSnapshot) ExplainAnalyze(query string) (string, error) {
+	sql, err := s.st.translate(s.snap, s.snap.Seq(), query)
+	if err != nil {
+		return "", err
+	}
+	start := time.Now()
+	text, err := s.snap.ExplainAnalyze(sql)
+	if err != nil {
+		return "", fmt.Errorf("core: analyzing translation of %q: %w", query, err)
+	}
+	s.st.execPhase.add(time.Since(start))
+	return text, nil
 }
 
 // Count runs a query against the snapshot and returns the cardinality.

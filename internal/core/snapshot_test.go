@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,7 +95,7 @@ func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 			}
 			snaps := make(chan pinned, inserts+1)
 			var wg sync.WaitGroup
-			errc := make(chan error, 4)
+			errc := make(chan error, 5)
 
 			// Writer: pin a snapshot at every commit boundary, then
 			// keep inserting while readers reconstruct the older
@@ -117,7 +118,37 @@ func TestSnapshotReconstructDuringUpdates(t *testing.T) {
 			// store mid-insert; any result is fine, errors are not.
 			stop := make(chan struct{})
 			var dirtyWG sync.WaitGroup
-			dirtyWG.Add(1)
+			dirtyWG.Add(2)
+			// Unpinned reader: the Store's own WriteXML and Count each
+			// read one commit, so each output is some serial replay's.
+			go func() {
+				defer dirtyWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var buf bytes.Buffer
+					if err := st.WriteXML(&buf); err != nil {
+						errc <- fmt.Errorf("unpinned reconstruct: %w", err)
+						return
+					}
+					if !slices.ContainsFunc(replay, func(r []byte) bool { return bytes.Equal(r, buf.Bytes()) }) {
+						errc <- fmt.Errorf("unpinned WriteXML matches no commit's document: %s", buf.Bytes())
+						return
+					}
+					n, err := st.Count(snapCount)
+					if err != nil {
+						errc <- fmt.Errorf("unpinned count: %w", err)
+						return
+					}
+					if !slices.Contains(counts, n) {
+						errc <- fmt.Errorf("unpinned Count(%s) = %d matches no commit's count %v", snapCount, n, counts)
+						return
+					}
+				}
+			}()
 			go func() {
 				defer dirtyWG.Done()
 				for {

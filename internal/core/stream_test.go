@@ -2,16 +2,18 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/sqldb"
+	"repro/internal/xmldom"
 	"repro/internal/xmlgen"
+	"repro/internal/xpath"
 )
 
-// TestLoadXMLStreamMatchesLoadXML pins the streaming load to the DOM
-// load: same document, same queries, same answers — for the schemes
-// that shred the token stream (Interval, Edge, Binary) and one that
-// parses it first (Dewey).
+// TestLoadXMLStreamMatchesLoadXML pins a load from a reader to a load
+// from bytes: same document, same queries, same answers.
 func TestLoadXMLStreamMatchesLoadXML(t *testing.T) {
 	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.02, Seed: 5})
 	queries := []string{
@@ -98,6 +100,82 @@ func TestDurableLoadXMLStream(t *testing.T) {
 	st := ds2.DB().Stats()
 	if st.BufferPool.Cap != 8 {
 		t.Fatalf("pool cap = %d, want 8", st.BufferPool.Cap)
+	}
+}
+
+// sampledTokens runs sample every 256 tokens the load reads.
+type sampledTokens struct {
+	xmldom.TokenSource
+	n      int
+	sample func()
+}
+
+func (s *sampledTokens) Next() (xmldom.Token, error) {
+	if s.n++; s.n%256 == 0 {
+		s.sample()
+	}
+	return s.TokenSource.Next()
+}
+
+// TestStreamLoadBoundedMemory loads a factor-0.2 document the way
+// LoadXMLStream does, one transaction over a Tokenizer, into a durable
+// store under a 32-page pool, sampling as the tokens are read: the
+// pool never holds more than 32 pages, and the WAL grows before the
+// load returns, so the open transaction's log streams out as
+// continuation frames. After a reopen the F1 answers are the DOM's.
+func TestStreamLoadBoundedMemory(t *testing.T) {
+	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.2, Seed: 13})
+	fs := sqldb.NewMemVFS()
+	opts := Options{BufferPoolPages: 32}
+	ds, err := OpenDurableVFS(Interval, fs, opts, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := ds.Durable().WALSize()
+	samples, resident, grew := 0, 0, false
+	tokens := &sampledTokens{TokenSource: xmldom.NewTokenizer(strings.NewReader(src)), sample: func() {
+		samples++
+		resident = max(resident, ds.DB().Stats().BufferPool.Resident)
+		grew = grew || ds.Durable().WALSize() > wal
+	}}
+	if err := ds.load(context.Background(), tokens); err != nil {
+		t.Fatal(err)
+	}
+	if resident > 32 || samples == 0 {
+		t.Fatalf("%d samples, up to %d resident pages in a 32-page pool", samples, resident)
+	}
+	if !grew {
+		t.Fatal("the WAL did not grow before the load returned")
+	}
+	if ds.DB().Stats().BufferPool.Evictions == 0 {
+		t.Fatal("the load never evicted a page")
+	}
+	ds.Close()
+
+	re, err := OpenDurableVFS(Interval, fs, opts, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	doc, err := xmldom.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range f1Queries {
+		res, err := re.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got, want []int64
+		for _, m := range res.Matches {
+			got = append(got, m.ID)
+		}
+		for _, n := range xpath.Eval(doc, xpath.MustParse(q)) {
+			want = append(want, int64(n.Pre))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s after reopen: %d matches, the DOM's %d", q, len(got), len(want))
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package shred
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -100,12 +99,6 @@ func (bn *Binary) partitionFor(db sqldb.Writer, st *schemeState, kind, label str
 	}
 	st.set(m, kind, label, table)
 	return table, nil
-}
-
-// Load implements Scheme: the document's replay goes through the same
-// walk as a token stream.
-func (bn *Binary) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	return bn.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.

@@ -1,7 +1,6 @@
 package shred
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -84,12 +83,6 @@ func deweyComp(i int64) string {
 // deweyLimit.
 func errLabelOverflow(comp int64) error {
 	return errScheme("dewey", "label component %d exceeds %d digits (relabel required)", comp, deweyWidth)
-}
-
-// Load implements Scheme: the document's replay goes through the
-// shredding walk, which refuses a label overflow when it reaches it.
-func (d *Dewey) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	return d.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.

@@ -1,7 +1,6 @@
 package shred
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -65,12 +64,6 @@ func (e *Edge) Setup(db *sqldb.Database) error {
 		}
 	}
 	return createState(db, "edge")
-}
-
-// Load implements Scheme: the document's replay goes through the same
-// walk as a token stream.
-func (e *Edge) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	return e.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme: descendant steps expand to chains no

@@ -3,6 +3,7 @@ package shred
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -125,91 +126,114 @@ func (r *openRow) values() []sqldb.Value {
 	return row
 }
 
-// Load implements Scheme. The document must conform to the DTD.
-func (in *Inline) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	doc.Number()
-	root := doc.RootElement()
-	if root == nil {
-		return errScheme("inline", "document has no root element")
-	}
-	if root.Name != in.dtd.Root {
-		return errScheme("inline", "root element <%s> does not match DTD root <%s>", root.Name, in.dtd.Root)
-	}
-
-	bs := newTableBatchers(ctx, db)
-	// sibCount tracks per-(host row, element) occurrence ordinals.
-	var walk func(el *xmldom.Node, host *openRow, innerPath []string, sibCount map[string]int64) error
-	walk = func(el *xmldom.Node, host *openRow, innerPath []string, sibCount map[string]int64) error {
-		decl := in.dtd.Elements[el.Name]
-		if decl == nil {
-			return errScheme("inline", "element <%s> is not declared in the DTD", el.Name)
-		}
-		model := in.mapping.Graph.Models[el.Name]
-
-		if in.mapping.Shared[el.Name] {
-			rel := in.mapping.Relations[el.Name]
-			parent := sqldb.Null
-			code := sqldb.Null
-			if host != nil {
-				parent = sqldb.NewInt(host.id)
-				code = sqldb.NewText(strings.Join(innerPath, "."))
-			}
-			countKey := code.Text() + "|" + el.Name
-			sibCount[countKey]++
-			row := &openRow{
-				rel:    rel,
-				id:     int64(el.Pre),
-				parent: parent,
-				code:   code,
-				ord:    sibCount[countKey],
-				vals:   map[string]sqldb.Value{},
-			}
-			if err := in.fillNode(row, el, nil, model); err != nil {
-				return err
-			}
-			childCounts := map[string]int64{}
-			for _, c := range el.Children {
-				if c.Kind != xmldom.ElementNode {
-					continue
-				}
-				if err := walk(c, row, nil, childCounts); err != nil {
-					return err
-				}
-			}
-			return bs.add(row.rel.Table, row.values())
-		}
-
-		// Inlined element: fill columns on the host row.
-		if host == nil {
-			return errScheme("inline", "internal: inlined element <%s> without a host", el.Name)
-		}
-		path := append(append([]string{}, innerPath...), el.Name)
-		key := translate.ColumnKey(path, "")
-		if _, ok := host.rel.ByKey[key]; !ok {
-			return errScheme("inline", "element <%s> at %s is not part of relation %s (non-conforming document)", el.Name, key, host.rel.Table)
-		}
-		if _, dup := host.vals[key]; dup {
-			return errScheme("inline", "element <%s> occurs more than once at %s (non-conforming document: DTD says at most one)", el.Name, key)
-		}
-		if err := in.fillNode(host, el, path, model); err != nil {
-			return err
-		}
-		for _, c := range el.Children {
-			if c.Kind != xmldom.ElementNode {
-				continue
-			}
-			if err := walk(c, host, path, sibCount); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	rootCounts := map[string]int64{}
-	if err := walk(root, nil, nil, rootCounts); err != nil {
+// Load implements Scheme: the document must conform to the DTD. It is
+// a sink on the shredding walk, since the relations and their columns
+// come from the DTD, not the document.
+func (in *Inline) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+	s := &inlineSink{in: in, bs: newTableBatchers(ctx, db)}
+	nodes, _, err := streamWalk(src, s, nil, loadAt)
+	if err != nil {
 		return err
 	}
-	return bs.flush()
+	if nodes == 0 {
+		return errScheme("inline", "document has no root element")
+	}
+	return s.bs.flush()
+}
+
+// inlineSink shreds into the DTD's relations: a shared element opens a
+// row of its own relation, an inlined one fills columns of its host's
+// row, and a row is written when its element closes.
+type inlineSink struct {
+	in     *Inline
+	bs     *tableBatchers
+	frames []*inlineFrame
+}
+
+// inlineFrame is one open element.
+type inlineFrame struct {
+	name  string
+	model *dtd.SimpleModel
+	// row receives the element's columns: its own row when it is
+	// shared, its host's when it is inlined; path is its place inside
+	// that row's relation (nil for a shared element).
+	row  *openRow
+	path []string
+	// counts numbers the shared children of row per (parentcode, name).
+	counts map[string]int64
+	text   strings.Builder // direct text, when the model has text
+}
+
+func (s *inlineSink) open(f *streamFrame) error {
+	in := s.in
+	var host *inlineFrame
+	if len(s.frames) > 0 {
+		host = s.frames[len(s.frames)-1]
+	} else if f.name != in.dtd.Root {
+		return errScheme("inline", "root element <%s> does not match DTD root <%s>", f.name, in.dtd.Root)
+	}
+	if in.dtd.Elements[f.name] == nil {
+		return errScheme("inline", "element <%s> is not declared in the DTD", f.name)
+	}
+	fr := &inlineFrame{name: f.name, model: in.mapping.Graph.Models[f.name]}
+	switch {
+	case in.mapping.Shared[f.name]:
+		parent, code, counts := sqldb.Null, sqldb.Null, map[string]int64{}
+		if host != nil {
+			parent = sqldb.NewInt(host.row.id)
+			code = sqldb.NewText(strings.Join(host.path, "."))
+			counts = host.counts
+		}
+		countKey := code.Text() + "|" + f.name
+		counts[countKey]++
+		fr.row = &openRow{rel: in.mapping.Relations[f.name], id: f.pre, parent: parent, code: code,
+			ord: counts[countKey], vals: map[string]sqldb.Value{}}
+		fr.counts = map[string]int64{}
+	case host == nil:
+		return errScheme("inline", "internal: inlined element <%s> without a host", f.name)
+	default:
+		fr.row, fr.counts = host.row, host.counts
+		fr.path = append(slices.Clip(host.path), f.name)
+		key := translate.ColumnKey(fr.path, "")
+		if _, ok := fr.row.rel.ByKey[key]; !ok {
+			return errScheme("inline", "element <%s> at %s is not part of relation %s (non-conforming document)", f.name, key, fr.row.rel.Table)
+		}
+		if _, dup := fr.row.vals[key]; dup {
+			return errScheme("inline", "element <%s> occurs more than once at %s (non-conforming document: DTD says at most one)", f.name, key)
+		}
+		fr.row.vals[key] = sqldb.NewBool(true) // presence; text replaces it at close
+	}
+	s.frames = append(s.frames, fr)
+	return nil
+}
+
+func (s *inlineSink) node(n *shredNode) error {
+	if len(s.frames) == 0 {
+		return nil // a comment or PI outside the document element
+	}
+	top := s.frames[len(s.frames)-1]
+	hasText := top.model != nil && top.model.HasText
+	switch n.kind {
+	case "attr":
+		key := translate.ColumnKey(top.path, n.name.Text())
+		if _, ok := top.row.rel.ByKey[key]; !ok {
+			return errScheme("inline", "attribute %s on <%s> is not declared in the DTD", n.name.Text(), top.name)
+		}
+		top.row.vals[key] = n.value
+	case "text":
+		if hasText {
+			top.text.WriteString(n.value.Text())
+		}
+	case "elem":
+		s.frames = s.frames[:len(s.frames)-1]
+		if hasText {
+			top.row.vals[translate.ColumnKey(top.path, "")] = sqldb.NewText(top.text.String())
+		}
+		if top.path == nil {
+			return s.bs.add(top.row.rel.Table, top.row.values())
+		}
+	}
+	return nil
 }
 
 // fillNode stores an element's own value and attributes into row.
@@ -470,7 +494,7 @@ func LoadDocument(s Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
 	if err := s.Setup(db); err != nil {
 		return nil, err
 	}
-	if err := s.Load(context.Background(), db, doc); err != nil {
+	if err := s.Load(context.Background(), db, doc.Tokens()); err != nil {
 		return nil, err
 	}
 	return db, nil

@@ -1,8 +1,6 @@
 package shred
 
 import (
-	"context"
-
 	"repro/internal/sqldb"
 	"repro/internal/translate"
 	"repro/internal/xmldom"
@@ -76,12 +74,6 @@ func (iv *Interval) Setup(db *sqldb.Database) error {
 		}
 	}
 	return nil
-}
-
-// Load implements Scheme: the document's replay goes through the same
-// walk as a token stream.
-func (iv *Interval) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	return iv.LoadStream(ctx, db, doc.Tokens())
 }
 
 // Translate implements Scheme.

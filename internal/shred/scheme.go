@@ -1,7 +1,7 @@
 // Package shred implements the paper's XML-to-relational mapping
 // schemes. Each Scheme owns a relational layout inside a sqldb.Database:
-// it creates the tables (Setup), decomposes a parsed document into
-// tuples (Load), compiles XPath to SQL over its layout (Translate, via
+// it creates the tables (Setup), decomposes a document's token stream
+// into tuples (Load), compiles XPath to SQL over its layout (Translate, via
 // internal/translate), rebuilds the document from tuples (Reconstruct),
 // and supports ordered subtree insertion where the encoding allows it
 // (InsertSubtree).
@@ -30,11 +30,14 @@ type Scheme interface {
 	// Setup creates the scheme's tables and indexes, and the state
 	// relation of a scheme that keeps state (state.go).
 	Setup(db *sqldb.Database) error
-	// Load shreds one document. Schemes in this reproduction store a
-	// single document per database. Cancellation is honored at
-	// bulk-insert batch granularity, so a canceled or expired context
-	// bounds a long load at its next flush.
-	Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error
+	// Load shreds one document from a token stream — a Tokenizer over
+	// its text, or a parsed Document's Tokens. Schemes in this
+	// reproduction store a single document per database. Every scheme
+	// but Universal shreds the tokens as they come, in memory
+	// proportional to the document's depth plus one insert batch.
+	// Cancellation is honored at bulk-insert batch granularity, so a
+	// canceled or expired context bounds a long load at its next flush.
+	Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error
 	// Translate compiles an XPath query to SQL with result columns
 	// (id, val) in document order, against the scheme state db holds.
 	// Translate and Reconstruct take the read-only Queryer surface so

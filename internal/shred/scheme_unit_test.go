@@ -136,7 +136,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		if err := s.Setup(db); err != nil {
 			t.Fatal(err)
 		}
-		return db, db.Update(func(tx *sqldb.Tx) error { return s.Load(context.Background(), tx, doc) })
+		return db, db.Update(func(tx *sqldb.Tx) error { return s.Load(context.Background(), tx, doc.Tokens()) })
 	}
 	db, err := load(doc)
 	if err == nil || !strings.Contains(err.Error(), "relabel required") {
@@ -164,7 +164,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		if err := s.Setup(db); err != nil {
 			t.Fatal(err)
 		}
-		return s.LoadStream(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
+		return s.Load(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
 	}
 	if err := streamSiblings(b.String()); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("stream-loading 100 003 siblings: got %v, want the relabel-required error", err)

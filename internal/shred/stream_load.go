@@ -1,8 +1,8 @@
 package shred
 
-// One shredding walk: Edge, Interval, Binary and Dewey decompose a
-// document in a single pass over an xmldom.TokenSource — a Tokenizer
-// over XML text, or a parsed Document's replay — with memory
+// One shredding walk: Edge, Interval, Binary, Dewey and Inline
+// decompose a document in a single pass over an xmldom.TokenSource — a
+// Tokenizer over XML text, or a parsed Document's replay — with memory
 // proportional to its depth (plus one insert batch). The same walk
 // shreds an inserted subtree, placed under its parent with fresh ids.
 // Element rows are emitted when the element CLOSES, because subtree size
@@ -17,13 +17,6 @@ import (
 	"repro/internal/translate"
 	"repro/internal/xmldom"
 )
-
-// StreamLoader is implemented by the schemes that shred a token stream
-// without materializing it (Edge, Interval, Binary, Dewey).
-// Cancellation is honored at bulk-insert batch granularity.
-type StreamLoader interface {
-	LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error
-}
 
 // shredNode is one non-document node as the walk ranks it: the column
 // inputs every node-per-row mapping stores.
@@ -206,8 +199,8 @@ func (s *edgeSink) node(n *shredNode) error {
 	})
 }
 
-// LoadStream implements StreamLoader for the edge mapping.
-func (e *Edge) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+// Load implements Scheme for the edge mapping.
+func (e *Edge) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	st, err := readState(db, "edge")
 	if err != nil {
 		return err
@@ -233,8 +226,8 @@ func (s *intervalSink) node(n *shredNode) error {
 	})
 }
 
-// LoadStream implements StreamLoader for the interval mapping.
-func (iv *Interval) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+// Load implements Scheme for the interval mapping.
+func (iv *Interval) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	s := &intervalSink{b: newBatcher(ctx, db, "accel")}
 	nodes, _, err := streamWalk(src, s, nil, loadAt)
 	if err != nil {
@@ -302,8 +295,8 @@ func (s *binarySink) shred(src xmldom.TokenSource, at walkAt) error {
 	return s.st.save(s.db)
 }
 
-// LoadStream implements StreamLoader for the binary mapping.
-func (bn *Binary) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+// Load implements Scheme for the binary mapping.
+func (bn *Binary) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	st, err := readState(db, "binary")
 	if err != nil {
 		return err
@@ -374,12 +367,12 @@ func (s *deweySink) node(n *shredNode) error {
 	})
 }
 
-// LoadStream implements StreamLoader for the Dewey mapping. A label
-// overflow is refused when the walk reaches it, after the batches
-// before it were written — unless the load runs in one transaction
-// (sqldb.Database.Update, as core's document loads do), which the
-// refusal then rolls back whole.
-func (d *Dewey) LoadStream(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+// Load implements Scheme for the Dewey mapping. A label overflow is
+// refused when the walk reaches it, after the batches before it were
+// written — unless the load runs in one transaction
+// (sqldb.Database.Update, as core's loads do), which the refusal then
+// rolls back whole.
+func (d *Dewey) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
 	s := &deweySink{b: newBatcher(ctx, db, "dewey"), labels: []string{""}}
 	if _, _, err := streamWalk(src, s, nil, loadAt); err != nil {
 		return err

@@ -156,14 +156,14 @@ var shredInputs = []struct {
 	load func(s Scheme, db *sqldb.Database, src string) error
 }{
 	{"tokenizer", func(s Scheme, db *sqldb.Database, src string) error {
-		return s.(StreamLoader).LoadStream(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
+		return s.Load(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
 	}},
 	{"replay", func(s Scheme, db *sqldb.Database, src string) error {
 		doc, err := xmldom.ParseString(src)
 		if err != nil {
 			return err
 		}
-		return s.Load(context.Background(), db, doc)
+		return s.Load(context.Background(), db, doc.Tokens())
 	}},
 }
 
@@ -342,9 +342,9 @@ func TestDeweyStreamMatchesLoad(t *testing.T) {
 		for k, load := range []func(d *Dewey, db *sqldb.Database) error{
 			func(d *Dewey, db *sqldb.Database) error {
 				src := xmldom.NewTokenizer(strings.NewReader(xmldom.SerializeString(doc.Root)))
-				return d.LoadStream(context.Background(), db, src)
+				return d.Load(context.Background(), db, src)
 			},
-			func(d *Dewey, db *sqldb.Database) error { return d.Load(context.Background(), db, doc) },
+			func(d *Dewey, db *sqldb.Database) error { return d.Load(context.Background(), db, doc.Tokens()) },
 		} {
 			d, db := NewDewey(false), sqldb.New()
 			if err := d.Setup(db); err != nil {
@@ -355,7 +355,7 @@ func TestDeweyStreamMatchesLoad(t *testing.T) {
 			}
 			dumps[k] = dumpTable(t, db, dump)
 		}
-		expectDump(t, fmt.Sprintf("document %d, LoadStream against Load", i), dumps[0], dumps[1])
+		expectDump(t, fmt.Sprintf("document %d, tokenizer against replay", i), dumps[0], dumps[1])
 	}
 }
 
@@ -393,7 +393,7 @@ func TestShredReplayOfBuiltDocument(t *testing.T) {
 	if err := s.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load(context.Background(), db, doc); err != nil {
+	if err := s.Load(context.Background(), db, doc.Tokens()); err != nil {
 		t.Fatal(err)
 	}
 	var want strings.Builder
@@ -423,7 +423,7 @@ func TestStreamLoadQueries(t *testing.T) {
 			t.Fatalf("%s setup: %v", s.Name(), err)
 		}
 		tz := xmldom.NewTokenizer(strings.NewReader(src))
-		if err := s.(StreamLoader).LoadStream(context.Background(), db, tz); err != nil {
+		if err := s.Load(context.Background(), db, tz); err != nil {
 			t.Fatalf("%s stream load: %v", s.Name(), err)
 		}
 		for _, q := range conformanceQueries {
@@ -454,7 +454,7 @@ func TestStreamLoadCancel(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	tz := xmldom.NewTokenizer(strings.NewReader(src))
-	if err := s.LoadStream(ctx, db, tz); err == nil {
+	if err := s.Load(ctx, db, tz); err == nil {
 		t.Fatalf("expected cancellation error")
 	}
 }

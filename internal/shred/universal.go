@@ -73,10 +73,14 @@ func suffixFor(st *schemeState, order *[]string, seg string) {
 	*order = append(*order, seg)
 }
 
-// Load implements Scheme. It keeps a DOM walk: the wide table's columns
-// are one per label, so every label must be seen before the first row.
-func (u *Universal) Load(ctx context.Context, db sqldb.Writer, doc *xmldom.Document) error {
-	doc.Number()
+// Load implements Scheme. Universal alone builds a tree from the
+// tokens: the wide table's columns are one per label, so every label
+// must be seen before the first row.
+func (u *Universal) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+	doc, err := xmldom.Build(src)
+	if err != nil {
+		return err
+	}
 	st, err := readState(db, "universal")
 	if err != nil {
 		return err

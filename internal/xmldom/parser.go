@@ -42,10 +42,21 @@ func ParseReader(r io.Reader) (*Document, error) {
 
 // build assembles the DOM from a token stream and numbers it.
 func build(tz *Tokenizer) (*Document, error) {
+	doc, err := Build(tz)
+	if err != nil {
+		return nil, err
+	}
+	doc.DoctypeName = tz.DoctypeName
+	doc.InternalSubset = tz.InternalSubset
+	return doc, nil
+}
+
+// Build assembles a numbered DOM from any token source.
+func Build(src TokenSource) (*Document, error) {
 	doc := &Document{Root: &Node{Kind: DocumentNode}}
 	stack := []*Node{doc.Root}
 	for {
-		tok, err := tz.Next()
+		tok, err := src.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -53,8 +64,6 @@ func build(tz *Tokenizer) (*Document, error) {
 		var n *Node
 		switch tok.Kind {
 		case TokEOF:
-			doc.DoctypeName = tz.DoctypeName
-			doc.InternalSubset = tz.InternalSubset
 			doc.Number()
 			return doc, nil
 		case TokStart:
