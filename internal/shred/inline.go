@@ -143,11 +143,15 @@ func (in *Inline) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSou
 
 // inlineSink shreds into the DTD's relations: a shared element opens a
 // row of its own relation, an inlined one fills columns of its host's
-// row, and a row is written when its element closes.
+// row, and a row is written when its element closes. A load's rows
+// take their elements' pre-order ranks as ids; an inserted subtree's
+// are numbered from next, and its root row is placed as place says.
 type inlineSink struct {
 	in     *Inline
 	bs     *tableBatchers
 	frames []*inlineFrame
+	next   int64
+	place  *openRow
 }
 
 // inlineFrame is one open element.
@@ -169,7 +173,7 @@ func (s *inlineSink) open(f *streamFrame) error {
 	var host *inlineFrame
 	if len(s.frames) > 0 {
 		host = s.frames[len(s.frames)-1]
-	} else if f.name != in.dtd.Root {
+	} else if s.place == nil && f.name != in.dtd.Root {
 		return errScheme("inline", "root element <%s> does not match DTD root <%s>", f.name, in.dtd.Root)
 	}
 	if in.dtd.Elements[f.name] == nil {
@@ -178,17 +182,22 @@ func (s *inlineSink) open(f *streamFrame) error {
 	fr := &inlineFrame{name: f.name, model: in.mapping.Graph.Models[f.name]}
 	switch {
 	case in.mapping.Shared[f.name]:
-		parent, code, counts := sqldb.Null, sqldb.Null, map[string]int64{}
-		if host != nil {
-			parent = sqldb.NewInt(host.row.id)
-			code = sqldb.NewText(strings.Join(host.path, "."))
-			counts = host.counts
+		row := &openRow{rel: in.mapping.Relations[f.name], id: f.pre, parent: sqldb.Null, code: sqldb.Null,
+			ord: 1, vals: map[string]sqldb.Value{}}
+		if s.next > 0 {
+			row.id, s.next = s.next, s.next+1
 		}
-		countKey := code.Text() + "|" + f.name
-		counts[countKey]++
-		fr.row = &openRow{rel: in.mapping.Relations[f.name], id: f.pre, parent: parent, code: code,
-			ord: counts[countKey], vals: map[string]sqldb.Value{}}
-		fr.counts = map[string]int64{}
+		switch {
+		case host != nil:
+			row.parent = sqldb.NewInt(host.row.id)
+			row.code = sqldb.NewText(strings.Join(host.path, "."))
+			countKey := row.code.Text() + "|" + f.name
+			host.counts[countKey]++
+			row.ord = host.counts[countKey]
+		case s.place != nil:
+			row.parent, row.code, row.ord = s.place.parent, s.place.code, s.place.ord
+		}
+		fr.row, fr.counts = row, map[string]int64{}
 	case host == nil:
 		return errScheme("inline", "internal: inlined element <%s> without a host", f.name)
 	default:
@@ -234,37 +243,6 @@ func (s *inlineSink) node(n *shredNode) error {
 		}
 	}
 	return nil
-}
-
-// fillNode stores an element's own value and attributes into row.
-func (in *Inline) fillNode(row *openRow, el *xmldom.Node, path []string, model *dtd.SimpleModel) error {
-	key := translate.ColumnKey(path, "")
-	if model != nil && model.HasText {
-		text := directText(el)
-		row.vals[key] = sqldb.NewText(text)
-	} else if len(path) > 0 {
-		row.vals[key] = sqldb.NewBool(true)
-	}
-	for _, a := range el.Attrs {
-		akey := translate.ColumnKey(path, a.Name)
-		if _, ok := row.rel.ByKey[akey]; !ok {
-			return errScheme("inline", "attribute %s on <%s> is not declared in the DTD", a.Name, el.Name)
-		}
-		row.vals[akey] = sqldb.NewText(a.Value)
-	}
-	return nil
-}
-
-// directText concatenates the element's immediate text children (mixed
-// content order is not preserved — a documented inlining loss).
-func directText(el *xmldom.Node) string {
-	var b strings.Builder
-	for _, c := range el.Children {
-		if c.Kind == xmldom.TextNode {
-			b.WriteString(c.Value)
-		}
-	}
-	return b.String()
 }
 
 // Translate implements Scheme.
@@ -408,7 +386,8 @@ func (in *Inline) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 
 // InsertSubtree implements Scheme for subtrees rooted at a shared
 // element (a new relation row); inserting inlined fragments in order is
-// not expressible.
+// not expressible. The subtree goes through the load's sink, so it must
+// conform to the DTD as a loaded document must.
 func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
 	if subtree.Kind != xmldom.ElementNode || !in.mapping.Shared[subtree.Name] {
 		return errScheme("inline", "only subtrees rooted at a shared element can be inserted")
@@ -424,8 +403,6 @@ func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 			maxID = v.Int()
 		}
 	}
-	nextID := maxID + 1
-
 	rel := in.mapping.Relations[subtree.Name]
 	// Ordinal: among same-name children of the parent row.
 	if _, err := db.Exec("UPDATE "+rel.Table+" SET ordinal = ordinal + 1 WHERE parentid = ? AND parentcode = '' AND ordinal > ?",
@@ -433,51 +410,12 @@ func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 		return err
 	}
 
-	bs := newTableBatchers(nil, db)
-	var store func(el *xmldom.Node, parent sqldb.Value, code string, ord int64) error
-	store = func(el *xmldom.Node, parent sqldb.Value, code string, ord int64) error {
-		r := in.mapping.Relations[el.Name]
-		row := &openRow{rel: r, id: nextID, parent: parent, code: sqldb.NewText(code), ord: ord, vals: map[string]sqldb.Value{}}
-		nextID++
-		model := in.mapping.Graph.Models[el.Name]
-		if err := in.fillNode(row, el, nil, model); err != nil {
-			return err
-		}
-		var fill func(e *xmldom.Node, path []string) error
-		childCounts := map[string]int64{}
-		fill = func(e *xmldom.Node, path []string) error {
-			for _, c := range e.Children {
-				if c.Kind != xmldom.ElementNode {
-					continue
-				}
-				if in.mapping.Shared[c.Name] {
-					ck := strings.Join(path, ".") + "|" + c.Name
-					childCounts[ck]++
-					if err := store(c, sqldb.NewInt(row.id), strings.Join(path, "."), childCounts[ck]); err != nil {
-						return err
-					}
-					continue
-				}
-				cpath := append(append([]string{}, path...), c.Name)
-				cmodel := in.mapping.Graph.Models[c.Name]
-				if err := in.fillNode(row, c, cpath, cmodel); err != nil {
-					return err
-				}
-				if err := fill(c, cpath); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := fill(el, nil); err != nil {
-			return err
-		}
-		return bs.add(r.Table, row.values())
-	}
-	if err := store(subtree, sqldb.NewInt(parentID), "", int64(position)+1); err != nil {
+	place := &openRow{parent: sqldb.NewInt(parentID), code: sqldb.NewText(""), ord: int64(position) + 1}
+	sink := &inlineSink{in: in, bs: newTableBatchers(nil, db), next: maxID + 1, place: place}
+	if _, _, err := streamWalk(subtreeTokens(subtree), sink, nil, loadAt); err != nil {
 		return err
 	}
-	return bs.flush()
+	return sink.bs.flush()
 }
 
 var _ Scheme = (*Inline)(nil)
