@@ -37,10 +37,14 @@ test:
 ## (core: snapshot reconstruction during updates, cancellation, durable
 ## stores), the network front door (server: pinned sessions, overload,
 ## shutdown drain) and the LRU — under the race detector at GOMAXPROCS
-## 1, 2 and 4 (go test's own -cpu list). -count=1 keeps a second run from being
-## served from the test cache.
+## 1, 2 and 4, one go test invocation per value, so each package's test
+## binary runs one GOMAXPROCS pass inside go test's default timeout.
+## -count=1 keeps a second run from being served from the test cache.
 race:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/sqldb ./internal/core ./internal/server ./internal/lru
+	@for n in 1 2 4; do \
+		echo "race: -cpu $$n"; \
+		$(GO) test -race -count=1 -cpu $$n ./internal/sqldb ./internal/core ./internal/server ./internal/lru || exit 1; \
+	done
 
 ## cover: per-package statement-coverage floors for the packages that
 ## hold the engine (sqldb), the mappings (shred), the façade (core) and
@@ -64,14 +68,16 @@ cover:
 ## fuzz: a short fuzzing session for every fuzz target in the module,
 ## found with `go test -list`, so a new, renamed or deleted target needs
 ## no Makefile edit. Each -fuzz invocation accepts one target, so they
-## run one after another; raise FUZZ_TIME for a real session.
+## run one after another; raise FUZZ_TIME for a real session. New
+## interesting inputs are not minimized (-fuzzminimizetime 0): the
+## budget goes to executions, not to shrinking large seeds.
 fuzz:
 	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list" >&2; exit 1; }; \
 	targets=$$(echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, t[i]; n = 0}'); \
 	[ -n "$$targets" ] || { echo "fuzz: no fuzz targets found" >&2; exit 1; }; \
 	echo "$$targets" | while read pkg target; do \
 		echo "fuzz: $$pkg $$target"; \
-		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 $$pkg || exit 1; \
 	done
 
 ## bench-smoke: one iteration of every benchmark, to keep them compiling

@@ -7,6 +7,9 @@
 // Usage:
 //
 //	xrdb -in doc.xml [-scheme interval] [-dtd doc.dtd] <action>
+//	    the document is streamed from the file and loaded as one
+//	    transaction: never held whole in memory (under -buffer-pool),
+//	    and in durable mode crash-atomic
 //	xrdb -data dir [-in doc.xml] [-scheme interval] [-dtd doc.dtd] <action>
 //	    durable mode, any scheme: a write-ahead logged, crash-recovering
 //	    store in dir, which is also how a store is saved and reopened
@@ -41,7 +44,7 @@ import (
 
 func main() {
 	var (
-		in        = flag.String("in", "", "input XML document")
+		in        = flag.String("in", "", "input XML document, streamed from the file as one transaction")
 		dataDir   = flag.String("data", "", "durable data directory (WAL + checkpoints, crash recovery; any scheme): the saved store, reopened on the next run")
 		ckpt      = flag.Bool("checkpoint", false, "with -data: force a checkpoint before exit")
 		scheme    = flag.String("scheme", "interval", "mapping scheme: edge|binary|universal|interval|dewey|inline")

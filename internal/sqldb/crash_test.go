@@ -455,8 +455,9 @@ func TestCrashSweepNoSync(t *testing.T) {
 // concurrently; after a simulated crash every acknowledged write is
 // present, every unacknowledged one absent, and the B-tree indexes
 // re-derive to match the heap. The commits fill three heap pages, so a
-// two-page pool evicts while commits are in flight, each page only once
-// the WAL fsync covering its seal has landed.
+// two-page pool evicts while commits are in flight, a page possibly
+// before the WAL fsync covering its seal has landed: no checkpoint
+// references its slot until that commit publishes.
 func TestConcurrentCommitsWithCheckpoint(t *testing.T) {
 	const writers, perWriter, perCommit = 4, 40, 16
 	const total = writers * perWriter * perCommit

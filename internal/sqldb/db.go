@@ -440,9 +440,10 @@ func (tx *Tx) stream() error {
 	return nil
 }
 
-// commit logs the transaction's records as one and publishes its
-// state. The ack-implies-durable contract is structural: with a
-// durability hook attached, the record is staged into the WAL pipeline
+// commit logs the transaction's remaining records as its commit frame
+// and publishes its state. The ack-implies-durable contract is
+// structural: with a commit log attached, the record is staged into the
+// WAL pipeline
 // under writeMu (so log order equals commit order), writeMu is released
 // so later writers can stage and share the next fsync batch, and only
 // after the batch fsync covers the record is the state published — in
