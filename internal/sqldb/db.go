@@ -397,7 +397,7 @@ func (tx *Tx) abort() {
 		return
 	}
 	tx.done = true
-	if tx.streamed > 0 || tx.streamedRecs > 0 {
+	if tx.streamedRecs > 0 {
 		tx.db.log.unstream(tx.streamed, tx.streamedRecs)
 	}
 	tx.db.writeMu.Unlock()
@@ -428,10 +428,10 @@ func (tx *Tx) stream() error {
 	}
 	last := len(tx.recs) - 1
 	n, err := tx.db.log.stream(tx.recs[:last])
-	tx.streamed += n
 	if err != nil {
 		return err
 	}
+	tx.streamed += n
 	tx.streamedRecs += last
 	keep := tx.recs[last]
 	clear(tx.recs)

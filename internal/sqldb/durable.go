@@ -323,12 +323,12 @@ func (d *DurableDB) stream(recs []*walRecord) (int64, error) {
 	rec := &walRecord{Op: opCont, Seq: recs[0].Seq, Group: recs}
 	n, err := d.wal.Write(appendFrame(nil, encodeRecordPayload(nil, rec)))
 	d.walSize += int64(n)
-	d.continuations++
 	if err != nil {
 		err = fmt.Errorf("sqldb: wal append: %w", err)
 		d.degrade(err)
-		return int64(n), err
+		return 0, err
 	}
+	d.continuations++
 	return int64(n), nil
 }
 

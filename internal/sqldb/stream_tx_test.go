@@ -138,27 +138,3 @@ func TestMemoryTransactionKeepsNoRecords(t *testing.T) {
 		t.Fatalf("seq %d after three records, want %d", got, seq+3)
 	}
 }
-
-// TestScanWALDropsTrailingContinuation: a continuation run no commit
-// frame follows is torn tail, and one a commit frame follows replays
-// with it.
-func TestScanWALDropsTrailingContinuation(t *testing.T) {
-	ins := func(seq uint64, k int64) *walRecord {
-		return &walRecord{Op: opInsert, Seq: seq, Table: "kv", Rows: [][]Value{{NewInt(k)}}}
-	}
-	frame := func(log []byte, rec *walRecord) []byte { return appendFrame(log, encodeRecordPayload(nil, rec)) }
-	log := frame(nil, ins(1, 1))
-	log = frame(log, &walRecord{Op: opCont, Seq: 2, Group: []*walRecord{ins(2, 2)}})
-	log = frame(log, &walRecord{Op: opGroup, Seq: 3, Group: []*walRecord{ins(3, 3)}})
-	committed := len(log)
-	log = frame(log, &walRecord{Op: opCont, Seq: 4, Group: []*walRecord{ins(4, 4)}})
-	records, goodLen := scanWAL(log)
-	if goodLen != int64(committed) || len(records) != 3 {
-		t.Fatalf("scan kept %d records and %d of %d bytes, want 3 and %d", len(records), goodLen, len(log), committed)
-	}
-	for i, r := range records {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
-		}
-	}
-}

@@ -204,6 +204,14 @@ func TestWALScanStopsAtCorruption(t *testing.T) {
 	if goodLen != int64(len(log)) {
 		t.Fatalf("zeroed tail: goodLen %d != %d", goodLen, len(log))
 	}
+
+	// A continuation run no commit frame follows is torn tail too, and
+	// its records are not replayed.
+	cont := &walRecord{Op: opCont, Seq: 99, Group: []*walRecord{{Op: opDropTable, Seq: 99, Table: "kv"}}}
+	tail = appendFrame(append([]byte(nil), log...), encodeRecordPayload(nil, cont))
+	if recs, goodLen := scanWAL(tail); goodLen != int64(len(log)) || len(recs) != len(got) {
+		t.Fatalf("trailing continuation: goodLen %d, %d records; want %d, %d", goodLen, len(recs), len(log), len(got))
+	}
 }
 
 // TestWALFrameHeaders: the header-only scan rotation uses finds each
