@@ -2,15 +2,16 @@ package sqldb
 
 // The buffer pool holds every sealed heap page and bounds how many stay
 // resident in memory. Pages enter the pool when the statement that
-// filled them commits into its transaction (see table.sealq), before
-// the transaction publishes; once pooled they are immutable — inserts
-// only touch the unsealed tail page and deletes/updates copy-on-write a
-// fresh page for the writer's generation — so eviction is simply
-// dropping the in-memory frame after an (at most once per pages file)
-// writeback, and a later access faults the frame back in by rowid. A
-// cap of 0 means unbounded: pages are pooled, so a checkpoint
-// references them in the pages file like any other, but nothing is
-// ever evicted and the pool keeps no eviction ring.
+// filled them commits into its Update transaction (see table.sealq),
+// before the transaction publishes, or when a one-statement
+// transaction publishes (see Tx.gen0). Once pooled they are immutable
+// — inserts only touch the unsealed tail page and deletes/updates
+// copy-on-write a fresh page for the writer's generation — so eviction
+// is simply dropping the in-memory frame after an (at most once per
+// pages file) writeback, and a later access faults the frame back in
+// by rowid. A cap of 0 means unbounded: pages are pooled, so a
+// checkpoint references them in the pages file like any other, but
+// nothing is ever evicted and the pool keeps no eviction ring.
 //
 // Shadow pages: a page of a transaction still open may be written back
 // and evicted like any other. Its image goes to a fresh slot, and only

@@ -284,9 +284,10 @@ func (db *Database) setSeq(n uint64) {
 // frames. A Tx is used by one goroutine at a time.
 //
 // Its memory stays bounded whatever it writes. A full page a statement
-// seals enters the buffer pool at once, where a bounded pool may write
-// it back to a fresh slot and evict it: no checkpoint references that
-// slot before the state publishes, and an abort leaves it dead. Once
+// of Update seals enters the buffer pool at once, where a bounded pool
+// may write it back to a fresh slot and evict it: no checkpoint
+// references that slot before the state publishes, and an abort leaves
+// it dead. Once
 // the pending records pass txStreamBytes, the log takes them as a
 // continuation frame (see stream).
 type Tx struct {
@@ -296,7 +297,10 @@ type Tx struct {
 	// gen0 is the newest generation before the transaction's first
 	// statement. A page of gen0 or older that a statement sealed is a
 	// tail page base shares, which stays base's resident tail if the
-	// transaction aborts: it waits in sealed for the publish.
+	// transaction aborts: it waits in sealed for the publish. So does
+	// every page of a one-statement transaction (a Database write
+	// method), which publishes right after its fsync: writing its pages
+	// back before that would bound nothing and only risk dead slots.
 	gen0   uint64
 	sealed []*heapPage
 	// n counts the statements' records; recs holds those not logged
@@ -578,7 +582,7 @@ func (w *txStmt) commit(rec *walRecord) {
 	for _, t := range w.st.tables {
 		if t.gen == w.gen && len(t.sealq) > 0 {
 			for _, p := range t.sealq {
-				if p.gen <= tx.gen0 {
+				if !tx.group || p.gen <= tx.gen0 {
 					tx.sealed = append(tx.sealed, p)
 				} else {
 					tx.db.pool.add(p)
