@@ -15,11 +15,11 @@ import (
 // seq <= Seq(), no matter how many subtree insertions publish
 // concurrently — and translates against the scheme state it pinned.
 // It is the multi-statement read surface the engine's snapshot
-// isolation exposes at the XML level, and the Store's own reads run
-// through one — e.g. reconstructing a
-// document while a writer keeps inserting, with the guarantee that the
-// produced XML equals the document as of one single commit boundary.
-// Release it when done so the snapshot-age metrics stop tracking it.
+// isolation exposes at the XML level — e.g. reconstructing a document
+// while a writer keeps inserting, with the guarantee that the produced
+// XML equals the document as of one single commit boundary — and each
+// of the Store's own reads runs through one. Release it when done so
+// the snapshot-age metrics stop tracking it.
 type StoreSnapshot struct {
 	st   *Store
 	snap *sqldb.Snapshot
