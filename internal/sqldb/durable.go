@@ -321,7 +321,7 @@ func (d *DurableDB) stream(recs []*walRecord) (int64, error) {
 		m.Seq = d.seq.Add(1)
 	}
 	rec := &walRecord{Op: opCont, Seq: recs[0].Seq, Group: recs}
-	n, err := d.wal.Write(appendFrame(nil, encodeRecordPayload(nil, rec)))
+	n, err := d.wal.Write(appendRecordFrame(nil, rec))
 	d.walSize += int64(n)
 	if err != nil {
 		err = fmt.Errorf("sqldb: wal append: %w", err)

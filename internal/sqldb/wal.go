@@ -192,8 +192,9 @@ func encodeRecordPayload(dst []byte, rec *walRecord) []byte {
 		e.rows(rec.Rows)
 	case opGroup, opCont:
 		e.uvarint(uint64(len(rec.Group)))
+		var sub []byte // one scratch buffer for every member
 		for _, g := range rec.Group {
-			sub := encodeRecordPayload(nil, g)
+			sub = encodeRecordPayload(sub[:0], g)
 			e.bytes(sub)
 		}
 	}
@@ -485,6 +486,17 @@ func appendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 	return append(dst, payload...)
+}
+
+// appendRecordFrame frames rec as appendFrame would its payload, but
+// encodes the payload in place after the header instead of copying it.
+func appendRecordFrame(dst []byte, rec *walRecord) []byte {
+	start := len(dst)
+	dst = encodeRecordPayload(append(dst, make([]byte, walFrameOverhead)...), rec)
+	payload := dst[start+walFrameOverhead:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // nextWALFrame validates the frame at data[off:] and returns its
