@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -368,7 +369,6 @@ func runF3(w io.Writer, cfg Config) error {
 	if len(oas) != 1 {
 		return fmt.Errorf("expected one open_auctions element")
 	}
-	parentID := int64(oas[0].Pre)
 	nChildren := len(oas[0].Children)
 	t := newTable("scheme", "total ms", "ms/insert", "note")
 	for _, name := range schemeNames {
@@ -376,15 +376,22 @@ func runF3(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
+		// The parent as the scheme identifies it: Inline's ids are
+		// hosting-row ids, not the DOM's pre-order ranks.
+		rows, err := shred.Query(ls[0].db, ls[0].s, "/site/open_auctions")
+		if err != nil {
+			return err
+		}
+		if rows.Len() != 1 {
+			return fmt.Errorf("%s: /site/open_auctions: %d rows", name, rows.Len())
+		}
+		parentID := rows.Data[0][0].Int()
 		rng := xmlgen.NewRNG(cfg.Seed)
 		var refused error
 		start := time.Now()
 		for i := 0; i < inserts && refused == nil; i++ {
-			frag, err := xmldom.ParseString(fmt.Sprintf(insertFragment, i))
-			if err != nil {
-				return err
-			}
-			refused = ls[0].s.InsertSubtree(ls[0].db, parentID, rng.Intn(nChildren+i), frag.RootElement().Copy())
+			frag := xmldom.NewTokenizer(strings.NewReader(fmt.Sprintf(insertFragment, i)))
+			refused = ls[0].s.Insert(context.Background(), ls[0].db, parentID, rng.Intn(nChildren+i), frag)
 			if refused != nil && name != "universal" {
 				return fmt.Errorf("%s: insert %d: %w", name, i, refused)
 			}

@@ -300,7 +300,7 @@ func (st *Store) LoadXMLContext(ctx context.Context, src []byte) error {
 // transaction's full pages stay under the buffer pool cap and its log
 // records stream to the WAL (see sqldb.Tx).
 func (st *Store) LoadXMLStream(ctx context.Context, r io.Reader) error {
-	return st.load(ctx, xmldom.NewTokenizer(r))
+	return st.insert(ctx, 0, 0, xmldom.NewTokenizer(r))
 }
 
 // LoadDocument loads an already-parsed document.
@@ -311,19 +311,23 @@ func (st *Store) LoadDocument(doc *xmldom.Document) error {
 // LoadDocumentContext is LoadDocument honoring a context: the load
 // replays the document's tokens through LoadXMLStream's transaction.
 func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) error {
-	return st.load(ctx, doc.Tokens())
+	return st.insert(ctx, 0, 0, doc.Tokens())
 }
 
-// load shreds src into the empty store as one transaction.
-func (st *Store) load(ctx context.Context, src xmldom.TokenSource) error {
+// insert shreds src as the position-th child of parentID as one
+// transaction. Under the document node (id 0) that is a load, refused
+// when the store already holds a document.
+func (st *Store) insert(ctx context.Context, parentID int64, position int, src xmldom.TokenSource) error {
 	start := time.Now()
-	load := func(tx *sqldb.Tx) error {
-		if loaded, err := st.holdsDocument(tx); err != nil || loaded {
-			return cmp.Or(err, errSecondDocument)
+	insert := func(tx *sqldb.Tx) error {
+		if parentID == 0 {
+			if loaded, err := st.holdsDocument(tx); err != nil || loaded {
+				return cmp.Or(err, errSecondDocument)
+			}
 		}
-		return st.scheme.Load(ctx, tx, src)
+		return st.scheme.Insert(ctx, tx, parentID, position, src)
 	}
-	if err := st.db.Update(load); err != nil {
+	if err := st.db.Update(insert); err != nil {
 		return err
 	}
 	return st.wrote(start)
@@ -478,24 +482,12 @@ func (st *Store) WriteXML(w io.Writer) error {
 }
 
 // InsertXML inserts an XML fragment as the position-th child of the
-// element with the given node id, as one transaction: a refused or
-// failed insert leaves nothing behind.
+// element with the given node id, as one transaction: the fragment is
+// tokenized and shredded in one pass, and a malformed, refused or
+// failed insert leaves nothing behind. Comments and PIs around the
+// fragment's element are dropped.
 func (st *Store) InsertXML(parentID int64, position int, fragment []byte) error {
-	// Wrap so the fragment parses as a document.
-	doc, err := xmldom.Parse(fragment)
-	if err != nil {
-		return err
-	}
-	root := doc.RootElement()
-	if root == nil {
-		return fmt.Errorf("core: fragment has no element")
-	}
-	start := time.Now()
-	insert := func(tx *sqldb.Tx) error { return st.scheme.InsertSubtree(tx, parentID, position, root.Copy()) }
-	if err := st.db.Update(insert); err != nil {
-		return err
-	}
-	return st.wrote(start)
+	return st.insert(context.Background(), parentID, position, xmldom.NewTokenizer(bytes.NewReader(fragment)))
 }
 
 // Loaded reports whether the store holds a document. The answer is

@@ -159,6 +159,81 @@ func TestInsertXML(t *testing.T) {
 	}
 }
 
+// tableDump renders every table of the store, rows in scan order.
+func tableDump(t *testing.T, st *Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, name := range st.DB().TableNames() {
+		rows, err := st.DB().Query("SELECT * FROM " + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %v\n", name, rows.Columns)
+		for _, r := range rows.Data {
+			fmt.Fprintln(&b, r)
+		}
+	}
+	return b.String()
+}
+
+// TestInsertRefusesNonElementParent: an insert under the document node
+// of a loaded store, or under a parent that is not a stored element — an
+// attribute, a text node, a missing id — is refused on every insertable
+// scheme and leaves the tables as they were. Under Inline an
+// attribute's or a text node's id is its host row's, an element's, so
+// only the document node and the missing id apply.
+func TestInsertRefusesNonElementParent(t *testing.T) {
+	const doc = `<a x="1">t</a>`
+	for _, kind := range []SchemeKind{Edge, Binary, Interval, Dewey, Inline} {
+		t.Run(string(kind), func(t *testing.T) {
+			opts := Options{}
+			if kind == Inline {
+				opts = Options{DTD: `<!ELEMENT a (#PCDATA)><!ATTLIST a x CDATA #IMPLIED>`, Root: "a"}
+			}
+			st, err := OpenWith(kind, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.LoadXML([]byte(doc)); err != nil {
+				t.Fatal(err)
+			}
+			type refusal struct {
+				what   string
+				parent int64
+				want   string
+			}
+			cases := []refusal{
+				{"document node", 0, errSecondDocument.Error()},
+				{"missing id", 99, "no element with id 99"},
+			}
+			if kind != Inline {
+				for _, q := range []string{"/a/@x", "/a/text()"} {
+					res, err := st.Query(q)
+					if err != nil || len(res.Matches) != 1 {
+						t.Fatalf("%s: %v, %v", q, res, err)
+					}
+					id := res.Matches[0].ID
+					cases = append(cases, refusal{q, id, fmt.Sprintf("no element with id %d", id)})
+				}
+			}
+			before := tableDump(t, st)
+			for _, c := range cases {
+				err := st.InsertXML(c.parent, 0, []byte(`<c/>`))
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("insert under the %s (id %d): got %v, want %q", c.what, c.parent, err, c.want)
+				}
+				if tableDump(t, st) != before {
+					t.Errorf("refused insert under the %s changed the tables", c.what)
+				}
+			}
+			var b strings.Builder
+			if err := st.WriteXML(&b); err != nil || b.String() != doc {
+				t.Errorf("store publishes %q (%v), want %q", b.String(), err, doc)
+			}
+		})
+	}
+}
+
 func TestStats(t *testing.T) {
 	st, _ := Open(Interval)
 	_ = st.LoadXML([]byte(smallDoc))

@@ -171,7 +171,10 @@ func TestDurableStoreLoadReopen(t *testing.T) {
 // TestLoadXMLParseBeforeWrite feeds LoadXML a document truncated in the
 // middle of an element: the parse error aborts the load's transaction,
 // so both stores refuse it with a *xmldom.ParseError and hold no rows,
-// and a reopened durable directory holds none either.
+// and a reopened durable directory holds none either. InsertXML of a
+// truncated fragment is refused the same way, leaving the tables, the
+// WAL and the reopened store as they were; comments and PIs around a
+// fragment's element are not inserted.
 func TestLoadXMLParseBeforeWrite(t *testing.T) {
 	src := xmlgen.AuctionXML(xmlgen.Config{Factor: 0.02, Seed: 6})
 	cut := len(src)/2 + strings.Index(src[len(src)/2:], "<person") + len("<per")
@@ -207,9 +210,45 @@ func TestLoadXMLParseBeforeWrite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer re.Close()
 			if n := re.DB().TotalRows(); n != 0 || re.Loaded() {
 				t.Fatalf("reopened directory holds %d rows (loaded=%v)", n, re.Loaded())
+			}
+
+			// A truncated fragment fails mid-walk, inside the insert's
+			// transaction: no row and no WAL byte is written.
+			if err := re.LoadXML([]byte(smallDoc)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := re.Query("/bib")
+			if err != nil || len(res.Matches) != 1 {
+				t.Fatalf("/bib: %v, %v", res, err)
+			}
+			bib := res.Matches[0].ID
+			tables, wal := tableDump(t, re.Store), re.Durable().WALSize()
+			var perr *xmldom.ParseError
+			if err := re.InsertXML(bib, 0, []byte(`<c>`)); !errors.As(err, &perr) {
+				t.Fatalf("truncated fragment: got %v, want a *xmldom.ParseError", err)
+			}
+			if tableDump(t, re.Store) != tables || re.Durable().WALSize() != wal {
+				t.Fatalf("refused insert changed the tables or the WAL (%d -> %d bytes)", wal, re.Durable().WALSize())
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenDurable(kind, dir, Options{})
+			if err != nil {
+				t.Fatalf("second reopen: %v", err)
+			}
+			defer again.Close()
+			if tableDump(t, again.Store) != tables {
+				t.Fatal("reopened store differs from the one the refused insert left")
+			}
+			// Comments and PIs around a fragment's element are dropped.
+			if err := again.InsertXML(bib, 0, []byte(`<!--a--><?p q?><c/><!--b-->`)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := durableXML(t, again.Store), strings.Replace(smallDoc, "<bib>", "<bib><c/>", 1); got != want {
+				t.Fatalf("after the insert the store publishes %s, want %s", got, want)
 			}
 		})
 	}
@@ -454,7 +493,7 @@ func TestDurableStoreConcurrentExecDuringLoad(t *testing.T) {
 		var ackedAtCrash int64
 		done := make(chan error, 1)
 		txErr := db.Update(func(tx *sqldb.Tx) error {
-			if err := ds.scheme.Load(context.Background(), tx, doc.Tokens()); err != nil {
+			if err := ds.scheme.Insert(context.Background(), tx, 0, 0, doc.Tokens()); err != nil {
 				return err
 			}
 			// An auditor on another goroutine records rows while the load

@@ -138,7 +138,7 @@ func TestStreamLoadBoundedMemory(t *testing.T) {
 		resident = max(resident, ds.DB().Stats().BufferPool.Resident)
 		grew = grew || ds.Durable().WALSize() > wal
 	}}
-	if err := ds.load(context.Background(), tokens); err != nil {
+	if err := ds.insert(context.Background(), 0, 0, tokens); err != nil {
 		t.Fatal(err)
 	}
 	if resident > 32 || samples == 0 {

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestEdgeCatalogAfterInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.InsertSubtree(db, int64(cats[0].Pre), 0, fragDoc.RootElement().Copy()); err != nil {
+	if err := s.Insert(context.Background(), db, int64(cats[0].Pre), 0, fragDoc.Tokens()); err != nil {
 		t.Fatal(err)
 	}
 	// The listitem under a category description is a brand-new path.

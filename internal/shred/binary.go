@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,7 +37,7 @@ func NewBinary(withValueIndex bool) *Binary {
 func (bn *Binary) Name() string { return "binary" }
 
 // Setup implements Scheme: partitions are created lazily per label
-// during Load; only the fixed kind partitions exist up front.
+// during Insert; only the fixed kind partitions exist up front.
 func (bn *Binary) Setup(db *sqldb.Database) error {
 	for _, t := range []string{"bt_text", "bt_comment", "bt_pi"} {
 		if err := bn.createPartition(db, t); err != nil {
@@ -149,11 +150,18 @@ func (bn *Binary) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	return assemble("binary", stored)
 }
 
-// InsertSubtree implements Scheme: like Edge, a local ordinal shift on
-// the parent's partitions plus appends — but the shift must touch every
-// partition holding a child of the parent.
-func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
+// Insert implements Scheme: like Edge, a local ordinal shift on the
+// parent's partitions plus appends — but the shift must touch every
+// partition holding a child of the parent. The walk creates each new
+// label's partition on first sight; every partition's batch is flushed
+// in table-name order, then the partitions and label paths it added
+// are saved.
+func (bn *Binary) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
 	st, err := readState(db, "binary")
+	if err != nil {
+		return err
+	}
+	parentPath, err := labelPathOf(db, st, parentID)
 	if err != nil {
 		return err
 	}
@@ -178,21 +186,21 @@ func (bn *Binary) InsertSubtree(db sqldb.Writer, parentID int64, position int, s
 		if err != nil {
 			return err
 		}
-		if !v.IsNull() && v.Int() > maxID {
-			maxID = v.Int()
-		}
+		maxID = max(maxID, v.Int())
 	}
-	parentPath, err := labelPathOf(db, st, parentID)
-	if err != nil {
+	s := &binarySink{bn: bn, st: st, db: db, bs: newTableBatchers(ctx, db)}
+	at := walkAt{parent: parentID, path: parentPath, next: maxID + 1, ordinal: ordinal}
+	if _, _, err := streamWalk(src, s, st.catalog, at); err != nil {
 		return err
 	}
-	sink := &binarySink{bn: bn, st: st, db: db, bs: newTableBatchers(nil, db)}
-	at := walkAt{parent: parentID, path: parentPath, next: maxID + 1, ordinal: ordinal}
-	return sink.shred(subtreeTokens(subtree), at)
+	if err := s.bs.flush(); err != nil {
+		return err
+	}
+	return st.save(db)
 }
 
 // labelPathOf reconstructs the label path of a stored element by walking
-// parent links across partitions (update-path bookkeeping only).
+// parent links across partitions ("" for the document node, id 0).
 func labelPathOf(db sqldb.Queryer, st *schemeState, id int64) (string, error) {
 	var segs []string
 	for cur := id; cur != 0; {
@@ -210,7 +218,7 @@ func labelPathOf(db sqldb.Queryer, st *schemeState, id int64) (string, error) {
 			}
 		}
 		if !found {
-			return "", errScheme("binary", "node %d not found in any element partition", cur)
+			return "", errNoElement("binary", id)
 		}
 	}
 	return strings.Join(segs, "/"), nil

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -309,7 +310,7 @@ func TestInsertSubtree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse subtree: %v", err)
 				}
-				if err := s.InsertSubtree(db, int64(parents[0].Pre), c.position, sub.RootElement().Copy()); err != nil {
+				if err := s.Insert(context.Background(), db, int64(parents[0].Pre), c.position, sub.Tokens()); err != nil {
 					t.Fatalf("insert under %s: %v", c.parent, err)
 				}
 				// Mirror the insertion on the DOM.

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -117,28 +118,37 @@ func (d *Dewey) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	return assemble("dewey", stored)
 }
 
-// InsertSubtree implements Scheme. A new sibling label is the midpoint
-// of its neighbors (or one gap past the last child), so the insert
-// writes only the subtree's new rows and updates nothing in place
-// (Tatarinov's headline result, experiment F3). The parent lookup and
-// MAX(pre) are each one probe of dewey_pre; the sibling read lists the
-// parent's children through dewey_parent, whose (parent, kind, name)
-// key groups them by name, and sorts them by path. A label that would
-// overflow deweyWidth digits is refused; rows written before the
-// refusal roll back with the transaction the insert runs in (core's
-// InsertXML runs it in one).
-func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
-	prow, err := db.Query(`SELECT path, level FROM dewey WHERE pre = ? AND kind = 'elem'`, sqldb.NewInt(parentID))
-	if err != nil {
-		return err
+// Insert implements Scheme. A new sibling label is the midpoint of its
+// neighbors (or one gap past the last child), so the insert writes only
+// the subtree's new rows and updates nothing in place (Tatarinov's
+// headline result, experiment F3). The document node has no row: its
+// label is "" and its children's parent is NULL, so a load into an
+// empty database labels its top-level nodes one gap apart from the
+// first. The parent lookup and MAX(pre) are each one probe of
+// dewey_pre; the sibling read lists the parent's children through
+// dewey_parent, whose (parent, kind, name) key groups them by name, and
+// sorts them by path. A label that would overflow deweyWidth digits is
+// refused when the walk reaches it, after the batches before it were
+// written — unless the insert runs in one transaction
+// (sqldb.Database.Update, as core's loads and inserts do), which the
+// refusal then rolls back whole.
+func (d *Dewey) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
+	var parentPath string
+	var parentLevel int64
+	sibs := `SELECT path, kind FROM dewey WHERE parent IS NULL ORDER BY path`
+	var args []sqldb.Value
+	if parentID != 0 {
+		prow, err := db.Query(`SELECT path, level FROM dewey WHERE pre = ? AND kind = 'elem'`, sqldb.NewInt(parentID))
+		if err != nil {
+			return err
+		}
+		if prow.Len() == 0 {
+			return errNoElement("dewey", parentID)
+		}
+		parentPath, parentLevel = prow.Data[0][0].Text(), prow.Data[0][1].Int()
+		sibs, args = `SELECT path, kind FROM dewey WHERE parent = ? ORDER BY path`, []sqldb.Value{sqldb.NewText(parentPath)}
 	}
-	if prow.Len() == 0 {
-		return errScheme("dewey", "no element with id %d", parentID)
-	}
-	parentPath := prow.Data[0][0].Text()
-	parentLevel := prow.Data[0][1].Int()
-
-	sibs, err := db.Query(`SELECT path, kind FROM dewey WHERE parent = ? ORDER BY path`, sqldb.NewText(parentPath))
+	rows, err := db.Query(sibs, args...)
 	if err != nil {
 		return err
 	}
@@ -146,7 +156,7 @@ func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, sub
 	var lo, hi int64 // component bounds around the new label
 	childIdx := 0
 	placedHi := false
-	for _, r := range sibs.Data {
+	for _, r := range rows.Data {
 		comp := lastComp(r[0].Text())
 		if r[1].Text() != "attr" {
 			if childIdx == position {
@@ -159,17 +169,12 @@ func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, sub
 		lo = comp
 	}
 
-	var newComp int64
-	switch {
-	case !placedHi:
-		newComp = lo + deweyGap
-		if newComp >= deweyLimit {
-			return errLabelOverflow(newComp)
+	newComp := lo + deweyGap
+	if placedHi {
+		if hi-lo < 2 {
+			return errScheme("dewey", "no label gap left at this position (relabel required); spread your insertion points")
 		}
-	case hi-lo >= 2:
 		newComp = lo + (hi-lo)/2
-	default:
-		return errScheme("dewey", "no label gap left at this position (relabel required); spread your insertion points")
 	}
 
 	maxID, err := db.QueryScalar(`SELECT MAX(pre) FROM dewey`)
@@ -177,10 +182,9 @@ func (d *Dewey) InsertSubtree(db sqldb.Writer, parentID int64, position int, sub
 		return err
 	}
 
-	s := &deweySink{b: newBatcher(nil, db, "dewey"), labels: []string{parentPath},
-		top: parentPath + "." + deweyComp(newComp)}
-	at := walkAt{parent: parentID, level: int(parentLevel), next: maxID.Int() + 1}
-	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
+	s := &deweySink{b: newBatcher(ctx, db, "dewey"), labels: []string{parentPath}, first: newComp}
+	at := walkAt{parent: parentID, level: int(parentLevel), next: maxID.Int() + 1, ordinal: 1}
+	if _, _, err := streamWalk(src, s, nil, at); err != nil {
 		return err
 	}
 	return s.b.flush()

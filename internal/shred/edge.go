@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -90,10 +91,23 @@ func (e *Edge) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	return assemble("edge", appendStored(nil, rows))
 }
 
-// InsertSubtree implements Scheme: following siblings' ordinals shift by
-// one (a local update), then the subtree's edges are appended with fresh
-// node ids.
-func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
+// Insert implements Scheme: following siblings' ordinals shift by one
+// (a local update), then the walk appends the edges with fresh node ids
+// and saves the label paths and the depth bound it adds — a subtree
+// reaching below the deepest stored node raises the bound descendant
+// steps expand to.
+func (e *Edge) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
+	st, err := readState(db, "edge")
+	if err != nil {
+		return err
+	}
+	// The parent's label path keeps the path catalog complete, so
+	// catalog-driven descendant expansion (ablation A1) stays exact
+	// after updates.
+	parentPath, err := e.storedLabelPath(db, parentID)
+	if err != nil {
+		return err
+	}
 	nAttrs, err := db.QueryScalar(`SELECT COUNT(*) FROM edge WHERE source = ? AND kind = 'attr'`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err
@@ -107,26 +121,8 @@ func (e *Edge) InsertSubtree(db sqldb.Writer, parentID int64, position int, subt
 	if err != nil {
 		return err
 	}
-
-	// Keep the path catalog complete so catalog-driven descendant
-	// expansion (ablation A1) stays exact after updates.
-	parentPath, err := e.storedLabelPath(db, parentID)
-	if err != nil {
-		return err
-	}
-	st, err := readState(db, "edge")
-	if err != nil {
-		return err
-	}
-	s := &edgeSink{b: newBatcher(nil, db, "edge")}
+	s := &edgeSink{b: newBatcher(ctx, db, "edge")}
 	at := walkAt{parent: parentID, level: pathLevel(parentPath), path: parentPath, next: maxID.Int() + 1, ordinal: ordinal}
-	return e.shred(db, st, subtreeTokens(subtree), s, at)
-}
-
-// shred walks src into the edge relation and saves the label paths and
-// the depth bound it adds: a subtree reaching below the deepest stored
-// node raises the bound descendant steps expand to.
-func (e *Edge) shred(db sqldb.Writer, st *schemeState, src xmldom.TokenSource, s *edgeSink, at walkAt) error {
 	_, maxLevel, err := streamWalk(src, s, st.catalog, at)
 	if err != nil {
 		return err
@@ -141,17 +137,17 @@ func (e *Edge) shred(db sqldb.Writer, st *schemeState, src xmldom.TokenSource, s
 }
 
 // storedLabelPath walks parent links in the edge table to recover the
-// label path of a stored element.
+// label path of a stored element ("" for the document node, id 0).
 func (e *Edge) storedLabelPath(db sqldb.Queryer, id int64) (string, error) {
 	var segs []string
 	cur := id
 	for cur != 0 {
-		rows, err := db.Query(`SELECT source, name FROM edge WHERE target = ?`, sqldb.NewInt(cur))
+		rows, err := db.Query(`SELECT source, name FROM edge WHERE target = ? AND kind = 'elem'`, sqldb.NewInt(cur))
 		if err != nil {
 			return "", err
 		}
 		if rows.Len() == 0 {
-			return "", errScheme("edge", "no node with id %d", cur)
+			return "", errNoElement("edge", id)
 		}
 		segs = append([]string{rows.Data[0][1].Text()}, segs...)
 		cur = rows.Data[0][0].Int()

@@ -126,28 +126,53 @@ func (r *openRow) values() []sqldb.Value {
 	return row
 }
 
-// Load implements Scheme: the document must conform to the DTD. It is
-// a sink on the shredding walk, since the relations and their columns
-// come from the DTD, not the document.
-func (in *Inline) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &inlineSink{in: in, bs: newTableBatchers(ctx, db)}
-	nodes, _, err := streamWalk(src, s, nil, loadAt)
-	if err != nil {
-		return err
+// Insert implements Scheme: a document under the document node, or a
+// subtree rooted at a shared element (a new relation row) under an
+// element's row; inserting inlined fragments in order is not
+// expressible. Either goes through one sink on the shredding walk, since
+// the relations and their columns come from the DTD, not the document,
+// and must conform to the DTD. A document's rows take their elements'
+// pre-order ranks as ids; an inserted subtree's are numbered past the
+// largest stored id, and its position counts among the parent row's
+// same-name children.
+func (in *Inline) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
+	s := &inlineSink{in: in, db: db, bs: newTableBatchers(ctx, db)}
+	if parentID != 0 {
+		found := false
+		for _, elem := range in.mapping.Order {
+			table := in.mapping.Relations[elem].Table
+			v, err := db.QueryScalar("SELECT MAX(id) FROM " + table)
+			if err != nil {
+				return err
+			}
+			s.next = max(s.next, v.Int())
+			n, err := db.QueryScalar("SELECT COUNT(*) FROM "+table+" WHERE id = ?", sqldb.NewInt(parentID))
+			if err != nil {
+				return err
+			}
+			found = found || n.Int() > 0
+		}
+		if !found {
+			return errNoElement("inline", parentID)
+		}
+		s.next++
+		s.place = &openRow{parent: sqldb.NewInt(parentID), code: sqldb.NewText(""), ord: int64(position) + 1}
 	}
-	if nodes == 0 {
-		return errScheme("inline", "document has no root element")
+	if _, _, err := streamWalk(src, s, nil, walkAt{parent: parentID, next: 1, ordinal: 1}); err != nil {
+		return err
 	}
 	return s.bs.flush()
 }
 
 // inlineSink shreds into the DTD's relations: a shared element opens a
 // row of its own relation, an inlined one fills columns of its host's
-// row, and a row is written when its element closes. A load's rows
+// row, and a row is written when its element closes. A document's rows
 // take their elements' pre-order ranks as ids; an inserted subtree's
-// are numbered from next, and its root row is placed as place says.
+// are numbered from next, and its root row is placed as place says,
+// after its following same-name siblings' ordinals shift.
 type inlineSink struct {
 	in     *Inline
+	db     sqldb.Writer
 	bs     *tableBatchers
 	frames []*inlineFrame
 	next   int64
@@ -171,10 +196,13 @@ type inlineFrame struct {
 func (s *inlineSink) open(f *streamFrame) error {
 	in := s.in
 	var host *inlineFrame
-	if len(s.frames) > 0 {
+	switch {
+	case len(s.frames) > 0:
 		host = s.frames[len(s.frames)-1]
-	} else if s.place == nil && f.name != in.dtd.Root {
+	case s.place == nil && f.name != in.dtd.Root:
 		return errScheme("inline", "root element <%s> does not match DTD root <%s>", f.name, in.dtd.Root)
+	case s.place != nil && !in.mapping.Shared[f.name]:
+		return errScheme("inline", "only subtrees rooted at a shared element can be inserted")
 	}
 	if in.dtd.Elements[f.name] == nil {
 		return errScheme("inline", "element <%s> is not declared in the DTD", f.name)
@@ -195,6 +223,10 @@ func (s *inlineSink) open(f *streamFrame) error {
 			host.counts[countKey]++
 			row.ord = host.counts[countKey]
 		case s.place != nil:
+			if _, err := s.db.Exec("UPDATE "+row.rel.Table+" SET ordinal = ordinal + 1 WHERE parentid = ? AND parentcode = '' AND ordinal >= ?",
+				s.place.parent, sqldb.NewInt(s.place.ord)); err != nil {
+				return err
+			}
 			row.parent, row.code, row.ord = s.place.parent, s.place.code, s.place.ord
 		}
 		fr.row, fr.counts = row, map[string]int64{}
@@ -384,40 +416,6 @@ func (in *Inline) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	return doc, nil
 }
 
-// InsertSubtree implements Scheme for subtrees rooted at a shared
-// element (a new relation row); inserting inlined fragments in order is
-// not expressible. The subtree goes through the load's sink, so it must
-// conform to the DTD as a loaded document must.
-func (in *Inline) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
-	if subtree.Kind != xmldom.ElementNode || !in.mapping.Shared[subtree.Name] {
-		return errScheme("inline", "only subtrees rooted at a shared element can be inserted")
-	}
-	maxID := int64(0)
-	for _, elem := range in.mapping.Order {
-		rel := in.mapping.Relations[elem]
-		v, err := db.QueryScalar("SELECT MAX(id) FROM " + rel.Table)
-		if err != nil {
-			return err
-		}
-		if !v.IsNull() && v.Int() > maxID {
-			maxID = v.Int()
-		}
-	}
-	rel := in.mapping.Relations[subtree.Name]
-	// Ordinal: among same-name children of the parent row.
-	if _, err := db.Exec("UPDATE "+rel.Table+" SET ordinal = ordinal + 1 WHERE parentid = ? AND parentcode = '' AND ordinal > ?",
-		sqldb.NewInt(parentID), sqldb.NewInt(int64(position))); err != nil {
-		return err
-	}
-
-	place := &openRow{parent: sqldb.NewInt(parentID), code: sqldb.NewText(""), ord: int64(position) + 1}
-	sink := &inlineSink{in: in, bs: newTableBatchers(nil, db), next: maxID + 1, place: place}
-	if _, _, err := streamWalk(subtreeTokens(subtree), sink, nil, loadAt); err != nil {
-		return err
-	}
-	return sink.bs.flush()
-}
-
 var _ Scheme = (*Inline)(nil)
 var _ Scheme = (*Edge)(nil)
 var _ Scheme = (*Binary)(nil)
@@ -432,7 +430,7 @@ func LoadDocument(s Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
 	if err := s.Setup(db); err != nil {
 		return nil, err
 	}
-	if err := s.Load(context.Background(), db, doc.Tokens()); err != nil {
+	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
 		return nil, err
 	}
 	return db, nil

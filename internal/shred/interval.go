@@ -1,6 +1,9 @@
 package shred
 
 import (
+	"context"
+	"slices"
+
 	"repro/internal/sqldb"
 	"repro/internal/translate"
 	"repro/internal/xmldom"
@@ -49,7 +52,7 @@ func (iv *Interval) Name() string { return "interval" }
 func (iv *Interval) Setup(db *sqldb.Database) error {
 	stmts := []string{
 		// pre is logically unique but not declared PRIMARY KEY: the
-		// renumbering sweep in InsertSubtree shifts many rows in one
+		// renumbering sweep in Insert shifts many rows in one
 		// UPDATE, which would transiently collide under a unique index.
 		`CREATE TABLE accel (
 			pre INTEGER NOT NULL,
@@ -90,95 +93,134 @@ func (iv *Interval) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 	return assemble("interval", appendStored(nil, rows))
 }
 
-// InsertSubtree implements Scheme. The interval encoding pays the
-// paper's documented price here: every node at or after the insertion
-// point must be renumbered (two document-wide UPDATE sweeps), in
-// contrast to Dewey's local relabeling — the F3 contrast.
-func (iv *Interval) InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error {
-	prow, err := db.Query(`SELECT level, size FROM accel WHERE pre = ?`, sqldb.NewInt(parentID))
+// Insert implements Scheme. The interval encoding pays the paper's
+// documented price here: when rows lie at or after the insertion
+// point, every one of them must be renumbered (two document-wide UPDATE
+// sweeps), in contrast to Dewey's local relabeling — the F3 contrast.
+// Renumbering needs the subtree's node count before any row of it is
+// written, so such an insert records its tokens and walks them twice.
+// When nothing lies past the insertion point — every load, and an
+// append at the document's end — the walk streams. Either way the
+// ancestors' sizes are raised after the walk; the document node's row
+// (pre 0) follows its subtree, so a load into an empty database writes
+// it last.
+func (iv *Interval) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
+	prow, err := db.Query(`SELECT level, size, kind FROM accel WHERE pre = ?`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err
 	}
-	if prow.Len() == 0 {
-		return errScheme("interval", "no node with id %d", parentID)
+	docRow := parentID == 0 && prow.Len() == 0 // the document node of an empty database
+	var pLevel, pSize int64
+	if !docRow {
+		if prow.Len() == 0 || prow.Data[0][2].Text() != "elem" && prow.Data[0][2].Text() != "doc" {
+			return errNoElement("interval", parentID)
+		}
+		pLevel, pSize = prow.Data[0][0].Int(), prow.Data[0][1].Int()
 	}
-	pLevel := prow.Data[0][0].Int()
-	pSize := prow.Data[0][1].Int()
-
-	// Children (non-attribute) of the parent in order.
-	kids, err := db.Query(
-		`SELECT pre, ordinal FROM accel WHERE parent = ? AND kind <> 'attr' ORDER BY ordinal`,
-		sqldb.NewInt(parentID))
+	// The parent's attributes, then its children, in order.
+	rows, err := db.Query(`SELECT pre, kind FROM accel WHERE parent = ? ORDER BY ordinal`, sqldb.NewInt(parentID))
 	if err != nil {
 		return err
 	}
-	nAttrs, err := db.QueryScalar(`SELECT COUNT(*) FROM accel WHERE parent = ? AND kind = 'attr'`, sqldb.NewInt(parentID))
-	if err != nil {
-		return err
+	nAttrs := 0
+	for nAttrs < rows.Len() && rows.Data[nAttrs][1].Text() == "attr" {
+		nAttrs++
 	}
-
 	// Insertion boundary: the pre of the child currently at `position`,
 	// or the end of the parent's region for an append.
-	var boundary int64
-	if position < kids.Len() {
-		boundary = kids.Data[position][0].Int()
-	} else {
-		position = kids.Len()
-		boundary = parentID + pSize + 1
+	kids := rows.Data[nAttrs:]
+	position = min(position, len(kids))
+	boundary := parentID + pSize + 1
+	if position < len(kids) {
+		boundary = kids[position][0].Int()
 	}
-	newOrdinal := nAttrs.Int() + int64(position) + 1
-
-	// Count the subtree.
-	k := int64(0)
-	var count func(n *xmldom.Node)
-	count = func(n *xmldom.Node) {
-		k++
-		k += int64(len(n.Attrs))
-		for _, c := range n.Children {
-			count(c)
-		}
-	}
-	count(subtree)
-
-	// Ancestors (including the parent) gain k descendants. Collect the
-	// ancestor chain before shifting.
-	var ancestors []sqldb.Value
-	cur := parentID
-	for {
-		ancestors = append(ancestors, sqldb.NewInt(cur))
-		r, err := db.Query(`SELECT parent FROM accel WHERE pre = ?`, sqldb.NewInt(cur))
+	at := walkAt{parent: parentID, level: int(pLevel), next: boundary, ordinal: int64(nAttrs + position + 1)}
+	if last, err := db.QueryScalar(`SELECT MAX(pre) FROM accel`); err != nil {
+		return err
+	} else if !last.IsNull() && last.Int() >= boundary {
+		tape, err := recordTokens(src)
 		if err != nil {
 			return err
 		}
-		if r.Len() == 0 || r.Data[0][0].IsNull() {
-			break
+		k, _, err := streamWalk(tape, discardSink{}, nil, at)
+		if err != nil {
+			return err
 		}
-		cur = r.Data[0][0].Int()
+		// Document-wide renumbering; following siblings shift ordinal.
+		if _, err := db.Exec(`UPDATE accel SET pre = pre + ? WHERE pre >= ?`, sqldb.NewInt(k), sqldb.NewInt(boundary)); err != nil {
+			return err
+		}
+		if _, err := db.Exec(`UPDATE accel SET parent = parent + ? WHERE parent >= ?`, sqldb.NewInt(k), sqldb.NewInt(boundary)); err != nil {
+			return err
+		}
+		if _, err := db.Exec(`UPDATE accel SET ordinal = ordinal + 1 WHERE parent = ? AND ordinal >= ?`,
+			sqldb.NewInt(parentID), sqldb.NewInt(at.ordinal)); err != nil {
+			return err
+		}
+		src = tape
 	}
-	for _, a := range ancestors {
-		if _, err := db.Exec(`UPDATE accel SET size = size + ? WHERE pre = ?`, sqldb.NewInt(k), a); err != nil {
+
+	// The subtree's rows take contiguous pre numbers from boundary.
+	s := &intervalSink{b: newBatcher(ctx, db, "accel")}
+	nodes, _, err := streamWalk(src, s, nil, at)
+	if err != nil {
+		return err
+	}
+	if docRow {
+		// pre 0, no parent, the whole document as its subtree.
+		if err := s.b.add([]sqldb.Value{sqldb.NewInt(0), sqldb.Null, sqldb.NewInt(nodes), sqldb.NewInt(0),
+			sqldb.NewInt(1), sqldb.NewText("doc"), sqldb.Null, sqldb.Null}); err != nil {
+			return err
+		}
+		return s.b.flush()
+	}
+	if err := s.b.flush(); err != nil {
+		return err
+	}
+	// The parent and each of its ancestors gain the subtree's nodes.
+	for cur := sqldb.NewInt(parentID); !cur.IsNull(); {
+		if _, err := db.Exec(`UPDATE accel SET size = size + ? WHERE pre = ?`, sqldb.NewInt(nodes), cur); err != nil {
+			return err
+		}
+		if cur, err = db.QueryScalar(`SELECT parent FROM accel WHERE pre = ?`, cur); err != nil {
 			return err
 		}
 	}
-
-	// Document-wide renumbering.
-	if _, err := db.Exec(`UPDATE accel SET pre = pre + ? WHERE pre >= ?`, sqldb.NewInt(k), sqldb.NewInt(boundary)); err != nil {
-		return err
-	}
-	if _, err := db.Exec(`UPDATE accel SET parent = parent + ? WHERE parent >= ?`, sqldb.NewInt(k), sqldb.NewInt(boundary)); err != nil {
-		return err
-	}
-	// Following siblings shift ordinal.
-	if _, err := db.Exec(`UPDATE accel SET ordinal = ordinal + 1 WHERE parent = ? AND ordinal >= ?`,
-		sqldb.NewInt(parentID), sqldb.NewInt(newOrdinal)); err != nil {
-		return err
-	}
-
-	// Insert the subtree rows with contiguous pre numbers at boundary.
-	s := &intervalSink{b: newBatcher(nil, db, "accel")}
-	at := walkAt{parent: parentID, level: int(pLevel), next: boundary, ordinal: newOrdinal}
-	if _, _, err := streamWalk(subtreeTokens(subtree), s, nil, at); err != nil {
-		return err
-	}
-	return s.b.flush()
+	return nil
 }
+
+// tokenTape records a token stream so it can be walked twice: after
+// TokEOF it starts over. Attrs are copied, since a Tokenizer reuses
+// them.
+type tokenTape struct {
+	toks []xmldom.Token
+	next int
+}
+
+func recordTokens(src xmldom.TokenSource) (*tokenTape, error) {
+	t := &tokenTape{}
+	for {
+		tok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		tok.Attrs = slices.Clone(tok.Attrs)
+		t.toks = append(t.toks, tok)
+		if tok.Kind == xmldom.TokEOF {
+			return t, nil
+		}
+	}
+}
+
+// Next implements xmldom.TokenSource.
+func (t *tokenTape) Next() (xmldom.Token, error) {
+	tok := t.toks[t.next]
+	t.next = (t.next + 1) % len(t.toks)
+	return tok, nil
+}
+
+// discardSink keeps nothing: a walk into it only counts.
+type discardSink struct{}
+
+func (discardSink) open(*streamFrame) error { return nil }
+func (discardSink) node(*shredNode) error   { return nil }

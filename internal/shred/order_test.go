@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestOrderAfterInserts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.InsertSubtree(db, int64(list.Pre), pos, frag.RootElement().Copy()); err != nil {
+				if err := s.Insert(context.Background(), db, int64(list.Pre), pos, frag.Tokens()); err != nil {
 					t.Fatalf("insert %d: %v", i, err)
 				}
 				list.InsertChild(frag.RootElement().Copy(), pos)

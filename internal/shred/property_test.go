@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestRepeatedInsertsKeepOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.InsertSubtree(db, listID, pos, frag.RootElement().Copy()); err != nil {
+			if err := s.Insert(context.Background(), db, listID, pos, frag.Tokens()); err != nil {
 				t.Fatalf("%s insert %d at %d: %v", s.Name(), k, pos, err)
 			}
 			list.InsertChild(frag.RootElement().Copy(), pos)

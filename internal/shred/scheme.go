@@ -1,10 +1,11 @@
 // Package shred implements the paper's XML-to-relational mapping
 // schemes. Each Scheme owns a relational layout inside a sqldb.Database:
-// it creates the tables (Setup), decomposes a document's token stream
-// into tuples (Load), compiles XPath to SQL over its layout (Translate, via
-// internal/translate), rebuilds the document from tuples (Reconstruct),
-// and supports ordered subtree insertion where the encoding allows it
-// (InsertSubtree).
+// it creates the tables (Setup), decomposes a token stream into tuples
+// under a stored parent (Insert: a document under the document node of
+// an empty database, or a fragment as an element's ordered child where
+// the encoding allows it), compiles XPath to SQL over its layout
+// (Translate, via internal/translate) and rebuilds the document from
+// tuples (Reconstruct).
 //
 // Node identity convention: a node's id is its pre-order rank in the
 // originally loaded document (attributes ranked directly after their
@@ -30,14 +31,20 @@ type Scheme interface {
 	// Setup creates the scheme's tables and indexes, and the state
 	// relation of a scheme that keeps state (state.go).
 	Setup(db *sqldb.Database) error
-	// Load shreds one document from a token stream — a Tokenizer over
-	// its text, or a parsed Document's Tokens. Schemes in this
-	// reproduction store a single document per database. Every scheme
-	// but Universal shreds the tokens as they come, in memory
-	// proportional to the document's depth plus one insert batch.
-	// Cancellation is honored at bulk-insert batch granularity, so a
-	// canceled or expired context bounds a long load at its next flush.
-	Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error
+	// Insert shreds src as the position-th child (0-based, counted
+	// among non-attribute children) of the element with id parentID.
+	// Parent 0 is the document node: inserting under it in an empty
+	// database loads a document. src yields a document or a fragment;
+	// under an element, comments and PIs outside the fragment's element
+	// are dropped. Every scheme but Universal shreds the tokens as they
+	// come, in memory proportional to the document's depth plus one
+	// insert batch; Universal builds a tree and refuses every parent but
+	// the document node, and Inline takes under an element only a
+	// fragment rooted at a shared element. A parent that is not a stored
+	// element is refused. Cancellation is honored at bulk-insert batch
+	// granularity, so a canceled or expired context bounds a long insert
+	// at its next flush.
+	Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error
 	// Translate compiles an XPath query to SQL with result columns
 	// (id, val) in document order, against the scheme state db holds.
 	// Translate and Reconstruct take the read-only Queryer surface so
@@ -46,11 +53,6 @@ type Scheme interface {
 	Translate(db sqldb.Queryer, q *xpath.Path) (string, error)
 	// Reconstruct rebuilds the stored document from tuples.
 	Reconstruct(db sqldb.Queryer) (*xmldom.Document, error)
-	// InsertSubtree inserts subtree as the position-th element child
-	// (0-based, counted among non-attribute children) of the element
-	// with the given node id. Schemes that cannot express ordered
-	// updates return an error.
-	InsertSubtree(db sqldb.Writer, parentID int64, position int, subtree *xmldom.Node) error
 }
 
 // Query parses an XPath string, translates it under the scheme, and
@@ -248,6 +250,12 @@ func assemble(scheme string, stored []storedNode) (*xmldom.Document, error) {
 	}
 	doc.Number()
 	return doc, nil
+}
+
+// errNoElement refuses an insert under a parent that is not a stored
+// element.
+func errNoElement(scheme string, id int64) error {
+	return errScheme(scheme, "no element with id %d", id)
 }
 
 // errScheme builds scheme-level errors.

@@ -136,7 +136,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		if err := s.Setup(db); err != nil {
 			t.Fatal(err)
 		}
-		return db, db.Update(func(tx *sqldb.Tx) error { return s.Load(context.Background(), tx, doc.Tokens()) })
+		return db, db.Update(func(tx *sqldb.Tx) error { return s.Insert(context.Background(), tx, 0, 0, doc.Tokens()) })
 	}
 	db, err := load(doc)
 	if err == nil || !strings.Contains(err.Error(), "relabel required") {
@@ -164,7 +164,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		if err := s.Setup(db); err != nil {
 			t.Fatal(err)
 		}
-		return s.Load(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
+		return s.Insert(context.Background(), db, 0, 0, xmldom.NewTokenizer(strings.NewReader(src)))
 	}
 	if err := streamSiblings(b.String()); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("stream-loading 100 003 siblings: got %v, want the relabel-required error", err)
@@ -189,14 +189,19 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := db.TotalRows()
-	insert := func(position int, subtree *xmldom.Node) error {
-		return db.Update(func(tx *sqldb.Tx) error { return s.InsertSubtree(tx, root.Int(), position, subtree) })
+	insert := func(position int, subtree *xmldom.Document) error {
+		return db.Update(func(tx *sqldb.Tx) error {
+			return s.Insert(context.Background(), tx, root.Int(), position, subtree.Tokens())
+		})
 	}
-	frag := &xmldom.Node{Kind: xmldom.ElementNode, Name: "new"}
+	frag, err := xmldom.ParseString(`<new/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := insert(99, frag); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("appending past 99999000: got %v, want the relabel-required error", err)
 	}
-	wide := siblings(100000).RootElement()
+	wide := siblings(100000)
 	if err := insert(0, wide); err == nil || !strings.Contains(err.Error(), "relabel required") {
 		t.Fatalf("inserting 100 000 siblings: got %v, want the relabel-required error", err)
 	}
@@ -204,7 +209,7 @@ func TestDeweyLabelOverflow(t *testing.T) {
 		t.Fatalf("refused inserts changed the row count %d -> %d", before, n)
 	}
 	// A midpoint insert before the last child still fits.
-	if err := s.InsertSubtree(db, root.Int(), 1, frag); err != nil {
+	if err := s.Insert(context.Background(), db, root.Int(), 1, frag.Tokens()); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := s.Reconstruct(db)
@@ -394,7 +399,7 @@ func TestSchemeErrorOnBadParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.InsertSubtree(db, 99999, 0, frag.RootElement().Copy()); err == nil {
+		if err := s.Insert(context.Background(), db, 99999, 0, frag.Tokens()); err == nil {
 			t.Errorf("%s: bogus parent id accepted", s.Name())
 		}
 	}

@@ -1,16 +1,17 @@
 package shred
 
 // One shredding walk: Edge, Interval, Binary, Dewey and Inline
-// decompose a document in a single pass over an xmldom.TokenSource — a
-// Tokenizer over XML text, or a parsed Document's replay — with memory
-// proportional to its depth (plus one insert batch). The same walk
-// shreds an inserted subtree, placed under its parent with fresh ids.
+// decompose a token stream in a single pass over an
+// xmldom.TokenSource — a Tokenizer over XML text, or a parsed
+// Document's replay — with memory proportional to its depth (plus one
+// insert batch). A scheme's Insert places the walk under the parent it
+// looks up (walkAt): a document walks under the document node of an
+// empty database, a fragment under an element with fresh ids.
 // Element rows are emitted when the element CLOSES, because subtree size
 // and denormalized simple content are only known then; queries order by
 // stored ranks, so the physical insertion order is never observed.
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -44,15 +45,12 @@ type streamSink interface {
 // walkAt places a walk: the node the walked tokens hang under and the
 // ranks the first of them takes.
 type walkAt struct {
-	parent  int64  // id of the node the tokens hang under
+	parent  int64  // id of the node the tokens hang under; 0 is the document node
 	level   int    // that node's level
 	path    string // that node's catalog label path
 	next    int64  // id of the first walked node
 	ordinal int64  // global ordinal of the first walked node
 }
-
-// loadAt places a whole document under the document node (id 0).
-var loadAt = walkAt{next: 1, ordinal: 1}
 
 // streamFrame is one open element (or the node the walk starts under).
 type streamFrame struct {
@@ -89,8 +87,10 @@ func joinPath(parent, seg string) string {
 // counts descendants (attributes included), Level is depth from the
 // document node, and the global ordinal numbers a node within its
 // parent's attributes-then-children sequence. Each node's label path
-// goes into catalog when one is given. It returns the number of nodes
-// walked and the deepest level reached.
+// goes into catalog when one is given. Under an element (at.parent is
+// not the document node) only the fragment's element is walked: the
+// comments and PIs around it are dropped. It returns the number of
+// nodes walked and the deepest level reached.
 func streamWalk(src xmldom.TokenSource, sink streamSink, catalog *translate.PathCatalog, at walkAt) (int64, int, error) {
 	frames := []*streamFrame{{pre: at.parent, level: at.level, children: int(at.ordinal - 1), path: at.path}}
 	nextPre := at.next
@@ -98,6 +98,9 @@ func streamWalk(src xmldom.TokenSource, sink streamSink, catalog *translate.Path
 	n := new(shredNode) // reused for every node: sinks must not keep it
 	// leaf ranks a non-element child of the innermost open element.
 	leaf := func(kind string, seg string, name, value sqldb.Value) error {
+		if len(frames) == 1 && at.parent != 0 {
+			return nil
+		}
 		top := frames[len(frames)-1]
 		top.children++
 		*n = shredNode{pre: nextPre, parent: top.pre, ordinal: int64(top.nAttrs + top.children),
@@ -178,11 +181,6 @@ func streamWalk(src xmldom.TokenSource, sink streamSink, catalog *translate.Path
 	}
 }
 
-// subtreeTokens replays one detached subtree as a token stream.
-func subtreeTokens(n *xmldom.Node) xmldom.TokenSource {
-	return (&xmldom.Document{Root: &xmldom.Node{Kind: xmldom.DocumentNode, Children: []*xmldom.Node{n}}}).Tokens()
-}
-
 // edgeSink shreds into the edge relation.
 type edgeSink struct{ b *batcher }
 
@@ -197,15 +195,6 @@ func (s *edgeSink) node(n *shredNode) error {
 		sqldb.NewInt(n.pre),
 		n.value,
 	})
-}
-
-// Load implements Scheme for the edge mapping.
-func (e *Edge) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	st, err := readState(db, "edge")
-	if err != nil {
-		return err
-	}
-	return e.shred(db, st, src, &edgeSink{b: newBatcher(ctx, db, "edge")}, loadAt)
 }
 
 // intervalSink shreds into the accel relation.
@@ -224,23 +213,6 @@ func (s *intervalSink) node(n *shredNode) error {
 		n.name,
 		n.value,
 	})
-}
-
-// Load implements Scheme for the interval mapping.
-func (iv *Interval) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &intervalSink{b: newBatcher(ctx, db, "accel")}
-	nodes, _, err := streamWalk(src, s, nil, loadAt)
-	if err != nil {
-		return err
-	}
-	// The document node's own row: pre 0, no parent, the whole document
-	// as its subtree.
-	doc := []sqldb.Value{sqldb.NewInt(0), sqldb.Null, sqldb.NewInt(nodes), sqldb.NewInt(0),
-		sqldb.NewInt(1), sqldb.NewText("doc"), sqldb.Null, sqldb.Null}
-	if err := s.b.add(doc); err != nil {
-		return err
-	}
-	return s.b.flush()
 }
 
 // binarySink shreds into the label partitions, creating each on first
@@ -282,47 +254,25 @@ func (s *binarySink) node(n *shredNode) error {
 	return s.bs.add(table, row)
 }
 
-// shred walks src into the partitions, flushes every partition's batch
-// in table-name order, and saves the partitions and label paths the
-// walk added.
-func (s *binarySink) shred(src xmldom.TokenSource, at walkAt) error {
-	if _, _, err := streamWalk(src, s, s.st.catalog, at); err != nil {
-		return err
-	}
-	if err := s.bs.flush(); err != nil {
-		return err
-	}
-	return s.st.save(s.db)
-}
-
-// Load implements Scheme for the binary mapping.
-func (bn *Binary) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	st, err := readState(db, "binary")
-	if err != nil {
-		return err
-	}
-	s := &binarySink{bn: bn, st: st, db: db, bs: newTableBatchers(ctx, db)}
-	return s.shred(src, loadAt)
-}
-
 // deweySink shreds into the dewey relation. labels stacks the open
 // elements' labels above the label of the node the walk starts under
 // ("" for the document node).
 type deweySink struct {
 	b      *batcher
 	labels []string
-	// top, when set, labels the walk's one top-level node instead of its
-	// ordinal: an inserted subtree's label between its new neighbours.
-	top string
+	// first is the component of the walk's first top-level node, placed
+	// between its new neighbours; a document's later top-level nodes
+	// (comments and PIs after its element) follow deweyGap apart.
+	first int64
 }
 
 // label numbers a node by its global ordinal under the innermost open
 // element, refusing a component that would not fit deweyWidth digits.
 func (s *deweySink) label(ordinal int64) (string, error) {
-	if s.top != "" && len(s.labels) == 1 {
-		return s.top, nil
-	}
 	comp := ordinal * deweyGap
+	if len(s.labels) == 1 {
+		comp = s.first + (ordinal-1)*deweyGap
+	}
 	if comp >= deweyLimit {
 		return "", errLabelOverflow(comp)
 	}
@@ -365,17 +315,4 @@ func (s *deweySink) node(n *shredNode) error {
 		n.name,
 		n.value,
 	})
-}
-
-// Load implements Scheme for the Dewey mapping. A label overflow is
-// refused when the walk reaches it, after the batches before it were
-// written — unless the load runs in one transaction
-// (sqldb.Database.Update, as core's loads do), which the refusal then
-// rolls back whole.
-func (d *Dewey) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
-	s := &deweySink{b: newBatcher(ctx, db, "dewey"), labels: []string{""}}
-	if _, _, err := streamWalk(src, s, nil, loadAt); err != nil {
-		return err
-	}
-	return s.b.flush()
 }

@@ -156,14 +156,14 @@ var shredInputs = []struct {
 	load func(s Scheme, db *sqldb.Database, src string) error
 }{
 	{"tokenizer", func(s Scheme, db *sqldb.Database, src string) error {
-		return s.Load(context.Background(), db, xmldom.NewTokenizer(strings.NewReader(src)))
+		return s.Insert(context.Background(), db, 0, 0, xmldom.NewTokenizer(strings.NewReader(src)))
 	}},
 	{"replay", func(s Scheme, db *sqldb.Database, src string) error {
 		doc, err := xmldom.ParseString(src)
 		if err != nil {
 			return err
 		}
-		return s.Load(context.Background(), db, doc.Tokens())
+		return s.Insert(context.Background(), db, 0, 0, doc.Tokens())
 	}},
 }
 
@@ -342,9 +342,11 @@ func TestDeweyStreamMatchesLoad(t *testing.T) {
 		for k, load := range []func(d *Dewey, db *sqldb.Database) error{
 			func(d *Dewey, db *sqldb.Database) error {
 				src := xmldom.NewTokenizer(strings.NewReader(xmldom.SerializeString(doc.Root)))
-				return d.Load(context.Background(), db, src)
+				return d.Insert(context.Background(), db, 0, 0, src)
 			},
-			func(d *Dewey, db *sqldb.Database) error { return d.Load(context.Background(), db, doc.Tokens()) },
+			func(d *Dewey, db *sqldb.Database) error {
+				return d.Insert(context.Background(), db, 0, 0, doc.Tokens())
+			},
 		} {
 			d, db := NewDewey(false), sqldb.New()
 			if err := d.Setup(db); err != nil {
@@ -393,7 +395,7 @@ func TestShredReplayOfBuiltDocument(t *testing.T) {
 	if err := s.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load(context.Background(), db, doc.Tokens()); err != nil {
+	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
 		t.Fatal(err)
 	}
 	var want strings.Builder
@@ -423,7 +425,7 @@ func TestStreamLoadQueries(t *testing.T) {
 			t.Fatalf("%s setup: %v", s.Name(), err)
 		}
 		tz := xmldom.NewTokenizer(strings.NewReader(src))
-		if err := s.Load(context.Background(), db, tz); err != nil {
+		if err := s.Insert(context.Background(), db, 0, 0, tz); err != nil {
 			t.Fatalf("%s stream load: %v", s.Name(), err)
 		}
 		for _, q := range conformanceQueries {
@@ -454,7 +456,7 @@ func TestStreamLoadCancel(t *testing.T) {
 		t.Fatalf("setup: %v", err)
 	}
 	tz := xmldom.NewTokenizer(strings.NewReader(src))
-	if err := s.Load(ctx, db, tz); err == nil {
+	if err := s.Insert(ctx, db, 0, 0, tz); err == nil {
 		t.Fatalf("expected cancellation error")
 	}
 }

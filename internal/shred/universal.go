@@ -35,7 +35,7 @@ func NewUniversal() *Universal { return &Universal{} }
 func (u *Universal) Name() string { return "universal" }
 
 // Setup implements Scheme. The universal table's columns depend on the
-// document's labels, so the table is created by Load.
+// document's labels, so the table is created by Insert.
 func (u *Universal) Setup(db *sqldb.Database) error { return createState(db, "universal") }
 
 func segmentOf(n *xmldom.Node) string {
@@ -73,10 +73,16 @@ func suffixFor(st *schemeState, order *[]string, seg string) {
 	*order = append(*order, seg)
 }
 
-// Load implements Scheme. Universal alone builds a tree from the
-// tokens: the wide table's columns are one per label, so every label
-// must be seen before the first row.
-func (u *Universal) Load(ctx context.Context, db sqldb.Writer, src xmldom.TokenSource) error {
+// Insert implements Scheme for the document node alone: ordered
+// insertion is not expressible on the universal layout (every ancestor
+// id is denormalized into every leaf row), and the F3 experiment
+// documents it as "not supported". Universal alone builds a tree from
+// the tokens: the wide table's columns are one per label, so every
+// label must be seen before the first row.
+func (u *Universal) Insert(ctx context.Context, db sqldb.Writer, parentID int64, _ int, src xmldom.TokenSource) error {
+	if parentID != 0 {
+		return errScheme("universal", "ordered insertion is not supported by the universal mapping")
+	}
 	doc, err := xmldom.Build(src)
 	if err != nil {
 		return err
@@ -263,11 +269,4 @@ func (u *Universal) Reconstruct(db sqldb.Queryer) (*xmldom.Document, error) {
 		}
 	}
 	return assemble("universal", stored)
-}
-
-// InsertSubtree implements Scheme. Ordered insertion is not expressible
-// on the universal layout (every ancestor id is denormalized into every
-// leaf row); the F3 experiment documents this as "not supported".
-func (u *Universal) InsertSubtree(sqldb.Writer, int64, int, *xmldom.Node) error {
-	return errScheme("universal", "ordered insertion is not supported by the universal mapping")
 }

@@ -612,13 +612,18 @@ func (d *DurableDB) rotateLocked(snapSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	data, err := io.ReadAll(rf)
+	// One buffer sized to the tracked length takes the whole log; kept
+	// frames are compacted into it in place, each moving only toward
+	// the front.
+	buf := bytes.NewBuffer(make([]byte, 0, d.walSize+bytes.MinRead))
+	_, err = buf.ReadFrom(rf)
 	rf.Close()
 	if err != nil {
 		return err
 	}
+	data := buf.Bytes()
 	frames, _ := scanWALFrames(data)
-	var keep []byte
+	keep := data[:0]
 	for _, f := range frames {
 		if f.maxSeq > snapSeq {
 			keep = append(keep, f.raw...)
