@@ -316,8 +316,12 @@ func (st *Store) LoadDocumentContext(ctx context.Context, doc *xmldom.Document) 
 
 // insert shreds src as the position-th child of parentID as one
 // transaction. Under the document node (id 0) that is a load, refused
-// when the store already holds a document.
+// when the store already holds a document. A negative position is
+// refused before the transaction opens.
 func (st *Store) insert(ctx context.Context, parentID int64, position int, src xmldom.TokenSource) error {
+	if position < 0 {
+		return fmt.Errorf("core: insert position %d is negative", position)
+	}
 	start := time.Now()
 	insert := func(tx *sqldb.Tx) error {
 		if parentID == 0 {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/sqldb"
+	"repro/internal/xmldom"
 	"repro/internal/xmlgen"
+	"repro/internal/xpath"
 )
 
 const smallDoc = `<bib><book year="1994"><title>TCP</title><price>65.95</price></book><book year="2000"><title>Web</title><price>39.95</price></book></bib>`
@@ -178,8 +180,8 @@ func tableDump(t *testing.T, st *Store) string {
 
 // TestInsertRefusesNonElementParent: an insert under the document node
 // of a loaded store, or under a parent that is not a stored element — an
-// attribute, a text node, a missing id — is refused on every insertable
-// scheme and leaves the tables as they were. Under Inline an
+// attribute, a text node, a missing id — or at a negative position is
+// refused on every insertable scheme and leaves the tables as they were. Under Inline an
 // attribute's or a text node's id is its host row's, an element's, so
 // only the document node and the missing id apply.
 func TestInsertRefusesNonElementParent(t *testing.T) {
@@ -198,13 +200,19 @@ func TestInsertRefusesNonElementParent(t *testing.T) {
 				t.Fatal(err)
 			}
 			type refusal struct {
-				what   string
-				parent int64
-				want   string
+				what     string
+				parent   int64
+				position int
+				want     string
+			}
+			res, err := st.Query("/a")
+			if err != nil || len(res.Matches) != 1 {
+				t.Fatalf("/a: %v, %v", res, err)
 			}
 			cases := []refusal{
-				{"document node", 0, errSecondDocument.Error()},
-				{"missing id", 99, "no element with id 99"},
+				{"document node", 0, 0, errSecondDocument.Error()},
+				{"missing id", 99, 0, "no element with id 99"},
+				{"element at position -1", res.Matches[0].ID, -1, "insert position -1 is negative"},
 			}
 			if kind != Inline {
 				for _, q := range []string{"/a/@x", "/a/text()"} {
@@ -213,12 +221,12 @@ func TestInsertRefusesNonElementParent(t *testing.T) {
 						t.Fatalf("%s: %v, %v", q, res, err)
 					}
 					id := res.Matches[0].ID
-					cases = append(cases, refusal{q, id, fmt.Sprintf("no element with id %d", id)})
+					cases = append(cases, refusal{q, id, 0, fmt.Sprintf("no element with id %d", id)})
 				}
 			}
 			before := tableDump(t, st)
 			for _, c := range cases {
-				err := st.InsertXML(c.parent, 0, []byte(`<c/>`))
+				err := st.InsertXML(c.parent, c.position, []byte(`<c/>`))
 				if err == nil || !strings.Contains(err.Error(), c.want) {
 					t.Errorf("insert under the %s (id %d): got %v, want %q", c.what, c.parent, err, c.want)
 				}
@@ -231,6 +239,60 @@ func TestInsertRefusesNonElementParent(t *testing.T) {
 				t.Errorf("store publishes %q (%v), want %q", b.String(), err, doc)
 			}
 		})
+	}
+}
+
+// TestInlineInsertPlacesSharedChild: under Inline, an inserted subtree
+// hangs at the one inner path of its parent's relation whose element
+// admits its root, in the rows and in the published document alike; a
+// root that several inner paths admit is refused and changes nothing.
+func TestInlineInsertPlacesSharedChild(t *testing.T) {
+	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 1})
+	st, err := OpenWith(Inline, Options{DTD: xmlgen.AuctionDTD, Root: "site"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LoadDocument(doc); err != nil {
+		t.Fatal(err)
+	}
+	site, err := st.Query("/site")
+	if err != nil || len(site.Matches) != 1 {
+		t.Fatalf("/site: %v, %v", site, err)
+	}
+	siteID := site.Matches[0].ID
+	before, err := st.Count("//open_auction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// open_auctions is the one spot of a site row that admits it.
+	if err := st.InsertXML(siteID, 0, []byte(`<open_auction id="inserted"><initial>1</initial></open_auction>`)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.Count("//open_auction"); err != nil || n != before+1 {
+		t.Errorf("store counts %d open auctions (%v), want %d", n, err, before+1)
+	}
+	var b strings.Builder
+	if err := st.WriteXML(&b); err != nil {
+		t.Fatal(err)
+	}
+	out, err := xmldom.ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(xpath.Eval(out, xpath.MustParse("//open_auction"))); n != before+1 {
+		t.Errorf("WriteXML holds %d open auctions, want %d", n, before+1)
+	}
+	if got := xpath.Eval(out, xpath.MustParse("/site/open_auctions/open_auction[1]/@id")); len(got) != 1 || got[0].Value != "inserted" {
+		t.Errorf("first open auction in WriteXML: %v, want the inserted one", got)
+	}
+	// item hangs under each of the six regions of a site row.
+	dump := tableDump(t, st)
+	err = st.InsertXML(siteID, 0, []byte(`<item id="x"><name>x</name></item>`))
+	if err == nil || !strings.Contains(err.Error(), "hangs at 6 places") {
+		t.Errorf("ambiguous insert: got %v, want a refusal", err)
+	}
+	if tableDump(t, st) != dump {
+		t.Error("refused ambiguous insert changed the tables")
 	}
 }
 

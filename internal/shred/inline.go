@@ -134,29 +134,32 @@ func (r *openRow) values() []sqldb.Value {
 // and must conform to the DTD. A document's rows take their elements'
 // pre-order ranks as ids; an inserted subtree's are numbered past the
 // largest stored id, and its position counts among the parent row's
-// same-name children.
+// same-name children. The subtree hangs at the one inner path of the
+// parent's relation whose element admits its root (see hangsAt).
 func (in *Inline) Insert(ctx context.Context, db sqldb.Writer, parentID int64, position int, src xmldom.TokenSource) error {
 	s := &inlineSink{in: in, db: db, bs: newTableBatchers(ctx, db)}
 	if parentID != 0 {
-		found := false
+		var host *translate.InlineRelation
 		for _, elem := range in.mapping.Order {
-			table := in.mapping.Relations[elem].Table
-			v, err := db.QueryScalar("SELECT MAX(id) FROM " + table)
+			rel := in.mapping.Relations[elem]
+			v, err := db.QueryScalar("SELECT MAX(id) FROM " + rel.Table)
 			if err != nil {
 				return err
 			}
 			s.next = max(s.next, v.Int())
-			n, err := db.QueryScalar("SELECT COUNT(*) FROM "+table+" WHERE id = ?", sqldb.NewInt(parentID))
+			n, err := db.QueryScalar("SELECT COUNT(*) FROM "+rel.Table+" WHERE id = ?", sqldb.NewInt(parentID))
 			if err != nil {
 				return err
 			}
-			found = found || n.Int() > 0
+			if n.Int() > 0 {
+				host = rel
+			}
 		}
-		if !found {
+		if host == nil {
 			return errNoElement("inline", parentID)
 		}
 		s.next++
-		s.place = &openRow{parent: sqldb.NewInt(parentID), code: sqldb.NewText(""), ord: int64(position) + 1}
+		s.place = &openRow{rel: host, parent: sqldb.NewInt(parentID), ord: int64(position) + 1}
 	}
 	if _, _, err := streamWalk(src, s, nil, walkAt{parent: parentID, next: 1, ordinal: 1}); err != nil {
 		return err
@@ -168,8 +171,9 @@ func (in *Inline) Insert(ctx context.Context, db sqldb.Writer, parentID int64, p
 // row of its own relation, an inlined one fills columns of its host's
 // row, and a row is written when its element closes. A document's rows
 // take their elements' pre-order ranks as ids; an inserted subtree's
-// are numbered from next, and its root row is placed as place says,
-// after its following same-name siblings' ordinals shift.
+// are numbered from next, and its root row is placed as place says:
+// under the row of relation place.rel with id place.parent, at ordinal
+// place.ord, after its following same-name siblings' ordinals shift.
 type inlineSink struct {
 	in     *Inline
 	db     sqldb.Writer
@@ -223,11 +227,15 @@ func (s *inlineSink) open(f *streamFrame) error {
 			host.counts[countKey]++
 			row.ord = host.counts[countKey]
 		case s.place != nil:
-			if _, err := s.db.Exec("UPDATE "+row.rel.Table+" SET ordinal = ordinal + 1 WHERE parentid = ? AND parentcode = '' AND ordinal >= ?",
-				s.place.parent, sqldb.NewInt(s.place.ord)); err != nil {
+			code, err := in.hangsAt(s.place.rel, f.name)
+			if err != nil {
 				return err
 			}
-			row.parent, row.code, row.ord = s.place.parent, s.place.code, s.place.ord
+			if _, err := s.db.Exec("UPDATE "+row.rel.Table+" SET ordinal = ordinal + 1 WHERE parentid = ? AND parentcode = ? AND ordinal >= ?",
+				s.place.parent, code, sqldb.NewInt(s.place.ord)); err != nil {
+				return err
+			}
+			row.parent, row.code, row.ord = s.place.parent, code, s.place.ord
 		}
 		fr.row, fr.counts = row, map[string]int64{}
 	case host == nil:
@@ -246,6 +254,29 @@ func (s *inlineSink) open(f *streamFrame) error {
 	}
 	s.frames = append(s.frames, fr)
 	return nil
+}
+
+// hangsAt returns the parentcode of a shared element name inserted under
+// a row of relation host: the one inner path of host whose element's
+// content model admits name, as the translator's child step reads the
+// mapping. None or several refuse the insert.
+func (in *Inline) hangsAt(host *translate.InlineRelation, name string) (sqldb.Value, error) {
+	var codes []string
+	for elem, spots := range in.mapping.Placements {
+		model := in.mapping.Graph.Models[elem]
+		if model == nil || !slices.ContainsFunc(model.Children, func(c dtd.ChildRef) bool { return c.Name == name }) {
+			continue
+		}
+		for _, p := range spots {
+			if p.Rel == host {
+				codes = append(codes, strings.Join(p.Path, "."))
+			}
+		}
+	}
+	if len(codes) != 1 {
+		return sqldb.Null, errScheme("inline", "<%s> hangs at %d places of a <%s> row; an insert needs exactly one", name, len(codes), host.Elem)
+	}
+	return sqldb.NewText(codes[0]), nil
 }
 
 func (s *inlineSink) node(n *shredNode) error {

@@ -118,7 +118,7 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 		for _, pe := range predsAt[k] {
 			// A partition holds one label, so the step's node test is
 			// implied (wildcards with positions are refused above).
-			c, err := compilePred(binaryLayout{opt, tables[k]}, pe, aliases[k], xpath.NodeTest{})
+			c, err := compilePred(binaryLayout{opt: opt, table: tables[k]}, pe, aliases[k], xpath.NodeTest{})
 			if err != nil {
 				return "", err
 			}
@@ -136,16 +136,17 @@ func binaryChainSQL(steps []xpath.Step, m CatalogMatch, opt BinaryOptions) (stri
 // binaryLayout is the partitioned layout as the predicate compiler sees
 // it, anchored at a context node in partition table.
 type binaryLayout struct {
+	nodeValue
 	opt   BinaryOptions
 	table string
 }
 
 func (binaryLayout) scheme() string { return "binary" }
 
-// siblingsBefore counts within the context's partition: its same-label
+// position counts within the context's partition: its same-label
 // siblings.
-func (l binaryLayout) siblingsBefore(cur string, _ xpath.NodeTest) string {
-	return fmt.Sprintf("(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.ordinal < %s.ordinal)",
+func (l binaryLayout) position(cur string, _ xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM %s s WHERE s.source = %s.source AND s.ordinal < %s.ordinal) + 1",
 		l.table, cur, cur)
 }
 
@@ -177,7 +178,7 @@ func (l binaryLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
 		}
 		if !ok {
 			// The label never occurred: the path selects nothing.
-			return predPath{q: "SELECT 1 WHERE 1 = 0", val: "NULL", order: "1"}, nil
+			return nonePath, nil
 		}
 		a := fmt.Sprintf("%sp%d", cur, i+1)
 		from = append(from, tbl+" "+a)

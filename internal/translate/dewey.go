@@ -18,7 +18,7 @@ func Dewey(p *xpath.Path) (string, error) {
 	return regionPath(p, deweyLayout{})
 }
 
-type deweyLayout struct{}
+type deweyLayout struct{ nodeValue }
 
 func (deweyLayout) scheme() string                     { return "dewey" }
 func (deweyLayout) table() (name, alias, order string) { return "dewey", "d", "path" }
@@ -69,7 +69,7 @@ func deweyPrefix(a, anc string) []string {
 	}
 }
 
-func (deweyLayout) siblingsBefore(cur string, test xpath.NodeTest) string {
-	return fmt.Sprintf("(SELECT COUNT(*) FROM dewey s WHERE s.parent = %s.parent AND %s AND s.path < %s.path)",
+func (deweyLayout) position(cur string, test xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM dewey s WHERE s.parent = %s.parent AND %s AND s.path < %s.path) + 1",
 		cur, siblingTest(test, cur), cur)
 }

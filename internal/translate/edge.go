@@ -235,12 +235,12 @@ func edgeChainSQL(hops []edgeHop) (string, error) {
 // edgeLayout is the Edge table as the predicate compiler sees it: a
 // context alias is the edge into the context node, whose id is
 // cur.target.
-type edgeLayout struct{}
+type edgeLayout struct{ nodeValue }
 
 func (edgeLayout) scheme() string { return "edge" }
 
-func (edgeLayout) siblingsBefore(cur string, test xpath.NodeTest) string {
-	return fmt.Sprintf("(SELECT COUNT(*) FROM edge s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal)",
+func (edgeLayout) position(cur string, test xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM edge s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal) + 1",
 		cur, siblingTest(test, cur), cur)
 }
 

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dtd"
@@ -211,17 +212,25 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 
 	type route struct {
 		pos   inlinePos
-		conds []routeCond
+		conds []string
 		// textOf, when true, selects the current column's text (a
 		// trailing text() step).
 		textOf bool
 		attr   string // trailing attribute step
 	}
-	routes := []route{}
+	var routes, next []route
+	// to adds route r moved by step s to pos, with s's predicates.
+	to := func(r route, pos inlinePos, s xpath.Step) error {
+		conds, err := inlineConds(m, pos, s)
+		if err != nil {
+			return err
+		}
+		next = append(next, route{pos: pos, conds: slices.Concat(r.conds, conds)})
+		return nil
+	}
 
 	// First step.
 	first := p.Steps[0]
-	rest := p.Steps
 	switch first.Axis {
 	case xpath.AxisChild:
 		if first.Test.Kind == xpath.TestWildcard {
@@ -235,30 +244,25 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 		if !ok || first.Test.Name != m.Graph.DTD.Root {
 			return "", unsupported("inline", "a root element not matching the DTD root")
 		}
-		routes = append(routes, route{pos: inlinePos{joins: []inlineJoin{{rel: rel}}, elem: rel.Elem}})
-		if err := applyInlinePreds(m, &routes[0].conds, routes[0].pos, first.Preds); err != nil {
+		if err := to(route{}, inlinePos{joins: []inlineJoin{{rel: rel}}, elem: rel.Elem}, first); err != nil {
 			return "", err
 		}
-		rest = p.Steps[1:]
 	case xpath.AxisDescendant:
 		if first.Test.Kind != xpath.TestName {
 			return "", unsupported("inline", "// with a non-name test at the document root")
 		}
 		for _, pl := range m.Placements[first.Test.Name] {
 			pos := inlinePos{joins: []inlineJoin{{rel: pl.Rel}}, path: pl.Path, elem: first.Test.Name, free: true}
-			r := route{pos: pos}
-			if err := applyInlinePreds(m, &r.conds, pos, first.Preds); err != nil {
+			if err := to(route{}, pos, first); err != nil {
 				return "", err
 			}
-			routes = append(routes, r)
 		}
-		rest = p.Steps[1:]
 	default:
 		return "", unsupported("inline", "axis "+first.Axis.String()+" at the document root")
 	}
+	routes, next = next, nil
 
-	for _, s := range rest {
-		var next []route
+	for _, s := range p.Steps[1:] {
 		for _, r := range routes {
 			if r.textOf || r.attr != "" {
 				return "", unsupported("inline", "steps after a value step")
@@ -267,16 +271,10 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 			case xpath.AxisChild:
 				switch s.Test.Kind {
 				case xpath.TestName:
-					nps, err := inlineChildPositions(m, r.pos, s.Test.Name)
-					if err != nil {
-						return "", err
-					}
-					for _, np := range nps {
-						nr := route{pos: np, conds: append([]routeCond{}, r.conds...)}
-						if err := applyInlinePreds(m, &nr.conds, np, s.Preds); err != nil {
+					if np, ok := inlineChild(m, r.pos, s.Test.Name); ok {
+						if err := to(r, np, s); err != nil {
 							return "", err
 						}
-						next = append(next, nr)
 					}
 				case xpath.TestText:
 					nr := r
@@ -311,11 +309,9 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 					return "", err
 				}
 				for _, np := range nps {
-					nr := route{pos: np, conds: append([]routeCond{}, r.conds...)}
-					if err := applyInlinePreds(m, &nr.conds, np, s.Preds); err != nil {
+					if err := to(r, np, s); err != nil {
 						return "", err
 					}
-					next = append(next, nr)
 				}
 			default:
 				return "", unsupported("inline", "axis "+s.Axis.String())
@@ -324,7 +320,7 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 				return "", fmt.Errorf("translate: inline route expansion exceeds 128 branches")
 			}
 		}
-		routes = next
+		routes, next = next, nil
 	}
 
 	if len(routes) == 0 {
@@ -345,37 +341,24 @@ func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
 	return "SELECT DISTINCT id, val FROM (" + strings.Join(parts, " UNION ALL ") + ") u ORDER BY id", nil
 }
 
-// inlineChildPositions steps from pos to the named child element.
-func inlineChildPositions(m *InlineMapping, pos inlinePos, name string) ([]inlinePos, error) {
+// inlineChild is the child step, of location and predicate paths alike:
+// from pos to its child element name, a shared child joins its own
+// relation, hanging at pos's inner path (its parentcode), and an
+// inlined one moves down pos's row. ok is false when the DTD allows no
+// such child.
+func inlineChild(m *InlineMapping, pos inlinePos, name string) (inlinePos, bool) {
 	model := m.Graph.Models[pos.elem]
-	if model == nil {
-		return nil, nil
-	}
-	found := false
-	for _, ch := range model.Children {
-		if ch.Name == name {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, nil
+	if model == nil || !slices.ContainsFunc(model.Children, func(c dtd.ChildRef) bool { return c.Name == name }) {
+		return inlinePos{}, false
 	}
 	if _, declared := m.Graph.DTD.Elements[name]; !declared {
-		return nil, nil
+		return inlinePos{}, false
 	}
 	if m.Shared[name] {
-		child := inlineJoin{rel: m.Relations[name], parentCode: strings.Join(pos.path, ".")}
-		joins := append(append([]inlineJoin{}, pos.joins...), child)
-		return []inlinePos{{joins: joins, elem: name, free: pos.free}}, nil
+		joins := append(slices.Clip(pos.joins), inlineJoin{rel: m.Relations[name], parentCode: strings.Join(pos.path, ".")})
+		return inlinePos{joins: joins, elem: name, free: pos.free}, true
 	}
-	np := inlinePos{
-		joins: pos.joins,
-		path:  append(append([]string{}, pos.path...), name),
-		elem:  name,
-		free:  pos.free,
-	}
-	return []inlinePos{np}, nil
+	return inlinePos{joins: pos.joins, path: append(slices.Clip(pos.path), name), elem: name, free: pos.free}, true
 }
 
 // inlineDescendantPositions computes the positions reachable from pos by
@@ -393,28 +376,12 @@ func inlineDescendantPositions(m *InlineMapping, pos inlinePos, name string) ([]
 			return nil
 		}
 		for _, ch := range model.Children {
-			if _, declared := m.Graph.DTD.Elements[ch.Name]; !declared {
+			np, ok := inlineChild(m, p, ch.Name)
+			if !ok {
 				continue
 			}
-			var np inlinePos
-			if m.Shared[ch.Name] {
-				for _, j := range p.joins {
-					if j.rel.Elem == ch.Name {
-						return unsupported("inline", "descendant steps through recursive elements below the root (needs recursive SQL)")
-					}
-				}
-				np = inlinePos{
-					joins: append(append([]inlineJoin{}, p.joins...), inlineJoin{rel: m.Relations[ch.Name], parentCode: strings.Join(p.path, ".")}),
-					elem:  ch.Name,
-					free:  p.free,
-				}
-			} else {
-				np = inlinePos{
-					joins: p.joins,
-					path:  append(append([]string{}, p.path...), ch.Name),
-					elem:  ch.Name,
-					free:  p.free,
-				}
+			if len(np.joins) > len(p.joins) && slices.ContainsFunc(p.joins, func(j inlineJoin) bool { return j.rel.Elem == ch.Name }) {
+				return unsupported("inline", "descendant steps through recursive elements below the root (needs recursive SQL)")
 			}
 			k := np.key()
 			if visited[k] {
@@ -436,287 +403,113 @@ func inlineDescendantPositions(m *InlineMapping, pos inlinePos, name string) ([]
 	return out, nil
 }
 
-// routeCond is one SQL condition anchored at a join index.
-type routeCond struct {
-	joinIdx int
-	// cond receives the alias of joins[joinIdx] and returns SQL.
-	cond func(alias string) string
-}
-
-// applyInlinePreds translates a step's predicates at pos.
-func applyInlinePreds(m *InlineMapping, conds *[]routeCond, pos inlinePos, preds []xpath.Expr) error {
-	for _, pe := range preds {
-		c, err := inlinePred(m, pos, pe)
+// inlineConds compiles step s's predicates at pos, whose last relation
+// a route aliases i<k>, k the length of pos's join chain: the chain only
+// grows by appending, so the alias holds for the route's final SQL.
+func inlineConds(m *InlineMapping, pos inlinePos, s xpath.Step) ([]string, error) {
+	l := inlineLayout{m: m, pos: pos}
+	cur := fmt.Sprintf("i%d", len(pos.joins))
+	conds := make([]string, len(s.Preds))
+	for i, pe := range s.Preds {
+		c, err := compilePred(l, pe, cur, s.Test)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		*conds = append(*conds, c)
+		conds[i] = c
 	}
-	return nil
+	return conds, nil
 }
 
-func inlinePred(m *InlineMapping, pos inlinePos, e xpath.Expr) (routeCond, error) {
-	idx := len(pos.joins) - 1
-	switch e := e.(type) {
-	case *xpath.BinaryExpr:
-		switch e.Op {
-		case "and", "or":
-			l, err := inlinePred(m, pos, e.L)
-			if err != nil {
-				return routeCond{}, err
-			}
-			r, err := inlinePred(m, pos, e.R)
-			if err != nil {
-				return routeCond{}, err
-			}
-			op := strings.ToUpper(e.Op)
-			if l.joinIdx != r.joinIdx {
-				return routeCond{}, unsupported("inline", "mixed-anchor boolean predicates")
-			}
-			return routeCond{joinIdx: l.joinIdx, cond: func(a string) string {
-				return "(" + l.cond(a) + " " + op + " " + r.cond(a) + ")"
-			}}, nil
-		default:
-			return inlineComparison(m, pos, e)
-		}
-	case *xpath.NumberLit:
-		n := numLiteral(e.Val)
-		if len(pos.path) == 0 {
-			// Position among same-name siblings of a shared element.
-			return routeCond{joinIdx: idx, cond: func(a string) string {
-				return a + ".ordinal = " + n
-			}}, nil
-		}
-		// Inlined elements occur at most once.
-		return routeCond{joinIdx: idx, cond: func(a string) string {
-			if n == "1" {
-				return "1 = 1"
-			}
-			return "1 = 0"
-		}}, nil
-	case *xpath.PathOperand:
-		return inlineValueCond(m, pos, e.Path, false, func(col string) string {
-			return col + " IS NOT NULL"
-		})
-	case *xpath.FuncCall:
-		switch e.Name {
-		case "not":
-			if len(e.Args) != 1 {
-				return routeCond{}, unsupported("inline", "not() arity")
-			}
-			inner, err := inlinePred(m, pos, e.Args[0])
-			if err != nil {
-				return routeCond{}, err
-			}
-			return routeCond{joinIdx: inner.joinIdx, cond: func(a string) string {
-				return "NOT (" + inner.cond(a) + ")"
-			}}, nil
-		case "true":
-			return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 1" }}, nil
-		case "false":
-			return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}, nil
-		case "contains", "starts-with":
-			if len(e.Args) != 2 {
-				return routeCond{}, unsupported("inline", e.Name+"() arity")
-			}
-			lit, ok := e.Args[1].(*xpath.StringLit)
-			if !ok {
-				return routeCond{}, unsupported("inline", e.Name+"() with a non-literal pattern")
-			}
-			pattern := likePattern(e.Name, lit.Val)
-			po, ok := e.Args[0].(*xpath.PathOperand)
-			if !ok {
-				return routeCond{}, unsupported("inline", "non-path operand in string function")
-			}
-			if len(po.Path.Steps) == 1 && po.Path.Steps[0].Axis == xpath.AxisSelf {
-				key := ColumnKey(pos.path, "")
-				if _, ok := pos.rel().ByKey[key]; !ok {
-					return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}, nil
-				}
-				return routeCond{joinIdx: idx, cond: func(a string) string {
-					return fmt.Sprintf("%s.%s LIKE %s ESCAPE '\\'", a, QuoteIdent(key), QuoteString(pattern))
-				}}, nil
-			}
-			return inlineValueCond(m, pos, po.Path, true, func(col string) string {
-				return fmt.Sprintf("%s LIKE %s ESCAPE '\\'", col, QuoteString(pattern))
-			})
-		}
-		return routeCond{}, unsupported("inline", e.Name+"() in a predicate")
-	}
-	return routeCond{}, unsupported("inline", fmt.Sprintf("predicate %T", e))
+// inlineLayout is one position of the inlined schema as the predicate
+// compiler sees it: the context alias is a row of the position's last
+// relation, and the context node sits at the position's inner path.
+type inlineLayout struct {
+	m   *InlineMapping
+	pos inlinePos
 }
 
-func inlineComparison(m *InlineMapping, pos inlinePos, e *xpath.BinaryExpr) (routeCond, error) {
-	l, r, op := e.L, e.R, e.Op
-	if isLiteral(l) && !isLiteral(r) {
-		l, r = r, l
-		op = flipXPathOp(op)
+func (inlineLayout) scheme() string { return "inline" }
+
+// position is a shared element's ordinal among its same-name siblings;
+// an inlined element occurs at most once.
+func (l inlineLayout) position(cur string, _ xpath.NodeTest) string {
+	if len(l.pos.path) == 0 {
+		return cur + ".ordinal"
 	}
-	lit, err := literalSQL(r)
-	if err != nil {
-		return routeCond{}, err
-	}
-	if op == "!=" {
-		op = "<>"
-	}
-	idx := len(pos.joins) - 1
-	switch lx := l.(type) {
-	case *xpath.FuncCall:
-		if lx.Name == "position" {
-			if len(pos.path) == 0 {
-				sqlOp := op
-				return routeCond{joinIdx: idx, cond: func(a string) string {
-					return a + ".ordinal " + sqlOp + " " + lit
-				}}, nil
-			}
-			// Inlined elements always occupy position 1; emit the
-			// constant comparison and let the engine fold it.
-			return routeCond{joinIdx: idx, cond: func(string) string {
-				return "1 " + op + " " + lit
-			}}, nil
-		}
-		return routeCond{}, unsupported("inline", lx.Name+"() comparison")
-	case *xpath.PathOperand:
-		if len(lx.Path.Steps) == 1 && lx.Path.Steps[0].Axis == xpath.AxisSelf {
-			key := ColumnKey(pos.path, "")
-			if _, ok := pos.rel().ByKey[key]; !ok {
-				return routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}, nil
-			}
-			sqlOp := op
-			return routeCond{joinIdx: idx, cond: func(a string) string {
-				return a + "." + QuoteIdent(key) + " " + sqlOp + " " + lit
-			}}, nil
-		}
-		return inlineValueCond(m, pos, lx.Path, false, func(col string) string {
-			return col + " " + op + " " + lit
-		})
-	}
-	return routeCond{}, unsupported("inline", fmt.Sprintf("comparison of %T", l))
+	return "1"
 }
 
-// inlineValueCond resolves a relative predicate path to a condition over
-// either a column of the anchor relation or an EXISTS over child
-// relations. With first set, mk gets instead the path's string value as
-// a string function reads it: the value of its first node in document
-// order, or the empty string when it selects none.
-func inlineValueCond(m *InlineMapping, pos inlinePos, p *xpath.Path, first bool, mk func(col string) string) (routeCond, error) {
+// value is the context element's text column.
+func (l inlineLayout) value(cur string) string {
+	return inlineColumn(l.pos.rel(), cur, ColumnKey(l.pos.path, ""))
+}
+
+// predPath walks p's steps with the location path's child step, joining
+// the relation of each shared element it crosses on parentid and
+// parentcode. It ends at that relation's row or at one of its columns:
+// an inlined element's, an attribute's or text()'s. A path that never
+// leaves the context row is a column of that row, with no subquery.
+func (l inlineLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
 	if p.Absolute {
-		return routeCond{}, unsupported("inline", "absolute paths inside predicates")
+		return predPath{}, unsupported("inline", "absolute paths inside predicates")
 	}
-	idx := len(pos.joins) - 1
-	none := routeCond{joinIdx: idx, cond: func(string) string { return "1 = 0" }}
-	if first {
-		none.cond = func(string) string { return mk("''") }
-	}
-	cur := pos
-	// Chain of shared crossings: each adds one EXISTS level. code is
-	// the parentCODE the crossing must match.
-	type crossing struct {
-		rel  *InlineRelation
-		code string
-	}
-	var crossings []crossing
-	attr := ""
+	pos := inlinePos{joins: []inlineJoin{{rel: l.pos.rel()}}, path: l.pos.path, elem: l.pos.elem}
+	attr, atRow := "", true
 	for i, s := range p.Steps {
 		if len(s.Preds) > 0 {
-			return routeCond{}, unsupported("inline", "nested predicates")
+			return predPath{}, unsupported("inline", "nested predicates")
 		}
+		last := i == len(p.Steps)-1
 		switch {
 		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
-			model := m.Graph.Models[cur.elem]
-			ok := false
-			if model != nil {
-				for _, ch := range model.Children {
-					if ch.Name == s.Test.Name {
-						ok = true
-						break
-					}
-				}
-			}
+			np, ok := inlineChild(l.m, pos, s.Test.Name)
 			if !ok {
-				return none, nil
+				return nonePath, nil
 			}
-			if m.Shared[s.Test.Name] {
-				crossings = append(crossings, crossing{rel: m.Relations[s.Test.Name], code: strings.Join(cur.path, ".")})
-				cur = inlinePos{joins: []inlineJoin{{rel: m.Relations[s.Test.Name]}}, elem: s.Test.Name}
-			} else {
-				cur = inlinePos{joins: cur.joins, path: append(append([]string{}, cur.path...), s.Test.Name), elem: s.Test.Name}
-			}
-		case s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
-			if i != len(p.Steps)-1 {
-				return routeCond{}, unsupported("inline", "attribute mid-path")
-			}
-			attr = s.Test.Name
-		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
-			if i != len(p.Steps)-1 {
-				return routeCond{}, unsupported("inline", "text() mid-path")
-			}
-			// text() resolves to the element's own text column.
+			pos, atRow = np, len(np.path) == 0
+		case last && s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
+			attr, atRow = s.Test.Name, false
+		case last && s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
+			atRow = false // the element's own text column
 		default:
-			return routeCond{}, unsupported("inline", "predicate step "+s.Axis.String())
+			return predPath{}, unsupported("inline", "predicate step "+s.Axis.String())
 		}
 	}
-
-	key := ColumnKey(cur.path, attr)
-	lastRel := pos.rel()
-	if len(crossings) > 0 {
-		lastRel = crossings[len(crossings)-1].rel
+	var from, where, order []string
+	row := cur
+	for k, j := range pos.joins[1:] {
+		a := fmt.Sprintf("%s_x%d", cur, k+1)
+		from = append(from, j.rel.Table+" "+a)
+		where = append(where, a+".parentid = "+row+".id", a+".parentcode = "+QuoteString(j.parentCode))
+		order = append(order, a+".ordinal")
+		row = a
 	}
-	if _, ok := lastRel.ByKey[key]; !ok {
-		return none, nil
+	val := inlineColumn(pos.rel(), row, ColumnKey(pos.path, attr))
+	switch {
+	case atRow: // the last crossed row is the node
+	case val == "NULL":
+		return nonePath, nil
+	case len(from) == 0:
+		return predPath{val: val}, nil
+	default:
+		where = append(where, val+" IS NOT NULL")
 	}
-
-	if len(crossings) == 0 {
-		return routeCond{joinIdx: idx, cond: func(a string) string {
-			if first {
-				return mk("COALESCE(" + a + "." + QuoteIdent(key) + ", '')")
-			}
-			return mk(a + "." + QuoteIdent(key))
-		}}, nil
-	}
-	if first {
-		// The first node: join the crossing chain and order it by each
-		// relation's sibling ordinal, outermost first.
-		return routeCond{joinIdx: idx, cond: func(a string) string {
-			var from, where, order []string
-			parentAlias := a
-			for ci, cr := range crossings {
-				sub := fmt.Sprintf("%s_x%d", a, ci+1)
-				from = append(from, cr.rel.Table+" "+sub)
-				where = append(where, sub+".parentid = "+parentAlias+".id", sub+".parentcode = "+QuoteString(cr.code))
-				order = append(order, sub+".ordinal")
-				parentAlias = sub
-			}
-			col := parentAlias + "." + QuoteIdent(key)
-			return mk("COALESCE((SELECT " + col + " FROM " + strings.Join(from, ", ") +
-				" WHERE " + strings.Join(where, " AND ") + " AND " + col + " IS NOT NULL ORDER BY " +
-				strings.Join(order, ", ") + " LIMIT 1), '')")
-		}}, nil
-	}
-	// Build nested EXISTS over the crossing chain.
-	return routeCond{joinIdx: idx, cond: func(a string) string {
-		var b strings.Builder
-		parentAlias := a
-		closers := 0
-		for ci, cr := range crossings {
-			sub := fmt.Sprintf("%s_x%d", a, ci+1)
-			b.WriteString("EXISTS (SELECT 1 FROM " + cr.rel.Table + " " + sub +
-				" WHERE " + sub + ".parentid = " + parentAlias + ".id AND " +
-				sub + ".parentcode = " + QuoteString(cr.code) + " AND ")
-			parentAlias = sub
-			closers++
-		}
-		b.WriteString(mk(parentAlias + "." + QuoteIdent(key)))
-		for i := 0; i < closers; i++ {
-			b.WriteString(")")
-		}
-		return b.String()
-	}}, nil
+	q := "SELECT 1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+	return predPath{q: q, val: val, order: strings.Join(order, ", ")}, nil
 }
 
-// inlineRouteSQL renders one route: the relation join chain plus
-// anchored conditions, selecting the host row id and the value column.
-func inlineRouteSQL(pos inlinePos, conds []routeCond, textOf bool, attr string) string {
+// inlineColumn renders column key of rel on alias a, or NULL when rel
+// has no such column.
+func inlineColumn(rel *InlineRelation, a, key string) string {
+	if _, ok := rel.ByKey[key]; !ok {
+		return "NULL"
+	}
+	return a + "." + QuoteIdent(key)
+}
+
+// inlineRouteSQL renders one route: the relation join chain plus its
+// predicates, selecting the host row id and the value column.
+func inlineRouteSQL(pos inlinePos, conds []string, textOf bool, attr string) string {
 	aliases := make([]string, len(pos.joins))
 	var from []string
 	var where []string
@@ -741,9 +534,7 @@ func inlineRouteSQL(pos inlinePos, conds []routeCond, textOf bool, attr string) 
 			where = append(where, "1 = 0")
 		}
 	}
-	for _, c := range conds {
-		where = append(where, c.cond(aliases[c.joinIdx]))
-	}
+	where = append(where, conds...)
 
 	valExpr := "NULL"
 	key := ColumnKey(pos.path, attr)

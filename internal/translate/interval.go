@@ -23,7 +23,10 @@ func Interval(p *xpath.Path, opt IntervalOptions) (string, error) {
 	return regionPath(p, intervalLayout{childViaRegion: opt.ChildViaRegion})
 }
 
-type intervalLayout struct{ childViaRegion bool }
+type intervalLayout struct {
+	nodeValue
+	childViaRegion bool
+}
 
 func (intervalLayout) scheme() string                     { return "interval" }
 func (intervalLayout) table() (name, alias, order string) { return "accel", "a", "pre" }
@@ -67,8 +70,8 @@ func intervalRegion(a, cur string) []string {
 	}
 }
 
-func (intervalLayout) siblingsBefore(cur string, test xpath.NodeTest) string {
-	return fmt.Sprintf("(SELECT COUNT(*) FROM accel s WHERE s.parent = %s.parent AND %s AND s.ordinal < %s.ordinal)",
+func (intervalLayout) position(cur string, test xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM accel s WHERE s.parent = %s.parent AND %s AND s.ordinal < %s.ordinal) + 1",
 		cur, siblingTest(test, cur), cur)
 }
 

@@ -10,10 +10,11 @@ import (
 // A predicate means the same under every mapping: a comparison, an
 // existence test, count(), a position, not() or contains() differ only
 // in how a scheme reaches the nodes they read. compilePred renders each
-// form once for Edge, Binary, Interval and Dewey; a scheme supplies the
-// layout below, what its encoding decides. Universal and Inline keep
-// their own predicate code: their predicates add self-joins or route
-// through the DTD mapping.
+// form once for Edge, Binary, Interval, Dewey and Inline; a scheme
+// supplies the layout below, what its encoding decides. Universal keeps
+// its own predicate code: its table has no index, so a correlated
+// EXISTS would scan the whole table once per outer row, where its
+// self-join plans as one hash join.
 
 // layout is one scheme's encoding as the predicate compiler sees it.
 type layout interface {
@@ -22,25 +23,71 @@ type layout interface {
 	// predPath compiles a relative predicate path from the context
 	// alias cur.
 	predPath(p *xpath.Path, cur string) (predPath, error)
-	// siblingsBefore renders a subquery counting the context node's
-	// preceding siblings that the step's node test admits (see
-	// siblingTest); the node's position is one more.
-	siblingsBefore(cur string, test xpath.NodeTest) string
+	// position renders the context node's position among its siblings
+	// that the step's node test admits (see siblingTest).
+	position(cur string, test xpath.NodeTest) string
+	// value renders the context node's own value, ".".
+	value(cur string) string
 }
 
 // predPath is a relative predicate path compiled by a layout.
 type predPath struct {
-	// q is the EXISTS body, "SELECT 1 FROM … WHERE …".
+	// q is the EXISTS body, "SELECT 1 FROM … WHERE …", or "" when the
+	// path never leaves the context row: val is then the column of the
+	// row that holds the path's node, NULL where it is absent.
 	q string
 	// val is the value column of the path's final step, and order the
-	// column that ranks its nodes in document order (the one the
+	// columns that rank its nodes in document order (the ones the
 	// scheme's result ORDER BY uses).
 	val, order string
 }
 
+// nodeValue is the value hook of the node tables, whose rows hold a
+// node's value in their value column.
+type nodeValue struct{}
+
+func (nodeValue) value(cur string) string { return cur + ".value" }
+
+// nonePath is a path that selects nothing.
+var nonePath = predPath{q: "SELECT 1 WHERE 1 = 0", val: "NULL", order: "1"}
+
 // selecting renders the path's subquery selecting cols instead of 1.
 func (pp predPath) selecting(cols string) string {
 	return "SELECT " + cols + strings.TrimPrefix(pp.q, "SELECT 1")
+}
+
+// where renders the existence of a node on the path whose value
+// satisfies c, a condition on pp.val.
+func (pp predPath) where(c string) string {
+	if pp.q == "" {
+		return c
+	}
+	return "EXISTS (" + pp.q + " AND " + c + ")"
+}
+
+// exists renders the existence of a node on the path.
+func (pp predPath) exists() string {
+	if pp.q == "" {
+		return pp.val + " IS NOT NULL"
+	}
+	return "EXISTS (" + pp.q + ")"
+}
+
+// count renders the number of nodes on the path.
+func (pp predPath) count() string {
+	if pp.q == "" {
+		return "(CASE WHEN " + pp.val + " IS NULL THEN 0 ELSE 1 END)"
+	}
+	return "(" + pp.selecting("COUNT(*)") + ")"
+}
+
+// first renders the string value of the path's first node in document
+// order, or the empty string when it selects none.
+func (pp predPath) first() string {
+	if pp.q == "" {
+		return "COALESCE(" + pp.val + ", '')"
+	}
+	return "COALESCE((" + pp.selecting(pp.val) + " ORDER BY " + pp.order + " LIMIT 1), '')"
 }
 
 // compilePred renders predicate e of a step whose node test is test, on
@@ -62,13 +109,13 @@ func compilePred(l layout, e xpath.Expr, cur string, test xpath.NodeTest) (strin
 		return "(" + lc + " " + strings.ToUpper(e.Op) + " " + rc + ")", nil
 	case *xpath.NumberLit:
 		// [N] abbreviates [position() = N].
-		return l.siblingsBefore(cur, test) + " + 1 = " + numLiteral(e.Val), nil
+		return l.position(cur, test) + " = " + numLiteral(e.Val), nil
 	case *xpath.PathOperand:
 		pp, err := l.predPath(e.Path, cur)
 		if err != nil {
 			return "", err
 		}
-		return "EXISTS (" + pp.q + ")", nil
+		return pp.exists(), nil
 	case *xpath.FuncCall:
 		switch e.Name {
 		case "not":
@@ -122,7 +169,7 @@ func compileComparison(l layout, e *xpath.BinaryExpr, cur string, test xpath.Nod
 	case *xpath.FuncCall:
 		switch x.Name {
 		case "position":
-			return l.siblingsBefore(cur, test) + " + 1" + cmp, nil
+			return l.position(cur, test) + cmp, nil
 		case "count":
 			if len(x.Args) != 1 {
 				return "", unsupported(l.scheme(), "count() arity")
@@ -135,11 +182,11 @@ func compileComparison(l layout, e *xpath.BinaryExpr, cur string, test xpath.Nod
 			if err != nil {
 				return "", err
 			}
-			return "(" + pp.selecting("COUNT(*)") + ")" + cmp, nil
+			return pp.count() + cmp, nil
 		case "string-length":
 			switch len(x.Args) {
 			case 0:
-				return "LENGTH(" + cur + ".value)" + cmp, nil
+				return "LENGTH(" + l.value(cur) + ")" + cmp, nil
 			case 1:
 				s, err := stringValue(l, x.Args[0], cur)
 				if err != nil {
@@ -152,13 +199,13 @@ func compileComparison(l layout, e *xpath.BinaryExpr, cur string, test xpath.Nod
 		return "", unsupported(l.scheme(), x.Name+"() comparison")
 	case *xpath.PathOperand:
 		if isDot(x.Path) {
-			return cur + ".value" + cmp, nil
+			return l.value(cur) + cmp, nil
 		}
 		pp, err := l.predPath(x.Path, cur)
 		if err != nil {
 			return "", err
 		}
-		return "EXISTS (" + pp.q + " AND " + pp.val + cmp + ")", nil
+		return pp.where(pp.val + cmp), nil
 	}
 	return "", unsupported(l.scheme(), fmt.Sprintf("comparison of %T", lhs))
 }
@@ -173,13 +220,13 @@ func stringValue(l layout, arg xpath.Expr, cur string) (string, error) {
 		return "", unsupported(l.scheme(), "non-path operand in string function")
 	}
 	if isDot(po.Path) {
-		return cur + ".value", nil
+		return l.value(cur), nil
 	}
 	pp, err := l.predPath(po.Path, cur)
 	if err != nil {
 		return "", err
 	}
-	return "COALESCE((" + pp.selecting(pp.val) + " ORDER BY " + pp.order + " LIMIT 1), '')", nil
+	return pp.first(), nil
 }
 
 // isDot reports whether p is ".", the context node itself.
@@ -212,7 +259,7 @@ func testCond(a string, t xpath.NodeTest, attr bool) string {
 	return ""
 }
 
-// Literal operands of comparisons, shared with Universal and Inline.
+// Literal operands of comparisons, shared with Universal.
 
 func isLiteral(e xpath.Expr) bool {
 	switch e.(type) {

@@ -243,9 +243,10 @@ func keysOf(r *InlineRelation) []string {
 func TestInlineTranslationShape(t *testing.T) {
 	d, err := dtd.Parse(`
 <!ELEMENT root (entry*)>
-<!ELEMENT entry (title, tag*)>
+<!ELEMENT entry (title, note?, tag*)>
 <!ATTLIST entry id ID #REQUIRED>
 <!ELEMENT title (#PCDATA)>
+<!ELEMENT note (#PCDATA)>
 <!ELEMENT tag (#PCDATA)>
 `, "root")
 	if err != nil {
@@ -265,6 +266,30 @@ func TestInlineTranslationShape(t *testing.T) {
 	}
 	if !strings.Contains(sql, `"title" = 'x'`) {
 		t.Errorf("title predicate missing:\n%s", sql)
+	}
+	// A predicate path that stays in the context row is a column
+	// condition, with no subquery.
+	if strings.Count(sql, "SELECT") != 1 {
+		t.Errorf("same-row comparison should have no subquery:\n%s", sql)
+	}
+	// Over a shared child, existence and count() correlate one
+	// subquery over the child relation on parentid and parentcode.
+	for q, want := range map[string]string{
+		"/root/entry[tag]":            `EXISTS (SELECT 1 FROM inl_tag i2_x1 WHERE i2_x1.parentid = i2.id AND i2_x1.parentcode = '')`,
+		"/root/entry[count(tag) > 1]": `(SELECT COUNT(*) FROM inl_tag i2_x1 WHERE i2_x1.parentid = i2.id AND i2_x1.parentcode = '') > 1`,
+		// string-length() of an optional inlined child reads its
+		// column, the empty string when the child is absent.
+		"/root/entry[string-length(note) = 0]": `LENGTH(COALESCE(i2."note", '')) = 0`,
+		// An inlined child occurs at most once: count() reads its column.
+		"/root/entry[count(note) = 0]": `(CASE WHEN i2."note" IS NULL THEN 0 ELSE 1 END) = 0`,
+	} {
+		sql, err := Inline(xpath.MustParse(q), m)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !strings.Contains(sql, want) {
+			t.Errorf("%s: want %s in\n%s", q, want, sql)
+		}
 	}
 	// Set-valued child crosses into its own relation with parentcode.
 	sql, err = Inline(xpath.MustParse("/root/entry/tag"), m)
