@@ -69,13 +69,26 @@ func loadAll(doc *xmldom.Document, valueIndex bool, names ...string) ([]loaded, 
 		if err != nil {
 			return nil, err
 		}
-		db, err := shred.LoadDocument(s, doc)
+		db, err := load(s, doc)
 		if err != nil {
 			return nil, err
 		}
 		ls = append(ls, loaded{s: s, db: db})
 	}
 	return ls, nil
+}
+
+// load sets up a fresh database under s and loads doc into it: one
+// insert under the document node.
+func load(s shred.Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
+	db := sqldb.New()
+	if err := s.Setup(db); err != nil {
+		return nil, err
+	}
+	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
+		return nil, err
+	}
+	return db, nil
 }
 
 // msHeader labels one "<scheme> ms" column per mapping.
@@ -630,7 +643,7 @@ func runA1(w io.Writer, cfg Config) error {
 		for vi, useCat := range []bool{false, true} {
 			s := shred.NewEdge(false)
 			s.UseCatalog(useCat)
-			db, err := shred.LoadDocument(s, doc)
+			db, err := load(s, doc)
 			if err != nil {
 				return err
 			}
@@ -671,7 +684,7 @@ func runA2(w io.Writer, cfg Config) error {
 		for vi, viaRegion := range []bool{false, true} {
 			s := shred.NewInterval(false)
 			s.ChildViaRegion(viaRegion)
-			db, err := shred.LoadDocument(s, doc)
+			db, err := load(s, doc)
 			if err != nil {
 				return err
 			}

@@ -35,6 +35,9 @@ var domCorpus = append(append([]string{}, f1Queries...),
 	"//open_auction[reserve and privacy]/initial",
 	"//person[phone or homepage]/name",
 	"//person[not(address)]/@id",
+	// A negated comparison on a child Inline keeps in the person's row:
+	// a person without an address is kept.
+	"//person[not(address/city = 'Berlin')]/name",
 	"/site/people/person[true()]/name",
 	"/site/categories/category[false()]",
 	"//person/name[contains(., 'an')]",
@@ -190,6 +193,7 @@ var domRefused = map[SchemeKind][]string{
 		"//item/description[contains(., 'the')]",
 		"//item/description[string-length() > 0]",
 		"//open_auction[not(bidder)]/initial",
+		"//person[not(address/city = 'Berlin')]/name",
 	},
 }
 

@@ -1,12 +1,26 @@
 package publish
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/shred"
+	"repro/internal/sqldb"
 	"repro/internal/xmldom"
 )
+
+// load sets up a fresh database and loads d into it under s.
+func load(s shred.Scheme, d *xmldom.Document) (*sqldb.Database, error) {
+	db := sqldb.New()
+	if err := s.Setup(db); err != nil {
+		return nil, err
+	}
+	if err := s.Insert(context.Background(), db, 0, 0, d.Tokens()); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
 
 const doc = `<bib><book id="b1"><title>TCP</title></book><book id="b2"><title>Web</title></book></bib>`
 
@@ -16,7 +30,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := shred.NewInterval(false)
-	db, err := shred.LoadDocument(s, d)
+	db, err := load(s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +46,7 @@ func TestDocumentRoundTrip(t *testing.T) {
 func TestResultSetEnvelope(t *testing.T) {
 	d, _ := xmldom.ParseString(doc)
 	s := shred.NewInterval(false)
-	db, err := shred.LoadDocument(s, d)
+	db, err := load(s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +69,7 @@ func TestResultSetEnvelope(t *testing.T) {
 func TestSubtrees(t *testing.T) {
 	d, _ := xmldom.ParseString(doc)
 	s := shred.NewInterval(false)
-	db, err := shred.LoadDocument(s, d)
+	db, err := load(s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +86,7 @@ func TestSubtrees(t *testing.T) {
 func TestFragmentByID(t *testing.T) {
 	d, _ := xmldom.ParseString(doc)
 	s := shred.NewInterval(false)
-	db, err := shred.LoadDocument(s, d)
+	db, err := load(s, d)
 	if err != nil {
 		t.Fatal(err)
 	}

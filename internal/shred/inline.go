@@ -453,16 +453,3 @@ var _ Scheme = (*Binary)(nil)
 var _ Scheme = (*Universal)(nil)
 var _ Scheme = (*Interval)(nil)
 var _ Scheme = (*Dewey)(nil)
-
-// LoadDocument is a convenience: set up a fresh database and load doc
-// under scheme s.
-func LoadDocument(s Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
-	db := sqldb.New()
-	if err := s.Setup(db); err != nil {
-		return nil, err
-	}
-	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
-		return nil, err
-	}
-	return db, nil
-}

@@ -10,6 +10,19 @@ import (
 	"repro/internal/xmlgen"
 )
 
+// LoadDocument sets up a fresh database and loads doc under scheme s:
+// one insert under the document node.
+func LoadDocument(s Scheme, doc *xmldom.Document) (*sqldb.Database, error) {
+	db := sqldb.New()
+	if err := s.Setup(db); err != nil {
+		return nil, err
+	}
+	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 const unitDoc = `<r a="1"><x><y>hello</y><y>world</y></x><z/>text<w b="2">mixed<v/>tail</w></r>`
 
 func loadUnit(t *testing.T, s Scheme) *sqldb.Database {

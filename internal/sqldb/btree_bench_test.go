@@ -130,3 +130,43 @@ func footprint(n *btreeNode) int {
 	}
 	return s
 }
+
+// BenchmarkBulkLoad measures a load as a shredder makes one: one Update
+// of sixteen 4096-row BulkInsert batches into an empty table with four
+// non-unique indexes shaped like Interval's (pre; parent, kind, name;
+// kind, name, pre; name, value), rows in the order a streaming shredder
+// emits them (an element when it closes). One op is the whole load into
+// a fresh database; B/op and allocs/op count the heap, the four trees
+// and the transaction's garbage.
+func BenchmarkBulkLoad(b *testing.B) {
+	const batch, batches = 4096, 16
+	rows := make([][]Value, batch*batches)
+	for i := range rows {
+		// Post-order: a run of eight leaves, then their parent.
+		pre := int64(i/9*9 + (i+1)%9)
+		kind, name := "elem", fmt.Sprintf("name%03d", i%300)
+		if i%3 == 0 {
+			kind, name = "text", ""
+		}
+		rows[i] = []Value{NewInt(pre), NewInt(pre / 9 * 9), NewText(kind), NewText(name), NewText(fmt.Sprint("value ", i%1000))}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		db := New()
+		db.MustExec(`CREATE TABLE accel (pre INTEGER NOT NULL, parent INTEGER NOT NULL, kind TEXT NOT NULL, name TEXT, value TEXT)`)
+		db.MustExec(`CREATE INDEX accel_pre ON accel (pre)`)
+		db.MustExec(`CREATE INDEX accel_parent ON accel (parent, kind, name)`)
+		db.MustExec(`CREATE INDEX accel_kind_name ON accel (kind, name, pre)`)
+		db.MustExec(`CREATE INDEX accel_name_value ON accel (name, value)`)
+		if err := db.Update(func(tx *Tx) error {
+			for lo := 0; lo < len(rows); lo += batch {
+				if _, err := tx.BulkInsert("accel", rows[lo:lo+batch]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -317,6 +317,9 @@ type Tx struct {
 	// is only one (Update); a Database write method logs its statement
 	// as a plain record.
 	group bool
+	// deferred says an insert statement armed a deferred index build
+	// (see table.deferIndexes) that settle has not built yet.
+	deferred bool
 	// done flips when the transaction released writeMu (commit or
 	// abort); ticket/finished track the publish turn commit staged, so
 	// guard can unwind a panic at any point.
@@ -455,6 +458,7 @@ func (tx *Tx) stream() error {
 // the state is discarded unpublished and the error returned.
 func (tx *Tx) commit() error {
 	db := tx.db
+	tx.settle()
 	if tx.n == 0 {
 		tx.abort()
 		return nil
@@ -554,8 +558,43 @@ type txStmt struct {
 	gen uint64
 }
 
+// stmt opens a statement that may read or rewrite any index, so the
+// transaction's deferred index builds are settled first.
 func (tx *Tx) stmt() *txStmt {
+	tx.settle()
+	return tx.insertStmt()
+}
+
+// insertStmt opens an insert-only statement (bulkInsert, applyInsert):
+// it leaves deferred index builds pending and may arm more.
+func (tx *Tx) insertStmt() *txStmt {
 	return &txStmt{tx: tx, st: tx.st.shallowClone(), gen: tx.db.gen.Add(1)}
+}
+
+// wtableDeferring is wtable for an insert-only statement: an empty
+// non-unique index of the table collects the statement's entries for a
+// bottom-up build rather than taking them one by one.
+func (w *txStmt) wtableDeferring(name string) *table {
+	t := w.wtable(name)
+	if t != nil && t.deferIndexes() {
+		w.tx.deferred = true
+	}
+	return t
+}
+
+// settle builds the indexes the transaction's inserts deferred, in
+// place in its state, which no reader shares: a load into an empty
+// table pays one bottom-up build per index (buildBtree) instead of one
+// tree insert per row, and leaves the tree a reopen would build from
+// the same rows.
+func (tx *Tx) settle() {
+	if !tx.deferred {
+		return
+	}
+	tx.deferred = false
+	for _, t := range tx.st.tables {
+		t.settle()
+	}
 }
 
 // wtable returns a writable version of the named table in the
@@ -684,6 +723,7 @@ func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
 	if tx.done {
 		return nil, errTxDone
 	}
+	tx.settle()
 	return tx.db.queryAt(context.Background(), tx.st, sql, args)
 }
 
@@ -1077,8 +1117,8 @@ func (tx *Tx) bulkInsert(tableName string, rows [][]Value) (int, error) {
 	if tx.done {
 		return 0, errTxDone
 	}
-	w := tx.stmt()
-	tbl := w.wtable(tableName)
+	w := tx.insertStmt()
+	tbl := w.wtableDeferring(tableName)
 	if tbl == nil {
 		return 0, errorf("no such table: %s", tableName)
 	}

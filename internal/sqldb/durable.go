@@ -192,17 +192,17 @@ func OpenDurable(fs VFS, opts DurableOptions) (*DurableDB, error) {
 	}
 	records, goodLen := scanWAL(data)
 	maxSeq := snapSeq
+	var replay []*walRecord
 	for _, rec := range records {
 		if rec.Seq <= snapSeq {
 			continue // already captured by the snapshot
 		}
-		if err := d.db.applyRecord(rec); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("sqldb: wal replay (seq %d): %w", rec.Seq, err)
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
+		replay = append(replay, rec)
+		maxSeq = max(maxSeq, rec.Seq)
+	}
+	if err := d.db.replay(replay); err != nil {
+		wal.Close()
+		return nil, err
 	}
 	if goodLen < int64(len(data)) {
 		if err := wal.Truncate(goodLen); err != nil {

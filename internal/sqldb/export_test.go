@@ -28,3 +28,31 @@ func (p FaultedPage) Row(i int) []Value { return p.f.row(i) }
 // Encode materializes the page as a copy-on-write writer does and
 // encodes all its row slots as the pages file stores them.
 func (p FaultedPage) Encode() []byte { return encodePageFrame(p.f.clone(), heapPageSize) }
+
+// IndexShape is one index's tree as the external tests compare it: its
+// node count, its distinct-prefix counts and its entries in order, each
+// a key and a rowid.
+type IndexShape struct {
+	Nodes    int
+	Distinct []int
+	Keys     []string
+	Rids     []int64
+}
+
+// IndexShapes returns the shape of every index of the published state,
+// by index name.
+func IndexShapes(db *Database) map[string]IndexShape {
+	out := map[string]IndexShape{}
+	st := db.readState()
+	for _, t := range st.tables {
+		for _, idx := range t.indexes {
+			s := IndexShape{Nodes: treeNodes(idx.tree.root), Distinct: idx.tree.distinct}
+			for _, e := range collectAll(idx.tree) {
+				s.Keys = append(s.Keys, e.key)
+				s.Rids = append(s.Rids, e.rid)
+			}
+			out[idx.def.Name] = s
+		}
+	}
+	return out
+}

@@ -135,7 +135,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			// Errors are fine (the log may reference tables that were
 			// never created); panics are not.
-			_ = db.applyRecord(rec)
+			_ = db.replay([]*walRecord{rec})
 		}
 		checkIndexes(t, db)
 	})

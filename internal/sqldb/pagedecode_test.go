@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/shred"
 	"repro/internal/sqldb"
-	"repro/internal/xmlgen"
 )
 
 // eagerPageBytes is what decoding every row of the benchmark's page cost
@@ -23,7 +22,7 @@ const eagerPageBytes = 139136
 // full scan does, and fails if that allocates more per page than the
 // eager decode it replaced.
 func BenchmarkPageDecode(b *testing.B) {
-	db, err := shred.LoadDocument(shred.NewInterval(false), xmlgen.Auction(xmlgen.Config{Factor: 0.1, Seed: 1}))
+	db, err := loadAuction(shred.NewInterval(false), 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 // payload's last one encode as tombstones, one zero byte each). The
 // corpus starts from a real accel page and a truncated copy of it.
 func FuzzPagePayload(f *testing.F) {
-	db, err := shred.LoadDocument(shred.NewInterval(false), xmlgen.Auction(xmlgen.Config{Factor: 0.01, Seed: 1}))
+	db, err := loadAuction(shred.NewInterval(false), 0.01)
 	if err != nil {
 		f.Fatal(err)
 	}

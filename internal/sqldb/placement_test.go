@@ -1,6 +1,7 @@
 package sqldb_test
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -11,6 +12,20 @@ import (
 	"repro/internal/xmlgen"
 	"repro/internal/xpath"
 )
+
+// loadAuction loads the seed-1 auction document of the given factor
+// into a fresh database under scheme s.
+func loadAuction(s shred.Scheme, factor float64) (*sqldb.Database, error) {
+	db := sqldb.New()
+	if err := s.Setup(db); err != nil {
+		return nil, err
+	}
+	doc := xmlgen.Auction(xmlgen.Config{Factor: factor, Seed: 1})
+	if err := s.Insert(context.Background(), db, 0, 0, doc.Tokens()); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
 
 // testDB is the engine suite's nums/tags fixture: nums n = 1..100 with
 // an index on n; tags n = 1, 6, 11, ... 'five' and 1, 8, 15, ... 'seven'.
@@ -307,7 +322,7 @@ func xmarkPlan(t *testing.T, db *sqldb.Database, s shred.Scheme, query string) [
 // read above them.
 func TestXMarkSubqueryPlacement(t *testing.T) {
 	s := shred.NewInterval(false)
-	db, err := shred.LoadDocument(s, xmlgen.Auction(xmlgen.Config{Factor: 0.1, Seed: 1}))
+	db, err := loadAuction(s, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,10 @@ func (p *heapPage) frame() *pageFrame {
 type tableIndex struct {
 	def  IndexDef
 	tree *btree
+	// deferred, when non-nil, collects the entries a transaction's
+	// inserts owe tree, which is still empty; Tx.settle builds the tree
+	// from them bottom-up before anything reads or rewrites the index.
+	deferred *indexBuild
 }
 
 func newTable(def *TableDef, gen uint64) *table {
@@ -208,6 +212,14 @@ func (t *table) beginWrite(gen uint64) *table {
 	nt.indexes = make([]*tableIndex, len(t.indexes))
 	for i, idx := range t.indexes {
 		nidx := &tableIndex{def: idx.def, tree: idx.tree.beginWrite(gen)}
+		if b := idx.deferred; b != nil {
+			// The copy's slices share the receiver's arrays up to its
+			// lengths, so a failed statement's entries go with its
+			// version.
+			nb := *b
+			nb.idx = nidx
+			nidx.deferred = &nb
+		}
 		nt.indexes[i] = nidx
 		if idx == t.pkIndex {
 			nt.pkIndex = nidx
@@ -351,9 +363,40 @@ func (t *table) insert(row []Value) (int64, error) {
 	t.live++
 	t.bytes += t.rowBytes(row)
 	for _, idx := range t.indexes {
-		idx.tree.Insert(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
+		if idx.deferred != nil {
+			idx.deferred.add(row, rid)
+		} else {
+			idx.tree.Insert(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
+		}
 	}
 	return rid, nil
+}
+
+// deferIndexes arms a deferred build on every non-unique index whose
+// tree is empty, so the rows inserted next are collected for one
+// bottom-up build instead of going into the tree one by one. Unique
+// indexes keep per-row maintenance: a violation must surface at the
+// statement. It reports whether any index defers.
+func (t *table) deferIndexes() bool {
+	armed := false
+	for _, idx := range t.indexes {
+		if idx.deferred == nil && !idx.def.Unique && idx.tree.Len() == 0 {
+			idx.deferred = &indexBuild{idx: idx}
+		}
+		armed = armed || idx.deferred != nil
+	}
+	return armed
+}
+
+// settle builds every deferred index of t at t's generation.
+func (t *table) settle() {
+	for _, idx := range t.indexes {
+		if b := idx.deferred; b != nil {
+			idx.deferred = nil
+			// Only a unique index can fail to build, and none defers.
+			_ = b.finish(t)
+		}
+	}
 }
 
 // lookupUnique finds a rowid whose full index key equals key.
@@ -432,9 +475,10 @@ func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
 	return idx, nil
 }
 
-// indexBuild collects one index's (key, rowid) entries from a scan, the
-// keys packed back to back in one arena, and builds its tree bottom-up
-// (CREATE INDEX on a populated table, and snapshot restore). The tree
+// indexBuild collects one index's (key, rowid) entries, the keys packed
+// back to back in one arena, and builds its tree bottom-up: from a scan
+// (CREATE INDEX on a populated table, and snapshot restore), or from a
+// transaction's inserts into an empty table (see deferIndexes). The tree
 // copies the keys, so the arena is dropped once it is built.
 type indexBuild struct {
 	idx   *tableIndex

@@ -622,46 +622,55 @@ func scanWAL(data []byte) (records []*walRecord, goodLen int64) {
 // ---------------------------------------------------------------------------
 // Replay
 
-// applyRecord replays one logical record against the database, each
-// record as its own transaction. The commit logger must not be
-// attached while replaying (records would be re-logged); OpenDurable
-// attaches it only after recovery completes.
-func (db *Database) applyRecord(rec *walRecord) error {
-	if rec.Op == opGroup {
+// replay applies a recovered log's records, in order, as one
+// transaction, so a load replayed into empty tables builds its indexes
+// bottom-up as the load itself did (see Tx.settle). The commit logger
+// must not be attached while replaying (records would be re-logged);
+// OpenDurable attaches it only after recovery completes.
+func (db *Database) replay(records []*walRecord) error {
+	return db.Update(func(tx *Tx) error {
+		for _, rec := range records {
+			if err := tx.applyRecord(rec); err != nil {
+				return fmt.Errorf("sqldb: wal replay (seq %d): %w", rec.Seq, err)
+			}
+		}
+		return nil
+	})
+}
+
+// applyRecord replays one logical record as statements of tx.
+func (tx *Tx) applyRecord(rec *walRecord) error {
+	switch rec.Op {
+	case opGroup:
 		for _, g := range rec.Group {
-			if err := db.applyRecord(g); err != nil {
+			if err := tx.applyRecord(g); err != nil {
 				return err
 			}
 		}
 		return nil
+	case opCreateTable:
+		return tx.createTableDef(*rec.Def)
+	case opCreateIndex:
+		return tx.createIndexDef(*rec.Index)
+	case opDropTable:
+		return tx.dropTable(rec.Table)
+	case opDropIndex:
+		return tx.dropIndex(rec.Name)
+	case opInsert:
+		return tx.applyInsert(rec)
+	case opDelete:
+		return tx.applyDelete(rec)
+	case opUpdate:
+		return tx.applyUpdate(rec)
 	}
-	_, err := db.autocommit(func(tx *Tx) (int, error) {
-		switch rec.Op {
-		case opCreateTable:
-			return 0, tx.createTableDef(*rec.Def)
-		case opCreateIndex:
-			return 0, tx.createIndexDef(*rec.Index)
-		case opDropTable:
-			return 0, tx.dropTable(rec.Table)
-		case opDropIndex:
-			return 0, tx.dropIndex(rec.Name)
-		case opInsert:
-			return 0, tx.applyInsert(rec)
-		case opDelete:
-			return 0, tx.applyDelete(rec)
-		case opUpdate:
-			return 0, tx.applyUpdate(rec)
-		}
-		return 0, errorf("wal: unknown record op %d", rec.Op)
-	})
-	return err
+	return errorf("wal: unknown record op %d", rec.Op)
 }
 
 // applyInsert replays an insert-effect batch: rows are already coerced
 // and were valid when logged.
 func (tx *Tx) applyInsert(rec *walRecord) error {
-	w := tx.stmt()
-	tbl := w.wtable(rec.Table)
+	w := tx.insertStmt()
+	tbl := w.wtableDeferring(rec.Table)
 	if tbl == nil {
 		return errorf("wal: insert into missing table %s", rec.Table)
 	}

@@ -275,10 +275,8 @@ func TestWALReplayRebuildsState(t *testing.T) {
 	if goodLen != int64(len(log)) {
 		t.Fatalf("goodLen %d != %d", goodLen, len(log))
 	}
-	for _, rec := range records {
-		if err := replayed.applyRecord(rec); err != nil {
-			t.Fatalf("replay: %v", err)
-		}
+	if err := replayed.replay(records); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 	if diff := dbStateDiff(src, replayed); diff != "" {
 		t.Fatalf("replayed state differs: %s", diff)

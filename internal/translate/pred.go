@@ -57,10 +57,12 @@ func (pp predPath) selecting(cols string) string {
 }
 
 // where renders the existence of a node on the path whose value
-// satisfies c, a condition on pp.val.
+// satisfies c, a condition on pp.val. On the context row the node's
+// existence is tested as well, so that under not() an absent node
+// (NULL) reads as false, as the EXISTS form reads it, not as unknown.
 func (pp predPath) where(c string) string {
 	if pp.q == "" {
-		return c
+		return "(" + pp.val + " IS NOT NULL AND " + c + ")"
 	}
 	return "EXISTS (" + pp.q + " AND " + c + ")"
 }
