@@ -212,12 +212,10 @@ func printStats(st *core.Store, ds *core.DurableStore) {
 	}
 	s := st.Stats()
 	fmt.Printf("  total: %d tables, %d rows, %d bytes\n", s.Tables, s.Rows, s.Bytes)
-	trans, plans := st.CacheStats()
+	plans := st.DB().PlanCacheStats()
 	fmt.Printf("  schema epoch: %d\n", dbStats.SchemaEpoch)
-	fmt.Printf("  plan cache:        %d/%d entries  %d hits  %d misses  %d evictions  %d invalidations\n",
+	fmt.Printf("  plan cache: %d/%d entries  %d hits  %d misses  %d evictions  %d invalidations\n",
 		plans.Entries, plans.Capacity, plans.Hits, plans.Misses, plans.Evictions, plans.Invalidations)
-	fmt.Printf("  translation cache: %d/%d entries  %d hits  %d misses  %d evictions  %d invalidations\n",
-		trans.Entries, trans.Capacity, trans.Hits, trans.Misses, trans.Evictions, trans.Invalidations)
 
 	sn := dbStats.Snapshots
 	fmt.Printf("snapshots:\n")

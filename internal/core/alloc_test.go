@@ -34,7 +34,7 @@ func TestF1RoundAllocation(t *testing.T) {
 			}
 		}
 	}
-	round() // warm the translation and plan caches
+	round() // warm the plan cache
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	round()

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lru"
 	"repro/internal/shred"
 	"repro/internal/sqldb"
 	"repro/internal/xmldom"
@@ -88,11 +87,6 @@ type Options struct {
 	BufferPoolPages int
 }
 
-// defaultTransCacheCap bounds the per-Store XPath→SQL translation
-// cache. Entries are just strings, so the cap is generous relative to
-// realistic query-template counts.
-const defaultTransCacheCap = 512
-
 // Store is one XML document stored relationally under a mapping scheme.
 type Store struct {
 	kind   SchemeKind
@@ -101,16 +95,6 @@ type Store struct {
 	// afterWrite runs after each committed load or insert: a durable
 	// store's auto-checkpoint policy; nil in memory.
 	afterWrite func() error
-
-	// trans caches XPath query text → generated SQL. Translation is a
-	// pure function of the scheme and the state rows it reads, so an
-	// entry records the commit it was translated at and is served only
-	// to a reader of that same commit; the cache is also purged after
-	// each document load and subtree insertion. Relational DDL is
-	// covered one layer down by the sqldb plan cache's schema epoch.
-	trans                  *lru.Cache[translation]
-	transHits, transMisses atomic.Uint64
-	transInvalidations     atomic.Uint64
 
 	// loaded is Loaded's last answer and the commit it holds for: the
 	// probe runs on a snapshot pinned at that commit, so the answer is
@@ -123,13 +107,6 @@ type Store struct {
 	// time, the fourth component, is tracked one layer down by the
 	// sqldb metrics registry.
 	shredPhase, translatePhase, execPhase, publishPhase phaseTimer
-}
-
-// translation is one cached XPath translation and the commit sequence
-// of the state it was translated against.
-type translation struct {
-	sql string
-	seq uint64
 }
 
 // loadedAt is Loaded's answer at commit seq.
@@ -164,8 +141,7 @@ type PhaseStat struct {
 type PhaseStats struct {
 	// Shred covers document loading and subtree insertion.
 	Shred PhaseStat
-	// Translate covers XPath parsing and SQL generation (cache hits
-	// included: the span wraps the whole call).
+	// Translate covers XPath parsing and SQL generation.
 	Translate PhaseStat
 	// Exec covers relational execution (plan-compile time within it is
 	// reported by sqldb's metrics registry).
@@ -223,7 +199,7 @@ func newStore(kind SchemeKind, opts Options, db *sqldb.Database) (*Store, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{kind: kind, scheme: s, db: db, trans: lru.New[translation](defaultTransCacheCap)}, nil
+	return &Store{kind: kind, scheme: s, db: db}, nil
 }
 
 // newScheme builds kind's scheme. Inline takes the DTD db stored, when
@@ -359,15 +335,9 @@ func (st *Store) holdsDocument(db sqldb.Queryer) (bool, error) {
 var errSecondDocument = errors.New("core: store already holds a document")
 
 // wrote finishes a load or insert that began at start and committed:
-// it records the shred phase, purges the translation cache — the write
-// may have changed scheme state (label paths, element numbering) and
-// with it the SQL a given XPath translates to — and runs afterWrite.
+// it records the shred phase and runs afterWrite.
 func (st *Store) wrote(start time.Time) error {
 	st.shredPhase.add(time.Since(start))
-	if n := st.trans.Len(); n > 0 {
-		st.transInvalidations.Add(uint64(n))
-	}
-	st.trans.Purge()
 	if st.afterWrite == nil {
 		return nil
 	}
@@ -392,37 +362,23 @@ type Result struct {
 }
 
 // Translate compiles an XPath query to this store's SQL without running
-// it, against the latest committed scheme state. Translations are
-// served from a bounded per-Store cache: the XPath→SQL mapping is pure
-// for a fixed scheme state, so repeated query templates skip XPath
-// parsing and SQL generation entirely. The cache is purged when scheme
-// state changes (document load, subtree insert), and an entry made
-// against an older commit than the reader's is never served.
+// it, against the latest committed scheme state. Nothing is cached at
+// this layer: translation is a string rewrite that costs tens of
+// microseconds, and the plan the SQL compiles to is cached one layer
+// down, keyed by the SQL text (sqldb's plan cache).
 func (st *Store) Translate(query string) (string, error) {
-	return st.translate(st.db, st.db.Seq(), query)
+	return st.translate(st.db, query)
 }
 
-// translate compiles query against the scheme state db reads, which is
-// that of commit seq. A write that commits while it runs leaves the
-// entry stamped with the older seq, so no later reader is served it.
-func (st *Store) translate(db sqldb.Queryer, seq uint64, query string) (string, error) {
+// translate compiles query against the scheme state db reads.
+func (st *Store) translate(db sqldb.Queryer, query string) (string, error) {
 	start := time.Now()
 	defer func() { st.translatePhase.add(time.Since(start)) }()
-	if t, ok := st.trans.Get(query); ok && t.seq == seq {
-		st.transHits.Add(1)
-		return t.sql, nil
-	}
-	st.transMisses.Add(1)
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return "", err
 	}
-	sql, err := st.scheme.Translate(db, p)
-	if err != nil {
-		return "", err
-	}
-	st.trans.Put(query, translation{sql: sql, seq: seq})
-	return sql, nil
+	return st.scheme.Translate(db, p)
 }
 
 // Query compiles and executes an XPath query.
@@ -528,27 +484,6 @@ func (st *Store) Stats() StorageStats {
 		Rows:   st.db.TotalRows(),
 		Bytes:  st.db.TotalBytes(),
 	}
-}
-
-// CacheStats reports the store's two query-acceleration caches: the
-// XPath→SQL translation cache (this layer) and the SQL plan cache
-// (inside sqldb, epoch-invalidated on DDL).
-func (st *Store) CacheStats() (translation, plan sqldb.CacheStats) {
-	translation = sqldb.CacheStats{
-		Capacity:      st.trans.Cap(),
-		Entries:       st.trans.Len(),
-		Hits:          st.transHits.Load(),
-		Misses:        st.transMisses.Load(),
-		Evictions:     st.trans.Evictions(),
-		Invalidations: st.transInvalidations.Load(),
-	}
-	return translation, st.db.PlanCacheStats()
-}
-
-// SetTranslationCacheCapacity resizes the XPath→SQL cache; zero
-// disables it (every query re-translates).
-func (st *Store) SetTranslationCacheCapacity(n int) {
-	st.trans.Resize(n)
 }
 
 // Scheme exposes the underlying shred.Scheme for advanced use (the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -371,44 +372,59 @@ func TestResultsInDocumentOrder(t *testing.T) {
 	}
 }
 
-func TestTranslationCacheCounters(t *testing.T) {
+// TestQueryMatchesPrepared holds Store.Query to the path a caller
+// takes by hand: parse, translate against the database, prepare the
+// SQL (which compiles a fresh plan) and run it. Both give the same SQL
+// and the same matches, the second time round too, when Store.Query's
+// plan comes from the plan cache.
+func TestQueryMatchesPrepared(t *testing.T) {
 	st, _ := Open(Interval)
 	if err := st.LoadXML([]byte(smallDoc)); err != nil {
 		t.Fatal(err)
 	}
 	const q = `/bib/book/title`
-	for i := 0; i < 3; i++ {
-		if _, err := st.Query(q); err != nil {
+	p, err := xpath.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := st.Scheme().Translate(st.DB(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := st.DB().Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := prep.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultFrom(q, sql, rows)
+	if len(want.Matches) != 2 {
+		t.Fatalf("prepared path: %d matches, want 2", len(want.Matches))
+	}
+	for i := 0; i < 2; i++ {
+		got, err := st.Query(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got.SQL != want.SQL {
+			t.Errorf("run %d: SQL %q, prepared path %q", i, got.SQL, want.SQL)
+		}
+		if !slices.Equal(got.Matches, want.Matches) {
+			t.Errorf("run %d: matches %v, prepared path %v", i, got.Matches, want.Matches)
+		}
 	}
-	trans, plans := st.CacheStats()
-	if trans.Misses != 1 || trans.Hits != 2 {
-		t.Errorf("translation hits=%d misses=%d, want 2/1", trans.Hits, trans.Misses)
-	}
-	if plans.Hits == 0 {
+	if plans := st.DB().PlanCacheStats(); plans.Hits == 0 {
 		t.Errorf("plan cache saw no hits: %+v", plans)
-	}
-	// Identical results from cached and uncached paths.
-	cached, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetTranslationCacheCapacity(0)
-	st.DB().SetPlanCacheCapacity(0)
-	fresh, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cached.Matches) != len(fresh.Matches) || cached.SQL != fresh.SQL {
-		t.Errorf("cached and fresh paths disagree: %d vs %d matches", len(cached.Matches), len(fresh.Matches))
 	}
 }
 
-func TestTranslationCacheInvalidatedByInsert(t *testing.T) {
-	// The edge scheme's descendant translation depends on its path
-	// catalog, which grows when new element names arrive: a cached
-	// translation from before the insert would miss the new paths.
+// TestEdgeQuerySeesInsertedPaths: the Edge scheme's descendant
+// translation depends on its path catalog, which grows when new element
+// names arrive, so a query after an insert must translate against the
+// new paths.
+func TestEdgeQuerySeesInsertedPaths(t *testing.T) {
 	st, _ := Open(Edge)
 	if err := st.LoadXML([]byte(smallDoc)); err != nil {
 		t.Fatal(err)
@@ -427,7 +443,7 @@ func TestTranslationCacheInvalidatedByInsert(t *testing.T) {
 	}
 	n, err = st.Count(q)
 	if err != nil || n != 3 {
-		t.Fatalf("after insert: count = %d, %v (stale cached translation?)", n, err)
+		t.Fatalf("after insert: count = %d, %v", n, err)
 	}
 }
 

@@ -51,7 +51,7 @@ func (s *StoreSnapshot) Query(query string) (*Result, error) {
 
 // QueryContext is Query honoring a context deadline/cancellation.
 func (s *StoreSnapshot) QueryContext(ctx context.Context, query string) (*Result, error) {
-	sql, err := s.st.translate(s.snap, s.snap.Seq(), query)
+	sql, err := s.st.translate(s.snap, query)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func (s *StoreSnapshot) QueryContext(ctx context.Context, query string) (*Result
 // snapshot under full per-operator instrumentation (see
 // sqldb.Database.ExplainAnalyze).
 func (s *StoreSnapshot) ExplainAnalyze(query string) (string, error) {
-	sql, err := s.st.translate(s.snap, s.snap.Seq(), query)
+	sql, err := s.st.translate(s.snap, query)
 	if err != nil {
 		return "", err
 	}

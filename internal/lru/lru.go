@@ -1,9 +1,7 @@
 // Package lru provides a small, concurrency-safe, bounded
-// least-recently-used cache keyed by string. It is the shared substrate
-// for the engine's plan cache (internal/sqldb) and the XPath→SQL
-// translation cache (internal/core): both need the same structural
-// behaviour — bounded size, recency eviction, cheap purge — while each
-// layer keeps its own semantic hit/miss accounting.
+// least-recently-used cache keyed by string: the structure under the
+// engine's plan cache (internal/sqldb), which keeps its own semantic
+// hit/miss accounting and epoch checks on top.
 package lru
 
 import (
@@ -71,9 +69,6 @@ func (c *Cache[V]) Put(key string, val V) {
 // evictOldest removes the back element. Caller holds the lock.
 func (c *Cache[V]) evictOldest() {
 	el := c.order.Back()
-	if el == nil {
-		return
-	}
 	c.order.Remove(el)
 	delete(c.items, el.Value.(*entry[V]).key)
 	c.evictions++
@@ -87,30 +82,6 @@ func (c *Cache[V]) Remove(key string) {
 	if el, ok := c.items[key]; ok {
 		c.order.Remove(el)
 		delete(c.items, key)
-	}
-}
-
-// Purge drops every entry, keeping the capacity and eviction counter.
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = map[string]*list.Element{}
-}
-
-// Resize changes the capacity, evicting from the LRU end as needed.
-// Resizing to zero (or less) purges the cache and disables it.
-func (c *Cache[V]) Resize(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	if capacity <= 0 {
-		c.order.Init()
-		c.items = map[string]*list.Element{}
-		return
-	}
-	for c.order.Len() > capacity {
-		c.evictOldest()
 	}
 }
 

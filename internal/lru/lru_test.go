@@ -43,7 +43,7 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestRemoveAndPurge(t *testing.T) {
+func TestRemove(t *testing.T) {
 	c := New[string](4)
 	c.Put("x", "1")
 	c.Remove("x")
@@ -51,37 +51,11 @@ func TestRemoveAndPurge(t *testing.T) {
 	if _, ok := c.Get("x"); ok {
 		t.Fatal("removed key hit")
 	}
-	c.Put("y", "2")
-	c.Purge()
 	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d", c.Len())
+		t.Fatalf("len after remove = %d", c.Len())
 	}
 	if c.Evictions() != 0 {
-		t.Fatal("remove/purge counted as eviction")
-	}
-}
-
-func TestResize(t *testing.T) {
-	c := New[int](4)
-	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
-	}
-	c.Resize(2)
-	if c.Len() != 2 || c.Cap() != 2 {
-		t.Fatalf("len=%d cap=%d", c.Len(), c.Cap())
-	}
-	// The two most recent survive.
-	if _, ok := c.Get("k3"); !ok {
-		t.Fatal("most recent evicted by resize")
-	}
-	// Zero capacity disables the cache.
-	c.Resize(0)
-	c.Put("z", 9)
-	if _, ok := c.Get("z"); ok {
-		t.Fatal("disabled cache stored an entry")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("disabled len = %d", c.Len())
+		t.Fatal("remove counted as eviction")
 	}
 }
 

@@ -620,14 +620,6 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 	return s
 }
 
-// SetSlowQueryThreshold sets the latency above which queries are
-// retained in the slow-query log; zero disables the log.
-func (db *Database) SetSlowQueryThreshold(d time.Duration) {
-	db.metrics.mu.Lock()
-	db.metrics.slowThreshold = d
-	db.metrics.mu.Unlock()
-}
-
 // Metrics returns a snapshot of the query metrics registry.
 func (db *Database) Metrics() MetricsSnapshot {
 	return db.metrics.snapshot()

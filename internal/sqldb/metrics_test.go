@@ -140,9 +140,17 @@ func TestMetricsQueryError(t *testing.T) {
 	}
 }
 
+// setSlowThreshold sets the latency above which db's queries are kept
+// in the slow-query log; zero disables the log.
+func setSlowThreshold(db *Database, d time.Duration) {
+	db.metrics.mu.Lock()
+	db.metrics.slowThreshold = d
+	db.metrics.mu.Unlock()
+}
+
 func TestSlowQueryLog(t *testing.T) {
 	db := testDB(t)
-	db.SetSlowQueryThreshold(time.Nanosecond)
+	setSlowThreshold(db, time.Nanosecond)
 	for i := 0; i < 40; i++ {
 		if _, err := db.Query(fmt.Sprintf(`SELECT %d FROM nums WHERE n = 1`, i)); err != nil {
 			t.Fatal(err)
@@ -161,7 +169,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Zero threshold disables the log.
-	db.SetSlowQueryThreshold(0)
+	setSlowThreshold(db, 0)
 	if _, err := db.Query(`SELECT 999 FROM nums WHERE n = 1`); err != nil {
 		t.Fatal(err)
 	}

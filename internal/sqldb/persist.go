@@ -262,7 +262,7 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*ta
 	}
 	builds := make([]indexBuild, len(t.indexes))
 	for i, idx := range t.indexes {
-		builds[i].idx = idx
+		builds[i] = indexBuild{idx: idx, entries: make([]btreeEntry, 0, t.count)}
 	}
 	// One scan collects every index's keys and the live/byte counts; the
 	// trees are then built by sorting. The barrier turns a failed page

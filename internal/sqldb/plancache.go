@@ -25,9 +25,8 @@ import (
 // versions against its own pinned snapshot when operators open.
 
 // defaultPlanCacheCap bounds the plan cache. Entries are full compiled
-// plans, so the bound is deliberately modest; workloads with more than
-// this many distinct hot statements should raise it via
-// SetPlanCacheCapacity.
+// plans, so the bound is deliberately modest: far above the handful of
+// statement templates an XPath workload translates to.
 const defaultPlanCacheCap = 256
 
 // cachedPlan is one plan cache entry.
@@ -80,8 +79,7 @@ type CacheStats struct {
 	// Evictions counts entries displaced by capacity pressure.
 	Evictions uint64
 	// Invalidations counts entries discarded because the schema epoch
-	// moved (plan cache) or the underlying state changed (translation
-	// cache).
+	// moved.
 	Invalidations uint64
 }
 
@@ -94,13 +92,6 @@ func (pc *planCache) stats() CacheStats {
 		Evictions:     pc.c.Evictions(),
 		Invalidations: pc.invalidations.Load(),
 	}
-}
-
-// SetPlanCacheCapacity resizes the plan cache; zero disables caching
-// (every query compiles fresh). Existing entries beyond the new
-// capacity are evicted.
-func (db *Database) SetPlanCacheCapacity(n int) {
-	db.plans.c.Resize(n)
 }
 
 // PlanCacheStats returns the plan cache counters.

@@ -126,7 +126,7 @@ func TestPlanCacheInvalidatedByIndexDDL(t *testing.T) {
 func TestPlanCacheBounded(t *testing.T) {
 	db := New()
 	db.MustExec(`CREATE TABLE t (n INTEGER)`)
-	db.SetPlanCacheCapacity(4)
+	db.plans = newPlanCache(4)
 	for i := 0; i < 10; i++ {
 		sql := `SELECT n FROM t WHERE n = ` + string(rune('0'+i))
 		if _, err := db.Query(sql); err != nil {
@@ -141,7 +141,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		t.Error("no evictions under capacity pressure")
 	}
 	// Zero capacity disables caching.
-	db.SetPlanCacheCapacity(0)
+	db.plans = newPlanCache(0)
 	before := db.PlanCacheStats().Hits
 	db.Query(`SELECT n FROM t`)
 	db.Query(`SELECT n FROM t`)

@@ -460,7 +460,7 @@ func (t *table) update(rid int64, row []Value) error {
 // addIndex builds a new secondary index over existing rows.
 func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
 	idx := &tableIndex{def: def}
-	b := indexBuild{idx: idx}
+	b := indexBuild{idx: idx, entries: make([]btreeEntry, 0, t.live)}
 	var ref pageRef
 	defer ref.release()
 	for rid := int64(0); rid < t.count; rid++ {
@@ -475,35 +475,43 @@ func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
 	return idx, nil
 }
 
-// indexBuild collects one index's (key, rowid) entries, the keys packed
-// back to back in one arena, and builds its tree bottom-up: from a scan
-// (CREATE INDEX on a populated table, and snapshot restore), or from a
-// transaction's inserts into an empty table (see deferIndexes). The tree
-// copies the keys, so the arena is dropped once it is built.
+// indexBuild collects one index's (key, rowid) entries and builds its
+// tree bottom-up: from a scan (CREATE INDEX on a populated table, and
+// snapshot restore), or from a transaction's inserts into an empty table
+// (see deferIndexes). Keys are packed back to back in chunks that never
+// grow past their first capacity, so an entry views its key where it was
+// written and no key straddles two chunks. The tree copies the keys, so
+// the chunks are dropped once it is built.
 type indexBuild struct {
-	idx   *tableIndex
-	arena []byte
-	ends  []int // ends[i] is where entry i's key ends in arena
-	rids  []int64
+	idx     *tableIndex
+	entries []btreeEntry
+	chunk   []byte // the newest key chunk
+	key     []byte // scratch: the key being added
 }
 
+// Key chunks start at keyChunkMin bytes, so a small table's index costs
+// little, and double up to keyChunkMax; a longer key gets a chunk of
+// its own size.
+const (
+	keyChunkMin = 256
+	keyChunkMax = 64 << 10
+)
+
 func (b *indexBuild) add(row []Value, rid int64) {
-	b.arena = appendRowKey(b.arena, b.idx.def.Columns, row)
-	b.ends = append(b.ends, len(b.arena))
-	b.rids = append(b.rids, rid)
+	b.key = appendRowKey(b.key[:0], b.idx.def.Columns, row)
+	if len(b.key) > cap(b.chunk)-len(b.chunk) {
+		b.chunk = make([]byte, 0, max(min(2*cap(b.chunk), keyChunkMax), keyChunkMin, len(b.key)))
+	}
+	start := len(b.chunk)
+	b.chunk = append(b.chunk, b.key...)
+	b.entries = append(b.entries, btreeEntry{key: keyView(b.chunk[start:]), rid: rid})
 }
 
 // finish installs the built tree at t's generation. A unique index
 // with two equal keys fails, naming the key of the later row.
 func (b *indexBuild) finish(t *table) error {
-	keys := keyView(b.arena)
-	entries := make([]btreeEntry, len(b.rids))
-	start := 0
-	for i, end := range b.ends {
-		entries[i] = btreeEntry{key: keys[start:end], rid: b.rids[i]}
-		start = end
-	}
-	b.arena, b.ends, b.rids = nil, nil, nil
+	entries := b.entries
+	b.entries, b.chunk, b.key = nil, nil, nil
 	tree, dup, hasDup := buildBtree(t.gen, len(b.idx.def.Columns), entries)
 	if hasDup && b.idx.def.Unique {
 		return errorf("table %s: cannot build unique index %s: duplicate key %v", t.def.Name, b.idx.def.Name, b.idx.keyValues(t.row(dup)))
