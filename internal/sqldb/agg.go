@@ -50,7 +50,7 @@ func (s *aggState) add(v Value, distinct bool) {
 		s.seen[k] = true
 	}
 	s.count++
-	if v.t == TypeFloat {
+	if v.Type() == TypeFloat {
 		if !s.isFloat {
 			s.sumF = float64(s.sumI) + s.sumF
 			s.isFloat = true

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"cmp"
 	"slices"
-	"strings"
 )
 
 // B+tree index over packed composite keys (keycodec.go). Entries are
@@ -34,7 +33,7 @@ type btreeEntry struct {
 
 // compareEntries orders two entries by key, then rowid.
 func compareEntries(a, b btreeEntry) int {
-	if c := strings.Compare(a.key, b.key); c != 0 {
+	if c := keyCompare(a.key, b.key); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.rid, b.rid)
@@ -763,7 +762,7 @@ func (p *probeCursor) seek(t *btree, bound string, strict int) (descended bool) 
 // under a — a start at a+r lies behind and must descend afresh.
 func startsNoEarlier(prev string, prevStrict int, bound string, strict int) bool {
 	n := min(len(prev), len(bound))
-	if c := strings.Compare(prev[:n], bound[:n]); c != 0 {
+	if c := keyCompare(prev[:n], bound[:n]); c != 0 {
 		return c < 0
 	}
 	switch {

@@ -131,13 +131,22 @@ func footprint(n *btreeNode) int {
 	return s
 }
 
+// bulkLoadAllocsCeiling bounds BenchmarkBulkLoad's allocations per
+// load. It read 371,531 with a tree insert per row, 153,303 once the
+// trees were built bottom-up at commit, and 22,224 once rows were cut
+// from one block per heap page and key buffers stayed on the stack (the
+// 65,536 row copies and as many key buffers went); the ceiling is that
+// plus about 12 %.
+const bulkLoadAllocsCeiling = 25000
+
 // BenchmarkBulkLoad measures a load as a shredder makes one: one Update
 // of sixteen 4096-row BulkInsert batches into an empty table with four
 // non-unique indexes shaped like Interval's (pre; parent, kind, name;
 // kind, name, pre; name, value), rows in the order a streaming shredder
 // emits them (an element when it closes). One op is the whole load into
 // a fresh database; B/op and allocs/op count the heap, the four trees
-// and the transaction's garbage.
+// and the transaction's garbage. It fails when a load allocates more
+// than bulkLoadAllocsCeiling times: a per-row allocation is back.
 func BenchmarkBulkLoad(b *testing.B) {
 	const batch, batches = 4096, 16
 	rows := make([][]Value, batch*batches)
@@ -150,8 +159,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		}
 		rows[i] = []Value{NewInt(pre), NewInt(pre / 9 * 9), NewText(kind), NewText(name), NewText(fmt.Sprint("value ", i%1000))}
 	}
-	b.ReportAllocs()
-	for b.Loop() {
+	load := func() {
 		db := New()
 		db.MustExec(`CREATE TABLE accel (pre INTEGER NOT NULL, parent INTEGER NOT NULL, kind TEXT NOT NULL, name TEXT, value TEXT)`)
 		db.MustExec(`CREATE INDEX accel_pre ON accel (pre)`)
@@ -168,5 +176,12 @@ func BenchmarkBulkLoad(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if allocs := testing.AllocsPerRun(1, load); allocs > bulkLoadAllocsCeiling {
+		b.Fatalf("%.0f allocations per load, want <= %d", allocs, bulkLoadAllocsCeiling)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		load()
 	}
 }

@@ -398,7 +398,7 @@ func (tx *Tx) guard(errp *error) {
 }
 
 // abort discards the transaction, drops its continuation frames and
-// frees the writer slot.
+// the pages its statements pooled, and frees the writer slot.
 func (tx *Tx) abort() {
 	if tx.done {
 		return
@@ -406,6 +406,9 @@ func (tx *Tx) abort() {
 	tx.done = true
 	if tx.streamedRecs > 0 {
 		tx.db.log.unstream(tx.streamed, tx.streamedRecs)
+	}
+	if tx.group {
+		tx.db.pool.releaseAfter(tx.gen0)
 	}
 	tx.db.writeMu.Unlock()
 }
@@ -1123,12 +1126,23 @@ func (tx *Tx) bulkInsert(tableName string, rows [][]Value) (int, error) {
 		return 0, errorf("no such table: %s", tableName)
 	}
 	// Phase 1: coerce and validate every row before touching storage.
+	// The rows land at rowids count, count+1, …, so each run of them
+	// that lands in one heap page is cut from one block: a load allocates
+	// per page, not per row, and a page the pool evicts frees its own
+	// rows and no other page's. A row's capacity ends with it.
+	ncol := len(tbl.def.Columns)
 	coerced := make([][]Value, len(rows))
+	var block []Value
 	for ri, vals := range rows {
-		if len(vals) != len(tbl.def.Columns) {
-			return 0, errorf("table %s: expected %d values, got %d", tableName, len(tbl.def.Columns), len(vals))
+		if len(vals) != ncol {
+			return 0, errorf("table %s: expected %d values, got %d", tableName, ncol, len(vals))
 		}
-		row := make([]Value, len(vals))
+		if len(block) == 0 {
+			slot := int((tbl.count + int64(ri)) & heapPageMask)
+			block = make([]Value, min(len(rows)-ri, heapPageSize-slot)*ncol)
+		}
+		row := block[:ncol:ncol]
+		block = block[ncol:]
 		for i, v := range vals {
 			row[i] = coerceTo(v, tbl.def.Columns[i].Type)
 			if tbl.def.Columns[i].NotNull && row[i].IsNull() {

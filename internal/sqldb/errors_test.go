@@ -116,7 +116,7 @@ func TestAggregationShapes(t *testing.T) {
 	}
 	// AVG returns a float even for integer inputs.
 	v, err = db.QueryScalar(`SELECT AVG(n) FROM nums WHERE n <= 2`)
-	if err != nil || v.t != TypeFloat || v.Float() != 1.5 {
+	if err != nil || v.Type() != TypeFloat || v.Float() != 1.5 {
 		t.Fatalf("avg: %v %v", v, err)
 	}
 }

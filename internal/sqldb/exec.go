@@ -765,7 +765,7 @@ func (n *hashJoinNode) estRows() float64 {
 // a float beyond 2^53 can still compare equal through float rounding
 // while encoding differently; SQL equality is not transitive there.)
 func appendKey(b []byte, v Value) []byte {
-	switch v.t {
+	switch v.Type() {
 	case TypeNull:
 		b = append(b, '0')
 	case TypeInt, TypeBool:
@@ -788,7 +788,7 @@ func appendKey(b []byte, v Value) []byte {
 // NULL (NULL never joins).
 func hashKey(b []byte, vals []Value) (key []byte, ok bool) {
 	for _, v := range vals {
-		if v.t == TypeNull {
+		if v.IsNull() {
 			return b, false
 		}
 		b = appendKey(b, v)

@@ -428,7 +428,7 @@ func TestScalarFunctions(t *testing.T) {
 			t.Errorf("%s: %v", c.expr, err)
 			continue
 		}
-		if v.t != c.want.t || Compare(v, c.want) != 0 {
+		if v.Type() != c.want.Type() || Compare(v, c.want) != 0 {
 			t.Errorf("%s = %#v, want %#v", c.expr, v, c.want)
 		}
 	}

@@ -679,7 +679,7 @@ func (c *compiler) compileFunc(e *FuncExpr) (compiledExpr, error) {
 			if err != nil {
 				return Null, err
 			}
-			switch v[0].t {
+			switch v[0].Type() {
 			case TypeNull:
 				return Null, nil
 			case TypeFloat:

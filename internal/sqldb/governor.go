@@ -114,18 +114,22 @@ func (m *memAccountant) close() {
 	}
 }
 
-// valueSize is what one Value occupies, before its text or blob bytes.
-const valueSize = int64(unsafe.Sizeof(Value{}))
+// valueSize is what one Value occupies, before its text or blob bytes,
+// and sliceHeaderSize what the slice holding them adds.
+const (
+	valueSize       = int64(unsafe.Sizeof(Value{}))
+	sliceHeaderSize = int64(unsafe.Sizeof([]Value(nil)))
+)
 
 // valuesBytes sizes a materialized []Value (a row, or a group's keys):
 // the slice header, every Value, and the text and blob bytes they
 // point at. It charges what the working set holds in memory; valueBytes
 // is the storage estimate T1 reports.
 func valuesBytes(vs []Value) int64 {
-	n := 24 + valueSize*int64(len(vs))
+	n := sliceHeaderSize + valueSize*int64(len(vs))
 	for _, v := range vs {
-		if v.t == TypeText || v.t == TypeBlob {
-			n += int64(v.n)
+		if t := v.Type(); t == TypeText || t == TypeBlob {
+			n += int64(v.size())
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -8,7 +9,7 @@ import (
 )
 
 // Packed index keys. A B-tree entry's key is every key column encoded
-// into one byte string, so comparing two keys is one strings.Compare and
+// into one byte string, so comparing two keys is one keyCompare and
 // a key that names its first l columns is a byte prefix of the full key.
 // That works because each column's encoding is self-delimiting and
 // prefix-free: two different values never share an encoding that is a
@@ -66,7 +67,7 @@ const twoPow53 = 1 << 53
 
 // appendKeyValue appends v's key encoding to dst.
 func appendKeyValue(dst []byte, v Value) []byte {
-	switch v.t {
+	switch v.Type() {
 	case TypeInt, TypeBool:
 		f := float64(v.i())
 		dst = appendOrderedFloat(append(dst, keyNumber), f)
@@ -231,7 +232,16 @@ func prefixCompare(key, bound string) int {
 	if len(key) > len(bound) {
 		key = key[:len(bound)]
 	}
-	return strings.Compare(key, bound)
+	return keyCompare(key, bound)
+}
+
+// keyCompare is strings.Compare for keys. strings.Compare calls into
+// assembly the escape analysis cannot see through, so a key it compared
+// went to the heap: a stack key buffer then cost each row inserted, and
+// each unique check, an allocation. bytes.Compare runs the same code
+// and is known not to keep its arguments.
+func keyCompare(a, b string) int {
+	return bytes.Compare(unsafe.Slice(unsafe.StringData(a), len(a)), unsafe.Slice(unsafe.StringData(b), len(b)))
 }
 
 // equalParts reports whether pre+suf is key, without building pre+suf.

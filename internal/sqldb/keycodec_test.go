@@ -39,9 +39,9 @@ func codecOrder(x, y Value) int {
 		switch {
 		case v.IsNull():
 			return 0
-		case v.t.isNumeric():
+		case v.Type().isNumeric():
 			return 1
-		case v.t == TypeText:
+		case v.Type() == TypeText:
 			return 2
 		default:
 			return 3
@@ -54,7 +54,7 @@ func codecOrder(x, y Value) int {
 	if bx != 1 {
 		return Compare(x, y) // NULLs, or two texts or two blobs
 	}
-	xNaN, yNaN := x.t == TypeFloat && math.IsNaN(x.f()), y.t == TypeFloat && math.IsNaN(y.f())
+	xNaN, yNaN := x.Type() == TypeFloat && math.IsNaN(x.f()), y.Type() == TypeFloat && math.IsNaN(y.f())
 	if xNaN || yNaN {
 		return cmp.Compare(b2i(!xNaN), b2i(!yNaN))
 	}
@@ -69,7 +69,7 @@ func b2i(b bool) int {
 }
 
 func exactNumber(v Value) *big.Float {
-	if v.t == TypeFloat {
+	if v.Type() == TypeFloat {
 		return new(big.Float).SetFloat64(v.f())
 	}
 	return new(big.Float).SetInt64(v.i())
@@ -89,17 +89,17 @@ func codecCompareKeys(a, b []Value) int {
 // integer float64 cannot hold against the REAL it rounds to, BOOLEAN
 // against TEXT, and NaN against a number.
 func documentedDeparture(x, y Value) bool {
-	isNaN := func(v Value) bool { return v.t == TypeFloat && math.IsNaN(v.f()) }
-	if x.t.isNumeric() && y.t.isNumeric() && (isNaN(x) || isNaN(y)) {
+	isNaN := func(v Value) bool { return v.Type() == TypeFloat && math.IsNaN(v.f()) }
+	if x.Type().isNumeric() && y.Type().isNumeric() && (isNaN(x) || isNaN(y)) {
 		return true
 	}
-	pair := func(a, b Type) bool { return x.t == a && y.t == b || x.t == b && y.t == a }
+	pair := func(a, b Type) bool { return x.Type() == a && y.Type() == b || x.Type() == b && y.Type() == a }
 	if pair(TypeBool, TypeText) {
 		return true
 	}
 	if pair(TypeInt, TypeFloat) || pair(TypeBool, TypeFloat) {
 		i, f := x, y
-		if i.t == TypeFloat {
+		if i.Type() == TypeFloat {
 			i, f = y, x
 		}
 		return float64(i.i()) == f.f() && exactNumber(i).Cmp(exactNumber(f)) != 0
@@ -169,14 +169,14 @@ func fuzzKeyValues(types []Type, data []byte) []Value {
 // side's type, INTEGER when both are NULL).
 func addKeySeed(f *testing.F, a, b []Value) {
 	code := func(v, other Value) byte {
-		t := v.t
+		t := v.Type()
 		if t == TypeNull {
-			t = other.t
+			t = other.Type()
 		}
 		return byte(max(slices.Index(fuzzKeyTypes, t), 0))
 	}
 	stream := func(v Value) []byte {
-		switch v.t {
+		switch v.Type() {
 		case TypeNull:
 			return []byte{0}
 		case TypeInt:

@@ -96,7 +96,7 @@ func (r *packedKeys) search(key string, rid int64, strict int) int {
 // cmpRest orders entry i against (key, rid) for a key that starts with
 // the prefix and goes on with rest.
 func (r *packedKeys) cmpRest(i int, rest string, rid int64) int {
-	if c := strings.Compare(r.suf(i), rest); c != 0 {
+	if c := keyCompare(r.suf(i), rest); c != 0 {
 		return c
 	}
 	return cmp.Compare(r.rids[i], rid)
@@ -121,7 +121,7 @@ func (r *packedKeys) cutBound(bound string) (rest string, c int, decided bool) {
 	if len(bound) <= len(p) {
 		return "", prefixCompare(p, bound), true
 	}
-	if c := strings.Compare(p, bound[:len(p)]); c != 0 {
+	if c := keyCompare(p, bound[:len(p)]); c != 0 {
 		return "", c, true
 	}
 	return bound[len(p):], 0, false

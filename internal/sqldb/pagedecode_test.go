@@ -2,11 +2,13 @@ package sqldb_test
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
 	"repro/internal/shred"
 	"repro/internal/sqldb"
+	"repro/internal/xmlgen"
 )
 
 // eagerPageBytes is what decoding every row of the benchmark's page cost
@@ -65,6 +67,56 @@ func BenchmarkPageDecode(b *testing.B) {
 			readAll()
 		}
 	})
+}
+
+// reopenAllocsCeiling bounds BenchmarkReopen's allocations per reopen
+// of a factor-0.1 Interval store. It read 19,819 while the index
+// rebuild decoded every row into its frame, one allocation a row, and
+// 4,460 with the rows decoded into one scratch row and left undecoded;
+// the ceiling is that plus about 12 %.
+const reopenAllocsCeiling = 5000
+
+// BenchmarkReopen measures opening a checkpointed durable factor-0.1
+// Interval store, an empty WAL: restoring the snapshot and rebuilding
+// every index from one scan of the pages. It fails above
+// reopenAllocsCeiling allocations per reopen, which holds the rebuild
+// to decoding each row into scratch and leaving it undecoded.
+func BenchmarkReopen(b *testing.B) {
+	fs := sqldb.NewMemVFS()
+	d, err := sqldb.OpenDurable(fs, sqldb.DurableOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := shred.NewInterval(false)
+	if err := s.Setup(d.DB()); err != nil {
+		b.Fatal(err)
+	}
+	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.1, Seed: 1})
+	if err := s.Insert(context.Background(), d.DB(), 0, 0, doc.Tokens()); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	reopen := func() {
+		d, err := sqldb.OpenDurable(fs, sqldb.DurableOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, reopen); allocs > reopenAllocsCeiling {
+		b.Fatalf("%.0f allocations per reopen, want <= %d", allocs, reopenAllocsCeiling)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		reopen()
+	}
 }
 
 // bytesPerRun returns the heap bytes one call of f allocates, averaged

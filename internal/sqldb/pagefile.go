@@ -196,30 +196,43 @@ func pageUvarint(b []byte, off int) (v uint64, n int) {
 }
 
 // decodeSlot decodes the live row slot starting at off of a payload
-// scanPagePayload checked, so it meets no malformed byte. Its TEXT and
-// BLOB values point into the payload.
+// scanPagePayload checked, so it meets no malformed byte, into a row of
+// its own. Its TEXT and BLOB values point into the payload.
 func decodeSlot(b []byte, off int) []Value {
+	return decodeSlotInto(nil, b, off)
+}
+
+// decodeSlotInto is decodeSlot writing into dst's array when it holds
+// the row's columns, and into a new row of exactly their number when
+// it does not (or is nil).
+func decodeSlotInto(dst []Value, b []byte, off int) []Value {
 	nc, n := binary.Uvarint(b[off:])
 	off += n
-	row := make([]Value, nc-1)
+	if dst == nil || uint64(cap(dst)) < nc-1 {
+		dst = make([]Value, nc-1)
+	}
+	row := dst[:nc-1]
 	for j := range row {
 		t := Type(b[off])
 		off++
 		switch t {
+		case TypeNull:
+			row[j] = Null
 		case TypeInt, TypeBool:
 			u, n := binary.Uvarint(b[off:])
 			off += n
-			row[j] = Value{t: t, n: u>>1 ^ -(u & 1)} // zigzag, as binary.Varint
+			row[j] = tagged(t, u>>1^-(u&1)) // zigzag, as binary.Varint
 		case TypeFloat:
-			row[j] = Value{t: t, n: binary.LittleEndian.Uint64(b[off:])}
+			row[j] = tagged(t, binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 		case TypeText, TypeBlob:
 			l, n := binary.Uvarint(b[off:])
 			off += n
-			row[j] = Value{t: t, n: l}
+			var p unsafe.Pointer
 			if l > 0 {
-				row[j].p = unsafe.Pointer(&b[off])
+				p = unsafe.Pointer(&b[off])
 			}
+			row[j] = bytesValue(t, p, l)
 			off += int(l)
 		}
 	}

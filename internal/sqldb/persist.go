@@ -265,14 +265,21 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*ta
 		builds[i] = indexBuild{idx: idx, entries: make([]btreeEntry, 0, t.count)}
 	}
 	// One scan collects every index's keys and the live/byte counts; the
-	// trees are then built by sorting. The barrier turns a failed page
-	// read into a load error instead of a panic.
+	// trees are then built by sorting. A faulted page's rows are decoded
+	// into one scratch row and stay undecoded, so the restored table
+	// holds page images until a reader asks for rows. The barrier turns
+	// a failed page read into a load error instead of a panic.
 	if err := func() (err error) {
 		defer recoverToError(&err)
 		var ref pageRef
 		defer ref.release()
+		scratch := make([]Value, len(def.Columns))
 		for rid := int64(0); rid < t.count; rid++ {
-			row := t.rowRef(rid, &ref)
+			p := t.pages[rid>>heapPageShift]
+			if ref.p != p {
+				ref.pin(p)
+			}
+			row := ref.f.peekRow(int(rid&heapPageMask), scratch)
 			if row == nil {
 				continue
 			}

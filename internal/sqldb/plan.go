@@ -205,7 +205,7 @@ func planSingleSelect(st *dbState, stmt *SelectStmt, outer schema) (*plan, schem
 	for i, o := range stmt.OrderBy {
 		desc := o.Desc
 		// ORDER BY <ordinal>
-		if lit, ok := o.Expr.(*Literal); ok && lit.Val.t == TypeInt {
+		if lit, ok := o.Expr.(*Literal); ok && lit.Val.Type() == TypeInt {
 			n := int(lit.Val.i())
 			if n < 1 || n > len(outSch) {
 				return nil, nil, errorf("ORDER BY position %d is out of range", n)
@@ -278,7 +278,7 @@ func applyOrderLimit(st *dbState, root planNode, sch schema, orderBy []OrderItem
 		keys := make([]compiledExpr, len(orderBy))
 		desc := make([]bool, len(orderBy))
 		for i, o := range orderBy {
-			if lit, ok := o.Expr.(*Literal); ok && lit.Val.t == TypeInt {
+			if lit, ok := o.Expr.(*Literal); ok && lit.Val.Type() == TypeInt {
 				n := int(lit.Val.i())
 				if n < 1 || n > len(sch) {
 					return nil, errorf("ORDER BY position %d is out of range", n)
@@ -1329,7 +1329,7 @@ func harvestBounds(rel *relation, conjs []*conjunct, sch schema) []rangeBound {
 				continue
 			}
 			lit, ok := e.Pattern.(*Literal)
-			if !ok || lit.Val.t != TypeText {
+			if !ok || lit.Val.Type() != TypeText {
 				continue
 			}
 			col := candColumn(e.X, rel, relSch)
@@ -1610,10 +1610,10 @@ func flipOp(op string) string {
 func staticExprType(e Expr, sch schema) (Type, bool) {
 	switch e := e.(type) {
 	case *Literal:
-		if e.Val.t == TypeNull {
+		if e.Val.Type() == TypeNull {
 			return TypeNull, false
 		}
-		return e.Val.t, true
+		return e.Val.Type(), true
 	case *ColumnRef:
 		if sch == nil {
 			return TypeNull, false

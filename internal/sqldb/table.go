@@ -100,6 +100,18 @@ func (f *pageFrame) decodeRow(i int, s uint32) []Value {
 	return row
 }
 
+// peekRow is row for a one-pass reader: an undecoded slot is decoded
+// into scratch (see decodeSlotInto) and stays undecoded, so the frame
+// keeps its image and no row. The row is valid until scratch is reused.
+func (f *pageFrame) peekRow(i int, scratch []Value) []Value {
+	if im := f.img; im != nil {
+		if s := atomic.LoadUint32(&im.lazy[i]); s != 0 && s != slotBusy {
+			return decodeSlotInto(scratch, im.b, int(s-1))
+		}
+	}
+	return f.row(i)
+}
+
 // testSlotDecoded, when non-nil, runs after every lazy slot decode;
 // tests count decodes with it.
 var testSlotDecoded atomic.Pointer[func()]
@@ -288,15 +300,11 @@ func (t *table) writableFrame(rid int64) *pageFrame {
 // valueBytes estimates the storage footprint of a value, used for the
 // database-size experiment (T1).
 func valueBytes(v Value) int64 {
-	switch v.t {
+	switch v.Type() {
 	case TypeNull:
 		return 1
-	case TypeInt, TypeFloat, TypeBool:
-		return 8
-	case TypeText:
-		return int64(v.n) + 4
-	case TypeBlob:
-		return int64(v.n) + 4
+	case TypeText, TypeBlob:
+		return int64(v.size()) + 4
 	default:
 		return 8
 	}

@@ -54,11 +54,16 @@ func (t Type) String() string {
 
 // Value is a single SQL value. The zero Value is NULL.
 //
-// A Value is 24 bytes: a type tag, one 8-byte word and one pointer.
-// The word holds an INTEGER's or BOOLEAN's bits, a REAL's
-// math.Float64bits, or a TEXT's or BLOB's byte length; the pointer
-// addresses the text or blob bytes. A text Value decoded from a heap
-// page points into that page's image and keeps the whole image alive.
+// A Value is 16 bytes, a pointer and a word, and its type tag is
+// folded into them. NULL has a nil pointer. An INTEGER, REAL or
+// BOOLEAN, and an empty TEXT or BLOB, points at its type's element of
+// typeTags, and the word holds all 64 bits of an INTEGER's or BOOLEAN's
+// integer or a REAL's math.Float64bits. A non-empty TEXT or BLOB points
+// at its bytes, and the word holds the length, with blobBit set for a
+// BLOB. An empty TEXT's word is 0, and an empty BLOB's is 0 when its
+// bytes are nil and blobBit when they are an empty slice. A text Value
+// decoded from a heap page points into that page's image and keeps the
+// whole image alive.
 // Values are not comparable with ==, which would compare text by
 // address (as reflect.DeepEqual does); use Compare, or Identical for an
 // exact match.
@@ -66,69 +71,118 @@ type Value struct {
 	_ [0]func()
 	p unsafe.Pointer
 	n uint64
-	t Type
 }
+
+// typeTags gives every type whose Value does not point at bytes an
+// address of its own; TypeNull's element is never pointed at.
+var typeTags [TypeBlob + 1]byte
+
+// blobBit marks a BLOB's length word (not that of an empty BLOB made
+// from a nil slice or decoded, whose tag tells its type).
+const blobBit = 1 << 63
+
+// tagged returns the Value of type t whose pointer is t's tag.
+func tagged(t Type, n uint64) Value { return Value{p: unsafe.Pointer(&typeTags[t]), n: n} }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns an INTEGER value.
-func NewInt(i int64) Value { return Value{t: TypeInt, n: uint64(i)} }
+func NewInt(i int64) Value { return tagged(TypeInt, uint64(i)) }
 
 // NewFloat returns a REAL value.
-func NewFloat(f float64) Value { return Value{t: TypeFloat, n: math.Float64bits(f)} }
+func NewFloat(f float64) Value { return tagged(TypeFloat, math.Float64bits(f)) }
 
 // NewText returns a TEXT value.
 func NewText(s string) Value {
-	return Value{t: TypeText, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+	if len(s) == 0 {
+		return tagged(TypeText, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
 }
 
 // NewBool returns a BOOLEAN value.
 func NewBool(b bool) Value {
 	if b {
-		return Value{t: TypeBool, n: 1}
+		return tagged(TypeBool, 1)
 	}
-	return Value{t: TypeBool}
+	return tagged(TypeBool, 0)
 }
 
 // boolBits returns a BOOLEAN holding i; the WAL codec stores a
 // BOOLEAN's bits as an integer and reads back whatever it finds.
-func boolBits(i int64) Value { return Value{t: TypeBool, n: uint64(i)} }
+func boolBits(i int64) Value { return tagged(TypeBool, uint64(i)) }
 
-// NewBlob returns a BLOB value. The slice is not copied.
+// NewBlob returns a BLOB value. The slice is not copied; a nil slice
+// and an empty one both make an empty BLOB, which Blob returns as it
+// was given.
 func NewBlob(b []byte) Value {
-	return Value{t: TypeBlob, p: unsafe.Pointer(unsafe.SliceData(b)), n: uint64(len(b))}
+	switch {
+	case b == nil:
+		return tagged(TypeBlob, 0)
+	case len(b) == 0:
+		return tagged(TypeBlob, blobBit)
+	}
+	return Value{p: unsafe.Pointer(unsafe.SliceData(b)), n: uint64(len(b)) | blobBit}
+}
+
+// bytesValue returns a TEXT or BLOB (t) whose bytes start at p and run
+// n long; p is not read when n is 0.
+func bytesValue(t Type, p unsafe.Pointer, n uint64) Value {
+	switch {
+	case n == 0:
+		return tagged(t, 0)
+	case t == TypeBlob:
+		return Value{p: p, n: n | blobBit}
+	default:
+		return Value{p: p, n: n}
+	}
 }
 
 // Type returns the value's type tag.
-func (v Value) Type() Type { return v.t }
+func (v Value) Type() Type {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&typeTags)); d < uintptr(len(typeTags)) {
+		return Type(d)
+	}
+	if v.p == nil {
+		return TypeNull
+	}
+	if v.n&blobBit != 0 {
+		return TypeBlob
+	}
+	return TypeText
+}
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.t == TypeNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // i, f and s read the payload of an INTEGER/BOOLEAN, a REAL and a
-// TEXT/BLOB; they do not check the tag.
+// TEXT/BLOB; they do not check the tag. size is a TEXT's or BLOB's
+// byte length.
 func (v Value) i() int64   { return int64(v.n) }
 func (v Value) f() float64 { return math.Float64frombits(v.n) }
-func (v Value) s() string  { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) s() string  { return unsafe.String((*byte)(v.p), v.size()) }
+func (v Value) size() int  { return int(v.n &^ blobBit) }
 
-// Blob returns a BLOB's bytes (nil for any other type). The slice
-// aliases the value's storage and must not be modified.
+// Blob returns a BLOB's bytes (nil for any other type, and for an
+// empty BLOB made from a nil slice or decoded). The slice aliases the
+// value's storage and must not be modified.
 func (v Value) Blob() []byte {
-	if v.t != TypeBlob {
+	if v.n == 0 || v.Type() != TypeBlob {
 		return nil
 	}
-	return unsafe.Slice((*byte)(v.p), int(v.n))
+	return unsafe.Slice((*byte)(v.p), v.size())
 }
 
 // Identical reports whether a and b are the same value exactly: same
 // type tag, same integer or float bits, same bytes. Unlike Compare it
 // tells 3 from 3.0, 0.0 from -0.0, and one NaN payload from another.
 func Identical(a, b Value) bool {
-	if a.t != b.t {
+	t := a.Type()
+	if t != b.Type() {
 		return false
 	}
-	switch a.t {
+	switch t {
 	case TypeText, TypeBlob:
 		return a.s() == b.s()
 	case TypeNull:
@@ -147,13 +201,13 @@ func IdenticalRows(a, b [][]Value) bool {
 // Bool reports the truth of v under SQL semantics: NULL and zero values
 // are false, everything else true.
 func (v Value) Bool() bool {
-	switch v.t {
+	switch v.Type() {
 	case TypeInt, TypeBool:
 		return v.n != 0
 	case TypeFloat:
 		return v.f() != 0
 	case TypeText, TypeBlob:
-		return v.n != 0
+		return v.size() != 0
 	default:
 		return false
 	}
@@ -161,7 +215,7 @@ func (v Value) Bool() bool {
 
 // Int returns the value coerced to int64 (0 for non-numeric).
 func (v Value) Int() int64 {
-	switch v.t {
+	switch v.Type() {
 	case TypeInt, TypeBool:
 		return v.i()
 	case TypeFloat:
@@ -182,7 +236,7 @@ func (v Value) Int() int64 {
 
 // Float returns the value coerced to float64 (0 for non-numeric).
 func (v Value) Float() float64 {
-	switch v.t {
+	switch v.Type() {
 	case TypeInt, TypeBool:
 		return float64(v.i())
 	case TypeFloat:
@@ -198,7 +252,7 @@ func (v Value) Float() float64 {
 
 // Text returns the value rendered as a string (SQL CAST ... AS TEXT).
 func (v Value) Text() string {
-	switch v.t {
+	switch v.Type() {
 	case TypeInt:
 		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
@@ -219,7 +273,7 @@ func (v Value) Text() string {
 
 // String implements fmt.Stringer with SQL literal syntax.
 func (v Value) String() string {
-	switch v.t {
+	switch v.Type() {
 	case TypeNull:
 		return "NULL"
 	case TypeText:
@@ -240,18 +294,19 @@ func (t Type) isNumeric() bool {
 // compare numerically across Int/Float/Bool; Text compares bytewise;
 // mixed non-numeric types order by type tag. The result is -1, 0 or +1.
 func Compare(a, b Value) int {
-	if a.t == TypeNull || b.t == TypeNull {
+	at, bt := a.Type(), b.Type()
+	if at == TypeNull || bt == TypeNull {
 		switch {
-		case a.t == TypeNull && b.t == TypeNull:
+		case at == TypeNull && bt == TypeNull:
 			return 0
-		case a.t == TypeNull:
+		case at == TypeNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if a.t.isNumeric() && b.t.isNumeric() {
-		if a.t == TypeFloat || b.t == TypeFloat {
+	if at.isNumeric() && bt.isNumeric() {
+		if at == TypeFloat || bt == TypeFloat {
 			af, bf := a.Float(), b.Float()
 			switch {
 			case af < bf:
@@ -271,17 +326,14 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	}
-	if a.t == TypeText && b.t == TypeText {
-		return strings.Compare(a.s(), b.s())
-	}
-	if a.t == TypeBlob && b.t == TypeBlob {
+	if at == bt && (at == TypeText || at == TypeBlob) {
 		return strings.Compare(a.s(), b.s())
 	}
 	// Mixed incomparable types: order by type tag so sorting is total.
 	switch {
-	case a.t < b.t:
+	case at < bt:
 		return -1
-	case a.t > b.t:
+	case at > bt:
 		return 1
 	default:
 		return 0
@@ -295,17 +347,18 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // compareSQL implements SQL comparison: if either operand is NULL the
 // result is unknown (ok=false).
 func compareSQL(a, b Value) (cmp int, ok bool) {
-	if a.t == TypeNull || b.t == TypeNull {
+	if a.IsNull() || b.IsNull() {
 		return 0, false
 	}
 	// TEXT vs numeric: coerce text to number when it parses, mirroring
 	// the loose typing XML-shredded value columns need.
-	if a.t == TypeText && b.t.isNumeric() {
+	at, bt := a.Type(), b.Type()
+	if at == TypeText && bt.isNumeric() {
 		if f, err := strconv.ParseFloat(strings.TrimSpace(a.s()), 64); err == nil {
 			a = NewFloat(f)
 		}
 	}
-	if b.t == TypeText && a.t.isNumeric() {
+	if bt == TypeText && at.isNumeric() {
 		if f, err := strconv.ParseFloat(strings.TrimSpace(b.s()), 64); err == nil {
 			b = NewFloat(f)
 		}
@@ -320,7 +373,7 @@ func addValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.t == TypeFloat || b.t == TypeFloat {
+	if a.Type() == TypeFloat || b.Type() == TypeFloat {
 		return NewFloat(a.Float() + b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -334,7 +387,7 @@ func subValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.t == TypeFloat || b.t == TypeFloat {
+	if a.Type() == TypeFloat || b.Type() == TypeFloat {
 		return NewFloat(a.Float() - b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -348,7 +401,7 @@ func mulValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.t == TypeFloat || b.t == TypeFloat {
+	if a.Type() == TypeFloat || b.Type() == TypeFloat {
 		return NewFloat(a.Float() * b.Float())
 	}
 	x, y := a.Int(), b.Int()
@@ -365,7 +418,7 @@ func divValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.t == TypeFloat || b.t == TypeFloat {
+	if a.Type() == TypeFloat || b.Type() == TypeFloat {
 		bf := b.Float()
 		if bf == 0 {
 			return Null
@@ -386,7 +439,7 @@ func modValues(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
 	}
-	if a.t == TypeFloat || b.t == TypeFloat {
+	if a.Type() == TypeFloat || b.Type() == TypeFloat {
 		bf := b.Float()
 		if bf == 0 {
 			return Null
@@ -402,7 +455,7 @@ func modValues(a, b Value) Value {
 
 // negValue implements unary minus.
 func negValue(a Value) Value {
-	switch a.t {
+	switch a.Type() {
 	case TypeInt, TypeBool:
 		if a.i() == math.MinInt64 {
 			return NewFloat(-float64(a.i()))
@@ -425,24 +478,24 @@ func coerceTo(v Value, t Type) Value {
 	}
 	switch t {
 	case TypeInt:
-		if v.t == TypeInt {
+		if v.Type() == TypeInt {
 			return v
 		}
 		return NewInt(v.Int())
 	case TypeFloat:
-		if v.t == TypeFloat {
+		if v.Type() == TypeFloat {
 			return v
 		}
 		return NewFloat(v.Float())
 	case TypeText:
-		if v.t == TypeText {
+		if v.Type() == TypeText {
 			return v
 		}
 		return NewText(v.Text())
 	case TypeBool:
 		return NewBool(v.Bool())
 	case TypeBlob:
-		if v.t == TypeBlob {
+		if v.Type() == TypeBlob {
 			return v
 		}
 		return NewBlob([]byte(v.Text()))

@@ -43,13 +43,13 @@ const (
 		"03000101040001036100ff62000102bff802c10a"
 )
 
-// TestValueLayout pins the 24-byte Value and its codecs: the corner
+// TestValueLayout pins the 16-byte Value and its codecs: the corner
 // values encode to the same WAL and key bytes as before, and decode
 // back identical both value by value (the WAL path) and as page rows
 // (the arena path).
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 24 {
-		t.Fatalf("Value is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("Value is %d bytes, want 16", got)
 	}
 	corners := layoutCorners()
 	e := &walEncoder{}
@@ -119,6 +119,74 @@ func TestValueLayout(t *testing.T) {
 	} {
 		if Identical(c[0], c[1]) {
 			t.Errorf("Identical(%v, %v) = true", c[0], c[1])
+		}
+	}
+	checkTagCorners(t)
+}
+
+// checkTagCorners pushes the values whose type lives in the pointer
+// word, or beside a length in the other word, through Type, Identical,
+// Compare and the three codecs. Any two differ in type or in bits, so
+// no two are Identical, share a key or Compare equal; NULL sorts first,
+// and a TEXT before a BLOB (mixed types order by tag).
+func checkTagCorners(t *testing.T) {
+	corners := []struct {
+		v    Value
+		t    Type
+		name string
+	}{
+		{Null, TypeNull, "NULL"},
+		{NewInt(math.MinInt64), TypeInt, "MinInt64"},
+		{NewFloat(math.Copysign(0, -1)), TypeFloat, "-0.0"},
+		{boolBits(5), TypeBool, "BOOLEAN 5"},
+		{NewInt(math.MaxInt64), TypeInt, "MaxInt64"},
+		{NewText(""), TypeText, "empty TEXT"},
+		{NewText("ab"), TypeText, "TEXT ab"},
+		{NewBlob(nil), TypeBlob, "empty BLOB"},
+		{NewBlob([]byte("ab")), TypeBlob, "BLOB ab"},
+	}
+	nan := NewFloat(math.Float64frombits(0x7ff8000000000001))
+	if nan.Type() != TypeFloat || math.Float64bits(nan.Float()) != 0x7ff8000000000001 || Identical(nan, NewFloat(math.Float64frombits(0x7ff8000000000002))) {
+		t.Errorf("NaN payload: type %v, bits %#x", nan.Type(), math.Float64bits(nan.Float()))
+	}
+	row := []Value{nan}
+	e := &walEncoder{}
+	e.value(nan)
+	keys := map[string]string{}
+	for i, c := range corners {
+		if got := c.v.Type(); got != c.t || c.v.IsNull() != (c.t == TypeNull) {
+			t.Errorf("%s: Type %v, IsNull %v", c.name, got, c.v.IsNull())
+		}
+		for j, d := range corners {
+			got := Compare(c.v, d.v)
+			if Identical(c.v, d.v) != (i == j) || (got == 0) != (i == j) || got != -Compare(d.v, c.v) ||
+				i == 0 && j > 0 && got != -1 || c.t == TypeText && d.t == TypeBlob && got != -1 {
+				t.Errorf("%s against %s: Identical %v, Compare %d", c.name, d.name, Identical(c.v, d.v), got)
+			}
+		}
+		k := string(appendKeyValue(nil, c.v))
+		if other, ok := keys[k]; ok {
+			t.Errorf("%s and %s share the key %x", c.name, other, k)
+		}
+		keys[k] = c.name
+		e.value(c.v)
+		row = append(row, c.v)
+	}
+	d := &walDecoder{b: e.b}
+	for i, want := range row {
+		if got, err := d.value(); err != nil || !Identical(got, want) || got.Type() != want.Type() {
+			t.Errorf("WAL value %d: got %v (%v), want %v", i, got, err, want)
+		}
+	}
+	f := &pageFrame{}
+	f.rows[0] = row
+	page, err := decodePagePayload(1, encodePageFrame(f, 1), heapPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range row {
+		if got := page.rows[0][i]; !Identical(got, want) || got.Type() != want.Type() {
+			t.Errorf("page value %d: got %v, want %v", i, got, want)
 		}
 	}
 }
@@ -234,10 +302,10 @@ func TestCompareSQLNullAndCoercion(t *testing.T) {
 }
 
 func TestArithmetic(t *testing.T) {
-	if v := addValues(NewInt(2), NewInt(3)); v.t != TypeInt || v.i() != 5 {
+	if v := addValues(NewInt(2), NewInt(3)); v.Type() != TypeInt || v.i() != 5 {
 		t.Errorf("2+3 = %v", v)
 	}
-	if v := addValues(NewInt(2), NewFloat(0.5)); v.t != TypeFloat || v.f() != 2.5 {
+	if v := addValues(NewInt(2), NewFloat(0.5)); v.Type() != TypeFloat || v.f() != 2.5 {
 		t.Errorf("2+0.5 = %v", v)
 	}
 	if v := addValues(Null, NewInt(1)); !v.IsNull() {
@@ -400,10 +468,10 @@ func TestLikePrefix(t *testing.T) {
 }
 
 func TestCoerceTo(t *testing.T) {
-	if v := coerceTo(NewText("42"), TypeInt); v.t != TypeInt || v.i() != 42 {
+	if v := coerceTo(NewText("42"), TypeInt); v.Type() != TypeInt || v.i() != 42 {
 		t.Errorf("coerce '42' to int = %v", v)
 	}
-	if v := coerceTo(NewInt(42), TypeText); v.t != TypeText || v.s() != "42" {
+	if v := coerceTo(NewInt(42), TypeText); v.Type() != TypeText || v.s() != "42" {
 		t.Errorf("coerce 42 to text = %v", v)
 	}
 	if v := coerceTo(Null, TypeInt); !v.IsNull() {

@@ -113,8 +113,8 @@ func (e *walEncoder) bytes(p []byte)   { e.uvarint(uint64(len(p))); e.b = append
 func (e *walEncoder) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 
 func (e *walEncoder) value(v Value) {
-	e.byte(byte(v.t))
-	switch v.t {
+	e.byte(byte(v.Type()))
+	switch v.Type() {
 	case TypeNull:
 	case TypeInt, TypeBool:
 		e.varint(v.i())
