@@ -466,31 +466,6 @@ func (ps *pageStore) evictLocked() {
 	ps.over.Store(len(ps.clock) > limit)
 }
 
-// releaseAfter takes the pages of generations after gen out of a
-// bounded pool's ring and drops their frames: the abort of a
-// transaction that began at gen, whose pages no state references, so
-// they neither count as resident nor push live pages out until the hand
-// comes round. A page still pinned stays.
-func (ps *pageStore) releaseAfter(gen uint64) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if !ps.bounded() {
-		return
-	}
-	kept := ps.clock[:0]
-	for _, p := range ps.clock {
-		if p.gen > gen && p.pins.Load() == 0 {
-			p.res.Store(nil)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	clear(ps.clock[len(kept):])
-	ps.clock = kept
-	ps.hand = 0
-	ps.over.Store(len(ps.clock) > int(ps.cap.Load()))
-}
-
 // evict is evictLocked under the pool lock.
 func (ps *pageStore) evict() {
 	ps.mu.Lock()

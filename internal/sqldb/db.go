@@ -398,7 +398,7 @@ func (tx *Tx) guard(errp *error) {
 }
 
 // abort discards the transaction, drops its continuation frames and
-// the pages its statements pooled, and frees the writer slot.
+// frees the writer slot.
 func (tx *Tx) abort() {
 	if tx.done {
 		return
@@ -406,9 +406,6 @@ func (tx *Tx) abort() {
 	tx.done = true
 	if tx.streamedRecs > 0 {
 		tx.db.log.unstream(tx.streamed, tx.streamedRecs)
-	}
-	if tx.group {
-		tx.db.pool.releaseAfter(tx.gen0)
 	}
 	tx.db.writeMu.Unlock()
 }

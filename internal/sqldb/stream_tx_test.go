@@ -101,81 +101,6 @@ func TestStreamedTransactionFrames(t *testing.T) {
 	checkIndexes(t, re.DB())
 }
 
-// TestRollbackReleasesPooledPages: under a two-page pool, a streamed
-// load that fills four heap pages has some written back and evicted
-// before it rolls back; the abort takes the rest out of the pool at
-// once, so Resident counts none of them, and recovery still equals the
-// state before the transaction.
-func TestRollbackReleasesPooledPages(t *testing.T) {
-	prev := SetTxStreamBytes(0)
-	t.Cleanup(func() { SetTxStreamBytes(prev) })
-	fs := NewMemVFS()
-	d, err := OpenDurable(fs, DurableOptions{BufferPoolPages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := streamCrashWorkload[:3]
-	for _, op := range w {
-		if err := runCrashOp(d, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := d.DB().pool
-	writebacks := d.DB().Stats().BufferPool.Writebacks
-	var gen0 uint64
-	err = d.DB().Update(func(tx *Tx) error {
-		gen0 = tx.gen0
-		for _, base := range []int{40000, 50000, 60000, 70000} {
-			if _, err := tx.Exec(fill560(base)); err != nil {
-				return err
-			}
-		}
-		if bp := d.DB().Stats().BufferPool; bp.Writebacks == writebacks {
-			t.Errorf("the open transaction wrote no page back: %+v", bp)
-		}
-		if n := residentAfter(ps, gen0); n == 0 {
-			t.Error("no page of the open transaction is resident")
-		}
-		return errRollback
-	})
-	if err != errRollback {
-		t.Fatalf("rollback: %v", err)
-	}
-	if n := residentAfter(ps, gen0); n != 0 {
-		t.Errorf("%d pages of the rolled-back transaction still resident", n)
-	}
-	if bp := d.DB().Stats().BufferPool; bp.Resident > 2 {
-		t.Errorf("%d resident pages in a 2-page pool after the rollback", bp.Resident)
-	}
-	base := crashBaselines(t, w)
-	if diff := dbStateDiff(base[len(base)-1], d.DB()); diff != "" {
-		t.Fatalf("state after the rollback: %s", diff)
-	}
-	crashed := fs.Clone()
-	crashed.Crash(CrashLoseUnsynced)
-	re, err := OpenDurable(crashed, DurableOptions{BufferPoolPages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := dbStateDiff(base[len(base)-1], re.DB()); diff != "" {
-		t.Fatalf("recovered state: %s", diff)
-	}
-	checkIndexes(t, re.DB())
-}
-
-// residentAfter counts the pages of generations after gen in ps's ring.
-func residentAfter(ps *pageStore, gen uint64) int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	n := 0
-	for _, p := range ps.clock {
-		if p.gen > gen {
-			n++
-		}
-	}
-	return n
-}
-
 func equalOps(a, b []walOp) bool {
 	if len(a) != len(b) {
 		return false
