@@ -2,8 +2,10 @@ package sqldb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 )
 
 // rowIter is the Volcano-style iterator every physical operator
@@ -1078,27 +1080,25 @@ func (n *sortNode) open(ctx *evalCtx) (rowIter, error) {
 	return openBuilt(ctx, n.sorted)
 }
 
-// sorted materializes the input and sorts it.
+// sorted materializes the input and sorts it in place. Every row's
+// sort keys are evaluated once, into one block that holds nk values a
+// row and is swapped along with the rows.
 func (n *sortNode) sorted(ctx *evalCtx) ([][]Value, error) {
 	rows, err := materialize(ctx, n.in)
 	if err != nil {
 		return nil, err
 	}
-	type keyed struct {
-		row  []Value
-		keys []Value
-	}
-	ks := make([]keyed, len(rows))
+	nk := len(n.keys)
+	s := &keyedRows{rows: rows, keys: make([]Value, len(rows)*nk), desc: n.desc}
 	var pending int64
 	for i, r := range rows {
-		kv := make([]Value, len(n.keys))
+		kv := s.keys[i*nk : (i+1)*nk : (i+1)*nk]
 		for j, ke := range n.keys {
 			kv[j], err = ke(ctx, r)
 			if err != nil {
 				return nil, err
 			}
 		}
-		ks[i] = keyed{row: r, keys: kv}
 		pending += valuesBytes(kv)
 		if i&1023 == 1023 {
 			if err := ctx.mem.charge(pending); err != nil {
@@ -1110,24 +1110,41 @@ func (n *sortNode) sorted(ctx *evalCtx) ([][]Value, error) {
 	if err := ctx.mem.charge(pending); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j := range n.keys {
-			c := Compare(ks[a].keys[j], ks[b].keys[j])
-			if c == 0 {
-				continue
-			}
-			if n.desc[j] {
-				return c > 0
-			}
-			return c < 0
+	sort.Stable(s)
+	return rows, nil
+}
+
+// keyedRows sorts rows by their keys, len(desc) values a row.
+type keyedRows struct {
+	rows [][]Value
+	keys []Value
+	desc []bool
+}
+
+func (s *keyedRows) Len() int { return len(s.rows) }
+
+func (s *keyedRows) Less(a, b int) bool {
+	nk := len(s.desc)
+	ka, kb := s.keys[a*nk:(a+1)*nk], s.keys[b*nk:(b+1)*nk]
+	for j := range ka {
+		c := Compare(ka[j], kb[j])
+		if c == 0 {
+			continue
 		}
-		return false
-	})
-	out := make([][]Value, len(ks))
-	for i := range ks {
-		out[i] = ks[i].row
+		if s.desc[j] {
+			return c > 0
+		}
+		return c < 0
 	}
-	return out, nil
+	return false
+}
+
+func (s *keyedRows) Swap(a, b int) {
+	s.rows[a], s.rows[b] = s.rows[b], s.rows[a]
+	nk := len(s.desc)
+	for j := 0; j < nk; j++ {
+		s.keys[a*nk+j], s.keys[b*nk+j] = s.keys[b*nk+j], s.keys[a*nk+j]
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,12 +1244,13 @@ func (n *distinctNode) open(ctx *evalCtx) (rowIter, error) {
 }
 
 // distinctIter encodes each row's key into one reused buffer; the map
-// lookup with string(buf) does not allocate, so only a row with a new
-// key costs an allocation, the key it keeps.
+// lookup with string(buf) does not allocate, and a new key is kept in
+// the key arena, so keys cost an allocation per chunk, not per row.
 type distinctIter struct {
 	in   rowIter
 	seen map[string]bool
 	buf  []byte
+	keys keyArena
 	mem  *memAccountant
 }
 
@@ -1249,15 +1267,36 @@ func (it *distinctIter) next() ([]Value, error) {
 		if err := it.mem.charge(int64(len(it.buf)) + 48); err != nil {
 			return nil, err
 		}
-		it.seen[string(it.buf)] = true
+		it.seen[it.keys.keep(it.buf)] = true
 		return row, nil
 	}
 }
 
 func (it *distinctIter) rewind() error {
 	clear(it.seen)
+	it.keys.reset()
 	return it.in.rewind()
 }
+
+// keyArena keeps byte strings in chunks that grow from 256 bytes to
+// 32 KiB. A kept string is immutable until reset, which hands out the
+// last chunk again from its start: only after whatever held the strings
+// (a set's map) has been cleared.
+type keyArena struct{ buf []byte }
+
+func (a *keyArena) keep(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > cap(a.buf)-len(a.buf) {
+		a.buf = make([]byte, 0, max(len(b), min(2*cap(a.buf), 32<<10), 256))
+	}
+	off := len(a.buf)
+	a.buf = append(a.buf, b...)
+	return unsafe.String(&a.buf[off], len(b))
+}
+
+func (a *keyArena) reset() { a.buf = a.buf[:0] }
 
 func (it *distinctIter) close() { it.in.close() }
 
@@ -1374,6 +1413,18 @@ func (it *sliceIter) rewind() error {
 
 func (it *sliceIter) close() {}
 
+// rowsLeft is how many rows an iterator over rows it already holds (a
+// sort's, an aggregate's) has still to return; 0 when it cannot tell.
+func rowsLeft(it rowIter) int {
+	if s, ok := it.(*statIter); ok {
+		it = s.in
+	}
+	if b, ok := it.(*builtIter); ok {
+		return len(b.rows) - b.pos
+	}
+	return 0
+}
+
 // builtIter serves rows an operator computes whole — a sort, an
 // aggregate — and computes them again, against the context's current
 // outer row, when rewound.
@@ -1406,6 +1457,9 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 	}
 	defer it.close()
 	var out [][]Value
+	if n := rowsLeft(it); n > 0 {
+		out = make([][]Value, 0, n)
+	}
 	var pending int64
 	for {
 		if len(out)&1023 == 0 {
@@ -1426,6 +1480,12 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 				return nil, err
 			}
 			return out, nil
+		}
+		if len(out) == cap(out) {
+			// Grow to twice the length: append grows a long slice by a
+			// quarter, which leaves about four times the result behind
+			// as garbage.
+			out = slices.Grow(out, max(len(out), 16))
 		}
 		out = append(out, row)
 		pending += valuesBytes(row)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -258,5 +259,104 @@ func TestDistinctAllocatesPerKey(t *testing.T) {
 	}
 	if allocs > 2*d {
 		t.Errorf("DISTINCT over %d rows with %d keys: %.0f allocations per run, want at most %d", n, d, allocs, 2*d)
+	}
+}
+
+// TestDistinctKeysShareChunks: DISTINCT over rows that are all distinct
+// keeps its keys in chunks, not one allocation each, and a rewound
+// iterator hands the chunk out again only after it has forgotten the
+// keys in it: every run keeps every row.
+func TestDistinctKeysShareChunks(t *testing.T) {
+	const n = 512
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(i)), NewText(fmt.Sprintf("k%d", i%7))}
+	}
+	node := &distinctNode{in: &valuesNode{rows: rows, schema: schema{{name: "a"}, {name: "b"}}}}
+	it, err := node.open(&evalCtx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() int {
+		if err := it.rewind(); err != nil {
+			t.Fatal(err)
+		}
+		for kept := 0; ; kept++ {
+			row, err := it.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				return kept
+			}
+		}
+	}
+	if kept := run(); kept != n {
+		t.Fatalf("first run kept %d rows, want %d", kept, n)
+	}
+	var kept int
+	allocs := testing.AllocsPerRun(20, func() { kept = run() })
+	if kept != n {
+		t.Fatalf("rewound run kept %d rows, want %d", kept, n)
+	}
+	if allocs > 8 {
+		t.Errorf("DISTINCT over %d distinct rows: %.0f allocations per rewound run, want at most 8", n, allocs)
+	}
+}
+
+// TestSortStableInPlace: a sort on two keys, one descending, orders the
+// rows as a stable sort of the input does, ties in input order, and
+// allocates for the input and one key block, not per row.
+func TestSortStableInPlace(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(3))
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(rng.Intn(5))), NewText(string(rune('a' + rng.Intn(3)))), NewInt(int64(i))}
+	}
+	col := func(c int) compiledExpr {
+		return func(_ *evalCtx, row []Value) (Value, error) { return row[c], nil }
+	}
+	node := &sortNode{
+		in:   &valuesNode{rows: rows, schema: schema{{name: "a"}, {name: "b"}, {name: "seq"}}},
+		keys: []compiledExpr{col(0), col(1)},
+		desc: []bool{true, false},
+	}
+	want := append([][]Value(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if c := Compare(want[i][0], want[j][0]); c != 0 {
+			return c > 0
+		}
+		return Compare(want[i][1], want[j][1]) < 0
+	})
+	got, err := node.sorted(&evalCtx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IdenticalRows(got, want) {
+		t.Fatal("sorted rows differ from a stable sort of the input")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { node.sorted(&evalCtx{}) }); allocs > 24 {
+		t.Errorf("sorting %d rows: %.0f allocations, want at most 24", n, allocs)
+	}
+}
+
+// TestMaterializeSizesFromHeldRows: draining an operator that already
+// holds its rows (a sort) sizes the result once, so it is exactly as
+// long as it is full.
+func TestMaterializeSizesFromHeldRows(t *testing.T) {
+	const n = 3000
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(n - i))}
+	}
+	in := &valuesNode{rows: rows, schema: schema{{name: "a"}}}
+	first := func(_ *evalCtx, row []Value) (Value, error) { return row[0], nil }
+	got, err := materialize(&evalCtx{}, &sortNode{in: in, keys: []compiledExpr{first}, desc: []bool{false}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n || cap(got) != n || got[0][0].Int() != 1 {
+		t.Fatalf("sorted result: len %d cap %d first %v, want len and cap %d, first 1", len(got), cap(got), got[0][0], n)
 	}
 }
