@@ -304,3 +304,38 @@ func simpleContentDeparture(kind SchemeKind, got []int64, dom []*xmldom.Node) st
 	}
 	return ""
 }
+
+// TestPredicateParentStepsMatchDOM holds a parent step inside a
+// predicate to its node test: [parent::person] keeps only the nodes
+// whose parent is a person, on every scheme whose predicate paths take
+// the parent axis. These forms stay out of domCorpus, whose
+// translations translate.golden pins.
+func TestPredicateParentStepsMatchDOM(t *testing.T) {
+	doc := xmlgen.Auction(xmlgen.Config{Factor: 0.02, Seed: 3})
+	queries := []string{"//name[parent::person]", "//name[parent::item]/..", "//city[parent::*]", "//@id[parent::person]"}
+	for _, kind := range []SchemeKind{Edge, Interval, Dewey} {
+		st, err := Open(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.LoadDocument(doc); err != nil {
+			t.Fatalf("%s: load: %v", kind, err)
+		}
+		for _, q := range queries {
+			res, err := st.Query(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, q, err)
+			}
+			var got, want []int64
+			for _, m := range res.Matches {
+				got = append(got, m.ID)
+			}
+			for _, n := range xpath.Eval(doc, xpath.MustParse(q)) {
+				want = append(want, int64(n.Pre))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: store matched %d nodes, DOM %d", kind, q, len(got), len(want))
+			}
+		}
+	}
+}

@@ -46,13 +46,22 @@ func likeEscapeMeta(s string) string {
 	return s
 }
 
-// likePattern renders the LIKE pattern, for ESCAPE '\', of contains()
-// or starts-with() (fn) with the literal s.
-func likePattern(fn, s string) string {
-	if fn == "starts-with" {
-		return likeEscapeMeta(s) + "%"
+// like splits contains() or starts-with() with a literal pattern into
+// the operand whose string value it tests and the SQL " LIKE pattern
+// ESCAPE '\'" that value is to pass.
+func like(scheme string, e *xpath.FuncCall) (xpath.Expr, string, error) {
+	if len(e.Args) != 2 {
+		return nil, "", unsupported(scheme, e.Name+"() arity")
 	}
-	return "%" + likeEscapeMeta(s) + "%"
+	lit, ok := e.Args[1].(*xpath.StringLit)
+	if !ok {
+		return nil, "", unsupported(scheme, e.Name+"() with a non-literal pattern")
+	}
+	pat := "%" + likeEscapeMeta(lit.Val) + "%"
+	if e.Name == "starts-with" {
+		pat = likeEscapeMeta(lit.Val) + "%"
+	}
+	return e.Args[0], " LIKE " + QuoteString(pat) + ` ESCAPE '\'`, nil
 }
 
 // numLiteral renders an XPath number as a SQL literal, preferring the
@@ -220,113 +229,99 @@ func (c *PathCatalog) Since(n int) []string { return c.paths[n:] }
 // Len reports the number of distinct paths.
 func (c *PathCatalog) Len() int { return len(c.paths) }
 
-// stepPattern is the catalog-matching view of one XPath step.
-type stepPattern struct {
-	// descendant allows any (non-empty) gap of element segments before
-	// the match.
-	descendant bool
-	// seg matches one segment: element name, "@name", "#text", or "*".
-	seg string
-}
-
-// patternOf converts parsed steps to catalog patterns. Only the child,
-// descendant and attribute axes plus text() map to catalog segments.
-func patternOf(steps []xpath.Step, scheme string) ([]stepPattern, error) {
-	var out []stepPattern
+// chains expands steps against the catalog: one chain per label path
+// they match, with a child or attribute hop on layout at per segment,
+// and each step's predicates on the hop of the segment it matched. Only
+// the child, descendant and attribute axes, and on the first two only
+// name, * and text() tests, match label segments; scheme refuses the
+// rest.
+func (c *PathCatalog) chains(steps []xpath.Step, scheme string, at layout) ([][]hop, error) {
 	for _, s := range steps {
-		p := stepPattern{}
-		switch s.Axis {
-		case xpath.AxisChild:
-		case xpath.AxisDescendant:
-			p.descendant = true
-		case xpath.AxisAttribute:
-			if s.Test.Kind == xpath.TestName {
-				p.seg = "@" + s.Test.Name
-			} else {
-				p.seg = "@*"
-			}
-			out = append(out, p)
-			continue
-		default:
+		switch {
+		case s.Axis != xpath.AxisChild && s.Axis != xpath.AxisDescendant && s.Axis != xpath.AxisAttribute:
 			return nil, unsupported(scheme, "axis "+s.Axis.String())
-		}
-		switch s.Test.Kind {
-		case xpath.TestName:
-			p.seg = s.Test.Name
-		case xpath.TestWildcard:
-			p.seg = "*"
-		case xpath.TestText:
-			p.seg = "#text"
-		default:
+		case s.Axis != xpath.AxisAttribute && (s.Test.Kind == xpath.TestNode || s.Test.Kind == xpath.TestComment):
 			return nil, unsupported(scheme, "node test in this position")
 		}
-		out = append(out, p)
+	}
+	var out [][]hop
+	for _, p := range c.Paths() {
+		segs := strings.Split(p, "/")
+		stepSeg, ok := matchSegments(segs, steps)
+		if !ok {
+			continue
+		}
+		hops := make([]hop, len(segs))
+		for k, seg := range segs {
+			h := hop{axis: xpath.AxisChild, test: xpath.NodeTest{Kind: xpath.TestName, Name: seg}, label: seg, at: at}
+			switch {
+			case seg == "#text":
+				h.test = xpath.NodeTest{Kind: xpath.TestText}
+			case strings.HasPrefix(seg, "@"):
+				h.axis, h.test.Name = xpath.AxisAttribute, seg[1:]
+			}
+			hops[k] = h
+		}
+		for i, s := range steps {
+			h := &hops[stepSeg[i]]
+			h.preds, h.posTest = s.Preds, s.Test
+		}
+		out = append(out, hops)
 	}
 	return out, nil
 }
 
-// Match finds every catalog path matching the pattern and returns, for
-// each, the path segments plus the segment index each step matched.
-type CatalogMatch struct {
-	Segments []string
-	StepSeg  []int // step i matched Segments[StepSeg[i]]
-}
-
-// Expand matches the pattern against every catalog path.
-func (c *PathCatalog) Expand(pat []stepPattern) []CatalogMatch {
-	var out []CatalogMatch
-	for _, p := range c.Paths() {
-		segs := strings.Split(p, "/")
-		if m, ok := matchSegments(segs, pat); ok {
-			out = append(out, CatalogMatch{Segments: segs, StepSeg: m})
-		}
+// predLabel is the label segment of a predicate path's step in the
+// catalog-labelled schemes, which take child and attribute steps by
+// name and text().
+func predLabel(scheme string, s xpath.Step) (string, error) {
+	switch {
+	case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
+		return s.Test.Name, nil
+	case s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
+		return "@" + s.Test.Name, nil
+	case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
+		return "#text", nil
 	}
-	return out
+	return "", unsupported(scheme, "predicate step "+s.Axis.String())
 }
 
-// matchSegments matches the full pattern against the full path (the
-// last pattern step must match the last segment).
-func matchSegments(segs []string, pat []stepPattern) ([]int, bool) {
-	// Dynamic recursion with memo-free small sizes.
-	assign := make([]int, len(pat))
+// matchSegments matches the steps against the full path (the last step
+// must match the last segment), returning the segment each matched.
+func matchSegments(segs []string, steps []xpath.Step) ([]int, bool) {
+	assign := make([]int, len(steps))
 	var rec func(si, pi int) bool
 	rec = func(si, pi int) bool {
-		if pi == len(pat) {
+		if pi == len(steps) {
 			return si == len(segs)
 		}
-		p := pat[pi]
-		if p.descendant {
-			// si is the first unconsumed segment, already at least one
-			// level below the previous match, so the scan starts at si.
-			for s := si; s < len(segs); s++ {
-				if segMatch(segs[s], p.seg) {
-					assign[pi] = s
-					if rec(s+1, pi+1) {
-						return true
-					}
-				}
+		// A child or attribute step matches the next segment; a
+		// descendant step any later one, below a gap of segments.
+		last := si
+		if steps[pi].Axis == xpath.AxisDescendant {
+			last = len(segs) - 1
+		}
+		for k := si; k <= last && k < len(segs); k++ {
+			if segMatch(segs[k], steps[pi]) && rec(k+1, pi+1) {
+				assign[pi] = k
+				return true
 			}
-			return false
 		}
-		if si >= len(segs) || !segMatch(segs[si], p.seg) {
-			return false
-		}
-		assign[pi] = si
-		return rec(si+1, pi+1)
+		return false
 	}
-	if !rec(0, 0) {
-		return nil, false
-	}
-	return assign, true
+	return assign, rec(0, 0)
 }
 
-func segMatch(seg, pat string) bool {
-	switch pat {
-	case "*":
-		return !strings.HasPrefix(seg, "@") && seg != "#text"
-	case "@*":
-		return strings.HasPrefix(seg, "@")
-	default:
-		return seg == pat
+// segMatch reports whether label segment seg passes step s's node test.
+func segMatch(seg string, s xpath.Step) bool {
+	attr := strings.HasPrefix(seg, "@")
+	switch {
+	case s.Axis == xpath.AxisAttribute:
+		return attr && (s.Test.Kind != xpath.TestName || seg[1:] == s.Test.Name)
+	case s.Test.Kind == xpath.TestText:
+		return seg == "#text"
+	case s.Test.Kind == xpath.TestWildcard:
+		return !attr && seg != "#text"
 	}
+	return seg == s.Test.Name
 }

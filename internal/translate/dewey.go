@@ -15,25 +15,13 @@ import (
 // '.' AND path < p || '/') so the B-tree on path serves descendant and
 // ancestor steps; a child step probes the parent path.
 func Dewey(p *xpath.Path) (string, error) {
-	return regionPath(p, deweyLayout{})
+	return compilePath(region{name: "dewey", table: "dewey", alias: "d", order: "path", sibling: "path",
+		axis: deweyAxis, predAxis: deweyAxis}, p)
 }
 
-type deweyLayout struct{ nodeValue }
-
-func (deweyLayout) scheme() string                     { return "dewey" }
-func (deweyLayout) table() (name, alias, order string) { return "dewey", "d", "path" }
-func (l deweyLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
-	return regionPredPath(l, p, cur)
-}
-
-// result orders by path: pre numbers go stale after ordered inserts,
-// paths never do.
-func (deweyLayout) result(cur, body string) string {
-	return "SELECT id, val FROM (SELECT DISTINCT " + cur + ".pre AS id, " + cur + ".value AS val, " +
-		cur + ".path AS dpath " + body + ") r ORDER BY dpath"
-}
-
-func (deweyLayout) axis(ax xpath.Axis, a, cur string) []string {
+// deweyAxis renders the conditions that put alias a on axis ax of the
+// context alias cur, "" for the document node.
+func deweyAxis(ax xpath.Axis, a, cur string) []string {
 	switch ax {
 	case xpath.AxisChild, xpath.AxisAttribute:
 		if cur == "" {
@@ -53,8 +41,6 @@ func (deweyLayout) axis(ax xpath.Axis, a, cur string) []string {
 		// Ancestors are exactly the proper path prefixes (at component
 		// boundaries): the reverse of the descendant range.
 		return deweyPrefix(cur, a)
-	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
-		return siblingAxis(ax, a, cur, "path")
 	}
 	return nil
 }
@@ -67,9 +53,4 @@ func deweyPrefix(a, anc string) []string {
 		fmt.Sprintf("%s.path > %s.path || '.'", a, anc),
 		fmt.Sprintf("%s.path < %s.path || '/'", a, anc),
 	}
-}
-
-func (deweyLayout) position(cur string, test xpath.NodeTest) string {
-	return fmt.Sprintf("(SELECT COUNT(*) FROM dewey s WHERE s.parent = %s.parent AND %s AND s.path < %s.path) + 1",
-		cur, siblingTest(test, cur), cur)
 }

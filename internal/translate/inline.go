@@ -183,10 +183,6 @@ type inlinePos struct {
 	joins []inlineJoin // r0 ... rk; joins[i+1].parentid = joins[i].id
 	path  []string     // inner path within the last relation
 	elem  string       // current element name
-	// free marks a root-anchored descendant entry: the position's last
-	// relation is scanned without an ancestry join chain (exact for
-	// document-rooted //, the only place it is produced).
-	free bool
 }
 
 func (p inlinePos) rel() *InlineRelation { return p.joins[len(p.joins)-1].rel }
@@ -196,149 +192,115 @@ func (p inlinePos) key() string {
 	for i, j := range p.joins {
 		names[i] = j.rel.Elem + "@" + j.parentCode
 	}
-	return strings.Join(names, ">") + "|" + strings.Join(p.path, ".") + "|" + fmt.Sprint(p.free)
+	return strings.Join(names, ">") + "|" + strings.Join(p.path, ".")
 }
 
 // Inline translates XPath to SQL over the inlined schema. Node identity
 // is approximated by the hosting row's id (inlined elements do not carry
 // their own ids — the documented information loss of inlining).
 func Inline(p *xpath.Path, m *InlineMapping) (string, error) {
-	if !p.Absolute {
-		return "", unsupported("inline", "relative paths")
-	}
-	if len(p.Steps) == 0 {
-		return "", unsupported("inline", "the bare document path /")
-	}
+	return compilePath(inlineLayout{m: m}, p)
+}
 
-	type route struct {
-		pos   inlinePos
-		conds []string
-		// textOf, when true, selects the current column's text (a
-		// trailing text() step).
-		textOf bool
-		attr   string // trailing attribute step
-	}
-	var routes, next []route
-	// to adds route r moved by step s to pos, with s's predicates.
-	to := func(r route, pos inlinePos, s xpath.Step) error {
-		conds, err := inlineConds(m, pos, s)
-		if err != nil {
-			return err
-		}
-		next = append(next, route{pos: pos, conds: slices.Concat(r.conds, conds)})
-		return nil
-	}
+// maxInlineRoutes caps the routes one path expands into.
+const maxInlineRoutes = 128
 
-	// First step.
-	first := p.Steps[0]
-	switch first.Axis {
-	case xpath.AxisChild:
-		if first.Test.Kind == xpath.TestWildcard {
-			// `/*` is the one document element the DTD allows.
-			first.Test = xpath.NodeTest{Kind: xpath.TestName, Name: m.Graph.DTD.Root}
-		}
-		if first.Test.Kind != xpath.TestName {
-			return "", unsupported("inline", "a non-name root step")
-		}
-		rel, ok := m.Relations[first.Test.Name]
-		if !ok || first.Test.Name != m.Graph.DTD.Root {
-			return "", unsupported("inline", "a root element not matching the DTD root")
-		}
-		if err := to(route{}, inlinePos{joins: []inlineJoin{{rel: rel}}, elem: rel.Elem}, first); err != nil {
-			return "", err
-		}
-	case xpath.AxisDescendant:
-		if first.Test.Kind != xpath.TestName {
-			return "", unsupported("inline", "// with a non-name test at the document root")
-		}
-		for _, pl := range m.Placements[first.Test.Name] {
-			pos := inlinePos{joins: []inlineJoin{{rel: pl.Rel}}, path: pl.Path, elem: first.Test.Name, free: true}
-			if err := to(route{}, pos, first); err != nil {
-				return "", err
-			}
-		}
-	default:
-		return "", unsupported("inline", "axis "+first.Axis.String()+" at the document root")
-	}
-	routes, next = next, nil
+// inlineRoute is one way a path can run over the DTD: the position it
+// reached, and the chain of a hop into every relation it joins, one
+// onto the inlined element each step ends at, and a last hop onto the
+// column of an attribute or text() step (done).
+type inlineRoute struct {
+	pos  *inlinePos // nil at the document node
+	hops []hop
+	done bool
+}
 
-	for _, s := range p.Steps[1:] {
+func (l inlineLayout) expand(steps []xpath.Step) ([][]hop, error) {
+	routes, err := l.routes(inlineRoute{}, steps)
+	chains := make([][]hop, len(routes))
+	for i, r := range routes {
+		chains[i] = r.hops
+	}
+	return chains, err
+}
+
+// routes walks steps over the DTD from route r.
+func (l inlineLayout) routes(r inlineRoute, steps []xpath.Step) ([]inlineRoute, error) {
+	routes := []inlineRoute{r}
+	for _, s := range steps {
+		var next []inlineRoute
 		for _, r := range routes {
-			if r.textOf || r.attr != "" {
-				return "", unsupported("inline", "steps after a value step")
+			if r.done {
+				return nil, unsupported("inline", "steps after a value step")
 			}
-			switch s.Axis {
-			case xpath.AxisChild:
-				switch s.Test.Kind {
-				case xpath.TestName:
-					if np, ok := inlineChild(m, r.pos, s.Test.Name); ok {
-						if err := to(r, np, s); err != nil {
-							return "", err
-						}
-					}
-				case xpath.TestText:
-					nr := r
-					nr.textOf = true
-					if len(s.Preds) > 0 {
-						return "", unsupported("inline", "predicates on text()")
-					}
-					next = append(next, nr)
-				default:
-					return "", unsupported("inline", "wildcard or kind tests")
-				}
-			case xpath.AxisAttribute:
-				if s.Test.Kind != xpath.TestName {
-					return "", unsupported("inline", "attribute wildcards")
-				}
-				key := ColumnKey(r.pos.path, s.Test.Name)
-				if _, ok := r.pos.rel().ByKey[key]; !ok {
-					continue // attribute not declared here: no rows
-				}
-				nr := r
-				nr.attr = s.Test.Name
+			nps, value, err := l.moves(r.pos, s)
+			if err != nil {
+				return nil, err
+			}
+			if value {
 				if len(s.Preds) > 0 {
-					return "", unsupported("inline", "predicates on attribute steps")
+					return nil, unsupported("inline", "predicates on "+s.Axis.String()+" value steps")
 				}
-				next = append(next, nr)
-			case xpath.AxisDescendant:
-				if s.Test.Kind != xpath.TestName {
-					return "", unsupported("inline", "// with a non-name test")
-				}
-				nps, err := inlineDescendantPositions(m, r.pos, s.Test.Name)
-				if err != nil {
-					return "", err
-				}
-				for _, np := range nps {
-					if err := to(r, np, s); err != nil {
-						return "", err
-					}
-				}
-			default:
-				return "", unsupported("inline", "axis "+s.Axis.String())
+				h := hop{axis: s.Axis, test: s.Test, at: inlineLayout{m: l.m, pos: *r.pos}}
+				next = append(next, inlineRoute{pos: r.pos, hops: append(slices.Clip(r.hops), h), done: true})
 			}
-			if len(next) > 128 {
-				return "", fmt.Errorf("translate: inline route expansion exceeds 128 branches")
+			for _, np := range nps {
+				hops, k := slices.Clip(r.hops), 0
+				if r.pos != nil {
+					k = len(r.pos.joins)
+				}
+				for ; k < len(np.joins); k++ {
+					at := inlinePos{joins: np.joins[:k+1], elem: np.joins[k].rel.Elem}
+					hops = append(hops, hop{axis: xpath.AxisChild, at: inlineLayout{m: l.m, pos: at}})
+				}
+				if len(np.path) > 0 {
+					hops = append(hops, hop{axis: xpath.AxisChild, at: inlineLayout{m: l.m, pos: np}})
+				}
+				hops[len(hops)-1].preds, hops[len(hops)-1].posTest = s.Preds, s.Test
+				next = append(next, inlineRoute{pos: &np, hops: hops})
+			}
+			if len(next) > maxInlineRoutes {
+				return nil, unsupported("inline", fmt.Sprintf("a route expansion beyond %d branches", maxInlineRoutes))
 			}
 		}
-		routes, next = next, nil
+		routes = next
 	}
+	return routes, nil
+}
 
-	if len(routes) == 0 {
-		return "SELECT 0 AS id, NULL AS val WHERE 1 = 0", nil
-	}
-	var parts []string
-	seen := map[string]bool{}
-	for _, r := range routes {
-		q := inlineRouteSQL(r.pos, r.conds, r.textOf, r.attr)
-		if !seen[q] {
-			seen[q] = true
-			parts = append(parts, q)
+// moves takes step s from pos, nil for the document node: the positions
+// it reaches, or value when it selects a column of pos's row, the
+// element's text() or a declared attribute.
+func (l inlineLayout) moves(pos *inlinePos, s xpath.Step) (nps []inlinePos, value bool, err error) {
+	m, root, name := l.m, l.m.Graph.DTD.Root, s.Test.Name
+	switch {
+	case pos == nil && s.Axis == xpath.AxisChild && m.Relations[root] != nil &&
+		(s.Test.Kind == xpath.TestWildcard || s.Test.Kind == xpath.TestName && name == root):
+		// `/*` is the one document element the DTD allows.
+		return []inlinePos{{joins: []inlineJoin{{rel: m.Relations[root]}}, elem: root}}, false, nil
+	case pos == nil && s.Axis == xpath.AxisDescendant && s.Test.Kind == xpath.TestName:
+		for _, pl := range m.Placements[name] {
+			nps = append(nps, inlinePos{joins: []inlineJoin{{rel: pl.Rel}}, path: pl.Path, elem: name})
 		}
+		return nps, false, nil
+	case pos == nil:
+		return nil, false, unsupported("inline", s.Axis.String()+" steps at the document root but to the DTD root or // by name")
+	case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
+		np, ok := inlineChild(m, *pos, name)
+		if !ok {
+			return nil, false, nil
+		}
+		return []inlinePos{np}, false, nil
+	case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
+		return nil, true, nil
+	case s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
+		_, declared := pos.rel().ByKey[ColumnKey(pos.path, name)]
+		return nil, declared, nil
+	case s.Axis == xpath.AxisDescendant && s.Test.Kind == xpath.TestName:
+		nps, err := inlineDescendantPositions(m, *pos, name)
+		return nps, false, err
 	}
-	if len(parts) == 1 {
-		return parts[0] + " ORDER BY id", nil
-	}
-	return "SELECT DISTINCT id, val FROM (" + strings.Join(parts, " UNION ALL ") + ") u ORDER BY id", nil
+	return nil, false, unsupported("inline", s.Axis.String()+" steps but by name, and text()")
 }
 
 // inlineChild is the child step, of location and predicate paths alike:
@@ -356,9 +318,9 @@ func inlineChild(m *InlineMapping, pos inlinePos, name string) (inlinePos, bool)
 	}
 	if m.Shared[name] {
 		joins := append(slices.Clip(pos.joins), inlineJoin{rel: m.Relations[name], parentCode: strings.Join(pos.path, ".")})
-		return inlinePos{joins: joins, elem: name, free: pos.free}, true
+		return inlinePos{joins: joins, elem: name}, true
 	}
-	return inlinePos{joins: pos.joins, path: append(slices.Clip(pos.path), name), elem: name, free: pos.free}, true
+	return inlinePos{joins: pos.joins, path: append(slices.Clip(pos.path), name), elem: name}, true
 }
 
 // inlineDescendantPositions computes the positions reachable from pos by
@@ -403,32 +365,17 @@ func inlineDescendantPositions(m *InlineMapping, pos inlinePos, name string) ([]
 	return out, nil
 }
 
-// inlineConds compiles step s's predicates at pos, whose last relation
-// a route aliases i<k>, k the length of pos's join chain: the chain only
-// grows by appending, so the alias holds for the route's final SQL.
-func inlineConds(m *InlineMapping, pos inlinePos, s xpath.Step) ([]string, error) {
-	l := inlineLayout{m: m, pos: pos}
-	cur := fmt.Sprintf("i%d", len(pos.joins))
-	conds := make([]string, len(s.Preds))
-	for i, pe := range s.Preds {
-		c, err := compilePred(l, pe, cur, s.Test)
-		if err != nil {
-			return nil, err
-		}
-		conds[i] = c
-	}
-	return conds, nil
-}
-
 // inlineLayout is one position of the inlined schema as the predicate
 // compiler sees it: the context alias is a row of the position's last
 // relation, and the context node sits at the position's inner path.
 type inlineLayout struct {
+	byID
 	m   *InlineMapping
 	pos inlinePos
 }
 
-func (inlineLayout) scheme() string { return "inline" }
+func (inlineLayout) scheme() string                { return "inline" }
+func (inlineLayout) chain(c []hop) (string, error) { return walkPath(c, "i", true) }
 
 // position is a shared element's ordinal among its same-name siblings;
 // an inlined element occurs at most once.
@@ -444,58 +391,90 @@ func (l inlineLayout) value(cur string) string {
 	return inlineColumn(l.pos.rel(), cur, ColumnKey(l.pos.path, ""))
 }
 
-// predPath walks p's steps with the location path's child step, joining
-// the relation of each shared element it crosses on parentid and
-// parentcode. It ends at that relation's row or at one of its columns:
-// an inlined element's, an attribute's or text()'s. A path that never
-// leaves the context row is a column of that row, with no subquery.
+// step joins the relation of a shared element below the context row,
+// on parentid and parentcode; an inlined element, an attribute or
+// text() is a column of the context row.
+func (l inlineLayout) step(h hop, a, cur string) (string, []string) {
+	if cur != "" && (len(l.pos.path) > 0 || h.axis == xpath.AxisAttribute || h.test.Kind == xpath.TestText) {
+		return "", nil
+	}
+	j := l.pos.joins[len(l.pos.joins)-1]
+	if cur == "" {
+		return j.rel.Table + " " + a, nil
+	}
+	return j.rel.Table + " " + a, []string{a + ".parentid = " + cur + ".id", a + ".parentcode = " + QuoteString(j.parentCode)}
+}
+
+// test is "": the DTD routes fix every label.
+func (inlineLayout) test(string, hop) string { return "" }
+
+// result selects the route's host row, with the value column of its
+// element, or of the attribute or text() its value step selects; an
+// inlined element's column marks it present.
+func (l inlineLayout) result(h hop, w walked) string {
+	rel := l.pos.rel()
+	if len(l.pos.path) > 0 {
+		present := "1 = 0"
+		if c := inlineColumn(rel, w.cur, ColumnKey(l.pos.path, "")); c != "NULL" {
+			present = c + " IS NOT NULL"
+		}
+		w.where = append(w.where, present)
+	}
+	val := "NULL"
+	if col, ok := rel.ByKey[valueKey(l.pos.path, h)]; ok && (col.Kind == ColText || col.Kind == ColAttr) {
+		val = w.cur + "." + QuoteIdent(col.Key)
+		if h.axis == xpath.AxisAttribute || h.test.Kind == xpath.TestText {
+			w.preds = append(w.preds, val+" IS NOT NULL")
+		}
+	}
+	return "SELECT " + w.cur + ".id AS id, " + val + " AS val " + w.body()
+}
+
+// predPath runs p's steps from the context position as a location
+// path's route, joining the relation of each shared element it crosses
+// on parentid and parentcode. It ends at that relation's row or at one
+// of its columns: an inlined element's, an attribute's or text()'s. A
+// path that never leaves the context row is a column of that row, with
+// no subquery.
 func (l inlineLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
-	if p.Absolute {
-		return predPath{}, unsupported("inline", "absolute paths inside predicates")
+	if err := predSteps("inline", p); err != nil {
+		return predPath{}, err
 	}
-	pos := inlinePos{joins: []inlineJoin{{rel: l.pos.rel()}}, path: l.pos.path, elem: l.pos.elem}
-	attr, atRow := "", true
-	for i, s := range p.Steps {
-		if len(s.Preds) > 0 {
-			return predPath{}, unsupported("inline", "nested predicates")
-		}
-		last := i == len(p.Steps)-1
-		switch {
-		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
-			np, ok := inlineChild(l.m, pos, s.Test.Name)
-			if !ok {
-				return nonePath, nil
-			}
-			pos, atRow = np, len(np.path) == 0
-		case last && s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
-			attr, atRow = s.Test.Name, false
-		case last && s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
-			atRow = false // the element's own text column
-		default:
-			return predPath{}, unsupported("inline", "predicate step "+s.Axis.String())
-		}
+	if slices.ContainsFunc(p.Steps, func(s xpath.Step) bool { return s.Axis == xpath.AxisDescendant }) {
+		return predPath{}, unsupported("inline", "descendant steps inside predicates")
 	}
-	var from, where, order []string
-	row := cur
-	for k, j := range pos.joins[1:] {
-		a := fmt.Sprintf("%s_x%d", cur, k+1)
-		from = append(from, j.rel.Table+" "+a)
-		where = append(where, a+".parentid = "+row+".id", a+".parentcode = "+QuoteString(j.parentCode))
-		order = append(order, a+".ordinal")
-		row = a
+	start := inlinePos{joins: []inlineJoin{{rel: l.pos.rel()}}, path: l.pos.path, elem: l.pos.elem}
+	routes, err := l.routes(inlineRoute{pos: &start}, p.Steps)
+	if err != nil || len(routes) == 0 {
+		return nonePath, err // no such element or attribute: no nodes
 	}
-	val := inlineColumn(pos.rel(), row, ColumnKey(pos.path, attr))
+	r := routes[0] // child and value steps take at most one route
+	w, _ := walk(r.hops, cur, cur+"_x", false, true)
+	val := inlineColumn(r.pos.rel(), w.cur, valueKey(r.pos.path, r.hops[len(r.hops)-1]))
 	switch {
-	case atRow: // the last crossed row is the node
+	case !r.done && len(r.pos.path) == 0:
+		// The last crossed row is the node.
 	case val == "NULL":
 		return nonePath, nil
-	case len(from) == 0:
+	case len(w.from) == 0:
 		return predPath{val: val}, nil
 	default:
-		where = append(where, val+" IS NOT NULL")
+		w.where = append(w.where, val+" IS NOT NULL")
 	}
-	q := "SELECT 1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
-	return predPath{q: q, val: val, order: strings.Join(order, ", ")}, nil
+	order := make([]string, len(w.from))
+	for k := range order {
+		order[k] = fmt.Sprintf("%s_x%d.ordinal", cur, k+1)
+	}
+	return predPath{q: "SELECT 1 " + w.body(), val: val, order: strings.Join(order, ", ")}, nil
+}
+
+// valueKey is the column key of the node hop h ends at, on inner path
+// path: its attribute's, or its element's.
+func valueKey(path []string, h hop) string {
+	if h.axis == xpath.AxisAttribute {
+		return ColumnKey(path, h.test.Name)
+	}
+	return ColumnKey(path, "")
 }
 
 // inlineColumn renders column key of rel on alias a, or NULL when rel
@@ -505,52 +484,4 @@ func inlineColumn(rel *InlineRelation, a, key string) string {
 		return "NULL"
 	}
 	return a + "." + QuoteIdent(key)
-}
-
-// inlineRouteSQL renders one route: the relation join chain plus its
-// predicates, selecting the host row id and the value column.
-func inlineRouteSQL(pos inlinePos, conds []string, textOf bool, attr string) string {
-	aliases := make([]string, len(pos.joins))
-	var from []string
-	var where []string
-	for i, j := range pos.joins {
-		a := fmt.Sprintf("i%d", i+1)
-		aliases[i] = a
-		from = append(from, j.rel.Table+" "+a)
-		if i > 0 {
-			where = append(where, fmt.Sprintf("%s.parentid = %s.id", a, aliases[i-1]))
-			where = append(where, fmt.Sprintf("%s.parentcode = %s", a, QuoteString(j.parentCode)))
-		}
-	}
-	last := aliases[len(aliases)-1]
-	rel := pos.rel()
-
-	// Presence condition for the final inlined element.
-	if len(pos.path) > 0 {
-		key := ColumnKey(pos.path, "")
-		if _, ok := rel.ByKey[key]; ok {
-			where = append(where, last+"."+QuoteIdent(key)+" IS NOT NULL")
-		} else {
-			where = append(where, "1 = 0")
-		}
-	}
-	where = append(where, conds...)
-
-	valExpr := "NULL"
-	key := ColumnKey(pos.path, attr)
-	if textOf {
-		key = ColumnKey(pos.path, "")
-	}
-	if col, ok := rel.ByKey[key]; ok && (col.Kind == ColText || col.Kind == ColAttr) {
-		valExpr = last + "." + QuoteIdent(key)
-		if attr != "" || textOf {
-			where = append(where, valExpr+" IS NOT NULL")
-		}
-	}
-
-	sql := "SELECT " + last + ".id AS id, " + valExpr + " AS val FROM " + strings.Join(from, ", ")
-	if len(where) > 0 {
-		sql += " WHERE " + strings.Join(where, " AND ")
-	}
-	return sql
 }

@@ -16,10 +16,21 @@ import (
 // EXISTS would scan the whole table once per outer row, where its
 // self-join plans as one hash join.
 
-// layout is one scheme's encoding as the predicate compiler sees it.
+// layout is one scheme's encoding at one node, as the step walker
+// (path.go) and the predicate compiler see it.
 type layout interface {
 	// scheme names the scheme in unsupported-construct errors.
 	scheme() string
+	// step renders hop h onto alias a from the context alias cur, ""
+	// for the document node: the FROM entry, "" when h's node is on
+	// cur's row, and the conditions that join it.
+	step(h hop, a, cur string) (from string, conds []string)
+	// test renders h's node test on alias a, or "" where the encoding
+	// implies it.
+	test(a string, h hop) string
+	// result renders a location chain that ends at hop h as a SELECT of
+	// id and val.
+	result(h hop, w walked) string
 	// predPath compiles a relative predicate path from the context
 	// alias cur.
 	predPath(p *xpath.Path, cur string) (predPath, error)
@@ -47,6 +58,14 @@ type predPath struct {
 type nodeValue struct{}
 
 func (nodeValue) value(cur string) string { return cur + ".value" }
+
+// nodeTable adds the node-test hook of the tables with kind and name
+// columns (Edge, Interval and Dewey).
+type nodeTable struct{ nodeValue }
+
+func (nodeTable) test(a string, h hop) string {
+	return testCond(a, h.test, h.axis == xpath.AxisAttribute)
+}
 
 // nonePath is a path that selects nothing.
 var nonePath = predPath{q: "SELECT 1 WHERE 1 = 0", val: "NULL", order: "1"}
@@ -134,18 +153,15 @@ func compilePred(l layout, e xpath.Expr, cur string, test xpath.NodeTest) (strin
 		case "false":
 			return "1 = 0", nil
 		case "contains", "starts-with":
-			if len(e.Args) != 2 {
-				return "", unsupported(l.scheme(), e.Name+"() arity")
-			}
-			lit, ok := e.Args[1].(*xpath.StringLit)
-			if !ok {
-				return "", unsupported(l.scheme(), e.Name+"() with a non-literal pattern")
-			}
-			s, err := stringValue(l, e.Args[0], cur)
+			arg, cond, err := like(l.scheme(), e)
 			if err != nil {
 				return "", err
 			}
-			return s + " LIKE " + QuoteString(likePattern(e.Name, lit.Val)) + ` ESCAPE '\'`, nil
+			s, err := stringValue(l, arg, cur)
+			if err != nil {
+				return "", err
+			}
+			return s + cond, nil
 		}
 		return "", unsupported(l.scheme(), e.Name+"() in a predicate")
 	}
@@ -155,18 +171,10 @@ func compilePred(l layout, e xpath.Expr, cur string, test xpath.NodeTest) (strin
 // compileComparison renders a comparison of a path, position(), count()
 // or string-length() with a literal, in either order.
 func compileComparison(l layout, e *xpath.BinaryExpr, cur string, test xpath.NodeTest) (string, error) {
-	lhs, rhs, op := e.L, e.R, e.Op
-	if isLiteral(lhs) && !isLiteral(rhs) {
-		lhs, rhs, op = rhs, lhs, flipXPathOp(op)
-	}
-	lit, err := literalSQL(rhs)
+	lhs, cmp, err := comparison(l.scheme(), e)
 	if err != nil {
 		return "", err
 	}
-	if op == "!=" {
-		op = "<>"
-	}
-	cmp := " " + op + " " + lit
 	switch x := lhs.(type) {
 	case *xpath.FuncCall:
 		switch x.Name {
@@ -238,8 +246,8 @@ func isDot(p *xpath.Path) bool {
 }
 
 // testCond renders node test t on alias a of a node table with kind and
-// name columns (Edge, Interval and Dewey; a Binary partition fixes the
-// label instead). Name and * tests select attributes when attr is set,
+// name columns (Edge, Interval and Dewey; a Binary partition and an
+// Inline column fix the label instead). Name and * tests select attributes when attr is set,
 // elements otherwise.
 func testCond(a string, t xpath.NodeTest, attr bool) string {
 	kind := "'elem'"
@@ -261,36 +269,26 @@ func testCond(a string, t xpath.NodeTest, attr bool) string {
 	return ""
 }
 
-// Literal operands of comparisons, shared with Universal.
+// flipOp mirrors a comparison operator, for swapped operands.
+var flipOp = strings.NewReplacer("<", ">", ">", "<")
 
-func isLiteral(e xpath.Expr) bool {
-	switch e.(type) {
+// comparison splits a comparison with a literal, in either order, into
+// its other operand and the SQL " op literal" that operand is to pass
+// (shared with Universal).
+func comparison(scheme string, e *xpath.BinaryExpr) (xpath.Expr, string, error) {
+	lhs, rhs, op := e.L, e.R, e.Op
+	switch lhs.(type) {
 	case *xpath.StringLit, *xpath.NumberLit:
-		return true
+		lhs, rhs, op = rhs, lhs, flipOp.Replace(op)
 	}
-	return false
-}
-
-func literalSQL(e xpath.Expr) (string, error) {
-	switch e := e.(type) {
+	if op == "!=" {
+		op = "<>"
+	}
+	switch r := rhs.(type) {
 	case *xpath.StringLit:
-		return QuoteString(e.Val), nil
+		return lhs, " " + op + " " + QuoteString(r.Val), nil
 	case *xpath.NumberLit:
-		return numLiteral(e.Val), nil
+		return lhs, " " + op + " " + numLiteral(r.Val), nil
 	}
-	return "", fmt.Errorf("translate: comparison requires a literal operand, got %T", e)
-}
-
-func flipXPathOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
+	return nil, "", unsupported(scheme, "comparisons without a literal operand")
 }

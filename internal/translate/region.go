@@ -2,134 +2,82 @@ package translate
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/xpath"
 )
 
-// regionLayout is an order encoding whose every axis is a join
-// condition on one node table: Interval's pre/size/level regions
-// (Grust) and Dewey's path prefixes (Tatarinov). regionPath walks the
-// steps for both.
-type regionLayout interface {
-	layout
-	// table names the node table, the prefix of its aliases and its
-	// document-order column.
-	table() (name, alias, order string)
-	// axis renders the conditions that put alias a on axis ax of the
-	// context alias cur, which is "" for the document node. It is
-	// called for the child, attribute, descendant, parent, ancestor and
-	// sibling axes, the last three never on the document node.
-	axis(ax xpath.Axis, a, cur string) []string
-	// result renders the query's SELECT of id and val in document
-	// order, from the final alias and the FROM … WHERE … body.
-	result(cur, body string) string
+// region is an order encoding whose every axis is a join condition on
+// one node table: Interval's pre/size/level regions (Grust) and Dewey's
+// path prefixes (Tatarinov). A path expands into itself, one hop per
+// step.
+type region struct {
+	nodeTable
+	name, table, alias string
+	// order ranks a node in document order and sibling among its
+	// parent's children.
+	order, sibling string
+	// axis renders the conditions that put alias a on the child,
+	// attribute, descendant, parent or ancestor axis ax of the context
+	// alias cur, "" for the document node; predAxis renders them in
+	// predicate paths.
+	axis, predAxis func(ax xpath.Axis, a, cur string) []string
 }
 
-// regionPath translates an absolute path: one alias per step, joined to
-// the previous one by the layout's axis conditions.
-func regionPath(p *xpath.Path, l regionLayout) (string, error) {
-	scheme := l.scheme()
-	if !p.Absolute {
-		return "", unsupported(scheme, "relative paths")
-	}
-	if len(p.Steps) == 0 {
-		return "", unsupported(scheme, "the bare document path /")
-	}
-	tbl, prefix, _ := l.table()
-	var from, where []string
-	cur := "" // the document node
-	for _, s := range p.Steps {
-		switch s.Axis {
-		case xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant:
-		case xpath.AxisParent, xpath.AxisAncestor:
-			if cur == "" {
-				return "", unsupported(scheme, s.Axis.String()+" of the document node")
-			}
-		case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
-			if cur == "" {
-				return "", unsupported(scheme, "siblings of the document node")
-			}
-		case xpath.AxisSelf:
-			if cur == "" {
-				return "", unsupported(scheme, "self step on the document node")
-			}
-		default:
-			return "", unsupported(scheme, "axis "+s.Axis.String())
-		}
-		if s.Axis != xpath.AxisSelf {
-			a := fmt.Sprintf("%s%d", prefix, len(from)+1)
-			from = append(from, tbl+" "+a)
-			where = append(where, l.axis(s.Axis, a, cur)...)
-			cur = a
-		}
-		if c := testCond(cur, s.Test, s.Axis == xpath.AxisAttribute); c != "" {
-			where = append(where, c)
-		}
-		if err := checkPositional(scheme, &s); err != nil {
-			return "", err
-		}
-		for _, pe := range s.Preds {
-			c, err := compilePred(l, pe, cur, s.Test)
-			if err != nil {
-				return "", err
-			}
-			where = append(where, c)
-		}
-	}
-	body := "FROM " + strings.Join(from, ", ")
-	if len(where) > 0 {
-		body += " WHERE " + strings.Join(where, " AND ")
-	}
-	return l.result(cur, body), nil
+func (l region) scheme() string                { return l.name }
+func (l region) chain(c []hop) (string, error) { return walkPath(c, l.alias, false) }
+
+func (l region) expand(steps []xpath.Step) ([][]hop, error) {
+	hops, err := stepHops(l, steps, xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant, xpath.AxisParent,
+		xpath.AxisAncestor, xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling, xpath.AxisSelf)
+	return [][]hop{hops}, err
 }
 
-// siblingAxis renders the sibling axes of an encoding that orders a
-// parent's children by column col.
-func siblingAxis(ax xpath.Axis, a, cur, col string) []string {
-	op := " > "
-	if ax == xpath.AxisPrecedingSibling {
-		op = " < "
+// step puts a new alias on the hop's axis; a self step stays on the
+// context row.
+func (l region) step(h hop, a, cur string) (string, []string) {
+	switch h.axis {
+	case xpath.AxisSelf:
+		return "", nil
+	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
+		op := " > "
+		if h.axis == xpath.AxisPrecedingSibling {
+			op = " < "
+		}
+		return l.table + " " + a, []string{
+			fmt.Sprintf("%s.parent = %s.parent", a, cur),
+			a + "." + l.sibling + op + cur + "." + l.sibling,
+			a + ".kind <> 'attr'",
+		}
 	}
-	return []string{
-		fmt.Sprintf("%s.parent = %s.parent", a, cur),
-		a + "." + col + op + cur + "." + col,
-		a + ".kind <> 'attr'",
-	}
+	return l.table + " " + a, l.axis(h.axis, a, cur)
 }
 
-// regionPredPath builds the EXISTS body of a relative predicate path of
-// child, attribute, descendant and parent steps.
-func regionPredPath(l regionLayout, p *xpath.Path, cur string) (predPath, error) {
-	scheme := l.scheme()
-	if p.Absolute {
-		return predPath{}, unsupported(scheme, "absolute paths inside predicates")
+// result selects the node's pre-order rank and value. Where pre is not
+// the document order (Dewey's pre numbers go stale after ordered
+// inserts, its paths never do), it selects the order column too, and
+// sorted sorts by it.
+func (l region) result(_ hop, w walked) string {
+	q := "SELECT DISTINCT " + w.cur + ".pre AS id, " + w.cur + ".value AS val"
+	if l.order != "pre" {
+		q += ", " + w.cur + "." + l.order + " AS dpath"
 	}
-	tbl, _, order := l.table()
-	var from, where []string
-	prev := cur
-	for i, s := range p.Steps {
-		if len(s.Preds) > 0 {
-			return predPath{}, unsupported(scheme, "nested predicates")
-		}
-		switch s.Axis {
-		case xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant, xpath.AxisParent:
-		default:
-			return predPath{}, unsupported(scheme, "axis "+s.Axis.String()+" inside predicates")
-		}
-		a := fmt.Sprintf("%sq%d", cur, i+1)
-		from = append(from, tbl+" "+a)
-		where = append(where, l.axis(s.Axis, a, prev)...)
-		if s.Axis != xpath.AxisParent {
-			if c := testCond(a, s.Test, s.Axis == xpath.AxisAttribute); c != "" {
-				where = append(where, c)
-			}
-		}
-		prev = a
+	return q + " " + w.body()
+}
+
+func (l region) sorted(q string) string {
+	if l.order == "pre" {
+		return q + " ORDER BY id"
 	}
-	if prev == cur {
-		return predPath{}, unsupported(scheme, "empty predicate path")
-	}
-	q := "SELECT 1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
-	return predPath{q: q, val: prev + ".value", order: prev + "." + order}, nil
+	return "SELECT id, val FROM (" + q + ") r ORDER BY dpath"
+}
+
+func (l region) position(cur string, test xpath.NodeTest) string {
+	return fmt.Sprintf("(SELECT COUNT(*) FROM %s s WHERE s.parent = %s.parent AND %s AND s.%s < %s.%s) + 1",
+		l.table, cur, siblingTest(test, cur), l.sibling, cur, l.sibling)
+}
+
+// predPath takes child, attribute, descendant and parent steps.
+func (l region) predPath(p *xpath.Path, cur string) (predPath, error) {
+	l.axis = l.predAxis
+	return tablePath(l, p, cur, "q", l.order, xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant, xpath.AxisParent)
 }

@@ -1,9 +1,13 @@
 package translate
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/dtd"
+	"repro/internal/sqldb"
 	"repro/internal/xpath"
 )
 
@@ -49,8 +53,15 @@ func TestEdgeCatalogNoMatchStillValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sql, "nomatch") {
-		t.Errorf("expected an impossible chain:\n%s", sql)
+	if sql != emptyQuery {
+		t.Errorf("expected the empty query:\n%s", sql)
+	}
+	res, err := sqldb.New().Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 0 {
+		t.Errorf("the empty query returned %d rows", res.Len())
 	}
 }
 
@@ -117,5 +128,45 @@ func TestAttrDescendantPattern(t *testing.T) {
 	}
 	if _, err := Dewey(q); err != nil {
 		t.Errorf("dewey //@id: %v", err)
+	}
+}
+
+// TestExpansionCapsAreUnsupported holds the expansion caps to the
+// refusal every other untranslatable query gets: Edge's 256 chains,
+// blind or from the catalog, and Inline's 128 routes.
+func TestExpansionCapsAreUnsupported(t *testing.T) {
+	wide := NewPathCatalog()
+	var dtdText strings.Builder
+	dtdText.WriteString("<!ELEMENT doc (")
+	for i := range 300 {
+		wide.Add(fmt.Sprintf("r/x%d/leaf", i))
+		if i < 130 {
+			if i > 0 {
+				dtdText.WriteString(", ")
+			}
+			fmt.Fprintf(&dtdText, "c%d*", i)
+		}
+	}
+	dtdText.WriteString(")>\n<!ELEMENT leaf (#PCDATA)>\n")
+	for i := range 130 {
+		fmt.Fprintf(&dtdText, "<!ELEMENT c%d (leaf*)>\n", i)
+	}
+	d, err := dtd.Parse(dtdText.String(), "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildInlineMapping(dtd.BuildGraph(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, translate := range map[string]func() (string, error){
+		"edge blind":   func() (string, error) { return Edge(xpath.MustParse("//a//b//c"), EdgeOptions{MaxDepth: 16}) },
+		"edge catalog": func() (string, error) { return Edge(xpath.MustParse("//leaf"), EdgeOptions{Catalog: wide}) },
+		"inline":       func() (string, error) { return Inline(xpath.MustParse("/doc//leaf"), m) },
+	} {
+		var unsup *ErrUnsupported
+		if _, err := translate(); !errors.As(err, &unsup) {
+			t.Errorf("%s: want an unsupported error, got %v", name, err)
+		}
 	}
 }

@@ -51,13 +51,17 @@ func TestPathCatalogExpand(t *testing.T) {
 		t.Fatalf("catalog len = %d", c.Len())
 	}
 	expand := func(q string) []string {
-		pat, err := patternOf(xpath.MustParse(q).Steps, "test")
+		chains, err := c.chains(xpath.MustParse(q).Steps, "test", nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		var out []string
-		for _, m := range c.Expand(pat) {
-			out = append(out, strings.Join(m.Segments, "/"))
+		for _, hops := range chains {
+			var labels []string
+			for _, h := range hops {
+				labels = append(labels, h.label)
+			}
+			out = append(out, strings.Join(labels, "/"))
 		}
 		return out
 	}
@@ -79,11 +83,10 @@ func TestPathCatalogExpand(t *testing.T) {
 	if got := expand("//person//name"); len(got) != 1 {
 		t.Errorf("//person//name -> %v", got)
 	}
-	// StepSeg mapping points each step at its matched segment.
-	pat, _ := patternOf(xpath.MustParse("//item/name").Steps, "test")
-	ms := c.Expand(pat)
-	if len(ms) != 1 || ms[0].Segments[ms[0].StepSeg[0]] != "item" || ms[0].Segments[ms[0].StepSeg[1]] != "name" {
-		t.Errorf("StepSeg mapping: %+v", ms)
+	// Each step lands on the hop of the segment it matched.
+	chains, _ := c.chains(xpath.MustParse("//item/name").Steps, "test", nil)
+	if len(chains) != 1 || len(chains[0]) != 5 || chains[0][3].posTest.Name != "item" || chains[0][4].posTest.Name != "name" {
+		t.Errorf("step-to-segment mapping: %+v", chains)
 	}
 }
 
@@ -175,6 +178,9 @@ func TestUnsupportedConstructs(t *testing.T) {
 	}
 	if _, err := Interval(xpath.MustParse("/"), IntervalOptions{}); !errors.As(err, &unsup) {
 		t.Errorf("bare document: %v", err)
+	}
+	if _, err := Interval(xpath.MustParse("/a[b = c]"), IntervalOptions{}); !errors.As(err, &unsup) {
+		t.Errorf("comparison without a literal: %v", err)
 	}
 	c := NewPathCatalog()
 	c.Add("a")

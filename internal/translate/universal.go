@@ -27,36 +27,24 @@ func Universal(p *xpath.Path, opt UniversalOptions) (string, error) {
 	if opt.Catalog == nil || opt.Column == nil {
 		return "", fmt.Errorf("translate: universal options missing catalog or column map")
 	}
-	if !p.Absolute {
-		return "", unsupported("universal", "relative paths")
-	}
-	if len(p.Steps) == 0 {
-		return "", unsupported("universal", "the bare document path /")
-	}
-	pat, err := patternOf(p.Steps, "universal")
-	if err != nil {
-		return "", err
-	}
-	matches := opt.Catalog.Expand(pat)
-	if len(matches) == 0 {
-		return "SELECT 0 AS id, NULL AS val WHERE 1 = 0", nil
-	}
-	var parts []string
-	seen := map[string]bool{}
-	for _, m := range matches {
-		q, err := universalChainSQL(p.Steps, m, opt)
-		if err != nil {
-			return "", err
-		}
-		if !seen[q] {
-			seen[q] = true
-			parts = append(parts, q)
-		}
-	}
-	if len(parts) == 1 {
-		return "SELECT DISTINCT id, val FROM (" + parts[0] + ") u ORDER BY id", nil
-	}
-	return "SELECT DISTINCT id, val FROM (" + strings.Join(parts, " UNION ALL ") + ") u ORDER BY id", nil
+	return compilePath(universalLayout{opt}, p)
+}
+
+// universalLayout is the universal table. Its chains are not walked:
+// every hop is a column of one row, u0, and predicates are self-joins
+// that add rows (see pred.go's header).
+type universalLayout struct{ opt UniversalOptions }
+
+func (universalLayout) scheme() string { return "universal" }
+
+func (l universalLayout) expand(steps []xpath.Step) ([][]hop, error) {
+	return l.opt.Catalog.chains(steps, "universal", nil)
+}
+
+// sorted keeps a lone chain DISTINCT too: a node's id repeats on the
+// row of every leaf below it.
+func (universalLayout) sorted(q string) string {
+	return "SELECT DISTINCT id, val FROM (" + q + ") u ORDER BY id"
 }
 
 func universalCol(seg, kind string, opt UniversalOptions) (string, bool) {
@@ -67,53 +55,38 @@ func universalCol(seg, kind string, opt UniversalOptions) (string, bool) {
 	return kind + "_" + suffix, true
 }
 
-// universalChainSQL renders one concrete path match: non-null checks for
-// every segment's id column, predicates via value columns or self-joins.
-func universalChainSQL(steps []xpath.Step, m CatalogMatch, opt UniversalOptions) (string, error) {
+// chain renders one concrete label chain: non-null checks for every
+// segment's id column, predicates via value columns or self-joins.
+func (l universalLayout) chain(c []hop) (string, error) {
 	u := "u0"
 	var where []string
-	for _, seg := range m.Segments {
-		idCol, ok := universalCol(seg, "id", opt)
+	for _, h := range c {
+		idCol, ok := universalCol(h.label, "id", l.opt)
 		if !ok {
-			return "SELECT 0 AS id, NULL AS val WHERE 1 = 0", nil
+			return emptyQuery, nil
 		}
 		where = append(where, fmt.Sprintf("%s.%s IS NOT NULL", u, QuoteIdent(idCol)))
 	}
-
 	joins := []string{"universal " + u}
 	joinN := 0
-
-	pi := 0
-	for _, s := range steps {
-		switch s.Axis {
-		case xpath.AxisChild, xpath.AxisDescendant, xpath.AxisAttribute:
-		default:
-			return "", unsupported("universal", "axis "+s.Axis.String())
-		}
-		seg := m.Segments[m.StepSeg[pi]]
-		for _, pe := range s.Preds {
-			cond, extraJoin, err := universalPred(pe, u, seg, &joinN, opt)
+	for _, h := range c {
+		for _, pe := range h.preds {
+			cond, extraJoin, err := universalPred(pe, u, h.label, &joinN, l.opt)
 			if err != nil {
 				return "", err
 			}
 			joins = append(joins, extraJoin...)
 			where = append(where, cond)
 		}
-		pi++
 	}
-
-	lastSeg := m.Segments[len(m.Segments)-1]
-	idCol, _ := universalCol(lastSeg, "id", opt)
-	valCol, ok := universalCol(lastSeg, "val", opt)
+	lastSeg := c[len(c)-1].label
+	idCol, _ := universalCol(lastSeg, "id", l.opt)
+	valCol, ok := universalCol(lastSeg, "val", l.opt)
 	if !ok {
 		valCol = idCol
 	}
-	sql := fmt.Sprintf("SELECT %s.%s AS id, %s.%s AS val FROM %s",
-		u, QuoteIdent(idCol), u, QuoteIdent(valCol), strings.Join(joins, ", "))
-	if len(where) > 0 {
-		sql += " WHERE " + strings.Join(where, " AND ")
-	}
-	return sql, nil
+	return fmt.Sprintf("SELECT %s.%s AS id, %s.%s AS val ", u, QuoteIdent(idCol), u, QuoteIdent(valCol)) +
+		walked{from: joins, where: where}.body(), nil
 }
 
 // universalPred translates a predicate anchored at the element whose
@@ -166,14 +139,11 @@ func universalPred(e xpath.Expr, u, anchorSeg string, joinN *int, opt UniversalO
 		case "false":
 			return "1 = 0", nil, nil
 		case "contains", "starts-with":
-			if len(e.Args) != 2 {
-				return "", nil, unsupported("universal", e.Name+"() arity")
+			arg, cond, err := like("universal", e)
+			if err != nil {
+				return "", nil, err
 			}
-			lit, ok := e.Args[1].(*xpath.StringLit)
-			if !ok {
-				return "", nil, unsupported("universal", e.Name+"() with a non-literal pattern")
-			}
-			po, ok := e.Args[0].(*xpath.PathOperand)
+			po, ok := arg.(*xpath.PathOperand)
 			if !ok {
 				return "", nil, unsupported("universal", "non-path operand in string function")
 			}
@@ -181,7 +151,7 @@ func universalPred(e xpath.Expr, u, anchorSeg string, joinN *int, opt UniversalO
 			if err != nil {
 				return "", nil, err
 			}
-			return t.first() + " LIKE " + QuoteString(likePattern(e.Name, lit.Val)) + ` ESCAPE '\'`, nil, nil
+			return t.first() + cond, nil, nil
 		}
 		return "", nil, unsupported("universal", e.Name+"() in a predicate")
 	case *xpath.NumberLit:
@@ -191,17 +161,9 @@ func universalPred(e xpath.Expr, u, anchorSeg string, joinN *int, opt UniversalO
 }
 
 func universalComparison(e *xpath.BinaryExpr, u, anchorSeg string, joinN *int, opt UniversalOptions) (string, []string, error) {
-	l, r, op := e.L, e.R, e.Op
-	if isLiteral(l) && !isLiteral(r) {
-		l, r = r, l
-		op = flipXPathOp(op)
-	}
-	lit, err := literalSQL(r)
+	l, cmp, err := comparison("universal", e)
 	if err != nil {
 		return "", nil, err
-	}
-	if op == "!=" {
-		op = "<>"
 	}
 	po, ok := l.(*xpath.PathOperand)
 	if !ok {
@@ -211,7 +173,7 @@ func universalComparison(e *xpath.BinaryExpr, u, anchorSeg string, joinN *int, o
 	if err != nil {
 		return "", nil, err
 	}
-	return "(" + t.cond + " AND " + t.val + " " + op + " " + lit + ")", t.join, nil
+	return "(" + t.cond + " AND " + t.val + cmp + ")", t.join, nil
 }
 
 // universalTarget is a relative predicate path resolved on a self-joined
@@ -240,8 +202,8 @@ func (t universalTarget) first() string {
 // self-joined row.
 func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt UniversalOptions) (universalTarget, error) {
 	none := universalTarget{cond: "1 = 0", val: "NULL"}
-	if p.Absolute {
-		return none, unsupported("universal", "absolute paths inside predicates")
+	if err := predSteps("universal", p); err != nil {
+		return none, err
 	}
 	anchorID, ok := universalCol(anchorSeg, "id", opt)
 	if !ok {
@@ -251,21 +213,11 @@ func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt Uni
 	v := fmt.Sprintf("v%d", *joinN)
 	join := []string{"universal " + v}
 	conds := []string{fmt.Sprintf("%s.%s = %s.%s", v, QuoteIdent(anchorID), u, QuoteIdent(anchorID))}
-	lastSeg := ""
+	var lastSeg string
 	for _, s := range p.Steps {
-		if len(s.Preds) > 0 {
-			return none, unsupported("universal", "nested predicates")
-		}
-		var seg string
-		switch {
-		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestName:
-			seg = s.Test.Name
-		case s.Axis == xpath.AxisAttribute && s.Test.Kind == xpath.TestName:
-			seg = "@" + s.Test.Name
-		case s.Axis == xpath.AxisChild && s.Test.Kind == xpath.TestText:
-			seg = "#text"
-		default:
-			return none, unsupported("universal", "predicate step "+s.Axis.String())
+		seg, err := predLabel("universal", s)
+		if err != nil {
+			return none, err
 		}
 		idCol, ok := universalCol(seg, "id", opt)
 		if !ok {
@@ -273,9 +225,6 @@ func universalPredTarget(p *xpath.Path, u, anchorSeg string, joinN *int, opt Uni
 		}
 		conds = append(conds, fmt.Sprintf("%s.%s IS NOT NULL", v, QuoteIdent(idCol)))
 		lastSeg = seg
-	}
-	if lastSeg == "" {
-		return none, unsupported("universal", "empty predicate path")
 	}
 	t := universalTarget{cond: strings.Join(conds, " AND "), join: join, val: "NULL"}
 	idCol, _ := universalCol(lastSeg, "id", opt)
