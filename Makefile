@@ -83,13 +83,13 @@ fuzz:
 
 ## bench-smoke: one iteration of every benchmark, to keep them compiling
 ## and running (the page-decode benchmark also fails when a page fault,
-## image to frame, makes more than four allocations, or when reading
-## every row of a faulted page allocates more than the eager decode it
-## replaced; the bulk-load benchmark when a 65,536-row load makes more
-## than 25,000 allocations, as a per-row allocation would; the reopen
-## benchmark when reopening a factor-0.1 Interval store makes more than
-## 5,000, as decoding every row at the index rebuild would); use
-## `make bench` for real numbers. The
+## image to sealed frame, makes more than four allocations, or when
+## faulting a page and reading every row into one scratch row makes
+## more than eight; the bulk-load benchmark when a 65,536-row load makes
+## more than 25,000 allocations, as a per-row allocation would; the
+## reopen benchmark when reopening a factor-0.1 Interval store makes
+## more than 4,000, as decoding every row into a row of its own at the
+## index rebuild would); use `make bench` for real numbers. The
 ## per-scheme ordered inserts (edge, binary, interval, dewey, inline)
 ## run in `make test`: internal/bench drives every xbench experiment at
 ## smoke scale, and F3 fails on any insert error.

@@ -139,7 +139,7 @@ func (n *indexMinMaxNode) extreme(ctx *evalCtx) ([][]Value, error) {
 	idx := resolveIndex(tbl, n.idx)
 	v := Null
 	if rid, ok := idx.tree.extreme(n.max); ok {
-		v = tbl.row(rid)[idx.def.Columns[0]]
+		v = tbl.row(rid, nil)[idx.def.Columns[0]]
 	}
 	return [][]Value{{v}}, nil
 }

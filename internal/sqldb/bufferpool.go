@@ -281,21 +281,36 @@ func (ps *pageStore) stats() BufferPoolStats {
 	return s
 }
 
-// add seals a page into the pool. Idempotent: the same
+// add seals a page into the pool: its frame becomes its image (see
+// pageFrame), encoded outside the pool lock. Idempotent: the same
 // shared page object may be noted by several writers (the tx that
 // filled it, a checkpoint straggler walk, a copy-on-write of a full
 // page).
 func (ps *pageStore) add(p *heapPage) {
+	sealed := sealing(p)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.addLocked(p)
+	ps.addLocked(p, sealed)
 	ps.evictLocked()
 }
 
-func (ps *pageStore) addLocked(p *heapPage) {
+// sealing returns the sealed form of p's full plain frame, or nil when
+// p is sealed already: only a pooled page is sealed or evicted.
+func sealing(p *heapPage) *pageFrame {
+	f := p.res.Load()
+	if f == nil || f.rows == nil {
+		return nil
+	}
+	s := &pageFrame{}
+	s.img = encodeRows(f.rows[:], &s.offs)
+	return s
+}
+
+func (ps *pageStore) addLocked(p *heapPage, sealed *pageFrame) {
 	if p.pooled {
 		return
 	}
+	p.res.Store(sealed)
 	p.pooled = true
 	p.store.Store(ps)
 	p.ref.Store(true)
@@ -357,10 +372,11 @@ func (ps *pageStore) checkpoint(pages []*heapPage) (string, []savedPage, error) 
 	var name string
 	refs := make([]savedPage, len(pages))
 	for i, p := range pages {
-		ps.mu.Lock()
 		// A page that filled exactly at the last commit is not sealed
 		// until the next insert; it is immutable already.
-		ps.addLocked(p)
+		sealed := sealing(p)
+		ps.mu.Lock()
+		ps.addLocked(p, sealed)
 		if p.file != ps.cur || p.pid == 0 {
 			if err := ps.copyLocked(p); err != nil {
 				ps.mu.Unlock()
@@ -375,17 +391,14 @@ func (ps *pageStore) checkpoint(pages []*heapPage) (string, []savedPage, error) 
 }
 
 // copyLocked appends p's image to the current pages file: the resident
-// frame's (its image, or its rows encoded), or copied from the file p
-// was written to.
+// frame's, or copied from the file p was written to.
 func (ps *pageStore) copyLocked(p *heapPage) error {
-	var payload []byte
 	if f := p.res.Load(); f != nil {
-		payload = f.payload()
-	} else {
-		var err error
-		if payload, err = p.file.read(p.pid, p.slots); err != nil {
-			return err
-		}
+		return ps.writeLocked(p, f.img)
+	}
+	payload, err := p.file.read(p.pid, p.slots)
+	if err != nil {
+		return err
 	}
 	return ps.writeLocked(p, payload)
 }
@@ -483,7 +496,7 @@ func (ps *pageStore) spillLocked(p *heapPage) bool {
 	if f == nil {
 		return false
 	}
-	if err := ps.writeLocked(p, f.payload()); err != nil {
+	if err := ps.writeLocked(p, f.img); err != nil {
 		ps.spillErrs++
 		return false
 	}
@@ -514,8 +527,7 @@ func (ps *pageStore) close() error {
 }
 
 // faultIn loads an evicted page's frame from its pages file: the image
-// is checked in full, and its rows are decoded as readers reach them
-// (see scanPagePayload). p.mu
+// is checked in full and becomes the frame (see scanPagePayload). p.mu
 // serializes concurrent faults of the same page; the read itself runs
 // without the pool lock.
 func (ps *pageStore) faultIn(p *heapPage) *pageFrame {

@@ -1172,7 +1172,7 @@ func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (int, error) {
 	}
 	images := make([][]Value, 0, len(rids))
 	for _, rid := range rids {
-		if row := tbl.row(rid); row != nil {
+		if row := tbl.row(rid, nil); row != nil {
 			images = append(images, row)
 		}
 		tbl.delete(rid)
@@ -1230,7 +1230,7 @@ func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 		return len(newImages), execErr
 	}
 	for _, rid := range rids {
-		old := tbl.row(rid)
+		old := tbl.row(rid, nil)
 		if old == nil {
 			continue
 		}
@@ -1274,8 +1274,9 @@ func matchRows(st *dbState, tbl *table, where Expr, args []Value) ([]int64, erro
 	var rids []int64
 	var ref pageRef
 	defer ref.release()
+	var scratch []Value
 	for rid := int64(0); rid < tbl.slotCount(); rid++ {
-		row := tbl.rowRef(rid, &ref)
+		row := tbl.rowRef(rid, &ref, &scratch)
 		if row == nil {
 			continue
 		}

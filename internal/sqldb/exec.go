@@ -16,10 +16,19 @@ import (
 // evalCtx.subquery). close releases the page pins the iterator holds;
 // a closed iterator can still be rewound.
 //
-// A row next returns stays valid until the iterator is rewound: an
-// operator may reuse its output rows' storage across a rewind, never
-// within one stream. Only an operator's own rewind rewinds its inputs,
-// and it drops whatever it kept of their rows first.
+// A row next returns is valid until the iterator's next call to next
+// (or rewind): a scan decodes each row into scratch it owns (see
+// pageFrame.row), and a projection or a join builds its output in one
+// reused row. The values in it stay valid, since a TEXT or BLOB points
+// at stored bytes, but the slice does not. So materialize, which copies
+// every row it keeps, is the one place rows are held past next: a
+// sort's input, a hash join's build side, a nested-loop join's inner
+// side and a query's result (Rows.Data) are all materialized. Every
+// other operator passes its input's row on (filter, limit, distinct,
+// union, cut), builds a new row from it (project, joins), or folds it
+// into values (aggregates, subqueries); a join holds its left row
+// while it reads the right side, and calls its left input's next only
+// once it is done with it.
 type rowIter interface {
 	next() ([]Value, error)
 	rewind() error
@@ -118,17 +127,18 @@ func (it *seqScanIter) rewind() error {
 }
 
 type seqScanIter struct {
-	node *seqScanNode
-	ctx  *evalCtx
-	tbl  *table
-	pos  int64
-	end  int64
-	ref  pageRef
+	node    *seqScanNode
+	ctx     *evalCtx
+	tbl     *table
+	pos     int64
+	end     int64
+	ref     pageRef
+	scratch []Value // the row next returns (see pageFrame.row)
 }
 
 func (it *seqScanIter) next() ([]Value, error) {
 	for it.pos < it.end {
-		row := it.tbl.rowRef(it.pos, &it.ref)
+		row := it.tbl.rowRef(it.pos, &it.ref, &it.scratch)
 		it.pos++
 		if row == nil {
 			continue
@@ -367,14 +377,15 @@ func (n *indexScanNode) open(ctx *evalCtx) (rowIter, error) {
 // body's index scan resumes from where the previous outer row's probe
 // landed (see probeCursor).
 type indexScanIter struct {
-	node *indexScanNode
-	ctx  *evalCtx
-	tbl  *table
-	cur  probeCursor
-	stop keyBound
-	buf  probeBuf
-	ref  pageRef
-	stat *OpStats
+	node    *indexScanNode
+	ctx     *evalCtx
+	tbl     *table
+	cur     probeCursor
+	stop    keyBound
+	buf     probeBuf
+	ref     pageRef
+	scratch []Value
+	stat    *OpStats
 }
 
 func (it *indexScanIter) rewind() error {
@@ -390,7 +401,7 @@ func (it *indexScanIter) next() ([]Value, error) {
 		if !ok {
 			return nil, nil
 		}
-		row := it.tbl.rowRef(rid, &it.ref)
+		row := it.tbl.rowRef(rid, &it.ref, &it.scratch)
 		if row == nil {
 			continue
 		}
@@ -472,14 +483,15 @@ func (n *projectNode) open(ctx *evalCtx) (rowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &projectIter{in: in, node: n, ctx: ctx}, nil
+	// make, not nil: a nil row ends a row iterator's stream.
+	return &projectIter{in: in, node: n, ctx: ctx, out: make([]Value, len(n.exprs))}, nil
 }
 
 type projectIter struct {
-	in    rowIter
-	node  *projectNode
-	ctx   *evalCtx
-	arena rowArena
+	in   rowIter
+	node *projectNode
+	ctx  *evalCtx
+	out  []Value // the row next returns
 }
 
 func (it *projectIter) next() ([]Value, error) {
@@ -487,20 +499,16 @@ func (it *projectIter) next() ([]Value, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := it.arena.alloc(len(it.node.exprs))
 	for i, e := range it.node.exprs {
-		out[i], err = e(it.ctx, row)
+		it.out[i], err = e(it.ctx, row)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return it.out, nil
 }
 
-func (it *projectIter) rewind() error {
-	it.arena.reset()
-	return it.in.rewind()
-}
+func (it *projectIter) rewind() error { return it.in.rewind() }
 
 func (it *projectIter) close() { it.in.close() }
 
@@ -526,49 +534,13 @@ func (o *joinOut) output() *joinOut { return o }
 // cols renders the output width for EXPLAIN: emitted/full columns.
 func (o *joinOut) cols() string { return "cols=" + itoa(len(o.schema)) + "/" + itoa(o.width) }
 
-// rowArena hands out row slices carved from chunked backing arrays, so
-// operators that build output rows (projections, join output) pay one
-// allocation per chunk instead of one per row. Chunks grow from one row
-// to 256, so an iterator that emits a single row (an EXISTS probe) does
-// not pay for a full chunk. Carved slices have their capacity clamped,
-// so appends by a consumer cannot clobber a neighbour. A rewind resets
-// the arena onto its last chunk: a subquery body that emits a row per
-// outer row reuses one row's storage.
-type rowArena struct {
-	buf  []Value
-	off  int
-	rows int // rows per chunk, doubling up to 256
-}
-
-// emptyRow is the zero-width row: non-nil, because a nil row ends a
-// row iterator's stream.
-var emptyRow = []Value{}
-
-// reset hands out the current chunk again from its start; rows carved
-// before it may be overwritten.
-func (a *rowArena) reset() { a.off = 0 }
-
-func (a *rowArena) alloc(n int) []Value {
-	if n == 0 {
-		return emptyRow
-	}
-	if a.off+n > len(a.buf) {
-		a.rows = min(max(2*a.rows, 1), 256)
-		a.buf = make([]Value, n*a.rows)
-		a.off = 0
-	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
 // joinBuf builds one join iterator's output rows. A condition over both
 // sides (cond) is tested on a reused full-width scratch row — the left
 // columns copied once per left row, the right ones once per candidate;
 // without one there is no scratch row and nothing is copied to test.
-// Only a candidate that passes gets an output row, carved from the
-// arena and holding just the kept columns, read from the left row and
-// the candidate directly.
+// Only a candidate that passes is emitted, into one reused output row
+// holding just the kept columns, read from the left row and the
+// candidate directly.
 type joinBuf struct {
 	out   *joinOut
 	cond  compiledExpr
@@ -576,11 +548,15 @@ type joinBuf struct {
 	left  []Value
 	lw    int
 	nulls []Value // the right side of a padded row
-	arena rowArena
+	res   []Value // the row emit returns
 }
 
 func newJoinBuf(out *joinOut, left planNode, cond compiledExpr) joinBuf {
-	b := joinBuf{out: out, cond: cond, lw: len(left.sch())}
+	w := out.width
+	if out.keep != nil {
+		w = len(out.keep)
+	}
+	b := joinBuf{out: out, cond: cond, lw: len(left.sch()), res: make([]Value, w)}
 	if cond != nil {
 		b.row = make([]Value, out.width)
 	}
@@ -610,14 +586,13 @@ func (b *joinBuf) test(ctx *evalCtx, r []Value) (bool, error) {
 
 // emit builds the output row of the current left row joined with r.
 func (b *joinBuf) emit(r []Value) []Value {
+	out := b.res
 	keep := b.out.keep
 	if keep == nil {
-		out := b.arena.alloc(b.out.width)
 		copy(out, b.left)
 		copy(out[b.lw:], r)
 		return out
 	}
-	out := b.arena.alloc(len(keep))
 	for i, c := range keep {
 		if c < b.lw {
 			out[i] = b.left[c]
@@ -637,11 +612,8 @@ func (b *joinBuf) pad() []Value {
 	return b.emit(b.nulls)
 }
 
-// rewind forgets the left row and reuses the arena (see rowIter).
-func (b *joinBuf) rewind() {
-	b.left = nil
-	b.arena.reset()
-}
+// rewind forgets the left row.
+func (b *joinBuf) rewind() { b.left = nil }
 
 // ---------------------------------------------------------------------------
 // Nested-loop join (materializes the inner side once)
@@ -998,6 +970,7 @@ type indexJoinIter struct {
 	keys   probeBuf
 	active bool
 	ref    pageRef
+	rrow   []Value // scratch for the probed table's rows
 	buf    joinBuf
 	stat   *OpStats
 }
@@ -1034,7 +1007,7 @@ func (it *indexJoinIter) next() ([]Value, error) {
 			if !ok {
 				break
 			}
-			row := it.tbl.rowRef(rid, &it.ref)
+			row := it.tbl.rowRef(rid, &it.ref, &it.rrow)
 			if row == nil {
 				continue
 			}
@@ -1414,13 +1387,17 @@ func (it *sliceIter) rewind() error {
 func (it *sliceIter) close() {}
 
 // rowsLeft is how many rows an iterator over rows it already holds (a
-// sort's, an aggregate's) has still to return; 0 when it cannot tell.
+// sort's, an aggregate's, a VALUES list's) has still to return; 0 when
+// it cannot tell.
 func rowsLeft(it rowIter) int {
 	if s, ok := it.(*statIter); ok {
 		it = s.in
 	}
-	if b, ok := it.(*builtIter); ok {
-		return len(b.rows) - b.pos
+	switch it := it.(type) {
+	case *builtIter:
+		return len(it.rows) - it.pos
+	case *sliceIter:
+		return len(it.rows) - it.pos
 	}
 	return 0
 }
@@ -1448,8 +1425,12 @@ func (it *builtIter) rewind() error {
 	return err
 }
 
-// materialize drains a node into a slice, polling for cancellation on a
-// coarse stride.
+// materialize drains a node into a slice of rows of its own, polling
+// for cancellation on a coarse stride. It copies every row (an
+// iterator's row is valid only until its next call to next, see
+// rowIter) except those an iterator holds already (see rowsLeft),
+// which nothing overwrites: a sort or an aggregate builds them for this
+// open alone, and a VALUES list's are constant.
 func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 	it, err := openNode(ctx, n)
 	if err != nil {
@@ -1457,8 +1438,11 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 	}
 	defer it.close()
 	var out [][]Value
-	if n := rowsLeft(it); n > 0 {
-		out = make([][]Value, 0, n)
+	var block []Value // where the next rows are copied, sized with out
+	left := rowsLeft(it)
+	held := left > 0
+	if held {
+		out = make([][]Value, 0, left)
 	}
 	var pending int64
 	for {
@@ -1486,6 +1470,15 @@ func materialize(ctx *evalCtx, n planNode) ([][]Value, error) {
 			// quarter, which leaves about four times the result behind
 			// as garbage.
 			out = slices.Grow(out, max(len(out), 16))
+		}
+		if !held && len(row) > 0 {
+			if len(row) > len(block) {
+				block = make([]Value, (cap(out)-len(out))*len(row))
+			}
+			kept := block[:len(row):len(row)]
+			block = block[len(row):]
+			copy(kept, row)
+			row = kept
 		}
 		out = append(out, row)
 		pending += valuesBytes(row)

@@ -23,9 +23,11 @@ import (
 // grows when an end key leaves or a split parts the run.
 //
 // A run owns its arrays: no two runs share one, so a run changes in
-// place, and copy-on-write copies all four (clone). Key bytes are
-// copied in; nothing a caller passes is retained. Offsets are 32-bit,
-// so a run holds at most 4 GiB of suffix bytes, 64 keys of 64 MiB.
+// place, and copy-on-write copies all four (clone). Where a run
+// allocates prefix and suffix together, one array holds both (carve).
+// Key bytes are copied in; nothing a caller passes is retained. Offsets
+// are 32-bit, so a run holds at most 4 GiB of suffix bytes, 64 keys of
+// 64 MiB.
 type packedKeys struct {
 	prefix []byte
 	suffix []byte
@@ -226,8 +228,20 @@ func (r *packedKeys) reserve(n int) {
 		r.rids = append(make([]int64, 0, c), r.rids...)
 	}
 	if cap(r.suffix)-len(r.suffix) < n {
-		r.suffix = append(make([]byte, 0, len(r.suffix)+max(n, len(r.suffix)/4)), r.suffix...)
+		var suffix []byte
+		r.prefix, suffix = carve(r.pre(), len(r.suffix)+max(n, len(r.suffix)/4))
+		r.suffix = append(suffix, r.suffix...)
 	}
+}
+
+// carve returns one new array holding prefix, then room for n suffix
+// bytes, as a run's prefix and empty suffix. The prefix's capacity ends
+// with it, so neither half writes over the other, and a run that
+// carves again drops its old array whole.
+func carve(prefix string, n int) (pre, suf []byte) {
+	b := make([]byte, len(prefix), len(prefix)+n)
+	copy(b, prefix)
+	return b[:len(prefix):len(prefix)], b[len(prefix):]
 }
 
 // shrink cuts the prefix to its first m bytes, moving the rest to the
@@ -237,18 +251,14 @@ func (r *packedKeys) shrink(m, extra int) {
 	tail := r.prefix[m:]
 	size := len(r.suffix) + r.len()*len(tail)
 	checkRunBytes(size)
-	buf := make([]byte, 0, size+extra)
+	prefix, buf := carve(r.pre()[:m], size+extra)
 	start := 0
 	for j, end := range r.ends {
 		buf = append(append(buf, tail...), r.suffix[start:end]...)
 		start = int(end)
 		r.ends[j] = uint32(len(buf))
 	}
-	r.suffix = buf
-	r.prefix = r.prefix[:m]
-	if cap(r.prefix) > 2*m+16 { // a long first key's bytes
-		r.prefix = slices.Clone(r.prefix)
-	}
+	r.prefix, r.suffix = prefix, buf
 }
 
 // delete removes entry i.
@@ -293,11 +303,10 @@ func (r *packedKeys) slice(lo, hi int) packedKeys {
 	}
 	g := commonPrefixLen(r.suf(lo), r.suf(hi-1))
 	out := packedKeys{
-		prefix: append(append(make([]byte, 0, len(r.prefix)+g), r.prefix...), r.suf(lo)[:g]...),
-		suffix: make([]byte, 0, int(r.ends[hi-1])-r.start(lo)-(hi-lo)*g),
-		ends:   make([]uint32, hi-lo),
-		rids:   slices.Clone(r.rids[lo:hi]),
+		ends: make([]uint32, hi-lo),
+		rids: slices.Clone(r.rids[lo:hi]),
 	}
+	out.prefix, out.suffix = carve(r.pre()+r.suf(lo)[:g], int(r.ends[hi-1])-r.start(lo)-(hi-lo)*g)
 	for j := lo; j < hi; j++ {
 		out.suffix = append(out.suffix, r.suf(j)[g:]...)
 		out.ends[j-lo] = uint32(len(out.suffix))
@@ -328,11 +337,10 @@ func packKeys(entries []btreeEntry) packedKeys {
 	}
 	checkRunBytes(size)
 	r := packedKeys{
-		prefix: []byte(entries[0].key[:p]),
-		suffix: make([]byte, 0, size),
-		ends:   make([]uint32, len(entries)),
-		rids:   make([]int64, len(entries)),
+		ends: make([]uint32, len(entries)),
+		rids: make([]int64, len(entries)),
 	}
+	r.prefix, r.suffix = carve(entries[0].key[:p], size)
 	for i, e := range entries {
 		r.suffix = append(r.suffix, e.key[p:]...)
 		r.ends[i] = uint32(len(r.suffix))

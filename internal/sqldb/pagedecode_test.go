@@ -3,7 +3,6 @@ package sqldb_test
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/shred"
@@ -11,18 +10,13 @@ import (
 	"repro/internal/xmlgen"
 )
 
-// eagerPageBytes is what decoding every row of the benchmark's page cost
-// when a fault decoded the whole page into value and text arenas: a full
-// scan of a faulted page must not allocate more than that.
-const eagerPageBytes = 139136
-
 // BenchmarkPageDecode measures a buffer-pool fault's work on one full
 // 512-row accel page of a factor-0.1 Interval store, from the checked
 // image to a frame: the structural pass that validates every slot and
 // records where it starts, decoding no row. It fails above four
-// allocations per fault. The all-rows case then reads every row, as a
-// full scan does, and fails if that allocates more per page than the
-// eager decode it replaced.
+// allocations per fault. The all-rows case then faults the page and
+// reads every row into one scratch row, as a full scan does, and fails
+// above eight allocations per page.
 func BenchmarkPageDecode(b *testing.B) {
 	db, err := loadAuction(shred.NewInterval(false), 0.1)
 	if err != nil {
@@ -38,8 +32,9 @@ func BenchmarkPageDecode(b *testing.B) {
 	}
 	readAll := func() {
 		p, n := fault(), 0
+		var scratch []sqldb.Value
 		for i := range 512 {
-			if p.Row(i) != nil {
+			if p.Row(i, &scratch) != nil {
 				n++
 			}
 		}
@@ -50,8 +45,8 @@ func BenchmarkPageDecode(b *testing.B) {
 	if allocs := testing.AllocsPerRun(10, func() { fault() }); allocs > 4 {
 		b.Fatalf("%.0f allocations per page fault, want <= 4", allocs)
 	}
-	if n := bytesPerRun(20, readAll); n > eagerPageBytes {
-		b.Fatalf("reading every row of a faulted page allocates %d bytes, want <= %d", n, eagerPageBytes)
+	if allocs := testing.AllocsPerRun(10, readAll); allocs > 8 {
+		b.Fatalf("%.0f allocations to fault a page and read every row, want <= 8", allocs)
 	}
 	b.Run("fault", func(b *testing.B) {
 		b.SetBytes(int64(len(payload)))
@@ -71,16 +66,17 @@ func BenchmarkPageDecode(b *testing.B) {
 
 // reopenAllocsCeiling bounds BenchmarkReopen's allocations per reopen
 // of a factor-0.1 Interval store. It read 19,819 while the index
-// rebuild decoded every row into its frame, one allocation a row, and
-// 4,460 with the rows decoded into one scratch row and left undecoded;
-// the ceiling is that plus about 12 %.
-const reopenAllocsCeiling = 5000
+// rebuild decoded every row into its frame, one allocation a row, 4,460
+// with the rows decoded into one scratch row, and 3,581 once a rebuilt
+// B-tree node's key prefix and suffix share one array; the ceiling is
+// that plus about 12 %.
+const reopenAllocsCeiling = 4000
 
 // BenchmarkReopen measures opening a checkpointed durable factor-0.1
 // Interval store, an empty WAL: restoring the snapshot and rebuilding
 // every index from one scan of the pages. It fails above
 // reopenAllocsCeiling allocations per reopen, which holds the rebuild
-// to decoding each row into scratch and leaving it undecoded.
+// to decoding each row into scratch.
 func BenchmarkReopen(b *testing.B) {
 	fs := sqldb.NewMemVFS()
 	d, err := sqldb.OpenDurable(fs, sqldb.DurableOptions{})
@@ -119,19 +115,6 @@ func BenchmarkReopen(b *testing.B) {
 	}
 }
 
-// bytesPerRun returns the heap bytes one call of f allocates, averaged
-// over runs calls.
-func bytesPerRun(runs int, f func()) uint64 {
-	f() // warm up, as testing.AllocsPerRun does
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
-}
-
 // FuzzPagePayload holds the fault-time check to the row decoder: a
 // payload the check accepts decodes in every slot, and the materialized
 // frame encodes back to the payload byte for byte (the slots past the
@@ -150,8 +133,9 @@ func FuzzPagePayload(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var scratch []sqldb.Value
 		for i := range 512 {
-			p.Row(i)
+			p.Row(i, &scratch)
 		}
 		enc := p.Encode()
 		if len(enc) < len(payload) || !bytes.Equal(enc[:len(payload)], payload) {

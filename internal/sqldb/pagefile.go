@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -40,16 +41,26 @@ func pageSlotsFor(payloadLen int) int {
 	return (payloadLen + pageSlotHeader + pageSlotSize - 1) / pageSlotSize
 }
 
-// encodePageFrame renders a frame's first n row slots as a page
-// payload. n bounds the encoded slots to the table's allocated rowids
-// so a partial tail page never persists junk beyond the heap.
-func encodePageFrame(f *pageFrame, n int) []byte {
-	e := &walEncoder{}
-	for i := 0; i < n; i++ {
-		row := f.row(i)
+// encodeRows renders row slots as a page payload and records in offs,
+// when non-nil, where each live slot starts plus one. The payload is
+// sized exactly: a sealed page keeps it as its resident form, so any
+// slack would stay allocated as long as the page.
+func encodeRows(rows [][]Value, offs *[heapPageSize]uint32) []byte {
+	n := 0
+	for _, row := range rows {
+		n += uvarintLen(uint64(len(row)) + 1)
+		for _, v := range row {
+			n += valueLen(v)
+		}
+	}
+	e := &walEncoder{b: make([]byte, 0, n)}
+	for i, row := range rows {
 		if row == nil {
 			e.uvarint(0)
 			continue
+		}
+		if offs != nil {
+			offs[i] = uint32(len(e.b)) + 1
 		}
 		e.uvarint(uint64(len(row)) + 1)
 		for _, v := range row {
@@ -58,6 +69,22 @@ func encodePageFrame(f *pageFrame, n int) []byte {
 	}
 	return e.b
 }
+
+// valueLen is the length of v in the WAL value codec.
+func valueLen(v Value) int {
+	switch v.Type() {
+	case TypeInt, TypeBool:
+		u := uint64(v.i())
+		return 1 + uvarintLen(u<<1^-(u>>63)) // zigzag, as binary.AppendVarint
+	case TypeFloat:
+		return 9
+	case TypeText, TypeBlob:
+		return 1 + uvarintLen(uint64(v.size())) + v.size()
+	}
+	return 1
+}
+
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // framePageImage wraps a payload in the slot chain image written at
 // slot pid (1-based): header + payload. The rest of the chain's last
@@ -94,28 +121,22 @@ func pageImagePayload(pid int64, img []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// A faulted page keeps its checked payload as the frame's image and
-// decodes a row slot the first time a reader asks for it (see
-// pageFrame.row). scanPagePayload is the check: one pass over the
-// payload that records where every live slot starts and applies every
-// bound and tag check a full decode would, so a corrupt page fails when
-// it is faulted in, on the one operation that needed it, and never on a
-// later row access. Decoded TEXT and BLOB values point into the image,
-// which is allocated per read and owned by the frame alone.
-
-// slotBusy marks a lazy slot one reader is publishing (see
-// pageFrame.row); a slot offset is stored plus one, so a payload shorter
-// than slotBusy never collides with it.
-const slotBusy = math.MaxUint32
+// A faulted page's frame is its checked payload (see pageFrame).
+// scanPagePayload is the check: one pass over the payload that records
+// where every live slot starts and applies every bound and tag check a
+// decode would, so a corrupt page fails when it is faulted in, on the
+// one operation that needed it, and never on a later row access.
+// Decoded TEXT and BLOB values point into the image, which is
+// allocated per read and owned by the frame alone.
 
 // scanPagePayload checks at most limit row slots of a page payload and
-// returns an image-backed frame over it; more slots than that is
-// corruption. No row is decoded.
+// returns a sealed frame over it; more slots than that is corruption.
+// No row is decoded.
 func scanPagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
-	if uint64(len(payload)) >= slotBusy {
+	if uint64(len(payload)) >= math.MaxUint32 { // slot offsets are stored plus one in 32 bits
 		return nil, errorf("pagefile: page %d: payload too large (%d bytes)", pid, len(payload))
 	}
-	im := &pageImage{b: payload}
+	f := &pageFrame{img: payload}
 	b := payload
 	for i, off := 0, 0; off < len(b); i++ {
 		if i == limit {
@@ -139,9 +160,9 @@ func scanPagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
 				return nil, errorf("pagefile: page %d slot %d: corrupt value", pid, i)
 			}
 		}
-		im.lazy[i] = uint32(start) + 1
+		f.offs[i] = uint32(start) + 1
 	}
-	return &pageFrame{img: im}, nil
+	return f, nil
 }
 
 // skipValue returns the offset just past the WAL-codec value at off, or
@@ -195,18 +216,25 @@ func pageUvarint(b []byte, off int) (v uint64, n int) {
 	return v, n
 }
 
-// decodeSlot decodes the live row slot starting at off of a payload
-// scanPagePayload checked, so it meets no malformed byte, into a row of
-// its own. Its TEXT and BLOB values point into the payload.
-func decodeSlot(b []byte, off int) []Value {
-	return decodeSlotInto(nil, b, off)
+// slotWidth is the column count of the live row slot starting at off of
+// a checked payload.
+func slotWidth(b []byte, off int) int {
+	nc, _ := binary.Uvarint(b[off:])
+	return int(nc - 1)
 }
 
-// decodeSlotInto is decodeSlot writing into dst's array when it holds
-// the row's columns, and into a new row of exactly their number when
-// it does not (or is nil).
+// decodeSlotInto decodes the live row slot starting at off of a payload
+// scanPagePayload checked, so it meets no malformed byte, into dst's
+// array when it holds the row's columns, and into a new row of exactly
+// their number when it does not (or is nil). Its TEXT and BLOB values
+// point into the payload.
 func decodeSlotInto(dst []Value, b []byte, off int) []Value {
-	nc, n := binary.Uvarint(b[off:])
+	// Most arities, lengths and integers are one byte: those skip the
+	// call to binary.Uvarint.
+	nc, n := uint64(b[off]), 1
+	if nc >= 0x80 {
+		nc, n = binary.Uvarint(b[off:])
+	}
 	off += n
 	if dst == nil || uint64(cap(dst)) < nc-1 {
 		dst = make([]Value, nc-1)
@@ -219,14 +247,20 @@ func decodeSlotInto(dst []Value, b []byte, off int) []Value {
 		case TypeNull:
 			row[j] = Null
 		case TypeInt, TypeBool:
-			u, n := binary.Uvarint(b[off:])
+			u, n := uint64(b[off]), 1
+			if u >= 0x80 {
+				u, n = binary.Uvarint(b[off:])
+			}
 			off += n
 			row[j] = tagged(t, u>>1^-(u&1)) // zigzag, as binary.Varint
 		case TypeFloat:
 			row[j] = tagged(t, binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 		case TypeText, TypeBlob:
-			l, n := binary.Uvarint(b[off:])
+			l, n := uint64(b[off]), 1
+			if l >= 0x80 {
+				l, n = binary.Uvarint(b[off:])
+			}
 			off += n
 			var p unsafe.Pointer
 			if l > 0 {
@@ -237,21 +271,4 @@ func decodeSlotInto(dst []Value, b []byte, off int) []Value {
 		}
 	}
 	return row
-}
-
-// decodePagePayload decodes at most limit row slots of a page payload
-// into a plain frame, every row decoded: a snapshot's inlined tail page,
-// which inserts keep filling. The rows' text points into payload.
-func decodePagePayload(pid int64, payload []byte, limit int) (*pageFrame, error) {
-	f, err := scanPagePayload(pid, payload, limit)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range f.img.lazy {
-		if s != 0 {
-			f.rows[i] = decodeSlot(payload, int(s-1))
-		}
-	}
-	f.img = nil
-	return f, nil
 }

@@ -95,10 +95,13 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		for _, c := range t.def.Columns {
 			st.Columns = append(st.Columns, savedColumn{Name: c.Name, Type: c.Type, NotNull: c.NotNull})
 		}
+		// A page that is not full is inlined, bounded to the rowids the
+		// table has allocated; it is never sealed, so its frame is plain.
 		inlineFrom := t.fullPages()
 		full = append(full, t.pages[:inlineFrom]...)
-		if err := inlinePages(t, st.Pages, inlineFrom); err != nil {
-			return "", fmt.Errorf("sqldb: snapshot of %s: %w", t.def.Name, err)
+		for pi := inlineFrom; pi < len(t.pages); pi++ {
+			n := int(min(t.count-int64(pi)<<heapPageShift, heapPageSize))
+			st.Pages[pi].Inline = encodeRows(t.pages[pi].res.Load().rows[:n], nil)
 		}
 		for _, idx := range t.indexes {
 			if idx != t.pkIndex {
@@ -120,20 +123,6 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		return "", err
 	}
 	return snap.PagesFile, writeSealed(w, payload.Bytes())
-}
-
-// inlinePages encodes t's pages from index `from` on into out, each
-// bounded to the rowids the table has allocated. The pin faults an
-// evicted page in; a failed read becomes an error.
-func inlinePages(t *table, out []savedPage, from int) (err error) {
-	defer recoverToError(&err)
-	var ref pageRef
-	defer ref.release()
-	for pi := from; pi < len(t.pages); pi++ {
-		n := int(min(t.count-int64(pi)<<heapPageShift, heapPageSize))
-		out[pi].Inline = encodePageFrame(ref.pin(t.pages[pi]), n)
-	}
-	return nil
 }
 
 // writeSealed wraps payload in the sealed snapshot envelope:
@@ -246,11 +235,12 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*ta
 			}
 			pool.adopt(p, pf, sp.Pid, sp.Slots)
 		} else {
-			f, err := decodePagePayload(int64(pi), sp.Inline, int(sv.Count-int64(pi)<<heapPageShift))
+			// The tail page, which inserts keep filling: plain.
+			f, err := scanPagePayload(int64(pi), sp.Inline, int(sv.Count-int64(pi)<<heapPageShift))
 			if err != nil {
 				return nil, err
 			}
-			p.res.Store(f)
+			p.res.Store(f.clone())
 		}
 		t.pages = append(t.pages, p)
 	}
@@ -264,22 +254,17 @@ func restoreTable(sv savedTable, pool *pageStore, pf *pageFile, gen uint64) (*ta
 	for i, idx := range t.indexes {
 		builds[i] = indexBuild{idx: idx, entries: make([]btreeEntry, 0, t.count)}
 	}
-	// One scan collects every index's keys and the live/byte counts; the
-	// trees are then built by sorting. A faulted page's rows are decoded
-	// into one scratch row and stay undecoded, so the restored table
-	// holds page images until a reader asks for rows. The barrier turns
-	// a failed page read into a load error instead of a panic.
+	// One scan collects every index's keys and the live/byte counts,
+	// each row decoded into one scratch row; the trees are then built by
+	// sorting. The barrier turns a failed page read into a load error
+	// instead of a panic.
 	if err := func() (err error) {
 		defer recoverToError(&err)
 		var ref pageRef
 		defer ref.release()
 		scratch := make([]Value, len(def.Columns))
 		for rid := int64(0); rid < t.count; rid++ {
-			p := t.pages[rid>>heapPageShift]
-			if ref.p != p {
-				ref.pin(p)
-			}
-			row := ref.f.peekRow(int(rid&heapPageMask), scratch)
+			row := t.rowRef(rid, &ref, &scratch)
 			if row == nil {
 				continue
 			}

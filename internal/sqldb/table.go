@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"bytes"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -41,102 +40,64 @@ const (
 	heapPageMask  = heapPageSize - 1
 )
 
-// pageFrame is the in-memory image of a page's row slots. The row
-// array is a true array (not a slice) so a frame copy duplicates every
-// slot header and concurrent readers of the old frame never observe
-// the copy.
-//
-// A frame is plain or image-backed. A writer builds plain frames (tail
-// pages, copy-on-write copies) and stores rows straight into the array.
-// A buffer-pool fault builds an image-backed frame, whose rows decode
-// from img the first time a reader asks for them (see row). Readers go
-// through row, never through rows directly.
+// pageFrame is a page's resident form, plain or sealed. A writer builds
+// plain frames (tail pages, copy-on-write copies) and stores rows
+// straight into rows. A page seals once, when it enters the buffer pool
+// (see pageStore.add): from then on its frame is its checked image
+// alone, the payload its pages file holds, and where each slot starts
+// in it — whether sealed from a plain frame or faulted back in from
+// disk. Readers go through row, never through rows or img directly.
 type pageFrame struct {
-	rows [heapPageSize][]Value
-	img  *pageImage // nil for a plain frame
+	rows *[heapPageSize][]Value // a plain frame's rows; nil once sealed
+	img  []byte                 // a sealed frame's payload (see pagefile.go)
+	// offs[i] is where slot i starts in img, plus one; 0 for a tombstone.
+	offs [heapPageSize]uint32
 }
 
-// pageImage is the checked payload of a faulted page (see
-// scanPagePayload) and where each of its undecoded slots starts.
-type pageImage struct {
-	b []byte
-	// lazy[i] is the offset plus one of slot i's bytes in b until
-	// rows[i] holds its row, then 0; slotBusy while a reader publishes
-	// it. Tombstones are 0 from the start.
-	lazy [heapPageSize]uint32
+// row returns slot i's row, nil when deleted. A plain frame returns the
+// stored row. A sealed frame decodes the slot into *scratch, grown when
+// too short, so the row is valid until the caller reuses scratch; with
+// a nil scratch it decodes into a row the caller owns. Either way the
+// row's TEXT and BLOB values point into stored bytes and stay valid.
+func (f *pageFrame) row(i int, scratch *[]Value) []Value {
+	if f.rows != nil {
+		return f.rows[i]
+	}
+	off := f.offs[i]
+	switch {
+	case off == 0:
+		return nil
+	case scratch == nil:
+		return decodeSlotInto(nil, f.img, int(off-1))
+	}
+	*scratch = decodeSlotInto(*scratch, f.img, int(off-1))
+	return *scratch
 }
 
-// row returns slot i's row (nil when deleted), decoding it from the
-// image on first use. Two readers that race on an undecoded slot may
-// both decode it; the one whose CAS claims the slot publishes its copy
-// and the other returns its own, so rows[i] is written once and read
-// only after the atomic store that publishes it.
-func (f *pageFrame) row(i int) []Value {
-	if im := f.img; im != nil {
-		if s := atomic.LoadUint32(&im.lazy[i]); s != 0 {
-			return f.decodeRow(i, s)
-		}
-	}
-	return f.rows[i]
-}
-
-func (f *pageFrame) decodeRow(i int, s uint32) []Value {
-	lazy := &f.img.lazy[i]
-	for s == slotBusy {
-		// Another reader is between its CAS and its store.
-		runtime.Gosched()
-		if s = atomic.LoadUint32(lazy); s == 0 {
-			return f.rows[i]
-		}
-	}
-	row := decodeSlot(f.img.b, int(s-1))
-	if h := testSlotDecoded.Load(); h != nil {
-		(*h)()
-	}
-	if atomic.CompareAndSwapUint32(lazy, s, slotBusy) {
-		f.rows[i] = row
-		atomic.StoreUint32(lazy, 0)
-	}
-	return row
-}
-
-// peekRow is row for a one-pass reader: an undecoded slot is decoded
-// into scratch (see decodeSlotInto) and stays undecoded, so the frame
-// keeps its image and no row. The row is valid until scratch is reused.
-func (f *pageFrame) peekRow(i int, scratch []Value) []Value {
-	if im := f.img; im != nil {
-		if s := atomic.LoadUint32(&im.lazy[i]); s != 0 && s != slotBusy {
-			return decodeSlotInto(scratch, im.b, int(s-1))
-		}
-	}
-	return f.row(i)
-}
-
-// testSlotDecoded, when non-nil, runs after every lazy slot decode;
-// tests count decodes with it.
-var testSlotDecoded atomic.Pointer[func()]
-
-// clone returns a plain copy of f for a copy-on-write writer; an
-// image-backed frame's rows are decoded through row, so a concurrent
-// reader's publication is never read torn.
+// clone returns a plain copy of f for a copy-on-write writer. A sealed
+// frame's rows are decoded into one block, each row's capacity ending
+// with it.
 func (f *pageFrame) clone() *pageFrame {
-	if f.img == nil {
-		return &pageFrame{rows: f.rows}
+	c := &pageFrame{rows: new([heapPageSize][]Value)}
+	if f.rows != nil {
+		*c.rows = *f.rows
+		return c
 	}
-	c := &pageFrame{}
-	for i := range c.rows {
-		c.rows[i] = f.row(i)
+	n := 0
+	for _, off := range f.offs {
+		if off != 0 {
+			n += slotWidth(f.img, int(off-1))
+		}
+	}
+	block := make([]Value, n)
+	for i, off := range f.offs {
+		if off != 0 {
+			w := slotWidth(f.img, int(off-1))
+			c.rows[i] = decodeSlotInto(block[:w:w], f.img, int(off-1))
+			block = block[w:]
+		}
 	}
 	return c
-}
-
-// payload returns f's page payload: the image it was faulted from, or
-// its rows encoded.
-func (f *pageFrame) payload() []byte {
-	if f.img != nil {
-		return f.img.b
-	}
-	return encodePageFrame(f, heapPageSize)
 }
 
 // heapPage holds a fixed run of row slots behind one level of
@@ -163,7 +124,7 @@ type heapPage struct {
 // newHeapPage allocates a resident page for generation gen.
 func newHeapPage(gen uint64) *heapPage {
 	p := &heapPage{gen: gen}
-	p.res.Store(&pageFrame{})
+	p.res.Store(&pageFrame{rows: new([heapPageSize][]Value)})
 	return p
 }
 
@@ -240,22 +201,24 @@ func (t *table) beginWrite(gen uint64) *table {
 	return nt
 }
 
-// row returns the row at rid (nil when deleted). rid must be < count.
-// Unpinned: the frame pointer keeps the page's rows alive even if the
-// pool evicts the page immediately after.
-func (t *table) row(rid int64) []Value {
-	return t.pages[rid>>heapPageShift].frame().row(int(rid & heapPageMask))
+// row returns the row at rid (nil when deleted), decoded into *scratch
+// or, with a nil scratch, into a row of the caller's own (see
+// pageFrame.row). rid must be < count. Unpinned: the frame pointer
+// keeps the page's bytes alive even if the pool evicts the page
+// immediately after.
+func (t *table) row(rid int64, scratch *[]Value) []Value {
+	return t.pages[rid>>heapPageShift].frame().row(int(rid&heapPageMask), scratch)
 }
 
 // rowRef is row for scans: it keeps the containing page pinned in *ref
 // across consecutive calls, re-pinning only when the scan crosses into
 // another page. Callers release the ref when the scan closes.
-func (t *table) rowRef(rid int64, ref *pageRef) []Value {
+func (t *table) rowRef(rid int64, ref *pageRef, scratch *[]Value) []Value {
 	p := t.pages[rid>>heapPageShift]
 	if ref.p != p {
 		ref.pin(p)
 	}
-	return ref.f.row(int(rid & heapPageMask))
+	return ref.f.row(int(rid&heapPageMask), scratch)
 }
 
 // slotCount returns the number of allocated rowids; rowids in [0,
@@ -346,7 +309,7 @@ func (t *table) insert(row []Value) (int64, error) {
 		if !idx.def.Unique {
 			continue
 		}
-		if rid, ok := t.lookupUnique(idx, appendRowKey(buf[:0], idx.def.Columns, row)); ok && t.row(rid) != nil {
+		if rid, ok := t.lookupUnique(idx, appendRowKey(buf[:0], idx.def.Columns, row)); ok && t.row(rid, nil) != nil {
 			if idx == t.pkIndex {
 				return 0, errorf("table %s: duplicate primary key %v", t.def.Name, idx.keyValues(row))
 			}
@@ -422,7 +385,7 @@ func (t *table) lookupUnique(idx *tableIndex, key []byte) (int64, bool) {
 
 // delete tombstones the row at rid and removes index entries.
 func (t *table) delete(rid int64) {
-	row := t.row(rid)
+	row := t.row(rid, nil)
 	if row == nil {
 		return
 	}
@@ -437,7 +400,7 @@ func (t *table) delete(rid int64) {
 
 // update replaces the row at rid, maintaining indexes.
 func (t *table) update(rid int64, row []Value) error {
-	old := t.row(rid)
+	old := t.row(rid, nil)
 	if old == nil {
 		return errorf("table %s: update of deleted row %d", t.def.Name, rid)
 	}
@@ -450,7 +413,7 @@ func (t *table) update(rid int64, row []Value) error {
 		if bytes.Equal(newKey, appendRowKey(oldBuf[:0], idx.def.Columns, old)) {
 			continue
 		}
-		if other, ok := t.lookupUnique(idx, newKey); ok && other != rid && t.row(other) != nil {
+		if other, ok := t.lookupUnique(idx, newKey); ok && other != rid && t.row(other, nil) != nil {
 			return errorf("table %s: unique index %s violated by update", t.def.Name, idx.def.Name)
 		}
 	}
@@ -471,8 +434,9 @@ func (t *table) addIndex(def IndexDef) (*tableIndex, error) {
 	b := indexBuild{idx: idx, entries: make([]btreeEntry, 0, t.live)}
 	var ref pageRef
 	defer ref.release()
+	var scratch []Value
 	for rid := int64(0); rid < t.count; rid++ {
-		if row := t.rowRef(rid, &ref); row != nil {
+		if row := t.rowRef(rid, &ref, &scratch); row != nil {
 			b.add(row, rid)
 		}
 	}
@@ -522,7 +486,7 @@ func (b *indexBuild) finish(t *table) error {
 	b.entries, b.chunk, b.key = nil, nil, nil
 	tree, dup, hasDup := buildBtree(t.gen, len(b.idx.def.Columns), entries)
 	if hasDup && b.idx.def.Unique {
-		return errorf("table %s: cannot build unique index %s: duplicate key %v", t.def.Name, b.idx.def.Name, b.idx.keyValues(t.row(dup)))
+		return errorf("table %s: cannot build unique index %s: duplicate key %v", t.def.Name, b.idx.def.Name, b.idx.keyValues(t.row(dup, nil)))
 	}
 	b.idx.tree = tree
 	return nil

@@ -79,14 +79,14 @@ func TestValueLayout(t *testing.T) {
 			t.Fatalf("WAL value %d: got %v (%v), want %v", i, got, err, want)
 		}
 	}
-	f := &pageFrame{}
-	f.rows[0], f.rows[2] = corners, corners[6:]
-	page, err := decodePagePayload(1, encodePageFrame(f, 3), heapPageSize)
+	want := [][]Value{corners, nil, corners[6:]}
+	f, err := scanPagePayload(1, encodeRows(want, nil), heapPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if page.rows[1] != nil || !IdenticalRows(page.rows[:3:3], [][]Value{corners, nil, corners[6:]}) {
-		t.Fatalf("page rows: got %v, want %v", page.rows[:3], f.rows[:3])
+	page := f.clone()
+	if page.rows[1] != nil || !IdenticalRows(page.rows[:3:3], want) {
+		t.Fatalf("page rows: got %v, want %v", page.rows[:3], want)
 	}
 	if cap(page.rows[0]) != len(corners) {
 		t.Fatalf("page row capacity %d, want %d: rows must not share tails", cap(page.rows[0]), len(corners))
@@ -178,14 +178,13 @@ func checkTagCorners(t *testing.T) {
 			t.Errorf("WAL value %d: got %v (%v), want %v", i, got, err, want)
 		}
 	}
-	f := &pageFrame{}
-	f.rows[0] = row
-	page, err := decodePagePayload(1, encodePageFrame(f, 1), heapPageSize)
+	f, err := scanPagePayload(1, encodeRows([][]Value{row}, nil), heapPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	page := f.row(0, nil)
 	for i, want := range row {
-		if got := page.rows[0][i]; !Identical(got, want) || got.Type() != want.Type() {
+		if got := page[i]; !Identical(got, want) || got.Type() != want.Type() {
 			t.Errorf("page value %d: got %v, want %v", i, got, want)
 		}
 	}

@@ -704,8 +704,9 @@ func imageIndex(tbl *table) map[string][]int64 {
 	m := map[string][]int64{}
 	var ref pageRef
 	defer ref.release()
+	var scratch []Value
 	for rid := int64(0); rid < tbl.slotCount(); rid++ {
-		row := tbl.rowRef(rid, &ref)
+		row := tbl.rowRef(rid, &ref, &scratch)
 		if row == nil {
 			continue
 		}

@@ -43,7 +43,7 @@ func dbStateDiff(a, b *Database) string {
 func rowImages(t *table) []string {
 	var keys []string
 	for rid := int64(0); rid < t.slotCount(); rid++ {
-		if row := t.row(rid); row != nil {
+		if row := t.row(rid, nil); row != nil {
 			keys = append(keys, rowImageKey(row))
 		}
 	}
@@ -77,10 +77,10 @@ func checkIndexes(t *testing.T, db *Database) {
 			for c := idx.tree.seek(""); c.valid(); c.advance() {
 				e := c.entry()
 				seen++
-				if e.rid < 0 || e.rid >= tbl.slotCount() || tbl.row(e.rid) == nil {
+				if e.rid < 0 || e.rid >= tbl.slotCount() || tbl.row(e.rid, nil) == nil {
 					t.Fatalf("table %s index %s: entry %q points at dead rid %d", name, idx.def.Name, e.key, e.rid)
 				}
-				if got := appendRowKey(nil, idx.def.Columns, tbl.row(e.rid)); string(got) != e.key {
+				if got := appendRowKey(nil, idx.def.Columns, tbl.row(e.rid, nil)); string(got) != e.key {
 					t.Fatalf("table %s index %s: entry key %q != row key %q (rid %d)", name, idx.def.Name, e.key, got, e.rid)
 				}
 			}

@@ -44,8 +44,10 @@ type binaryLayout struct {
 	table string
 }
 
-func (binaryLayout) scheme() string                { return "binary" }
-func (binaryLayout) chain(c []hop) (string, error) { return walkPath(c, "b", true) }
+func (binaryLayout) scheme() string { return "binary" }
+func (binaryLayout) chain(c []hop, pre, post string) (string, error) {
+	return walkPath(c, "b", true, pre, post)
+}
 
 // expand expands the path along the catalog's label paths, each hop in
 // its label's partition (a label without one has no rows, and neither
@@ -96,8 +98,8 @@ func (l binaryLayout) step(_ hop, a, cur string) (string, []string) {
 	return l.table + " " + a, []string{childEdge(a, cur)}
 }
 
-func (binaryLayout) test(string, hop) string       { return "" }
-func (binaryLayout) result(_ hop, w walked) string { return edgeResult(w) }
+func (binaryLayout) test(string, hop) string        { return "" }
+func (binaryLayout) result(_ hop, w *walked) string { return edgeResult(w) }
 
 // position counts within the context's partition: its same-label
 // siblings.

@@ -42,8 +42,10 @@ type edgeLayout struct {
 	opt EdgeOptions
 }
 
-func (edgeLayout) scheme() string                { return "edge" }
-func (edgeLayout) chain(c []hop) (string, error) { return walkPath(c, "e", false) }
+func (edgeLayout) scheme() string { return "edge" }
+func (edgeLayout) chain(c []hop, pre, post string) (string, error) {
+	return walkPath(c, "e", false, pre, post)
+}
 
 // expand expands descendant steps along the catalog's label paths when
 // there is one and the path is one it expresses, into blind chains
@@ -127,11 +129,11 @@ func childEdge(a, cur string) string {
 }
 
 // edgeResult selects the node an Edge or Binary chain ends at.
-func edgeResult(w walked) string {
-	return "SELECT " + w.cur + ".target AS id, " + w.cur + ".value AS val " + w.body()
+func edgeResult(w *walked) string {
+	return "SELECT " + w.cur + ".target AS id, " + w.cur + ".value AS val "
 }
 
-func (edgeLayout) result(_ hop, w walked) string { return edgeResult(w) }
+func (edgeLayout) result(_ hop, w *walked) string { return edgeResult(w) }
 
 func (edgeLayout) position(cur string, test xpath.NodeTest) string {
 	return fmt.Sprintf("(SELECT COUNT(*) FROM edge s WHERE s.source = %s.source AND %s AND s.ordinal < %s.ordinal) + 1",

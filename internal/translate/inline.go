@@ -38,7 +38,7 @@ type InlineRelation struct {
 	Elem    string
 	Table   string
 	Columns []InlineColumn
-	ByKey   map[string]*InlineColumn
+	ByKey   map[string]int // column key -> index in Columns
 }
 
 // Placement records where an element name is stored: which relation and
@@ -76,7 +76,7 @@ func BuildInlineMapping(g *dtd.Graph) (*InlineMapping, error) {
 		rel := &InlineRelation{
 			Elem:  name,
 			Table: "inl_" + SanitizeName(name),
-			ByKey: map[string]*InlineColumn{},
+			ByKey: map[string]int{},
 		}
 		m.Relations[name] = rel
 		m.Order = append(m.Order, name)
@@ -93,8 +93,8 @@ func (m *InlineMapping) addColumn(rel *InlineRelation, col InlineColumn) {
 	if _, ok := rel.ByKey[col.Key]; ok {
 		return
 	}
+	rel.ByKey[col.Key] = len(rel.Columns)
 	rel.Columns = append(rel.Columns, col)
-	rel.ByKey[col.Key] = &rel.Columns[len(rel.Columns)-1]
 }
 
 // populate walks the non-shared region below rel's element, creating
@@ -374,8 +374,10 @@ type inlineLayout struct {
 	pos inlinePos
 }
 
-func (inlineLayout) scheme() string                { return "inline" }
-func (inlineLayout) chain(c []hop) (string, error) { return walkPath(c, "i", true) }
+func (inlineLayout) scheme() string { return "inline" }
+func (inlineLayout) chain(c []hop, pre, post string) (string, error) {
+	return walkPath(c, "i", true, pre, post)
+}
 
 // position is a shared element's ordinal among its same-name siblings;
 // an inlined element occurs at most once.
@@ -411,7 +413,7 @@ func (inlineLayout) test(string, hop) string { return "" }
 // result selects the route's host row, with the value column of its
 // element, or of the attribute or text() its value step selects; an
 // inlined element's column marks it present.
-func (l inlineLayout) result(h hop, w walked) string {
+func (l inlineLayout) result(h hop, w *walked) string {
 	rel := l.pos.rel()
 	if len(l.pos.path) > 0 {
 		present := "1 = 0"
@@ -421,13 +423,13 @@ func (l inlineLayout) result(h hop, w walked) string {
 		w.where = append(w.where, present)
 	}
 	val := "NULL"
-	if col, ok := rel.ByKey[valueKey(l.pos.path, h)]; ok && (col.Kind == ColText || col.Kind == ColAttr) {
-		val = w.cur + "." + QuoteIdent(col.Key)
+	if i, ok := rel.ByKey[valueKey(l.pos.path, h)]; ok && rel.Columns[i].Kind != ColPresence {
+		val = w.cur + "." + QuoteIdent(rel.Columns[i].Key)
 		if h.axis == xpath.AxisAttribute || h.test.Kind == xpath.TestText {
 			w.preds = append(w.preds, val+" IS NOT NULL")
 		}
 	}
-	return "SELECT " + w.cur + ".id AS id, " + val + " AS val " + w.body()
+	return "SELECT " + w.cur + ".id AS id, " + val + " AS val "
 }
 
 // predPath runs p's steps from the context position as a location
@@ -465,7 +467,7 @@ func (l inlineLayout) predPath(p *xpath.Path, cur string) (predPath, error) {
 	for k := range order {
 		order[k] = fmt.Sprintf("%s_x%d.ordinal", cur, k+1)
 	}
-	return predPath{q: "SELECT 1 " + w.body(), val: val, order: strings.Join(order, ", ")}, nil
+	return predPath{q: w.render("", "SELECT 1 ", ""), val: val, order: strings.Join(order, ", ")}, nil
 }
 
 // valueKey is the column key of the node hop h ends at, on inner path

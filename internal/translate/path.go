@@ -47,17 +47,19 @@ type pathLayout interface {
 	// expand turns an absolute path's steps into the concrete chains
 	// whose union the path selects, or refuses them.
 	expand(steps []xpath.Step) ([][]hop, error)
-	// chain renders one chain as a SELECT of id and val.
-	chain(c []hop) (string, error)
-	// sorted renders a lone chain's SELECT in document order.
-	sorted(q string) string
+	// chain renders one chain as a SELECT of id and val, between pre
+	// and post.
+	chain(c []hop, pre, post string) (string, error)
+	// inOrder returns what goes before and after a lone chain's SELECT
+	// to sort it in document order.
+	inOrder() (pre, post string)
 }
 
 // byID sorts a lone chain by its id, which is document order where ids
 // are pre-order ranks (and insertion order for Inline's row ids).
 type byID struct{}
 
-func (byID) sorted(q string) string { return q + " ORDER BY id" }
+func (byID) inOrder() (string, string) { return "", " ORDER BY id" }
 
 // compilePath translates an absolute location path.
 func compilePath(l pathLayout, p *xpath.Path) (string, error) {
@@ -76,9 +78,14 @@ func compilePath(l pathLayout, p *xpath.Path) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// A lone chain is rendered in document order at once.
+	var pre, post string
+	if len(chains) == 1 {
+		pre, post = l.inOrder()
+	}
 	var parts []string
 	for _, c := range chains {
-		q, err := l.chain(c)
+		q, err := l.chain(c, pre, post)
 		if err != nil {
 			return "", err
 		}
@@ -86,11 +93,14 @@ func compilePath(l pathLayout, p *xpath.Path) (string, error) {
 			parts = append(parts, q)
 		}
 	}
-	switch len(parts) {
-	case 0:
+	switch {
+	case len(parts) == 0:
 		return emptyQuery, nil
-	case 1:
-		return l.sorted(parts[0]), nil
+	case len(chains) == 1:
+		return parts[0], nil
+	case len(parts) == 1:
+		pre, post = l.inOrder()
+		return pre + parts[0] + post, nil
 	}
 	return "SELECT DISTINCT id, val FROM (" + strings.Join(parts, " UNION ALL ") + ") u ORDER BY id", nil
 }
@@ -103,14 +113,40 @@ type walked struct {
 	from, where, preds []string
 }
 
-// body renders FROM … WHERE …, the predicates after the other
-// conditions.
-func (w walked) body() string {
-	s := "FROM " + strings.Join(w.from, ", ")
-	if where := slices.Concat(w.where, w.preds); len(where) > 0 {
-		s += " WHERE " + strings.Join(where, " AND ")
+// render renders a chain's SQL in one piece: pre and head, then FROM …
+// WHERE … with the predicates after the other conditions, then post.
+func (w walked) render(pre, head, post string) string {
+	conds := [2][]string{w.where, w.preds}
+	n := len(pre) + len(head) + len("FROM ") + len(" WHERE ") + len(post)
+	for _, s := range w.from {
+		n += len(s) + len(", ")
 	}
-	return s
+	for _, l := range conds {
+		for _, s := range l {
+			n += len(s) + len(" AND ")
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(pre)
+	b.WriteString(head)
+	b.WriteString("FROM ")
+	for i, s := range w.from {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s)
+	}
+	sep := " WHERE "
+	for _, l := range conds {
+		for _, s := range l {
+			b.WriteString(sep)
+			b.WriteString(s)
+			sep = " AND "
+		}
+	}
+	b.WriteString(post)
+	return b.String()
 }
 
 // walk renders chain c from the context alias cur, "" for the document
@@ -152,14 +188,14 @@ func walk(c []hop, cur, prefix string, grouped, inPred bool) (walked, error) {
 }
 
 // walkPath renders a location chain from the document node as its last
-// node's layout selects it.
-func walkPath(c []hop, prefix string, grouped bool) (string, error) {
+// node's layout selects it, between pre and post.
+func walkPath(c []hop, prefix string, grouped bool, pre, post string) (string, error) {
 	w, err := walk(c, "", prefix, grouped, false)
 	if err != nil {
 		return "", err
 	}
 	last := c[len(c)-1]
-	return last.at.result(last, w), nil
+	return w.render(pre, last.at.result(last, &w), post), nil
 }
 
 // walkPred renders a predicate path's hops from the context alias cur
@@ -167,7 +203,7 @@ func walkPath(c []hop, prefix string, grouped bool) (string, error) {
 // last node's table that ranks it in document order.
 func walkPred(c []hop, cur, infix, order string) predPath {
 	w, _ := walk(c, cur, cur+infix, false, true) // no predicates: nothing to fail
-	return predPath{q: "SELECT 1 " + w.body(), val: c[len(c)-1].at.value(w.cur), order: w.cur + "." + order}
+	return predPath{q: w.render("", "SELECT 1 ", ""), val: c[len(c)-1].at.value(w.cur), order: w.cur + "." + order}
 }
 
 // predSteps refuses what no scheme's predicate paths take: an absolute

@@ -28,9 +28,9 @@ type layout interface {
 	// test renders h's node test on alias a, or "" where the encoding
 	// implies it.
 	test(a string, h hop) string
-	// result renders a location chain that ends at hop h as a SELECT of
-	// id and val.
-	result(h hop, w walked) string
+	// result renders the SELECT list, id and val, of a location chain
+	// that ends at hop h, adding to w the conditions it needs.
+	result(h hop, w *walked) string
 	// predPath compiles a relative predicate path from the context
 	// alias cur.
 	predPath(p *xpath.Path, cur string) (predPath, error)

@@ -23,8 +23,10 @@ type region struct {
 	axis, predAxis func(ax xpath.Axis, a, cur string) []string
 }
 
-func (l region) scheme() string                { return l.name }
-func (l region) chain(c []hop) (string, error) { return walkPath(c, l.alias, false) }
+func (l region) scheme() string { return l.name }
+func (l region) chain(c []hop, pre, post string) (string, error) {
+	return walkPath(c, l.alias, false, pre, post)
+}
 
 func (l region) expand(steps []xpath.Step) ([][]hop, error) {
 	hops, err := stepHops(l, steps, xpath.AxisChild, xpath.AxisAttribute, xpath.AxisDescendant, xpath.AxisParent,
@@ -55,20 +57,19 @@ func (l region) step(h hop, a, cur string) (string, []string) {
 // result selects the node's pre-order rank and value. Where pre is not
 // the document order (Dewey's pre numbers go stale after ordered
 // inserts, its paths never do), it selects the order column too, and
-// sorted sorts by it.
-func (l region) result(_ hop, w walked) string {
-	q := "SELECT DISTINCT " + w.cur + ".pre AS id, " + w.cur + ".value AS val"
-	if l.order != "pre" {
-		q += ", " + w.cur + "." + l.order + " AS dpath"
+// inOrder sorts by it.
+func (l region) result(_ hop, w *walked) string {
+	if l.order == "pre" {
+		return "SELECT DISTINCT " + w.cur + ".pre AS id, " + w.cur + ".value AS val "
 	}
-	return q + " " + w.body()
+	return "SELECT DISTINCT " + w.cur + ".pre AS id, " + w.cur + ".value AS val, " + w.cur + "." + l.order + " AS dpath "
 }
 
-func (l region) sorted(q string) string {
+func (l region) inOrder() (string, string) {
 	if l.order == "pre" {
-		return q + " ORDER BY id"
+		return "", " ORDER BY id"
 	}
-	return "SELECT id, val FROM (" + q + ") r ORDER BY dpath"
+	return "SELECT id, val FROM (", ") r ORDER BY dpath"
 }
 
 func (l region) position(cur string, test xpath.NodeTest) string {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/xmlgen"
 	"repro/internal/xpath"
 )
 
@@ -226,10 +227,10 @@ func TestInlineMappingStructure(t *testing.T) {
 		}
 	}
 	// meta is presence-typed (no text), created is text-typed.
-	if root.ByKey["meta"].Kind != ColPresence {
+	if root.Columns[root.ByKey["meta"]].Kind != ColPresence {
 		t.Error("meta should be a presence column")
 	}
-	if root.ByKey["meta.created"].Kind != ColText {
+	if root.Columns[root.ByKey["meta.created"]].Kind != ColText {
 		t.Error("meta.created should be a text column")
 	}
 	// Placements know every spot an element occupies.
@@ -244,6 +245,36 @@ func keysOf(r *InlineRelation) []string {
 		out = append(out, c.Key)
 	}
 	return out
+}
+
+// TestInlineByKeyMatchesColumns: every relation's ByKey names each of
+// its columns, at that column's own place in Columns, over the auction
+// DTD, whose relations grow their column lists well past a first
+// allocation.
+func TestInlineByKeyMatchesColumns(t *testing.T) {
+	d, err := dtd.Parse(xmlgen.AuctionDTD, "site")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildInlineMapping(dtd.BuildGraph(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rel := range m.Relations {
+		if len(rel.ByKey) != len(rel.Columns) {
+			t.Errorf("%s: %d keys for %d columns", rel.Table, len(rel.ByKey), len(rel.Columns))
+		}
+		for i, c := range rel.Columns {
+			if j, ok := rel.ByKey[c.Key]; !ok || j != i {
+				t.Errorf("%s: ByKey[%q] = %d, %v; want column %d", rel.Table, c.Key, j, ok, i)
+			}
+			n++
+		}
+	}
+	if n < 60 {
+		t.Fatalf("auction DTD mapped to %d columns, want the full schema", n)
+	}
 }
 
 func TestInlineTranslationShape(t *testing.T) {

@@ -41,10 +41,10 @@ func (l universalLayout) expand(steps []xpath.Step) ([][]hop, error) {
 	return l.opt.Catalog.chains(steps, "universal", nil)
 }
 
-// sorted keeps a lone chain DISTINCT too: a node's id repeats on the
+// inOrder keeps a lone chain DISTINCT too: a node's id repeats on the
 // row of every leaf below it.
-func (universalLayout) sorted(q string) string {
-	return "SELECT DISTINCT id, val FROM (" + q + ") u ORDER BY id"
+func (universalLayout) inOrder() (string, string) {
+	return "SELECT DISTINCT id, val FROM (", ") u ORDER BY id"
 }
 
 func universalCol(seg, kind string, opt UniversalOptions) (string, bool) {
@@ -57,13 +57,13 @@ func universalCol(seg, kind string, opt UniversalOptions) (string, bool) {
 
 // chain renders one concrete label chain: non-null checks for every
 // segment's id column, predicates via value columns or self-joins.
-func (l universalLayout) chain(c []hop) (string, error) {
+func (l universalLayout) chain(c []hop, pre, post string) (string, error) {
 	u := "u0"
 	var where []string
 	for _, h := range c {
 		idCol, ok := universalCol(h.label, "id", l.opt)
 		if !ok {
-			return emptyQuery, nil
+			return pre + emptyQuery + post, nil
 		}
 		where = append(where, fmt.Sprintf("%s.%s IS NOT NULL", u, QuoteIdent(idCol)))
 	}
@@ -85,8 +85,8 @@ func (l universalLayout) chain(c []hop) (string, error) {
 	if !ok {
 		valCol = idCol
 	}
-	return fmt.Sprintf("SELECT %s.%s AS id, %s.%s AS val ", u, QuoteIdent(idCol), u, QuoteIdent(valCol)) +
-		walked{from: joins, where: where}.body(), nil
+	head := fmt.Sprintf("SELECT %s.%s AS id, %s.%s AS val ", u, QuoteIdent(idCol), u, QuoteIdent(valCol))
+	return walked{from: joins, where: where}.render(pre, head, post), nil
 }
 
 // universalPred translates a predicate anchored at the element whose
