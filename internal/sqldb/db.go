@@ -1174,8 +1174,8 @@ func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (int, error) {
 	for _, rid := range rids {
 		if row := tbl.row(rid, nil); row != nil {
 			images = append(images, row)
+			tbl.delete(rid, row)
 		}
-		tbl.delete(rid)
 	}
 	if len(images) > 0 {
 		w.commit(&walRecord{Op: opDelete, Table: tbl.def.Name, Rows: images})
@@ -1245,7 +1245,7 @@ func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (int, error) {
 				return finish(errorf("table %s: column %s is NOT NULL", s.Table, tbl.def.Columns[so.col].Name))
 			}
 		}
-		if err := tbl.update(rid, row); err != nil {
+		if err := tbl.update(rid, old, row); err != nil {
 			return finish(err)
 		}
 		oldImages = append(oldImages, old)

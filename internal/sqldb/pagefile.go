@@ -23,7 +23,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -43,17 +43,10 @@ func pageSlotsFor(payloadLen int) int {
 
 // encodeRows renders row slots as a page payload and records in offs,
 // when non-nil, where each live slot starts plus one. The payload is
-// sized exactly: a sealed page keeps it as its resident form, so any
-// slack would stay allocated as long as the page.
+// returned as an exact copy: a sealed page keeps it as its resident
+// form, so any slack would stay allocated as long as the page.
 func encodeRows(rows [][]Value, offs *[heapPageSize]uint32) []byte {
-	n := 0
-	for _, row := range rows {
-		n += uvarintLen(uint64(len(row)) + 1)
-		for _, v := range row {
-			n += valueLen(v)
-		}
-	}
-	e := &walEncoder{b: make([]byte, 0, n)}
+	e := &walEncoder{}
 	for i, row := range rows {
 		if row == nil {
 			e.uvarint(0)
@@ -67,24 +60,8 @@ func encodeRows(rows [][]Value, offs *[heapPageSize]uint32) []byte {
 			e.value(v)
 		}
 	}
-	return e.b
+	return slices.Clone(e.b)
 }
-
-// valueLen is the length of v in the WAL value codec.
-func valueLen(v Value) int {
-	switch v.Type() {
-	case TypeInt, TypeBool:
-		u := uint64(v.i())
-		return 1 + uvarintLen(u<<1^-(u>>63)) // zigzag, as binary.AppendVarint
-	case TypeFloat:
-		return 9
-	case TypeText, TypeBlob:
-		return 1 + uvarintLen(uint64(v.size())) + v.size()
-	}
-	return 1
-}
-
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // framePageImage wraps a payload in the slot chain image written at
 // slot pid (1-based): header + payload. The rest of the chain's last

@@ -95,13 +95,10 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		for _, c := range t.def.Columns {
 			st.Columns = append(st.Columns, savedColumn{Name: c.Name, Type: c.Type, NotNull: c.NotNull})
 		}
-		// A page that is not full is inlined, bounded to the rowids the
-		// table has allocated; it is never sealed, so its frame is plain.
 		inlineFrom := t.fullPages()
 		full = append(full, t.pages[:inlineFrom]...)
-		for pi := inlineFrom; pi < len(t.pages); pi++ {
-			n := int(min(t.count-int64(pi)<<heapPageShift, heapPageSize))
-			st.Pages[pi].Inline = encodeRows(t.pages[pi].res.Load().rows[:n], nil)
+		if err := inlinePages(t, st.Pages, inlineFrom); err != nil {
+			return "", fmt.Errorf("sqldb: snapshot of %s: %w", t.def.Name, err)
 		}
 		for _, idx := range t.indexes {
 			if idx != t.pkIndex {
@@ -123,6 +120,27 @@ func writeSnapshot(w io.Writer, state *dbState, ps *pageStore) (string, error) {
 		return "", err
 	}
 	return snap.PagesFile, writeSealed(w, payload.Bytes())
+}
+
+// inlinePages encodes t's pages from index `from` on into out, each
+// bounded to the rowids the table has allocated. Writers are not
+// quiesced, so a tail page of t may fill, seal and be evicted while the
+// snapshot is written: the pin faults it back in, and a failed read
+// becomes an error.
+func inlinePages(t *table, out []savedPage, from int) (err error) {
+	defer recoverToError(&err)
+	var ref pageRef
+	defer ref.release()
+	for pi := from; pi < len(t.pages); pi++ {
+		n := int(min(t.count-int64(pi)<<heapPageShift, heapPageSize))
+		f := ref.pin(t.pages[pi])
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = f.row(i, nil)
+		}
+		out[pi].Inline = encodeRows(rows, nil)
+	}
+	return nil
 }
 
 // writeSealed wraps payload in the sealed snapshot envelope:

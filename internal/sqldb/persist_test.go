@@ -219,3 +219,55 @@ func TestLoadFromRefusesPageReferences(t *testing.T) {
 		t.Fatalf("opening a snapshot without its pages file: %v", err)
 	}
 }
+
+// TestSnapshotOfATailSealedAfterCapture captures a state whose last
+// page is a tail, then lets a writer fill that page until the pool
+// seals it and evicts it, before the captured state is written: a
+// checkpoint does not quiesce writers, and the snapshot must still
+// inline the tail's rows as the state held them.
+func TestSnapshotOfATailSealedAfterCapture(t *testing.T) {
+	d, err := OpenDurable(NewMemVFS(), DurableOptions{BufferPoolPages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	db := d.DB()
+	db.MustExec(`CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, val TEXT)`)
+	fillWide(t, db, heapPageSize+7)
+	state := db.state.Load()
+	tail := state.table("t").pages[1]
+	want := encodeRows(tail.res.Load().rows[:7], nil)
+
+	// Fill the tail and open the next page, which seals the tail; a
+	// lookup on page 0 then evicts it from the one-page pool.
+	batch := make([][]Value, 0, heapPageSize)
+	for i := heapPageSize + 7; i < 2*heapPageSize+1; i++ {
+		batch = append(batch, []Value{NewInt(int64(i)), NewInt(0), NewText("late")})
+	}
+	if _, err := db.BulkInsert("t", batch); err != nil {
+		t.Fatal(err)
+	}
+	dumpRows(t, db, `SELECT val FROM t WHERE id = 0`)
+	if tail.res.Load() != nil {
+		t.Fatal("the captured tail page is still resident")
+	}
+
+	var buf bytes.Buffer
+	if _, err := writeSnapshot(&buf, state, db.pool); err != nil {
+		t.Fatalf("snapshot of the captured state: %v", err)
+	}
+	payload, err := openSealed(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Tables) != 1 || len(snap.Tables[0].Pages) != 2 {
+		t.Fatalf("snapshot holds %+v", snap.Tables)
+	}
+	if got := snap.Tables[0].Pages[1].Inline; !bytes.Equal(got, want) {
+		t.Fatalf("inlined tail is %d bytes, want the captured %d", len(got), len(want))
+	}
+}

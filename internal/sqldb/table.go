@@ -74,6 +74,14 @@ func (f *pageFrame) row(i int, scratch *[]Value) []Value {
 	return *scratch
 }
 
+// has reports whether slot i holds a row, without decoding it.
+func (f *pageFrame) has(i int) bool {
+	if f.rows != nil {
+		return f.rows[i] != nil
+	}
+	return f.offs[i] != 0
+}
+
 // clone returns a plain copy of f for a copy-on-write writer. A sealed
 // frame's rows are decoded into one block, each row's capacity ending
 // with it.
@@ -210,6 +218,11 @@ func (t *table) row(rid int64, scratch *[]Value) []Value {
 	return t.pages[rid>>heapPageShift].frame().row(int(rid&heapPageMask), scratch)
 }
 
+// has reports whether rid holds a live row, decoding nothing.
+func (t *table) has(rid int64) bool {
+	return t.pages[rid>>heapPageShift].frame().has(int(rid & heapPageMask))
+}
+
 // rowRef is row for scans: it keeps the containing page pinned in *ref
 // across consecutive calls, re-pinning only when the scan crosses into
 // another page. Callers release the ref when the scan closes.
@@ -309,7 +322,7 @@ func (t *table) insert(row []Value) (int64, error) {
 		if !idx.def.Unique {
 			continue
 		}
-		if rid, ok := t.lookupUnique(idx, appendRowKey(buf[:0], idx.def.Columns, row)); ok && t.row(rid, nil) != nil {
+		if rid, ok := t.lookupUnique(idx, appendRowKey(buf[:0], idx.def.Columns, row)); ok && t.has(rid) {
 			if idx == t.pkIndex {
 				return 0, errorf("table %s: duplicate primary key %v", t.def.Name, idx.keyValues(row))
 			}
@@ -383,12 +396,9 @@ func (t *table) lookupUnique(idx *tableIndex, key []byte) (int64, bool) {
 	return c.rid(), true
 }
 
-// delete tombstones the row at rid and removes index entries.
-func (t *table) delete(rid int64) {
-	row := t.row(rid, nil)
-	if row == nil {
-		return
-	}
+// delete tombstones the row at rid, whose current image the caller
+// passes as row, and removes its index entries.
+func (t *table) delete(rid int64, row []Value) {
 	var buf [keyScratch]byte
 	for _, idx := range t.indexes {
 		idx.tree.Delete(keyView(appendRowKey(buf[:0], idx.def.Columns, row)), rid)
@@ -398,12 +408,9 @@ func (t *table) delete(rid int64) {
 	t.live--
 }
 
-// update replaces the row at rid, maintaining indexes.
-func (t *table) update(rid int64, row []Value) error {
-	old := t.row(rid, nil)
-	if old == nil {
-		return errorf("table %s: update of deleted row %d", t.def.Name, rid)
-	}
+// update replaces the row at rid, whose current image the caller
+// passes as old, maintaining indexes.
+func (t *table) update(rid int64, old, row []Value) error {
 	var buf, oldBuf [keyScratch]byte
 	for _, idx := range t.indexes {
 		if !idx.def.Unique {
@@ -413,7 +420,7 @@ func (t *table) update(rid int64, row []Value) error {
 		if bytes.Equal(newKey, appendRowKey(oldBuf[:0], idx.def.Columns, old)) {
 			continue
 		}
-		if other, ok := t.lookupUnique(idx, newKey); ok && other != rid && t.row(other, nil) != nil {
+		if other, ok := t.lookupUnique(idx, newKey); ok && other != rid && t.has(other) {
 			return errorf("table %s: unique index %s violated by update", t.def.Name, idx.def.Name)
 		}
 	}

@@ -743,7 +743,7 @@ func (tx *Tx) applyDelete(rec *walRecord) error {
 		if !ok {
 			return errorf("wal: delete image not found in %s", rec.Table)
 		}
-		tbl.delete(rid)
+		tbl.delete(rid, img)
 	}
 	w.commit(rec)
 	return nil
@@ -769,7 +769,7 @@ func (tx *Tx) applyUpdate(rec *walRecord) error {
 		if len(newRow) != len(tbl.def.Columns) {
 			return errorf("wal: update arity mismatch for %s", rec.Table)
 		}
-		if err := tbl.update(rid, newRow); err != nil {
+		if err := tbl.update(rid, img, newRow); err != nil {
 			return fmt.Errorf("sqldb: wal replay: %w", err)
 		}
 		k := rowImageKey(newRow)

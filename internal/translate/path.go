@@ -116,18 +116,7 @@ type walked struct {
 // render renders a chain's SQL in one piece: pre and head, then FROM …
 // WHERE … with the predicates after the other conditions, then post.
 func (w walked) render(pre, head, post string) string {
-	conds := [2][]string{w.where, w.preds}
-	n := len(pre) + len(head) + len("FROM ") + len(" WHERE ") + len(post)
-	for _, s := range w.from {
-		n += len(s) + len(", ")
-	}
-	for _, l := range conds {
-		for _, s := range l {
-			n += len(s) + len(" AND ")
-		}
-	}
 	var b strings.Builder
-	b.Grow(n)
 	b.WriteString(pre)
 	b.WriteString(head)
 	b.WriteString("FROM ")
@@ -138,7 +127,7 @@ func (w walked) render(pre, head, post string) string {
 		b.WriteString(s)
 	}
 	sep := " WHERE "
-	for _, l := range conds {
+	for _, l := range [2][]string{w.where, w.preds} {
 		for _, s := range l {
 			b.WriteString(sep)
 			b.WriteString(s)
