@@ -88,11 +88,13 @@ fuzz:
 ## more than eight; the bulk-load benchmark when a 65,536-row load makes
 ## more than 25,000 allocations, as a per-row allocation would; the
 ## reopen benchmark when reopening a factor-0.1 Interval store makes
-## more than 4,000, as decoding every row into a row of its own at the
-## index rebuild would); use `make bench` for real numbers. The
-## per-scheme ordered inserts (edge, binary, interval, dewey, inline)
-## run in `make test`: internal/bench drives every xbench experiment at
-## smoke scale, and F3 fails on any insert error.
+## more than 2,350, as decoding every row into a row of its own at the
+## index rebuild, or a B-tree node in more than one array, would; the
+## B-tree benchmark when a tree holds more than 12 bytes per entry, as
+## offsets and rowids at full width would); use `make bench` for real
+## numbers. The per-scheme ordered inserts (edge, binary, interval,
+## dewey, inline) run in `make test`: internal/bench drives every xbench
+## experiment at smoke scale, and F3 fails on any insert error.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 

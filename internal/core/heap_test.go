@@ -25,8 +25,11 @@ import (
 // took three to six bytes, and 389 with the narrow key and the B-tree
 // keys unpacked again; 308 once the trees were built bottom-up at
 // commit, and 244 once a Value shrank from 24 to 16 bytes and rows
-// were cut from one block per heap page. The ceiling is 244 plus 6 %.
-const indexHeapPerRowCeiling = 259
+// were cut from one block per heap page; 122 once a sealed heap page was
+// its encoded image, and 92 once each B-tree node held its keys in one
+// array with offsets and rowids as narrow as the node needs. The
+// ceiling is 92 plus 6 %.
+const indexHeapPerRowCeiling = 98
 
 // TestIndexHeapPerRow guards the packed B-tree keys and the 16-byte
 // Value: the live heap (HeapAlloc after a forced GC, which counts the

@@ -164,7 +164,7 @@ func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btre
 			n.keys.insert(i, key, rid)
 		}
 		// Leaf split promotes a copy of the right node's first entry.
-		return btreeEntry{key: right.keys.key(0), rid: right.keys.rids[0]}, right
+		return btreeEntry{key: right.keys.key(0), rid: right.keys.rid(0)}, right
 	}
 	i := n.keys.search(key, rid, 1)
 	child := t.mutable(n.children[i])
@@ -189,18 +189,15 @@ func (t *btree) insertInto(n *btreeNode, key string, rid int64, last bool) (btre
 // splitLeaf splits the full leaf n before the entry that goes at
 // position i is placed, and returns the new right sibling. An insert
 // past the end of the tree's last leaf (ascending keys) leaves n full
-// and starts the sibling empty, sized for as many keys as n holds; any
-// other splits n in half, each half in arrays of its own size.
+// and starts the sibling empty, laid out for as many keys and key bytes
+// as n holds, in n's widths; any other splits n in half, each half laid
+// out for exactly its own entries.
 func (t *btree) splitLeaf(n *btreeNode, i int, last bool) *btreeNode {
 	right := &btreeNode{gen: t.gen, leaf: true}
-	if last && i == n.keys.len() {
-		if s := n.keys.suffix; cap(s)-len(s) > len(s)/8 {
-			n.keys.suffix = slices.Clone(s)
-		}
-		right.keys = packedKeys{
-			suffix: make([]byte, 0, len(n.keys.suffix)),
-			ends:   make([]uint32, 0, btreeOrder),
-			rids:   make([]int64, 0, btreeOrder),
+	if k := &n.keys; last && i == k.len() {
+		right.keys = layout("", btreeOrder, k.ew, k.rw, 0, len(k.b)-k.keyAt())
+		if cap(k.b)-len(k.b) > k.sufLen()/8 || int(k.c) > k.len() {
+			*k = k.slice(0, k.len())
 		}
 		return right
 	}
@@ -212,7 +209,7 @@ func (t *btree) splitLeaf(n *btreeNode, i int, last bool) *btreeNode {
 
 func (t *btree) splitInner(n *btreeNode) (btreeEntry, *btreeNode) {
 	mid := n.keys.len() / 2
-	promoted := btreeEntry{key: n.keys.key(mid), rid: n.keys.rids[mid]}
+	promoted := btreeEntry{key: n.keys.key(mid), rid: n.keys.rid(mid)}
 	right := &btreeNode{gen: t.gen, leaf: false}
 	right.keys = n.keys.slice(mid+1, n.keys.len())
 	right.children = append(right.children, n.children[mid+1:]...)
@@ -689,7 +686,7 @@ func (c *btreeCursor) key() (pre, suf string) {
 // first.
 func (c *btreeCursor) rid() int64 {
 	top := c.frames[len(c.frames)-1]
-	return top.node.keys.rids[top.pos]
+	return top.node.keys.rid(top.pos)
 }
 
 // advance moves to the next entry in key order.

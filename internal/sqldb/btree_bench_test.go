@@ -22,7 +22,8 @@ import (
 //     them in rowid order; one op is one whole build.
 //
 // Each reports bytes/entry: what a tree of all 1<<16 keys, grown in the
-// same order, holds in its nodes and their arrays.
+// same order, holds in its nodes and their arrays. It fails above
+// btreeBytesPerEntryCeiling.
 func BenchmarkBtree(b *testing.B) {
 	const size = 1 << 16
 	keys := make([]string, size)
@@ -48,7 +49,13 @@ func BenchmarkBtree(b *testing.B) {
 		}
 		return tr
 	}
-	perEntry := func(tr *btree) float64 { return float64(footprint(tr.root)) / float64(tr.Len()) }
+	perEntry := func(tr *btree) float64 {
+		bytes := float64(footprint(tr.root)) / float64(tr.Len())
+		if bytes > btreeBytesPerEntryCeiling {
+			b.Fatalf("%.2f bytes per entry, want <= %d", bytes, btreeBytesPerEntryCeiling)
+		}
+		return bytes
+	}
 
 	for _, c := range []struct {
 		name  string
@@ -119,12 +126,19 @@ func BenchmarkBtree(b *testing.B) {
 	})
 }
 
+// btreeBytesPerEntryCeiling bounds BenchmarkBtree's bytes per entry, in
+// the tree grown by ascending and by random inserts. They read 19.9 and
+// 22.7 while a node held its keys in four arrays (prefix, suffix, uint32
+// end offsets, int64 rowids), and 9.7 and 10.8 with one array whose
+// offsets and rowid deltas are as narrow as the node needs; the ceiling
+// is the larger plus about 11 %.
+const btreeBytesPerEntryCeiling = 12
+
 // footprint returns the bytes the nodes under n and their arrays hold,
-// counted at capacity.
+// counted at capacity: each node's header, its key array, and an inner
+// node's children and counts.
 func footprint(n *btreeNode) int {
-	k := &n.keys
-	s := int(unsafe.Sizeof(*n)) + cap(k.prefix) + cap(k.suffix) + 4*cap(k.ends) + 8*cap(k.rids) +
-		8*cap(n.children) + 8*cap(n.counts)
+	s := int(unsafe.Sizeof(*n)) + cap(n.keys.b) + 8*cap(n.children) + 8*cap(n.counts)
 	for _, c := range n.children {
 		s += footprint(c)
 	}

@@ -134,33 +134,43 @@ func checkBtree(t *testing.T, tr *btree, strict, exactDistinct bool) []btreeEntr
 	return all
 }
 
-// checkRun verifies a packed run — offsets and rowids in step, offsets
-// ascending to the end of the suffix bytes, the prefix the longest its
+// checkRun verifies a packed run — no more entries than slots, offsets
+// ascending to the end of the suffix bytes in a field wide enough for
+// them, every rowid at or above the base, the prefix the longest its
 // first and last keys share — and returns its entries.
 func checkRun(t *testing.T, r *packedKeys) []btreeEntry {
 	t.Helper()
-	if len(r.ends) != len(r.rids) {
-		t.Fatalf("run has %d offsets for %d rowids", len(r.ends), len(r.rids))
+	if r.n > r.c {
+		t.Fatalf("run holds %d entries in %d slots", r.n, r.c)
+	}
+	if r.n > 0 && widthFor(uint64(r.sufLen())) > r.ew {
+		t.Fatalf("%d suffix bytes behind %d-byte offsets", r.sufLen(), r.ew)
+	}
+	if r.keyAt() < r.ridAt()+int(r.c)*int(r.rw) || r.sufAt() < r.keyAt() || r.sufAt() > len(r.b) {
+		t.Fatalf("rowids from %d, prefix from %d, suffix from %d: out of order in %d bytes", r.ridAt(), r.keyAt(), r.sufAt(), len(r.b))
 	}
 	var out []btreeEntry
-	for i, end := range r.ends {
-		if int(end) < r.start(i) || int(end) > len(r.suffix) {
-			t.Fatalf("offset %d of key %d outside [%d, %d]", end, i, r.start(i), len(r.suffix))
+	for i := range r.len() {
+		if end := r.end(i); end < r.start(i) || end > r.sufLen() {
+			t.Fatalf("offset %d of key %d outside [%d, %d]", end, i, r.start(i), r.sufLen())
 		}
-		out = append(out, btreeEntry{key: r.key(i), rid: r.rids[i]})
+		if r.rid(i) < r.base {
+			t.Fatalf("rowid %d of key %d below the base %d", r.rid(i), i, r.base)
+		}
+		out = append(out, btreeEntry{key: r.key(i), rid: r.rid(i)})
 	}
 	if len(out) == 0 {
-		if len(r.prefix) != 0 || len(r.suffix) != 0 {
-			t.Fatalf("empty run keeps a %d-byte prefix and %d suffix bytes", len(r.prefix), len(r.suffix))
+		if len(r.pre()) != 0 || r.sufLen() != 0 {
+			t.Fatalf("empty run keeps a %d-byte prefix and %d suffix bytes", len(r.pre()), r.sufLen())
 		}
 		return nil
 	}
-	if int(r.ends[len(r.ends)-1]) != len(r.suffix) {
-		t.Fatalf("offsets end at %d, suffix holds %d bytes", r.ends[len(r.ends)-1], len(r.suffix))
+	if end := r.end(len(out) - 1); end != r.sufLen() {
+		t.Fatalf("offsets end at %d, suffix holds %d bytes", end, r.sufLen())
 	}
 	first, last := out[0].key, out[len(out)-1].key
-	if want := first[:commonPrefixLen(first, last)]; string(r.prefix) != want {
-		t.Fatalf("run prefix %q, its end keys share %q", r.prefix, want)
+	if want := first[:commonPrefixLen(first, last)]; r.pre() != want {
+		t.Fatalf("run prefix %q, its end keys share %q", r.pre(), want)
 	}
 	return out
 }
@@ -350,13 +360,18 @@ func TestBtreeCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestPackedKeysHoldNoPointers guards the point of the packed run: each
-// of its fields is a slice whose elements cannot hold a pointer, so its
-// arrays are allocated in memory the garbage collector does not scan.
+// TestPackedKeysHoldNoPointers guards the point of the packed run: no
+// field holds a pointer but its one array, whose elements cannot, so the
+// array is allocated in memory the garbage collector does not scan.
 func TestPackedKeysHoldNoPointers(t *testing.T) {
 	typ := reflect.TypeOf(packedKeys{})
 	for i := range typ.NumField() {
-		if f := typ.Field(i); f.Type.Kind() != reflect.Slice || mayHoldPointer(f.Type.Elem()) {
+		f := typ.Field(i)
+		held := f.Type
+		if held.Kind() == reflect.Slice {
+			held = held.Elem()
+		}
+		if mayHoldPointer(held) {
 			t.Errorf("packedKeys.%s is a %s: a run's storage must hold no pointers", f.Name, f.Type)
 		}
 	}

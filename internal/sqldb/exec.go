@@ -212,7 +212,7 @@ func (b *keyBound) next(c *btreeCursor) (rid int64, ok bool) {
 	if top.pos++; top.pos == run.len() {
 		c.skipEmpty()
 	}
-	return run.rids[i], true
+	return run.rid(i), true
 }
 
 // passed reports whether key i of the leaf run lies past the bound.
@@ -271,82 +271,99 @@ func (b *keyBound) prefix(n *btreeNode) int {
 // buf and stays valid until the next seek; a descent from the root is
 // counted in stat (nil: not instrumented).
 func (p *indexProbe) seek(ctx *evalCtx, row []Value, tree *btree, buf *probeBuf, cur *probeCursor, stat *OpStats) (keyBound, error) {
-	from, after, stop, empty, err := p.bounds(ctx, row, buf)
-	if empty || err != nil {
-		cur.frames = cur.frames[:0]
-		return stop, err
+	if buf.lo == nil {
+		buf.lo, buf.hi = buf.loArr[:0], buf.hiArr[:0]
 	}
-	if cur.seek(tree, from, after) && stat != nil {
+	r, err := p.bounds(ctx, row, buf.lo, buf.hi)
+	buf.lo, buf.hi = r.lo, r.hi
+	if r.empty || err != nil {
+		cur.frames = cur.frames[:0]
+		return r.stop(), err
+	}
+	if cur.seek(tree, keyView(r.lo), r.after) && stat != nil {
 		stat.Descents++
 	}
-	return stop, nil
+	return r.stop(), nil
 }
 
 // count returns how many index entries the probe's range holds in
 // tree, from the inner nodes and the two boundary leaves alone; the
-// planner counts constant bounds with it.
+// planner counts constant bounds with it. The bounds are encoded into
+// arrays on the stack: bounds takes and returns its buffers by value,
+// as a buffer stored through a pointer would move to the heap.
 func (p *indexProbe) count(ctx *evalCtx, tree *btree) (int, error) {
-	var buf probeBuf
-	from, after, stop, empty, err := p.bounds(ctx, nil, &buf)
-	if empty || err != nil {
+	var lo, hi [keyScratch]byte
+	r, err := p.bounds(ctx, nil, lo[:0], hi[:0])
+	if r.empty || err != nil {
 		return 0, err
 	}
-	return tree.countRange(from, after, stop), nil
+	return tree.countRange(keyView(r.lo), r.after, r.stop()), nil
 }
 
-// bounds evaluates the probe against row: the range starts at the first
-// key whose prefix compares to from by at least after (0: >=, 1: >)
-// and ends at stop. empty reports a NULL bound.
-func (p *indexProbe) bounds(ctx *evalCtx, row []Value, buf *probeBuf) (from string, after int, stop keyBound, empty bool, err error) {
-	if buf.lo == nil {
-		buf.lo, buf.hi = buf.loArr[:0], buf.hiArr[:0]
-	}
-	buf.lo = buf.lo[:0]
+// probeRange is the index range a probe's bounds give, encoded into the
+// caller's buffers lo and hi, which it keeps for its next probe. The
+// range starts at the first key whose prefix compares to lo by at least
+// after (0: >=, 1: >) and ends at stop; empty reports a NULL bound,
+// which matches nothing.
+type probeRange struct {
+	lo, hi      []byte
+	after       int
+	incl, empty bool
+}
+
+// stop returns the range's end: the first key past the keys hi prefixes
+// (incl) or the first of them; an empty hi never stops.
+func (r *probeRange) stop() keyBound { return keyBound{key: keyView(r.hi), incl: r.incl} }
+
+// bounds evaluates the probe against row, encoding its bounds into lo
+// and hi.
+func (p *indexProbe) bounds(ctx *evalCtx, row []Value, lo, hi []byte) (r probeRange, err error) {
+	r.lo, r.hi = lo[:0], hi[:0]
 	for _, e := range p.eq {
 		v, err := e(ctx, row)
 		if err != nil {
-			return "", 0, stop, false, err
+			return r, err
 		}
 		if v.IsNull() {
 			// Equality with NULL matches nothing in SQL.
-			return "", 0, stop, true, nil
+			r.empty = true
+			return r, nil
 		}
-		buf.lo = appendKeyValue(buf.lo, v)
+		r.lo = appendKeyValue(r.lo, v)
 	}
-	np := len(buf.lo)
+	r.hi, r.incl = append(r.hi, r.lo...), true
 	switch {
 	case p.lo != nil:
 		v, err := p.lo(ctx, row)
 		if err != nil {
-			return "", 0, stop, false, err
+			return r, err
 		}
 		if v.IsNull() {
-			return "", 0, stop, true, nil
+			r.empty = true
+			return r, nil
 		}
-		buf.lo = appendKeyValue(buf.lo, v)
+		r.lo = appendKeyValue(r.lo, v)
 		if !p.loIncl {
-			after = 1
+			r.after = 1
 		}
 	case p.hi != nil:
 		// Upper-bound-only range: NULL keys sort first in the index but
 		// never satisfy a SQL comparison, so start after the NULL run.
-		buf.lo = append(buf.lo, keyNull)
-		after = 1
+		r.lo = append(r.lo, keyNull)
+		r.after = 1
 	}
 	if p.hi != nil {
 		v, err := p.hi(ctx, row)
 		if err != nil {
-			return "", 0, stop, false, err
+			return r, err
 		}
 		if v.IsNull() {
-			return "", 0, stop, true, nil
+			r.empty = true
+			return r, nil
 		}
-		buf.hi = appendKeyValue(append(buf.hi[:0], buf.lo[:np]...), v)
-		stop = keyBound{key: keyView(buf.hi), incl: p.hiIncl}
-	} else if np > 0 {
-		stop = keyBound{key: keyView(buf.lo[:np]), incl: true}
+		r.hi, r.incl = appendKeyValue(r.hi, v), p.hiIncl
 	}
-	return keyView(buf.lo), after, stop, false, nil
+	return r, nil
 }
 
 // indexScanNode scans an index range; its probe is evaluated when the

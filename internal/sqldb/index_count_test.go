@@ -47,6 +47,31 @@ func TestCountToMatchesCountRange(t *testing.T) {
 	}
 }
 
+// TestLiteralRangeCountAllocatesNothing holds the planner's range
+// count to its stack: indexProbe.count encodes literal bounds into
+// arrays of its own and counts from the tree, allocating nothing.
+func TestLiteralRangeCountAllocatesNothing(t *testing.T) {
+	tree := newBtree(1, 2)
+	for i := range 3000 {
+		tree.Insert(encKey(NewText(fmt.Sprint("name", i%10)), NewInt(int64(i))), int64(i))
+	}
+	lit := func(v Value) compiledExpr { return func(*evalCtx, []Value) (Value, error) { return v, nil } }
+	p := indexProbe{eq: []compiledExpr{lit(NewText("name3"))}, lo: lit(NewInt(100)), hi: lit(NewInt(2000)), loIncl: true}
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if n, err = p.count(nil, tree); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 190 {
+		t.Fatalf("counted %d entries of name3 in [100, 2000), want 190", n)
+	}
+	if allocs != 0 {
+		t.Errorf("a literal-bounded range count allocates %.1f times, want 0", allocs)
+	}
+}
+
 // countFixture is a table t(id, p, k, o) indexed on (p, k, o), the
 // shape of a child step's (parent, kind, name, ordinal) key: parents 0
 // to 9 hold a few children each and parent 3 holds 3000, so its runs

@@ -67,10 +67,11 @@ func BenchmarkPageDecode(b *testing.B) {
 // reopenAllocsCeiling bounds BenchmarkReopen's allocations per reopen
 // of a factor-0.1 Interval store. It read 19,819 while the index
 // rebuild decoded every row into its frame, one allocation a row, 4,460
-// with the rows decoded into one scratch row, and 3,581 once a rebuilt
-// B-tree node's key prefix and suffix share one array; the ceiling is
-// that plus about 12 %.
-const reopenAllocsCeiling = 4000
+// with the rows decoded into one scratch row, 3,581 once a rebuilt
+// B-tree node's key prefix and suffix share one array, and 2,099 once
+// its offsets and rowids share it too, one allocation per node; the
+// ceiling is that plus about 12 %.
+const reopenAllocsCeiling = 2350
 
 // BenchmarkReopen measures opening a checkpointed durable factor-0.1
 // Interval store, an empty WAL: restoring the snapshot and rebuilding
